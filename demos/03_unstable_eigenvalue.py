@@ -2,7 +2,7 @@
 
 At t = T the critical wave number exceeds 1, so the Rayleigh problem at
 k = 1 has a purely imaginary unstable eigenvalue.  This script scans the
-real part of the Wronskian along the imaginary axis, bisects the sign
+real part of the Wronskian along the imaginary axis, polishes the sign
 change to the eigenvalue, then traces the implicit curve c_i(k) down to
 its zero and compares that zero against the eigensolver's k*.
 

@@ -15,7 +15,6 @@ from .errors import (
     MultipleRoots,
     NonConvergence,
     ParseError,
-    PVFailure,
     StepFailure,
     TailDominance,
     ValidationError,
@@ -55,6 +54,7 @@ from .rayleigh import (
     assemble_phi,
     eigencurve,
     eigenvalue_for_k,
+    eigenvalues_for_ks,
     neutral_mode_phiB,
     solve_phi1,
     solve_phi2,

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import BracketFailure, NonConvergence
 from .flow import FlowParams, FlowState
 from .spectrum import TOL_EIG, Grid, lowest_eigenpair
-from .util import pmap
 
 __all__ = [
     "CalibrationResult",
@@ -73,7 +72,7 @@ def tune_M_for_kstar(
     field of ``params`` is ignored.  Targets must satisfy target^2 <= 2, the
     range over which the amplitude sweep is guaranteed to straddle.
     """
-    if not 0.0 < target_kstar and target_kstar ** 2 <= 2.0 + 1e-12:
+    if not (0.0 < target_kstar and target_kstar ** 2 <= 2.0 + 1e-12):
         raise ValueError("target_kstar must be positive with target^2 <= 2")
     lam_target = -target_kstar ** 2
     lo, hi = bracket
@@ -160,7 +159,7 @@ def kstar_time_sweep(
         r = lowest_eigenpair(FlowState(p, t), grid, tol_eig, want_mode=False)
         return r.lambda1, r.lambda2
 
-    pairs = pmap(solve, times)
+    pairs = [solve(t) for t in times]
     lam1 = np.array([a for a, _ in pairs])
     lam2 = np.array([b for _, b in pairs])
     kstars = tuple(math.sqrt(-l) if l < -tol_eig else None for l in lam1)

@@ -3,8 +3,8 @@
     viscoshear <subcommand> --config <path> [--out <dir>] [--format csv,json,svg]
 
 Subcommands: calibrate, kstar-sweep, eigencurve, verify, torus, line.
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical
-non-convergence.  The worker cap is read from VISCOSHEAR_THREADS (0 = auto).
+Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 any other
+numerical failure of the package (non-convergence, bad bracket, ...).
 """
 
 from __future__ import annotations
@@ -17,20 +17,10 @@ from . import rayleigh as ray
 from .acceptance import run_verify
 from .calibrate import kstar_time_sweep, tune_M_for_kstar
 from .config import Config, load_config
-from .errors import (
-    BracketFailure,
-    ConfigError,
-    MultipleRoots,
-    NonConvergence,
-    PVFailure,
-    StepFailure,
-    TailDominance,
-)
+from .errors import ConfigError, ViscoshearError
 from .flow import FlowState
 from .report import csv_text, json_text, scenario_report_dict, svg_line_plot
 from .scenario import run_line_scenario, run_torus_scenario
-
-_NUMERIC_ERRORS = (NonConvergence, BracketFailure, StepFailure, TailDominance, MultipleRoots, PVFailure)
 
 
 def _write(path: Path, text: str) -> None:
@@ -214,7 +204,10 @@ def main(argv=None) -> int:
     out_dir = Path(args.out if args.out != "." else cfg.out_dir)
     try:
         return _COMMANDS[args.subcommand](cfg, out_dir, formats)
-    except _NUMERIC_ERRORS as exc:
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ViscoshearError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

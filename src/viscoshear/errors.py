@@ -29,10 +29,6 @@ class MultipleRoots(ViscoshearError):
     """More than one sign change found where a unique root is expected."""
 
 
-class PVFailure(ViscoshearError):
-    """Principal-value quadrature failed to converge."""
-
-
 class ZeroNorm(ViscoshearError):
     """A candidate vector has numerically zero norm."""
 

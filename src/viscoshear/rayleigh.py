@@ -17,6 +17,18 @@ as I + II following the singular/regular split:
        (regular at the origin; accumulated as extra ODE state)
 
 which avoids the 1/c cancellation a naive two-sided quadrature suffers.
+
+The profile is odd, so the regular solution satisfies phi(-y) = -conj phi(y)
+and the integrator reproduces that mirror bit for bit: every Wronskian
+evaluation integrates the right half line only and takes the left-side
+terms from the mirrored state.  The determinant cross-check still
+integrates both sides, which makes it an independent oracle for the
+mirror identity as well.
+
+Roots in c_i are found for many wave numbers at once: one batched scan of
+Re W on a log-spaced c grid brackets each sign change, and Chandrupatla's
+bracketed inverse-quadratic iteration in log c (Adv. Eng. Softw. 28, 1997)
+polishes every bracket together, one ``wronskian_many`` pass per iteration.
 """
 
 from __future__ import annotations
@@ -37,7 +49,6 @@ from .errors import (
 )
 from .flow import FlowState, eval_b_derivs
 from .spectrum import Grid
-from .util import pmap
 
 __all__ = [
     "Phi1Solution",
@@ -53,6 +64,7 @@ __all__ = [
     "scan_wronskian",
     "wronskian_det_check",
     "wronskian_boundary",
+    "eigenvalues_for_ks",
     "eigenvalue_for_k",
     "eigencurve",
     "wronskian_partials",
@@ -66,6 +78,7 @@ C_SCAN_LO = 1e-8
 C_SCAN_POINTS = 200
 C_MAX_DEFAULT = 0.5
 YK_FACTOR = 12.0
+MAX_POLISH = 80
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -200,6 +213,17 @@ def _run_side(system: _WSystem, side: int, eps: float, ymax: float, samples=None
         samples=samples,
         initial_step=eps * 0.5,
     )
+
+
+# y -> -y conjugates every state column and flips the sign of the fluxes and
+# of the integrals accumulated from the origin outward.
+_W_PARITY = np.array([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+_PHI1_QUAD_PARITY = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _mirror(st: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """The left half-line pass's state, exactly, from the right one's."""
+    return np.conj(st) * parity
 
 
 def _phi_and_slope(system: _WSystem, y: float, st: np.ndarray):
@@ -344,7 +368,7 @@ class WronskianValue:
 
 def _assemble_many(state: FlowState, ks: np.ndarray, cs: np.ndarray, half_width: float,
                    rtol: float = RTOL_ODE, atol: float = ATOL_ODE):
-    """W(ic, k) for a batch of channels sharing one integration pass."""
+    """W(ic, k) for a batch of channels sharing one right half-line pass."""
     pr = _profile(state)
     ks = np.asarray(ks, dtype=float)
     cs = np.asarray(cs, dtype=float)
@@ -353,7 +377,7 @@ def _assemble_many(state: FlowState, ks: np.ndarray, cs: np.ndarray, half_width:
     ymax = _ymax_for(ks, half_width)
 
     st_r, _, _ = _run_side(system, +1, eps, ymax, rtol=rtol, atol=atol)
-    st_l, _, _ = _run_side(system, -1, eps, ymax, rtol=rtol, atol=atol)
+    st_l = _mirror(st_r, _W_PARITY)
 
     phi_r, mu_r = _phi_and_slope(system, ymax, st_r)
     phi_l, mu_l = _phi_and_slope(system, -ymax, st_l)
@@ -591,7 +615,9 @@ def wronskian_det_check(
     phi-(y) and phi+(y) are built from cumulative integrals of phi^(-2)
     accumulated from each side separately (plus modeled tails and the
     origin-strip closed form), so the determinant exercises an arithmetic
-    path independent of the I + II assembly returned as ``W``.
+    path independent of the I + II assembly returned as ``W``.  Both half
+    lines are integrated here, so the check also guards the mirror identity
+    the one-sided assembly relies on.
     """
     if not c_i > 0.0:
         raise ValueError("det check requires c_i > 0")
@@ -712,7 +738,8 @@ def wronskian_boundary(state: FlowState, k: float, half_width: float = 20.0) -> 
     with the c_i -> 0+ limit of ``wronskian``: the term equals
     p.v. integral of (b^{-1})''(v) / v dv, evaluated as the c = 0 value of
     the same log-kernel quadrature used for I(c).  The imaginary part
-    i*pi*(b^{-1})''(0) vanishes identically because the profile is odd.
+    i*pi*(b^{-1})''(0) vanishes identically because the profile is odd,
+    which also makes the left half-line terms the mirror of one right pass.
     """
     if not k > 0.0:
         raise ValueError("k must be positive")
@@ -721,7 +748,7 @@ def wronskian_boundary(state: FlowState, k: float, half_width: float = 20.0) -> 
     h_term = _panels(state).hilbert_at_zero()
 
     fin_r, _, system, eps = _phi1_quad_pass(state, k, +1, ymax)
-    fin_l, _, _, _ = _phi1_quad_pass(state, k, -1, ymax)
+    fin_l = _mirror(fin_r, _PHI1_QUAD_PARITY)
     qb = (fin_r[0, 3] - fin_l[0, 3]).real  # left accumulator is minus the segment
     strip = -2.0 * eps * k * k / (3.0 * pr.beta ** 2)
 
@@ -749,12 +776,98 @@ def _scan_grid(c_max: float) -> np.ndarray:
 
 
 def scan_wronskian(
-    state: FlowState, k: float, c_max: float = C_MAX_DEFAULT, half_width: float = 20.0
+    state: FlowState, k, c_max: float = C_MAX_DEFAULT, half_width: float = 20.0
 ):
-    """W(ic, k) on the log-spaced root-scan grid; one batched pass."""
+    """W(ic, k) on the log-spaced root-scan grid; one batched pass.
+
+    ``k`` is a wave number or a sequence of them; for a sequence, W and its
+    error estimate have one row per wave number, all from the same pass.
+    """
     cs = _scan_grid(c_max)
-    w, qe = wronskian_many(state, np.full_like(cs, k), cs, half_width)
-    return cs, w, qe
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    w, qe = wronskian_many(state, np.repeat(ks, len(cs)), np.tile(cs, len(ks)), half_width)
+    shape = (len(ks), len(cs)) if np.ndim(k) else (len(cs),)
+    return cs, w.reshape(shape), qe.reshape(shape)
+
+
+def _polish_roots(state, ks, lo, hi, w_lo, w_hi, tol, half_width):
+    """Chandrupatla's bracketed iteration in x = log c over every bracket at once.
+
+    x1 is the newest point, x2 the bracket end where Re W has the other sign
+    and x3 the point dropped last.  Inverse quadratic interpolation through
+    the three is taken where Chandrupatla's test keeps it well inside the
+    bracket, bisection elsewhere.  Each iteration evaluates W at one point
+    per unfinished bracket in a single ``wronskian_many`` pass.  A bracket
+    is done when |W| <= tol there, or when it has shrunk to rounding level;
+    then its last point is returned with whatever residual it has, for the
+    caller's residual check to judge.
+    """
+    x1, x2 = np.log(lo), np.log(hi)
+    f1, f2 = w_lo.real.copy(), w_hi.real.copy()
+    x3, f3 = np.empty_like(x2), np.empty_like(f2)  # set by the first iteration
+    t = np.full(len(ks), 0.5)
+    c_root, resid = np.empty(len(ks)), np.empty(len(ks))
+    todo = np.arange(len(ks))
+    for _ in range(MAX_POLISH):
+        i = todo
+        xt = x1[i] + t[i] * (x2[i] - x1[i])
+        ct = np.exp(xt)
+        w, _ = wronskian_many(state, ks[i], ct, half_width)
+        c_root[i], resid[i] = ct, np.abs(w)
+        same = (w.real > 0) == (f1[i] > 0)
+        x3[i], f3[i] = np.where(same, x1[i], x2[i]), np.where(same, f1[i], f2[i])
+        x2[i], f2[i] = np.where(same, x2[i], x1[i]), np.where(same, f2[i], f1[i])
+        x1[i], f1[i] = xt, w.real
+        dx = np.abs(x2[i] - x1[i])
+        xtol = 4.0 * np.finfo(float).eps * np.abs(x1[i])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1[i] - x2[i]) / (x3[i] - x2[i])
+            phi = (f1[i] - f2[i]) / (f3[i] - f2[i])
+            alpha = (x3[i] - x1[i]) / (x2[i] - x1[i])
+            a, b, c = f1[i], f2[i], f3[i]
+            t_iqi = a / (a - b) * c / (c - b) - alpha * a / (c - a) * b / (b - c)
+            tl = xtol / dx
+        smooth = (phi ** 2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        t[i] = np.clip(np.where(smooth, t_iqi, 0.5), tl, 1.0 - tl)
+        todo = i[~(resid[i] <= tol[i]) & (dx > 2.0 * xtol)]
+        if todo.size == 0:
+            return list(zip(c_root.tolist(), resid.tolist()))
+    raise NonConvergence(f"root polish stalled at k={ks[todo[0]]:g}")
+
+
+def eigenvalues_for_ks(
+    state: FlowState,
+    ks: Sequence[float],
+    c_max: float = C_MAX_DEFAULT,
+    half_width: float = 20.0,
+):
+    """Purely imaginary unstable eigenvalues at several wave numbers at once.
+
+    One batched scan of Re W(ic, k) on the log-spaced c grid brackets each
+    wave number's sign change, then every bracket is polished together
+    until |W| <= tol_root = 1e-10 * |W(i c_max, k)|, per bracket.  Returns
+    ``(roots, cs, W)``: ``roots[j]`` is (c_i, residual) for ks[j], or None
+    when its scan has no sign change (no purely imaginary eigenvalue at
+    scan resolution); W is the scan, one row per wave number.  Raises
+    ``MultipleRoots`` if a scan has more than one sign change and
+    ``NonConvergence`` if a polish stalls.
+    """
+    ks = np.asarray(ks, dtype=float)
+    cs, w, _ = scan_wronskian(state, ks, c_max, half_width)
+    wr = w.real
+    flips = (wr[:, :-1] == 0.0) | ((wr[:, :-1] > 0) != (wr[:, 1:] > 0))
+    for k, n in zip(ks, np.count_nonzero(flips, axis=1)):
+        if n > 1:
+            raise MultipleRoots(f"{n} sign changes of Re W at k={k:g}; expected at most one")
+    rows = np.flatnonzero(flips.any(axis=1))
+    roots = [None] * len(ks)
+    if rows.size:
+        j = flips[rows].argmax(axis=1)
+        found = _polish_roots(state, ks[rows], cs[j], cs[j + 1], w[rows, j], w[rows, j + 1],
+                              1e-10 * np.abs(w[rows, -1]), half_width)
+        for r, root in zip(rows, found):
+            roots[r] = root
+    return roots, cs, w
 
 
 def eigenvalue_for_k(
@@ -765,45 +878,13 @@ def eigenvalue_for_k(
 ):
     """Purely imaginary unstable eigenvalue at wave number k, if any.
 
-    Scans Re W(ic, k) on the log-spaced c grid; a single sign change is
-    bisected to |W| below tol_root = 1e-10 * |W(i c_max, k)|.  Returns
-    (c_i, residual) or None when no sign change exists (no purely imaginary
-    eigenvalue at scan resolution).  Raises ``MultipleRoots`` if more than
-    one sign change is found.
+    The one-wave-number case of ``eigenvalues_for_ks``: returns (c_i,
+    residual) with residual = |W(ic_i, k)| <= 1e-10 * |W(i c_max, k)|, or
+    None when Re W(ic, k) has no sign change on the scan grid.  Raises
+    ``MultipleRoots`` if more than one sign change is found.
     """
-    cs, w, _ = scan_wronskian(state, k, c_max, half_width)
-    wr = w.real
-    tol_root = 1e-10 * abs(w[-1])
-    sign_changes = [
-        j for j in range(len(cs) - 1) if wr[j] == 0.0 or (wr[j] > 0) != (wr[j + 1] > 0)
-    ]
-    if len(sign_changes) == 0:
-        return None
-    if len(sign_changes) > 1:
-        raise MultipleRoots(
-            f"{len(sign_changes)} sign changes of Re W at k={k:g}; expected at most one"
-        )
-    j = sign_changes[0]
-    lo, hi = cs[j], cs[j + 1]
-    w_lo = wr[j]
-    c_root, resid = None, None
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        wm, _ = wronskian_many(state, np.array([k]), np.array([mid]), half_width)
-        wm = complex(wm[0])
-        if abs(wm) <= tol_root:
-            c_root, resid = mid, abs(wm)
-            break
-        if (wm.real > 0) == (w_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            c_root, resid = mid, abs(wm)
-            break
-    if c_root is None:
-        raise NonConvergence(f"root polish stalled at k={k:g}")
-    return c_root, resid
+    roots, _, _ = eigenvalues_for_ks(state, [k], c_max, half_width)
+    return roots[0]
 
 
 @dataclass(frozen=True)
@@ -816,19 +897,18 @@ class EigenCurve:
 def eigencurve(state: FlowState, k_grid: Sequence[float], half_width: float = 20.0) -> EigenCurve:
     """Map k -> c_i(k) over a wave-number grid inside (0, k*).
 
+    All wave numbers share one batched scan and one batched root polish.
     Slopes by central differences on the computed points; ``k_zero`` is the
     linear extrapolation of the last two points to c_i = 0, the curve's own
     estimate of the critical wave number.
     """
     ks = np.asarray(sorted(k_grid), dtype=float)
-
-    def solve(k):
-        root = eigenvalue_for_k(state, float(k), half_width=half_width)
+    roots = eigenvalues_for_ks(state, ks, half_width=half_width)[0] if len(ks) else []
+    pts = []
+    for k, root in zip(ks, roots):
         if root is None:
             raise NonConvergence(f"no root at k={k:g}; grid extends past k*")
-        return (float(k), root[0], root[1])
-
-    pts = pmap(solve, list(ks))
+        pts.append((float(k), root[0], root[1]))
     slopes = []
     for j in range(1, len(pts) - 1):
         km, _, _ = pts[j - 1]

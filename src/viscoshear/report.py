@@ -2,9 +2,10 @@
 
 Floats print with 17 significant digits ('%.17g'), which round-trips IEEE
 doubles exactly, so identical inputs always produce byte-identical files;
-absent values render as NA in CSV and null in JSON.  The JSON writer is a
-small recursive formatter rather than the stdlib encoder so the float
-format is uniform everywhere.
+absent values render as NA in CSV and null in JSON.  JSON has no literal
+for infinities, so every non-finite float is null there too.  The JSON
+writer is a small recursive formatter rather than the stdlib encoder so the
+float format is uniform everywhere.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _jwrite(obj, out: list) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        out.append("null" if math.isnan(x) else fmt_float(x))
+        out.append(fmt_float(x) if math.isfinite(x) else "null")
     elif isinstance(obj, str):
         out.append(_json.dumps(obj))
     elif isinstance(obj, dict):

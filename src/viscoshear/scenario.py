@@ -135,12 +135,16 @@ def run_torus_scenario(
         rep.add("Ttilde_inside", False, None, (0.0, T), "no crossing of k* = 1")
         return rep
 
-    # unstable eigenvalue of the k = 1 mode at t = T
+    # unstable eigenvalue of the k = 1 mode at t = T, together with the
+    # slope probes k = 1 +/- dk and the stable integer modes k = 1.5, 2:
+    # one batched scan and one batched root polish
     st_T = FlowState(p, T)
-    cs, w, _ = ray.scan_wronskian(st_T, 1.0)
+    dk = 2e-3
+    roots, cs, w_scans = ray.eigenvalues_for_ks(st_T, (1.0, 1.0 - dk, 1.0 + dk, 1.5, 2.0))
+    root, r_lo, r_hi, *stable = roots
+    w = w_scans[0]
     rep.scan_cs, rep.scan_W = cs, w
     rep.w_scale = float(abs(w[-1]))
-    root = ray.eigenvalue_for_k(st_T, 1.0)
     if root is None:
         rep.add("ci_root_at_k1", False, None, None, "no sign change of Re W")
         return rep
@@ -156,9 +160,6 @@ def run_torus_scenario(
     rep.add("imW_over_absW_scan", im_ratio <= 1e-6, im_ratio, (0.0, 1e-6))
 
     # curve slope at k = 1 by central difference of neighboring roots
-    dk = 2e-3
-    r_lo = ray.eigenvalue_for_k(st_T, 1.0 - dk)
-    r_hi = ray.eigenvalue_for_k(st_T, 1.0 + dk)
     if r_lo is not None and r_hi is not None:
         slope = (r_hi[0] - r_lo[0]) / (2.0 * dk)
         rep.slope_at_k1 = slope
@@ -169,8 +170,7 @@ def run_torus_scenario(
         rep.add("slope_band", False, None, None, "roots at k = 1 +/- dk not found")
 
     # no roots at integer wave numbers that stay stable
-    for k_probe in (1.5, 2.0):
-        r = ray.eigenvalue_for_k(st_T, k_probe)
+    for k_probe, r in zip((1.5, 2.0), stable):
         rep.add(f"no_root_k{k_probe:g}", r is None, None if r is None else r[0], None)
 
     # root/no-root dichotomy around the crossing time

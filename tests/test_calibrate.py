@@ -24,6 +24,17 @@ def test_tune_is_deterministic(grid):
     assert abs(a.achieved - 0.99) <= 1e-6
 
 
+def test_target_outside_calibration_range_rejected(monkeypatch):
+    from viscoshear import calibrate
+
+    # lambda1 = -M, so k* = sqrt(M) is reachable for any positive target
+    monkeypatch.setattr(calibrate, "_lambda1", lambda params, M, t, grid, tol_eig: -M)
+    for target in (1.45, 0.0, -2.0):
+        with pytest.raises(ValueError, match="target_kstar"):
+            tune_M_for_kstar(P, 0.0, target)
+    assert abs(tune_M_for_kstar(P, 0.0, 0.99).achieved - 0.99) <= 1e-6
+
+
 def test_bracket_certificate(grid):
     cal = tune_M_for_kstar(P, 0.0, 0.99, grid)
     lo, hi = cal.bracket

@@ -1,6 +1,7 @@
 """Config parsing and the command-line surface."""
 
 import json
+import math
 
 import pytest
 
@@ -70,6 +71,7 @@ def test_csv_and_json_writers():
     assert text == "a,b\n1,NA\n0.5,x\n"
     payload = {"v": [1.5, None], "ok": True, "name": "r"}
     assert json_text(payload) == '{"v": [1.5, null], "ok": true, "name": "r"}\n'
+    assert json.loads(json_text({"x": math.inf, "y": -math.inf})) == {"x": None, "y": None}
 
 
 def test_svg_is_deterministic():
@@ -127,13 +129,16 @@ def test_cli_calibrate_prints_M(tmp_path, capsys):
     assert 0.700 <= float(m_line.split("=")[1]) <= 0.704
 
 
-def test_worker_cap_does_not_change_results(tmp_path, monkeypatch):
-    from viscoshear.calibrate import kstar_time_sweep
-    from viscoshear.flow import FlowParams
+@pytest.mark.parametrize(
+    "error, rc", [("ZeroNorm", 3), ("ConsistencyFailure", 3), ("ValidationError", 2)]
+)
+def test_package_errors_reach_their_exit_code(tmp_path, monkeypatch, error, rc):
+    from viscoshear import cli, errors
 
-    p = FlowParams(0.0, 0.15, 0.03, 0.8, 1e-3)
-    serial = kstar_time_sweep(0.0, p, 8)
-    monkeypatch.setenv("VISCOSHEAR_THREADS", "3")
-    threaded = kstar_time_sweep(0.0, p, 8)
-    assert list(serial.lambda1s) == list(threaded.lambda1s)
-    assert serial.kstars == threaded.kstars
+    def fail(cfg, out_dir, formats):
+        raise getattr(errors, error)("raised inside a command")
+
+    monkeypatch.setitem(cli._COMMANDS, "calibrate", fail)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(COUETTE_CFG)
+    assert main(["calibrate", "--config", str(cfg)]) == rc

@@ -148,6 +148,63 @@ def test_det_check_reference_and_couette(ctx, couette_state):
     assert np.max(np.abs(rep3.dets - rep3.W)) <= 1e-6 * max(1.0, abs(rep3.W))
 
 
+def test_left_pass_is_exact_mirror(ctx, couette_state):
+    # the one-sided assembly takes the left half line from these identities
+    ks = np.array([1.0, 0.95, 2.0])
+    cs = np.array([1e-6, 5e-4, 0.1])
+    for state in (ctx.state_T, couette_state):
+        system = ray._WSystem(ray._profile(state), ks, cs)
+        eps = ray._eps_start(cs)
+        st_r, _, _ = ray._run_side(system, +1, eps, 20.0)
+        st_l, _, _ = ray._run_side(system, -1, eps, 20.0)
+        assert np.array_equal(st_l, ray._mirror(st_r, ray._W_PARITY))
+        fin_r, _, _, _ = ray._phi1_quad_pass(state, 1.0, +1, 20.0)
+        fin_l, _, _, _ = ray._phi1_quad_pass(state, 1.0, -1, 20.0)
+        assert np.array_equal(fin_l, ray._mirror(fin_r, ray._PHI1_QUAD_PARITY))
+
+
+def test_eigencurve_shares_scan_and_polish(ctx, monkeypatch):
+    passes = []
+    real_many = ray.wronskian_many
+
+    def counted(state, ks, cs, *args, **kwargs):
+        w, qe = real_many(state, ks, cs, *args, **kwargs)
+        passes.append(w)
+        return w, qe
+
+    monkeypatch.setattr(ray, "wronskian_many", counted)
+    curve = ray.eigencurve(ctx.state_T, [0.95, 1.0])
+    scan, polish = passes[0], passes[1:]
+    assert len(scan) == 2 * ray.C_SCAN_POINTS
+    assert 1 <= len(polish) <= 6 and all(len(p) <= 2 for p in polish)
+    scales = np.abs(scan.reshape(2, -1)[:, -1])
+    for (_, _, resid), scale in zip(curve.points, scales):
+        assert resid <= 1e-10 * scale
+
+
+def test_batched_roots_match_single_wave_number(ctx):
+    state = ctx.state_T
+    ks = (1.0, 0.95, 1.5)
+    roots, _, w = ray.eigenvalues_for_ks(state, ks)
+    assert roots[2] is None
+    for k, root, row in zip(ks, roots, w):
+        single = ray.eigenvalue_for_k(state, k)
+        if single is None:
+            assert root is None
+            continue
+        tol_root = 1e-10 * abs(row[-1])
+        assert root[1] <= tol_root
+        w_alone, _ = ray.wronskian_many(state, [k], [root[0]])
+        assert abs(w_alone[0]) <= tol_root
+        _, dw_dci = ray.wronskian_partials(state, k, root[0])
+        assert abs(root[0] - single[0]) * abs(dw_dci) <= 2.0 * tol_root
+
+
+def test_eigencurve_of_empty_grid_is_empty(couette_state):
+    curve = ray.eigencurve(couette_state, [])
+    assert curve.points == () and curve.k_zero is None
+
+
 def test_wronskian_rejects_nonpositive_ci(ctx):
     with pytest.raises(ValueError):
         ray.wronskian(ctx.state_T, 1.0, 0.0)
