@@ -1,20 +1,25 @@
 """Amplitude calibration and time sweeps of the critical wave number.
 
 The lowest eigenvalue of the bound-state operator is strictly decreasing in
-the amplitude M, so hitting a target critical wave number, or locating the
-threshold amplitude where binding first resolves, are bracketed bisections
-on M.  The time sweep samples k*(t) on [0, T] with T the diffusion horizon
-of the narrow bump, and localizes the crossing time of k* = 1 by an inner
-bisection in t.
+the amplitude M, and k*(t) rises monotonically under diffusion, so hitting a
+target critical wave number and locating the crossing time of k* = 1 are
+bracketed roots of smooth monotone functions.  Both are found by
+Chandrupatla's bracketed inverse-quadratic iteration
+(``scipy.optimize.elementwise.find_root``; Chandrupatla, Adv. Eng. Softw. 28,
+1997), which converges superlinearly and stops once |k* - target| <= tol_cal.
+The threshold amplitude where binding first resolves stays a bisection (see
+``find_critical_M0``).  The time sweep samples k*(t) on [0, T] with T the
+diffusion horizon of the narrow bump.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize.elementwise import find_root
 
 from .errors import BracketFailure, NonConvergence
 from .flow import FlowParams, FlowState
@@ -30,7 +35,7 @@ __all__ = [
 
 TOL_CAL = 1e-6
 M_BRACKET = (0.01, 100.0)
-MAX_BISECT = 80
+MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,37 @@ def _lambda1(params: FlowParams, M: float, t: float, grid: Grid, tol_eig: float)
     return lowest_eigenpair(state, grid, tol_eig, want_mode=False).lambda1
 
 
+def _kstar(lam: float) -> float:
+    return math.sqrt(max(-lam, 0.0))
+
+
+def _crossing(kstar_at: Callable[[float], float], ends: tuple, kstar_ends: tuple,
+              target: float, tol: float, max_iter: int, what: str):
+    """Root of k*(x) = target between two straddling ends, by Chandrupatla.
+
+    ``kstar_ends`` are the already known k* at ``ends``; ``kstar_at`` is
+    called once per new abscissa.  Returns (x, k*(x), iterations, bracket)
+    with |k*(x) - target| <= tol and a final bracket that still straddles.
+    """
+    known = dict(zip(ends, kstar_ends))
+
+    def residual(x):
+        out = np.empty(np.shape(x))
+        for i, xi in np.ndenumerate(x):
+            xi = float(xi)
+            if xi not in known:
+                known[xi] = kstar_at(xi)
+            out[i] = known[xi] - target
+        return out
+
+    res = find_root(residual, ends, tolerances=dict(fatol=tol), maxiter=max_iter)
+    x = float(res.x)
+    if not (res.success and abs(known[x] - target) <= tol):
+        raise NonConvergence(f"{what}: |k* - {target:g}| > {tol:g} after {int(res.nit)} "
+                             f"iterations (max_iter = {max_iter})")
+    return x, known[x], int(res.nit), (float(res.bracket[0]), float(res.bracket[1]))
+
+
 def tune_M_for_kstar(
     params: FlowParams,
     t: float,
@@ -64,36 +100,35 @@ def tune_M_for_kstar(
     tol_cal: float = TOL_CAL,
     tol_eig: float = TOL_EIG,
     bracket: tuple = M_BRACKET,
-    max_iter: int = MAX_BISECT,
+    max_iter: int = MAX_ITER,
 ) -> CalibrationResult:
-    """Bisect M (log-spaced midpoints) until |k*(M, t) - target| <= tol_cal.
+    """Find M with |k*(M, t) - target| <= tol_cal by Chandrupatla in log M.
 
     Relies on the strict monotonicity of the lowest eigenvalue in M.  The M
     field of ``params`` is ignored.  Targets must satisfy target^2 <= 2, the
-    range over which the amplitude sweep is guaranteed to straddle.
+    range over which the amplitude sweep is guaranteed to straddle.  Raises
+    ``BracketFailure`` when k* does not straddle the target on ``bracket``
+    and ``NonConvergence`` after ``max_iter`` iterations; the returned
+    bracket straddles the target.
     """
     if not (0.0 < target_kstar and target_kstar ** 2 <= 2.0 + 1e-12):
         raise ValueError("target_kstar must be positive with target^2 <= 2")
-    lam_target = -target_kstar ** 2
-    lo, hi = bracket
-    g_lo = _lambda1(params, lo, t, grid, tol_eig) - lam_target
-    g_hi = _lambda1(params, hi, t, grid, tol_eig) - lam_target
-    if not (g_lo > 0.0 > g_hi):
+
+    def kstar_at(x):
+        return _kstar(_lambda1(params, math.exp(x), t, grid, tol_eig))
+
+    ends = (math.log(bracket[0]), math.log(bracket[1]))
+    k_ends = (kstar_at(ends[0]), kstar_at(ends[1]))
+    if not (k_ends[0] < target_kstar < k_ends[1]):
         raise BracketFailure(
-            f"lambda1 does not straddle {lam_target:g} on M in {bracket}; "
+            f"lambda1 does not straddle {-target_kstar ** 2:g} on M in {bracket}; "
             "parameter set outside the calibration regime"
         )
-    for i in range(max_iter):
-        mid = math.sqrt(lo * hi)
-        lam = _lambda1(params, mid, t, grid, tol_eig)
-        achieved = math.sqrt(max(-lam, 0.0))
-        if abs(achieved - target_kstar) <= tol_cal:
-            return CalibrationResult(M=mid, achieved=achieved, iterations=i + 1, bracket=(lo, hi))
-        if lam - lam_target > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NonConvergence(f"tune_M_for_kstar: no convergence in {max_iter} bisections")
+    x, achieved, iterations, (x_lo, x_hi) = _crossing(
+        kstar_at, ends, k_ends, target_kstar, tol_cal, max_iter, "tune_M_for_kstar"
+    )
+    return CalibrationResult(M=math.exp(x), achieved=achieved, iterations=iterations,
+                             bracket=(math.exp(x_lo), math.exp(x_hi)))
 
 
 def find_critical_M0(
@@ -109,6 +144,11 @@ def find_critical_M0(
     bracket whose endpoints straddle the -tol_eig/2 level; the bracket is
     shrunk below 1e-4 * M0 so the threshold crossing is pinned to that
     relative width.
+
+    This stays a bisection: near M0, lambda1 is at the scale of LAPACK's
+    bisection tolerance (about 1e-8 at 131 073 points), so it is noise
+    rather than a smooth function of M that interpolation could exploit,
+    and M0 moves like dM/M ~ dlambda / 1e-8.
     """
     level = -tol_eig / 2.0
     lo, hi = bracket
@@ -145,9 +185,9 @@ def kstar_time_sweep(
     """Sample k*(t) on a uniform grid over [0, T] and localize k* = 1.
 
     T is the exact diffusion horizon of the narrow bump.  The crossing time
-    is attached by bisection between the straddling samples (the sweep is
-    monotone in the calibrated regime); ``Ttilde`` is None when k* never
-    crosses 1.
+    is attached by Chandrupatla's iteration between the straddling samples,
+    whose k* the sweep already holds (the sweep is monotone in the
+    calibrated regime); ``Ttilde`` is None when k* never crosses 1.
     """
     if n_times < 8:
         raise ValueError("n_times must be at least 8")
@@ -168,19 +208,12 @@ def kstar_time_sweep(
     ks = [k if k is not None else 0.0 for k in kstars]
     for j in range(n_times - 1):
         if ks[j] < 1.0 <= ks[j + 1]:
-            t_lo, t_hi = times[j], times[j + 1]
-            for _ in range(80):
-                t_mid = 0.5 * (t_lo + t_hi)
-                lam = _lambda1(params, M, t_mid, grid, tol_eig)
-                k_mid = math.sqrt(max(-lam, 0.0))
-                if abs(k_mid - 1.0) <= tol_cal:
-                    ttilde = t_mid
-                    break
-                if k_mid < 1.0:
-                    t_lo = t_mid
-                else:
-                    t_hi = t_mid
-            else:
-                raise NonConvergence("Ttilde bisection stalled")
+            # the two straddling samples are already solved: start from them
+            ttilde, _, _, _ = _crossing(
+                lambda t: _kstar(_lambda1(params, M, t, grid, tol_eig)),
+                (float(times[j]), float(times[j + 1])),
+                (_kstar(lam1[j]), _kstar(lam1[j + 1])),
+                1.0, tol_cal, MAX_ITER, "Ttilde search",
+            )
             break
     return KstarCurve(times=times, kstars=kstars, lambda1s=lam1, lambda2s=lam2, T=T, Ttilde=ttilde)

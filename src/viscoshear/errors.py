@@ -10,7 +10,7 @@ class NonConvergence(ViscoshearError):
 
 
 class BracketFailure(ViscoshearError):
-    """A bisection bracket could not be established."""
+    """A root bracket could not be established."""
 
 
 class StepFailure(ViscoshearError):

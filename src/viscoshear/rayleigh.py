@@ -434,14 +434,18 @@ def wronskian(state: FlowState, k: float, c_i: float, half_width: float = 20.0,
     Requires c_i > 0 (the integrand is nonsingular since |b - ic| >= c_i);
     the c_i -> 0+ boundary value has its own closed-form route in
     ``wronskian_boundary``.  Raises ``TailDominance`` when the modeled tail
-    beyond the integration window is not negligible against |W|.
+    beyond the integration window is not negligible against the terms
+    summed into W, |I_r| + |quadrature| + |strip|; unlike |W| itself that
+    scale stays O(1) at a root, where the terms cancel.
     """
     if not c_i > 0.0:
         raise ValueError("wronskian requires c_i > 0; use wronskian_boundary for c_i = 0")
     w, qe, parts = _assemble_many(state, np.array([k]), np.array([c_i]), half_width, rtol, atol)
     tail = abs(parts["tail_f"][0][0]) + abs(parts["tail_f"][1][0])
-    if tail > max(1e-8 * abs(w[0]), 1e-300):
-        raise TailDominance(f"tail estimate {tail:g} exceeds 1e-8 |W|; domain too small")
+    scale = abs(parts["ir"][0]) + abs(parts["qii"][0]) + abs(parts["strip"][0])
+    if tail > max(1e-8 * scale, 1e-300):
+        raise TailDominance(f"tail estimate {tail:g} exceeds 1e-8 of the W terms "
+                            f"({scale:g}); domain too small")
     return WronskianValue(k=k, c=1j * c_i, W=complex(w[0]), quad_error=float(qe[0]))
 
 

@@ -1,9 +1,13 @@
-"""Amplitude calibration: bisection certificates, orderings, thresholds."""
+"""Amplitude calibration: bracket certificates, orderings, thresholds, budgets."""
+
+import math
+from types import SimpleNamespace
 
 import pytest
 
+from viscoshear import calibrate
 from viscoshear.calibrate import find_critical_M0, kstar_time_sweep, tune_M_for_kstar
-from viscoshear.errors import BracketFailure
+from viscoshear.errors import BracketFailure, NonConvergence
 from viscoshear.flow import FlowParams, FlowState
 from viscoshear.spectrum import Grid, lowest_eigenpair
 
@@ -25,8 +29,6 @@ def test_tune_is_deterministic(grid):
 
 
 def test_target_outside_calibration_range_rejected(monkeypatch):
-    from viscoshear import calibrate
-
     # lambda1 = -M, so k* = sqrt(M) is reachable for any positive target
     monkeypatch.setattr(calibrate, "_lambda1", lambda params, M, t, grid, tol_eig: -M)
     for target in (1.45, 0.0, -2.0):
@@ -113,3 +115,78 @@ def test_truncation_independence(ctx):
         FlowState(P.with_M(m), 0.0), Grid(24.0, 9831), want_mode=False
     ).kstar
     assert abs(k_wide - ctx.torus.kstar0) <= 1e-6
+
+
+def _count_lambda1(monkeypatch, lambda1):
+    """Route calibrate._lambda1 through ``lambda1`` and record every M it sees."""
+    seen = []
+
+    def counted(params, M, t, grid, tol_eig):
+        seen.append(M)
+        return lambda1(params, M, t, grid, tol_eig)
+
+    monkeypatch.setattr(calibrate, "_lambda1", counted)
+    return seen
+
+
+def test_tune_converges_superlinearly(monkeypatch):
+    # lambda1 = -M: k* = sqrt(M), smooth and monotone like the real one
+    seen = _count_lambda1(monkeypatch, lambda params, M, t, grid, tol_eig: -M)
+    cal = tune_M_for_kstar(P, 0.0, 0.99)
+    assert abs(cal.achieved - 0.99) <= 1e-6
+    assert cal.M in seen  # the reported M is one that was solved
+    assert len(seen) <= 10  # two bracket ends plus the iterations
+    assert cal.iterations == len(seen) - 2
+    lo, hi = cal.bracket
+    assert math.sqrt(lo) < 0.99 < math.sqrt(hi)
+
+
+def test_tune_rejects_non_straddling_bracket(monkeypatch):
+    seen = _count_lambda1(monkeypatch, lambda params, M, t, grid, tol_eig: -M)
+    with pytest.raises(BracketFailure):
+        tune_M_for_kstar(P, 0.0, 0.99, bracket=(0.01, 0.5))
+    assert len(seen) == 2  # only the two ends were solved
+
+
+def test_tune_gives_up_after_max_iter(monkeypatch):
+    _count_lambda1(monkeypatch, lambda params, M, t, grid, tol_eig: -M)
+    with pytest.raises(NonConvergence):
+        tune_M_for_kstar(P, 0.0, 0.99, max_iter=1)
+
+
+def test_crossing_search_reuses_sweep_samples(monkeypatch):
+    T = P.horizon
+    solved = []
+
+    def fake_eigenpair(state, grid, tol_eig, want_mode=True):
+        solved.append(state.t)
+        k = 0.99 + 0.03 * (1.0 - math.exp(-3.0 * state.t / T))
+        return SimpleNamespace(lambda1=-k * k, lambda2=0.5)
+
+    monkeypatch.setattr(calibrate, "lowest_eigenpair", fake_eigenpair)
+    n_times = 9
+    curve = kstar_time_sweep(0.7, P, n_times)
+    samples = set(curve.times.tolist())
+    assert solved[:n_times] == curve.times.tolist()
+    assert not samples & set(solved[n_times:])  # no sample time is solved twice
+    assert len(solved) <= n_times + 4
+    t_cross = -T * math.log(1.0 - 1.0 / 3.0) / 3.0
+    assert abs(curve.Ttilde - t_cross) <= 1e-6 * T
+
+
+def test_fixture_eigensolve_budget(grid, monkeypatch):
+    solves = []
+    eigenpair = calibrate.lowest_eigenpair
+
+    def counted(*args, **kwargs):
+        solves.append(args[0].t)
+        return eigenpair(*args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "lowest_eigenpair", counted)
+    cal = tune_M_for_kstar(P, 0.0, 0.99, grid)
+    assert abs(cal.achieved - 0.99) <= calibrate.TOL_CAL
+    assert len(solves) <= 10
+    solves.clear()
+    curve = kstar_time_sweep(cal.M, P, 9, grid)
+    assert curve.Ttilde is not None
+    assert len(solves) <= 9 + 4

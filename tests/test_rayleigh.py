@@ -8,7 +8,7 @@ import pytest
 
 from viscoshear import rayleigh as ray
 from viscoshear._ode import integrate
-from viscoshear.errors import StepFailure
+from viscoshear.errors import StepFailure, TailDominance
 from viscoshear.flow import eval_b_derivs
 from viscoshear.spectrum import Grid, lowest_eigenpair
 
@@ -208,6 +208,19 @@ def test_eigencurve_of_empty_grid_is_empty(couette_state):
 def test_wronskian_rejects_nonpositive_ci(ctx):
     with pytest.raises(ValueError):
         ray.wronskian(ctx.state_T, 1.0, 0.0)
+
+
+def test_wronskian_evaluates_at_its_root(ctx):
+    # |W| -> 0 at a root; the tail guard must not scale with it
+    w = ray.wronskian(ctx.state_T, 1.0, ctx.torus.ci_at_k1)
+    assert abs(w.W) <= 1e-10 * ctx.torus.w_scale
+
+
+def test_wronskian_tail_guard_flags_truncated_domain(ctx, monkeypatch):
+    # lift the k-dependent floor on the window so half_width alone sets it
+    monkeypatch.setattr(ray, "YK_FACTOR", 1.0)
+    with pytest.raises(TailDominance):
+        ray.wronskian(ctx.state_T, 1.0, ctx.torus.ci_at_k1, half_width=6.0)
 
 
 def test_root_at_reference(ctx):
