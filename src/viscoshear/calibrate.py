@@ -14,6 +14,7 @@ diffusion horizon of the narrow bump.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -56,9 +57,19 @@ class KstarCurve:
     Ttilde: Optional[float]
 
 
+@functools.lru_cache(maxsize=128)
+def _lambda_pair(state: FlowState, grid: Grid, tol_eig: float) -> tuple:
+    """(lambda1, lambda2) of ``state``, memoized across calls.
+
+    The tune and the sweep both solve through here, so the sweep's t = 0
+    sample at the tuned M (``math.exp`` of the same x) is the tune's solve.
+    """
+    r = lowest_eigenpair(state, grid, tol_eig, want_mode=False)
+    return r.lambda1, r.lambda2
+
+
 def _lambda1(params: FlowParams, M: float, t: float, grid: Grid, tol_eig: float) -> float:
-    state = FlowState(params.with_M(M), t)
-    return lowest_eigenpair(state, grid, tol_eig, want_mode=False).lambda1
+    return _lambda_pair(FlowState(params.with_M(M), t), grid, tol_eig)[0]
 
 
 def _kstar(lam: float) -> float:
@@ -187,7 +198,8 @@ def kstar_time_sweep(
     T is the exact diffusion horizon of the narrow bump.  The crossing time
     is attached by Chandrupatla's iteration between the straddling samples,
     whose k* the sweep already holds (the sweep is monotone in the
-    calibrated regime); ``Ttilde`` is None when k* never crosses 1.
+    calibrated regime); ``Ttilde`` is None when k* never crosses 1.  The
+    t = 0 sample of a just-tuned M is taken from the tune's solve.
     """
     if n_times < 8:
         raise ValueError("n_times must be at least 8")
@@ -195,11 +207,7 @@ def kstar_time_sweep(
     times = np.linspace(0.0, T, n_times)
     p = params.with_M(M)
 
-    def solve(t):
-        r = lowest_eigenpair(FlowState(p, t), grid, tol_eig, want_mode=False)
-        return r.lambda1, r.lambda2
-
-    pairs = [solve(t) for t in times]
+    pairs = [_lambda_pair(FlowState(p, t), grid, tol_eig) for t in times]
     lam1 = np.array([a for a, _ in pairs])
     lam2 = np.array([b for _, b in pairs])
     kstars = tuple(math.sqrt(-l) if l < -tol_eig else None for l in lam1)

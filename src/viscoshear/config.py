@@ -114,23 +114,15 @@ def parse_config(text: str) -> Config:
 
 
 def _validate(cfg: Config) -> None:
-    if not 0.0 < cfg.gamma0 <= 0.5:
-        raise ValidationError("gamma0 must lie in (0, 0.5]")
-    if not 0.0 < cfg.gamma1 <= 0.5:
-        raise ValidationError("gamma1 must lie in (0, 0.5]")
-    if not 0.0 < cfg.gamma2 < 1.0:
-        raise ValidationError("gamma2 must lie in (0,1)")
-    if not cfg.gamma1 < cfg.gamma2:
-        raise ValidationError("gamma1 must be smaller than gamma2")
+    try:
+        cfg.params()  # FlowParams checks gamma0, gamma1, gamma2, nu and M
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     if cfg.gamma1 / cfg.gamma2 > cfg.gamma_ratio_max:
         raise ValidationError(
             f"gamma1/gamma2 = {cfg.gamma1 / cfg.gamma2:g} exceeds gamma_ratio_max = "
             f"{cfg.gamma_ratio_max:g}"
         )
-    if not cfg.nu > 0.0:
-        raise ValidationError("nu must be positive")
-    if cfg.M is not None and cfg.M < 0.0:
-        raise ValidationError("M must be nonnegative")
     if cfg.n_points % 2 == 0:
         raise ValidationError("n_points must be odd")
     if cfg.n_points < 9:

@@ -12,8 +12,11 @@ Gaussian-small at the boundary, a Robin closure with the *self-consistent*
 kappa = sqrt(-lambda) reproduces the whole-line eigenvalue on a fixed box
 even for weakly bound states, so kappa is solved as an exact fixed point
 (bracketed root in lambda) rather than iterated a fixed number of times.
-Values are reported only after Richardson extrapolants of two successive
-grid refinements agree within ``tol_eig``.
+Within one closure each distinct Robin matrix is solved once: the kappa = 0
+diagonal is built once, each kappa only shifts its two end entries, and the
+eigenvalue pair is memoized on those entries.  Values are reported only
+after Richardson extrapolants of two successive grid refinements agree
+within ``tol_eig``.
 """
 
 from __future__ import annotations
@@ -123,8 +126,7 @@ def _robin_tridiagonal(v: np.ndarray, h: float, kappa: float):
     return d, e
 
 
-def _lowest_two(v: np.ndarray, h: float, kappa: float):
-    d, e = _robin_tridiagonal(v, h, kappa)
+def _lowest_two(d: np.ndarray, e: np.ndarray):
     vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 1))
     return float(vals[0]), float(vals[1])
 
@@ -139,14 +141,34 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float):
     bracketed root: lambda_box is increasing in kappa, hence
     F(lambda) = lambda_box(kappa(lambda)) - lambda is strictly decreasing and
     changes sign between the (overbinding) Neumann value and 0-.
+
+    Each distinct Robin matrix is solved once per call.  The kappa = 0
+    matrix is built once; a kappa sets its two end entries to the kappa = 0
+    ones plus 2 kappa / h (the arithmetic of ``_robin_tridiagonal``, so the
+    matrix is bit-identical) and the pair is memoized on those entries.
+    That drops the repeats of the weak branch: f(0-) rounds to the Neumann
+    matrix, brentq evaluates f(0-) again, and it returns a root it has
+    evaluated.
     """
-    lam_n1, lam_n2 = _lowest_two(v, h, 0.0)
+    d, e = _robin_tridiagonal(v, h, 0.0)
+    d_first, d_last = d[0], d[-1]
+    solved = {}
+
+    def lowest_two(kappa):
+        d[0] = d_first + 2.0 * kappa / h
+        d[-1] = d_last + 2.0 * kappa / h
+        ends = (float(d[0]), float(d[-1]))
+        if ends not in solved:
+            solved[ends] = _lowest_two(d, e)
+        return solved[ends]
+
+    lam_n1, lam_n2 = lowest_two(0.0)
     if lam_n1 >= 0.0:
         return lam_n1, lam_n2, 0.0
     kappa = math.sqrt(-lam_n1)
     if kappa * half_width >= 3.0:
         for _ in range(4):
-            lam1, lam2 = _lowest_two(v, h, kappa)
+            lam1, lam2 = lowest_two(kappa)
             if lam1 >= 0.0 or math.sqrt(-lam1) * half_width < 3.0:
                 break
             knew = math.sqrt(-lam1)
@@ -158,14 +180,14 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float):
             return lam1, lam2, kappa
 
     def f(lam):
-        return _lowest_two(v, h, math.sqrt(-lam))[0] - lam
+        return lowest_two(math.sqrt(-lam))[0] - lam
 
     hi = -1e-30
     if f(hi) >= 0.0:  # pathological; Neumann value is the fixed point
         return lam_n1, lam_n2, 0.0
     lam_star = brentq(f, lam_n1, hi, xtol=tol * 1e-3, rtol=8.9e-16, maxiter=200)
     kappa = math.sqrt(-lam_star)
-    lam1, lam2 = _lowest_two(v, h, kappa)
+    lam1, lam2 = lowest_two(kappa)
     return lam1, lam2, kappa
 
 

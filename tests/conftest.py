@@ -7,10 +7,23 @@ acceptance gate, exactly the objects the CLI ``verify`` command uses.
 
 import pytest
 
+from viscoshear import calibrate
 from viscoshear.acceptance import AcceptanceContext
 from viscoshear.config import Config
 from viscoshear.flow import FlowParams, FlowState
 from viscoshear.spectrum import Grid
+
+
+@pytest.fixture(autouse=True)
+def cold_pair_cache():
+    """Empty calibrate's eigenvalue-pair cache around every test.
+
+    A test that swaps in a fake eigensolver then neither reads real pairs
+    cached by an earlier test nor leaves fake ones for a later test.
+    """
+    calibrate._lambda_pair.cache_clear()
+    yield
+    calibrate._lambda_pair.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,11 @@
 
 Each test prints its criterion's pass/fail line and asserts every check.
 Criterion 9's threshold-amplitude sub-checks are expected to fail at desk
-scale (see the analysis in the decisions ledger): the eigenvalue at the
-threshold amplitude is quadratically small in M, so the diffusion-induced
-shift sits below the spectral resolution and the stated band is out of
-reach; the test states the criterion faithfully and reports the measured
-values.
+scale (see the ``_lowest_two`` FOUND entry in CHANGES.md and ROADMAP item
+4): the eigenvalue at the threshold amplitude is quadratically small in M,
+so the diffusion-induced shift sits below the spectral resolution and the
+stated band is out of reach; the test states the criterion faithfully and
+reports the measured values.
 """
 
 from viscoshear import acceptance as acc

@@ -23,6 +23,7 @@ def test_tune_hits_target(ctx):
 
 def test_tune_is_deterministic(grid):
     a = tune_M_for_kstar(P, 0.0, 0.99, grid)
+    calibrate._lambda_pair.cache_clear()  # re-solve rather than reuse
     b = tune_M_for_kstar(P, 0.0, 0.99, grid)
     assert a == b
     assert abs(a.achieved - 0.99) <= 1e-6
@@ -190,3 +191,21 @@ def test_fixture_eigensolve_budget(grid, monkeypatch):
     curve = kstar_time_sweep(cal.M, P, 9, grid)
     assert curve.Ttilde is not None
     assert len(solves) <= 9 + 4
+
+
+def test_sweep_reuses_tuned_state(grid, monkeypatch):
+    solved = []
+    eigenpair = calibrate.lowest_eigenpair
+
+    def counted(state, *args, **kwargs):
+        res = eigenpair(state, *args, **kwargs)
+        solved.append((state, res.lambda1))
+        return res
+
+    monkeypatch.setattr(calibrate, "lowest_eigenpair", counted)
+    cal = tune_M_for_kstar(P, 0.0, 0.99, grid)
+    curve = kstar_time_sweep(cal.M, P, 9, grid)
+    tuned = FlowState(P.with_M(cal.M), 0.0)
+    lam_tuned = [lam for state, lam in solved if state == tuned]
+    assert len(lam_tuned) == 1  # solved by the tune, reused by the sweep
+    assert curve.lambda1s[0] == lam_tuned[0]

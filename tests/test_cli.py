@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from viscoshear import calibrate
 from viscoshear.cli import main
 from viscoshear.config import parse_config
 from viscoshear.errors import ParseError, ValidationError
@@ -102,6 +103,7 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     cfg.write_text(COUETTE_CFG)
     outs = []
     for sub in ("a", "b"):
+        calibrate._lambda_pair.cache_clear()  # each run solves afresh
         out = tmp_path / sub
         assert main(["kstar-sweep", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append((out / "kstar_curve.csv").read_bytes())
@@ -117,6 +119,22 @@ def test_cli_config_errors(tmp_path):
     ok.write_text(COUETTE_CFG)
     assert main(["kstar-sweep", "--config", str(ok), "--format", "yaml"]) == 2
     assert main(["bogus-subcommand", "--config", str(ok)]) == 2
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("gamma1 = 0.6", "gamma1 must lie in (0, 0.5]"),
+        ("gamma2 = 1.5", "gamma2 must lie in (0,1)"),
+        ("nu = 0", "nu must be positive"),
+        ("M = -1", "M must be nonnegative"),
+    ],
+)
+def test_cli_flow_parameter_errors(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert main(["kstar-sweep", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_calibrate_prints_M(tmp_path, capsys):

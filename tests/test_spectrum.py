@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from viscoshear import spectrum
 from viscoshear.errors import ZeroNorm
-from viscoshear.flow import FlowParams, FlowState
+from viscoshear.flow import FlowParams, FlowState, eval_potential
 from viscoshear.spectrum import (
     Grid,
+    _lowest_two,
+    _robin_tridiagonal,
+    _selfconsistent_box,
     _solve_potential,
     lowest_eigenpair,
     rayleigh_quotient,
@@ -73,9 +77,6 @@ def test_calibrated_lambda_matches_target(ctx):
 
 def test_uniqueness_certificate_via_sturm(ctx, grid):
     # at most one eigenvalue below -10*tol on the discretized operator
-    from viscoshear.flow import eval_potential
-    from viscoshear.spectrum import _robin_tridiagonal
-
     state = ctx.state_T
     ys = grid.ys()
     h = grid.spacing
@@ -170,3 +171,53 @@ def test_grid_validation():
         Grid(20.0, 4096)  # even
     with pytest.raises(ValueError):
         Grid(5.0, 4097)  # too narrow
+
+
+def _counted_closure(monkeypatch, M, grid):
+    """Run one self-consistent closure on the fixture potential at t = 0.
+
+    Returns the closure's (lambda1, lambda2, kappa), the end entries
+    (d[0], d[-1]) of every tridiagonal it solved, the number of f
+    evaluations brentq made, and the potential and spacing used.
+    """
+    ys = grid.ys()
+    h = ys[1] - ys[0]
+    v = np.asarray(eval_potential(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0), ys))
+    ends, brent_evals = [], []
+    eigh, brentq = spectrum.eigh_tridiagonal, spectrum.brentq
+
+    def counted_eigh(d, e, **kwargs):
+        ends.append((d[0], d[-1]))
+        return eigh(d, e, **kwargs)
+
+    def counted_brentq(f, *args, **kwargs):
+        def g(lam):
+            brent_evals.append(lam)
+            return f(lam)
+
+        return brentq(g, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
+    monkeypatch.setattr(spectrum, "brentq", counted_brentq)
+    result = _selfconsistent_box(v, h, grid.half_width, spectrum.TOL_EIG)
+    monkeypatch.undo()
+    return result, ends, len(brent_evals), v, h
+
+
+def test_closure_solves_each_robin_matrix_once(monkeypatch, grid):
+    # near the whole-line threshold: kappa * Y << 3, so brentq closes it
+    (lam1, lam2, kappa), ends, n_brent, v, h = _counted_closure(monkeypatch, 4e-5, grid)
+    assert 0.0 < kappa * grid.half_width < 3.0 and n_brent > 0
+    assert len(set(ends)) == len(ends)
+    # Neumann, f(0-), brentq's evaluations and the final solve, less the
+    # three repeats: f(0-) is the Neumann matrix, brentq re-evaluates f(0-)
+    # and the final kappa is one brentq evaluated
+    assert len(ends) <= 1 + 1 + n_brent + 1 - 3
+    assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
+
+
+def test_closure_fixed_point_matches_direct_solve(monkeypatch, grid):
+    (lam1, lam2, kappa), ends, n_brent, v, h = _counted_closure(monkeypatch, 0.7, grid)
+    assert kappa * grid.half_width >= 3.0 and n_brent == 0
+    assert len(set(ends)) == len(ends)
+    assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
