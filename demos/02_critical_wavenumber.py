@@ -19,7 +19,7 @@ OUT.mkdir(exist_ok=True)
 params = FlowParams(M=1.0, gamma0=0.15, gamma1=0.03, gamma2=0.8, nu=1e-3)
 cal = tune_M_for_kstar(params, t=0.0, target_kstar=0.99)
 print(f"tuned amplitude: M = {cal.M:.8f}  (k*(0) = {cal.achieved:.8f}, "
-      f"{cal.iterations} iterations)")
+      f"{cal.iterations} finishing iterations)")
 
 curve = kstar_time_sweep(cal.M, params, n_times=9)
 print(f"\n{'t/T':>8} {'k*(t)':>12}")

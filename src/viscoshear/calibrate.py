@@ -7,9 +7,15 @@ bracketed roots of smooth monotone functions.  Both are found by
 Chandrupatla's bracketed inverse-quadratic iteration
 (``scipy.optimize.elementwise.find_root``; Chandrupatla, Adv. Eng. Softw. 28,
 1997), which converges superlinearly and stops once |k* - target| <= tol_cal.
-The threshold amplitude where binding first resolves stays a bisection (see
-``find_critical_M0``).  The time sweep samples k*(t) on [0, T] with T the
-diffusion horizon of the narrow bump.
+
+The amplitude tune runs that iteration twice: it locates M over the whole
+bracket on the base grid alone (rung 0 of the eigensolver's Richardson
+ladder, within about 1e-5 relative of the converged k* at a small fraction
+of the cost), then finishes on converged eigenvalues in a tight log-M
+window at that root, so the tolerance and the bracket it reports are those
+of converged solves.  The threshold amplitude where binding first resolves
+stays a bisection (see ``find_critical_M0``).  The time sweep samples k*(t)
+on [0, T] with T the diffusion horizon of the narrow bump.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from scipy.optimize.elementwise import find_root
 
 from .errors import BracketFailure, NonConvergence
 from .flow import FlowParams, FlowState
-from .spectrum import TOL_EIG, Grid, lowest_eigenpair
+from .spectrum import TOL_EIG, Grid, _base_lambda1, lowest_eigenpair
 
 __all__ = [
     "CalibrationResult",
@@ -37,10 +43,19 @@ __all__ = [
 TOL_CAL = 1e-6
 M_BRACKET = (0.01, 100.0)
 MAX_ITER = 80
+WINDOW = 1e-3  # half-width in log M of the tune's first window when the estimate is unusable
+SLOPE_STEP = 1e-3  # log-M step of the base-grid slope that sizes the tune's first window
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """A calibrated amplitude and its straddling bracket.
+
+    ``iterations`` counts bisection steps for ``find_critical_M0``; for
+    ``tune_M_for_kstar`` it counts converged eigensolves past the first two
+    (finishing iterations plus window widenings), not base-grid solves.
+    """
+
     M: float
     achieved: float
     iterations: int
@@ -68,8 +83,13 @@ def _lambda_pair(state: FlowState, grid: Grid, tol_eig: float) -> tuple:
     return r.lambda1, r.lambda2
 
 
-def _lambda1(params: FlowParams, M: float, t: float, grid: Grid, tol_eig: float) -> float:
-    return _lambda_pair(FlowState(params.with_M(M), t), grid, tol_eig)[0]
+def _lambda1(params: FlowParams, M: float, t: float, grid: Grid, tol_eig: float,
+             base: bool = False) -> float:
+    """lambda1 at (M, t): converged and cached, or with ``base`` the raw base-grid value."""
+    state = FlowState(params.with_M(M), t)
+    if base:
+        return _base_lambda1(state, grid, tol_eig)
+    return _lambda_pair(state, grid, tol_eig)[0]
 
 
 def _kstar(lam: float) -> float:
@@ -103,6 +123,44 @@ def _crossing(kstar_at: Callable[[float], float], ends: tuple, kstar_ends: tuple
     return x, known[x], int(res.nit), (float(res.bracket[0]), float(res.bracket[1]))
 
 
+def _window(precise: Callable[[float], float], base: Callable[[float], float],
+            x1: float, k1: float, ends: tuple, target: float, max_iter: int) -> tuple:
+    """A bracket on which converged k* straddles ``target``, from the base-grid root.
+
+    ``x1`` is the base-grid root, with base-grid k* ``k1``.  Converged k*
+    misses the target there by r, which is the base grid's offset; over the
+    base-grid slope s it puts the converged root near x1 - r/s.  The first
+    window runs from x1 to x1 - 2r/s, so its midpoint, Chandrupatla's first
+    point, is that estimate.  When that window has no interior (r/s is 0 or
+    below the resolution of x1) it is x1 +/- WINDOW instead.  On a miss the
+    missed side moves out to 8 times its distance from the window's centre,
+    clipped to ``ends``, and the old end becomes the near end, so no
+    abscissa is solved twice.  Returns ``ends`` once the root lies beyond
+    one of them, for the caller to judge on both, and raises
+    ``NonConvergence`` after ``max_iter`` widenings.
+    """
+    a, b = ends
+    slope = (base(x1 + SLOPE_STEP) - k1) / SLOPE_STEP
+    step = (precise(x1) - target) / slope if slope > 0.0 else 0.0
+    center = x1 - step
+    lo, hi = sorted((x1, x1 - 2.0 * step))
+    if not lo < center < hi:
+        center, lo, hi = x1, x1 - WINDOW, x1 + WINDOW
+    lo, hi = max(lo, a), min(hi, b)
+    for _ in range(max_iter):
+        if precise(lo) >= target:
+            if lo == a:
+                return ends
+            lo, hi = max(center - 8.0 * (center - lo), a), lo
+        elif precise(hi) <= target:
+            if hi == b:
+                return ends
+            lo, hi = hi, min(center + 8.0 * (hi - center), b)
+        else:
+            return lo, hi
+    raise NonConvergence(f"tune_M_for_kstar: no straddling window after {max_iter} widenings")
+
+
 def tune_M_for_kstar(
     params: FlowParams,
     t: float,
@@ -117,28 +175,48 @@ def tune_M_for_kstar(
 
     Relies on the strict monotonicity of the lowest eigenvalue in M.  The M
     field of ``params`` is ignored.  Targets must satisfy target^2 <= 2, the
-    range over which the amplitude sweep is guaranteed to straddle.  Raises
-    ``BracketFailure`` when k* does not straddle the target on ``bracket``
-    and ``NonConvergence`` after ``max_iter`` iterations; the returned
-    bracket straddles the target.
+    range over which the amplitude sweep is guaranteed to straddle.
+
+    Locate: Chandrupatla over ``bracket`` on base-grid k*, skipped when the
+    base grid does not straddle there.  Finish: Chandrupatla on converged
+    k* over a window at the located root (see ``_window``), or over
+    ``bracket`` when locating was skipped.  Only converged solves decide the
+    result: the achieved k* and the returned straddling bracket, and
+    ``BracketFailure``, raised only when converged k* at both ends of
+    ``bracket`` fails to straddle.  Raises ``NonConvergence`` after
+    ``max_iter`` iterations of either stage or ``max_iter`` widenings of
+    the window.
     """
     if not (0.0 < target_kstar and target_kstar ** 2 <= 2.0 + 1e-12):
         raise ValueError("target_kstar must be positive with target^2 <= 2")
 
-    def kstar_at(x):
-        return _kstar(_lambda1(params, math.exp(x), t, grid, tol_eig))
+    def base(x):
+        return _kstar(_lambda1(params, math.exp(x), t, grid, tol_eig, base=True))
+
+    solved = {}
+
+    def precise(x):
+        if x not in solved:
+            solved[x] = _kstar(_lambda1(params, math.exp(x), t, grid, tol_eig))
+        return solved[x]
 
     ends = (math.log(bracket[0]), math.log(bracket[1]))
-    k_ends = (kstar_at(ends[0]), kstar_at(ends[1]))
+    lo, hi = ends
+    k_base = (base(lo), base(hi))
+    if k_base[0] < target_kstar < k_base[1]:
+        x1, k1 = _crossing(base, ends, k_base, target_kstar, tol_cal, max_iter,
+                           "tune_M_for_kstar (base grid)")[:2]
+        lo, hi = _window(precise, base, x1, k1, ends, target_kstar, max_iter)
+    k_ends = (precise(lo), precise(hi))
     if not (k_ends[0] < target_kstar < k_ends[1]):
         raise BracketFailure(
             f"lambda1 does not straddle {-target_kstar ** 2:g} on M in {bracket}; "
             "parameter set outside the calibration regime"
         )
-    x, achieved, iterations, (x_lo, x_hi) = _crossing(
-        kstar_at, ends, k_ends, target_kstar, tol_cal, max_iter, "tune_M_for_kstar"
+    x, achieved, _, (x_lo, x_hi) = _crossing(
+        precise, (lo, hi), k_ends, target_kstar, tol_cal, max_iter, "tune_M_for_kstar"
     )
-    return CalibrationResult(M=math.exp(x), achieved=achieved, iterations=iterations,
+    return CalibrationResult(M=math.exp(x), achieved=achieved, iterations=len(solved) - 2,
                              bracket=(math.exp(x_lo), math.exp(x_hi)))
 
 

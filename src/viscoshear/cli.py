@@ -42,7 +42,8 @@ def _cmd_calibrate(cfg: Config, out_dir: Path, formats) -> int:
         cfg.params(), 0.0, 1.0 - cfg.delta, cfg.grid(), cfg.tol_cal, cfg.tol_eig
     )
     print(f"M = {cal.M:.17g}")
-    print(f"achieved k* = {cal.achieved:.17g} in {cal.iterations} iterations")
+    print(f"achieved k* = {cal.achieved:.17g} in {cal.iterations} finishing iterations "
+          "(located on the base grid, finished on converged eigensolves)")
     return 0
 
 

@@ -116,6 +116,7 @@ def parse_config(text: str) -> Config:
 def _validate(cfg: Config) -> None:
     try:
         cfg.params()  # FlowParams checks gamma0, gamma1, gamma2, nu and M
+        cfg.grid()  # Grid checks n_points and half_width
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     if cfg.gamma1 / cfg.gamma2 > cfg.gamma_ratio_max:
@@ -123,12 +124,6 @@ def _validate(cfg: Config) -> None:
             f"gamma1/gamma2 = {cfg.gamma1 / cfg.gamma2:g} exceeds gamma_ratio_max = "
             f"{cfg.gamma_ratio_max:g}"
         )
-    if cfg.n_points % 2 == 0:
-        raise ValidationError("n_points must be odd")
-    if cfg.n_points < 9:
-        raise ValidationError("n_points must be at least 9")
-    if not cfg.half_width >= 10.0:
-        raise ValidationError("half_width must be >= 10")
     for name in ("tol_eig", "tol_cal"):
         if not getattr(cfg, name) > 0.0:
             raise ValidationError(f"{name} must be positive")
@@ -141,9 +136,14 @@ def _validate(cfg: Config) -> None:
         if len(parts) != 3:
             raise ValidationError("k_grid must be 'auto' or 'start:stop:count'")
         try:
-            float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ValidationError("k_grid must be 'auto' or 'start:stop:count'")
+        if count < 0:
+            raise ValidationError("k_grid count must be nonnegative")
+        # the grid runs from start to stop, so its ends bound every wave number
+        if count and not (start > 0.0 and (count == 1 or stop > 0.0)):
+            raise ValidationError("k_grid wave numbers must be positive")
 
 
 def load_config(path: str) -> Config:

@@ -786,9 +786,12 @@ def scan_wronskian(
 
     ``k`` is a wave number or a sequence of them; for a sequence, W and its
     error estimate have one row per wave number, all from the same pass.
+    Raises ``ValueError`` unless every wave number is positive.
     """
     cs = _scan_grid(c_max)
     ks = np.atleast_1d(np.asarray(k, dtype=float))
+    if not np.all(ks > 0.0):
+        raise ValueError("wave numbers must be positive")
     w, qe = wronskian_many(state, np.repeat(ks, len(cs)), np.tile(cs, len(ks)), half_width)
     shape = (len(ks), len(cs)) if np.ndim(k) else (len(cs),)
     return cs, w.reshape(shape), qe.reshape(shape)
@@ -853,8 +856,8 @@ def eigenvalues_for_ks(
     ``(roots, cs, W)``: ``roots[j]`` is (c_i, residual) for ks[j], or None
     when its scan has no sign change (no purely imaginary eigenvalue at
     scan resolution); W is the scan, one row per wave number.  Raises
-    ``MultipleRoots`` if a scan has more than one sign change and
-    ``NonConvergence`` if a polish stalls.
+    ``ValueError`` for a wave number k <= 0, ``MultipleRoots`` if a scan has
+    more than one sign change and ``NonConvergence`` if a polish stalls.
     """
     ks = np.asarray(ks, dtype=float)
     cs, w, _ = scan_wronskian(state, ks, c_max, half_width)

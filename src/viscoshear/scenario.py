@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import calibrate
 from . import rayleigh as ray
 from .calibrate import find_critical_M0, kstar_time_sweep, tune_M_for_kstar
 from .errors import ViscoshearError
@@ -127,8 +128,9 @@ def run_torus_scenario(
 
     if curve.Ttilde is not None:
         inside = 0.0 < curve.Ttilde < T
-        st_tt = FlowState(p, curve.Ttilde)
-        k_tt = lowest_eigenpair(st_tt, grid, tol_eig, want_mode=False).kstar or 0.0
+        # the crossing search has solved this state; take its cached pair
+        lam_tt = calibrate._lambda_pair(FlowState(p, curve.Ttilde), grid, tol_eig)[0]
+        k_tt = math.sqrt(-lam_tt) if lam_tt < -tol_eig else 0.0
         rep.add("Ttilde_inside", inside, curve.Ttilde, (0.0, T))
         rep.add("kstar_at_Ttilde", abs(k_tt - 1.0) <= tol_cal, k_tt, (1.0 - tol_cal, 1.0 + tol_cal))
     else:

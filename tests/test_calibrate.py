@@ -31,7 +31,7 @@ def test_tune_is_deterministic(grid):
 
 def test_target_outside_calibration_range_rejected(monkeypatch):
     # lambda1 = -M, so k* = sqrt(M) is reachable for any positive target
-    monkeypatch.setattr(calibrate, "_lambda1", lambda params, M, t, grid, tol_eig: -M)
+    monkeypatch.setattr(calibrate, "_lambda1", lambda params, M, t, grid, tol_eig, base=False: -M)
     for target in (1.45, 0.0, -2.0):
         with pytest.raises(ValueError, match="target_kstar"):
             tune_M_for_kstar(P, 0.0, target)
@@ -119,40 +119,119 @@ def test_truncation_independence(ctx):
 
 
 def _count_lambda1(monkeypatch, lambda1):
-    """Route calibrate._lambda1 through ``lambda1`` and record every M it sees."""
-    seen = []
+    """Route calibrate._lambda1 through ``lambda1`` and record the M of each call.
 
-    def counted(params, M, t, grid, tol_eig):
-        seen.append(M)
-        return lambda1(params, M, t, grid, tol_eig)
+    Returns (precise, base): the amplitudes of the converged solves and of
+    the base-grid solves, in call order.
+    """
+    precise, base_calls = [], []
+
+    def counted(params, M, t, grid, tol_eig, base=False):
+        (base_calls if base else precise).append(M)
+        return lambda1(params, M, t, grid, tol_eig, base)
 
     monkeypatch.setattr(calibrate, "_lambda1", counted)
-    return seen
+    return precise, base_calls
+
+
+def _offset_lambda1(eps):
+    """lambda1 = -M converged, so k* = sqrt(M); base-grid k* is (1 + eps) sqrt(M)."""
+    return lambda params, M, t, grid, tol_eig, base: -M * ((1.0 + eps) ** 2 if base else 1.0)
 
 
 def test_tune_converges_superlinearly(monkeypatch):
     # lambda1 = -M: k* = sqrt(M), smooth and monotone like the real one
-    seen = _count_lambda1(monkeypatch, lambda params, M, t, grid, tol_eig: -M)
+    precise, base = _count_lambda1(monkeypatch, _offset_lambda1(0.0))
     cal = tune_M_for_kstar(P, 0.0, 0.99)
     assert abs(cal.achieved - 0.99) <= 1e-6
-    assert cal.M in seen  # the reported M is one that was solved
-    assert len(seen) <= 10  # two bracket ends plus the iterations
-    assert cal.iterations == len(seen) - 2
+    assert cal.M in precise  # the reported M is one that was solved
+    assert len(base) <= 10  # locate: two bracket ends plus its iterations
+    assert len(precise) <= 4  # finish: two window ends plus its iterations
+    assert cal.iterations == len(precise) - 2
     lo, hi = cal.bracket
     assert math.sqrt(lo) < 0.99 < math.sqrt(hi)
 
 
+@pytest.mark.parametrize("eps", [1e-5, 1e-2, 0.2, -0.2])
+def test_tune_finishes_on_converged_solves(monkeypatch, eps):
+    precise, base = _count_lambda1(monkeypatch, _offset_lambda1(eps))
+    cal = tune_M_for_kstar(P, 0.0, 0.99)
+    assert abs(math.sqrt(cal.M) - 0.99) <= 1e-6  # converged k*, not the base grid's
+    assert cal.achieved == math.sqrt(cal.M)
+    lo, hi = cal.bracket
+    assert lo in precise and hi in precise
+    assert math.sqrt(lo) < 0.99 < math.sqrt(hi)
+    assert cal.iterations == len(precise) - 2
+    if abs(eps) <= 1e-5:  # the first window straddles and its midpoint lands
+        assert len(precise) <= 3
+
+
+def test_tune_base_grid_straddle_alone_is_a_bracket_failure(monkeypatch):
+    # converged k*(0.9) = 0.949 < 0.99 < base-grid k*(0.9) = 1.138
+    precise, base = _count_lambda1(monkeypatch, _offset_lambda1(0.2))
+    with pytest.raises(BracketFailure):
+        tune_M_for_kstar(P, 0.0, 0.99, bracket=(0.01, 0.9))
+    assert base  # the base grid located a root
+    assert precise.count(pytest.approx(0.01, rel=1e-12)) == 1  # both ends solved
+    assert precise.count(pytest.approx(0.9, rel=1e-12)) == 1
+
+
+def test_tune_converged_straddle_alone_converges(monkeypatch):
+    # base-grid k*(1.2) = 0.876 < 0.99 < converged k*(1.2) = 1.095
+    precise, base = _count_lambda1(monkeypatch, _offset_lambda1(-0.2))
+    cal = tune_M_for_kstar(P, 0.0, 0.99, bracket=(0.01, 1.2))
+    assert len(base) == 2  # the two ends only; locating is skipped
+    assert abs(cal.achieved - 0.99) <= 1e-6
+    lo, hi = cal.bracket
+    assert math.sqrt(lo) < 0.99 < math.sqrt(hi)
+    assert cal.iterations == len(precise) - 2
+
+
 def test_tune_rejects_non_straddling_bracket(monkeypatch):
-    seen = _count_lambda1(monkeypatch, lambda params, M, t, grid, tol_eig: -M)
+    precise, base = _count_lambda1(monkeypatch, _offset_lambda1(0.0))
     with pytest.raises(BracketFailure):
         tune_M_for_kstar(P, 0.0, 0.99, bracket=(0.01, 0.5))
-    assert len(seen) == 2  # only the two ends were solved
+    assert len(precise) == 2  # only the two ends were solved
 
 
 def test_tune_gives_up_after_max_iter(monkeypatch):
-    _count_lambda1(monkeypatch, lambda params, M, t, grid, tol_eig: -M)
-    with pytest.raises(NonConvergence):
+    _count_lambda1(monkeypatch, _offset_lambda1(0.0))
+    with pytest.raises(NonConvergence, match="base grid"):
         tune_M_for_kstar(P, 0.0, 0.99, max_iter=1)
+
+
+def test_tune_finish_gives_up_after_max_iter(monkeypatch):
+    # the base grid meets tol_cal at the lower bracket end without iterating;
+    # the converged k*, 1 % lower, needs more than one finishing iteration
+    _count_lambda1(monkeypatch, _offset_lambda1(0.01))
+    lo = (0.99 / 1.01) ** 2 * (1.0 - 1e-7)
+    with pytest.raises(NonConvergence, match="tune_M_for_kstar:"):
+        tune_M_for_kstar(P, 0.0, 0.99, bracket=(lo, 100.0), max_iter=1)
+
+
+@pytest.mark.parametrize("miss", [0.0, 1e-30])
+def test_window_without_interior_falls_back_to_symmetric(miss):
+    # converged k* misses the target at x1 by nothing, or by far less than
+    # the resolution of x1: the corrected window x1 .. x1 - 2r/s is one point
+    def precise(x):
+        return x - 1.0 + miss
+
+    lo, hi = calibrate._window(precise, lambda x: x, 1.0, 1.0, (-5.0, 5.0), 0.0, 10)
+    assert (lo, hi) == (1.0 - calibrate.WINDOW, 1.0 + calibrate.WINDOW)
+    assert precise(lo) < 0.0 < precise(hi)
+
+
+def test_window_widens_until_it_straddles_within_max_iter():
+    # the base grid is 1000 times steeper than the converged k*, so the
+    # corrected first window (0, 1e-3) falls far short of the root at 0.5
+    def precise(x):
+        return x - 0.5
+
+    args = (precise, lambda x: 1000.0 * x, 0.0, 0.0, (-100.0, 100.0), 0.0)
+    with pytest.raises(NonConvergence, match="widenings"):
+        calibrate._window(*args, 1)
+    lo, hi = calibrate._window(*args, 10)
+    assert precise(lo) < 0.0 < precise(hi)
 
 
 def test_crossing_search_reuses_sweep_samples(monkeypatch):
@@ -186,7 +265,7 @@ def test_fixture_eigensolve_budget(grid, monkeypatch):
     monkeypatch.setattr(calibrate, "lowest_eigenpair", counted)
     cal = tune_M_for_kstar(P, 0.0, 0.99, grid)
     assert abs(cal.achieved - 0.99) <= calibrate.TOL_CAL
-    assert len(solves) <= 10
+    assert len(solves) <= 3
     solves.clear()
     curve = kstar_time_sweep(cal.M, P, 9, grid)
     assert curve.Ttilde is not None

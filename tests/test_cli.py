@@ -137,6 +137,45 @@ def test_cli_flow_parameter_errors(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("n_points = 8", "n_points must be odd and >= 9"),
+        ("n_points = 7", "n_points must be odd and >= 9"),
+        ("half_width = 5", "half_width must be >= 10"),
+    ],
+)
+def test_cli_grid_errors(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert main(["kstar-sweep", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("0:0.5:2", "k_grid wave numbers must be positive"),
+        ("-1:0.5:3", "k_grid wave numbers must be positive"),
+        ("0.5:-1:3", "k_grid wave numbers must be positive"),
+        ("-1:2:1", "k_grid wave numbers must be positive"),
+        ("nan:1:3", "k_grid wave numbers must be positive"),
+        ("0.5:1:-2", "k_grid count must be nonnegative"),
+    ],
+)
+def test_cli_rejects_nonpositive_wave_numbers(tmp_path, capsys, spec, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(COUETTE_CFG + f"k_grid = {spec}\n")
+    assert main(["eigencurve", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_k_grid_of_positive_or_no_wave_numbers_parses():
+    assert list(parse_config("k_grid = 2:0.5:4\n").k_grid_values(0.0)) == [2.0, 1.5, 1.0, 0.5]
+    assert list(parse_config("k_grid = 0.5:-1:1\n").k_grid_values(0.0)) == [0.5]
+    assert len(parse_config("k_grid = -1:0:0\n").k_grid_values(0.0)) == 0
+
+
 def test_cli_calibrate_prints_M(tmp_path, capsys):
     cfg = tmp_path / "ref.cfg"
     cfg.write_text("gamma0 = 0.15\ngamma1 = 0.03\ngamma2 = 0.8\nnu = 1e-3\n")

@@ -205,6 +205,20 @@ def test_eigencurve_of_empty_grid_is_empty(couette_state):
     assert curve.points == () and curve.k_zero is None
 
 
+@pytest.mark.parametrize("ks", [[0.0, 0.5], [-1.0, 0.5], [0.5, -0.25]])
+def test_root_searches_reject_nonpositive_k(couette_state, ks):
+    # k = 0 used to end in a ZeroDivisionError of the window size, and a
+    # negative k returned roots as if it were a wave number
+    with pytest.raises(ValueError, match="wave numbers must be positive"):
+        ray.scan_wronskian(couette_state, ks)
+    with pytest.raises(ValueError, match="wave numbers must be positive"):
+        ray.eigenvalues_for_ks(couette_state, ks)
+    with pytest.raises(ValueError, match="wave numbers must be positive"):
+        ray.eigenvalue_for_k(couette_state, min(ks))
+    with pytest.raises(ValueError, match="wave numbers must be positive"):
+        ray.eigencurve(couette_state, ks)
+
+
 def test_wronskian_rejects_nonpositive_ci(ctx):
     with pytest.raises(ValueError):
         ray.wronskian(ctx.state_T, 1.0, 0.0)

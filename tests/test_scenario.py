@@ -1,5 +1,13 @@
 """Scenario pipelines: reports, dichotomy, budget failures, determinism."""
 
+import math
+from types import SimpleNamespace
+
+import numpy as np
+
+from viscoshear import calibrate, scenario
+from viscoshear import rayleigh as ray
+from viscoshear.flow import FlowParams, FlowState
 from viscoshear.report import json_text, scenario_report_dict
 from viscoshear.scenario import run_line_scenario, run_torus_scenario
 
@@ -63,3 +71,28 @@ def test_report_serialization_roundtrip(ctx):
     assert parsed["Ttilde"] == ctx.torus.Ttilde
     # 17 significant digits round-trip the stored doubles exactly
     assert parsed["ci_at_k1"] == ctx.torus.ci_at_k1
+
+
+def test_torus_solves_the_crossing_state_once(monkeypatch):
+    # k* = sqrt(M) (1 + 0.05 t / T): tuned to 0.99 at t = 0, crosses 1 inside (0, T)
+    params = FlowParams(1.0, 0.15, 0.03, 0.8, 1e-3)
+    T = params.horizon
+    solved = []
+
+    def kstar(state):
+        return math.sqrt(state.params.M) * (1.0 + 0.05 * state.t / T)
+
+    def fake_eigenpair(state, grid, tol_eig=1e-8, want_mode=True):
+        solved.append(state)
+        return SimpleNamespace(lambda1=-kstar(state) ** 2, lambda2=0.5, kstar=kstar(state))
+
+    monkeypatch.setattr(calibrate, "lowest_eigenpair", fake_eigenpair)
+    monkeypatch.setattr(scenario, "lowest_eigenpair", fake_eigenpair)
+    monkeypatch.setattr(calibrate, "_base_lambda1", lambda state, grid, tol_eig: -kstar(state) ** 2)
+    # no root at t = T ends the scenario right after the crossing checks
+    monkeypatch.setattr(ray, "eigenvalues_for_ks",
+                        lambda state, ks: ([None] * len(ks), np.ones(2), np.ones((len(ks), 2))))
+    rep = run_torus_scenario(params)
+    assert 0.0 < rep.Ttilde < T
+    assert next(c for c in rep.checks if c.name == "kstar_at_Ttilde").passed
+    assert solved.count(FlowState(params.with_M(rep.M), rep.Ttilde)) == 1
