@@ -308,12 +308,17 @@ def criterion_10(ctx: AcceptanceContext):
 
 def criterion_11(ctx: AcceptanceContext):
     """Byte determinism of the CSV/JSON emitters on a cheap end-to-end run."""
+    import os
     import subprocess
     import sys
     import tempfile
     from pathlib import Path
 
     from .report import json_text, scenario_report_dict
+
+    # the child must import this package, installed or not
+    path = [str(Path(__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
 
     cfg_text = (
         "gamma0 = 0.15\ngamma1 = 0.03\ngamma2 = 0.8\nnu = 1e-3\nM = 0\n"
@@ -330,6 +335,7 @@ def criterion_11(ctx: AcceptanceContext):
                 [sys.executable, "-m", "viscoshear.cli", "kstar-sweep",
                  "--config", str(cfg_path), "--out", str(out_dir)],
                 capture_output=True,
+                env=env,
             )
             if res.returncode != 0:
                 return [CheckResult(11, "cli_rerun_byte_identical", False, None, None,

@@ -101,8 +101,8 @@ def _crossing(kstar_at: Callable[[float], float], ends: tuple, kstar_ends: tuple
     """Root of k*(x) = target between two straddling ends, by Chandrupatla.
 
     ``kstar_ends`` are the already known k* at ``ends``; ``kstar_at`` is
-    called once per new abscissa.  Returns (x, k*(x), iterations, bracket)
-    with |k*(x) - target| <= tol and a final bracket that still straddles.
+    called once per new abscissa.  Returns (x, k*(x), bracket) with
+    |k*(x) - target| <= tol and a final bracket that still straddles.
     """
     known = dict(zip(ends, kstar_ends))
 
@@ -120,7 +120,7 @@ def _crossing(kstar_at: Callable[[float], float], ends: tuple, kstar_ends: tuple
     if not (res.success and abs(known[x] - target) <= tol):
         raise NonConvergence(f"{what}: |k* - {target:g}| > {tol:g} after {int(res.nit)} "
                              f"iterations (max_iter = {max_iter})")
-    return x, known[x], int(res.nit), (float(res.bracket[0]), float(res.bracket[1]))
+    return x, known[x], (float(res.bracket[0]), float(res.bracket[1]))
 
 
 def _window(precise: Callable[[float], float], base: Callable[[float], float],
@@ -213,7 +213,7 @@ def tune_M_for_kstar(
             f"lambda1 does not straddle {-target_kstar ** 2:g} on M in {bracket}; "
             "parameter set outside the calibration regime"
         )
-    x, achieved, _, (x_lo, x_hi) = _crossing(
+    x, achieved, (x_lo, x_hi) = _crossing(
         precise, (lo, hi), k_ends, target_kstar, tol_cal, max_iter, "tune_M_for_kstar"
     )
     return CalibrationResult(M=math.exp(x), achieved=achieved, iterations=len(solved) - 2,
@@ -295,7 +295,7 @@ def kstar_time_sweep(
     for j in range(n_times - 1):
         if ks[j] < 1.0 <= ks[j + 1]:
             # the two straddling samples are already solved: start from them
-            ttilde, _, _, _ = _crossing(
+            ttilde, _, _ = _crossing(
                 lambda t: _kstar(_lambda1(params, M, t, grid, tol_eig)),
                 (float(times[j]), float(times[j + 1])),
                 (_kstar(lam1[j]), _kstar(lam1[j + 1])),

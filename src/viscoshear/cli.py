@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import rayleigh as ray
-from .acceptance import run_verify
 from .calibrate import kstar_time_sweep, tune_M_for_kstar
 from .config import Config, load_config
 from .errors import ConfigError, ViscoshearError
@@ -111,6 +110,8 @@ def _cmd_eigencurve(cfg: Config, out_dir: Path, formats) -> int:
 
 
 def _cmd_verify(cfg: Config, out_dir: Path, formats) -> int:
+    from .acceptance import run_verify  # loads scipy.integrate; only verify needs it
+
     report, ok = run_verify(cfg)
     if "json" in formats:
         _write(out_dir / "verify_report.json", json_text(report))

@@ -4,8 +4,8 @@ The regular solution through the critical point factorizes as
 phi = (b - i c) * phi1 * phi2 where phi1 solves the real flux ODE
 (b^2 phi1')' = k^2 b^2 phi1 and phi2 absorbs the O(c) correction.  Both are
 seeded just off the regular singular point y = 0 with their Frobenius
-expansions and integrated outward by an adaptive RK 5(4) pair in flux
-variables, batched over (k, c) channels.
+expansions and integrated outward by the adaptive DOP853 pair in flux
+variables, batched over (k, c) channels with per-channel error control.
 
 The Wronskian W(ic, k) = integral of phi^(-2) decides the spectrum: its
 zeros on the imaginary axis are the unstable eigenvalues.  W is assembled

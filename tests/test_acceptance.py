@@ -65,3 +65,9 @@ def test_criterion_10_bound_suites(ctx):
 
 def test_criterion_11_determinism(ctx):
     _run(ctx, acc.criterion_11, 11)
+
+
+def test_criterion_11_without_pythonpath(ctx, monkeypatch):
+    # the CLI child process must find the package by itself
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    _run(ctx, acc.criterion_11, 11)

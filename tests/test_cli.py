@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import viscoshear
 from viscoshear import calibrate
 from viscoshear.cli import main
 from viscoshear.config import parse_config
@@ -199,3 +204,15 @@ def test_package_errors_reach_their_exit_code(tmp_path, monkeypatch, error, rc):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(COUETTE_CFG)
     assert main(["calibrate", "--config", str(cfg)]) == rc
+
+
+def test_cli_import_leaves_verify_and_quadrature_unloaded():
+    # only `verify` needs the acceptance suite and its scipy.integrate quadrature
+    code = (
+        "import sys, viscoshear.cli; "
+        "print([m for m in ('viscoshear.acceptance', 'scipy.integrate') if m in sys.modules])"
+    )
+    src = str(Path(viscoshear.__file__).resolve().parent.parent)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert res.stdout.strip() == "[]"

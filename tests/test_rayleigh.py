@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from viscoshear import rayleigh as ray
-from viscoshear._ode import integrate
-from viscoshear.errors import StepFailure, TailDominance
+from viscoshear.errors import TailDominance
 from viscoshear.flow import eval_b_derivs
 from viscoshear.spectrum import Grid, lowest_eigenpair
 
@@ -20,23 +19,6 @@ def w_couette_exact(k, c):
     the substitution u = tanh(ky) collapses the integral to -2k/(1+k^2c^2).
     """
     return -2.0 * k / (1.0 + k * k * c * c)
-
-
-# ---------------------------------------------------------------------------
-# integrator unit oracles
-# ---------------------------------------------------------------------------
-
-
-def test_rk45_linear_oscillator():
-    lam = 1.5 - 2.3j
-    y, _, _ = integrate(lambda t, y: lam * y, 0.0, 3.0, np.array([1.0 + 0j]), rtol=1e-11)
-    exact = np.exp(lam * 3.0)
-    assert abs(y[0] - exact) / abs(exact) <= 1e-9
-
-
-def test_rk45_step_budget_raises():
-    with pytest.raises(StepFailure):
-        integrate(lambda t, y: -y, 0.0, 1.0, np.array([1.0 + 0j]), max_steps=3)
 
 
 # ---------------------------------------------------------------------------
