@@ -34,7 +34,6 @@ from .flow import (
 from .spectrum import (
     Grid,
     SpectralResult,
-    critical_wavenumber,
     lowest_eigenpair,
     profile_check,
     rayleigh_quotient,
@@ -63,7 +62,7 @@ from .rayleigh import (
     wronskian_det_check,
     wronskian_partials,
 )
-from .scenario import ScenarioReport, nu_sweep, run_line_scenario, run_torus_scenario
+from .scenario import ScenarioReport, run_line_scenario, run_torus_scenario
 from .config import Config, load_config, parse_config
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ The lowest eigenvalue of the bound-state operator is strictly decreasing in
 the amplitude M, and k*(t) rises monotonically under diffusion, so hitting a
 target critical wave number and locating the crossing time of k* = 1 are
 bracketed roots of smooth monotone functions.  Both are found by
-Chandrupatla's bracketed inverse-quadratic iteration
-(``scipy.optimize.elementwise.find_root``; Chandrupatla, Adv. Eng. Softw. 28,
+Chandrupatla's bracketed inverse-quadratic iteration (``_roots.chandrupatla``,
+shared with the Rayleigh root polish; Chandrupatla, Adv. Eng. Softw. 28,
 1997), which converges superlinearly and stops once |k* - target| <= tol_cal.
 
 The amplitude tune runs that iteration twice: it locates M over the whole
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
+from ._roots import chandrupatla
 from .errors import BracketFailure, NonConvergence
 from .flow import FlowParams, FlowState
 from .spectrum import TOL_EIG, Grid, _base_lambda1, lowest_eigenpair
@@ -102,25 +102,21 @@ def _crossing(kstar_at: Callable[[float], float], ends: tuple, kstar_ends: tuple
 
     ``kstar_ends`` are the already known k* at ``ends``; ``kstar_at`` is
     called once per new abscissa.  Returns (x, k*(x), bracket) with
-    |k*(x) - target| <= tol and a final bracket that still straddles.
+    |k*(x) - target| <= tol, k*(x) as evaluated, and a final bracket that
+    still straddles.
     """
-    known = dict(zip(ends, kstar_ends))
+    kstar = dict(zip(ends, kstar_ends))
 
-    def residual(x):
-        out = np.empty(np.shape(x))
-        for i, xi in np.ndenumerate(x):
-            xi = float(xi)
-            if xi not in known:
-                known[xi] = kstar_at(xi)
-            out[i] = known[xi] - target
-        return out
+    def residual(x, _):
+        kstar[x[0]] = kstar_at(float(x[0]))
+        return np.array([kstar[x[0]] - target])
 
-    res = find_root(residual, ends, tolerances=dict(fatol=tol), maxiter=max_iter)
-    x = float(res.x)
-    if not (res.success and abs(known[x] - target) <= tol):
-        raise NonConvergence(f"{what}: |k* - {target:g}| > {tol:g} after {int(res.nit)} "
-                             f"iterations (max_iter = {max_iter})")
-    return x, known[x], (float(res.bracket[0]), float(res.bracket[1]))
+    (a, b), (k_a, k_b) = ends, kstar_ends
+    x, r, lo, hi = chandrupatla(residual, [a], [b], [k_a - target], [k_b - target], tol,
+                                max_iter, what)
+    if not abs(r[0]) <= tol:
+        raise NonConvergence(f"{what}: |k* - {target:g}| > {tol:g} on a rounding-level bracket")
+    return float(x[0]), kstar[x[0]], (float(lo[0]), float(hi[0]))
 
 
 def _window(precise: Callable[[float], float], base: Callable[[float], float],

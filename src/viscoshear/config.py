@@ -9,17 +9,9 @@ from .errors import ParseError, ValidationError
 from .flow import FlowParams
 from .spectrum import Grid
 
-__all__ = ["Config", "parse_config", "load_config", "DEFAULT_CONFIG_TEXT"]
+__all__ = ["Config", "parse_config", "load_config"]
 
 _FORMATS = ("csv", "json", "svg")
-
-DEFAULT_CONFIG_TEXT = """\
-# reference desk-scale fixture
-gamma0 = 0.15
-gamma1 = 0.03
-gamma2 = 0.8
-nu = 1e-3
-"""
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,15 @@ terms from the mirrored state.  The determinant cross-check still
 integrates both sides, which makes it an independent oracle for the
 mirror identity as well.
 
+The boundary value W(0, k) is the c = 0 channel of the same assembly: the
+log-kernel quadrature of I at c = 0 is the Hilbert-transform term, and the
+strip and II terms take their c = 0 forms.
+
 Roots in c_i are found for many wave numbers at once: one batched scan of
 Re W on a log-spaced c grid brackets each sign change, and Chandrupatla's
-bracketed inverse-quadratic iteration in log c (Adv. Eng. Softw. 28, 1997)
-polishes every bracket together, one ``wronskian_many`` pass per iteration.
+bracketed inverse-quadratic iteration in log c (``_roots.chandrupatla``,
+shared with the calibration; Adv. Eng. Softw. 28, 1997) polishes every
+bracket together, one ``wronskian_many`` pass per iteration.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._ode import integrate
+from ._roots import chandrupatla
 from .errors import (
     ConsistencyFailure,
     MultipleRoots,
@@ -48,7 +54,7 @@ from .errors import (
     TailDominance,
 )
 from .flow import FlowState, eval_b_derivs
-from .spectrum import Grid
+from .spectrum import Grid, _fit_min_C
 
 __all__ = [
     "Phi1Solution",
@@ -94,10 +100,7 @@ class _Profile:
         self.s2 = state.s2
         self.sq1 = math.sqrt(state.s1)
         self.sq2 = math.sqrt(state.s2)
-        b, b1, _, b3 = eval_b_derivs(state, 0.0)
-        self.beta = float(b1)
-        self.b3_0 = float(b3)
-        self.state = state
+        self.beta = float(eval_b_derivs(state, 0.0)[1])
 
     def b(self, y: float) -> float:
         if self.m == 0.0:
@@ -218,12 +221,11 @@ def _run_side(system: _WSystem, side: int, eps: float, ymax: float, samples=None
 # y -> -y conjugates every state column and flips the sign of the fluxes and
 # of the integrals accumulated from the origin outward.
 _W_PARITY = np.array([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
-_PHI1_QUAD_PARITY = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _mirror(st: np.ndarray, parity: np.ndarray) -> np.ndarray:
+def _mirror(st: np.ndarray) -> np.ndarray:
     """The left half-line pass's state, exactly, from the right one's."""
-    return np.conj(st) * parity
+    return np.conj(st) * _W_PARITY
 
 
 def _phi_and_slope(system: _WSystem, y: float, st: np.ndarray):
@@ -291,23 +293,15 @@ class _IrPanels:
             weights.append(half * w)
         self.v = np.concatenate(nodes)
         self.w = np.concatenate(weights)
-        ys = self._invert(pr, self.v)
+        ys = self._invert(state, self.v)
         self.gp = self._gprime(state, ys)
         self.gp0 = float(self._gprime(state, np.array([0.0]))[0])
-        self.g_over_v = self._g(state, ys) / self.v
 
     @staticmethod
-    def _invert(pr: _Profile, vs: np.ndarray) -> np.ndarray:
+    def _invert(state: FlowState, vs: np.ndarray) -> np.ndarray:
         ys = vs.copy()
         for _ in range(60):
-            b = ys + pr.m * (_SQRT_PI / 2.0) * (
-                pr.a1 * np.array([math.erf(t) for t in ys / pr.sq1])
-                - pr.a2 * np.array([math.erf(t) for t in ys / pr.sq2])
-            )
-            b1 = 1.0 + pr.m * (
-                pr.a1 / pr.sq1 * np.exp(-ys ** 2 / pr.s1)
-                - pr.a2 / pr.sq2 * np.exp(-ys ** 2 / pr.s2)
-            )
+            b, b1, _, _ = eval_b_derivs(state, ys)
             step = (b - vs) / b1
             ys -= step
             if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(ys))):
@@ -318,11 +312,6 @@ class _IrPanels:
     def _gprime(state: FlowState, ys: np.ndarray) -> np.ndarray:
         _, b1, b2, b3 = eval_b_derivs(state, ys)
         return (3.0 * b2 ** 2 - b3 * b1) / b1 ** 5
-
-    @staticmethod
-    def _g(state: FlowState, ys: np.ndarray) -> np.ndarray:
-        _, b1, b2, _ = eval_b_derivs(state, ys)
-        return -b2 / b1 ** 3
 
     def _head(self, c: float) -> float:
         """g'(0) * int_0^V_LO ln(v^2+c^2) dv in closed form."""
@@ -339,10 +328,6 @@ class _IrPanels:
         body = logs @ (self.w * self.gp)
         head = np.array([self._head(c) for c in cs])
         return -(body + head)
-
-    def hilbert_at_zero(self) -> float:
-        """p.v. integral of g(v)/v, i.e. the c -> 0+ limit of I."""
-        return float(self.i_r(np.array([0.0]))[0])
 
 
 @lru_cache(maxsize=16)
@@ -377,7 +362,7 @@ def _assemble_many(state: FlowState, ks: np.ndarray, cs: np.ndarray, half_width:
     ymax = _ymax_for(ks, half_width)
 
     st_r, _, _ = _run_side(system, +1, eps, ymax, rtol=rtol, atol=atol)
-    st_l = _mirror(st_r, _W_PARITY)
+    st_l = _mirror(st_r)
 
     phi_r, mu_r = _phi_and_slope(system, ymax, st_r)
     phi_l, mu_l = _phi_and_slope(system, -ymax, st_l)
@@ -432,11 +417,11 @@ def wronskian(state: FlowState, k: float, c_i: float, half_width: float = 20.0,
     """W(ic_i, k) with an honest quadrature-error estimate.
 
     Requires c_i > 0 (the integrand is nonsingular since |b - ic| >= c_i);
-    the c_i -> 0+ boundary value has its own closed-form route in
-    ``wronskian_boundary``.  Raises ``TailDominance`` when the modeled tail
-    beyond the integration window is not negligible against the terms
-    summed into W, |I_r| + |quadrature| + |strip|; unlike |W| itself that
-    scale stays O(1) at a root, where the terms cancel.
+    the boundary value at c_i = 0 is ``wronskian_boundary``.  Raises
+    ``TailDominance`` when the modeled tail beyond the integration window is
+    not negligible against the terms summed into W, |I_r| + |quadrature| +
+    |strip|; unlike |W| itself that scale stays O(1) at a root, where the
+    terms cancel.
     """
     if not c_i > 0.0:
         raise ValueError("wronskian requires c_i > 0; use wronskian_boundary for c_i = 0")
@@ -447,6 +432,21 @@ def wronskian(state: FlowState, k: float, c_i: float, half_width: float = 20.0,
         raise TailDominance(f"tail estimate {tail:g} exceeds 1e-8 of the W terms "
                             f"({scale:g}); domain too small")
     return WronskianValue(k=k, c=1j * c_i, W=complex(w[0]), quad_error=float(qe[0]))
+
+
+def wronskian_boundary(state: FlowState, k: float, half_width: float = 20.0) -> WronskianValue:
+    """W(0, k): the c = 0 channel of the Wronskian assembly.
+
+    There I is the Hilbert-transform term p.v. integral of (b^{-1})''(v) / v
+    dv, the c = 0 value of the log-kernel quadrature used for I(c), whose
+    sign convention thereby agrees with the c_i -> 0+ limit of
+    ``wronskian``; II is the phi1 correction integral.  The imaginary part
+    i*pi*(b^{-1})''(0) vanishes identically because the profile is odd.
+    """
+    if not k > 0.0:
+        raise ValueError("k must be positive")
+    w, qe, _ = _assemble_many(state, np.array([k]), np.array([0.0]), half_width)
+    return WronskianValue(k=k, c=0j, W=complex(w[0]), quad_error=float(qe[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +465,6 @@ class Phi1Solution:
     phi1: np.ndarray
     dphi1: np.ndarray
 
-    @property
-    def samples(self):
-        return list(zip(self.ys, self.phi1, self.dphi1))
-
 
 @dataclass(frozen=True)
 class Phi2Solution:
@@ -477,10 +473,6 @@ class Phi2Solution:
     ys: np.ndarray
     phi2: np.ndarray
     dphi2: np.ndarray
-
-    @property
-    def samples(self):
-        return list(zip(self.ys, self.phi2, self.dphi2))
 
 
 def _sample_ys(grid_or_ys) -> np.ndarray:
@@ -679,98 +671,6 @@ def wronskian_det_check(
 
 
 # ---------------------------------------------------------------------------
-# boundary value W(0, k)
-# ---------------------------------------------------------------------------
-
-
-class _Phi1QuadSystem:
-    """phi1 flux system plus the two cumulative integrals used at c = 0.
-
-    state columns: [d1, p1, qA, qB] with
-      qA = integral of (b'(0) - b') / b^2      (neutral-mode weight)
-      qB = integral of (phi1^(-2) - 1) / b^2   (boundary Wronskian term)
-    """
-
-    def __init__(self, profile: _Profile, k: float):
-        self.pr = profile
-        self.k2 = k * k
-
-    def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
-        pr = self.pr
-        b = pr.b(y)
-        b1 = pr.b1(y)
-        b2 = b * b
-        d1, p1 = st[:, 0], st[:, 1]
-        phi1 = 1.0 + d1
-        out = np.empty_like(st)
-        out[:, 0] = p1 / b2
-        out[:, 1] = self.k2 * b2 * phi1
-        out[:, 2] = (pr.beta - b1) / b2
-        out[:, 3] = -d1 * (2.0 + d1) / (phi1 * phi1 * b2)
-        return out
-
-    def seed(self, y0: float) -> np.ndarray:
-        b = self.pr.b(y0)
-        st = np.zeros((1, 4), dtype=complex)
-        st[0, 0] = self.k2 * y0 * y0 / 6.0
-        st[0, 1] = b * b * self.k2 * y0 / 3.0
-        return st
-
-
-def _phi1_quad_pass(state: FlowState, k: float, side: int, ymax: float, samples=None):
-    pr = _profile(state)
-    system = _Phi1QuadSystem(pr, k)
-    eps = EPS_MAX
-    y0, y1 = side * eps, side * ymax
-    final, rec, _ = integrate(
-        system.rhs,
-        y0,
-        y1,
-        system.seed(y0),
-        rtol=RTOL_ODE,
-        atol=ATOL_ODE,
-        samples=samples,
-        initial_step=eps * 0.5,
-    )
-    return final, rec, system, eps
-
-
-def wronskian_boundary(state: FlowState, k: float, half_width: float = 20.0) -> WronskianValue:
-    """W(0, k): Hilbert-transform term plus the phi1 correction integral.
-
-    The Hilbert-transform sign convention is fixed by requiring agreement
-    with the c_i -> 0+ limit of ``wronskian``: the term equals
-    p.v. integral of (b^{-1})''(v) / v dv, evaluated as the c = 0 value of
-    the same log-kernel quadrature used for I(c).  The imaginary part
-    i*pi*(b^{-1})''(0) vanishes identically because the profile is odd,
-    which also makes the left half-line terms the mirror of one right pass.
-    """
-    if not k > 0.0:
-        raise ValueError("k must be positive")
-    pr = _profile(state)
-    ymax = _ymax_for(np.array([k]), half_width)
-    h_term = _panels(state).hilbert_at_zero()
-
-    fin_r, _, system, eps = _phi1_quad_pass(state, k, +1, ymax)
-    fin_l = _mirror(fin_r, _PHI1_QUAD_PARITY)
-    qb = (fin_r[0, 3] - fin_l[0, 3]).real  # left accumulator is minus the segment
-    strip = -2.0 * eps * k * k / (3.0 * pr.beta ** 2)
-
-    b_r, b_l = pr.b(ymax), pr.b(-ymax)
-    phi1_r = 1.0 + fin_r[0, 0].real
-    phi1_l = 1.0 + fin_l[0, 0].real
-    mu_r = (fin_r[0, 1].real / (b_r * b_r)) / phi1_r
-    mu_l = (fin_l[0, 1].real / (b_l * b_l)) / phi1_l
-    tail = (-1.0 / b_r + 1.0 / b_l) + phi1_r ** -2 / (2.0 * mu_r * b_r ** 2) - phi1_l ** -2 / (
-        2.0 * mu_l * b_l ** 2
-    )
-    j_term = qb + strip + tail
-    w0 = h_term + j_term
-    quad_err = 3.0 * RTOL_ODE * abs(qb) + 0.05 * abs(strip) + 1e-12 * (abs(h_term) + 1.0)
-    return WronskianValue(k=k, c=0j, W=complex(w0, 0.0), quad_error=float(quad_err))
-
-
-# ---------------------------------------------------------------------------
 # roots in c_i: the unstable eigenvalue
 # ---------------------------------------------------------------------------
 
@@ -795,51 +695,6 @@ def scan_wronskian(
     w, qe = wronskian_many(state, np.repeat(ks, len(cs)), np.tile(cs, len(ks)), half_width)
     shape = (len(ks), len(cs)) if np.ndim(k) else (len(cs),)
     return cs, w.reshape(shape), qe.reshape(shape)
-
-
-def _polish_roots(state, ks, lo, hi, w_lo, w_hi, tol, half_width):
-    """Chandrupatla's bracketed iteration in x = log c over every bracket at once.
-
-    x1 is the newest point, x2 the bracket end where Re W has the other sign
-    and x3 the point dropped last.  Inverse quadratic interpolation through
-    the three is taken where Chandrupatla's test keeps it well inside the
-    bracket, bisection elsewhere.  Each iteration evaluates W at one point
-    per unfinished bracket in a single ``wronskian_many`` pass.  A bracket
-    is done when |W| <= tol there, or when it has shrunk to rounding level;
-    then its last point is returned with whatever residual it has, for the
-    caller's residual check to judge.
-    """
-    x1, x2 = np.log(lo), np.log(hi)
-    f1, f2 = w_lo.real.copy(), w_hi.real.copy()
-    x3, f3 = np.empty_like(x2), np.empty_like(f2)  # set by the first iteration
-    t = np.full(len(ks), 0.5)
-    c_root, resid = np.empty(len(ks)), np.empty(len(ks))
-    todo = np.arange(len(ks))
-    for _ in range(MAX_POLISH):
-        i = todo
-        xt = x1[i] + t[i] * (x2[i] - x1[i])
-        ct = np.exp(xt)
-        w, _ = wronskian_many(state, ks[i], ct, half_width)
-        c_root[i], resid[i] = ct, np.abs(w)
-        same = (w.real > 0) == (f1[i] > 0)
-        x3[i], f3[i] = np.where(same, x1[i], x2[i]), np.where(same, f1[i], f2[i])
-        x2[i], f2[i] = np.where(same, x2[i], x1[i]), np.where(same, f2[i], f1[i])
-        x1[i], f1[i] = xt, w.real
-        dx = np.abs(x2[i] - x1[i])
-        xtol = 4.0 * np.finfo(float).eps * np.abs(x1[i])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x1[i] - x2[i]) / (x3[i] - x2[i])
-            phi = (f1[i] - f2[i]) / (f3[i] - f2[i])
-            alpha = (x3[i] - x1[i]) / (x2[i] - x1[i])
-            a, b, c = f1[i], f2[i], f3[i]
-            t_iqi = a / (a - b) * c / (c - b) - alpha * a / (c - a) * b / (b - c)
-            tl = xtol / dx
-        smooth = (phi ** 2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-        t[i] = np.clip(np.where(smooth, t_iqi, 0.5), tl, 1.0 - tl)
-        todo = i[~(resid[i] <= tol[i]) & (dx > 2.0 * xtol)]
-        if todo.size == 0:
-            return list(zip(c_root.tolist(), resid.tolist()))
-    raise NonConvergence(f"root polish stalled at k={ks[todo[0]]:g}")
 
 
 def eigenvalues_for_ks(
@@ -870,10 +725,15 @@ def eigenvalues_for_ks(
     roots = [None] * len(ks)
     if rows.size:
         j = flips[rows].argmax(axis=1)
-        found = _polish_roots(state, ks[rows], cs[j], cs[j + 1], w[rows, j], w[rows, j + 1],
-                              1e-10 * np.abs(w[rows, -1]), half_width)
-        for r, root in zip(rows, found):
-            roots[r] = root
+
+        def w_at(x, i):
+            return wronskian_many(state, ks[rows[i]], np.exp(x), half_width)[0]
+
+        x, w_root, _, _ = chandrupatla(w_at, np.log(cs[j]), np.log(cs[j + 1]), w[rows, j],
+                                       w[rows, j + 1], 1e-10 * np.abs(w[rows, -1]),
+                                       MAX_POLISH, "root polish")
+        for r, c, resid in zip(rows, np.exp(x).tolist(), np.abs(w_root).tolist()):
+            roots[r] = (c, resid)
     return roots, cs, w
 
 
@@ -953,6 +813,40 @@ def wronskian_partials(
 # ---------------------------------------------------------------------------
 
 
+class _Phi1QuadSystem:
+    """phi1 flux system plus the two cumulative integrals of the neutral mode.
+
+    state columns: [d1, p1, qA, qB] with
+      qA = integral of (b'(0) - b') / b^2
+      qB = integral of (phi1^(-2) - 1) / b^2
+    """
+
+    def __init__(self, profile: _Profile, k: float):
+        self.pr = profile
+        self.k2 = k * k
+
+    def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
+        pr = self.pr
+        b = pr.b(y)
+        b1 = pr.b1(y)
+        b2 = b * b
+        d1, p1 = st[:, 0], st[:, 1]
+        phi1 = 1.0 + d1
+        out = np.empty_like(st)
+        out[:, 0] = p1 / b2
+        out[:, 1] = self.k2 * b2 * phi1
+        out[:, 2] = (pr.beta - b1) / b2
+        out[:, 3] = -d1 * (2.0 + d1) / (phi1 * phi1 * b2)
+        return out
+
+    def seed(self, y0: float) -> np.ndarray:
+        b = self.pr.b(y0)
+        st = np.zeros((1, 4), dtype=complex)
+        st[0, 0] = self.k2 * y0 * y0 / 6.0
+        st[0, 1] = b * b * self.k2 * y0 / 3.0
+        return st
+
+
 def neutral_mode_phiB(
     state: FlowState, kstar: float, grid: Grid, normalized: bool = True
 ) -> np.ndarray:
@@ -977,7 +871,8 @@ def neutral_mode_phiB(
     neg = ys[:mid]  # ascending, all negative
     ymax = grid.half_width
 
-    fin, rec, system, eps = _phi1_quad_pass(state, kstar, -1, ymax, samples=list(neg)[::-1])
+    fin, rec, _ = _run_side(_Phi1QuadSystem(pr, kstar), -1, EPS_MAX, ymax,
+                            samples=list(neg)[::-1])
     rec = rec[::-1]  # ascending in y
 
     beta = pr.beta
@@ -1018,22 +913,6 @@ class BoundReport:
 
     constants: dict
     signs_ok: bool
-
-
-def _fit_min_C(pred, hi: float = 1e6) -> float:
-    """Smallest C >= 1 satisfying a monotone pointwise predicate."""
-    if not pred(hi):
-        return math.inf
-    lo = 1.0
-    if pred(lo):
-        return lo
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def phi1_bound_report(state: FlowState, sol: Phi1Solution) -> BoundReport:

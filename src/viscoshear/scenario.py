@@ -26,7 +26,7 @@ from .errors import ViscoshearError
 from .flow import FlowParams, FlowState
 from .spectrum import Grid, lowest_eigenpair, profile_check
 
-__all__ = ["ScenarioCheck", "ScenarioReport", "run_torus_scenario", "run_line_scenario", "nu_sweep"]
+__all__ = ["ScenarioCheck", "ScenarioReport", "run_torus_scenario", "run_line_scenario"]
 
 
 @dataclass(frozen=True)
@@ -253,26 +253,3 @@ def run_line_scenario(
         rep.add("root_at_half_kstarT", False, None, None, "kstar(T) unresolved at tol_eig")
     return rep
 
-
-def nu_sweep(params: FlowParams, nus, grid: Grid = Grid(), delta: float = 0.01):
-    """Record Ttilde/T across viscosities (empirical; no bands asserted).
-
-    The transition times scale like 1/nu with gamma-dependent constants the
-    desk-scale runs cannot pin down; this helper just tabulates the measured
-    ratios for a viscosity sweep.
-    """
-    out = []
-    for nu in nus:
-        p = FlowParams(params.M, params.gamma0, params.gamma1, params.gamma2, nu)
-        cal = tune_M_for_kstar(p, 0.0, 1.0 - delta, grid)
-        curve = kstar_time_sweep(cal.M, p, 9, grid)
-        out.append(
-            dict(
-                nu=nu,
-                M=cal.M,
-                T=p.horizon,
-                Ttilde=curve.Ttilde,
-                ratio=None if curve.Ttilde is None else curve.Ttilde / p.horizon,
-            )
-        )
-    return out

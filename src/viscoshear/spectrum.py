@@ -38,7 +38,6 @@ __all__ = [
     "ConvergenceInfo",
     "ProfileReport",
     "lowest_eigenpair",
-    "critical_wavenumber",
     "rayleigh_quotient",
     "profile_check",
     "sturm_count_below",
@@ -288,11 +287,6 @@ def _base_lambda1(state: FlowState, grid: Grid, tol_eig: float) -> float:
     return _level(_potential(state), grid, 0, tol_eig)[1]
 
 
-def critical_wavenumber(state: FlowState, grid: Grid, tol_eig: float = TOL_EIG) -> Optional[float]:
-    """k*(M, t) = sqrt(-lambda1) when a bound state exists, else None."""
-    return lowest_eigenpair(state, grid, tol_eig, want_mode=False).kstar
-
-
 def _deriv4(u: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative; second-order one-sided at the edges."""
     du = np.empty_like(u)
@@ -351,6 +345,22 @@ class ProfileReport:
         )
 
 
+def _fit_min_C(pred, hi: float = 1e6) -> float:
+    """Smallest C >= 1 satisfying a monotone pointwise predicate, by geometric bisection."""
+    if not pred(hi):
+        return math.inf
+    lo = 1.0
+    if pred(lo):
+        return lo
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _fits_with_C(ys, u, kstar, C):
     core = np.abs(ys) <= 1.0 / kstar
     rk = math.sqrt(kstar)
@@ -385,17 +395,7 @@ def profile_check(result: SpectralResult, state: FlowState, c_max: float = 1e3) 
     monotone_ok = bool(np.all(np.diff(right) <= 1e-10 * u[mid]))
 
     kstar = result.kstar
-    lo, hi = 1.0, c_max
-    if not _fits_with_C(ys, u, kstar, hi):
-        fitted = math.inf
-    else:
-        for _ in range(60):
-            mid_c = math.sqrt(lo * hi)
-            if _fits_with_C(ys, u, kstar, mid_c):
-                hi = mid_c
-            else:
-                lo = mid_c
-        fitted = hi
+    fitted = _fit_min_C(lambda C: _fits_with_C(ys, u, kstar, C), hi=c_max)
     core = np.abs(ys) <= 1.0 / kstar
     rk = math.sqrt(kstar)
     plateau_ok = bool(np.all(u[core] >= rk / fitted) and np.all(u[core] <= rk * fitted)) if math.isfinite(fitted) else False

@@ -98,6 +98,18 @@ def test_sweep_monotone_and_crossing(ctx):
     assert 0.15 <= rep.Ttilde / rep.T <= 0.30
 
 
+def test_nu_enters_only_through_nu_t(ctx):
+    # nu enters only through 4*nu*t: the tune runs at t = 0, so the tuned M
+    # holds for any nu, and doubling nu halves T and every sample time
+    # exactly, so every k*(t_j) and Ttilde/T keeps its bits
+    rep, cfg, p = ctx.torus, ctx.cfg, ctx.params
+    p2 = FlowParams(p.M, p.gamma0, p.gamma1, p.gamma2, 2.0 * p.nu)
+    curve = kstar_time_sweep(rep.M, p2, cfg.n_times, ctx.grid, cfg.tol_cal, cfg.tol_eig)
+    assert curve.T == rep.T / 2.0
+    assert curve.kstars == rep.curve_kstars
+    assert curve.Ttilde / curve.T == rep.Ttilde / rep.T
+
+
 def test_sweep_couette_all_absent(couette_state, grid):
     curve = kstar_time_sweep(0.0, couette_state.params, 8, grid)
     assert all(k is None for k in curve.kstars)

@@ -207,10 +207,12 @@ def test_package_errors_reach_their_exit_code(tmp_path, monkeypatch, error, rc):
 
 
 def test_cli_import_leaves_verify_and_quadrature_unloaded():
-    # only `verify` needs the acceptance suite and its scipy.integrate quadrature
+    # only `verify` needs the acceptance suite and its scipy.integrate
+    # quadrature; the package's own Chandrupatla replaces scipy's elementwise one
     code = (
         "import sys, viscoshear.cli; "
-        "print([m for m in ('viscoshear.acceptance', 'scipy.integrate') if m in sys.modules])"
+        "print([m for m in ('viscoshear.acceptance', 'scipy.integrate', "
+        "'scipy.optimize.elementwise') if m in sys.modules])"
     )
     src = str(Path(viscoshear.__file__).resolve().parent.parent)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
