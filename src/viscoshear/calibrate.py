@@ -230,10 +230,12 @@ def find_critical_M0(
     shrunk below 1e-4 * M0 so the threshold crossing is pinned to that
     relative width.
 
-    This stays a bisection: near M0, lambda1 is at the scale of LAPACK's
-    bisection tolerance (about 1e-8 at 131 073 points), so it is noise
-    rather than a smooth function of M that interpolation could exploit,
-    and M0 moves like dM/M ~ dlambda / 1e-8.
+    This stays a bisection: near M0, lambda1 (about -5e-9) is within ten
+    times LAPACK's bisection tolerance ULP * ||T||_1, about 6e-10 at the
+    32 769 points where its weakly bound eigensolves stop (only the strongly
+    bound M = 10 bracket end reaches 131 073), so it is noise rather than a
+    smooth function of M that interpolation could exploit, and M0 moves
+    like dM/M ~ dlambda / 1e-8.
     """
     level = -tol_eig / 2.0
     lo, hi = bracket

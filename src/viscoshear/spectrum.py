@@ -17,6 +17,14 @@ diagonal is built once, each kappa only shifts its two end entries, and the
 eigenvalue pair is memoized on those entries.  Values are reported only
 after Richardson extrapolants of two successive grid refinements agree
 within ``tol_eig``.
+
+Rung 0 of the ladder, weakly bound closures and the eigenvector solve ask
+LAPACK for eigenvalues 1 and 2 by index (``_lowest_two``).  After a strongly
+bound rung (kappa * Y >= 3) the next rung's fixed-point solves bisect only a
+window around each of that rung's eigenvalues, WIDEN times the last
+rung-to-rung change (FIRST * |lambda| at rung 1) on each side, and keep a
+result only when Sturm counts certify it (``_windowed``); otherwise they
+fall back to ``_lowest_two``.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
 from .errors import NonConvergence, ZeroNorm
@@ -44,6 +53,8 @@ __all__ = [
 ]
 
 TOL_EIG = 1e-8
+WIDEN = 4.0  # window half-width over the last rung-to-rung change of the eigenvalue
+FIRST = 1e-3  # window half-width over |lambda| at rung 1, before any change is known
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,31 @@ def _lowest_two(d: np.ndarray, e: np.ndarray):
     return float(vals[0]), float(vals[1])
 
 
-def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float):
+def _windowed(d: np.ndarray, e: np.ndarray, windows: tuple):
+    """The lowest len(windows) eigenvalues, each bisected by ``dstebz`` inside
+    its (estimate, half-width) window, or None unless Sturm counts certify
+    them: none below the first window (counted from a Gershgorin bound at a
+    tolerance wider than the interval, so nothing is bisected), exactly one
+    in each window, none between windows."""
+    def stebz(lo, hi, tol):  # (count, lowest value) on (lo, hi]; no n-length array outlives it
+        m, values, _, _, info = dstebz(d, e, 1, lo, hi, 0, 0, tol, "E")
+        return (m if info == 0 else -1), float(values[0])
+
+    lo = float(d.min()) - 2.0 * max(float(e.max()), -float(e.min()))
+    vals = []
+    for x, w in windows:
+        if not lo < x - w < x + w or stebz(lo, x - w, 2.0 * (x - w - lo))[0] != 0:
+            return None
+        m, lam = stebz(x - w, x + w, 0.0)
+        if m != 1:
+            return None
+        vals.append(lam)
+        lo = x + w
+    return tuple(vals)
+
+
+def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float,
+                        guess: tuple = ()):
     """Eigenvalues of the box operator at the self-consistent Robin kappa.
 
     For well-confined states (kappa * Y >= 3) plain fixed-point iteration
@@ -148,26 +183,34 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float):
     That drops the repeats of the weak branch: f(0-) rounds to the Neumann
     matrix, brentq evaluates f(0-) again, and it returns a root it has
     evaluated.
+
+    ``guess``, (estimate, half-width) windows for lambda1 and lambda2 from a
+    strongly bound previous rung, routes the fixed-point solves through
+    ``_windowed`` (lambda1 alone for the Neumann solve that sets kappa),
+    each falling back to ``_lowest_two`` where the counts do not certify.
+    Windowed pairs are not memoized and the weak branch re-solves the
+    Neumann pair by index, so it runs exactly as without ``guess``.
     """
     d, e = _robin_tridiagonal(v, h, 0.0)
     d_first, d_last = d[0], d[-1]
     solved = {}
 
-    def lowest_two(kappa):
+    def lowest_two(kappa, windows=()):
         d[0] = d_first + 2.0 * kappa / h
         d[-1] = d_last + 2.0 * kappa / h
+        found = _windowed(d, e, windows) if windows else None
+        if found is not None:
+            return found
         ends = (float(d[0]), float(d[-1]))
         if ends not in solved:
             solved[ends] = _lowest_two(d, e)
         return solved[ends]
 
-    lam_n1, lam_n2 = lowest_two(0.0)
-    if lam_n1 >= 0.0:
-        return lam_n1, lam_n2, 0.0
-    kappa = math.sqrt(-lam_n1)
-    if kappa * half_width >= 3.0:
+    lam_n1 = lowest_two(0.0, guess[:1])[0]
+    if lam_n1 < 0.0 and math.sqrt(-lam_n1) * half_width >= 3.0:
+        kappa = math.sqrt(-lam_n1)
         for _ in range(4):
-            lam1, lam2 = lowest_two(kappa)
+            lam1, lam2 = lowest_two(kappa, guess)
             if lam1 >= 0.0 or math.sqrt(-lam1) * half_width < 3.0:
                 break
             knew = math.sqrt(-lam1)
@@ -177,6 +220,9 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float):
                 return lam1, lam2, kappa
         else:
             return lam1, lam2, kappa
+    lam_n1, lam_n2 = lowest_two(0.0)
+    if lam_n1 >= 0.0:
+        return lam_n1, lam_n2, 0.0
 
     def f(lam):
         return lowest_two(math.sqrt(-lam))[0] - lam
@@ -190,12 +236,20 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float):
     return lam1, lam2, kappa
 
 
-def _level(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, level: int, tol_eig: float):
+def _level(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, level: int, tol_eig: float,
+           guess: tuple = ()):
     """One rung of the Richardson ladder: (n, lambda1, lambda2, kappa) on
     (n_points - 1) * 2**level + 1 nodes, raw, without extrapolation."""
     n = (grid.n_points - 1) * 2 ** level + 1
     ys = np.linspace(-grid.half_width, grid.half_width, n)
-    return (n,) + _selfconsistent_box(vfunc(ys), ys[1] - ys[0], grid.half_width, tol_eig)
+    return (n,) + _selfconsistent_box(vfunc(ys), ys[1] - ys[0], grid.half_width, tol_eig, guess)
+
+
+def _next_windows(raws: tuple) -> tuple:
+    """(estimate, half-width) of each eigenvalue for the next rung, from the
+    raw trails ``raws`` of lambda1 and lambda2 up to this rung."""
+    return tuple((r[-1], WIDEN * abs(r[-1] - r[-2]) if len(r) > 1 else FIRST * abs(r[-1]))
+                 for r in raws)
 
 
 def _solve_potential(
@@ -212,12 +266,14 @@ def _solve_potential(
     """
     ns, raw1, raw2, rich1, rich2, kappas = [], [], [], [], [], []
     converged = False
+    guess = ()
     for level in range(max_levels):
-        n, lam1, lam2, kappa = _level(vfunc, grid, level, tol_eig)
+        n, lam1, lam2, kappa = _level(vfunc, grid, level, tol_eig, guess)
         ns.append(n)
         raw1.append(lam1)
         raw2.append(lam2)
         kappas.append(kappa)
+        guess = _next_windows((raw1, raw2)) if kappa * grid.half_width >= 3.0 else ()
         if level >= 1:
             rich1.append(raw1[-1] + (raw1[-1] - raw1[-2]) / 3.0)
             rich2.append(raw2[-1] + (raw2[-1] - raw2[-2]) / 3.0)

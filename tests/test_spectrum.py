@@ -221,3 +221,127 @@ def test_closure_fixed_point_matches_direct_solve(monkeypatch, grid):
     assert kappa * grid.half_width >= 3.0 and n_brent == 0
     assert len(set(ends)) == len(ends)
     assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
+
+
+# Certified warm-start windows (spectrum._windowed).  A window solve is used
+# only when Sturm counts certify it; otherwise the closure falls back to the
+# pinned index call, bit for bit.
+
+M0_LINE = 4.127983142029252e-05  # the fixture's whole-line threshold amplitude (line report.json)
+
+
+def _pt_well(depth, grid=Grid(20.0, 8193)):
+    ys = grid.ys()
+    return -depth / np.cosh(ys) ** 2, ys[1] - ys[0]
+
+
+def _fixture_well(M, grid=Grid(20.0, 8193)):
+    ys = grid.ys()
+    v = eval_potential(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0), ys)
+    return np.asarray(v, dtype=float), ys[1] - ys[0]
+
+
+@pytest.mark.parametrize("case", ["estimate_above_lambda1", "window_holds_two", "eigenvalue_in_gap"])
+def test_uncertified_window_falls_back_to_index_call(case):
+    # V = -6 sech^2: lambda1 = -4, lambda2 = -1, then box states above 0
+    v, h = _pt_well(6.0)
+    d, e = _robin_tridiagonal(v, h, 2.0)
+    l1, l2 = _lowest_two(d, e)
+    l3 = float(spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                         select_range=(2, 2))[0])
+    guess = {
+        # the estimates sit one eigenvalue too high: each window holds exactly
+        # one eigenvalue, and only the count below the first rejects them
+        "estimate_above_lambda1": ((l2, 1e-3), (l3, 1e-3)),
+        # the first window holds lambda1 and lambda2
+        "window_holds_two": ((0.5 * (l1 + l2), 0.75 * (l2 - l1)), (l3, 1e-3)),
+        # the second estimate is lambda3, so lambda2 lies between the windows
+        "eigenvalue_in_gap": ((l1, 1e-3), (l3, 1e-3)),
+    }[case]
+    assert spectrum._windowed(d, e, guess) is None
+    lam1, lam2, kappa = _selfconsistent_box(v, h, 20.0, spectrum.TOL_EIG, guess)
+    assert kappa * 20.0 >= 3.0
+    assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
+
+
+@pytest.mark.parametrize("well", ["poschl_teller_1", "poschl_teller_2", "fixture_M0.7"])
+@pytest.mark.parametrize("robin", [False, True])
+def test_certified_window_matches_index_call(well, robin):
+    v, h = {"poschl_teller_1": lambda: _pt_well(2.0), "poschl_teller_2": lambda: _pt_well(6.0),
+            "fixture_M0.7": lambda: _fixture_well(0.7)}[well]()
+    d, e = _robin_tridiagonal(v, h, 0.0)
+    l1, l2 = _lowest_two(d, e)
+    if robin:
+        d, e = _robin_tridiagonal(v, h, math.sqrt(-l1))
+        l1, l2 = _lowest_two(d, e)
+    # dstebz's own absolute tolerance: ULP * ||T||_1
+    off = np.abs(e)
+    norm1 = float(np.max(np.abs(d) + np.r_[0.0, off] + np.r_[off, 0.0]))
+    tol = np.finfo(float).eps * norm1
+    got = spectrum._windowed(d, e, ((l1 + 3e-6, 1e-5), (l2 - 3e-6, 1e-5)))
+    assert got is not None
+    assert abs(got[0] - l1) <= tol and abs(got[1] - l2) <= tol
+    assert spectrum._windowed(d, e, ((l1 - 3e-6, 1e-5),))[0] == pytest.approx(l1, abs=tol, rel=0)
+
+
+@pytest.mark.parametrize("M, at_T", [(4e-5, False), (M0_LINE, True)])
+def test_weak_ladders_stay_pinned(monkeypatch, grid, M, at_T):
+    p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
+    state = FlowState(p, p.horizon if at_T else 0.0)
+    windowed, rungs = [], []
+    real_windowed, real_box = spectrum._windowed, spectrum._selfconsistent_box
+
+    def spy_windowed(*args):
+        windowed.append(args)
+        return real_windowed(*args)
+
+    def spy_box(v, h, half_width, tol, guess=()):
+        out = real_box(v, h, half_width, tol, guess)
+        rungs.append((v, h, out))
+        return out
+
+    monkeypatch.setattr(spectrum, "_windowed", spy_windowed)
+    monkeypatch.setattr(spectrum, "_selfconsistent_box", spy_box)
+    res = lowest_eigenpair(state, grid, want_mode=False)
+    monkeypatch.undo()
+    assert windowed == []
+    assert len(rungs) == len(res.convergence.n_points) >= 3
+    for v, h, (lam1, lam2, kappa) in rungs:
+        assert kappa * grid.half_width < 3.0
+        assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    gamma0=st.floats(0.2, 0.4),
+    gamma1=st.floats(0.03, 0.1),
+    gamma2=st.floats(0.2, 0.9),
+    M=st.floats(0.3, 3.0),
+    step=st.floats(0.02, 1.0),
+)
+def test_windowed_ladder_property(gamma0, gamma1, gamma2, M, step):
+    """Strongly bound states on the 8193-point grid: lambda1 decreases in M,
+    and the windowed ladder agrees with the all-index ladder within 10 tol_eig."""
+    grid = Grid(20.0, 8193)
+    p = FlowParams(M, gamma0, gamma1, gamma2, 1e-3)
+    certified = []
+    real_windowed = spectrum._windowed
+
+    def spy_windowed(*args):
+        out = real_windowed(*args)
+        certified.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_windowed", spy_windowed)
+        res = lowest_eigenpair(FlowState(p, 0.0), grid, want_mode=False)
+        deeper = lowest_eigenpair(FlowState(p.with_M(M * (1.0 + step)), 0.0), grid,
+                                  want_mode=False)
+    assert res.convergence.kappa * grid.half_width >= 3.0
+    assert any(certified)
+    assert deeper.lambda1 < res.lambda1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_windowed", lambda d, e, windows: None)
+        pinned = lowest_eigenpair(FlowState(p, 0.0), grid, want_mode=False)
+    assert abs(res.lambda1 - pinned.lambda1) <= 10 * spectrum.TOL_EIG
+    assert abs(res.lambda2 - pinned.lambda2) <= 10 * spectrum.TOL_EIG
