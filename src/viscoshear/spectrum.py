@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .errors import NonConvergence, ZeroNorm
@@ -142,21 +141,24 @@ def _lowest_two(d: np.ndarray, e: np.ndarray):
 
 
 def _windowed(d: np.ndarray, e: np.ndarray, windows: tuple):
-    """The lowest len(windows) eigenvalues, each bisected by ``dstebz`` inside
-    its (estimate, half-width) window, or None unless Sturm counts certify
-    them: none below the first window (counted from a Gershgorin bound at a
-    tolerance wider than the interval, so nothing is bisected), exactly one
-    in each window, none between windows."""
-    def stebz(lo, hi, tol):  # (count, lowest value) on (lo, hi]; no n-length array outlives it
-        m, values, _, _, info = dstebz(d, e, 1, lo, hi, 0, 0, tol, "E")
-        return (m if info == 0 else -1), float(values[0])
+    """The lowest len(windows) eigenvalues, each bisected by value range
+    inside its (estimate, half-width) window, or None unless Sturm counts
+    certify them: none below the first window (counted from a Gershgorin
+    bound at a tolerance wider than the interval, so nothing is bisected),
+    exactly one in each window, none between windows."""
+    def by_value(lo, hi, tol):  # (count, lowest value) on (lo, hi]; no n-length array outlives it
+        try:
+            w = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi), tol=tol)
+        except LinAlgError:
+            return -1, math.nan
+        return len(w), (float(w[0]) if len(w) else math.nan)
 
     lo = float(d.min()) - 2.0 * max(float(e.max()), -float(e.min()))
     vals = []
     for x, w in windows:
-        if not lo < x - w < x + w or stebz(lo, x - w, 2.0 * (x - w - lo))[0] != 0:
+        if not lo < x - w < x + w or by_value(lo, x - w, 2.0 * (x - w - lo))[0] != 0:
             return None
-        m, lam = stebz(x - w, x + w, 0.0)
+        m, lam = by_value(x - w, x + w, 0.0)
         if m != 1:
             return None
         vals.append(lam)

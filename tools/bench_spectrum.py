@@ -1,10 +1,13 @@
 """Per-rung cost of one converged eigensolve: LAPACK calls and seconds.
 
-    python3 tools/bench_spectrum.py [--src src] [--out BENCH_spectrum.json] [--repeat 5]
+    python3 tools/bench_spectrum.py
 
-Run it from the root of a checkout.  Three cases, each one
-``lowest_eigenpair`` without the mode on the default grid, for the README
-fixture (gamma0 = 0.15, gamma1 = 0.03, gamma2 = 0.8, nu = 1e-3):
+Run it from the root of a checkout: it imports ``viscoshear`` from ``src``
+and writes ``BENCH_spectrum.json`` in the working directory.  A parent
+revision is measured by running this script, by its path here, from the
+root of the parent's checkout.  Three cases, each one ``lowest_eigenpair``
+without the mode on the default grid, for the README fixture
+(gamma0 = 0.15, gamma1 = 0.03, gamma2 = 0.8, nu = 1e-3):
 
 - ``tuned_t0``: the tuned amplitude (k* = 1 - delta at t = 0) at t = 0;
 - ``tuned_T``: the same amplitude at the horizon t = T;
@@ -13,19 +16,17 @@ fixture (gamma0 = 0.15, gamma1 = 0.03, gamma2 = 0.8, nu = 1e-3):
 
 The first two are strongly bound (the ``kstar-sweep`` and ``eigencurve``
 states, fixed-point Robin closure), the third weakly bound (brentq
-closure).  Calls are counted by rebinding the attributes that
-``viscoshear.spectrum`` looks up, as perfbench traces a request, so nothing
-under ``src/`` changes: ``eigh_tridiagonal`` (index bisection over the
-whole spectrum) and, where the module has it, ``dstebz`` (value range),
-split into window solves and pure counts (a tolerance wider than the
-interval).  Each rung is timed through ``spectrum._level``; a case runs
-``--repeat`` times and a rung reports its fastest repeat.  The counts are
-the same in every repeat.
+closure).  Calls are counted by rebinding ``spectrum.eigh_tridiagonal``,
+as perfbench traces a request, so nothing under ``src/`` changes: index
+calls (bisection over the whole spectrum) apart from value-range calls,
+which are split into window solves and pure counts (a tolerance wider than
+the interval, so nothing is bisected).  Each rung is timed through
+``spectrum._level``; a case runs REPEAT times and a rung reports its
+fastest repeat.  The counts are the same in every repeat.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -36,10 +37,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 FIXTURE = dict(gamma0=0.15, gamma1=0.03, gamma2=0.8, nu=1e-3)
 DELTA = 0.01
+REPEAT = 5
+OUT = "BENCH_spectrum.json"
 
 
 class Counter:
-    """Rebinds ``spectrum``'s LAPACK entry points and ``_level`` to count and time rungs."""
+    """Rebinds ``spectrum.eigh_tridiagonal`` and ``spectrum._level`` to count and time rungs."""
 
     def __init__(self, spectrum):
         self.spectrum = spectrum
@@ -51,7 +54,12 @@ class Counter:
         eigh, level = sp.eigh_tridiagonal, sp._level
 
         def counted_eigh(*args, **kwargs):
-            self.calls["index_calls"] += 1
+            if kwargs.get("select") == "v":
+                lo, hi = kwargs["select_range"]
+                # a tolerance wider than the interval only counts, it bisects nothing
+                self.calls["value_counts" if kwargs.get("tol", 0.0) > hi - lo else "value_windows"] += 1
+            else:
+                self.calls["index_calls"] += 1
             return eigh(*args, **kwargs)
 
         def timed_level(vfunc, grid, lev, tol_eig, *rest):
@@ -65,21 +73,12 @@ class Counter:
             return out
 
         sp.eigh_tridiagonal, sp._level = counted_eigh, timed_level
-        if hasattr(sp, "dstebz"):
-            stebz = sp.dstebz
-
-            def counted_stebz(d, e, rng, vl, vu, il, iu, tol, order):
-                # a tolerance wider than the interval only counts, it bisects nothing
-                self.calls["value_counts" if tol > vu - vl else "value_windows"] += 1
-                return stebz(d, e, rng, vl, vu, il, iu, tol, order)
-
-            sp.dstebz = counted_stebz
 
 
-def measure(counter, lowest_eigenpair, state, grid, repeat):
+def measure(counter, lowest_eigenpair, state, grid):
     """Fastest-repeat seconds per rung and the rung's call counts."""
     best = None
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         counter.rungs = []
         res = lowest_eigenpair(state, grid, want_mode=False)
         if best is None:
@@ -98,15 +97,8 @@ def measure(counter, lowest_eigenpair, state, grid, repeat):
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default="src", help="directory that holds the viscoshear package")
-    ap.add_argument("--out", default="BENCH_spectrum.json")
-    ap.add_argument("--repeat", type=int, default=5)
-    args = ap.parse_args(argv)
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
-    sys.path.insert(0, os.path.abspath(args.src))
+def main() -> int:
+    sys.path.insert(0, os.path.abspath("src"))
 
     import numpy
     import scipy
@@ -127,7 +119,7 @@ def main(argv=None) -> int:
 
     counter = Counter(spectrum)
     counter.install()
-    cases = {name: measure(counter, spectrum.lowest_eigenpair, st, grid, args.repeat)
+    cases = {name: measure(counter, spectrum.lowest_eigenpair, st, grid)
              for name, st in states.items()}
     out = {
         "environment": {
@@ -139,10 +131,10 @@ def main(argv=None) -> int:
             "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         },
         "grid": {"half_width": grid.half_width, "n_points": grid.n_points},
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "cases": cases,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
     for name, case in cases.items():
@@ -151,7 +143,7 @@ def main(argv=None) -> int:
             f"{r['value_windows']} window, {r['value_counts']} count)"
             for r in case["rungs"])
         print(f"{name}: {case['total_s'] * 1e3:.1f} ms; {rungs}")
-    print(f"wrote {args.out}")
+    print(f"wrote {OUT}")
     return 0
 
 
