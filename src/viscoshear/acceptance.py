@@ -44,10 +44,6 @@ class CheckResult:
     note: str = ""
 
 
-def _band(lo, hi):
-    return (lo, hi)
-
-
 class AcceptanceContext:
     """Shared lazily-computed artifacts for the acceptance criteria."""
 
@@ -118,7 +114,7 @@ def criterion_1(ctx: AcceptanceContext):
         st = FlowState(p, t)
         for y in ys:
             worst = max(worst, heat_residual(st, y, dt))
-    out.append(CheckResult(1, "heat_residual_25pts", worst < 1e-6, worst, _band(0, 1e-6)))
+    out.append(CheckResult(1, "heat_residual_25pts", worst < 1e-6, worst, (0, 1e-6)))
 
     # In float64 the b''' stencil has no viable step at t = 0 (the narrow
     # bump makes b^(5)/b''' ~ 1e6, so truncation and eps|b|/h^3 rounding
@@ -157,7 +153,7 @@ def criterion_1(ctx: AcceptanceContext):
                     abs(fd2 - b2) / scale2,
                     abs(fd3 - b3) / scale3,
                 )
-    out.append(CheckResult(1, "derivs_vs_fd", worst_rel < 1e-6, worst_rel, _band(0, 1e-6)))
+    out.append(CheckResult(1, "derivs_vs_fd", worst_rel < 1e-6, worst_rel, (0, 1e-6)))
     return out
 
 
@@ -172,7 +168,7 @@ def criterion_2(ctx: AcceptanceContext):
         mask = np.abs(sol.ys) > 1e-9
         exact = np.sinh(k * sol.ys[mask]) / (k * sol.ys[mask])
         worst = max(worst, float(np.max(np.abs(sol.phi1[mask] - exact) / exact)))
-    return [CheckResult(2, "couette_phi1_sinh", worst < 1e-8, worst, _band(0, 1e-8))]
+    return [CheckResult(2, "couette_phi1_sinh", worst < 1e-8, worst, (0, 1e-8))]
 
 
 def criterion_3(ctx: AcceptanceContext):
@@ -186,12 +182,12 @@ def criterion_3(ctx: AcceptanceContext):
         val, _ = quad(lambda y: h1_value(p, t, y), -1.0, 1.0,
                       points=[0.0], limit=300, epsabs=1e-16, epsrel=1e-13)
         worst = max(worst, abs(val - diag.total_integral) / abs(diag.total_integral))
-    out.append(CheckResult(3, "h1_total_vs_quadrature", worst < 1e-10, worst, _band(0, 1e-10)))
+    out.append(CheckResult(3, "h1_total_vs_quadrature", worst < 1e-10, worst, (0, 1e-10)))
     g01 = p.gamma0 * p.gamma1
     zp = [h1_diagnostics(p, t).zero_point for t in (T / 4, T / 2, T)]
     lo, hi = math.sqrt(1.5) * g01, 10.0 * g01
     ok = all(lo <= z <= hi for z in zp)
-    out.append(CheckResult(3, "h1_zero_point_bracket", ok, max(zp) / g01, _band(math.sqrt(1.5), 10.0)))
+    out.append(CheckResult(3, "h1_zero_point_bracket", ok, max(zp) / g01, (math.sqrt(1.5), 10.0)))
     return out
 
 
@@ -214,7 +210,7 @@ def criterion_4(ctx: AcceptanceContext):
     out = _from_report(4, ctx.torus, ["lambda2_nonnegative_sweep", "profile_checks"])
     prof = ctx.profile_0
     out.append(CheckResult(4, "profile_checks_t0", prof.all_ok and prof.fitted_C <= 20.0,
-                           prof.fitted_C, _band(1.0, 20.0)))
+                           prof.fitted_C, (1.0, 20.0)))
     return out
 
 
@@ -250,22 +246,22 @@ def criterion_7(ctx: AcceptanceContext):
     cis = [c for _, c, _ in curve.points]
     dec = all(cis[i + 1] < cis[i] for i in range(len(cis) - 1))
     out.append(CheckResult(7, "curve_ci_strictly_decreasing", dec,
-                           float(max(np.diff(cis))), _band(None, 0.0)))
+                           float(max(np.diff(cis))), (None, 0.0)))
     g0 = ctx.params.gamma0
     ratios = [abs(s) / g0 for _, s in curve.slope_samples]
     ok = all(s < 0 for _, s in curve.slope_samples) and all(
         1 / 20 <= r <= 20 for r in ratios
     )
-    out.append(CheckResult(7, "curve_slope_band", ok, max(ratios), _band(1 / 20, 20)))
+    out.append(CheckResult(7, "curve_slope_band", ok, max(ratios), (1 / 20, 20)))
 
     dw_dk, dw_dci = ctx.partials
-    out.append(CheckResult(7, "dWr_dk_band", -20.0 <= dw_dk <= -1 / 20, dw_dk, _band(-20, -1 / 20)))
+    out.append(CheckResult(7, "dWr_dk_band", -20.0 <= dw_dk <= -1 / 20, dw_dk, (-20, -1 / 20)))
     out.append(CheckResult(7, "dWr_dci_band", -20.0 <= dw_dci * g0 <= -1 / 20, dw_dci * g0,
-                           _band(-20, -1 / 20)))
+                           (-20, -1 / 20)))
     slope_ift = -dw_dk / dw_dci
     k_near = min(curve.slope_samples, key=lambda t: abs(t[0] - 1.0))
     rel = abs(slope_ift - k_near[1]) / abs(k_near[1])
-    out.append(CheckResult(7, "ift_slope_matches_curve", rel <= 0.2, rel, _band(0, 0.2)))
+    out.append(CheckResult(7, "ift_slope_matches_curve", rel <= 0.2, rel, (0, 0.2)))
     return out
 
 
@@ -273,7 +269,7 @@ def criterion_8(ctx: AcceptanceContext):
     """Cross-solver consistency of the neutral point and mode."""
     out = _from_report(8, ctx.torus, ["boundary_wronskian_at_kstar", "phiB_matches_eigenmode"])
     rel = abs(ctx.curve.k_zero - ctx.torus.kstarT) / ctx.torus.kstarT
-    out.append(CheckResult(8, "curve_zero_matches_kstarT", rel <= 1e-3, rel, _band(0, 1e-3)))
+    out.append(CheckResult(8, "curve_zero_matches_kstarT", rel <= 1e-3, rel, (0, 1e-3)))
     return out
 
 
@@ -302,7 +298,7 @@ def criterion_10(ctx: AcceptanceContext):
                     + list(rphi.constants.values()))
         ok = r1.signs_ok and worst <= cap
         note = "" if ok else f"phi1 signs {r1.signs_ok}"
-        out.append(CheckResult(10, f"bound_suites_{tag}", ok, worst, _band(0, cap), note))
+        out.append(CheckResult(10, f"bound_suites_{tag}", ok, worst, (0, cap), note))
     return out
 
 

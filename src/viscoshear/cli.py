@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import rayleigh as ray
 from .calibrate import kstar_time_sweep, tune_M_for_kstar
-from .config import Config, load_config
+from .config import Config, load_config, parse_formats
 from .errors import ConfigError, ViscoshearError
 from .flow import FlowState
 from .report import csv_text, json_text, scenario_report_dict, svg_line_plot
@@ -132,37 +132,28 @@ def _cmd_verify(cfg: Config, out_dir: Path, formats) -> int:
     return 0 if ok else 1
 
 
-def _scenario_outputs(rep, out_dir: Path, formats) -> None:
-    if "json" in formats:
-        _write(out_dir / "report.json", json_text(scenario_report_dict(rep)))
-    if "svg" in formats and rep.curve_times is not None:
-        pts = [(t, k) for t, k in zip(rep.curve_times, rep.curve_kstars) if k is not None]
-        _write(out_dir / "kstar_vs_t.svg",
-               svg_line_plot([("k*(t)", [t for t, _ in pts], [k for _, k in pts])],
-                             "t", "k*", "critical wave number vs time"))
-    if "svg" in formats and rep.scan_cs is not None:
-        _write(out_dir / "wronskian_scan.svg",
-               svg_line_plot([("Re W(ic, 1)", list(rep.scan_cs), list(rep.scan_W.real))],
-                             "c_i", "Re W", "Wronskian scan at k = 1, t = T"))
+def _cmd_scenario(run):
+    """A scenario subcommand: ``run(cfg)``, then its outputs and checks."""
 
+    def command(cfg: Config, out_dir: Path, formats) -> int:
+        rep = run(cfg)
+        if "json" in formats:
+            _write(out_dir / "report.json", json_text(scenario_report_dict(rep)))
+        if "svg" in formats and rep.curve_times is not None:
+            pts = [(t, k) for t, k in zip(rep.curve_times, rep.curve_kstars) if k is not None]
+            _write(out_dir / "kstar_vs_t.svg",
+                   svg_line_plot([("k*(t)", [t for t, _ in pts], [k for _, k in pts])],
+                                 "t", "k*", "critical wave number vs time"))
+        if "svg" in formats and rep.scan_cs is not None:
+            _write(out_dir / "wronskian_scan.svg",
+                   svg_line_plot([("Re W(ic, 1)", list(rep.scan_cs), list(rep.scan_W.real))],
+                                 "c_i", "Re W", "Wronskian scan at k = 1, t = T"))
+        for c in rep.checks:
+            status = "pass" if c.passed else "FAIL"
+            print(f"  [{status}] {c.name}: measured={c.measured} band={c.band} {c.note}")
+        return 0 if rep.all_passed else 1
 
-def _cmd_torus(cfg: Config, out_dir: Path, formats) -> int:
-    rep = run_torus_scenario(cfg.params(), cfg.grid(), cfg.delta, cfg.n_times,
-                             cfg.tol_cal, cfg.tol_eig)
-    _scenario_outputs(rep, out_dir, formats)
-    for c in rep.checks:
-        status = "pass" if c.passed else "FAIL"
-        print(f"  [{status}] {c.name}: measured={c.measured} band={c.band} {c.note}")
-    return 0 if rep.all_passed else 1
-
-
-def _cmd_line(cfg: Config, out_dir: Path, formats) -> int:
-    rep = run_line_scenario(cfg.params(), cfg.grid(), cfg.tol_eig)
-    _scenario_outputs(rep, out_dir, formats)
-    for c in rep.checks:
-        status = "pass" if c.passed else "FAIL"
-        print(f"  [{status}] {c.name}: measured={c.measured} band={c.band} {c.note}")
-    return 0 if rep.all_passed else 1
+    return command
 
 
 _COMMANDS = {
@@ -170,8 +161,9 @@ _COMMANDS = {
     "kstar-sweep": _cmd_kstar_sweep,
     "eigencurve": _cmd_eigencurve,
     "verify": _cmd_verify,
-    "torus": _cmd_torus,
-    "line": _cmd_line,
+    "torus": _cmd_scenario(lambda cfg: run_torus_scenario(
+        cfg.params(), cfg.grid(), cfg.delta, cfg.n_times, cfg.tol_cal, cfg.tol_eig)),
+    "line": _cmd_scenario(lambda cfg: run_line_scenario(cfg.params(), cfg.grid(), cfg.tol_eig)),
 }
 
 
@@ -191,16 +183,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config)
-        formats = cfg.formats
-        if args.format is not None:
-            formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-            for f in formats:
-                if f not in ("csv", "json", "svg"):
-                    raise ConfigError(f"unknown format {f!r}")
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+        formats = cfg.formats if args.format is None else parse_formats(args.format)
+    except (FileNotFoundError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out if args.out != "." else cfg.out_dir)

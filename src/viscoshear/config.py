@@ -9,7 +9,7 @@ from .errors import ParseError, ValidationError
 from .flow import FlowParams
 from .spectrum import Grid
 
-__all__ = ["Config", "parse_config", "load_config"]
+__all__ = ["Config", "parse_config", "parse_formats", "load_config"]
 
 _FORMATS = ("csv", "json", "svg")
 
@@ -49,8 +49,7 @@ class Config:
 
         if self.k_grid == "auto":
             return np.linspace(0.9, k_upper - 0.004, 8)
-        start, stop, count = self.k_grid.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        return np.linspace(*_k_grid_spec(self.k_grid))
 
 
 _FLOAT_KEYS = {
@@ -59,6 +58,30 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {"n_points", "n_times"}
 _STR_KEYS = {"k_grid", "out_dir", "formats"}
+
+
+def parse_formats(text: str) -> tuple:
+    """Output formats from a comma-separated subset of csv, json, svg."""
+    fmts = tuple(f.strip() for f in text.split(",") if f.strip())
+    for f in fmts:
+        if f not in _FORMATS:
+            raise ValidationError(f"formats must be a subset of {{csv, json, svg}}, got {f!r}")
+    return fmts
+
+
+def _k_grid_spec(spec: str):
+    """(start, stop, count) of a validated 'start:stop:count' k_grid."""
+    try:
+        start, stop, count = spec.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ValidationError("k_grid must be 'auto' or 'start:stop:count'") from None
+    if count < 0:
+        raise ValidationError("k_grid count must be nonnegative")
+    # the grid runs from start to stop, so its ends bound every wave number
+    if count and not (start > 0.0 and (count == 1 or stop > 0.0)):
+        raise ValidationError("k_grid wave numbers must be positive")
+    return start, stop, count
 
 
 def parse_config(text: str) -> Config:
@@ -95,11 +118,7 @@ def parse_config(text: str) -> Config:
         else:
             values[key] = val
     if "formats" in values:
-        fmts = tuple(f.strip() for f in values["formats"].split(",") if f.strip())
-        for f in fmts:
-            if f not in _FORMATS:
-                raise ValidationError(f"formats must be a subset of {{csv, json, svg}}, got {f!r}")
-        values["formats"] = fmts
+        values["formats"] = parse_formats(values["formats"])
     cfg = Config(**values)
     _validate(cfg)
     return cfg
@@ -124,18 +143,7 @@ def _validate(cfg: Config) -> None:
     if cfg.n_times < 8:
         raise ValidationError("n_times must be at least 8")
     if cfg.k_grid != "auto":
-        parts = cfg.k_grid.split(":")
-        if len(parts) != 3:
-            raise ValidationError("k_grid must be 'auto' or 'start:stop:count'")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValidationError("k_grid must be 'auto' or 'start:stop:count'")
-        if count < 0:
-            raise ValidationError("k_grid count must be nonnegative")
-        # the grid runs from start to stop, so its ends bound every wave number
-        if count and not (start > 0.0 and (count == 1 or stop > 0.0)):
-            raise ValidationError("k_grid wave numbers must be positive")
+        _k_grid_spec(cfg.k_grid)
 
 
 def load_config(path: str) -> Config:

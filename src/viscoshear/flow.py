@@ -113,31 +113,31 @@ class FlowState:
 
 def eval_b(state: FlowState, y):
     """Shear profile b(t, y).  Odd in y; b(t, 0) = 0 exactly."""
-    m = state.params.M
-    if m == 0.0:
-        if isinstance(y, np.ndarray):
-            return y.astype(float, copy=True)
-        return float(y)
-    sq1, sq2 = math.sqrt(state.s1), math.sqrt(state.s2)
-    return y + m * (_SQRT_PI / 2.0) * (
-        state.amp1 * erf(y / sq1) - state.amp2 * erf(y / sq2)
-    )
+    return eval_b_derivs(state, y)[0]
 
 
 def eval_b_derivs(state: FlowState, y):
-    """Profile and its first three y-derivatives, (b, b', b'', b''')."""
+    """Profile and its first three y-derivatives, (b, b', b'', b''').
+
+    The one closed form of the profile: the eigensolver's potential and the
+    Rayleigh right-hand sides, seeds and tails all read it.  scipy's erf is
+    odd bit for bit, so b is exactly odd and b' exactly even, and a scalar
+    ``y`` gives the bits it has as an element of an array.
+    """
     m = state.params.M
     s1, s2 = state.s1, state.s2
     a1, a2 = state.amp1, state.amp2
     sq1, sq2 = math.sqrt(s1), math.sqrt(s2)
-    e1 = np.exp(-np.square(y) / s1)
-    e2 = np.exp(-np.square(y) / s2)
-    b = y + m * (_SQRT_PI / 2.0) * (a1 * erf(y / sq1) - a2 * erf(y / sq2))
-    b1 = 1.0 + m * (a1 / sq1 * e1 - a2 / sq2 * e2)
+    y2 = np.square(y)
+    e1 = np.exp(-y2 / s1)
+    e2 = np.exp(-y2 / s2)
     g1 = a1 / s1 ** 1.5 * e1
     g2 = a2 / s2 ** 1.5 * e2
+    b3 = -2.0 * m * (g1 * (1.0 - 2.0 * y2 / s1) - g2 * (1.0 - 2.0 * y2 / s2))
+    del y2  # last use: on a fine grid one array more at the peak costs 1 MB
+    b = y + m * (_SQRT_PI / 2.0) * (a1 * erf(y / sq1) - a2 * erf(y / sq2))
+    b1 = 1.0 + m * (a1 / sq1 * e1 - a2 / sq2 * e2)
     b2 = -2.0 * y * m * (g1 - g2)
-    b3 = -2.0 * m * (g1 * (1.0 - 2.0 * np.square(y) / s1) - g2 * (1.0 - 2.0 * np.square(y) / s2))
     return b, b1, b2, b3
 
 

@@ -6,6 +6,8 @@ phi = (b - i c) * phi1 * phi2 where phi1 solves the real flux ODE
 seeded just off the regular singular point y = 0 with their Frobenius
 expansions and integrated outward by the adaptive DOP853 pair in flux
 variables, batched over (k, c) channels with per-channel error control.
+b and b' come from ``flow.eval_b_derivs``, the closed form the eigensolver
+reads as well.
 
 The Wronskian W(ic, k) = integral of phi^(-2) decides the spectrum: its
 zeros on the imaginary axis are the unstable eigenvalues.  W is assembled
@@ -23,7 +25,9 @@ and the integrator reproduces that mirror bit for bit: every Wronskian
 evaluation integrates the right half line only and takes the left-side
 terms from the mirrored state.  The determinant cross-check still
 integrates both sides, which makes it an independent oracle for the
-mirror identity as well.
+mirror identity as well.  It alone also integrates qF = integral of
+phi^(-2): the step control weighs every column of a channel, so a column
+that nothing reads would steer the steps of every other pass.
 
 The boundary value W(0, k) is the c = 0 channel of the same assembly: the
 log-kernel quadrature of I at c = 0 is the Hilbert-transform term, and the
@@ -53,7 +57,7 @@ from .errors import (
     NonConvergence,
     TailDominance,
 )
-from .flow import FlowState, eval_b_derivs
+from .flow import FlowState, eval_b, eval_b_derivs
 from .spectrum import Grid, _fit_min_C
 
 __all__ = [
@@ -85,64 +89,37 @@ C_SCAN_POINTS = 200
 C_MAX_DEFAULT = 0.5
 YK_FACTOR = 12.0
 MAX_POLISH = 80
-_SQRT_PI = math.sqrt(math.pi)
 
 
-class _Profile:
-    """Scalar-fast closed forms of b and b' for the ODE right-hand sides."""
-
-    def __init__(self, state: FlowState):
-        p = state.params
-        self.m = p.M
-        self.a1 = state.amp1
-        self.a2 = state.amp2
-        self.s1 = state.s1
-        self.s2 = state.s2
-        self.sq1 = math.sqrt(state.s1)
-        self.sq2 = math.sqrt(state.s2)
-        self.beta = float(eval_b_derivs(state, 0.0)[1])
-
-    def b(self, y: float) -> float:
-        if self.m == 0.0:
-            return y
-        return y + self.m * (_SQRT_PI / 2.0) * (
-            self.a1 * math.erf(y / self.sq1) - self.a2 * math.erf(y / self.sq2)
-        )
-
-    def b1(self, y: float) -> float:
-        if self.m == 0.0:
-            return 1.0
-        return 1.0 + self.m * (
-            self.a1 / self.sq1 * math.exp(-y * y / self.s1)
-            - self.a2 / self.sq2 * math.exp(-y * y / self.s2)
-        )
-
-
-@lru_cache(maxsize=16)
-def _profile(state: FlowState) -> _Profile:
-    return _Profile(state)
+def _beta(state: FlowState) -> float:
+    """b'(0), the slope of the profile at the critical point."""
+    return float(eval_b_derivs(state, 0.0)[1])
 
 
 # ---------------------------------------------------------------------------
 # the batched phi1/phi2 system
 # ---------------------------------------------------------------------------
-# state columns: [d1, p1, d2, p2, qII, qF] with
+# state columns: [d1, p1, d2, p2, qII] and, for the determinant check only,
+# a sixth column qF, with
 #   d1 = phi1 - 1,  p1 = b^2 phi1'
 #   d2 = phi2 - 1,  p2 = (b - ic)^2 phi1^2 phi2'
 #   qII = integral of (b-ic)^(-2) ((phi1 phi2)^(-2) - 1)
-#   qF  = integral of phi^(-2)            (only meaningful when tracked)
+#   qF  = integral of phi^(-2)
+# The step size follows every column's error, so qF is integrated only
+# where it is read.
 
 
 class _WSystem:
-    def __init__(self, profile: _Profile, ks: np.ndarray, cs: np.ndarray):
-        self.pr = profile
+    def __init__(self, state: FlowState, ks: np.ndarray, cs: np.ndarray,
+                 with_qf: bool = False):
+        self.state = state
+        self.beta = _beta(state)
         self.k2 = np.asarray(ks, dtype=float) ** 2
         self.ic = 1j * np.asarray(cs, dtype=float)
+        self.n_cols = 6 if with_qf else 5
 
     def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
-        pr = self.pr
-        b = pr.b(y)
-        b1 = pr.b1(y)
+        b, b1, _, _ = eval_b_derivs(self.state, y)
         d1, p1, d2, p2 = st[:, 0], st[:, 1], st[:, 2], st[:, 3]
         phi1 = 1.0 + d1
         b2 = b * b
@@ -156,15 +133,14 @@ class _WSystem:
         wm1 = d1 + d2 + d1 * d2
         w = 1.0 + wm1
         w2 = w * w
-        dqII = -wm1 * (2.0 + wm1) / (w2 * u2)
-        dqF = 1.0 / (u2 * w2)
         out = np.empty_like(st)
         out[:, 0] = dd1
         out[:, 1] = dp1
         out[:, 2] = dd2
         out[:, 3] = dp2
-        out[:, 4] = dqII
-        out[:, 5] = dqF
+        out[:, 4] = -wm1 * (2.0 + wm1) / (w2 * u2)
+        if self.n_cols == 6:
+            out[:, 5] = 1.0 / (u2 * w2)
         return out
 
     def seed(self, y0: float) -> np.ndarray:
@@ -174,9 +150,9 @@ class _WSystem:
         c-independent O(k^2 |y0|) bias in the Wronskian, so p2 and d2 are
         seeded from the closed forms of the b ~ beta*y model.
         """
-        b = self.pr.b(y0)
-        beta = self.pr.beta
-        st = np.zeros((len(self.k2), 6), dtype=complex)
+        b = eval_b(self.state, y0)
+        beta = self.beta
+        st = np.zeros((len(self.k2), self.n_cols), dtype=complex)
         st[:, 0] = self.k2 * y0 * y0 / 6.0
         st[:, 1] = b * b * self.k2 * y0 / 3.0
         pos = self.ic.imag > 0.0
@@ -220,7 +196,7 @@ def _run_side(system: _WSystem, side: int, eps: float, ymax: float, samples=None
 
 # y -> -y conjugates every state column and flips the sign of the fluxes and
 # of the integrals accumulated from the origin outward.
-_W_PARITY = np.array([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+_W_PARITY = np.array([1.0, -1.0, 1.0, -1.0, -1.0])
 
 
 def _mirror(st: np.ndarray) -> np.ndarray:
@@ -230,9 +206,7 @@ def _mirror(st: np.ndarray) -> np.ndarray:
 
 def _phi_and_slope(system: _WSystem, y: float, st: np.ndarray):
     """phi and phi'/phi at a sample point from the flux state."""
-    pr = system.pr
-    b = pr.b(y)
-    b1 = pr.b1(y)
+    b, b1, _, _ = eval_b_derivs(system.state, y)
     d1, p1, d2, p2 = st[:, 0], st[:, 1], st[:, 2], st[:, 3]
     phi1 = 1.0 + d1
     u = b - system.ic
@@ -280,8 +254,7 @@ class _IrPanels:
     NGL = 12
 
     def __init__(self, state: FlowState):
-        pr = _profile(state)
-        v_max = pr.b(20.0)
+        v_max = eval_b(state, 20.0)
         edges = [self.V_LO]
         while edges[-1] < v_max:
             edges.append(min(edges[-1] * self.RATIO, v_max))
@@ -354,10 +327,9 @@ class WronskianValue:
 def _assemble_many(state: FlowState, ks: np.ndarray, cs: np.ndarray, half_width: float,
                    rtol: float = RTOL_ODE, atol: float = ATOL_ODE):
     """W(ic, k) for a batch of channels sharing one right half-line pass."""
-    pr = _profile(state)
     ks = np.asarray(ks, dtype=float)
     cs = np.asarray(cs, dtype=float)
-    system = _WSystem(pr, ks, cs)
+    system = _WSystem(state, ks, cs)
     eps = _eps_start(cs)
     ymax = _ymax_for(ks, half_width)
 
@@ -368,14 +340,14 @@ def _assemble_many(state: FlowState, ks: np.ndarray, cs: np.ndarray, half_width:
     phi_l, mu_l = _phi_and_slope(system, -ymax, st_l)
     tail_f_r = 1.0 / (2.0 * mu_r * phi_r ** 2)
     tail_f_l = -1.0 / (2.0 * mu_l * phi_l ** 2)
-    b_r, b_l = pr.b(ymax), pr.b(-ymax)
+    b_r, b_l = eval_b(state, np.array([ymax, -ymax]))
     tail_i_r = 1.0 / (b_r - 1j * cs)
     tail_i_l = -1.0 / (b_l - 1j * cs)
 
     strip = np.where(
         cs > 0.0,
-        -ks ** 2 * 2.0 * np.real(_strip_v3(pr.beta, eps, cs)),
-        -2.0 * eps * ks ** 2 / (3.0 * pr.beta ** 2),
+        -ks ** 2 * 2.0 * np.real(_strip_v3(system.beta, eps, cs)),
+        -2.0 * eps * ks ** 2 / (3.0 * system.beta ** 2),
     )
 
     ir = _panels(state).i_r(cs)
@@ -391,17 +363,7 @@ def _assemble_many(state: FlowState, ks: np.ndarray, cs: np.ndarray, half_width:
         + 0.1 * tail_mag
         + 1e-13 * (np.abs(ir) + 1.0)
     )
-    return w, quad_err, dict(
-        ir=ir,
-        qii=qii,
-        strip=strip,
-        tail_f=(tail_f_r, tail_f_l),
-        tail_i=(tail_i_r, tail_i_l),
-        st=(st_r, st_l),
-        system=system,
-        eps=eps,
-        ymax=ymax,
-    )
+    return w, quad_err, dict(ir=ir, qii=qii, strip=strip, tail_f=(tail_f_r, tail_f_l))
 
 
 def wronskian_many(state: FlowState, ks, cs, half_width: float = 20.0,
@@ -485,44 +447,31 @@ def _sample_ys(grid_or_ys) -> np.ndarray:
     return ys
 
 
-def _solve_system_sampled(state: FlowState, k: float, c_i: float, ys: np.ndarray):
-    """Integrate the joint system recording the state at every sample point."""
-    pr = _profile(state)
-    system = _WSystem(pr, np.array([k]), np.array([c_i]))
+def _unpack_samples(state: FlowState, k: float, c_i: float, ys: np.ndarray):
+    """phi1, phi1', phi2, phi2' at the ascending sample points ys.
+
+    Points within the seed offset of the origin take the seed values; the
+    others are recorded by one pass per half line.
+    """
+    system = _WSystem(state, np.array([k]), np.array([c_i]))
     eps = _eps_start(np.array([c_i]))
     # pure sampling pass: no quadrature tails, so the farthest sample bounds it
     ymax = max(float(np.max(np.abs(ys))), 2.0)
-    pos = ys[ys > eps]
-    neg = ys[ys < -eps]
-    out = {}
+    neg, pos = ys[ys < -eps], ys[ys > eps]
+    _, rec_l, _ = _run_side(system, -1, eps, ymax, samples=list(neg[::-1]))
     _, rec_r, _ = _run_side(system, +1, eps, ymax, samples=list(pos))
-    for y, st in zip(pos, rec_r):
-        out[y] = st[0]
-    _, rec_l, _ = _run_side(system, -1, eps, ymax, samples=list(neg)[::-1])
-    for y, st in zip(list(neg)[::-1], rec_l):
-        out[y] = st[0]
-    return out, system, eps
-
-
-def _unpack_samples(state: FlowState, k: float, c_i: float, ys: np.ndarray):
-    rec, system, eps = _solve_system_sampled(state, k, c_i, ys)
-    pr = system.pr
-    n = len(ys)
-    phi1 = np.ones(n)
-    dphi1 = np.zeros(n)
-    phi2 = np.ones(n, dtype=complex)
-    dphi2 = np.zeros(n, dtype=complex)
-    for i, y in enumerate(ys):
-        if abs(y) <= eps:
-            phi1[i], dphi1[i] = 1.0, k * k * y / 3.0
-            continue
-        st = rec[y]
-        b = pr.b(y)
-        u = b - 1j * c_i
-        phi1[i] = 1.0 + st[0].real
-        dphi1[i] = (st[1] / (b * b)).real
-        phi2[i] = 1.0 + st[2]
-        dphi2[i] = st[3] / (u * u * phi1[i] ** 2)
+    st = np.concatenate([rec_l[::-1], rec_r])[:, 0]
+    far = np.abs(ys) > eps
+    b = eval_b(state, ys[far])
+    u = b - 1j * c_i
+    phi1 = np.ones(len(ys))
+    dphi1 = k * k * ys / 3.0
+    phi2 = np.ones(len(ys), dtype=complex)
+    dphi2 = np.zeros(len(ys), dtype=complex)
+    phi1[far] = 1.0 + st[:, 0].real
+    dphi1[far] = (st[:, 1] / (b * b)).real
+    phi2[far] = 1.0 + st[:, 2]
+    dphi2[far] = st[:, 3] / (u * u * phi1[far] ** 2)
     return phi1, dphi1, phi2, dphi2
 
 
@@ -575,14 +524,13 @@ def assemble_phi(state: FlowState, phi1: Phi1Solution, phi2: Phi2Solution, c_i: 
     if phi1.k != phi2.k or len(phi1.ys) != len(phi2.ys):
         raise ValueError("phi1/phi2 sample sets do not match")
     ys = phi1.ys
-    b = np.array([_profile(state).b(y) for y in ys])
-    phi = (b - 1j * c_i) * phi1.phi1 * phi2.phi2
+    phi = (eval_b(state, ys) - 1j * c_i) * phi1.phi1 * phi2.phi2
     delta = _NEAR_SAMPLES[0]
     i_p = int(np.argmin(np.abs(ys - delta)))
     i_m = int(np.argmin(np.abs(ys + delta)))
     val0 = 0.5 * (phi[i_p] + phi[i_m])
     slope0 = (phi[i_p] - phi[i_m]) / (ys[i_p] - ys[i_m])
-    beta = _profile(state).beta
+    beta = _beta(state)
     if abs(val0 - (-1j * c_i)) > 1e-8 * max(1.0, c_i):
         raise ConsistencyFailure(f"phi(y_c) = {val0} but expected {-1j * c_i}")
     if abs(slope0 - beta) > 1e-8 * max(1.0, beta):
@@ -611,15 +559,15 @@ def wronskian_det_check(
     phi-(y) and phi+(y) are built from cumulative integrals of phi^(-2)
     accumulated from each side separately (plus modeled tails and the
     origin-strip closed form), so the determinant exercises an arithmetic
-    path independent of the I + II assembly returned as ``W``.  Both half
-    lines are integrated here, so the check also guards the mirror identity
-    the one-sided assembly relies on.
+    path independent of the I + II assembly returned as ``W``.  qF is
+    integrated for this check only, as a sixth column of the W system.  Both
+    half lines are integrated here, so the check also guards the mirror
+    identity the one-sided assembly relies on.
     """
     if not c_i > 0.0:
         raise ValueError("det check requires c_i > 0")
     probes = np.asarray(sorted(probe_ys), dtype=float)
-    pr = _profile(state)
-    system = _WSystem(pr, np.array([k]), np.array([c_i]))
+    system = _WSystem(state, np.array([k]), np.array([c_i]), with_qf=True)
     eps = _eps_start(np.array([c_i]))
     ymax = _ymax_for(np.array([k]), half_width)
     if np.any(np.abs(probes) >= ymax) or np.any(np.abs(probes) <= eps):
@@ -637,7 +585,8 @@ def wronskian_det_check(
 
     cs = np.array([c_i])
     strip_f = complex(
-        2.0 * np.real(_strip_base(pr.beta, eps, cs) - k * k * _strip_v3(pr.beta, eps, cs))[0]
+        2.0 * np.real(_strip_base(system.beta, eps, cs)
+                      - k * k * _strip_v3(system.beta, eps, cs))[0]
     )
     qf_r_tot = complex(st_r[0, 5])
     qf_l_tot = complex(st_l[0, 5])
@@ -821,26 +770,25 @@ class _Phi1QuadSystem:
       qB = integral of (phi1^(-2) - 1) / b^2
     """
 
-    def __init__(self, profile: _Profile, k: float):
-        self.pr = profile
+    def __init__(self, state: FlowState, k: float):
+        self.state = state
+        self.beta = _beta(state)
         self.k2 = k * k
 
     def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
-        pr = self.pr
-        b = pr.b(y)
-        b1 = pr.b1(y)
+        b, b1, _, _ = eval_b_derivs(self.state, y)
         b2 = b * b
         d1, p1 = st[:, 0], st[:, 1]
         phi1 = 1.0 + d1
         out = np.empty_like(st)
         out[:, 0] = p1 / b2
         out[:, 1] = self.k2 * b2 * phi1
-        out[:, 2] = (pr.beta - b1) / b2
+        out[:, 2] = (self.beta - b1) / b2
         out[:, 3] = -d1 * (2.0 + d1) / (phi1 * phi1 * b2)
         return out
 
     def seed(self, y0: float) -> np.ndarray:
-        b = self.pr.b(y0)
+        b = eval_b(self.state, y0)
         st = np.zeros((1, 4), dtype=complex)
         st[0, 0] = self.k2 * y0 * y0 / 6.0
         st[0, 1] = b * b * self.k2 * y0 / 3.0
@@ -865,18 +813,17 @@ def neutral_mode_phiB(
         raise ValueError("kstar must be positive")
     if kstar * grid.half_width < 8.0:
         raise TailDominance("kstar * half_width < 8: mode tails exceed the domain")
-    pr = _profile(state)
     ys = grid.ys()
     mid = len(ys) // 2
     neg = ys[:mid]  # ascending, all negative
     ymax = grid.half_width
 
-    fin, rec, _ = _run_side(_Phi1QuadSystem(pr, kstar), -1, EPS_MAX, ymax,
-                            samples=list(neg)[::-1])
-    rec = rec[::-1]  # ascending in y
+    system = _Phi1QuadSystem(state, kstar)
+    fin, rec, _ = _run_side(system, -1, EPS_MAX, ymax, samples=list(neg)[::-1])
+    st = rec[::-1, 0].real  # ascending in y
 
-    beta = pr.beta
-    b_l = pr.b(-ymax)
+    beta = system.beta
+    b_l = eval_b(state, -ymax)
     phi1_end = 1.0 + fin[0, 0].real
     mu_end = abs((fin[0, 1].real / (b_l * b_l)) / phi1_end)
     tail_a = (beta - 1.0) / abs(b_l)
@@ -884,16 +831,12 @@ def neutral_mode_phiB(
     qa_tot = fin[0, 2].real
     qb_tot = fin[0, 3].real
 
+    phi1 = 1.0 + st[:, 0]
+    f_a = tail_a + (st[:, 2] - qa_tot)
+    f_b = tail_b + (st[:, 3] - qb_tot)
+    phi_a = eval_b(state, neg) * phi1
     phi_b = np.empty_like(ys)
-    for i, y in enumerate(neg):
-        st = rec[i]
-        phi1 = 1.0 + st[0, 0].real
-        qa = st[0, 2].real
-        qb = st[0, 3].real
-        f_a = tail_a + (qa - qa_tot)
-        f_b = tail_b + (qb - qb_tot)
-        phi_a = pr.b(y) * phi1
-        phi_b[i] = (phi_a / beta) * f_a - phi1 / beta + phi_a * f_b
+    phi_b[:mid] = (phi_a / beta) * f_a - phi1 / beta + phi_a * f_b
     phi_b[mid] = -1.0 / beta
     phi_b[mid + 1 :] = phi_b[:mid][::-1]
     if not normalized:
@@ -991,8 +934,7 @@ def phi_bound_report(
     """Two-sided modulus envelope of the assembled solution phi."""
     k = p1.k
     ys = p1.ys
-    b = np.array([_profile(state).b(y) for y in ys])
-    phi = np.abs((b - 1j * c_i) * p1.phi1 * p2.phi2)
+    phi = np.abs((eval_b(state, ys) - 1j * c_i) * p1.phi1 * p2.phi2)
     dist = np.sqrt(ys ** 2 + c_i ** 2)
 
     def env(C):

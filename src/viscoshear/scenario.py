@@ -60,8 +60,6 @@ class ScenarioReport:
     w_scale: Optional[float] = None
     dichotomy: list = field(default_factory=list)
     boundary_residual: Optional[float] = None
-    phiB_l2_diff: Optional[float] = None
-    profile_C: Optional[float] = None
 
     @property
     def all_passed(self) -> bool:
@@ -175,10 +173,10 @@ def run_torus_scenario(
     for k_probe, r in zip((1.5, 2.0), stable):
         rep.add(f"no_root_k{k_probe:g}", r is None, None if r is None else r[0], None)
 
-    # root/no-root dichotomy around the crossing time
+    # root/no-root dichotomy around the crossing time; the grid ends at T,
+    # whose k = 1 root the batch above holds
     for t in _dichotomy_grid(T, curve.Ttilde):
-        st = FlowState(p, t)
-        r = ray.eigenvalue_for_k(st, 1.0)
+        r = root if t == T else ray.eigenvalue_for_k(FlowState(p, t), 1.0)
         want_root = t > curve.Ttilde
         ok = (r is not None) if want_root else (r is None)
         rep.dichotomy.append((float(t), want_root, None if r is None else r[0]))
@@ -194,12 +192,9 @@ def run_torus_scenario(
         rep.add("boundary_wronskian_at_kstar", bres <= 1e-4, bres, (0.0, 1e-4))
         mode_b = ray.neutral_mode_phiB(st_T, eig_T.kstar, grid)
         l2 = float(math.sqrt(np.sum((mode_b - eig_T.mode) ** 2) * grid.spacing))
-        rep.phiB_l2_diff = l2
         rep.add("phiB_matches_eigenmode", l2 <= 1e-3, l2, (0.0, 1e-3))
         prof = profile_check(eig_T, st_T)
-        rep.profile_C = prof.fitted_C
         rep.add("profile_checks", prof.all_ok and prof.fitted_C <= 20.0, prof.fitted_C, (1.0, 20.0))
-    lam2_max = float(np.max(curve.lambda2s))
     lam2_min = float(np.min(curve.lambda2s))
     rep.add("lambda2_nonnegative_sweep", lam2_min >= -10.0 * tol_eig, lam2_min,
             (-10.0 * tol_eig, None))

@@ -8,7 +8,7 @@ import pytest
 
 from viscoshear import rayleigh as ray
 from viscoshear.errors import TailDominance
-from viscoshear.flow import eval_b_derivs
+from viscoshear.flow import FlowParams, FlowState, eval_b, eval_b_derivs
 from viscoshear.spectrum import Grid, lowest_eigenpair
 
 
@@ -110,6 +110,38 @@ def test_assemble_phi_couette_closed_form(couette_state):
     assert np.max(np.abs(phi - exact) / (1.0 + np.abs(exact))) <= 1e-8
 
 
+def test_assemble_phi_reads_the_flow_profile():
+    # the fixture's tuned amplitude at t = T; at y = +-0.0364 a math.erf
+    # form of b is one ulp off eval_b, so only flow's closed form matches
+    p = FlowParams(0.70168993133616697, 0.15, 0.03, 0.8, 1e-3)
+    state = FlowState(p, p.horizon)
+    k, c, y = 1.0, 1e-3, 0.036389535176237775
+    p1 = ray.solve_phi1(state, k, np.concatenate([np.linspace(-12.0, 12.0, 97), [-y, y]]))
+    p2 = ray.solve_phi2(state, k, c, p1)
+    ys, phi = ray.assemble_phi(state, p1, p2, c)
+    assert np.array_equal(phi, (eval_b(state, ys) - 1j * c) * p1.phi1 * p2.phi2)
+
+
+def test_only_the_det_check_integrates_qf(couette_state, monkeypatch):
+    # the step control weighs every column, so W passes carry only the five
+    # that the assembly reads
+    widths = []
+    real = ray.integrate
+
+    def spy(rhs, y0, y1, st0, **kwargs):
+        widths.append(st0.shape[1])
+        return real(rhs, y0, y1, st0, **kwargs)
+
+    monkeypatch.setattr(ray, "integrate", spy)
+    ray.wronskian_many(couette_state, [1.0, 1.0], [0.1, 0.0])
+    p1 = ray.solve_phi1(couette_state, 1.0, np.linspace(-2.0, 2.0, 9))
+    ray.solve_phi2(couette_state, 1.0, 0.1, p1)
+    assert set(widths) == {5}
+    widths.clear()
+    ray.wronskian_det_check(couette_state, 1.0, 0.1, [-1.0, 1.0])
+    assert sorted(widths) == [5, 6, 6]  # the reference W, then qF on both sides
+
+
 def test_quadrature_honesty(ctx, couette_state):
     # tightening the integrator tolerance moves W by less than quad_error
     for state, k, c in [(couette_state, 1.0, 0.02), (ctx.state_T, 1.0, 3e-4)]:
@@ -136,7 +168,7 @@ def test_left_pass_is_exact_mirror(ctx, couette_state):
     ks = np.array([1.0, 0.95, 2.0, 1.0])
     cs = np.array([1e-6, 5e-4, 0.1, 0.0])
     for state in (ctx.state_T, couette_state):
-        system = ray._WSystem(ray._profile(state), ks, cs)
+        system = ray._WSystem(state, ks, cs)
         eps = ray._eps_start(cs)
         st_r, _, _ = ray._run_side(system, +1, eps, 20.0)
         st_l, _, _ = ray._run_side(system, -1, eps, 20.0)
