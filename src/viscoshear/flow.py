@@ -28,6 +28,7 @@ __all__ = [
     "H1Diagnostics",
     "eval_b",
     "eval_b_derivs",
+    "eval_b_slope",
     "eval_potential",
     "heat_residual",
     "h1_diagnostics",
@@ -113,30 +114,40 @@ class FlowState:
 
 def eval_b(state: FlowState, y):
     """Shear profile b(t, y).  Odd in y; b(t, 0) = 0 exactly."""
-    return eval_b_derivs(state, y)[0]
+    return eval_b_slope(state, y)[0]
+
+
+def eval_b_slope(state: FlowState, y):
+    """Profile and slope (b, b'): ``eval_b_derivs`` without b'' and b'''."""
+    y2 = np.square(y)
+    return _b_slope(state, y, np.exp(-y2 / state.s1), np.exp(-y2 / state.s2))
+
+
+def _b_slope(state: FlowState, y, e1, e2):
+    m, a1, a2, sq1, sq2 = state.params.M, state.amp1, state.amp2, math.sqrt(state.s1), math.sqrt(state.s2)
+    b = y + m * (_SQRT_PI / 2.0) * (a1 * erf(y / sq1) - a2 * erf(y / sq2))
+    return b, 1.0 + m * (a1 / sq1 * e1 - a2 / sq2 * e2)
 
 
 def eval_b_derivs(state: FlowState, y):
     """Profile and its first three y-derivatives, (b, b', b'', b''').
 
-    The one closed form of the profile: the eigensolver's potential and the
-    Rayleigh right-hand sides, seeds and tails all read it.  scipy's erf is
-    odd bit for bit, so b is exactly odd and b' exactly even, and a scalar
-    ``y`` gives the bits it has as an element of an array.
+    The one closed form of the profile: the eigensolver's potential reads
+    it, and the Rayleigh right-hand sides, seeds and tails read its b and b'
+    through ``eval_b_slope``, which shares its code.  scipy's erf is odd bit
+    for bit, so b is exactly odd and b' exactly even, and a scalar ``y``
+    gives the bits it has as an element of an array.
     """
     m = state.params.M
     s1, s2 = state.s1, state.s2
-    a1, a2 = state.amp1, state.amp2
-    sq1, sq2 = math.sqrt(s1), math.sqrt(s2)
     y2 = np.square(y)
     e1 = np.exp(-y2 / s1)
     e2 = np.exp(-y2 / s2)
-    g1 = a1 / s1 ** 1.5 * e1
-    g2 = a2 / s2 ** 1.5 * e2
+    g1 = state.amp1 / s1 ** 1.5 * e1
+    g2 = state.amp2 / s2 ** 1.5 * e2
     b3 = -2.0 * m * (g1 * (1.0 - 2.0 * y2 / s1) - g2 * (1.0 - 2.0 * y2 / s2))
     del y2  # last use: on a fine grid one array more at the peak costs 1 MB
-    b = y + m * (_SQRT_PI / 2.0) * (a1 * erf(y / sq1) - a2 * erf(y / sq2))
-    b1 = 1.0 + m * (a1 / sq1 * e1 - a2 / sq2 * e2)
+    b, b1 = _b_slope(state, y, e1, e2)
     b2 = -2.0 * y * m * (g1 - g2)
     return b, b1, b2, b3
 

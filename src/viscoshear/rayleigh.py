@@ -6,7 +6,7 @@ phi = (b - i c) * phi1 * phi2 where phi1 solves the real flux ODE
 seeded just off the regular singular point y = 0 with their Frobenius
 expansions and integrated outward by the adaptive DOP853 pair in flux
 variables, batched over (k, c) channels with per-channel error control.
-b and b' come from ``flow.eval_b_derivs``, the closed form the eigensolver
+b and b' come from ``flow.eval_b_slope``, the closed form the eigensolver
 reads as well.
 
 The Wronskian W(ic, k) = integral of phi^(-2) decides the spectrum: its
@@ -57,7 +57,7 @@ from .errors import (
     NonConvergence,
     TailDominance,
 )
-from .flow import FlowState, eval_b, eval_b_derivs
+from .flow import FlowState, eval_b, eval_b_derivs, eval_b_slope
 from .spectrum import Grid, _fit_min_C
 
 __all__ = [
@@ -93,7 +93,7 @@ MAX_POLISH = 80
 
 def _beta(state: FlowState) -> float:
     """b'(0), the slope of the profile at the critical point."""
-    return float(eval_b_derivs(state, 0.0)[1])
+    return float(eval_b_slope(state, 0.0)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ class _WSystem:
         self.n_cols = 6 if with_qf else 5
 
     def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
-        b, b1, _, _ = eval_b_derivs(self.state, y)
+        b, b1 = eval_b_slope(self.state, y)
         d1, p1, d2, p2 = st[:, 0], st[:, 1], st[:, 2], st[:, 3]
         phi1 = 1.0 + d1
         b2 = b * b
@@ -206,7 +206,7 @@ def _mirror(st: np.ndarray) -> np.ndarray:
 
 def _phi_and_slope(system: _WSystem, y: float, st: np.ndarray):
     """phi and phi'/phi at a sample point from the flux state."""
-    b, b1, _, _ = eval_b_derivs(system.state, y)
+    b, b1 = eval_b_slope(system.state, y)
     d1, p1, d2, p2 = st[:, 0], st[:, 1], st[:, 2], st[:, 3]
     phi1 = 1.0 + d1
     u = b - system.ic
@@ -274,7 +274,7 @@ class _IrPanels:
     def _invert(state: FlowState, vs: np.ndarray) -> np.ndarray:
         ys = vs.copy()
         for _ in range(60):
-            b, b1, _, _ = eval_b_derivs(state, ys)
+            b, b1 = eval_b_slope(state, ys)
             step = (b - vs) / b1
             ys -= step
             if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(ys))):
@@ -776,7 +776,7 @@ class _Phi1QuadSystem:
         self.k2 = k * k
 
     def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
-        b, b1, _, _ = eval_b_derivs(self.state, y)
+        b, b1 = eval_b_slope(self.state, y)
         b2 = b * b
         d1, p1 = st[:, 0], st[:, 1]
         phi1 = 1.0 + d1
@@ -871,7 +871,7 @@ def phi1_bound_report(state: FlowState, sol: Phi1Solution) -> BoundReport:
     c_env = _fit_min_C(env)
     mask = np.abs(ys) >= 1e-4
     c_dphi = float(np.max(np.abs(df[mask]) / (k * np.minimum(k * np.abs(ys[mask]), 1.0) * f[mask])))
-    b, b1, _, _ = eval_b_derivs(state, ys[mask])
+    b, b1 = eval_b_slope(state, ys[mask])
     ddf = k * k * f[mask] - 2.0 * (b1 / b) * df[mask]
     c_ddphi = float(np.max(np.abs(ddf) / (k * k * f[mask])))
     c_excess = float(np.max((f[mask] - 1.0) / (np.minimum(1.0, (k * ys[mask]) ** 2) * f[mask])))
@@ -913,7 +913,7 @@ def phi2_bound_report(
     c11 = float(np.max(np.abs(df2) / (k * k * np.minimum(c_i, np.abs(y)))))
     wide = np.abs(ys) >= 1e-3
     yw = ys[wide]
-    b, b1, _, _ = eval_b_derivs(state, yw)
+    b, b1 = eval_b_slope(state, yw)
     u = b - 1j * c_i
     f1w = p1.phi1[wide]
     df1w = p1.dphi1[wide]

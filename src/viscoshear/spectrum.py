@@ -13,18 +13,19 @@ kappa = sqrt(-lambda) reproduces the whole-line eigenvalue on a fixed box
 even for weakly bound states, so kappa is solved as an exact fixed point
 (bracketed root in lambda) rather than iterated a fixed number of times.
 Within one closure each distinct Robin matrix is solved once: the kappa = 0
-diagonal is built once, each kappa only shifts its two end entries, and the
-eigenvalue pair is memoized on those entries.  Values are reported only
+diagonal is built once, each kappa only shifts its end entries, and the
+brentq closure memoizes the eigenvalue pair on them.  Values are reported only
 after Richardson extrapolants of two successive grid refinements agree
 within ``tol_eig``.
 
-Rung 0 of the ladder, weakly bound closures and the eigenvector solve ask
-LAPACK for eigenvalues 1 and 2 by index (``_lowest_two``).  After a strongly
-bound rung (kappa * Y >= 3) the next rung's fixed-point solves bisect only a
-window around each of that rung's eigenvalues, WIDEN times the last
-rung-to-rung change (FIRST * |lambda| at rung 1) on each side, and keep a
-result only when Sturm counts certify it (``_windowed``); otherwise they
-fall back to ``_lowest_two``.
+The potential is even, so a strongly bound closure (kappa * Y >= 3) takes
+lambda1 from the even half-size parity block and lambda2 from the odd one;
+weakly bound closures and the eigenvector solve ask LAPACK for eigenvalues
+1 and 2 of the full matrix by index (``_lowest_two``).  After a strongly
+bound rung the next rung bisects each block only in a window around that
+rung's eigenvalue, WIDEN times the last rung-to-rung change (FIRST * |lambda|
+at rung 1) on each side, keeping a result only when Sturm counts certify it
+(``_windowed``) and otherwise falling back to the block's index call.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 from scipy.optimize import brentq
 
 from .errors import NonConvergence, ZeroNorm
@@ -140,30 +142,25 @@ def _lowest_two(d: np.ndarray, e: np.ndarray):
     return float(vals[0]), float(vals[1])
 
 
-def _windowed(d: np.ndarray, e: np.ndarray, windows: tuple):
-    """The lowest len(windows) eigenvalues, each bisected by value range
-    inside its (estimate, half-width) window, or None unless Sturm counts
-    certify them: none below the first window (counted from a Gershgorin
-    bound at a tolerance wider than the interval, so nothing is bisected),
-    exactly one in each window, none between windows."""
-    def by_value(lo, hi, tol):  # (count, lowest value) on (lo, hi]; no n-length array outlives it
-        try:
-            w = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi), tol=tol)
-        except LinAlgError:
-            return -1, math.nan
-        return len(w), (float(w[0]) if len(w) else math.nan)
+def _lowest(d: np.ndarray, e: np.ndarray) -> float:
+    return float(eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))[0])
 
+
+def _windowed(d: np.ndarray, e: np.ndarray, window: tuple):
+    """The lowest eigenvalue, bisected by value range inside the (estimate,
+    half-width) ``window``, or None unless Sturm counts certify it: none
+    below the window (counted from a Gershgorin bound at a tolerance wider
+    than the interval, so nothing is bisected) and exactly one in it."""
+    x, w = window
     lo = float(d.min()) - 2.0 * max(float(e.max()), -float(e.min()))
-    vals = []
-    for x, w in windows:
-        if not lo < x - w < x + w or by_value(lo, x - w, 2.0 * (x - w - lo))[0] != 0:
+    try:
+        if not lo < x - w < x + w or len(eigh_tridiagonal(
+                d, e, eigvals_only=True, select="v", select_range=(lo, x - w), tol=2.0 * (x - w - lo))):
             return None
-        m, lam = by_value(x - w, x + w, 0.0)
-        if m != 1:
-            return None
-        vals.append(lam)
-        lo = x + w
-    return tuple(vals)
+        vals = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(x - w, x + w))
+    except LinAlgError:
+        return None
+    return float(vals[0]) if len(vals) == 1 else None
 
 
 def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float,
@@ -178,50 +175,59 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float,
     F(lambda) = lambda_box(kappa(lambda)) - lambda is strictly decreasing and
     changes sign between the (overbinding) Neumann value and 0-.
 
-    Each distinct Robin matrix is solved once per call.  The kappa = 0
-    matrix is built once; a kappa sets its two end entries to the kappa = 0
-    ones plus 2 kappa / h (the arithmetic of ``_robin_tridiagonal``, so the
-    matrix is bit-identical) and the pair is memoized on those entries.
-    That drops the repeats of the weak branch: f(0-) rounds to the Neumann
-    matrix, brentq evaluates f(0-) again, and it returns a root it has
-    evaluated.
+    ``v`` is even, so the matrix splits into parity blocks on its right half:
+    the even block (centre row coupled by -sqrt(2)/h^2) and, less its first
+    row, the odd block (u(0) = 0); a kappa shifts only their shared far end.
+    The strongly bound path takes lambda1 from the even block and lambda2
+    from the odd one.  Without ``guess`` it is entered when an LDL^T
+    factorization (``dpttrf``) of the even Neumann block shifted by 9 / Y^2
+    fails, i.e. when that block has an eigenvalue at or below -9 / Y^2.
 
     ``guess``, (estimate, half-width) windows for lambda1 and lambda2 from a
-    strongly bound previous rung, routes the fixed-point solves through
-    ``_windowed`` (lambda1 alone for the Neumann solve that sets kappa),
-    each falling back to ``_lowest_two`` where the counts do not certify.
-    Windowed pairs are not memoized and the weak branch re-solves the
-    Neumann pair by index, so it runs exactly as without ``guess``.
+    strongly bound previous rung, enters that path directly: each block
+    solve bisects its window (``_windowed``; the lambda1 window for the
+    Neumann seed) and falls back to the block's index call if uncertified.
+
+    The weak path solves each distinct full Robin matrix once, by index: a
+    kappa sets the end entries of the kappa = 0 matrix (bit-identical to
+    ``_robin_tridiagonal``'s) and the pair is memoized on them, which drops
+    brentq's repeats (f(0-) rounds to the Neumann matrix, brentq evaluates
+    f(0-) again, and it returns a root it has evaluated).
     """
+    de, ee = _robin_tridiagonal(v[len(v) // 2:], h, 0.0)  # the even Neumann block
+    de_last = de[-1]
+
+    def block_lowest(odd, kappa, window):
+        de[-1] = de_last + 2.0 * kappa / h
+        d, e = (de[1:], ee[1:]) if odd else (de, ee)
+        found = _windowed(d, e, window) if window else None
+        return _lowest(d, e) if found is None else found
+
+    w1, w2 = guess or (None, None)
+    if guess or dpttrf(de + 9.0 / half_width ** 2, ee, overwrite_d=1)[2] > 0:
+        lam1 = block_lowest(False, 0.0, w1)
+        kappa = math.sqrt(-lam1) if lam1 < 0.0 else 0.0
+        for i in range(4 if kappa * half_width >= 3.0 else 0):  # fixed-point sweeps
+            lam1 = block_lowest(False, kappa, w1)
+            if lam1 >= 0.0 or math.sqrt(-lam1) * half_width < 3.0:
+                break
+            knew = math.sqrt(-lam1)
+            if abs(knew - kappa) <= 1e-9 * kappa or i == 3:
+                return lam1, block_lowest(True, kappa, w2), knew
+            kappa = knew
+
     d, e = _robin_tridiagonal(v, h, 0.0)
     d_first, d_last = d[0], d[-1]
     solved = {}
 
-    def lowest_two(kappa, windows=()):
+    def lowest_two(kappa):
         d[0] = d_first + 2.0 * kappa / h
         d[-1] = d_last + 2.0 * kappa / h
-        found = _windowed(d, e, windows) if windows else None
-        if found is not None:
-            return found
         ends = (float(d[0]), float(d[-1]))
         if ends not in solved:
             solved[ends] = _lowest_two(d, e)
         return solved[ends]
 
-    lam_n1 = lowest_two(0.0, guess[:1])[0]
-    if lam_n1 < 0.0 and math.sqrt(-lam_n1) * half_width >= 3.0:
-        kappa = math.sqrt(-lam_n1)
-        for _ in range(4):
-            lam1, lam2 = lowest_two(kappa, guess)
-            if lam1 >= 0.0 or math.sqrt(-lam1) * half_width < 3.0:
-                break
-            knew = math.sqrt(-lam1)
-            done = abs(knew - kappa) <= 1e-9 * kappa
-            kappa = knew
-            if done:
-                return lam1, lam2, kappa
-        else:
-            return lam1, lam2, kappa
     lam_n1, lam_n2 = lowest_two(0.0)
     if lam_n1 >= 0.0:
         return lam_n1, lam_n2, 0.0
@@ -244,7 +250,9 @@ def _level(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, level: int, to
     (n_points - 1) * 2**level + 1 nodes, raw, without extrapolation."""
     n = (grid.n_points - 1) * 2 ** level + 1
     ys = np.linspace(-grid.half_width, grid.half_width, n)
-    return (n,) + _selfconsistent_box(vfunc(ys), ys[1] - ys[0], grid.half_width, tol_eig, guess)
+    right = vfunc(ys[n // 2:])  # V is even: evaluated for y >= 0 only, then mirrored
+    v = np.concatenate((right[:0:-1], right))
+    return (n,) + _selfconsistent_box(v, ys[1] - ys[0], grid.half_width, tol_eig, guess)
 
 
 def _next_windows(raws: tuple) -> tuple:
@@ -264,7 +272,8 @@ def _solve_potential(
     """Refinement-and-Richardson driver used by ``lowest_eigenpair``.
 
     ``vfunc`` maps a node array to potential values, which keeps the solver
-    testable against exactly solvable potentials.
+    testable against exactly solvable potentials.  The potential must be
+    even: each rung evaluates it for y >= 0 only and mirrors it.
     """
     ns, raw1, raw2, rich1, rich2, kappas = [], [], [], [], [], []
     converged = False

@@ -16,6 +16,7 @@ from viscoshear.flow import (
     FlowState,
     eval_b,
     eval_b_derivs,
+    eval_b_slope,
     eval_potential,
     h1_diagnostics,
     h1_value,
@@ -201,6 +202,19 @@ def test_mirror_identity_is_exact(state, ys):
         assert np.array_equal(l, -r if j % 2 == 0 else r)
     for i, y in enumerate(ys.tolist()):
         assert [d[i] for d in right] == list(eval_b_derivs(state, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow_states(), st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=16))
+def test_slope_entry_gives_the_derivs_bits(state, ys):
+    # eval_b_slope and eval_b return the b and b' of eval_b_derivs bit for
+    # bit, for an array and for each of its elements as a scalar
+    ys = np.array(ys)
+    b, b1, _, _ = eval_b_derivs(state, ys)
+    slope = eval_b_slope(state, ys)
+    assert np.array_equal(slope[0], b) and np.array_equal(slope[1], b1)
+    for i, y in enumerate(ys.tolist()):
+        assert eval_b_slope(state, y) == (b[i], b1[i]) and eval_b(state, y) == b[i]
 
 
 @settings(max_examples=60, deadline=None)

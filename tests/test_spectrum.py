@@ -176,9 +176,9 @@ def test_grid_validation():
 def _counted_closure(monkeypatch, M, grid):
     """Run one self-consistent closure on the fixture potential at t = 0.
 
-    Returns the closure's (lambda1, lambda2, kappa), the end entries
-    (d[0], d[-1]) of every tridiagonal it solved, the number of f
-    evaluations brentq made, and the potential and spacing used.
+    Returns the closure's (lambda1, lambda2, kappa), the end entries and
+    size (d[0], d[-1], len(d)) of every tridiagonal it solved, the number of
+    f evaluations brentq made, and the potential and spacing used.
     """
     ys = grid.ys()
     h = ys[1] - ys[0]
@@ -187,7 +187,7 @@ def _counted_closure(monkeypatch, M, grid):
     eigh, brentq = spectrum.eigh_tridiagonal, spectrum.brentq
 
     def counted_eigh(d, e, **kwargs):
-        ends.append((d[0], d[-1]))
+        ends.append((d[0], d[-1], len(d)))
         return eigh(d, e, **kwargs)
 
     def counted_brentq(f, *args, **kwargs):
@@ -202,6 +202,20 @@ def _counted_closure(monkeypatch, M, grid):
     result = _selfconsistent_box(v, h, grid.half_width, spectrum.TOL_EIG)
     monkeypatch.undo()
     return result, ends, len(brent_evals), v, h
+
+
+def _blocks(v, h, kappa):
+    """The even and odd parity blocks of ``_robin_tridiagonal(v, h, kappa)``
+    for an even ``v``, with the arithmetic of ``_selfconsistent_box``."""
+    d, e = _robin_tridiagonal(v[len(v) // 2:], h, 0.0)
+    d[-1] = d[-1] + 2.0 * kappa / h
+    return (d, e), (d[1:], e[1:])
+
+
+def _ulp_norm(d, e):
+    """dstebz's own absolute tolerance: ULP * ||T||_1."""
+    off = np.abs(e)
+    return np.finfo(float).eps * float(np.max(np.abs(d) + np.r_[0.0, off] + np.r_[off, 0.0]))
 
 
 def test_closure_solves_each_robin_matrix_once(monkeypatch, grid):
@@ -220,12 +234,20 @@ def test_closure_fixed_point_matches_direct_solve(monkeypatch, grid):
     (lam1, lam2, kappa), ends, n_brent, v, h = _counted_closure(monkeypatch, 0.7, grid)
     assert kappa * grid.half_width >= 3.0 and n_brent == 0
     assert len(set(ends)) == len(ends)
-    assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
+    # every solve is on a parity block, half the rows of the full matrix
+    assert {n for _, _, n in ends} <= {(len(v) + 1) // 2, (len(v) - 1) // 2}
+    # the blocks' own index calls, bit for bit, and the full matrix within
+    # its bisection tolerance
+    even, odd = _blocks(v, h, kappa)
+    assert (lam1, lam2) == (spectrum._lowest(*even), spectrum._lowest(*odd))
+    d, e = _robin_tridiagonal(v, h, kappa)
+    full1, full2 = _lowest_two(d, e)
+    assert abs(lam1 - full1) <= _ulp_norm(d, e) and abs(lam2 - full2) <= _ulp_norm(d, e)
 
 
 # Certified warm-start windows (spectrum._windowed).  A window solve is used
 # only when Sturm counts certify it; otherwise the closure falls back to the
-# pinned index call, bit for bit.
+# block's own index call, bit for bit.
 
 M0_LINE = 4.127983142029252e-05  # the fixture's whole-line threshold amplitude (line report.json)
 
@@ -235,33 +257,37 @@ def _pt_well(depth, grid=Grid(20.0, 8193)):
     return -depth / np.cosh(ys) ** 2, ys[1] - ys[0]
 
 
-def _fixture_well(M, grid=Grid(20.0, 8193)):
+def _fixture_well(M, grid=Grid(20.0, 8193), t=0.0):
     ys = grid.ys()
-    v = eval_potential(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0), ys)
+    v = eval_potential(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), t), ys)
     return np.asarray(v, dtype=float), ys[1] - ys[0]
 
 
 @pytest.mark.parametrize("case", ["estimate_above_lambda1", "window_holds_two", "eigenvalue_in_gap"])
 def test_uncertified_window_falls_back_to_index_call(case):
-    # V = -6 sech^2: lambda1 = -4, lambda2 = -1, then box states above 0
+    # V = -6 sech^2: the even block holds lambda1 = -4, the odd block
+    # lambda2 = -1, each followed by box states above 0
     v, h = _pt_well(6.0)
-    d, e = _robin_tridiagonal(v, h, 2.0)
-    l1, l2 = _lowest_two(d, e)
-    l3 = float(spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                         select_range=(2, 2))[0])
-    guess = {
-        # the estimates sit one eigenvalue too high: each window holds exactly
-        # one eigenvalue, and only the count below the first rejects them
-        "estimate_above_lambda1": ((l2, 1e-3), (l3, 1e-3)),
-        # the first window holds lambda1 and lambda2
-        "window_holds_two": ((0.5 * (l1 + l2), 0.75 * (l2 - l1)), (l3, 1e-3)),
-        # the second estimate is lambda3, so lambda2 lies between the windows
-        "eigenvalue_in_gap": ((l1, 1e-3), (l3, 1e-3)),
-    }[case]
-    assert spectrum._windowed(d, e, guess) is None
-    lam1, lam2, kappa = _selfconsistent_box(v, h, 20.0, spectrum.TOL_EIG, guess)
+    blocks = _blocks(v, h, 2.0)
+    windows = []
+    for d, e in blocks:
+        first, second = spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                                   select_range=(0, 1))
+        windows.append({
+            # the estimate sits one eigenvalue too high: the window holds
+            # exactly one eigenvalue, and only the count below rejects it
+            "estimate_above_lambda1": (second, 1e-3),
+            # the window holds the block's two lowest eigenvalues
+            "window_holds_two": (0.5 * (first + second), 0.75 * (second - first)),
+            # the window lies in the gap below the lowest eigenvalue: nothing
+            # below it and nothing in it
+            "eigenvalue_in_gap": (first - 0.5, 0.1),
+        }[case])
+        assert spectrum._windowed(d, e, windows[-1]) is None
+    lam1, lam2, kappa = _selfconsistent_box(v, h, 20.0, spectrum.TOL_EIG, tuple(windows))
     assert kappa * 20.0 >= 3.0
-    assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
+    even, odd = _blocks(v, h, kappa)
+    assert (lam1, lam2) == (spectrum._lowest(*even), spectrum._lowest(*odd))
 
 
 @pytest.mark.parametrize("well", ["poschl_teller_1", "poschl_teller_2", "fixture_M0.7"])
@@ -269,19 +295,102 @@ def test_uncertified_window_falls_back_to_index_call(case):
 def test_certified_window_matches_index_call(well, robin):
     v, h = {"poschl_teller_1": lambda: _pt_well(2.0), "poschl_teller_2": lambda: _pt_well(6.0),
             "fixture_M0.7": lambda: _fixture_well(0.7)}[well]()
-    d, e = _robin_tridiagonal(v, h, 0.0)
-    l1, l2 = _lowest_two(d, e)
+    kappa = 0.0
     if robin:
-        d, e = _robin_tridiagonal(v, h, math.sqrt(-l1))
-        l1, l2 = _lowest_two(d, e)
-    # dstebz's own absolute tolerance: ULP * ||T||_1
-    off = np.abs(e)
-    norm1 = float(np.max(np.abs(d) + np.r_[0.0, off] + np.r_[off, 0.0]))
-    tol = np.finfo(float).eps * norm1
-    got = spectrum._windowed(d, e, ((l1 + 3e-6, 1e-5), (l2 - 3e-6, 1e-5)))
-    assert got is not None
-    assert abs(got[0] - l1) <= tol and abs(got[1] - l2) <= tol
-    assert spectrum._windowed(d, e, ((l1 - 3e-6, 1e-5),))[0] == pytest.approx(l1, abs=tol, rel=0)
+        kappa = math.sqrt(-spectrum._lowest(*_blocks(v, h, 0.0)[0]))
+    for (d, e), shift in zip(_blocks(v, h, kappa), (3e-6, -3e-6)):
+        lam = spectrum._lowest(d, e)
+        got = spectrum._windowed(d, e, (lam + shift, 1e-5))
+        assert got is not None
+        assert abs(got - lam) <= _ulp_norm(d, e)
+
+
+@pytest.mark.parametrize("well", ["poschl_teller_2", "fixture_t0", "fixture_T"])
+@pytest.mark.parametrize("robin", [False, True])
+def test_parity_blocks_match_full_matrix(well, robin):
+    # lambda1 is the even block's lowest eigenvalue and lambda2 the odd
+    # block's, within the full solve's bisection tolerance
+    v, h = {"poschl_teller_2": lambda: _pt_well(6.0),
+            "fixture_t0": lambda: _fixture_well(0.7),
+            "fixture_T": lambda: _fixture_well(0.7, t=0.02025)}[well]()
+    d, e = _robin_tridiagonal(v, h, 0.0)
+    kappa = math.sqrt(-_lowest_two(d, e)[0]) if robin else 0.0
+    d, e = _robin_tridiagonal(v, h, kappa)
+    full1, full2 = _lowest_two(d, e)
+    even, odd = _blocks(v, h, kappa)
+    assert abs(spectrum._lowest(*even) - full1) <= _ulp_norm(d, e)
+    assert abs(spectrum._lowest(*odd) - full2) <= _ulp_norm(d, e)
+
+
+def test_poschl_teller_blocks_split_the_bound_states():
+    # V = -6 sech^2: the even block binds -4 only, the odd block -1 only
+    # (Richardson over two grids, at the closure's kappa = 2)
+    lams = []
+    for n in (8193, 16385):
+        v, h = _pt_well(6.0, Grid(20.0, n))
+        even, odd = _blocks(v, h, 2.0)
+        assert sturm_count_below(*even, -0.5) == 1 and sturm_count_below(*odd, -0.5) == 1
+        lams.append((spectrum._lowest(*even), spectrum._lowest(*odd)))
+    (e0, o0), (e1, o1) = lams
+    assert abs(e1 + (e1 - e0) / 3.0 + 4.0) <= 1e-6
+    assert abs(o1 + (o1 - o0) / 3.0 + 1.0) <= 1e-6
+
+
+def _full_matrix_weak_closure(v, h, tol):
+    """The weak closure on the full matrix alone: memoized index pairs and
+    brentq, the calls a no-guess weak closure must make."""
+    d, e = _robin_tridiagonal(v, h, 0.0)
+    d_first, d_last = d[0], d[-1]
+    solved = {}
+
+    def lowest_two(kappa):
+        d[0] = d_first + 2.0 * kappa / h
+        d[-1] = d_last + 2.0 * kappa / h
+        ends = (float(d[0]), float(d[-1]))
+        if ends not in solved:
+            solved[ends] = _lowest_two(d, e)
+        return solved[ends]
+
+    lam_n1 = lowest_two(0.0)[0]
+    lam_star = spectrum.brentq(lambda lam: lowest_two(math.sqrt(-lam))[0] - lam, lam_n1, -1e-30,
+                               xtol=tol * 1e-3, rtol=8.9e-16, maxiter=200)
+    kappa = math.sqrt(-lam_star)
+    return lowest_two(kappa) + (kappa,)
+
+
+def test_weak_closure_makes_the_full_matrix_calls_plus_one_routing_test(monkeypatch):
+    v, h = _fixture_well(M0_LINE)
+    calls = []
+    eigh, dpttrf = spectrum.eigh_tridiagonal, spectrum.dpttrf
+
+    def counted_eigh(d, e, **kwargs):
+        calls.append((kwargs["select"], kwargs["select_range"], d[0], d[-1], len(d)))
+        return eigh(d, e, **kwargs)
+
+    def counted_dpttrf(d, e, **kwargs):
+        calls.append(("dpttrf", len(d)))
+        return dpttrf(d, e, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
+    expected = _full_matrix_weak_closure(v, h, spectrum.TOL_EIG)
+    expected_calls, calls[:] = list(calls), []
+    monkeypatch.setattr(spectrum, "dpttrf", counted_dpttrf)
+    got = _selfconsistent_box(v, h, 20.0, spectrum.TOL_EIG)
+    assert got == expected and got[2] * 20.0 < 3.0
+    assert calls == [("dpttrf", (len(v) + 1) // 2)] + expected_calls
+
+
+@pytest.mark.parametrize("M", [0.7016899313361670, M0_LINE, 10.0])
+@pytest.mark.parametrize("t", [0.0, 0.00081])
+def test_level_mirrors_the_full_grid_potential(monkeypatch, M, t):
+    # the rung evaluates V for y >= 0 only; mirrored, it is the full-grid
+    # potential bit for bit
+    state = FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), t)
+    seen = []
+    monkeypatch.setattr(spectrum, "_selfconsistent_box", lambda v, *rest: seen.append(v) or (0.0,) * 3)
+    for level in range(5):
+        n = spectrum._level(spectrum._potential(state), Grid(), level, spectrum.TOL_EIG)[0]
+        assert np.array_equal(seen[-1], eval_potential(state, np.linspace(-20.0, 20.0, n)))
 
 
 @pytest.mark.parametrize("M, at_T", [(4e-5, False), (M0_LINE, True)])

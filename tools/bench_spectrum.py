@@ -16,11 +16,14 @@ without the mode on the default grid, for the README fixture
 
 The first two are strongly bound (the ``kstar-sweep`` and ``eigencurve``
 states, fixed-point Robin closure), the third weakly bound (brentq
-closure).  Calls are counted by rebinding ``spectrum.eigh_tridiagonal``,
-as perfbench traces a request, so nothing under ``src/`` changes: index
-calls (bisection over the whole spectrum) apart from value-range calls,
-which are split into window solves and pure counts (a tolerance wider than
-the interval, so nothing is bisected).  Each rung is timed through
+closure).  Calls are counted by rebinding ``spectrum.eigh_tridiagonal``
+(and ``spectrum.dpttrf``, the LDL^T routing test, where the revision has
+it), as perfbench traces a request, so nothing under ``src/`` changes:
+index calls (bisection over the whole spectrum) apart from value-range
+calls, which are split into window solves and pure counts (a tolerance
+wider than the interval, so nothing is bisected).  Each kind also records
+its rows, the sum of len(d) over its calls, so a solve on a half-size
+parity block weighs half a full-matrix one.  Each rung is timed through
 ``spectrum._level``; a case runs REPEAT times and a rung reports its
 fastest repeat.  The counts are the same in every repeat.
 """
@@ -39,6 +42,7 @@ FIXTURE = dict(gamma0=0.15, gamma1=0.03, gamma2=0.8, nu=1e-3)
 DELTA = 0.01
 REPEAT = 5
 OUT = "BENCH_spectrum.json"
+KINDS = ("routing", "index", "window", "count")  # LDL^T tests, then eigh_tridiagonal calls
 
 
 class Counter:
@@ -46,21 +50,29 @@ class Counter:
 
     def __init__(self, spectrum):
         self.spectrum = spectrum
-        self.calls = {"index_calls": 0, "value_windows": 0, "value_counts": 0}
+        self.calls = {f"{kind}_{what}": 0 for kind in KINDS for what in ("calls", "rows")}
         self.rungs = []
+
+    def count(self, kind, d):
+        self.calls[kind + "_calls"] += 1
+        self.calls[kind + "_rows"] += len(d)
 
     def install(self):
         sp = self.spectrum
-        eigh, level = sp.eigh_tridiagonal, sp._level
+        eigh, level, dpttrf = sp.eigh_tridiagonal, sp._level, getattr(sp, "dpttrf", None)
 
-        def counted_eigh(*args, **kwargs):
+        def counted_eigh(d, e, **kwargs):
             if kwargs.get("select") == "v":
                 lo, hi = kwargs["select_range"]
                 # a tolerance wider than the interval only counts, it bisects nothing
-                self.calls["value_counts" if kwargs.get("tol", 0.0) > hi - lo else "value_windows"] += 1
+                self.count("count" if kwargs.get("tol", 0.0) > hi - lo else "window", d)
             else:
-                self.calls["index_calls"] += 1
-            return eigh(*args, **kwargs)
+                self.count("index", d)
+            return eigh(d, e, **kwargs)
+
+        def counted_dpttrf(d, e, **kwargs):
+            self.count("routing", d)
+            return dpttrf(d, e, **kwargs)
 
         def timed_level(vfunc, grid, lev, tol_eig, *rest):
             before = dict(self.calls)
@@ -73,6 +85,8 @@ class Counter:
             return out
 
         sp.eigh_tridiagonal, sp._level = counted_eigh, timed_level
+        if dpttrf is not None:
+            sp.dpttrf = counted_dpttrf
 
 
 def measure(counter, lowest_eigenpair, state, grid):
@@ -139,8 +153,8 @@ def main() -> int:
         fh.write("\n")
     for name, case in cases.items():
         rungs = ", ".join(
-            f"{r['n']}: {r['s'] * 1e3:.1f} ms ({r['index_calls']} index, "
-            f"{r['value_windows']} window, {r['value_counts']} count)"
+            f"{r['n']}: {r['s'] * 1e3:.1f} ms ("
+            + ", ".join(f"{r[k + '_calls']} {k}/{r[k + '_rows']} rows" for k in KINDS) + ")"
             for r in case["rungs"])
         print(f"{name}: {case['total_s'] * 1e3:.1f} ms; {rungs}")
     print(f"wrote {OUT}")
