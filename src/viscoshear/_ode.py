@@ -19,8 +19,11 @@ channel and the step is controlled by the largest: every channel meets the
 tolerance on its own, so its result does not depend on what it is batched
 with beyond rounding.
 
-Sample points are hit exactly by capping the step, so recorded values carry
-no interpolation error.
+Sample points are hit by capping the step, so recorded values carry no
+interpolation error.  One rule records them: at the start and after every
+accepted step, every pending sample within 1e-12 max(1, |t|) of t takes the
+state at t.  Repeated samples, 1-ulp neighbours, a sample at t0 and a zero
+span therefore need no special case.
 """
 
 from __future__ import annotations
@@ -186,13 +189,12 @@ def integrate(
     """Integrate y' = rhs(t, y) from t0 to t1 (either direction).
 
     Returns ``(y_final, sampled, n_steps)`` where ``sampled`` is the state
-    recorded at each requested sample point (in the given order), or None.
-    Raises ``StepFailure`` when the controller underflows the step size.
+    recorded at each requested sample point (in the given order, which must
+    run from t0 towards t1), or None.  Raises ``StepFailure`` when the
+    controller underflows the step size or a sample is not reached.
     """
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
-    if span == 0.0:
-        return y0.copy(), (np.array([y0.copy()]) if samples else None), 0
     y = np.array(y0, dtype=complex)
     shape = y.shape
     channels = (shape[0], math.prod(shape[1:])) if y.ndim else (1, 1)
@@ -202,7 +204,12 @@ def integrate(
         if (s - t0) * direction < -1e-15 or (t1 - s) * direction < -1e-15:
             raise ValueError("sample point outside integration span")
     recorded = []
-    next_sample = 0
+
+    def record():
+        # every pending sample within 1e-12 max(1, |t|) of t takes the state at t
+        while len(recorded) < len(sample_list) and abs(
+                t - sample_list[len(recorded)]) <= 1e-12 * max(1.0, abs(t)):
+            recorded.append(y.copy())
 
     h = initial_step if initial_step is not None else span * 1e-6
     h = min(h, span)
@@ -214,14 +221,14 @@ def integrate(
     K = np.empty((_STAGES, y.size), dtype=complex)
     K[0] = rhs(t, y).ravel()
     steps = 0
+    record()
     while (t1 - t) * direction > 1e-15 * max(abs(t), abs(t1), 1.0):
         if steps >= max_steps:
             raise StepFailure(f"step budget exhausted at t={t:g}")
-        # cap the step at the next sample point and the endpoint
-        h_cap = abs(t1 - t)
-        if next_sample < len(sample_list):
-            h_cap = min(h_cap, abs(sample_list[next_sample] - t))
-        h_try = min(h, h_cap) if h_cap > 0 else h
+        # cap the step at the next pending sample point and the endpoint
+        h_try = min(h, abs(t1 - t))
+        if len(recorded) < len(sample_list):
+            h_try = min(h_try, abs(sample_list[len(recorded)] - t))
         if h_try < h_floor(t):
             raise StepFailure(f"step size underflow at t={t:g}")
         dt = direction * h_try
@@ -237,25 +244,14 @@ def integrate(
             y = y_new
             K[0] = rhs(t, y).ravel()  # FSAL: the next step's first stage
             steps += 1
-            if next_sample < len(sample_list) and abs(t - sample_list[next_sample]) <= 1e-12 * max(
-                1.0, abs(t)
-            ):
-                recorded.append(y.copy())
-                next_sample += 1
+            record()
             grow = _SAFETY * err_norm ** -0.125 if err_norm > 0.0 else _MAX_FACTOR
             h = h_try * min(_MAX_FACTOR, grow)
         else:
             h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.125)
             if h < h_floor(t):
                 raise StepFailure(f"step size underflow at t={t:g} (err {err_norm:g})")
-    if next_sample < len(sample_list):
-        # endpoint coincides with the last samples
-        while next_sample < len(sample_list) and abs(t - sample_list[next_sample]) <= 1e-9 * max(
-            1.0, abs(t)
-        ):
-            recorded.append(y.copy())
-            next_sample += 1
-        if next_sample < len(sample_list):
-            raise StepFailure("sample points were not reached")
+    if len(recorded) < len(sample_list):
+        raise StepFailure("sample points were not reached")
     sampled = np.array(recorded) if samples is not None else None
     return y, sampled, steps

@@ -3,7 +3,8 @@
     viscoshear <subcommand> --config <path> [--out <dir>] [--format csv,json,svg]
 
 Subcommands: calibrate, kstar-sweep, eigencurve, verify, torus, line.
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 any other
+Exit codes: 0 success, 1 check failure, 2 usage/config error or an OS error
+on a path (an unreadable config, an output path that is a file), 3 any other
 numerical failure of the package (non-convergence, bad bracket, ...).
 """
 
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         formats = cfg.formats if args.format is None else parse_formats(args.format)
-    except (FileNotFoundError, ConfigError) as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out if args.out != "." else cfg.out_dir)
@@ -192,6 +193,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.subcommand](cfg, out_dir, formats)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except ViscoshearError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,6 +82,8 @@ def _k_grid_spec(spec: str):
     # the grid runs from start to stop, so its ends bound every wave number
     if count and not (start > 0.0 and (count == 1 or stop > 0.0)):
         raise ValidationError("k_grid wave numbers must be positive")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError("k_grid ends must be finite")
     return start, stop, count
 
 
@@ -110,6 +113,8 @@ def parse_config(text: str) -> Config:
                 values[key] = float(val)
             except ValueError:
                 raise ParseError(lineno, f"{key} must be a number, got {val!r}")
+            if not math.isfinite(values[key]):
+                raise ParseError(lineno, f"{key} must be finite, got {val!r}")
         elif key in _INT_KEYS:
             try:
                 values[key] = int(val)

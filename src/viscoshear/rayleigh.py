@@ -22,12 +22,15 @@ which avoids the 1/c cancellation a naive two-sided quadrature suffers.
 
 The profile is odd, so the regular solution satisfies phi(-y) = -conj phi(y)
 and the integrator reproduces that mirror bit for bit: every Wronskian
-evaluation integrates the right half line only and takes the left-side
-terms from the mirrored state.  The determinant cross-check still
-integrates both sides, which makes it an independent oracle for the
-mirror identity as well.  It alone also integrates qF = integral of
-phi^(-2): the step control weighs every column of a channel, so a column
-that nothing reads would steer the steps of every other pass.
+evaluation and every sampled pass (``solve_phi1``, ``solve_phi2``) integrates
+the right half line only and takes the left side from the mirrored state.  A
+sampled pass records the sorted unique |y| by the integrator's one rule (a
+sample within 1e-12 max(1, |y|) of a step's end takes its state), so the
+1-ulp pairs of a rounded grid share a record.  The determinant cross-check
+still integrates both sides, which makes it an independent oracle for the
+mirror identity as well.  It alone also integrates qF = integral of phi^(-2):
+the step control weighs every column of a channel, so a column that nothing
+reads would steer the steps of every other pass.
 
 The boundary value W(0, k) is the c = 0 channel of the same assembly: the
 log-kernel quadrature of I at c = 0 is the Hilbert-transform term, and the
@@ -451,17 +454,18 @@ def _unpack_samples(state: FlowState, k: float, c_i: float, ys: np.ndarray):
     """phi1, phi1', phi2, phi2' at the ascending sample points ys.
 
     Points within the seed offset of the origin take the seed values; the
-    others are recorded by one pass per half line.
+    others are recorded by one right half-line pass to their sorted unique
+    |y|, and the negative ones take the mirrored state.
     """
     system = _WSystem(state, np.array([k]), np.array([c_i]))
     eps = _eps_start(np.array([c_i]))
     # pure sampling pass: no quadrature tails, so the farthest sample bounds it
     ymax = max(float(np.max(np.abs(ys))), 2.0)
-    neg, pos = ys[ys < -eps], ys[ys > eps]
-    _, rec_l, _ = _run_side(system, -1, eps, ymax, samples=list(neg[::-1]))
-    _, rec_r, _ = _run_side(system, +1, eps, ymax, samples=list(pos))
-    st = np.concatenate([rec_l[::-1], rec_r])[:, 0]
     far = np.abs(ys) > eps
+    mags, where = np.unique(np.abs(ys[far]), return_inverse=True)
+    _, rec, _ = _run_side(system, +1, eps, ymax, samples=list(mags))
+    st = rec[where, 0]
+    st = np.where((ys[far] < 0.0)[:, None], _mirror(st), st)
     b = eval_b(state, ys[far])
     u = b - 1j * c_i
     phi1 = np.ones(len(ys))

@@ -20,12 +20,14 @@ within ``tol_eig``.
 
 The potential is even, so a strongly bound closure (kappa * Y >= 3) takes
 lambda1 from the even half-size parity block and lambda2 from the odd one;
-weakly bound closures and the eigenvector solve ask LAPACK for eigenvalues
-1 and 2 of the full matrix by index (``_lowest_two``).  After a strongly
-bound rung the next rung bisects each block only in a window around that
-rung's eigenvalue, WIDEN times the last rung-to-rung change (FIRST * |lambda|
-at rung 1) on each side, keeping a result only when Sturm counts certify it
-(``_windowed``) and otherwise falling back to the block's index call.
+weakly bound closures ask LAPACK for eigenvalues 1 and 2 of the full matrix
+by index (``_lowest_two``).  The mode, the ground state, is even: it is the
+even block's lowest eigenvector at the last rung's kappa, mirrored, so it is
+even bit for bit.  After a strongly bound rung the next rung bisects each
+block only in a window around that rung's eigenvalue, WIDEN times the last
+rung-to-rung change (FIRST * |lambda| at rung 1) on each side, keeping a
+result only when Sturm counts certify it (``_windowed``) and otherwise
+falling back to the block's index call.
 """
 
 from __future__ import annotations
@@ -301,21 +303,16 @@ def _solve_potential(
     info = ConvergenceInfo(tuple(ns), tuple(raw1), tuple(rich1), kappas[-1], True)
 
     mode = None
-    if want_mode:
-        n_fine = ns[-1]
-        ys = np.linspace(-grid.half_width, grid.half_width, n_fine)
+    if want_mode:  # the ground state is even: the even block's lowest eigenvector
+        ys = np.linspace(-grid.half_width, grid.half_width, ns[-1])
         h = ys[1] - ys[0]
-        d, e = _robin_tridiagonal(vfunc(ys), h, kappas[-1])
-        _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-        u = vecs[:, 0].copy()
-        u[0] *= math.sqrt(2.0)
-        u[-1] *= math.sqrt(2.0)
-        stride = 2 ** (len(ns) - 1)
-        u = u[::stride]
-        if u[len(u) // 2] < 0.0:
-            u = -u
-        u /= math.sqrt(np.sum(u ** 2) * grid.spacing)
-        mode = u
+        d, e = _robin_tridiagonal(vfunc(ys[len(ys) // 2:]), h, 0.0)
+        d[-1] += 2.0 * kappas[-1] / h  # row 0 is the centre: only the far end is Robin
+        u = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
+        u[[0, -1]] *= math.sqrt(2.0)  # undo the similarity at the centre and the far end
+        u = u[:: 2 ** (len(ns) - 1)]
+        u = np.concatenate((u[:0:-1], u)) * math.copysign(1.0, u[0])
+        mode = u / math.sqrt(np.sum(u ** 2) * grid.spacing)
     return lam1, lam2, mode, info
 
 

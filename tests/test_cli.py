@@ -175,6 +175,37 @@ def test_cli_rejects_nonpositive_wave_numbers(tmp_path, capsys, spec, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("half_width = inf", "half_width"),
+        ("M = inf", "M"),
+        ("tol_eig = inf", "tol_eig"),
+        ("gamma_ratio_max = nan", "gamma_ratio_max"),
+        ("nu = -inf", "nu"),
+        ("k_grid = 0.95:inf:2", "k_grid"),
+        ("k_grid = 0.95:nan:1", "k_grid"),
+        ("k_grid = inf:1:0", "k_grid"),
+    ],
+)
+def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, line, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(COUETTE_CFG.replace("M = 0\n", "") + line + "\n")
+    assert main(["eigencurve", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err and len(err.splitlines()) == 1
+
+
+def test_cli_os_errors_on_paths_exit_2(tmp_path, capsys):
+    # a config path that is a directory, and an output path that is a file
+    assert main(["kstar-sweep", "--config", str(tmp_path)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(COUETTE_CFG)
+    assert main(["kstar-sweep", "--config", str(cfg), "--out", str(cfg)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_k_grid_of_positive_or_no_wave_numbers_parses():
     assert list(parse_config("k_grid = 2:0.5:4\n").k_grid_values(0.0)) == [2.0, 1.5, 1.0, 0.5]
     assert list(parse_config("k_grid = 0.5:-1:1\n").k_grid_values(0.0)) == [0.5]

@@ -1,5 +1,5 @@
 """The DOP853 integrator: closed-form oracles, per-channel error control,
-exact sample capping and the step budget."""
+exact sample capping, the one sample-recording rule and the step budget."""
 
 import numpy as np
 import pytest
@@ -62,4 +62,26 @@ def test_samples_are_hit_exactly(t0, t1):
     for s, y in zip(samples, rec):
         # a step ends on every sample: no interpolation error in what is recorded
         assert min(abs(t - s) for t in times) <= 1e-12
+        assert np.max(np.abs(y - np.exp(1j * omegas * s))) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "t0, t1, samples",
+    [
+        (0.0, 3.0, [0.5, 1.234, 1.234, 3.0, 3.0]),
+        (3.0, 0.0, [2.0, 1.0, np.nextafter(1.0, 0.0)]),
+        (0.0, 3.0, [0.0, 0.0, 2.0]),
+        (1.5, 1.5, [1.5, 1.5]),
+        (1.5, 1.5, []),
+    ],
+    ids=["repeated", "one_ulp_pair", "at_t0", "zero_span", "zero_span_no_samples"],
+)
+def test_one_rule_records_every_sample(t0, t1, samples):
+    # at the start and after every accepted step, each pending sample within
+    # 1e-12 max(1, |t|) of t is recorded
+    omegas = np.array([0.5, 40.0])
+    _, rec, _ = integrate(lambda t, y: 1j * omegas * y, t0, t1, np.exp(1j * omegas * t0),
+                          samples=samples)
+    assert len(rec) == len(samples)
+    for s, y in zip(samples, rec):
         assert np.max(np.abs(y - np.exp(1j * omegas * s))) <= 1e-8

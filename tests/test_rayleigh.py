@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viscoshear import rayleigh as ray
 from viscoshear.errors import TailDominance
@@ -173,6 +174,74 @@ def test_left_pass_is_exact_mirror(ctx, couette_state):
         st_r, _, _ = ray._run_side(system, +1, eps, 20.0)
         st_l, _, _ = ray._run_side(system, -1, eps, 20.0)
         assert np.array_equal(st_l, ray._mirror(st_r))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    gamma0=st.floats(0.1, 0.4),
+    gamma1=st.floats(0.01, 0.1),
+    gamma2=st.floats(0.3, 0.9),
+    nu=st.floats(1e-4, 1e-2),
+    M=st.floats(0.0, 3.0),
+    t_over_T=st.floats(0.0, 2.0),
+)
+def test_left_pass_mirrors_the_right_at_random_states(gamma0, gamma1, gamma2, nu, M, t_over_T):
+    p = FlowParams(M, gamma0, gamma1, gamma2, nu)
+    state = FlowState(p, t_over_T * p.horizon)
+    # a W pass with a c = 0 channel
+    ks, cs = np.array([1.0, 0.7]), np.array([0.0, 2e-3])
+    system = ray._WSystem(state, ks, cs)
+    eps = ray._eps_start(cs)
+    st_r, _, _ = ray._run_side(system, +1, eps, 4.0)
+    st_l, _, _ = ray._run_side(system, -1, eps, 4.0)
+    assert np.array_equal(st_l, ray._mirror(st_r))
+    # a sampled pass on a bit-symmetric sample set
+    samples = np.array([1e-3, 0.05, 0.3, 1.7, 4.0])
+    system = ray._WSystem(state, np.array([1.0]), np.array([1e-3]))
+    eps = ray._eps_start(np.array([1e-3]))
+    _, rec_r, _ = ray._run_side(system, +1, eps, 4.0, samples=list(samples))
+    _, rec_l, _ = ray._run_side(system, -1, eps, 4.0, samples=list(-samples))
+    assert np.array_equal(rec_l, ray._mirror(rec_r))
+
+
+def _two_sided_samples(state, k, c_i, ys):
+    """phi1, phi1', phi2, phi2' at the ys off the seed strip, one pass per
+    half line: the reference the one-sided sampled pass must reproduce."""
+    system = ray._WSystem(state, np.array([k]), np.array([c_i]))
+    eps = ray._eps_start(np.array([c_i]))
+    ymax = max(float(np.max(np.abs(ys))), 2.0)
+    neg, pos = ys[ys < -eps], ys[ys > eps]
+    _, rec_l, _ = ray._run_side(system, -1, eps, ymax, samples=list(neg[::-1]))
+    _, rec_r, _ = ray._run_side(system, +1, eps, ymax, samples=list(pos))
+    st = np.concatenate([rec_l[::-1], rec_r])[:, 0]
+    b = eval_b(state, np.concatenate([neg, pos]))
+    u = b - 1j * c_i
+    phi1 = 1.0 + st[:, 0].real
+    return np.abs(ys) > eps, (phi1, (st[:, 1] / (b * b)).real, 1.0 + st[:, 2],
+                              st[:, 3] / (u * u * phi1 ** 2))
+
+
+@pytest.mark.parametrize("k, c_i", [(1.0, 1e-3), (0.8, 0.05)])
+def test_sampled_passes_are_one_sided(ctx, monkeypatch, k, c_i):
+    # one right half-line pass per solve; the left half is its mirror
+    state, calls = ctx.state_T, []
+    real = ray.integrate
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("samples"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ray, "integrate", spy)
+    p1 = ray.solve_phi1(state, k, np.linspace(-12.0, 12.0, 101))
+    assert len(calls) == 1
+    p2 = ray.solve_phi2(state, k, c_i, p1)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    far, ref1 = _two_sided_samples(state, k, 0.0, p1.ys)
+    _, ref2 = _two_sided_samples(state, k, c_i, p1.ys)
+    for got, want in zip((p1.phi1, p1.dphi1, p2.phi2, p2.dphi2),
+                         (ref1[0], ref1[1], ref2[2], ref2[3])):
+        assert np.all(np.abs(got[far] - want) <= 1e-12 * np.abs(want))
 
 
 def test_eigencurve_shares_scan_and_polish(ctx, monkeypatch):

@@ -166,6 +166,32 @@ def test_mode_is_normalized_and_positive(ctx, grid):
     assert np.min(res.mode) > 0.0
 
 
+def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch, grid):
+    # one eigenvector call, on the even parity block, and an exactly even mode
+    # within 1e-10 of the full Robin matrix's lowest eigenvector
+    state, vectors = ctx.state_T, []
+    eigh = spectrum.eigh_tridiagonal
+
+    def counted(d, e, **kwargs):
+        if not kwargs.get("eigvals_only"):
+            vectors.append(len(d))
+        return eigh(d, e, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    res = lowest_eigenpair(state, grid, want_mode=True)
+    monkeypatch.undo()
+    n = res.convergence.n_points[-1]
+    assert vectors == [(n + 1) // 2]
+    assert spectrum.profile_check(res, state).even_defect == 0.0
+    ys = np.linspace(-grid.half_width, grid.half_width, n)
+    d, e = _robin_tridiagonal(eval_potential(state, ys), ys[1] - ys[0], res.convergence.kappa)
+    u = eigh(d, e, select="i", select_range=(0, 0))[1][:, 0]
+    u[[0, -1]] *= math.sqrt(2.0)
+    u = u[:: (n - 1) // (grid.n_points - 1)]
+    u *= math.copysign(1.0, u[len(u) // 2]) / math.sqrt(np.sum(u ** 2) * grid.spacing)
+    assert np.max(np.abs(res.mode - u)) <= 1e-10
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(20.0, 4096)  # even

@@ -5,27 +5,31 @@
 Run it from the root of a checkout: it imports ``viscoshear`` from ``src``
 and writes ``BENCH_spectrum.json`` in the working directory.  A parent
 revision is measured by running this script, by its path here, from the
-root of the parent's checkout.  Three cases, each one ``lowest_eigenpair``
-without the mode on the default grid, for the README fixture
-(gamma0 = 0.15, gamma1 = 0.03, gamma2 = 0.8, nu = 1e-3):
+root of the parent's checkout.  Four cases, each one ``lowest_eigenpair``
+on the default grid, for the README fixture (gamma0 = 0.15, gamma1 = 0.03,
+gamma2 = 0.8, nu = 1e-3):
 
 - ``tuned_t0``: the tuned amplitude (k* = 1 - delta at t = 0) at t = 0;
 - ``tuned_T``: the same amplitude at the horizon t = T;
 - ``threshold``: the whole-line threshold amplitude M0 at t = 0, the state
-  of the ``line`` subcommand.
+  of the ``line`` subcommand;
+- ``tuned_T_mode``: ``tuned_T`` with the mode (``want_mode=True``), the
+  eigensolve of a ``torus`` request at t = T.
 
-The first two are strongly bound (the ``kstar-sweep`` and ``eigencurve``
-states, fixed-point Robin closure), the third weakly bound (brentq
+The tuned states are strongly bound (the ``kstar-sweep`` and ``eigencurve``
+states, fixed-point Robin closure), the threshold weakly bound (brentq
 closure).  Calls are counted by rebinding ``spectrum.eigh_tridiagonal``
 (and ``spectrum.dpttrf``, the LDL^T routing test, where the revision has
 it), as perfbench traces a request, so nothing under ``src/`` changes:
 index calls (bisection over the whole spectrum) apart from value-range
 calls, which are split into window solves and pure counts (a tolerance
-wider than the interval, so nothing is bisected).  Each kind also records
-its rows, the sum of len(d) over its calls, so a solve on a half-size
-parity block weighs half a full-matrix one.  Each rung is timed through
-``spectrum._level``; a case runs REPEAT times and a rung reports its
-fastest repeat.  The counts are the same in every repeat.
+wider than the interval, so nothing is bisected).  Eigenvector calls, the
+mode solve after the ladder, are a kind of their own, "vector", with their
+own seconds.  Each kind also records its rows, the sum of len(d) over its
+calls, so a solve on a half-size parity block weighs half a full-matrix one.
+Each rung is timed through ``spectrum._level``; a case runs REPEAT times, and
+a rung and the case's vector calls report their fastest repeat.  The counts
+are the same in every repeat.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ FIXTURE = dict(gamma0=0.15, gamma1=0.03, gamma2=0.8, nu=1e-3)
 DELTA = 0.01
 REPEAT = 5
 OUT = "BENCH_spectrum.json"
-KINDS = ("routing", "index", "window", "count")  # LDL^T tests, then eigh_tridiagonal calls
+KINDS = ("routing", "index", "window", "count", "vector")  # LDL^T tests, then eigh_tridiagonal calls
 
 
 class Counter:
@@ -52,6 +56,7 @@ class Counter:
         self.spectrum = spectrum
         self.calls = {f"{kind}_{what}": 0 for kind in KINDS for what in ("calls", "rows")}
         self.rungs = []
+        self.vector_s = 0.0
 
     def count(self, kind, d):
         self.calls[kind + "_calls"] += 1
@@ -62,6 +67,12 @@ class Counter:
         eigh, level, dpttrf = sp.eigh_tridiagonal, sp._level, getattr(sp, "dpttrf", None)
 
         def counted_eigh(d, e, **kwargs):
+            if not kwargs.get("eigvals_only"):
+                self.count("vector", d)
+                t0 = time.perf_counter()
+                out = eigh(d, e, **kwargs)
+                self.vector_s += time.perf_counter() - t0
+                return out
             if kwargs.get("select") == "v":
                 lo, hi = kwargs["select_range"]
                 # a tolerance wider than the interval only counts, it bisects nothing
@@ -89,12 +100,16 @@ class Counter:
             sp.dpttrf = counted_dpttrf
 
 
-def measure(counter, lowest_eigenpair, state, grid):
-    """Fastest-repeat seconds per rung and the rung's call counts."""
-    best = None
+def measure(counter, lowest_eigenpair, state, grid, want_mode):
+    """Fastest-repeat seconds per rung and of the vector calls, with counts."""
+    best = vector = None
     for _ in range(REPEAT):
-        counter.rungs = []
-        res = lowest_eigenpair(state, grid, want_mode=False)
+        counter.rungs, counter.vector_s = [], 0.0
+        calls, rows = counter.calls["vector_calls"], counter.calls["vector_rows"]
+        res = lowest_eigenpair(state, grid, want_mode=want_mode)
+        this = {"calls": counter.calls["vector_calls"] - calls,
+                "rows": counter.calls["vector_rows"] - rows, "s": counter.vector_s}
+        vector = this if vector is None else dict(this, s=min(vector["s"], this["s"]))
         if best is None:
             best = counter.rungs
         else:
@@ -108,6 +123,7 @@ def measure(counter, lowest_eigenpair, state, grid):
         "levels": len(best),
         "total_s": sum(r["s"] for r in best),
         "rungs": best,
+        "vector": vector,
     }
 
 
@@ -125,16 +141,17 @@ def main() -> int:
     params = FlowParams(M=1.0, **FIXTURE)
     tuned = tune_M_for_kstar(params, 0.0, 1.0 - DELTA, grid).M
     threshold = find_critical_M0(params, grid).M
-    states = {
-        "tuned_t0": FlowState(params.with_M(tuned), 0.0),
-        "tuned_T": FlowState(params.with_M(tuned), params.horizon),
-        "threshold": FlowState(params.with_M(threshold), 0.0),
+    states = {  # (state, want_mode)
+        "tuned_t0": (FlowState(params.with_M(tuned), 0.0), False),
+        "tuned_T": (FlowState(params.with_M(tuned), params.horizon), False),
+        "threshold": (FlowState(params.with_M(threshold), 0.0), False),
+        "tuned_T_mode": (FlowState(params.with_M(tuned), params.horizon), True),
     }
 
     counter = Counter(spectrum)
     counter.install()
-    cases = {name: measure(counter, spectrum.lowest_eigenpair, st, grid)
-             for name, st in states.items()}
+    cases = {name: measure(counter, spectrum.lowest_eigenpair, st, grid, mode)
+             for name, (st, mode) in states.items()}
     out = {
         "environment": {
             "python": platform.python_version(),
@@ -156,7 +173,9 @@ def main() -> int:
             f"{r['n']}: {r['s'] * 1e3:.1f} ms ("
             + ", ".join(f"{r[k + '_calls']} {k}/{r[k + '_rows']} rows" for k in KINDS) + ")"
             for r in case["rungs"])
-        print(f"{name}: {case['total_s'] * 1e3:.1f} ms; {rungs}")
+        vec = case["vector"]
+        print(f"{name}: {case['total_s'] * 1e3:.1f} ms; {rungs}; vector: {vec['calls']} calls/"
+              f"{vec['rows']} rows, {vec['s'] * 1e3:.1f} ms")
     print(f"wrote {OUT}")
     return 0
 
