@@ -47,16 +47,14 @@ from .calibrate import (
 )
 from .rayleigh import (
     EigenCurve,
-    Phi1Solution,
-    Phi2Solution,
+    PhiSolution,
     WronskianValue,
     assemble_phi,
     eigencurve,
     eigenvalue_for_k,
     eigenvalues_for_ks,
     neutral_mode_phiB,
-    solve_phi1,
-    solve_phi2,
+    solve_phi,
     wronskian,
     wronskian_boundary,
     wronskian_det_check,

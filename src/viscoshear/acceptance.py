@@ -164,7 +164,7 @@ def criterion_2(ctx: AcceptanceContext):
     ys = np.linspace(-10.0, 10.0, 161)
     worst = 0.0
     for k in (0.5, 1.0, 2.0):
-        sol = ray.solve_phi1(st, k, ys)
+        sol = ray.solve_phi(st, k, 0.0, ys)
         mask = np.abs(sol.ys) > 1e-9
         exact = np.sinh(k * sol.ys[mask]) / (k * sol.ys[mask])
         worst = max(worst, float(np.max(np.abs(sol.phi1[mask] - exact) / exact)))
@@ -289,11 +289,10 @@ def criterion_10(ctx: AcceptanceContext):
     cap = 50.0
     for state, k, ci in ctx.suite_states:
         tag = "T" if state is ctx.state_T else "Ttilde"
-        p1 = ray.solve_phi1(state, k, ys)
-        p2 = ray.solve_phi2(state, k, ci, p1)
-        r1 = ray.phi1_bound_report(state, p1)
-        r2 = ray.phi2_bound_report(state, p1, p2, ci)
-        rphi = ray.phi_bound_report(state, p1, p2, ci)
+        sol = ray.solve_phi(state, k, ci, ys)
+        r1 = ray.phi1_bound_report(state, sol)
+        r2 = ray.phi2_bound_report(state, sol)
+        rphi = ray.phi_bound_report(state, sol)
         worst = max(list(r1.constants.values()) + list(r2.constants.values())
                     + list(rphi.constants.values()))
         ok = r1.signs_ok and worst <= cap

@@ -6,6 +6,8 @@ Subcommands: calibrate, kstar-sweep, eigencurve, verify, torus, line.
 Exit codes: 0 success, 1 check failure, 2 usage/config error or an OS error
 on a path (an unreadable config, an output path that is a file), 3 any other
 numerical failure of the package (non-convergence, bad bracket, ...).
+Every subcommand creates the output directory before it computes anything,
+so an unusable --out exits 2 at once.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from .scenario import run_line_scenario, run_torus_scenario
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="")
     print(f"wrote {path}")
 
 
-def _resolve_M(cfg: Config, t: float = 0.0) -> float:
+def _resolve_M(cfg: Config) -> float:
     if cfg.M is not None:
         return cfg.M
-    cal = tune_M_for_kstar(cfg.params(), t, 1.0 - cfg.delta, cfg.grid(), cfg.tol_cal, cfg.tol_eig)
+    cal = tune_M_for_kstar(cfg.params(), 0.0, 1.0 - cfg.delta, cfg.grid(), cfg.tol_cal, cfg.tol_eig)
     print(f"tuned M = {cal.M:.17g} (k* = {cal.achieved:.17g})")
     return cal.M
 
@@ -190,6 +191,7 @@ def main(argv=None) -> int:
         return 2
     out_dir = Path(args.out if args.out != "." else cfg.out_dir)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any work
         return _COMMANDS[args.subcommand](cfg, out_dir, formats)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

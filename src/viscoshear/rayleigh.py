@@ -22,15 +22,23 @@ which avoids the 1/c cancellation a naive two-sided quadrature suffers.
 
 The profile is odd, so the regular solution satisfies phi(-y) = -conj phi(y)
 and the integrator reproduces that mirror bit for bit: every Wronskian
-evaluation and every sampled pass (``solve_phi1``, ``solve_phi2``) integrates
-the right half line only and takes the left side from the mirrored state.  A
-sampled pass records the sorted unique |y| by the integrator's one rule (a
-sample within 1e-12 max(1, |y|) of a step's end takes its state), so the
-1-ulp pairs of a rounded grid share a record.  The determinant cross-check
-still integrates both sides, which makes it an independent oracle for the
-mirror identity as well.  It alone also integrates qF = integral of phi^(-2):
-the step control weighs every column of a channel, so a column that nothing
-reads would steer the steps of every other pass.
+evaluation and every sampled pass (``solve_phi``, one pass for phi1 and phi2
+together) integrates the right half line only and takes the left side from
+the mirrored state.  A sampled pass records the sorted unique |y| by the
+integrator's one rule (a sample within 1e-12 max(1, |y|) of a step's end
+takes its state), so the 1-ulp pairs of a rounded grid share a record.
+
+Every W pass goes through ``wronskian_many``, which checks each channel's
+modeled tail beyond the integration window against the terms summed into
+its W and raises ``TailDominance`` when the tail is not negligible; the
+one-point values, the boundary value, the scans and the root polish all
+inherit that guard.
+
+The determinant cross-check still integrates both sides, which makes it an
+independent oracle for the mirror identity as well.  It alone also
+integrates qF = integral of phi^(-2): the step control weighs every column
+of a channel, so a column that nothing reads would steer the steps of every
+other pass.
 
 The boundary value W(0, k) is the c = 0 channel of the same assembly: the
 log-kernel quadrature of I at c = 0 is the Hilbert-transform term, and the
@@ -41,6 +49,9 @@ Re W on a log-spaced c grid brackets each sign change, and Chandrupatla's
 bracketed inverse-quadratic iteration in log c (``_roots.chandrupatla``,
 shared with the calibration; Adv. Eng. Softw. 28, 1997) polishes every
 bracket together, one ``wronskian_many`` pass per iteration.
+
+The functions take only the physics (state, k, c_i, sample points); the
+numerical settings are module constants, read when a function runs.
 """
 
 from __future__ import annotations
@@ -64,13 +75,11 @@ from .flow import FlowState, eval_b, eval_b_derivs, eval_b_slope
 from .spectrum import Grid, _fit_min_C
 
 __all__ = [
-    "Phi1Solution",
-    "Phi2Solution",
+    "PhiSolution",
     "WronskianValue",
     "EigenCurve",
     "DetCheckReport",
-    "solve_phi1",
-    "solve_phi2",
+    "solve_phi",
     "assemble_phi",
     "wronskian",
     "wronskian_many",
@@ -89,9 +98,12 @@ ATOL_ODE = 1e-13
 EPS_MAX = 1e-6
 C_SCAN_LO = 1e-8
 C_SCAN_POINTS = 200
-C_MAX_DEFAULT = 0.5
+C_MAX = 0.5
+HALF_WIDTH = 20.0
 YK_FACTOR = 12.0
 MAX_POLISH = 80
+ROOT_RTOL = 1e-10
+TAIL_RTOL = 1e-8
 
 
 def _beta(state: FlowState) -> float:
@@ -176,12 +188,11 @@ def _eps_start(cs: np.ndarray) -> float:
     return min(EPS_MAX, 0.01 * float(pos.min()))
 
 
-def _ymax_for(ks: np.ndarray, half_width: float) -> float:
-    return max(half_width, YK_FACTOR / float(np.min(ks)))
+def _ymax_for(ks: np.ndarray) -> float:
+    return max(HALF_WIDTH, YK_FACTOR / float(np.min(ks)))
 
 
-def _run_side(system: _WSystem, side: int, eps: float, ymax: float, samples=None,
-              rtol: float = RTOL_ODE, atol: float = ATOL_ODE):
+def _run_side(system: _WSystem, side: int, eps: float, ymax: float, samples=None):
     y0 = side * eps
     y1 = side * ymax
     st0 = system.seed(y0)
@@ -190,8 +201,8 @@ def _run_side(system: _WSystem, side: int, eps: float, ymax: float, samples=None
         y0,
         y1,
         st0,
-        rtol=rtol,
-        atol=atol,
+        rtol=RTOL_ODE,
+        atol=ATOL_ODE,
         samples=samples,
         initial_step=eps * 0.5,
     )
@@ -327,16 +338,22 @@ class WronskianValue:
         return abs(self.W.imag) <= max(1e-6 * abs(self.W), 10.0 * self.quad_error)
 
 
-def _assemble_many(state: FlowState, ks: np.ndarray, cs: np.ndarray, half_width: float,
-                   rtol: float = RTOL_ODE, atol: float = ATOL_ODE):
-    """W(ic, k) for a batch of channels sharing one right half-line pass."""
+def wronskian_many(state: FlowState, ks, cs):
+    """W(ic, k) over paired (k, c_i) channels sharing one right half-line
+    pass; returns (W, quad_error).
+
+    Raises ``TailDominance``, naming k and c_i, when a channel's modeled
+    tail beyond the integration window exceeds TAIL_RTOL of the terms summed
+    into its W, |I_r| + |quadrature| + |strip|; unlike |W| itself that scale
+    stays O(1) at a root, where the terms cancel.
+    """
     ks = np.asarray(ks, dtype=float)
     cs = np.asarray(cs, dtype=float)
     system = _WSystem(state, ks, cs)
     eps = _eps_start(cs)
-    ymax = _ymax_for(ks, half_width)
+    ymax = _ymax_for(ks)
 
-    st_r, _, _ = _run_side(system, +1, eps, ymax, rtol=rtol, atol=atol)
+    st_r, _, _ = _run_side(system, +1, eps, ymax)
     st_l = _mirror(st_r)
 
     phi_r, mu_r = _phi_and_slope(system, ymax, st_r)
@@ -360,46 +377,35 @@ def _assemble_many(state: FlowState, ks: np.ndarray, cs: np.ndarray, half_width:
     w = ir + ii
 
     tail_mag = np.abs(tail_f_r) + np.abs(tail_f_l)
+    scale = np.abs(ir) + np.abs(qii) + np.abs(strip)
+    bad = np.flatnonzero(tail_mag > np.maximum(TAIL_RTOL * scale, 1e-300))
+    if bad.size:
+        j = bad[0]
+        raise TailDominance(f"tail estimate {tail_mag[j]:g} exceeds {TAIL_RTOL:g} of the W terms "
+                            f"({scale[j]:g}) at k={ks[j]:g}, c_i={cs[j]:g}; domain too small")
     quad_err = (
-        3.0 * rtol * (np.abs(st_r[:, 4]) + np.abs(st_l[:, 4]))
+        3.0 * RTOL_ODE * (np.abs(st_r[:, 4]) + np.abs(st_l[:, 4]))
         + 0.05 * np.abs(strip)
         + 0.1 * tail_mag
         + 1e-13 * (np.abs(ir) + 1.0)
     )
-    return w, quad_err, dict(ir=ir, qii=qii, strip=strip, tail_f=(tail_f_r, tail_f_l))
+    return w, quad_err
 
 
-def wronskian_many(state: FlowState, ks, cs, half_width: float = 20.0,
-                   rtol: float = RTOL_ODE, atol: float = ATOL_ODE):
-    """Vectorized W over paired (k, c_i) channels; returns (W, quad_error)."""
-    w, qe, _ = _assemble_many(state, np.asarray(ks, float), np.asarray(cs, float), half_width,
-                              rtol, atol)
-    return w, qe
-
-
-def wronskian(state: FlowState, k: float, c_i: float, half_width: float = 20.0,
-              rtol: float = RTOL_ODE, atol: float = ATOL_ODE) -> WronskianValue:
+def wronskian(state: FlowState, k: float, c_i: float) -> WronskianValue:
     """W(ic_i, k) with an honest quadrature-error estimate.
 
     Requires c_i > 0 (the integrand is nonsingular since |b - ic| >= c_i);
-    the boundary value at c_i = 0 is ``wronskian_boundary``.  Raises
-    ``TailDominance`` when the modeled tail beyond the integration window is
-    not negligible against the terms summed into W, |I_r| + |quadrature| +
-    |strip|; unlike |W| itself that scale stays O(1) at a root, where the
-    terms cancel.
+    the boundary value at c_i = 0 is ``wronskian_boundary``.  Like every W
+    pass it raises ``TailDominance`` when the modeled tail is not negligible.
     """
     if not c_i > 0.0:
         raise ValueError("wronskian requires c_i > 0; use wronskian_boundary for c_i = 0")
-    w, qe, parts = _assemble_many(state, np.array([k]), np.array([c_i]), half_width, rtol, atol)
-    tail = abs(parts["tail_f"][0][0]) + abs(parts["tail_f"][1][0])
-    scale = abs(parts["ir"][0]) + abs(parts["qii"][0]) + abs(parts["strip"][0])
-    if tail > max(1e-8 * scale, 1e-300):
-        raise TailDominance(f"tail estimate {tail:g} exceeds 1e-8 of the W terms "
-                            f"({scale:g}); domain too small")
+    w, qe = wronskian_many(state, [k], [c_i])
     return WronskianValue(k=k, c=1j * c_i, W=complex(w[0]), quad_error=float(qe[0]))
 
 
-def wronskian_boundary(state: FlowState, k: float, half_width: float = 20.0) -> WronskianValue:
+def wronskian_boundary(state: FlowState, k: float) -> WronskianValue:
     """W(0, k): the c = 0 channel of the Wronskian assembly.
 
     There I is the Hilbert-transform term p.v. integral of (b^{-1})''(v) / v
@@ -410,7 +416,7 @@ def wronskian_boundary(state: FlowState, k: float, half_width: float = 20.0) -> 
     """
     if not k > 0.0:
         raise ValueError("k must be positive")
-    w, qe, _ = _assemble_many(state, np.array([k]), np.array([0.0]), half_width)
+    w, qe = wronskian_many(state, [k], [0.0])
     return WronskianValue(k=k, c=0j, W=complex(w[0]), quad_error=float(qe[0]))
 
 
@@ -422,20 +428,14 @@ _NEAR_SAMPLES = (2e-6, 4e-6)
 
 
 @dataclass(frozen=True)
-class Phi1Solution:
+class PhiSolution:
+    """phi1, phi2 and their slopes at wave number k and wave speed ic_i."""
+
     k: float
-    c_r: float
-    y_c: float
+    c_i: float
     ys: np.ndarray
     phi1: np.ndarray
     dphi1: np.ndarray
-
-
-@dataclass(frozen=True)
-class Phi2Solution:
-    k: float
-    c: complex
-    ys: np.ndarray
     phi2: np.ndarray
     dphi2: np.ndarray
 
@@ -450,13 +450,22 @@ def _sample_ys(grid_or_ys) -> np.ndarray:
     return ys
 
 
-def _unpack_samples(state: FlowState, k: float, c_i: float, ys: np.ndarray):
-    """phi1, phi1', phi2, phi2' at the ascending sample points ys.
+def solve_phi(state: FlowState, k: float, c_i: float, grid) -> PhiSolution:
+    """phi1 and phi2 of the regular solution at wave speed ic_i, one pass.
 
-    Points within the seed offset of the origin take the seed values; the
-    others are recorded by one right half-line pass to their sorted unique
-    |y|, and the negative ones take the mirrored state.
+    phi1 solves (b^2 phi1')' = k^2 b^2 phi1 and is normalized at y = 0;
+    phi2 is the O(c) correction, identically 1 at c_i = 0.  ``grid`` may be
+    a Grid or an explicit sample array; near-origin sample points are
+    always added so downstream normalization checks have data close to the
+    critical point.  Points within the seed offset of the origin take the
+    seed values; the others are recorded by one right half-line pass to
+    their sorted unique |y|, and the negative ones take the mirrored state.
     """
+    if not k > 0.0:
+        raise ValueError("k must be positive")
+    if c_i < 0.0:
+        raise ValueError("c_i must be nonnegative")
+    ys = _sample_ys(grid)
     system = _WSystem(state, np.array([k]), np.array([c_i]))
     eps = _eps_start(np.array([c_i]))
     # pure sampling pass: no quadrature tails, so the farthest sample bounds it
@@ -476,48 +485,11 @@ def _unpack_samples(state: FlowState, k: float, c_i: float, ys: np.ndarray):
     dphi1[far] = (st[:, 1] / (b * b)).real
     phi2[far] = 1.0 + st[:, 2]
     dphi2[far] = st[:, 3] / (u * u * phi1[far] ** 2)
-    return phi1, dphi1, phi2, dphi2
+    return PhiSolution(k=k, c_i=c_i, ys=ys, phi1=phi1, dphi1=dphi1, phi2=phi2, dphi2=dphi2)
 
 
-def solve_phi1(state: FlowState, k: float, grid) -> Phi1Solution:
-    """Regular solution of (b^2 phi1')' = k^2 b^2 phi1, normalized at y = 0.
-
-    ``grid`` may be a Grid or an explicit sample array; near-origin sample
-    points are always added so downstream normalization checks have data
-    close to the critical point.
-    """
-    if not k > 0.0:
-        raise ValueError("k must be positive")
-    ys = _sample_ys(grid)
-    phi1, dphi1, _, _ = _unpack_samples(state, k, 0.0, ys)
-    return Phi1Solution(k=k, c_r=0.0, y_c=0.0, ys=ys, phi1=phi1, dphi1=dphi1)
-
-
-def solve_phi2(state: FlowState, k: float, c_i: float, phi1: Phi1Solution) -> Phi2Solution:
-    """Correction factor phi2 at wave speed ic_i on phi1's sample points.
-
-    phi1 is co-integrated (same ODE, same seeds) rather than interpolated;
-    the passed solution pins the sample set and guards against mismatched k.
-    """
-    if phi1.k != k:
-        raise ValueError("phi1 was computed at a different wave number")
-    if c_i < 0.0:
-        raise ValueError("c_i must be nonnegative")
-    ys = phi1.ys
-    if c_i == 0.0:
-        return Phi2Solution(
-            k=k,
-            c=0j,
-            ys=ys,
-            phi2=np.ones(len(ys), dtype=complex),
-            dphi2=np.zeros(len(ys), dtype=complex),
-        )
-    _, _, phi2, dphi2 = _unpack_samples(state, k, c_i, ys)
-    return Phi2Solution(k=k, c=1j * c_i, ys=ys, phi2=phi2, dphi2=dphi2)
-
-
-def assemble_phi(state: FlowState, phi1: Phi1Solution, phi2: Phi2Solution, c_i: float):
-    """phi = (b - ic) phi1 phi2 on the shared sample points.
+def assemble_phi(state: FlowState, sol: PhiSolution):
+    """phi = (b - ic) phi1 phi2 on the solution's sample points.
 
     Checks the normalization pair phi(y_c) = -i c_i, phi'(y_c) = b'(y_c) by
     Richardson-free even/odd averaging over the built-in near-origin
@@ -525,10 +497,8 @@ def assemble_phi(state: FlowState, phi1: Phi1Solution, phi2: Phi2Solution, c_i: 
     critical point; a scalar multiple cannot flip that sign without also
     flipping phi'.)
     """
-    if phi1.k != phi2.k or len(phi1.ys) != len(phi2.ys):
-        raise ValueError("phi1/phi2 sample sets do not match")
-    ys = phi1.ys
-    phi = (eval_b(state, ys) - 1j * c_i) * phi1.phi1 * phi2.phi2
+    ys, c_i = sol.ys, sol.c_i
+    phi = (eval_b(state, ys) - 1j * c_i) * sol.phi1 * sol.phi2
     delta = _NEAR_SAMPLES[0]
     i_p = int(np.argmin(np.abs(ys - delta)))
     i_m = int(np.argmin(np.abs(ys + delta)))
@@ -556,7 +526,7 @@ class DetCheckReport:
 
 
 def wronskian_det_check(
-    state: FlowState, k: float, c_i: float, probe_ys: Sequence[float], half_width: float = 20.0
+    state: FlowState, k: float, c_i: float, probe_ys: Sequence[float]
 ) -> DetCheckReport:
     """Evaluate W as the 2x2 determinant of the decaying pair at probe points.
 
@@ -573,7 +543,7 @@ def wronskian_det_check(
     probes = np.asarray(sorted(probe_ys), dtype=float)
     system = _WSystem(state, np.array([k]), np.array([c_i]), with_qf=True)
     eps = _eps_start(np.array([c_i]))
-    ymax = _ymax_for(np.array([k]), half_width)
+    ymax = _ymax_for(np.array([k]))
     if np.any(np.abs(probes) >= ymax) or np.any(np.abs(probes) <= eps):
         raise ValueError("probes must lie strictly between eps and ymax")
 
@@ -595,7 +565,7 @@ def wronskian_det_check(
     qf_r_tot = complex(st_r[0, 5])
     qf_l_tot = complex(st_l[0, 5])
 
-    w_ref, _, _ = _assemble_many(state, np.array([k]), cs, half_width)
+    w_ref, _ = wronskian_many(state, [k], cs)
     w_ref = complex(w_ref[0])
 
     dets = []
@@ -628,39 +598,28 @@ def wronskian_det_check(
 # ---------------------------------------------------------------------------
 
 
-def _scan_grid(c_max: float) -> np.ndarray:
-    return np.logspace(math.log10(C_SCAN_LO), math.log10(c_max), C_SCAN_POINTS)
-
-
-def scan_wronskian(
-    state: FlowState, k, c_max: float = C_MAX_DEFAULT, half_width: float = 20.0
-):
+def scan_wronskian(state: FlowState, k):
     """W(ic, k) on the log-spaced root-scan grid; one batched pass.
 
     ``k`` is a wave number or a sequence of them; for a sequence, W and its
     error estimate have one row per wave number, all from the same pass.
     Raises ``ValueError`` unless every wave number is positive.
     """
-    cs = _scan_grid(c_max)
+    cs = np.logspace(math.log10(C_SCAN_LO), math.log10(C_MAX), C_SCAN_POINTS)
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     if not np.all(ks > 0.0):
         raise ValueError("wave numbers must be positive")
-    w, qe = wronskian_many(state, np.repeat(ks, len(cs)), np.tile(cs, len(ks)), half_width)
+    w, qe = wronskian_many(state, np.repeat(ks, len(cs)), np.tile(cs, len(ks)))
     shape = (len(ks), len(cs)) if np.ndim(k) else (len(cs),)
     return cs, w.reshape(shape), qe.reshape(shape)
 
 
-def eigenvalues_for_ks(
-    state: FlowState,
-    ks: Sequence[float],
-    c_max: float = C_MAX_DEFAULT,
-    half_width: float = 20.0,
-):
+def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
     """Purely imaginary unstable eigenvalues at several wave numbers at once.
 
     One batched scan of Re W(ic, k) on the log-spaced c grid brackets each
     wave number's sign change, then every bracket is polished together
-    until |W| <= tol_root = 1e-10 * |W(i c_max, k)|, per bracket.  Returns
+    until |W| <= tol_root = ROOT_RTOL * |W(i C_MAX, k)|, per bracket.  Returns
     ``(roots, cs, W)``: ``roots[j]`` is (c_i, residual) for ks[j], or None
     when its scan has no sign change (no purely imaginary eigenvalue at
     scan resolution); W is the scan, one row per wave number.  Raises
@@ -668,7 +627,7 @@ def eigenvalues_for_ks(
     more than one sign change and ``NonConvergence`` if a polish stalls.
     """
     ks = np.asarray(ks, dtype=float)
-    cs, w, _ = scan_wronskian(state, ks, c_max, half_width)
+    cs, w, _ = scan_wronskian(state, ks)
     wr = w.real
     flips = (wr[:, :-1] == 0.0) | ((wr[:, :-1] > 0) != (wr[:, 1:] > 0))
     for k, n in zip(ks, np.count_nonzero(flips, axis=1)):
@@ -680,30 +639,25 @@ def eigenvalues_for_ks(
         j = flips[rows].argmax(axis=1)
 
         def w_at(x, i):
-            return wronskian_many(state, ks[rows[i]], np.exp(x), half_width)[0]
+            return wronskian_many(state, ks[rows[i]], np.exp(x))[0]
 
         x, w_root, _, _ = chandrupatla(w_at, np.log(cs[j]), np.log(cs[j + 1]), w[rows, j],
-                                       w[rows, j + 1], 1e-10 * np.abs(w[rows, -1]),
+                                       w[rows, j + 1], ROOT_RTOL * np.abs(w[rows, -1]),
                                        MAX_POLISH, "root polish")
         for r, c, resid in zip(rows, np.exp(x).tolist(), np.abs(w_root).tolist()):
             roots[r] = (c, resid)
     return roots, cs, w
 
 
-def eigenvalue_for_k(
-    state: FlowState,
-    k: float,
-    c_max: float = C_MAX_DEFAULT,
-    half_width: float = 20.0,
-):
+def eigenvalue_for_k(state: FlowState, k: float):
     """Purely imaginary unstable eigenvalue at wave number k, if any.
 
     The one-wave-number case of ``eigenvalues_for_ks``: returns (c_i,
-    residual) with residual = |W(ic_i, k)| <= 1e-10 * |W(i c_max, k)|, or
+    residual) with residual = |W(ic_i, k)| <= ROOT_RTOL * |W(i C_MAX, k)|, or
     None when Re W(ic, k) has no sign change on the scan grid.  Raises
     ``MultipleRoots`` if more than one sign change is found.
     """
-    roots, _, _ = eigenvalues_for_ks(state, [k], c_max, half_width)
+    roots, _, _ = eigenvalues_for_ks(state, [k])
     return roots[0]
 
 
@@ -714,7 +668,7 @@ class EigenCurve:
     k_zero: Optional[float]
 
 
-def eigencurve(state: FlowState, k_grid: Sequence[float], half_width: float = 20.0) -> EigenCurve:
+def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
     """Map k -> c_i(k) over a wave-number grid inside (0, k*).
 
     All wave numbers share one batched scan and one batched root polish.
@@ -723,7 +677,7 @@ def eigencurve(state: FlowState, k_grid: Sequence[float], half_width: float = 20
     estimate of the critical wave number.
     """
     ks = np.asarray(sorted(k_grid), dtype=float)
-    roots = eigenvalues_for_ks(state, ks, half_width=half_width)[0] if len(ks) else []
+    roots = eigenvalues_for_ks(state, ks)[0] if len(ks) else []
     pts = []
     for k, root in zip(ks, roots):
         if root is None:
@@ -742,20 +696,13 @@ def eigencurve(state: FlowState, k_grid: Sequence[float], half_width: float = 20
     return EigenCurve(points=tuple(pts), slope_samples=tuple(slopes), k_zero=k_zero)
 
 
-def wronskian_partials(
-    state: FlowState,
-    k: float,
-    c_i: float,
-    dk: float = 1e-4,
-    dci: Optional[float] = None,
-    half_width: float = 20.0,
-):
-    """Central-difference partials (d Re W / dk, d Re W / dc_i)."""
-    if dci is None:
-        dci = 1e-4 * state.params.gamma0
+def wronskian_partials(state: FlowState, k: float, c_i: float):
+    """Central-difference partials (d Re W / dk, d Re W / dc_i), with steps
+    1e-4 in k and 1e-4 gamma0 in c_i."""
+    dk, dci = 1e-4, 1e-4 * state.params.gamma0
     ks = np.array([k + dk, k - dk, k, k])
     cs = np.array([c_i, c_i, c_i + dci, c_i - dci])
-    w, _ = wronskian_many(state, ks, cs, half_width)
+    w, _ = wronskian_many(state, ks, cs)
     dw_dk = (w[0].real - w[1].real) / (2.0 * dk)
     dw_dci = (w[2].real - w[3].real) / (2.0 * dci)
     return dw_dk, dw_dci
@@ -799,9 +746,7 @@ class _Phi1QuadSystem:
         return st
 
 
-def neutral_mode_phiB(
-    state: FlowState, kstar: float, grid: Grid, normalized: bool = True
-) -> np.ndarray:
+def neutral_mode_phiB(state: FlowState, kstar: float, grid: Grid) -> np.ndarray:
     """Neutral mode via the second-solution quadrature formula, on grid nodes.
 
     Built on the left half line, where every factor is numerically benign
@@ -843,8 +788,6 @@ def neutral_mode_phiB(
     phi_b[:mid] = (phi_a / beta) * f_a - phi1 / beta + phi_a * f_b
     phi_b[mid] = -1.0 / beta
     phi_b[mid + 1 :] = phi_b[:mid][::-1]
-    if not normalized:
-        return phi_b
     norm = math.sqrt(np.sum(phi_b ** 2) * grid.spacing)
     return -phi_b / norm
 
@@ -862,7 +805,7 @@ class BoundReport:
     signs_ok: bool
 
 
-def phi1_bound_report(state: FlowState, sol: Phi1Solution) -> BoundReport:
+def phi1_bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
     """Envelope, derivative and directional-decay constants for phi1."""
     k = sol.k
     ys, f, df = sol.ys, sol.phi1, sol.dphi1
@@ -902,16 +845,13 @@ def phi1_bound_report(state: FlowState, sol: Phi1Solution) -> BoundReport:
     )
 
 
-def phi2_bound_report(
-    state: FlowState, p1: Phi1Solution, p2: Phi2Solution, c_i: float
-) -> BoundReport:
+def phi2_bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
     """Smallness constants of the phi2 correction at wave speed ic_i."""
-    k = p2.k
-    ys = p2.ys
+    k, c_i, ys = sol.k, sol.c_i, sol.ys
     mask = np.abs(ys) >= 1e-4
     y = ys[mask]
-    f2 = p2.phi2[mask]
-    df2 = p2.dphi2[mask]
+    f2 = sol.phi2[mask]
+    df2 = sol.dphi2[mask]
     bound10 = np.minimum(k * c_i, np.minimum(k * k * c_i * np.abs(y), (k * np.abs(y)) ** 2))
     c10 = float(np.max(np.abs(f2 - 1.0) / bound10))
     c11 = float(np.max(np.abs(df2) / (k * k * np.minimum(c_i, np.abs(y)))))
@@ -919,10 +859,10 @@ def phi2_bound_report(
     yw = ys[wide]
     b, b1 = eval_b_slope(state, yw)
     u = b - 1j * c_i
-    f1w = p1.phi1[wide]
-    df1w = p1.dphi1[wide]
-    f2w = p2.phi2[wide]
-    df2w = p2.dphi2[wide]
+    f1w = sol.phi1[wide]
+    df1w = sol.dphi1[wide]
+    f2w = sol.phi2[wide]
+    df2w = sol.dphi2[wide]
     flux_deriv = 2.0 * u * b1 * f1w ** 2 + u * u * 2.0 * f1w * df1w
     ddf2 = (-(2j * c_i * b1 * u / b) * f1w * df1w * f2w - flux_deriv * df2w) / (u * u * f1w ** 2)
     c12 = float(np.max(np.abs(ddf2)) / (k * k))
@@ -932,13 +872,10 @@ def phi2_bound_report(
     )
 
 
-def phi_bound_report(
-    state: FlowState, p1: Phi1Solution, p2: Phi2Solution, c_i: float
-) -> BoundReport:
+def phi_bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
     """Two-sided modulus envelope of the assembled solution phi."""
-    k = p1.k
-    ys = p1.ys
-    phi = np.abs((eval_b(state, ys) - 1j * c_i) * p1.phi1 * p2.phi2)
+    k, c_i, ys = sol.k, sol.c_i, sol.ys
+    phi = np.abs((eval_b(state, ys) - 1j * c_i) * sol.phi1 * sol.phi2)
     dist = np.sqrt(ys ** 2 + c_i ** 2)
 
     def env(C):

@@ -18,6 +18,9 @@ import numpy as np
 
 __all__ = ["fmt_float", "csv_text", "json_text", "svg_line_plot", "scenario_report_dict"]
 
+SVG_WIDTH, SVG_HEIGHT = 800, 500
+N_TICKS = 5  # per axis
+
 
 def fmt_float(x: float) -> str:
     if x is None or (isinstance(x, float) and math.isnan(x)):
@@ -122,10 +125,10 @@ def scenario_report_dict(rep) -> dict:
     return d
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / (N_TICKS - 1) for i in range(N_TICKS)]
 
 
 def svg_line_plot(
@@ -133,13 +136,12 @@ def svg_line_plot(
     xlabel: str,
     ylabel: str,
     title: str,
-    width: int = 800,
-    height: int = 500,
 ) -> str:
     """Minimal static SVG line plot; purely a function of its inputs.
 
     ``series`` is a sequence of (name, xs, ys) triples.
     """
+    width, height = SVG_WIDTH, SVG_HEIGHT
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]

@@ -151,7 +151,7 @@ def run_torus_scenario(
     ci, resid = root
     rep.ci_at_k1 = ci
     rep.root_residual = resid
-    tol_root = 1e-10 * rep.w_scale
+    tol_root = ray.ROOT_RTOL * rep.w_scale
     rep.add("ci_root_at_k1", True, ci, (0.0, None))
     rep.add("root_residual", resid <= tol_root, resid, (0.0, tol_root))
     g012 = params.gamma0 * params.gamma1 * params.gamma2

@@ -58,6 +58,8 @@ __all__ = [
 TOL_EIG = 1e-8
 WIDEN = 4.0  # window half-width over the last rung-to-rung change of the eigenvalue
 FIRST = 1e-3  # window half-width over |lambda| at rung 1, before any change is known
+MAX_LEVELS = 5  # Richardson rungs before an eigensolve gives up
+PROFILE_C_MAX = 1e3  # largest plateau/envelope constant profile_check fits
 
 
 @dataclass(frozen=True)
@@ -248,13 +250,15 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float,
 
 def _level(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, level: int, tol_eig: float,
            guess: tuple = ()):
-    """One rung of the Richardson ladder: (n, lambda1, lambda2, kappa) on
-    (n_points - 1) * 2**level + 1 nodes, raw, without extrapolation."""
+    """One rung of the Richardson ladder: (n, lambda1, lambda2, kappa, right, h)
+    on (n_points - 1) * 2**level + 1 nodes, raw, without extrapolation;
+    ``right`` is V on the rung's nodes y >= 0 and h their spacing."""
     n = (grid.n_points - 1) * 2 ** level + 1
     ys = np.linspace(-grid.half_width, grid.half_width, n)
     right = vfunc(ys[n // 2:])  # V is even: evaluated for y >= 0 only, then mirrored
     v = np.concatenate((right[:0:-1], right))
-    return (n,) + _selfconsistent_box(v, ys[1] - ys[0], grid.half_width, tol_eig, guess)
+    h = ys[1] - ys[0]
+    return (n,) + _selfconsistent_box(v, h, grid.half_width, tol_eig, guess) + (right, h)
 
 
 def _next_windows(raws: tuple) -> tuple:
@@ -269,19 +273,19 @@ def _solve_potential(
     grid: Grid,
     tol_eig: float,
     want_mode: bool,
-    max_levels: int = 5,
 ):
     """Refinement-and-Richardson driver used by ``lowest_eigenpair``.
 
     ``vfunc`` maps a node array to potential values, which keeps the solver
     testable against exactly solvable potentials.  The potential must be
-    even: each rung evaluates it for y >= 0 only and mirrors it.
+    even: each rung evaluates it for y >= 0 only and mirrors it, and the mode
+    is built from the last rung's values.
     """
     ns, raw1, raw2, rich1, rich2, kappas = [], [], [], [], [], []
     converged = False
     guess = ()
-    for level in range(max_levels):
-        n, lam1, lam2, kappa = _level(vfunc, grid, level, tol_eig, guess)
+    for level in range(MAX_LEVELS):
+        n, lam1, lam2, kappa, right, h = _level(vfunc, grid, level, tol_eig, guess)
         ns.append(n)
         raw1.append(lam1)
         raw2.append(lam2)
@@ -304,9 +308,7 @@ def _solve_potential(
 
     mode = None
     if want_mode:  # the ground state is even: the even block's lowest eigenvector
-        ys = np.linspace(-grid.half_width, grid.half_width, ns[-1])
-        h = ys[1] - ys[0]
-        d, e = _robin_tridiagonal(vfunc(ys[len(ys) // 2:]), h, 0.0)
+        d, e = _robin_tridiagonal(right, h, 0.0)  # the last rung's V on y >= 0
         d[-1] += 2.0 * kappas[-1] / h  # row 0 is the centre: only the far end is Robin
         u = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
         u[[0, -1]] *= math.sqrt(2.0)  # undo the similarity at the centre and the far end
@@ -438,7 +440,7 @@ def _fits_with_C(ys, u, kstar, C):
     return lo and hi and env
 
 
-def profile_check(result: SpectralResult, state: FlowState, c_max: float = 1e3) -> ProfileReport:
+def profile_check(result: SpectralResult, state: FlowState) -> ProfileReport:
     """Evenness, positivity, monotone decay, plateau and envelope of the mode.
 
     The plateau (|phi| comparable to sqrt(k*) for |y| <= 1/k*) and the
@@ -459,7 +461,7 @@ def profile_check(result: SpectralResult, state: FlowState, c_max: float = 1e3) 
     monotone_ok = bool(np.all(np.diff(right) <= 1e-10 * u[mid]))
 
     kstar = result.kstar
-    fitted = _fit_min_C(lambda C: _fits_with_C(ys, u, kstar, C), hi=c_max)
+    fitted = _fit_min_C(lambda C: _fits_with_C(ys, u, kstar, C), hi=PROFILE_C_MAX)
     core = np.abs(ys) <= 1.0 / kstar
     rk = math.sqrt(kstar)
     plateau_ok = bool(np.all(u[core] >= rk / fitted) and np.all(u[core] <= rk * fitted)) if math.isfinite(fitted) else False

@@ -63,6 +63,23 @@ def test_criterion_10_bound_suites(ctx):
     _run(ctx, acc.criterion_10, 10)
 
 
+def test_criterion_10_makes_one_pass_per_state(ctx, monkeypatch):
+    # phi1 and phi2 share one sampled pass, so two states take two passes
+    from viscoshear import rayleigh as ray
+
+    ctx.torus  # the root the suites are built at, computed outside the count
+    calls = []
+    real = ray.integrate
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["samples"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ray, "integrate", spy)
+    acc.criterion_10(ctx)
+    assert len(calls) == len(ctx.suite_states) == 2 and all(s for s in calls)
+
+
 def test_criterion_11_determinism(ctx):
     _run(ctx, acc.criterion_11, 11)
 

@@ -206,6 +206,19 @@ def test_cli_os_errors_on_paths_exit_2(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["kstar-sweep", "calibrate"])
+def test_cli_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    from viscoshear import cli
+
+    tuned = []
+    monkeypatch.setattr(cli, "tune_M_for_kstar", lambda *a, **kw: tuned.append(a))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("gamma0 = 0.15\ngamma1 = 0.03\ngamma2 = 0.8\nnu = 1e-3\n")  # M is tuned
+    assert main([command, "--config", str(cfg), "--out", str(cfg)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert tuned == []
+
+
 def test_k_grid_of_positive_or_no_wave_numbers_parses():
     assert list(parse_config("k_grid = 2:0.5:4\n").k_grid_values(0.0)) == [2.0, 1.5, 1.0, 0.5]
     assert list(parse_config("k_grid = 0.5:-1:1\n").k_grid_values(0.0)) == [0.5]

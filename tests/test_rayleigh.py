@@ -30,18 +30,18 @@ def w_couette_exact(k, c):
 def test_couette_phi1_is_sinh(couette_state):
     ys = np.linspace(-10.0, 10.0, 161)
     for k in (0.5, 1.0, 2.0):
-        sol = ray.solve_phi1(couette_state, k, ys)
+        sol = ray.solve_phi(couette_state, k, 0.0, ys)
         mask = np.abs(sol.ys) > 1e-9
         exact = np.sinh(k * sol.ys[mask]) / (k * sol.ys[mask])
         assert np.max(np.abs(sol.phi1[mask] - exact) / exact) <= 1e-8
         # spec literal: phi1(2) = sinh(2)/2 at k = 1
-    sol = ray.solve_phi1(couette_state, 1.0, np.array([-2.0, 2.0]))
+    sol = ray.solve_phi(couette_state, 1.0, 0.0, np.array([-2.0, 2.0]))
     i2 = int(np.argmin(np.abs(sol.ys - 2.0)))
     assert abs(sol.phi1[i2] - math.sinh(2.0) / 2.0) <= 1e-8
 
 
 def test_phi1_invariants(ctx):
-    sol = ray.solve_phi1(ctx.state_T, 1.0, np.linspace(-15, 15, 121))
+    sol = ray.solve_phi(ctx.state_T, 1.0, 0.0, np.linspace(-15, 15, 121))
     assert np.all(sol.phi1 >= 1.0 - 1e-9)
     assert np.all(sol.ys * sol.dphi1 >= -1e-10 * (1.0 + np.abs(sol.ys)))
 
@@ -68,45 +68,42 @@ def test_couette_has_no_roots(couette_state):
 
 def test_couette_phi2_closed_form(couette_state):
     k, c = 1.0, 0.05
-    p1 = ray.solve_phi1(couette_state, k, np.linspace(-8, 8, 81))
-    p2 = ray.solve_phi2(couette_state, k, c, p1)
-    mask = np.abs(p1.ys) > 1e-5
-    ys = p1.ys[mask]
+    sol = ray.solve_phi(couette_state, k, c, np.linspace(-8, 8, 81))
+    mask = np.abs(sol.ys) > 1e-5
+    ys = sol.ys[mask]
     phi_exact = -1j * c * np.cosh(k * ys) + np.sinh(k * ys) / k
-    phi2_exact = phi_exact / ((ys - 1j * c) * p1.phi1[mask])
-    assert np.max(np.abs(p2.phi2[mask] - phi2_exact) / np.abs(phi2_exact)) <= 1e-7
+    phi2_exact = phi_exact / ((ys - 1j * c) * sol.phi1[mask])
+    assert np.max(np.abs(sol.phi2[mask] - phi2_exact) / np.abs(phi2_exact)) <= 1e-7
 
 
 def test_phi2_symmetry_and_trivial_case(ctx):
     k, c = 1.0, 1e-3
-    p1 = ray.solve_phi1(ctx.state_T, k, np.linspace(-12, 12, 97))
-    p2 = ray.solve_phi2(ctx.state_T, k, c, p1)
-    assert np.max(np.abs(p2.phi2.real - p2.phi2.real[::-1])) <= 1e-8
-    assert np.max(np.abs(p2.phi2.imag + p2.phi2.imag[::-1])) <= 1e-8
-    p2_zero = ray.solve_phi2(ctx.state_T, k, 0.0, p1)
-    assert np.all(p2_zero.phi2 == 1.0)
+    ys = np.linspace(-12, 12, 97)
+    sol = ray.solve_phi(ctx.state_T, k, c, ys)
+    assert np.max(np.abs(sol.phi2.real - sol.phi2.real[::-1])) <= 1e-8
+    assert np.max(np.abs(sol.phi2.imag + sol.phi2.imag[::-1])) <= 1e-8
+    # at c_i = 0 the same pass leaves phi2 at its seed, exactly
+    zero = ray.solve_phi(ctx.state_T, k, 0.0, ys)
+    assert np.all(zero.phi2 == 1.0) and np.all(zero.dphi2 == 0.0)
     with pytest.raises(ValueError):
-        ray.solve_phi2(ctx.state_T, 2.0, c, p1)
+        ray.solve_phi(ctx.state_T, k, -c, ys)
 
 
 def test_assemble_phi_checks_and_reflection(ctx):
     k, c = 1.0, 1e-3
-    p1 = ray.solve_phi1(ctx.state_T, k, np.linspace(-12, 12, 97))
-    p2 = ray.solve_phi2(ctx.state_T, k, c, p1)
-    ys, phi = ray.assemble_phi(ctx.state_T, p1, p2, c)
+    samples = np.linspace(-12, 12, 97)
+    ys, phi = ray.assemble_phi(ctx.state_T, ray.solve_phi(ctx.state_T, k, c, samples))
     refl = np.abs(phi + np.conj(phi[::-1])) / (1.0 + np.abs(phi))
     assert np.max(refl) <= 1e-8
     # c_i = 0 vanishes at the critical point
-    p2z = ray.solve_phi2(ctx.state_T, k, 0.0, p1)
-    ys0, phi0 = ray.assemble_phi(ctx.state_T, p1, p2z, 0.0)
+    ys0, phi0 = ray.assemble_phi(ctx.state_T, ray.solve_phi(ctx.state_T, k, 0.0, samples))
     assert abs(phi0[int(np.argmin(np.abs(ys0)))]) == 0.0
 
 
 def test_assemble_phi_couette_closed_form(couette_state):
     k, c = 1.0, 0.05
-    p1 = ray.solve_phi1(couette_state, k, np.linspace(-6, 6, 49))
-    p2 = ray.solve_phi2(couette_state, k, c, p1)
-    ys, phi = ray.assemble_phi(couette_state, p1, p2, c)
+    sol = ray.solve_phi(couette_state, k, c, np.linspace(-6, 6, 49))
+    ys, phi = ray.assemble_phi(couette_state, sol)
     exact = -1j * c * np.cosh(k * ys) + np.sinh(k * ys) / k
     assert np.max(np.abs(phi - exact) / (1.0 + np.abs(exact))) <= 1e-8
 
@@ -117,10 +114,9 @@ def test_assemble_phi_reads_the_flow_profile():
     p = FlowParams(0.70168993133616697, 0.15, 0.03, 0.8, 1e-3)
     state = FlowState(p, p.horizon)
     k, c, y = 1.0, 1e-3, 0.036389535176237775
-    p1 = ray.solve_phi1(state, k, np.concatenate([np.linspace(-12.0, 12.0, 97), [-y, y]]))
-    p2 = ray.solve_phi2(state, k, c, p1)
-    ys, phi = ray.assemble_phi(state, p1, p2, c)
-    assert np.array_equal(phi, (eval_b(state, ys) - 1j * c) * p1.phi1 * p2.phi2)
+    sol = ray.solve_phi(state, k, c, np.concatenate([np.linspace(-12.0, 12.0, 97), [-y, y]]))
+    ys, phi = ray.assemble_phi(state, sol)
+    assert np.array_equal(phi, (eval_b(state, ys) - 1j * c) * sol.phi1 * sol.phi2)
 
 
 def test_only_the_det_check_integrates_qf(couette_state, monkeypatch):
@@ -135,19 +131,21 @@ def test_only_the_det_check_integrates_qf(couette_state, monkeypatch):
 
     monkeypatch.setattr(ray, "integrate", spy)
     ray.wronskian_many(couette_state, [1.0, 1.0], [0.1, 0.0])
-    p1 = ray.solve_phi1(couette_state, 1.0, np.linspace(-2.0, 2.0, 9))
-    ray.solve_phi2(couette_state, 1.0, 0.1, p1)
+    ray.solve_phi(couette_state, 1.0, 0.1, np.linspace(-2.0, 2.0, 9))
     assert set(widths) == {5}
     widths.clear()
     ray.wronskian_det_check(couette_state, 1.0, 0.1, [-1.0, 1.0])
     assert sorted(widths) == [5, 6, 6]  # the reference W, then qF on both sides
 
 
-def test_quadrature_honesty(ctx, couette_state):
+def test_quadrature_honesty(ctx, couette_state, monkeypatch):
     # tightening the integrator tolerance moves W by less than quad_error
     for state, k, c in [(couette_state, 1.0, 0.02), (ctx.state_T, 1.0, 3e-4)]:
         base = ray.wronskian(state, k, c)
-        tight = ray.wronskian(state, k, c, rtol=1e-11, atol=1e-14)
+        with monkeypatch.context() as m:
+            m.setattr(ray, "RTOL_ODE", 1e-11)
+            m.setattr(ray, "ATOL_ODE", 1e-14)
+            tight = ray.wronskian(state, k, c)
         assert abs(base.W - tight.W) <= base.quad_error
 
 
@@ -204,6 +202,31 @@ def test_left_pass_mirrors_the_right_at_random_states(gamma0, gamma1, gamma2, nu
     assert np.array_equal(rec_l, ray._mirror(rec_r))
 
 
+@settings(max_examples=8, deadline=None)
+@given(
+    gamma0=st.floats(0.1, 0.4),
+    gamma1=st.floats(0.01, 0.1),
+    gamma2=st.floats(0.3, 0.9),
+    nu=st.floats(1e-4, 1e-2),
+    M=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    t_over_T=st.floats(0.0, 2.0),
+    k=st.floats(0.5, 2.0),
+)
+def test_w_is_couette_at_zero_amplitude_and_real_at_random_states(gamma0, gamma1, gamma2, nu,
+                                                                   M, t_over_T, k):
+    # one guarded pass with a c = 0 channel and two c > 0 channels
+    p = FlowParams(M, gamma0, gamma1, gamma2, nu)
+    state = FlowState(p, t_over_T * p.horizon)
+    cs = np.array([0.0, 1e-3, 0.2])
+    w, qe = ray.wronskian_many(state, np.full(3, k), cs)
+    for c, wc, q in zip(cs, w, qe):
+        if M == 0.0:  # b = y: the Couette closed form, W(0, k) = -2k included
+            exact = w_couette_exact(k, c)
+            assert abs(wc - exact) <= 1e-8 * abs(exact)
+        else:
+            assert ray.WronskianValue(k, 1j * c, complex(wc), float(q)).imag_ok()
+
+
 def _two_sided_samples(state, k, c_i, ys):
     """phi1, phi1', phi2, phi2' at the ys off the seed strip, one pass per
     half line: the reference the one-sided sampled pass must reproduce."""
@@ -223,7 +246,8 @@ def _two_sided_samples(state, k, c_i, ys):
 
 @pytest.mark.parametrize("k, c_i", [(1.0, 1e-3), (0.8, 0.05)])
 def test_sampled_passes_are_one_sided(ctx, monkeypatch, k, c_i):
-    # one right half-line pass per solve; the left half is its mirror
+    # one right half-line pass per solve, for phi1 and phi2 together and at
+    # c_i = 0 as well; the left half is its mirror
     state, calls = ctx.state_T, []
     real = ray.integrate
 
@@ -232,15 +256,15 @@ def test_sampled_passes_are_one_sided(ctx, monkeypatch, k, c_i):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ray, "integrate", spy)
-    p1 = ray.solve_phi1(state, k, np.linspace(-12.0, 12.0, 101))
+    sol = ray.solve_phi(state, k, c_i, np.linspace(-12.0, 12.0, 101))
     assert len(calls) == 1
-    p2 = ray.solve_phi2(state, k, c_i, p1)
+    zero = ray.solve_phi(state, k, 0.0, np.linspace(-12.0, 12.0, 101))
     assert len(calls) == 2
     monkeypatch.undo()
-    far, ref1 = _two_sided_samples(state, k, 0.0, p1.ys)
-    _, ref2 = _two_sided_samples(state, k, c_i, p1.ys)
-    for got, want in zip((p1.phi1, p1.dphi1, p2.phi2, p2.dphi2),
-                         (ref1[0], ref1[1], ref2[2], ref2[3])):
+    far, ref = _two_sided_samples(state, k, c_i, sol.ys)
+    _, ref0 = _two_sided_samples(state, k, 0.0, sol.ys)
+    for got, want in zip((sol.phi1, sol.dphi1, sol.phi2, sol.dphi2, zero.phi1, zero.dphi1),
+                         ref + ref0[:2]):
         assert np.all(np.abs(got[far] - want) <= 1e-12 * np.abs(want))
 
 
@@ -312,10 +336,23 @@ def test_wronskian_evaluates_at_its_root(ctx):
 
 
 def test_wronskian_tail_guard_flags_truncated_domain(ctx, monkeypatch):
-    # lift the k-dependent floor on the window so half_width alone sets it
+    # lift the k-dependent floor on the window so HALF_WIDTH alone sets it
     monkeypatch.setattr(ray, "YK_FACTOR", 1.0)
+    monkeypatch.setattr(ray, "HALF_WIDTH", 6.0)
     with pytest.raises(TailDominance):
-        ray.wronskian(ctx.state_T, 1.0, ctx.torus.ci_at_k1, half_width=6.0)
+        ray.wronskian(ctx.state_T, 1.0, ctx.torus.ci_at_k1)
+
+
+@pytest.mark.parametrize("search", ["scan", "roots"])
+def test_batched_passes_carry_the_tail_guard(ctx, monkeypatch, search):
+    # the scans and root searches go through the same guarded assembly
+    monkeypatch.setattr(ray, "YK_FACTOR", 1.0)
+    monkeypatch.setattr(ray, "HALF_WIDTH", 6.0)
+    with pytest.raises(TailDominance, match=r"at k=1(\.05)?, c_i=[0-9.e-]+;"):
+        if search == "scan":
+            ray.scan_wronskian(ctx.state_T, [1.05, 1.0])
+        else:
+            ray.eigenvalues_for_ks(ctx.state_T, [1.0])
 
 
 def test_root_at_reference(ctx):
@@ -363,13 +400,13 @@ def test_phiB_construction(ctx, grid):
     mode = ray.neutral_mode_phiB(state, res.kstar, grid)
     l2 = math.sqrt(np.sum((mode - res.mode) ** 2) * grid.spacing)
     assert l2 <= 1e-3
-    # pre-normalization value at the origin
-    raw = ray.neutral_mode_phiB(state, res.kstar, grid, normalized=False)
+    # continuous through the origin: the raw mode is -1/b'(0) there and
+    # moves by at most 10 h to its neighbour; normalizing divides both
     _, b1, _, _ = eval_b_derivs(state, 0.0)
-    mid = len(raw) // 2
-    assert raw[mid] == -1.0 / b1
+    mid = len(mode) // 2
+    assert mode[mid] > 0.0
     h = grid.spacing
-    assert abs(raw[mid - 1] - raw[mid]) <= 10.0 * h  # continuous through the origin
+    assert abs(mode[mid - 1] - mode[mid]) <= 10.0 * h * b1 * mode[mid]
     # exponential decay beyond the plateau
     ys = grid.ys()
     tail = np.abs(ys) >= 1.0 / res.kstar
@@ -381,20 +418,19 @@ def test_bound_suites(ctx):
     ys = np.linspace(-20.0, 20.0, 401)
     state = ctx.state_T
     ci = ctx.torus.ci_at_k1
-    p1 = ray.solve_phi1(state, 1.0, ys)
-    p2 = ray.solve_phi2(state, 1.0, ci, p1)
-    r1 = ray.phi1_bound_report(state, p1)
+    sol = ray.solve_phi(state, 1.0, ci, ys)
+    r1 = ray.phi1_bound_report(state, sol)
     assert r1.signs_ok
     assert all(c <= 50.0 for c in r1.constants.values())
     assert r1.constants["A4_envelope"] <= 10.0
-    r2 = ray.phi2_bound_report(state, p1, p2, ci)
+    r2 = ray.phi2_bound_report(state, sol)
     assert all(c <= 50.0 for c in r2.constants.values())
-    rphi = ray.phi_bound_report(state, p1, p2, ci)
+    rphi = ray.phi_bound_report(state, sol)
     assert all(c <= 50.0 for c in rphi.constants.values())
 
 
 def test_multiple_roots_detected(monkeypatch, couette_state):
-    def fake_many(state, ks, cs, half_width=20.0, rtol=0, atol=0):
+    def fake_many(state, ks, cs):
         cs = np.asarray(cs, float)
         w = np.cos(3.0 * np.log(cs / 1e-8)) + 0j  # several sign flips
         return w, np.zeros_like(cs)

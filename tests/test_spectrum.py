@@ -192,6 +192,20 @@ def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch, grid):
     assert np.max(np.abs(res.mode - u)) <= 1e-10
 
 
+def test_mode_reuses_the_last_rungs_potential():
+    # V is evaluated once per rung, on that rung's nodes y >= 0; the mode
+    # block takes the last rung's values instead of evaluating V again
+    points = []
+
+    def counted(ys):
+        points.append(len(ys))
+        return -2.0 / np.cosh(ys) ** 2
+
+    grid = Grid(20.0, 4097)
+    *_, info = _solve_potential(counted, grid, 1e-8, True)
+    assert points == [(n + 1) // 2 for n in info.n_points]
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(20.0, 4096)  # even

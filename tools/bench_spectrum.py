@@ -27,9 +27,12 @@ wider than the interval, so nothing is bisected).  Eigenvector calls, the
 mode solve after the ladder, are a kind of their own, "vector", with their
 own seconds.  Each kind also records its rows, the sum of len(d) over its
 calls, so a solve on a half-size parity block weighs half a full-matrix one.
-Each rung is timed through ``spectrum._level``; a case runs REPEAT times, and
-a rung and the case's vector calls report their fastest repeat.  The counts
-are the same in every repeat.
+Potential evaluations are counted per case by rebinding
+``spectrum.eval_potential``: "potential" records its calls and points (the
+sum of the node counts it was asked for).  Each rung is timed through
+``spectrum._level``; a case runs REPEAT times, and a rung and the case's
+vector calls report their fastest repeat.  The counts are the same in every
+repeat.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ class Counter:
         self.calls = {f"{kind}_{what}": 0 for kind in KINDS for what in ("calls", "rows")}
         self.rungs = []
         self.vector_s = 0.0
+        self.potential = {"calls": 0, "points": 0}
 
     def count(self, kind, d):
         self.calls[kind + "_calls"] += 1
@@ -65,6 +69,12 @@ class Counter:
     def install(self):
         sp = self.spectrum
         eigh, level, dpttrf = sp.eigh_tridiagonal, sp._level, getattr(sp, "dpttrf", None)
+        potential = sp.eval_potential
+
+        def counted_potential(state, ys):
+            self.potential["calls"] += 1
+            self.potential["points"] += len(ys)
+            return potential(state, ys)
 
         def counted_eigh(d, e, **kwargs):
             if not kwargs.get("eigvals_only"):
@@ -96,6 +106,7 @@ class Counter:
             return out
 
         sp.eigh_tridiagonal, sp._level = counted_eigh, timed_level
+        sp.eval_potential = counted_potential
         if dpttrf is not None:
             sp.dpttrf = counted_dpttrf
 
@@ -105,6 +116,7 @@ def measure(counter, lowest_eigenpair, state, grid, want_mode):
     best = vector = None
     for _ in range(REPEAT):
         counter.rungs, counter.vector_s = [], 0.0
+        counter.potential = {"calls": 0, "points": 0}
         calls, rows = counter.calls["vector_calls"], counter.calls["vector_rows"]
         res = lowest_eigenpair(state, grid, want_mode=want_mode)
         this = {"calls": counter.calls["vector_calls"] - calls,
@@ -124,6 +136,7 @@ def measure(counter, lowest_eigenpair, state, grid, want_mode):
         "total_s": sum(r["s"] for r in best),
         "rungs": best,
         "vector": vector,
+        "potential": counter.potential,
     }
 
 
@@ -173,9 +186,10 @@ def main() -> int:
             f"{r['n']}: {r['s'] * 1e3:.1f} ms ("
             + ", ".join(f"{r[k + '_calls']} {k}/{r[k + '_rows']} rows" for k in KINDS) + ")"
             for r in case["rungs"])
-        vec = case["vector"]
+        vec, pot = case["vector"], case["potential"]
         print(f"{name}: {case['total_s'] * 1e3:.1f} ms; {rungs}; vector: {vec['calls']} calls/"
-              f"{vec['rows']} rows, {vec['s'] * 1e3:.1f} ms")
+              f"{vec['rows']} rows, {vec['s'] * 1e3:.1f} ms; potential: {pot['calls']} calls/"
+              f"{pot['points']} points")
     print(f"wrote {OUT}")
     return 0
 
