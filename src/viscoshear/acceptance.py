@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,20 +26,11 @@ from .flow import (
     h1_value,
     heat_residual,
 )
-from .scenario import ScenarioReport, run_line_scenario, run_torus_scenario
+from .report import check_dict, json_text, scenario_report_dict
+from .scenario import Check, ScenarioReport, run_line_scenario, run_torus_scenario
 from .spectrum import lowest_eigenpair, profile_check
 
-__all__ = ["CheckResult", "AcceptanceContext", "run_verify", "CRITERIA"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    criterion: int
-    name: str
-    passed: bool
-    measured: Optional[float]
-    band: Optional[tuple]
-    note: str = ""
+__all__ = ["AcceptanceContext", "run_verify", "CRITERIA"]
 
 
 class AcceptanceContext:
@@ -54,14 +43,11 @@ class AcceptanceContext:
 
     @cached_property
     def torus(self) -> ScenarioReport:
-        return run_torus_scenario(
-            self.params, self.grid, self.cfg.delta, self.cfg.n_times,
-            self.cfg.tol_cal, self.cfg.tol_eig,
-        )
+        return run_torus_scenario(self.params, self.grid, self.cfg.delta, self.cfg.n_times)
 
     @cached_property
     def line(self) -> ScenarioReport:
-        return run_line_scenario(self.params, self.grid, self.cfg.tol_eig)
+        return run_line_scenario(self.params, self.grid)
 
     @cached_property
     def state_T(self) -> FlowState:
@@ -77,8 +63,7 @@ class AcceptanceContext:
 
     @cached_property
     def profile_0(self):
-        res = lowest_eigenpair(self.state_0, self.grid, self.cfg.tol_eig, want_mode=True)
-        return profile_check(res, self.state_0)
+        return profile_check(lowest_eigenpair(self.state_0, self.grid, want_mode=True))
 
     @cached_property
     def curve(self):
@@ -114,7 +99,7 @@ def criterion_1(ctx: AcceptanceContext):
         st = FlowState(p, t)
         for y in ys:
             worst = max(worst, heat_residual(st, y, dt))
-    out.append(CheckResult(1, "heat_residual_25pts", worst < 1e-6, worst, (0, 1e-6)))
+    out.append(Check("heat_residual_25pts", worst < 1e-6, worst, (0, 1e-6)))
 
     # In float64 the b''' stencil has no viable step at t = 0 (the narrow
     # bump makes b^(5)/b''' ~ 1e6, so truncation and eps|b|/h^3 rounding
@@ -153,7 +138,7 @@ def criterion_1(ctx: AcceptanceContext):
                     abs(fd2 - b2) / scale2,
                     abs(fd3 - b3) / scale3,
                 )
-    out.append(CheckResult(1, "derivs_vs_fd", worst_rel < 1e-6, worst_rel, (0, 1e-6)))
+    out.append(Check("derivs_vs_fd", worst_rel < 1e-6, worst_rel, (0, 1e-6)))
     return out
 
 
@@ -168,7 +153,7 @@ def criterion_2(ctx: AcceptanceContext):
         mask = np.abs(sol.ys) > 1e-9
         exact = np.sinh(k * sol.ys[mask]) / (k * sol.ys[mask])
         worst = max(worst, float(np.max(np.abs(sol.phi1[mask] - exact) / exact)))
-    return [CheckResult(2, "couette_phi1_sinh", worst < 1e-8, worst, (0, 1e-8))]
+    return [Check("couette_phi1_sinh", worst < 1e-8, worst, (0, 1e-8))]
 
 
 def criterion_3(ctx: AcceptanceContext):
@@ -182,42 +167,50 @@ def criterion_3(ctx: AcceptanceContext):
         val, _ = quad(lambda y: h1_value(p, t, y), -1.0, 1.0,
                       points=[0.0], limit=300, epsabs=1e-16, epsrel=1e-13)
         worst = max(worst, abs(val - diag.total_integral) / abs(diag.total_integral))
-    out.append(CheckResult(3, "h1_total_vs_quadrature", worst < 1e-10, worst, (0, 1e-10)))
+    out.append(Check("h1_total_vs_quadrature", worst < 1e-10, worst, (0, 1e-10)))
     g01 = p.gamma0 * p.gamma1
     zp = [h1_diagnostics(p, t).zero_point for t in (T / 4, T / 2, T)]
     lo, hi = math.sqrt(1.5) * g01, 10.0 * g01
     ok = all(lo <= z <= hi for z in zp)
-    out.append(CheckResult(3, "h1_zero_point_bracket", ok, max(zp) / g01, (math.sqrt(1.5), 10.0)))
+    out.append(Check("h1_zero_point_bracket", ok, max(zp) / g01, (math.sqrt(1.5), 10.0)))
     return out
 
 
-def _from_report(criterion: int, rep: ScenarioReport, names):
-    out = []
+def _stopped(rep: ScenarioReport) -> str:
+    """Where ``rep``'s pipeline stopped: its last check's name and note."""
+    last = rep.checks[-1]
+    return f"{rep.kind} stopped at {last.name}: {last.note}"
+
+
+def _unreached(rep: ScenarioReport, names):
+    """Failed checks for ``names``, whose inputs ``rep``'s pipeline never computed."""
+    return [Check(name, False, None, None, _stopped(rep)) for name in names]
+
+
+def _from_report(rep: ScenarioReport, names):
+    """The report's own check of each name (the first one), else a failed
+    "check missing" record that says where the pipeline stopped."""
     by_name = {}
     for c in rep.checks:
         by_name.setdefault(c.name, c)
-    for name in names:
-        c = by_name.get(name)
-        if c is None:
-            out.append(CheckResult(criterion, name, False, None, None, "check missing"))
-        else:
-            out.append(CheckResult(criterion, c.name, c.passed, c.measured, c.band, c.note))
-    return out
+    note = f"check missing; {_stopped(rep)}"
+    return [by_name.get(name) or Check(name, False, None, None, note) for name in names]
 
 
 def criterion_4(ctx: AcceptanceContext):
     """Spectral structure: single bound state and neutral-mode profile."""
-    out = _from_report(4, ctx.torus, ["lambda2_nonnegative_sweep", "profile_checks"])
+    out = _from_report(ctx.torus, ["lambda2_nonnegative_sweep", "profile_checks"])
+    if ctx.torus.M is None:
+        return out + _unreached(ctx.torus, ["profile_checks_t0"])
     prof = ctx.profile_0
-    out.append(CheckResult(4, "profile_checks_t0", prof.all_ok and prof.fitted_C <= 20.0,
-                           prof.fitted_C, (1.0, 20.0)))
+    out.append(Check("profile_checks_t0", prof.all_ok and prof.fitted_C <= 20.0,
+                     prof.fitted_C, (1.0, 20.0)))
     return out
 
 
 def criterion_5(ctx: AcceptanceContext):
     """Transition of the critical wave number across the horizon."""
     return _from_report(
-        5,
         ctx.torus,
         [
             "kstar0_calibrated",
@@ -236,47 +229,57 @@ def criterion_6(ctx: AcceptanceContext):
     names = ["ci_root_at_k1", "root_residual", "imW_over_absW_scan", "ci_over_g0g1g2",
              "no_root_k1.5", "no_root_k2"]
     names += [c.name for c in rep.checks if c.name.startswith("dichotomy_")]
-    return _from_report(6, rep, names)
+    return _from_report(rep, names)
 
 
 def criterion_7(ctx: AcceptanceContext):
     """The implicit eigenvalue curve and the Wronskian partials."""
+    if ctx.torus.kstarT is None or ctx.torus.ci_at_k1 is None:
+        return _unreached(ctx.torus, ["curve_ci_strictly_decreasing", "curve_slope_band",
+                                      "dWr_dk_band", "dWr_dci_band", "ift_slope_matches_curve"])
     out = []
     curve = ctx.curve
-    cis = [c for _, c, _ in curve.points]
-    dec = all(cis[i + 1] < cis[i] for i in range(len(cis) - 1))
-    out.append(CheckResult(7, "curve_ci_strictly_decreasing", dec,
-                           float(max(np.diff(cis))), (None, 0.0)))
+    steps = [float(d) for d in np.diff([c for _, c, _ in curve.points])]
+    out.append(Check("curve_ci_strictly_decreasing", bool(steps) and max(steps) < 0.0,
+                     max(steps, default=None), (None, 0.0),
+                     "" if steps else "fewer than 2 curve points"))
     g0 = ctx.params.gamma0
     ratios = [abs(s) / g0 for _, s in curve.slope_samples]
-    ok = all(s < 0 for _, s in curve.slope_samples) and all(
+    ok = bool(ratios) and all(s < 0 for _, s in curve.slope_samples) and all(
         1 / 20 <= r <= 20 for r in ratios
     )
-    out.append(CheckResult(7, "curve_slope_band", ok, max(ratios), (1 / 20, 20)))
+    no_slopes = "" if ratios else "no slope samples: fewer than 3 curve points"
+    out.append(Check("curve_slope_band", ok, max(ratios, default=None), (1 / 20, 20), no_slopes))
 
     dw_dk, dw_dci = ctx.partials
-    out.append(CheckResult(7, "dWr_dk_band", -20.0 <= dw_dk <= -1 / 20, dw_dk, (-20, -1 / 20)))
-    out.append(CheckResult(7, "dWr_dci_band", -20.0 <= dw_dci * g0 <= -1 / 20, dw_dci * g0,
-                           (-20, -1 / 20)))
+    out.append(Check("dWr_dk_band", -20.0 <= dw_dk <= -1 / 20, dw_dk, (-20, -1 / 20)))
+    out.append(Check("dWr_dci_band", -20.0 <= dw_dci * g0 <= -1 / 20, dw_dci * g0,
+                     (-20, -1 / 20)))
+    if not ratios:
+        return out + [Check("ift_slope_matches_curve", False, None, (0, 0.2), no_slopes)]
     slope_ift = -dw_dk / dw_dci
     k_near = min(curve.slope_samples, key=lambda t: abs(t[0] - 1.0))
     rel = abs(slope_ift - k_near[1]) / abs(k_near[1])
-    out.append(CheckResult(7, "ift_slope_matches_curve", rel <= 0.2, rel, (0, 0.2)))
+    out.append(Check("ift_slope_matches_curve", rel <= 0.2, rel, (0, 0.2)))
     return out
 
 
 def criterion_8(ctx: AcceptanceContext):
     """Cross-solver consistency of the neutral point and mode."""
-    out = _from_report(8, ctx.torus, ["boundary_wronskian_at_kstar", "phiB_matches_eigenmode"])
+    out = _from_report(ctx.torus, ["boundary_wronskian_at_kstar", "phiB_matches_eigenmode"])
+    if ctx.torus.kstarT is None:
+        return out + _unreached(ctx.torus, ["curve_zero_matches_kstarT"])
+    if ctx.curve.k_zero is None:
+        return out + [Check("curve_zero_matches_kstarT", False, None, (0, 1e-3),
+                            "no curve zero: fewer than 2 distinct curve points")]
     rel = abs(ctx.curve.k_zero - ctx.torus.kstarT) / ctx.torus.kstarT
-    out.append(CheckResult(8, "curve_zero_matches_kstarT", rel <= 1e-3, rel, (0, 1e-3)))
+    out.append(Check("curve_zero_matches_kstarT", rel <= 1e-3, rel, (0, 1e-3)))
     return out
 
 
 def criterion_9(ctx: AcceptanceContext):
     """Whole-line scenario at the threshold amplitude."""
     return _from_report(
-        9,
         ctx.line,
         ["kstar_absent_t0", "kstar_present_T", "kstarT_over_g1g2", "root_at_half_kstarT"],
     )
@@ -284,6 +287,8 @@ def criterion_9(ctx: AcceptanceContext):
 
 def criterion_10(ctx: AcceptanceContext):
     """Pointwise bound suites for phi1, phi2 and the assembled solution."""
+    if ctx.torus.ci_at_k1 is None:
+        return _unreached(ctx.torus, ["bound_suites_T", "bound_suites_Ttilde"])
     out = []
     ys = np.linspace(-20.0, 20.0, 401)
     cap = 50.0
@@ -297,7 +302,7 @@ def criterion_10(ctx: AcceptanceContext):
                     + list(rphi.constants.values()))
         ok = r1.signs_ok and worst <= cap
         note = "" if ok else f"phi1 signs {r1.signs_ok}"
-        out.append(CheckResult(10, f"bound_suites_{tag}", ok, worst, (0, cap), note))
+        out.append(Check(f"bound_suites_{tag}", ok, worst, (0, cap), note))
     return out
 
 
@@ -308,8 +313,6 @@ def criterion_11(ctx: AcceptanceContext):
     import sys
     import tempfile
     from pathlib import Path
-
-    from .report import json_text, scenario_report_dict
 
     # the child must import this package, installed or not
     path = [str(Path(__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
@@ -333,15 +336,15 @@ def criterion_11(ctx: AcceptanceContext):
                 env=env,
             )
             if res.returncode != 0:
-                return [CheckResult(11, "cli_rerun_byte_identical", False, None, None,
-                                    res.stderr.decode()[-200:])]
+                return [Check("cli_rerun_byte_identical", False, None, None,
+                              res.stderr.decode()[-200:])]
             outs.append((out_dir / "kstar_curve.csv").read_bytes())
     same_cli = outs[0] == outs[1]
     j1 = json_text(scenario_report_dict(ctx.torus))
     j2 = json_text(scenario_report_dict(ctx.torus))
     return [
-        CheckResult(11, "cli_rerun_byte_identical", same_cli, None, None),
-        CheckResult(11, "report_serialization_stable", j1 == j2, None, None),
+        Check("cli_rerun_byte_identical", same_cli, None, None),
+        Check("report_serialization_stable", j1 == j2, None, None),
     ]
 
 
@@ -368,33 +371,18 @@ def run_verify(cfg: Config, echo=print):
     """
     ctx = AcceptanceContext(cfg)
     t0 = time.time()
-    ctx.torus, ctx.line, ctx.curve  # build the shared pipelines up front
+    ctx.torus, ctx.line  # build the shared pipelines up front
+    if ctx.torus.kstarT is not None:
+        ctx.curve
     echo(f"shared pipelines (calibration, sweeps, roots, curve): {time.time() - t0:6.1f}s")
     checks = []
-    all_ok = True
     for i, crit in enumerate(CRITERIA, start=1):
         t0 = time.time()
         results = crit(ctx)
         dt = time.time() - t0
-        ok = all(r.passed for r in results)
-        all_ok = all_ok and ok
-        status = "PASS" if ok else "FAIL"
+        status = "PASS" if all(r.passed for r in results) else "FAIL"
         fails = ", ".join(r.name for r in results if not r.passed)
         echo(f"criterion {i:2d} [{status}] ({dt:6.1f}s)" + (f"  failed: {fails}" if fails else ""))
-        checks.extend(results)
-    report = {
-        "suite": "viscoshear-verify",
-        "all_passed": all_ok,
-        "checks": [
-            {
-                "criterion": c.criterion,
-                "name": c.name,
-                "passed": c.passed,
-                "measured": c.measured,
-                "band": None if c.band is None else list(c.band),
-                "note": c.note,
-            }
-            for c in checks
-        ],
-    }
-    return report, all_ok
+        checks += [{"criterion": i, **check_dict(r)} for r in results]
+    all_ok = all(c["passed"] for c in checks)
+    return {"suite": "viscoshear-verify", "all_passed": all_ok, "checks": checks}, all_ok

@@ -6,7 +6,7 @@ target critical wave number and locating the crossing time of k* = 1 are
 bracketed roots of smooth monotone functions.  Both are found by
 Chandrupatla's bracketed inverse-quadratic iteration (``_roots.chandrupatla``,
 shared with the Rayleigh root polish; Chandrupatla, Adv. Eng. Softw. 28,
-1997), which converges superlinearly and stops once |k* - target| <= tol_cal.
+1997), which converges superlinearly and stops once |k* - target| <= TOL_CAL.
 
 The amplitude tune runs that iteration twice: it locates M over the whole
 bracket on the base grid alone (rung 0 of the eigensolver's Richardson
@@ -40,9 +40,11 @@ __all__ = [
     "kstar_time_sweep",
 ]
 
-TOL_CAL = 1e-6
-M_BRACKET = (0.01, 100.0)
-MAX_ITER = 80
+TOL_CAL = 1e-6  # |k* - target| of the tune and of the crossing time
+M_BRACKET = (0.01, 100.0)  # the tune's amplitude bracket
+MAX_ITER = 80  # iterations of one Chandrupatla search, or widenings of the tune's window
+M0_BRACKET = (1e-6, 10.0)  # find_critical_M0's amplitude bracket
+M0_MAX_ITER = 100  # find_critical_M0's bisection steps
 WINDOW = 1e-3  # half-width in log M of the tune's first window when the estimate is unusable
 SLOPE_STEP = 1e-3  # log-M step of the base-grid slope that sizes the tune's first window
 
@@ -73,23 +75,22 @@ class KstarCurve:
 
 
 @functools.lru_cache(maxsize=128)
-def _lambda_pair(state: FlowState, grid: Grid, tol_eig: float) -> tuple:
+def _lambda_pair(state: FlowState, grid: Grid) -> tuple:
     """(lambda1, lambda2) of ``state``, memoized across calls.
 
     The tune and the sweep both solve through here, so the sweep's t = 0
     sample at the tuned M (``math.exp`` of the same x) is the tune's solve.
     """
-    r = lowest_eigenpair(state, grid, tol_eig, want_mode=False)
+    r = lowest_eigenpair(state, grid, want_mode=False)
     return r.lambda1, r.lambda2
 
 
-def _lambda1(params: FlowParams, M: float, t: float, grid: Grid, tol_eig: float,
-             base: bool = False) -> float:
+def _lambda1(params: FlowParams, M: float, t: float, grid: Grid, base: bool = False) -> float:
     """lambda1 at (M, t): converged and cached, or with ``base`` the raw base-grid value."""
     state = FlowState(params.with_M(M), t)
     if base:
-        return _base_lambda1(state, grid, tol_eig)
-    return _lambda_pair(state, grid, tol_eig)[0]
+        return _base_lambda1(state, grid)
+    return _lambda_pair(state, grid)[0]
 
 
 def _kstar(lam: float) -> float:
@@ -97,12 +98,12 @@ def _kstar(lam: float) -> float:
 
 
 def _crossing(kstar_at: Callable[[float], float], ends: tuple, kstar_ends: tuple,
-              target: float, tol: float, max_iter: int, what: str):
+              target: float, what: str):
     """Root of k*(x) = target between two straddling ends, by Chandrupatla.
 
     ``kstar_ends`` are the already known k* at ``ends``; ``kstar_at`` is
     called once per new abscissa.  Returns (x, k*(x), bracket) with
-    |k*(x) - target| <= tol, k*(x) as evaluated, and a final bracket that
+    |k*(x) - target| <= TOL_CAL, k*(x) as evaluated, and a final bracket that
     still straddles.
     """
     kstar = dict(zip(ends, kstar_ends))
@@ -112,15 +113,15 @@ def _crossing(kstar_at: Callable[[float], float], ends: tuple, kstar_ends: tuple
         return np.array([kstar[x[0]] - target])
 
     (a, b), (k_a, k_b) = ends, kstar_ends
-    x, r, lo, hi = chandrupatla(residual, [a], [b], [k_a - target], [k_b - target], tol,
-                                max_iter, what)
-    if not abs(r[0]) <= tol:
-        raise NonConvergence(f"{what}: |k* - {target:g}| > {tol:g} on a rounding-level bracket")
+    x, r, lo, hi = chandrupatla(residual, [a], [b], [k_a - target], [k_b - target], TOL_CAL,
+                                MAX_ITER, what)
+    if not abs(r[0]) <= TOL_CAL:
+        raise NonConvergence(f"{what}: |k* - {target:g}| > {TOL_CAL:g} on a rounding-level bracket")
     return float(x[0]), kstar[x[0]], (float(lo[0]), float(hi[0]))
 
 
 def _window(precise: Callable[[float], float], base: Callable[[float], float],
-            x1: float, k1: float, ends: tuple, target: float, max_iter: int) -> tuple:
+            x1: float, k1: float, ends: tuple, target: float) -> tuple:
     """A bracket on which converged k* straddles ``target``, from the base-grid root.
 
     ``x1`` is the base-grid root, with base-grid k* ``k1``.  Converged k*
@@ -133,7 +134,7 @@ def _window(precise: Callable[[float], float], base: Callable[[float], float],
     clipped to ``ends``, and the old end becomes the near end, so no
     abscissa is solved twice.  Returns ``ends`` once the root lies beyond
     one of them, for the caller to judge on both, and raises
-    ``NonConvergence`` after ``max_iter`` widenings.
+    ``NonConvergence`` after ``MAX_ITER`` widenings.
     """
     a, b = ends
     slope = (base(x1 + SLOPE_STEP) - k1) / SLOPE_STEP
@@ -143,7 +144,7 @@ def _window(precise: Callable[[float], float], base: Callable[[float], float],
     if not lo < center < hi:
         center, lo, hi = x1, x1 - WINDOW, x1 + WINDOW
     lo, hi = max(lo, a), min(hi, b)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if precise(lo) >= target:
             if lo == a:
                 return ends
@@ -154,79 +155,63 @@ def _window(precise: Callable[[float], float], base: Callable[[float], float],
             lo, hi = hi, min(center + 8.0 * (hi - center), b)
         else:
             return lo, hi
-    raise NonConvergence(f"tune_M_for_kstar: no straddling window after {max_iter} widenings")
+    raise NonConvergence(f"tune_M_for_kstar: no straddling window after {MAX_ITER} widenings")
 
 
-def tune_M_for_kstar(
-    params: FlowParams,
-    t: float,
-    target_kstar: float,
-    grid: Grid = Grid(),
-    tol_cal: float = TOL_CAL,
-    tol_eig: float = TOL_EIG,
-    bracket: tuple = M_BRACKET,
-    max_iter: int = MAX_ITER,
-) -> CalibrationResult:
-    """Find M with |k*(M, t) - target| <= tol_cal by Chandrupatla in log M.
+def tune_M_for_kstar(params: FlowParams, t: float, target_kstar: float,
+                     grid: Grid = Grid()) -> CalibrationResult:
+    """Find M with |k*(M, t) - target| <= TOL_CAL by Chandrupatla in log M.
 
     Relies on the strict monotonicity of the lowest eigenvalue in M.  The M
     field of ``params`` is ignored.  Targets must satisfy target^2 <= 2, the
     range over which the amplitude sweep is guaranteed to straddle.
 
-    Locate: Chandrupatla over ``bracket`` on base-grid k*, skipped when the
-    base grid does not straddle there.  Finish: Chandrupatla on converged
-    k* over a window at the located root (see ``_window``), or over
-    ``bracket`` when locating was skipped.  Only converged solves decide the
-    result: the achieved k* and the returned straddling bracket, and
-    ``BracketFailure``, raised only when converged k* at both ends of
-    ``bracket`` fails to straddle.  Raises ``NonConvergence`` after
-    ``max_iter`` iterations of either stage or ``max_iter`` widenings of
+    Locate: Chandrupatla over ``M_BRACKET`` on base-grid k*, skipped when
+    the base grid does not straddle there.  Finish: Chandrupatla on
+    converged k* over a window at the located root (see ``_window``), or
+    over ``M_BRACKET`` when locating was skipped.  Only converged solves
+    decide the result: the achieved k* and the returned straddling bracket,
+    and ``BracketFailure``, raised only when converged k* at both ends of
+    ``M_BRACKET`` fails to straddle.  Raises ``NonConvergence`` after
+    ``MAX_ITER`` iterations of either stage or ``MAX_ITER`` widenings of
     the window.
     """
     if not (0.0 < target_kstar and target_kstar ** 2 <= 2.0 + 1e-12):
         raise ValueError("target_kstar must be positive with target^2 <= 2")
 
     def base(x):
-        return _kstar(_lambda1(params, math.exp(x), t, grid, tol_eig, base=True))
+        return _kstar(_lambda1(params, math.exp(x), t, grid, base=True))
 
     solved = {}
 
     def precise(x):
         if x not in solved:
-            solved[x] = _kstar(_lambda1(params, math.exp(x), t, grid, tol_eig))
+            solved[x] = _kstar(_lambda1(params, math.exp(x), t, grid))
         return solved[x]
 
-    ends = (math.log(bracket[0]), math.log(bracket[1]))
+    ends = (math.log(M_BRACKET[0]), math.log(M_BRACKET[1]))
     lo, hi = ends
     k_base = (base(lo), base(hi))
     if k_base[0] < target_kstar < k_base[1]:
-        x1, k1 = _crossing(base, ends, k_base, target_kstar, tol_cal, max_iter,
-                           "tune_M_for_kstar (base grid)")[:2]
-        lo, hi = _window(precise, base, x1, k1, ends, target_kstar, max_iter)
+        x1, k1 = _crossing(base, ends, k_base, target_kstar, "tune_M_for_kstar (base grid)")[:2]
+        lo, hi = _window(precise, base, x1, k1, ends, target_kstar)
     k_ends = (precise(lo), precise(hi))
     if not (k_ends[0] < target_kstar < k_ends[1]):
         raise BracketFailure(
-            f"lambda1 does not straddle {-target_kstar ** 2:g} on M in {bracket}; "
+            f"lambda1 does not straddle {-target_kstar ** 2:g} on M in {M_BRACKET}; "
             "parameter set outside the calibration regime"
         )
-    x, achieved, (x_lo, x_hi) = _crossing(
-        precise, (lo, hi), k_ends, target_kstar, tol_cal, max_iter, "tune_M_for_kstar"
-    )
+    x, achieved, (x_lo, x_hi) = _crossing(precise, (lo, hi), k_ends, target_kstar,
+                                          "tune_M_for_kstar")
     return CalibrationResult(M=math.exp(x), achieved=achieved, iterations=len(solved) - 2,
                              bracket=(math.exp(x_lo), math.exp(x_hi)))
 
 
-def find_critical_M0(
-    params: FlowParams,
-    grid: Grid = Grid(),
-    tol_eig: float = TOL_EIG,
-    bracket: tuple = (1e-6, 10.0),
-    max_iter: int = 100,
-) -> CalibrationResult:
+def find_critical_M0(params: FlowParams, grid: Grid = Grid()) -> CalibrationResult:
     """Smallest amplitude at which binding resolves at t = 0.
 
-    Returns M0 with lambda1(M0, 0) inside [-tol_eig, 0], certified by a
-    bracket whose endpoints straddle the -tol_eig/2 level; the bracket is
+    Returns M0 with lambda1(M0, 0) inside [-TOL_EIG, 0], certified by a
+    bracket whose endpoints straddle the -TOL_EIG/2 level; the bracket is
     shrunk below 1e-4 * M0 so the threshold crossing is pinned to that
     relative width.
 
@@ -237,21 +222,19 @@ def find_critical_M0(
     smooth function of M that interpolation could exploit, and M0 moves
     like dM/M ~ dlambda / 1e-8.
     """
-    level = -tol_eig / 2.0
-    lo, hi = bracket
-    lam_lo = _lambda1(params, lo, 0.0, grid, tol_eig)
-    lam_hi = _lambda1(params, hi, 0.0, grid, tol_eig)
+    level = -TOL_EIG / 2.0
+    lo, hi = M0_BRACKET
+    lam_lo = _lambda1(params, lo, 0.0, grid)
+    lam_hi = _lambda1(params, hi, 0.0, grid)
     if not (lam_lo > level >= lam_hi):
-        raise BracketFailure(
-            f"lambda1 does not straddle {level:g} on M in {bracket}"
-        )
+        raise BracketFailure(f"lambda1 does not straddle {level:g} on M in {M0_BRACKET}")
     lam_at_hi = lam_hi
-    for i in range(max_iter):
+    for i in range(M0_MAX_ITER):
         width_ok = (hi - lo) <= 1e-4 * hi
-        if width_ok and lam_at_hi > -0.95 * tol_eig:
+        if width_ok and lam_at_hi > -0.95 * TOL_EIG:
             break
         mid = math.sqrt(lo * hi)
-        lam = _lambda1(params, mid, 0.0, grid, tol_eig)
+        lam = _lambda1(params, mid, 0.0, grid)
         if lam > level:
             lo = mid
         else:
@@ -261,14 +244,8 @@ def find_critical_M0(
     return CalibrationResult(M=hi, achieved=lam_at_hi, iterations=i + 1, bracket=(lo, hi))
 
 
-def kstar_time_sweep(
-    M: float,
-    params: FlowParams,
-    n_times: int,
-    grid: Grid = Grid(),
-    tol_cal: float = TOL_CAL,
-    tol_eig: float = TOL_EIG,
-) -> KstarCurve:
+def kstar_time_sweep(M: float, params: FlowParams, n_times: int,
+                     grid: Grid = Grid()) -> KstarCurve:
     """Sample k*(t) on a uniform grid over [0, T] and localize k* = 1.
 
     T is the exact diffusion horizon of the narrow bump.  The crossing time
@@ -283,10 +260,10 @@ def kstar_time_sweep(
     times = np.linspace(0.0, T, n_times)
     p = params.with_M(M)
 
-    pairs = [_lambda_pair(FlowState(p, t), grid, tol_eig) for t in times]
+    pairs = [_lambda_pair(FlowState(p, t), grid) for t in times]
     lam1 = np.array([a for a, _ in pairs])
     lam2 = np.array([b for _, b in pairs])
-    kstars = tuple(math.sqrt(-l) if l < -tol_eig else None for l in lam1)
+    kstars = tuple(math.sqrt(-l) if l < -TOL_EIG else None for l in lam1)
 
     ttilde = None
     ks = [k if k is not None else 0.0 for k in kstars]
@@ -294,10 +271,10 @@ def kstar_time_sweep(
         if ks[j] < 1.0 <= ks[j + 1]:
             # the two straddling samples are already solved: start from them
             ttilde, _, _ = _crossing(
-                lambda t: _kstar(_lambda1(params, M, t, grid, tol_eig)),
+                lambda t: _kstar(_lambda1(params, M, t, grid)),
                 (float(times[j]), float(times[j + 1])),
                 (_kstar(lam1[j]), _kstar(lam1[j + 1])),
-                1.0, tol_cal, MAX_ITER, "Ttilde search",
+                1.0, "Ttilde search",
             )
             break
     return KstarCurve(times=times, kstars=kstars, lambda1s=lam1, lambda2s=lam2, T=T, Ttilde=ttilde)

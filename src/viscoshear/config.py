@@ -13,6 +13,7 @@ from .spectrum import Grid
 __all__ = ["Config", "parse_config", "parse_formats", "load_config"]
 
 _FORMATS = ("csv", "json", "svg")
+GAMMA_RATIO_MAX = 0.2  # largest gamma1/gamma2
 
 
 @dataclass(frozen=True)
@@ -24,9 +25,6 @@ class Config:
     M: Optional[float] = None
     half_width: float = 20.0
     n_points: int = 8193
-    tol_eig: float = 1e-8
-    tol_cal: float = 1e-6
-    gamma_ratio_max: float = 0.2
     delta: float = 0.01
     n_times: int = 9
     k_grid: str = "auto"
@@ -53,10 +51,7 @@ class Config:
         return np.linspace(*_k_grid_spec(self.k_grid))
 
 
-_FLOAT_KEYS = {
-    "gamma0", "gamma1", "gamma2", "nu", "M", "half_width",
-    "tol_eig", "tol_cal", "gamma_ratio_max", "delta",
-}
+_FLOAT_KEYS = {"gamma0", "gamma1", "gamma2", "nu", "M", "half_width", "delta"}
 _INT_KEYS = {"n_points", "n_times"}
 _STR_KEYS = {"k_grid", "out_dir", "formats"}
 
@@ -135,14 +130,10 @@ def _validate(cfg: Config) -> None:
         cfg.grid()  # Grid checks n_points and half_width
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    if cfg.gamma1 / cfg.gamma2 > cfg.gamma_ratio_max:
+    if cfg.gamma1 / cfg.gamma2 > GAMMA_RATIO_MAX:
         raise ValidationError(
-            f"gamma1/gamma2 = {cfg.gamma1 / cfg.gamma2:g} exceeds gamma_ratio_max = "
-            f"{cfg.gamma_ratio_max:g}"
+            f"gamma1/gamma2 = {cfg.gamma1 / cfg.gamma2:g} exceeds {GAMMA_RATIO_MAX:g}"
         )
-    for name in ("tol_eig", "tol_cal"):
-        if not getattr(cfg, name) > 0.0:
-            raise ValidationError(f"{name} must be positive")
     if not 0.0 < cfg.delta < 1.0:
         raise ValidationError("delta must lie in (0,1)")
     if cfg.n_times < 8:

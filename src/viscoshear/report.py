@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["fmt_float", "csv_text", "json_text", "svg_line_plot", "scenario_report_dict"]
+__all__ = ["fmt_float", "csv_text", "json_text", "svg_line_plot", "check_dict",
+           "scenario_report_dict"]
 
 SVG_WIDTH, SVG_HEIGHT = 800, 500
 N_TICKS = 5  # per axis
@@ -86,6 +87,13 @@ def json_text(obj) -> str:
     return "".join(out)
 
 
+def check_dict(c) -> dict:
+    """The JSON form of one check."""
+    band = None if c.band is None else list(c.band)
+    return {"name": c.name, "passed": c.passed, "measured": c.measured, "band": band,
+            "note": c.note}
+
+
 def scenario_report_dict(rep) -> dict:
     """Flatten a ScenarioReport into the JSON report schema."""
     d = {
@@ -104,16 +112,7 @@ def scenario_report_dict(rep) -> dict:
         "ci_at_k1": rep.ci_at_k1,
         "slope_at_k1": rep.slope_at_k1,
         "all_passed": rep.all_passed,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "measured": c.measured,
-                "band": None if c.band is None else list(c.band),
-                "note": c.note,
-            }
-            for c in rep.checks
-        ],
+        "checks": [check_dict(c) for c in rep.checks],
     }
     if rep.curve_times is not None:
         d["kstar_curve"] = {

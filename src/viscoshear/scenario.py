@@ -21,16 +21,19 @@ import numpy as np
 
 from . import calibrate
 from . import rayleigh as ray
-from .calibrate import find_critical_M0, kstar_time_sweep, tune_M_for_kstar
+from .calibrate import TOL_CAL, find_critical_M0, kstar_time_sweep, tune_M_for_kstar
 from .errors import ViscoshearError
 from .flow import FlowParams, FlowState
-from .spectrum import Grid, lowest_eigenpair, profile_check
+from .spectrum import TOL_EIG, Grid, lowest_eigenpair, profile_check
 
-__all__ = ["ScenarioCheck", "ScenarioReport", "run_torus_scenario", "run_line_scenario"]
+__all__ = ["Check", "ScenarioReport", "run_torus_scenario", "run_line_scenario"]
 
 
 @dataclass(frozen=True)
-class ScenarioCheck:
+class Check:
+    """One check of a scenario report or of ``verify``: its measured value,
+    its acceptance band and a note on why it failed."""
+
     name: str
     passed: bool
     measured: Optional[float]
@@ -66,7 +69,7 @@ class ScenarioReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name, passed, measured=None, band=None, note=""):
-        self.checks.append(ScenarioCheck(name, bool(passed), measured, band, note))
+        self.checks.append(Check(name, bool(passed), measured, band, note))
 
 
 def _dichotomy_grid(T: float, ttilde: float) -> np.ndarray:
@@ -76,14 +79,8 @@ def _dichotomy_grid(T: float, ttilde: float) -> np.ndarray:
     return np.array(sorted(base))
 
 
-def run_torus_scenario(
-    params: FlowParams,
-    grid: Grid = Grid(),
-    delta: float = 0.01,
-    n_times: int = 9,
-    tol_cal: float = 1e-6,
-    tol_eig: float = 1e-8,
-) -> ScenarioReport:
+def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0.01,
+                       n_times: int = 9) -> ScenarioReport:
     """Reproduce the integer-wave-number stability transition at desk scale.
 
     Stages: tune M for k*(0) = 1 - delta; sweep k*(t) on [0, T]; locate the
@@ -97,17 +94,17 @@ def run_torus_scenario(
     target = 1.0 - delta
 
     try:
-        cal = tune_M_for_kstar(params, 0.0, target, grid, tol_cal, tol_eig)
+        cal = tune_M_for_kstar(params, 0.0, target, grid)
     except ViscoshearError as exc:
         rep.add("calibration", False, note=f"{type(exc).__name__}: {exc}")
         return rep
     rep.M = cal.M
     rep.kstar0 = cal.achieved
-    rep.add("kstar0_calibrated", abs(cal.achieved - target) <= tol_cal, cal.achieved,
-            (target - tol_cal, target + tol_cal))
+    rep.add("kstar0_calibrated", abs(cal.achieved - target) <= TOL_CAL, cal.achieved,
+            (target - TOL_CAL, target + TOL_CAL))
     p = params.with_M(cal.M)
 
-    curve = kstar_time_sweep(cal.M, params, n_times, grid, tol_cal, tol_eig)
+    curve = kstar_time_sweep(cal.M, params, n_times, grid)
     rep.curve_times = curve.times
     rep.curve_kstars = curve.kstars
     rep.curve_lambda1 = curve.lambda1s
@@ -115,8 +112,8 @@ def run_torus_scenario(
     rep.Ttilde = curve.Ttilde
     ks = np.array([k if k is not None else 0.0 for k in curve.kstars])
     rep.kstarT = curve.kstars[-1]
-    # nondecreasing within the eigenvalue slack 10*tol_eig
-    lam_slack = 10.0 * tol_eig
+    # nondecreasing within the eigenvalue slack 10*TOL_EIG
+    lam_slack = 10.0 * TOL_EIG
     mono = bool(np.all(np.diff(-(ks ** 2)) <= lam_slack))
     rep.add("kstar_nondecreasing", mono, float(np.min(np.diff(ks))), (0.0, None))
     rep.add("transition_budget_sufficient", ks[-1] > 1.0, float(ks[-1]), (1.0, None),
@@ -127,10 +124,10 @@ def run_torus_scenario(
     if curve.Ttilde is not None:
         inside = 0.0 < curve.Ttilde < T
         # the crossing search has solved this state; take its cached pair
-        lam_tt = calibrate._lambda_pair(FlowState(p, curve.Ttilde), grid, tol_eig)[0]
-        k_tt = math.sqrt(-lam_tt) if lam_tt < -tol_eig else 0.0
+        lam_tt = calibrate._lambda_pair(FlowState(p, curve.Ttilde), grid)[0]
+        k_tt = math.sqrt(-lam_tt) if lam_tt < -TOL_EIG else 0.0
         rep.add("Ttilde_inside", inside, curve.Ttilde, (0.0, T))
-        rep.add("kstar_at_Ttilde", abs(k_tt - 1.0) <= tol_cal, k_tt, (1.0 - tol_cal, 1.0 + tol_cal))
+        rep.add("kstar_at_Ttilde", abs(k_tt - 1.0) <= TOL_CAL, k_tt, (1.0 - TOL_CAL, 1.0 + TOL_CAL))
     else:
         rep.add("Ttilde_inside", False, None, (0.0, T), "no crossing of k* = 1")
         return rep
@@ -184,7 +181,7 @@ def run_torus_scenario(
                 "expect root" if want_root else "expect no root")
 
     # cross-solver consistency at the final time
-    eig_T = lowest_eigenpair(st_T, grid, tol_eig, want_mode=True)
+    eig_T = lowest_eigenpair(st_T, grid, want_mode=True)
     if eig_T.kstar is not None:
         wb = ray.wronskian_boundary(st_T, eig_T.kstar)
         bres = abs(wb.W) / rep.w_scale
@@ -193,19 +190,14 @@ def run_torus_scenario(
         mode_b = ray.neutral_mode_phiB(st_T, eig_T.kstar, grid)
         l2 = float(math.sqrt(np.sum((mode_b - eig_T.mode) ** 2) * grid.spacing))
         rep.add("phiB_matches_eigenmode", l2 <= 1e-3, l2, (0.0, 1e-3))
-        prof = profile_check(eig_T, st_T)
+        prof = profile_check(eig_T)
         rep.add("profile_checks", prof.all_ok and prof.fitted_C <= 20.0, prof.fitted_C, (1.0, 20.0))
     lam2_min = float(np.min(curve.lambda2s))
-    rep.add("lambda2_nonnegative_sweep", lam2_min >= -10.0 * tol_eig, lam2_min,
-            (-10.0 * tol_eig, None))
+    rep.add("lambda2_nonnegative_sweep", lam2_min >= -lam_slack, lam2_min, (-lam_slack, None))
     return rep
 
 
-def run_line_scenario(
-    params: FlowParams,
-    grid: Grid = Grid(),
-    tol_eig: float = 1e-8,
-) -> ScenarioReport:
+def run_line_scenario(params: FlowParams, grid: Grid = Grid()) -> ScenarioReport:
     """Whole-line scenario: threshold amplitude, then the post-diffusion probe.
 
     Finds the amplitude M0 where binding first resolves at t = 0, then asks
@@ -218,21 +210,21 @@ def run_line_scenario(
     T = params.horizon
     rep = ScenarioReport(kind="line", params=params, T=T)
     try:
-        cal = find_critical_M0(params, grid, tol_eig)
+        cal = find_critical_M0(params, grid)
     except ViscoshearError as exc:
         rep.add("critical_M0", False, note=f"{type(exc).__name__}: {exc}")
         return rep
     rep.M = cal.M
     lam0 = cal.achieved
-    rep.add("critical_M0", -tol_eig <= lam0 <= 0.0, lam0, (-tol_eig, 0.0))
+    rep.add("critical_M0", -TOL_EIG <= lam0 <= 0.0, lam0, (-TOL_EIG, 0.0))
     rep.kstar0 = None
-    rep.add("kstar_absent_t0", lam0 >= -tol_eig, lam0, (-tol_eig, None))
+    rep.add("kstar_absent_t0", lam0 >= -TOL_EIG, lam0, (-TOL_EIG, None))
 
     p = params.with_M(cal.M)
     st_T = FlowState(p, T)
-    lamT = lowest_eigenpair(st_T, grid, tol_eig, want_mode=False).lambda1
-    present = lamT < -tol_eig
-    rep.add("kstar_present_T", present, lamT, (None, -tol_eig))
+    lamT = lowest_eigenpair(st_T, grid, want_mode=False).lambda1
+    present = lamT < -TOL_EIG
+    rep.add("kstar_present_T", present, lamT, (None, -TOL_EIG))
     g1g2 = params.gamma1 * params.gamma2
     if present:
         k_T = math.sqrt(-lamT)

@@ -16,7 +16,7 @@ Within one closure each distinct Robin matrix is solved once: the kappa = 0
 diagonal is built once, each kappa only shifts its end entries, and the
 brentq closure memoizes the eigenvalue pair on them.  Values are reported only
 after Richardson extrapolants of two successive grid refinements agree
-within ``tol_eig``.
+within ``TOL_EIG``.
 
 The potential is even, so a strongly bound closure (kappa * Y >= 3) takes
 lambda1 from the even half-size parity block and lambda2 from the odd one;
@@ -55,7 +55,7 @@ __all__ = [
     "sturm_count_below",
 ]
 
-TOL_EIG = 1e-8
+TOL_EIG = 1e-8  # Richardson agreement of converged eigenvalues; bound means lambda1 < -TOL_EIG
 WIDEN = 4.0  # window half-width over the last rung-to-rung change of the eigenvalue
 FIRST = 1e-3  # window half-width over |lambda| at rung 1, before any change is known
 MAX_LEVELS = 5  # Richardson rungs before an eigensolve gives up
@@ -167,8 +167,7 @@ def _windowed(d: np.ndarray, e: np.ndarray, window: tuple):
     return float(vals[0]) if len(vals) == 1 else None
 
 
-def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float,
-                        guess: tuple = ()):
+def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, guess: tuple = ()):
     """Eigenvalues of the box operator at the self-consistent Robin kappa.
 
     For well-confined states (kappa * Y >= 3) plain fixed-point iteration
@@ -242,14 +241,13 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, tol: float,
     hi = -1e-30
     if f(hi) >= 0.0:  # pathological; Neumann value is the fixed point
         return lam_n1, lam_n2, 0.0
-    lam_star = brentq(f, lam_n1, hi, xtol=tol * 1e-3, rtol=8.9e-16, maxiter=200)
+    lam_star = brentq(f, lam_n1, hi, xtol=TOL_EIG * 1e-3, rtol=8.9e-16, maxiter=200)
     kappa = math.sqrt(-lam_star)
     lam1, lam2 = lowest_two(kappa)
     return lam1, lam2, kappa
 
 
-def _level(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, level: int, tol_eig: float,
-           guess: tuple = ()):
+def _level(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, level: int, guess: tuple = ()):
     """One rung of the Richardson ladder: (n, lambda1, lambda2, kappa, right, h)
     on (n_points - 1) * 2**level + 1 nodes, raw, without extrapolation;
     ``right`` is V on the rung's nodes y >= 0 and h their spacing."""
@@ -258,7 +256,7 @@ def _level(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, level: int, to
     right = vfunc(ys[n // 2:])  # V is even: evaluated for y >= 0 only, then mirrored
     v = np.concatenate((right[:0:-1], right))
     h = ys[1] - ys[0]
-    return (n,) + _selfconsistent_box(v, h, grid.half_width, tol_eig, guess) + (right, h)
+    return (n,) + _selfconsistent_box(v, h, grid.half_width, guess) + (right, h)
 
 
 def _next_windows(raws: tuple) -> tuple:
@@ -268,12 +266,7 @@ def _next_windows(raws: tuple) -> tuple:
                  for r in raws)
 
 
-def _solve_potential(
-    vfunc: Callable[[np.ndarray], np.ndarray],
-    grid: Grid,
-    tol_eig: float,
-    want_mode: bool,
-):
+def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, want_mode: bool):
     """Refinement-and-Richardson driver used by ``lowest_eigenpair``.
 
     ``vfunc`` maps a node array to potential values, which keeps the solver
@@ -285,7 +278,7 @@ def _solve_potential(
     converged = False
     guess = ()
     for level in range(MAX_LEVELS):
-        n, lam1, lam2, kappa, right, h = _level(vfunc, grid, level, tol_eig, guess)
+        n, lam1, lam2, kappa, right, h = _level(vfunc, grid, level, guess)
         ns.append(n)
         raw1.append(lam1)
         raw2.append(lam2)
@@ -294,13 +287,13 @@ def _solve_potential(
         if level >= 1:
             rich1.append(raw1[-1] + (raw1[-1] - raw1[-2]) / 3.0)
             rich2.append(raw2[-1] + (raw2[-1] - raw2[-2]) / 3.0)
-        if len(rich1) >= 2 and abs(rich1[-1] - rich1[-2]) <= tol_eig:
+        if len(rich1) >= 2 and abs(rich1[-1] - rich1[-2]) <= TOL_EIG:
             converged = True
             break
     if not converged:
         raise NonConvergence(
-            "eigenvalue refinements did not stabilize within tol_eig="
-            f"{tol_eig:g}; grid too coarse or domain too small "
+            "eigenvalue refinements did not stabilize within TOL_EIG="
+            f"{TOL_EIG:g}; grid too coarse or domain too small "
             f"(trail {rich1})"
         )
     lam1, lam2 = rich1[-1], rich2[-1]
@@ -322,20 +315,15 @@ def _potential(state: FlowState) -> Callable[[np.ndarray], np.ndarray]:
     return lambda ys: np.asarray(eval_potential(state, ys), dtype=float)
 
 
-def lowest_eigenpair(
-    state: FlowState,
-    grid: Grid,
-    tol_eig: float = TOL_EIG,
-    want_mode: bool = True,
-) -> SpectralResult:
+def lowest_eigenpair(state: FlowState, grid: Grid, want_mode: bool = True) -> SpectralResult:
     """Lowest two eigenvalues of -d^2/dy^2 + b''/b, plus the neutral mode.
 
     The mode (when requested and bound) is returned on the nodes of ``grid``
     with unit discrete L2 norm and positive sign.  Raises ``NonConvergence``
-    if grid refinements fail to agree within ``tol_eig``.
+    if grid refinements fail to agree within ``TOL_EIG``.
     """
-    lam1, lam2, mode, info = _solve_potential(_potential(state), grid, tol_eig, want_mode)
-    bound = lam1 < -tol_eig
+    lam1, lam2, mode, info = _solve_potential(_potential(state), grid, want_mode)
+    bound = lam1 < -TOL_EIG
     return SpectralResult(
         lambda1=lam1,
         lambda2=lam2,
@@ -346,11 +334,11 @@ def lowest_eigenpair(
     )
 
 
-def _base_lambda1(state: FlowState, grid: Grid, tol_eig: float) -> float:
+def _base_lambda1(state: FlowState, grid: Grid) -> float:
     """Raw lambda1 on ``grid`` alone: the first rung of ``lowest_eigenpair``'s
     ladder, within about 1e-5 relative of the converged value at a small
     fraction of its cost, enough to steer a search but not to report."""
-    return _level(_potential(state), grid, 0, tol_eig)[1]
+    return _level(_potential(state), grid, 0)[1]
 
 
 def _deriv4(u: np.ndarray, h: float) -> np.ndarray:
@@ -440,7 +428,7 @@ def _fits_with_C(ys, u, kstar, C):
     return lo and hi and env
 
 
-def profile_check(result: SpectralResult, state: FlowState) -> ProfileReport:
+def profile_check(result: SpectralResult) -> ProfileReport:
     """Evenness, positivity, monotone decay, plateau and envelope of the mode.
 
     The plateau (|phi| comparable to sqrt(k*) for |y| <= 1/k*) and the

@@ -9,7 +9,12 @@ stated band is out of reach; the test states the criterion faithfully and
 reports the measured values.
 """
 
+import pytest
+
 from viscoshear import acceptance as acc
+from viscoshear import scenario
+from viscoshear.errors import BracketFailure
+from viscoshear.rayleigh import EigenCurve
 
 
 def _run(ctx, criterion, number):
@@ -88,3 +93,40 @@ def test_criterion_11_without_pythonpath(ctx, monkeypatch):
     # the CLI child process must find the package by itself
     monkeypatch.delenv("PYTHONPATH", raising=False)
     _run(ctx, acc.criterion_11, 11)
+
+
+def test_criteria_name_where_the_torus_stopped(cfg, monkeypatch):
+    # a torus stopped at its calibration leaves criteria 4-8 and 10 without
+    # inputs: each returns only failed checks that name the stage
+    def fail(*args):
+        raise BracketFailure("no straddle")
+
+    monkeypatch.setattr(scenario, "tune_M_for_kstar", fail)
+    ctx = acc.AcceptanceContext(cfg)
+    assert [c.name for c in ctx.torus.checks] == ["calibration"]
+    for criterion in (acc.criterion_4, acc.criterion_5, acc.criterion_6, acc.criterion_7,
+                      acc.criterion_8, acc.criterion_10):
+        checks = criterion(ctx)
+        assert checks and not any(c.passed for c in checks)
+        assert all("torus stopped at calibration: BracketFailure: no straddle" in c.note
+                   for c in checks)
+
+
+@pytest.mark.parametrize("n_points", [1, 2])
+def test_criteria_7_and_8_on_a_short_curve(cfg, n_points):
+    # a k_grid of one or two wave numbers gives no slope samples, and one
+    # gives no curve zero: those checks fail with a note instead of raising
+    ctx = acc.AcceptanceContext(cfg)
+    reached = [scenario.Check(name, True, None, None)
+               for name in ("boundary_wronskian_at_kstar", "phiB_matches_eigenmode")]
+    ctx.torus = scenario.ScenarioReport("torus", ctx.params, 0.02, M=0.7, kstarT=1.05,
+                                        ci_at_k1=1e-3, checks=reached)
+    points = ((0.95, 2e-3, 0.0), (1.0, 1e-3, 0.0))[:n_points]
+    ctx.curve = EigenCurve(points, (), 1.05 if n_points == 2 else None)
+    ctx.partials = (-1.0, -10.0)
+    checks = {c.name: c for c in acc.criterion_7(ctx) + acc.criterion_8(ctx)}
+    assert checks["curve_ci_strictly_decreasing"].passed == (n_points == 2)
+    assert checks["dWr_dk_band"].passed and checks["dWr_dci_band"].passed
+    for name in ("curve_slope_band", "ift_slope_matches_curve"):
+        assert not checks[name].passed and "no slope samples" in checks[name].note
+    assert checks["curve_zero_matches_kstarT"].passed == (n_points == 2)

@@ -31,7 +31,7 @@ def test_tune_is_deterministic(grid):
 
 def test_target_outside_calibration_range_rejected(monkeypatch):
     # lambda1 = -M, so k* = sqrt(M) is reachable for any positive target
-    monkeypatch.setattr(calibrate, "_lambda1", lambda params, M, t, grid, tol_eig, base=False: -M)
+    monkeypatch.setattr(calibrate, "_lambda1", lambda params, M, t, grid, base=False: -M)
     for target in (1.45, 0.0, -2.0):
         with pytest.raises(ValueError, match="target_kstar"):
             tune_M_for_kstar(P, 0.0, target)
@@ -58,9 +58,10 @@ def test_small_target_approaches_threshold(grid):
     assert m0 < m_small < 0.70
 
 
-def test_bracket_failure_signals_bad_range(grid):
+def test_bracket_failure_signals_bad_range(grid, monkeypatch):
+    monkeypatch.setattr(calibrate, "M_BRACKET", (0.01, 0.02))
     with pytest.raises(BracketFailure):
-        tune_M_for_kstar(P, 0.0, 0.99, grid, bracket=(0.01, 0.02))
+        tune_M_for_kstar(P, 0.0, 0.99, grid)
 
 
 def test_critical_M0_properties(ctx, grid):
@@ -104,7 +105,7 @@ def test_nu_enters_only_through_nu_t(ctx):
     # exactly, so every k*(t_j) and Ttilde/T keeps its bits
     rep, cfg, p = ctx.torus, ctx.cfg, ctx.params
     p2 = FlowParams(p.M, p.gamma0, p.gamma1, p.gamma2, 2.0 * p.nu)
-    curve = kstar_time_sweep(rep.M, p2, cfg.n_times, ctx.grid, cfg.tol_cal, cfg.tol_eig)
+    curve = kstar_time_sweep(rep.M, p2, cfg.n_times, ctx.grid)
     assert curve.T == rep.T / 2.0
     assert curve.kstars == rep.curve_kstars
     assert curve.Ttilde / curve.T == rep.Ttilde / rep.T
@@ -138,9 +139,9 @@ def _count_lambda1(monkeypatch, lambda1):
     """
     precise, base_calls = [], []
 
-    def counted(params, M, t, grid, tol_eig, base=False):
+    def counted(params, M, t, grid, base=False):
         (base_calls if base else precise).append(M)
-        return lambda1(params, M, t, grid, tol_eig, base)
+        return lambda1(params, M, t, grid, base)
 
     monkeypatch.setattr(calibrate, "_lambda1", counted)
     return precise, base_calls
@@ -148,7 +149,7 @@ def _count_lambda1(monkeypatch, lambda1):
 
 def _offset_lambda1(eps):
     """lambda1 = -M converged, so k* = sqrt(M); base-grid k* is (1 + eps) sqrt(M)."""
-    return lambda params, M, t, grid, tol_eig, base: -M * ((1.0 + eps) ** 2 if base else 1.0)
+    return lambda params, M, t, grid, base: -M * ((1.0 + eps) ** 2 if base else 1.0)
 
 
 def test_tune_converges_superlinearly(monkeypatch):
@@ -181,8 +182,9 @@ def test_tune_finishes_on_converged_solves(monkeypatch, eps):
 def test_tune_base_grid_straddle_alone_is_a_bracket_failure(monkeypatch):
     # converged k*(0.9) = 0.949 < 0.99 < base-grid k*(0.9) = 1.138
     precise, base = _count_lambda1(monkeypatch, _offset_lambda1(0.2))
+    monkeypatch.setattr(calibrate, "M_BRACKET", (0.01, 0.9))
     with pytest.raises(BracketFailure):
-        tune_M_for_kstar(P, 0.0, 0.99, bracket=(0.01, 0.9))
+        tune_M_for_kstar(P, 0.0, 0.99)
     assert base  # the base grid located a root
     assert precise.count(pytest.approx(0.01, rel=1e-12)) == 1  # both ends solved
     assert precise.count(pytest.approx(0.9, rel=1e-12)) == 1
@@ -191,7 +193,8 @@ def test_tune_base_grid_straddle_alone_is_a_bracket_failure(monkeypatch):
 def test_tune_converged_straddle_alone_converges(monkeypatch):
     # base-grid k*(1.2) = 0.876 < 0.99 < converged k*(1.2) = 1.095
     precise, base = _count_lambda1(monkeypatch, _offset_lambda1(-0.2))
-    cal = tune_M_for_kstar(P, 0.0, 0.99, bracket=(0.01, 1.2))
+    monkeypatch.setattr(calibrate, "M_BRACKET", (0.01, 1.2))
+    cal = tune_M_for_kstar(P, 0.0, 0.99)
     assert len(base) == 2  # the two ends only; locating is skipped
     assert abs(cal.achieved - 0.99) <= 1e-6
     lo, hi = cal.bracket
@@ -201,24 +204,28 @@ def test_tune_converged_straddle_alone_converges(monkeypatch):
 
 def test_tune_rejects_non_straddling_bracket(monkeypatch):
     precise, base = _count_lambda1(monkeypatch, _offset_lambda1(0.0))
+    monkeypatch.setattr(calibrate, "M_BRACKET", (0.01, 0.5))
     with pytest.raises(BracketFailure):
-        tune_M_for_kstar(P, 0.0, 0.99, bracket=(0.01, 0.5))
+        tune_M_for_kstar(P, 0.0, 0.99)
     assert len(precise) == 2  # only the two ends were solved
 
 
 def test_tune_gives_up_after_max_iter(monkeypatch):
     _count_lambda1(monkeypatch, _offset_lambda1(0.0))
+    monkeypatch.setattr(calibrate, "MAX_ITER", 1)
     with pytest.raises(NonConvergence, match="base grid"):
-        tune_M_for_kstar(P, 0.0, 0.99, max_iter=1)
+        tune_M_for_kstar(P, 0.0, 0.99)
 
 
 def test_tune_finish_gives_up_after_max_iter(monkeypatch):
-    # the base grid meets tol_cal at the lower bracket end without iterating;
+    # the base grid meets TOL_CAL at the lower bracket end without iterating;
     # the converged k*, 1 % lower, needs more than one finishing iteration
     _count_lambda1(monkeypatch, _offset_lambda1(0.01))
     lo = (0.99 / 1.01) ** 2 * (1.0 - 1e-7)
+    monkeypatch.setattr(calibrate, "M_BRACKET", (lo, 100.0))
+    monkeypatch.setattr(calibrate, "MAX_ITER", 1)
     with pytest.raises(NonConvergence, match="tune_M_for_kstar:"):
-        tune_M_for_kstar(P, 0.0, 0.99, bracket=(lo, 100.0), max_iter=1)
+        tune_M_for_kstar(P, 0.0, 0.99)
 
 
 @pytest.mark.parametrize("miss", [0.0, 1e-30])
@@ -228,21 +235,23 @@ def test_window_without_interior_falls_back_to_symmetric(miss):
     def precise(x):
         return x - 1.0 + miss
 
-    lo, hi = calibrate._window(precise, lambda x: x, 1.0, 1.0, (-5.0, 5.0), 0.0, 10)
+    lo, hi = calibrate._window(precise, lambda x: x, 1.0, 1.0, (-5.0, 5.0), 0.0)
     assert (lo, hi) == (1.0 - calibrate.WINDOW, 1.0 + calibrate.WINDOW)
     assert precise(lo) < 0.0 < precise(hi)
 
 
-def test_window_widens_until_it_straddles_within_max_iter():
+def test_window_widens_until_it_straddles_within_max_iter(monkeypatch):
     # the base grid is 1000 times steeper than the converged k*, so the
     # corrected first window (0, 1e-3) falls far short of the root at 0.5
     def precise(x):
         return x - 0.5
 
     args = (precise, lambda x: 1000.0 * x, 0.0, 0.0, (-100.0, 100.0), 0.0)
+    monkeypatch.setattr(calibrate, "MAX_ITER", 1)
     with pytest.raises(NonConvergence, match="widenings"):
-        calibrate._window(*args, 1)
-    lo, hi = calibrate._window(*args, 10)
+        calibrate._window(*args)
+    monkeypatch.setattr(calibrate, "MAX_ITER", 10)
+    lo, hi = calibrate._window(*args)
     assert precise(lo) < 0.0 < precise(hi)
 
 
@@ -250,7 +259,7 @@ def test_crossing_search_reuses_sweep_samples(monkeypatch):
     T = P.horizon
     solved = []
 
-    def fake_eigenpair(state, grid, tol_eig, want_mode=True):
+    def fake_eigenpair(state, grid, want_mode=True):
         solved.append(state.t)
         k = 0.99 + 0.03 * (1.0 - math.exp(-3.0 * state.t / T))
         return SimpleNamespace(lambda1=-k * k, lambda2=0.5)

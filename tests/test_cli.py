@@ -8,12 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import viscoshear
 from viscoshear import calibrate
 from viscoshear.cli import main
-from viscoshear.config import parse_config
-from viscoshear.errors import ParseError, ValidationError
+from viscoshear.config import Config, parse_config
+from viscoshear.errors import ConfigError, ParseError, ValidationError
 from viscoshear.report import csv_text, fmt_float, json_text, svg_line_plot
 
 
@@ -47,13 +48,41 @@ def test_parse_rejects_unknown_and_duplicate_keys():
         parse_config("gamma0 = 0.1\ngamma0 = 0.2\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_config("gamma0 0.1")
+    # the tolerances and the gamma ratio limit are module constants, so no
+    # config can widen a check's band
+    for key in ("tol_eig", "tol_cal", "gamma_ratio_max"):
+        with pytest.raises(ParseError, match=f"line 1.*unknown key '{key}'"):
+            parse_config(f"{key} = 0.5\n")
 
 
 def test_parse_gamma_ratio_knob():
-    with pytest.raises(ValidationError, match="gamma_ratio_max"):
+    with pytest.raises(ValidationError, match="gamma1/gamma2 = 0.4 exceeds 0.2"):
         parse_config("gamma1 = 0.2\ngamma2 = 0.5\n")
-    cfg = parse_config("gamma1 = 0.2\ngamma2 = 0.5\ngamma_ratio_max = 0.5\n")
-    assert cfg.gamma1 == 0.2
+
+
+_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["auto", "csv,svg", "yaml", "0.9:1:3", "1:2", "0.5:inf:2", "-nan", "1e999"]),
+    st.text(max_size=12),
+)
+_KEYS = st.one_of(
+    st.sampled_from(sorted(Config.__dataclass_fields__)),
+    st.sampled_from(["tol_eig", "tol_cal", "gamma_ratio_max"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_KEYS, _VALUES), max_size=6))
+def test_config_text_parses_or_raises_config_error(pairs):
+    # any text of key = value lines gives a Config or a ConfigError, never
+    # another exception
+    text = "".join(f"{key} = {value}\n" for key, value in pairs)
+    try:
+        assert isinstance(parse_config(text), Config)
+    except ConfigError:
+        pass
 
 
 def test_parse_formats_and_k_grid():
@@ -180,8 +209,8 @@ def test_cli_rejects_nonpositive_wave_numbers(tmp_path, capsys, spec, message):
     [
         ("half_width = inf", "half_width"),
         ("M = inf", "M"),
-        ("tol_eig = inf", "tol_eig"),
-        ("gamma_ratio_max = nan", "gamma_ratio_max"),
+        ("delta = nan", "delta"),
+        ("gamma0 = inf", "gamma0"),
         ("nu = -inf", "nu"),
         ("k_grid = 0.95:inf:2", "k_grid"),
         ("k_grid = 0.95:nan:1", "k_grid"),

@@ -24,7 +24,7 @@ from viscoshear.spectrum import (
 def test_poschl_teller_single_well():
     # V = -2 sech^2: exactly one bound state at -1
     lam1, lam2, mode, info = _solve_potential(
-        lambda ys: -2.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), 1e-8, True
+        lambda ys: -2.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), True
     )
     assert abs(lam1 + 1.0) <= 1e-7
     assert lam2 >= -1e-7
@@ -39,7 +39,7 @@ def test_poschl_teller_single_well():
 def test_poschl_teller_double_well():
     # V = -6 sech^2: bound states at -4 and -1
     lam1, lam2, _, _ = _solve_potential(
-        lambda ys: -6.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), 1e-8, False
+        lambda ys: -6.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), False
     )
     assert abs(lam1 + 4.0) <= 1e-6
     assert abs(lam2 + 1.0) <= 1e-6
@@ -182,7 +182,7 @@ def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch, grid):
     monkeypatch.undo()
     n = res.convergence.n_points[-1]
     assert vectors == [(n + 1) // 2]
-    assert spectrum.profile_check(res, state).even_defect == 0.0
+    assert spectrum.profile_check(res).even_defect == 0.0
     ys = np.linspace(-grid.half_width, grid.half_width, n)
     d, e = _robin_tridiagonal(eval_potential(state, ys), ys[1] - ys[0], res.convergence.kappa)
     u = eigh(d, e, select="i", select_range=(0, 0))[1][:, 0]
@@ -202,7 +202,7 @@ def test_mode_reuses_the_last_rungs_potential():
         return -2.0 / np.cosh(ys) ** 2
 
     grid = Grid(20.0, 4097)
-    *_, info = _solve_potential(counted, grid, 1e-8, True)
+    *_, info = _solve_potential(counted, grid, True)
     assert points == [(n + 1) // 2 for n in info.n_points]
 
 
@@ -239,7 +239,7 @@ def _counted_closure(monkeypatch, M, grid):
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
     monkeypatch.setattr(spectrum, "brentq", counted_brentq)
-    result = _selfconsistent_box(v, h, grid.half_width, spectrum.TOL_EIG)
+    result = _selfconsistent_box(v, h, grid.half_width)
     monkeypatch.undo()
     return result, ends, len(brent_evals), v, h
 
@@ -324,7 +324,7 @@ def test_uncertified_window_falls_back_to_index_call(case):
             "eigenvalue_in_gap": (first - 0.5, 0.1),
         }[case])
         assert spectrum._windowed(d, e, windows[-1]) is None
-    lam1, lam2, kappa = _selfconsistent_box(v, h, 20.0, spectrum.TOL_EIG, tuple(windows))
+    lam1, lam2, kappa = _selfconsistent_box(v, h, 20.0, tuple(windows))
     assert kappa * 20.0 >= 3.0
     even, odd = _blocks(v, h, kappa)
     assert (lam1, lam2) == (spectrum._lowest(*even), spectrum._lowest(*odd))
@@ -415,7 +415,7 @@ def test_weak_closure_makes_the_full_matrix_calls_plus_one_routing_test(monkeypa
     expected = _full_matrix_weak_closure(v, h, spectrum.TOL_EIG)
     expected_calls, calls[:] = list(calls), []
     monkeypatch.setattr(spectrum, "dpttrf", counted_dpttrf)
-    got = _selfconsistent_box(v, h, 20.0, spectrum.TOL_EIG)
+    got = _selfconsistent_box(v, h, 20.0)
     assert got == expected and got[2] * 20.0 < 3.0
     assert calls == [("dpttrf", (len(v) + 1) // 2)] + expected_calls
 
@@ -429,7 +429,7 @@ def test_level_mirrors_the_full_grid_potential(monkeypatch, M, t):
     seen = []
     monkeypatch.setattr(spectrum, "_selfconsistent_box", lambda v, *rest: seen.append(v) or (0.0,) * 3)
     for level in range(5):
-        n = spectrum._level(spectrum._potential(state), Grid(), level, spectrum.TOL_EIG)[0]
+        n = spectrum._level(spectrum._potential(state), Grid(), level)[0]
         assert np.array_equal(seen[-1], eval_potential(state, np.linspace(-20.0, 20.0, n)))
 
 
@@ -444,8 +444,8 @@ def test_weak_ladders_stay_pinned(monkeypatch, grid, M, at_T):
         windowed.append(args)
         return real_windowed(*args)
 
-    def spy_box(v, h, half_width, tol, guess=()):
-        out = real_box(v, h, half_width, tol, guess)
+    def spy_box(v, h, half_width, guess=()):
+        out = real_box(v, h, half_width, guess)
         rungs.append((v, h, out))
         return out
 
@@ -470,7 +470,7 @@ def test_weak_ladders_stay_pinned(monkeypatch, grid, M, at_T):
 )
 def test_windowed_ladder_property(gamma0, gamma1, gamma2, M, step):
     """Strongly bound states on the 8193-point grid: lambda1 decreases in M,
-    and the windowed ladder agrees with the all-index ladder within 10 tol_eig."""
+    and the windowed ladder agrees with the all-index ladder within 10 TOL_EIG."""
     grid = Grid(20.0, 8193)
     p = FlowParams(M, gamma0, gamma1, gamma2, 1e-3)
     certified = []

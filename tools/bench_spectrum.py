@@ -95,10 +95,10 @@ class Counter:
             self.count("routing", d)
             return dpttrf(d, e, **kwargs)
 
-        def timed_level(vfunc, grid, lev, tol_eig, *rest):
+        def timed_level(vfunc, grid, lev, *rest):
             before = dict(self.calls)
             t0 = time.perf_counter()
-            out = level(vfunc, grid, lev, tol_eig, *rest)
+            out = level(vfunc, grid, lev, *rest)
             rung = {"n": out[0], "kappa_Y": out[3] * grid.half_width,
                     "s": time.perf_counter() - t0}
             rung.update({k: self.calls[k] - before[k] for k in self.calls})
