@@ -18,6 +18,7 @@ from scipy.integrate import quad
 
 from . import rayleigh as ray
 from .config import Config
+from .errors import ViscoshearError
 from .flow import (
     FlowParams,
     FlowState,
@@ -69,6 +70,15 @@ class AcceptanceContext:
     def curve(self):
         ks = self.cfg.k_grid_values(self.torus.kstarT)
         return ray.eigencurve(self.state_T, ks)
+
+    @cached_property
+    def curve_stopped(self) -> str:
+        """Why ``curve`` could not be built (a k-grid past k*, say), or ""."""
+        try:
+            self.curve
+        except ViscoshearError as exc:
+            return f"eigencurve stopped: {type(exc).__name__}: {exc}"
+        return ""
 
     @cached_property
     def partials(self):
@@ -237,24 +247,27 @@ def criterion_7(ctx: AcceptanceContext):
     if ctx.torus.kstarT is None or ctx.torus.ci_at_k1 is None:
         return _unreached(ctx.torus, ["curve_ci_strictly_decreasing", "curve_slope_band",
                                       "dWr_dk_band", "dWr_dci_band", "ift_slope_matches_curve"])
+    g0 = ctx.params.gamma0
+    dw_dk, dw_dci = ctx.partials
+    partials = [Check("dWr_dk_band", -20.0 <= dw_dk <= -1 / 20, dw_dk, (-20, -1 / 20)),
+                Check("dWr_dci_band", -20.0 <= dw_dci * g0 <= -1 / 20, dw_dci * g0,
+                      (-20, -1 / 20))]
+    if ctx.curve_stopped:
+        return partials + [Check(name, False, None, None, ctx.curve_stopped) for name in (
+            "curve_ci_strictly_decreasing", "curve_slope_band", "ift_slope_matches_curve")]
     out = []
     curve = ctx.curve
     steps = [float(d) for d in np.diff([c for _, c, _ in curve.points])]
     out.append(Check("curve_ci_strictly_decreasing", bool(steps) and max(steps) < 0.0,
                      max(steps, default=None), (None, 0.0),
                      "" if steps else "fewer than 2 curve points"))
-    g0 = ctx.params.gamma0
     ratios = [abs(s) / g0 for _, s in curve.slope_samples]
     ok = bool(ratios) and all(s < 0 for _, s in curve.slope_samples) and all(
         1 / 20 <= r <= 20 for r in ratios
     )
     no_slopes = "" if ratios else "no slope samples: fewer than 3 curve points"
     out.append(Check("curve_slope_band", ok, max(ratios, default=None), (1 / 20, 20), no_slopes))
-
-    dw_dk, dw_dci = ctx.partials
-    out.append(Check("dWr_dk_band", -20.0 <= dw_dk <= -1 / 20, dw_dk, (-20, -1 / 20)))
-    out.append(Check("dWr_dci_band", -20.0 <= dw_dci * g0 <= -1 / 20, dw_dci * g0,
-                     (-20, -1 / 20)))
+    out += partials
     if not ratios:
         return out + [Check("ift_slope_matches_curve", False, None, (0, 0.2), no_slopes)]
     slope_ift = -dw_dk / dw_dci
@@ -269,6 +282,8 @@ def criterion_8(ctx: AcceptanceContext):
     out = _from_report(ctx.torus, ["boundary_wronskian_at_kstar", "phiB_matches_eigenmode"])
     if ctx.torus.kstarT is None:
         return out + _unreached(ctx.torus, ["curve_zero_matches_kstarT"])
+    if ctx.curve_stopped:
+        return out + [Check("curve_zero_matches_kstarT", False, None, None, ctx.curve_stopped)]
     if ctx.curve.k_zero is None:
         return out + [Check("curve_zero_matches_kstarT", False, None, (0, 1e-3),
                             "no curve zero: fewer than 2 distinct curve points")]
@@ -373,7 +388,7 @@ def run_verify(cfg: Config, echo=print):
     t0 = time.time()
     ctx.torus, ctx.line  # build the shared pipelines up front
     if ctx.torus.kstarT is not None:
-        ctx.curve
+        ctx.curve_stopped  # builds the curve, or records why it stopped
     echo(f"shared pipelines (calibration, sweeps, roots, curve): {time.time() - t0:6.1f}s")
     checks = []
     for i, crit in enumerate(CRITERIA, start=1):

@@ -26,8 +26,11 @@ even block's lowest eigenvector at the last rung's kappa, mirrored, so it is
 even bit for bit.  After a strongly bound rung the next rung bisects each
 block only in a window around that rung's eigenvalue, WIDEN times the last
 rung-to-rung change (FIRST * |lambda| at rung 1) on each side, keeping a
-result only when Sturm counts certify it (``_windowed``) and otherwise
-falling back to the block's index call.
+result only when it is certified (``_windowed``: an LDL^T factorization
+puts no eigenvalue below the window, and the bisection finds exactly one in
+it) and otherwise falling back to the block's index call.  Each strongly
+bound closure confirms its kappa the same way, with a window 2e-9 |lambda|
+wide on each side of the Neumann value.
 """
 
 from __future__ import annotations
@@ -152,14 +155,13 @@ def _lowest(d: np.ndarray, e: np.ndarray) -> float:
 
 def _windowed(d: np.ndarray, e: np.ndarray, window: tuple):
     """The lowest eigenvalue, bisected by value range inside the (estimate,
-    half-width) ``window``, or None unless Sturm counts certify it: none
-    below the window (counted from a Gershgorin bound at a tolerance wider
-    than the interval, so nothing is bisected) and exactly one in it."""
+    half-width) ``window``, or None unless it is certified: none below the
+    window, because an LDL^T factorization (``dpttrf``) of the matrix less
+    the window's lower end succeeds (Sylvester inertia), and exactly one in
+    it."""
     x, w = window
-    lo = float(d.min()) - 2.0 * max(float(e.max()), -float(e.min()))
     try:
-        if not lo < x - w < x + w or len(eigh_tridiagonal(
-                d, e, eigvals_only=True, select="v", select_range=(lo, x - w), tol=2.0 * (x - w - lo))):
+        if not x - w < x + w or dpttrf(d - (x - w), e, overwrite_d=1)[2] > 0:
             return None
         vals = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(x - w, x + w))
     except LinAlgError:
@@ -191,6 +193,12 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, guess: tuple
     solve bisects its window (``_windowed``; the lambda1 window for the
     Neumann seed) and falls back to the block's index call if uncertified.
 
+    The sweeps stop once |sqrt(-lambda1) - kappa| <= 1e-9 kappa, that is once
+    the Robin lambda1 lies within 2e-9 |lambda_N| of the Neumann lambda_N.
+    That window is tried first; if ``_windowed`` certifies it (as it does for
+    kappa * Y above about 10.8), lambda1 is returned with the odd block at
+    the Neumann kappa, as after the first sweep, and no index call.
+
     The weak path solves each distinct full Robin matrix once, by index: a
     kappa sets the end entries of the kappa = 0 matrix (bit-identical to
     ``_robin_tridiagonal``'s) and the pair is memoized on them, which drops
@@ -210,6 +218,11 @@ def _selfconsistent_box(v: np.ndarray, h: float, half_width: float, guess: tuple
     if guess or dpttrf(de + 9.0 / half_width ** 2, ee, overwrite_d=1)[2] > 0:
         lam1 = block_lowest(False, 0.0, w1)
         kappa = math.sqrt(-lam1) if lam1 < 0.0 else 0.0
+        if kappa * half_width >= 3.0:  # a Robin lambda1 this close meets the sweeps' stop test
+            de[-1] = de_last + 2.0 * kappa / h
+            lam = _windowed(de, ee, (lam1, -2e-9 * lam1))
+            if lam is not None and math.sqrt(-lam) * half_width >= 3.0:
+                return lam, block_lowest(True, kappa, w2), math.sqrt(-lam)
         for i in range(4 if kappa * half_width >= 3.0 else 0):  # fixed-point sweeps
             lam1 = block_lowest(False, kappa, w1)
             if lam1 >= 0.0 or math.sqrt(-lam1) * half_width < 3.0:

@@ -12,8 +12,9 @@ reports the measured values.
 import pytest
 
 from viscoshear import acceptance as acc
+from viscoshear import rayleigh as ray
 from viscoshear import scenario
-from viscoshear.errors import BracketFailure
+from viscoshear.errors import BracketFailure, NonConvergence
 from viscoshear.rayleigh import EigenCurve
 
 
@@ -112,15 +113,40 @@ def test_criteria_name_where_the_torus_stopped(cfg, monkeypatch):
                    for c in checks)
 
 
+def _reached_torus(ctx):
+    """A torus report that reached t = T, with the two checks criterion 8 reads."""
+    reached = [scenario.Check(name, True, None, None)
+               for name in ("boundary_wronskian_at_kstar", "phiB_matches_eigenmode")]
+    return scenario.ScenarioReport("torus", ctx.params, 0.02, M=0.7, kstarT=1.05,
+                                   ci_at_k1=1e-3, checks=reached)
+
+
+def test_criteria_7_and_8_name_where_the_curve_stopped(cfg, monkeypatch):
+    # a k-grid past k*(T) stops the eigenvalue curve: criteria 7 and 8 fail
+    # the curve's checks with the exception in the note, and keep the rest
+    def fail(*args):
+        raise NonConvergence("no root at k=0.821448; grid extends past k*")
+
+    monkeypatch.setattr(ray, "eigencurve", fail)
+    ctx = acc.AcceptanceContext(cfg)
+    ctx.torus = _reached_torus(ctx)
+    ctx.partials = (-1.0, -10.0)
+    checks = {c.name: c for c in acc.criterion_7(ctx) + acc.criterion_8(ctx)}
+    stopped = ("curve_ci_strictly_decreasing", "curve_slope_band", "ift_slope_matches_curve",
+               "curve_zero_matches_kstarT")
+    for name in stopped:
+        assert not checks[name].passed
+        assert checks[name].note == ("eigencurve stopped: NonConvergence: no root at "
+                                     "k=0.821448; grid extends past k*")
+    assert all(c.passed for name, c in checks.items() if name not in stopped)
+
+
 @pytest.mark.parametrize("n_points", [1, 2])
 def test_criteria_7_and_8_on_a_short_curve(cfg, n_points):
     # a k_grid of one or two wave numbers gives no slope samples, and one
     # gives no curve zero: those checks fail with a note instead of raising
     ctx = acc.AcceptanceContext(cfg)
-    reached = [scenario.Check(name, True, None, None)
-               for name in ("boundary_wronskian_at_kstar", "phiB_matches_eigenmode")]
-    ctx.torus = scenario.ScenarioReport("torus", ctx.params, 0.02, M=0.7, kstarT=1.05,
-                                        ci_at_k1=1e-3, checks=reached)
+    ctx.torus = _reached_torus(ctx)
     points = ((0.95, 2e-3, 0.0), (1.0, 1e-3, 0.0))[:n_points]
     ctx.curve = EigenCurve(points, (), 1.05 if n_points == 2 else None)
     ctx.partials = (-1.0, -10.0)

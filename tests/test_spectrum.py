@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from viscoshear import spectrum
 from viscoshear.errors import ZeroNorm
@@ -258,6 +258,20 @@ def _ulp_norm(d, e):
     return np.finfo(float).eps * float(np.max(np.abs(d) + np.r_[0.0, off] + np.r_[off, 0.0]))
 
 
+def _index_sweeps(v, h):
+    """The strongly bound closure's fixed-point sweeps on index calls alone,
+    as ``_selfconsistent_box`` runs them when no window is certified:
+    (lambda1, lambda2, kappa, sweeps made)."""
+    kappa = math.sqrt(-spectrum._lowest(*_blocks(v, h, 0.0)[0]))
+    for i in range(4):
+        even, odd = _blocks(v, h, kappa)
+        lam1 = spectrum._lowest(*even)
+        knew = math.sqrt(-lam1)
+        if abs(knew - kappa) <= 1e-9 * kappa or i == 3:
+            return lam1, spectrum._lowest(*odd), knew, i + 1
+        kappa = knew
+
+
 def test_closure_solves_each_robin_matrix_once(monkeypatch, grid):
     # near the whole-line threshold: kappa * Y << 3, so brentq closes it
     (lam1, lam2, kappa), ends, n_brent, v, h = _counted_closure(monkeypatch, 4e-5, grid)
@@ -276,18 +290,22 @@ def test_closure_fixed_point_matches_direct_solve(monkeypatch, grid):
     assert len(set(ends)) == len(ends)
     # every solve is on a parity block, half the rows of the full matrix
     assert {n for _, _, n in ends} <= {(len(v) + 1) // 2, (len(v) - 1) // 2}
-    # the blocks' own index calls, bit for bit, and the full matrix within
-    # its bisection tolerance
-    even, odd = _blocks(v, h, kappa)
-    assert (lam1, lam2) == (spectrum._lowest(*even), spectrum._lowest(*odd))
+    # kappa * Y is about 20, so the narrow window certifies the Robin
+    # lambda1 at the Neumann kappa: the even block's index call within its
+    # bisection tolerance, the odd block's bit for bit, and the full matrix
+    # within its bisection tolerance
+    ref1, ref2, ref_kappa, sweeps = _index_sweeps(v, h)
+    assert sweeps == 1 and lam2 == ref2 and kappa == math.sqrt(-lam1)
+    assert abs(lam1 - ref1) <= _ulp_norm(*_blocks(v, h, 0.0)[0])
     d, e = _robin_tridiagonal(v, h, kappa)
     full1, full2 = _lowest_two(d, e)
     assert abs(lam1 - full1) <= _ulp_norm(d, e) and abs(lam2 - full2) <= _ulp_norm(d, e)
 
 
-# Certified warm-start windows (spectrum._windowed).  A window solve is used
-# only when Sturm counts certify it; otherwise the closure falls back to the
-# block's own index call, bit for bit.
+# Certified windows (spectrum._windowed).  A window solve is used only when
+# an LDL^T factorization certifies that nothing lies below it and the
+# bisection finds exactly one eigenvalue in it; otherwise the closure falls
+# back to the block's own index call, bit for bit.
 
 M0_LINE = 4.127983142029252e-05  # the fixture's whole-line threshold amplitude (line report.json)
 
@@ -303,19 +321,20 @@ def _fixture_well(M, grid=Grid(20.0, 8193), t=0.0):
     return np.asarray(v, dtype=float), ys[1] - ys[0]
 
 
-@pytest.mark.parametrize("case", ["estimate_above_lambda1", "window_holds_two", "eigenvalue_in_gap"])
-def test_uncertified_window_falls_back_to_index_call(case):
-    # V = -6 sech^2: the even block holds lambda1 = -4, the odd block
-    # lambda2 = -1, each followed by box states above 0
-    v, h = _pt_well(6.0)
-    blocks = _blocks(v, h, 2.0)
+UNCERTIFIED = ["estimate_above_lambda1", "window_holds_two", "eigenvalue_in_gap"]
+
+
+def _uncertified_windows(v, h, kappa, case):
+    """(estimate, half-width) windows for lambda1 and lambda2, built from
+    each parity block's two lowest eigenvalues at ``kappa``, that
+    ``_windowed`` rejects."""
     windows = []
-    for d, e in blocks:
+    for d, e in _blocks(v, h, kappa):
         first, second = spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                                    select_range=(0, 1))
         windows.append({
             # the estimate sits one eigenvalue too high: the window holds
-            # exactly one eigenvalue, and only the count below rejects it
+            # exactly one eigenvalue, and only the certificate below rejects it
             "estimate_above_lambda1": (second, 1e-3),
             # the window holds the block's two lowest eigenvalues
             "window_holds_two": (0.5 * (first + second), 0.75 * (second - first)),
@@ -324,10 +343,30 @@ def test_uncertified_window_falls_back_to_index_call(case):
             "eigenvalue_in_gap": (first - 0.5, 0.1),
         }[case])
         assert spectrum._windowed(d, e, windows[-1]) is None
-    lam1, lam2, kappa = _selfconsistent_box(v, h, 20.0, tuple(windows))
-    assert kappa * 20.0 >= 3.0
-    even, odd = _blocks(v, h, kappa)
-    assert (lam1, lam2) == (spectrum._lowest(*even), spectrum._lowest(*odd))
+    return tuple(windows)
+
+
+@pytest.mark.parametrize("case", UNCERTIFIED)
+def test_uncertified_window_falls_back_to_index_call(case):
+    # V = -6 sech^2: the even block holds lambda1 = -4, the odd block
+    # lambda2 = -1, each followed by box states above 0.  At kappa * Y = 40
+    # the narrow window still certifies the Robin lambda1: the index call
+    # within its bisection tolerance, and lambda2 bit for bit
+    v, h = _pt_well(6.0)
+    lam1, lam2, kappa = _selfconsistent_box(v, h, 20.0, _uncertified_windows(v, h, 2.0, case))
+    ref1, ref2, ref_kappa, sweeps = _index_sweeps(v, h)
+    assert sweeps == 1 and lam2 == ref2 and kappa == math.sqrt(-lam1)
+    assert abs(lam1 - ref1) <= _ulp_norm(*_blocks(v, h, 0.0)[0])
+
+
+@pytest.mark.parametrize("case", UNCERTIFIED)
+def test_uncertified_windows_in_a_shallow_well_run_the_index_sweeps(case):
+    # V = -0.39 sech^2 binds kappa = 0.3 (kappa * Y = 6): the narrow window
+    # is uncertified too, so the closure is the index sweeps bit for bit
+    v, h = _pt_well(0.39)
+    got = _selfconsistent_box(v, h, 20.0, _uncertified_windows(v, h, 0.3, case))
+    lam1, lam2, kappa, sweeps = _index_sweeps(v, h)
+    assert got == (lam1, lam2, kappa) and sweeps > 1 and 3.0 <= kappa * 20.0 <= 9.0
 
 
 @pytest.mark.parametrize("well", ["poschl_teller_1", "poschl_teller_2", "fixture_M0.7"])
@@ -343,6 +382,110 @@ def test_certified_window_matches_index_call(well, robin):
         got = spectrum._windowed(d, e, (lam + shift, 1e-5))
         assert got is not None
         assert abs(got - lam) <= _ulp_norm(d, e)
+
+
+# kappa * Y from about 3 to 43: fixture amplitudes at t = 0 and Poschl-Teller
+# wells -nu (nu + 1) sech^2, which bind kappa = nu.  None lies within 1 % of
+# the sweeps' 1e-9 stop edge (the nearest, nu = 0.5 and 0.6, miss it 5-fold
+# and 12-fold).
+STRONG_WELLS = [("fixture", M) for M in (0.1, 0.15, 0.2, 0.3, 0.7, 2.0)] + [
+    ("poschl_teller", nu) for nu in (0.16, 0.3, 0.5, 0.6, 1.0, 1.25)]
+
+
+@pytest.mark.parametrize("kind, value", STRONG_WELLS)
+def test_narrow_window_certifies_exactly_the_one_sweep_closures(monkeypatch, kind, value):
+    # the narrow window is certified where the index sweeps stop at their
+    # first sweep; then lambda1 and kappa agree with them within the
+    # bisection tolerance and lambda2 bit for bit, else the closure is
+    # the sweeps bit for bit
+    v, h = _fixture_well(value) if kind == "fixture" else _pt_well(value * (value + 1.0))
+    certified = []
+    real = spectrum._windowed
+
+    def spy_windowed(*args):
+        out = real(*args)
+        certified.append(out is not None)
+        return out
+
+    monkeypatch.setattr(spectrum, "_windowed", spy_windowed)
+    lam1, lam2, kappa = _selfconsistent_box(v, h, 20.0)
+    ref1, ref2, ref_kappa, sweeps = _index_sweeps(v, h)
+    assert 3.0 <= kappa * 20.0 and certified == [sweeps == 1]
+    if sweeps > 1:
+        assert (lam1, lam2, kappa) == (ref1, ref2, ref_kappa)
+    tol = _ulp_norm(*_blocks(v, h, 0.0)[0])
+    assert abs(lam1 - ref1) <= tol and abs(kappa - ref_kappa) <= tol and lam2 == ref2
+
+
+def test_windowed_rungs_certify_by_ldlt_alone(monkeypatch, grid):
+    # a strongly bound ladder: rung 0 routes (one dpttrf), seeds and takes
+    # lambda2 by index and certifies the narrow window; each later rung
+    # certifies its three windows.  Every window is a dpttrf certificate,
+    # then one value-range bisection: no eigh_tridiagonal call counts
+    calls, rungs = [], []
+    eigh, dpttrf, level = spectrum.eigh_tridiagonal, spectrum.dpttrf, spectrum._level
+
+    def counted_eigh(d, e, **kwargs):
+        assert "tol" not in kwargs
+        calls.append(kwargs["select"])
+        return eigh(d, e, **kwargs)
+
+    def counted_dpttrf(d, e, **kwargs):
+        calls.append("dpttrf")
+        return dpttrf(d, e, **kwargs)
+
+    def split_level(*args):
+        out = level(*args)
+        rungs.append(list(calls))
+        calls.clear()
+        return out
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
+    monkeypatch.setattr(spectrum, "dpttrf", counted_dpttrf)
+    monkeypatch.setattr(spectrum, "_level", split_level)
+    res = lowest_eigenpair(FlowState(FlowParams(0.7, 0.15, 0.03, 0.8, 1e-3), 0.0), grid,
+                           want_mode=False)
+    assert res.convergence.kappa * grid.half_width >= 3.0 and len(rungs) >= 3
+    assert rungs[0] == ["dpttrf", "i", "dpttrf", "v", "i"]
+    assert all(r == ["dpttrf", "v"] * 3 for r in rungs[1:])
+
+
+def _random_window_block(well, odd, robin):
+    """A parity block of ``well`` and its three lowest eigenvalues."""
+    v, h = {"poschl_teller_1": lambda: _pt_well(2.0), "poschl_teller_2": lambda: _pt_well(6.0),
+            "fixture_t0": lambda: _fixture_well(0.7),
+            "fixture_T": lambda: _fixture_well(0.7, t=0.02025)}[well]()
+    kappa = math.sqrt(-spectrum._lowest(*_blocks(v, h, 0.0)[0])) if robin else 0.0
+    d, e = _blocks(v, h, kappa)[odd]
+    return d, e, spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                           select_range=(0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    well=st.sampled_from(["poschl_teller_1", "poschl_teller_2", "fixture_t0", "fixture_T"]),
+    odd=st.booleans(),
+    robin=st.booleans(),
+    j=st.integers(0, 1),
+    offset=st.floats(-1.5, 1.5),
+    width=st.floats(1e-9, 1.5),
+)
+def test_ldlt_certificate_agrees_with_sturm_counts(well, odd, robin, j, offset, width):
+    """Random windows about a block's two lowest eigenvalues: dpttrf
+    certifies exactly when a Sturm count finds none below the window, and
+    ``_windowed`` returns a value exactly when the counts also find one in
+    it, the lowest eigenvalue within the bisection tolerance."""
+    d, e, lams = _random_window_block(well, odd, robin)
+    gap = lams[1] - lams[0]
+    x, w = lams[j] + offset * gap, width * gap
+    # an end within rounding of an eigenvalue may count either way
+    assume(min(abs(end - lam) for end in (x - w, x + w) for lam in lams) > 1e-9 * gap)
+    below = sturm_count_below(d, e, x - w)
+    assert (spectrum.dpttrf(d - (x - w), e)[2] == 0) == (below == 0)
+    got = spectrum._windowed(d, e, (x, w))
+    assert (got is not None) == (below == 0 and sturm_count_below(d, e, x + w) == 1)
+    if got is not None:
+        assert abs(got - lams[0]) <= _ulp_norm(d, e)
 
 
 @pytest.mark.parametrize("well", ["poschl_teller_2", "fixture_t0", "fixture_T"])
@@ -494,3 +637,43 @@ def test_windowed_ladder_property(gamma0, gamma1, gamma2, M, step):
         pinned = lowest_eigenpair(FlowState(p, 0.0), grid, want_mode=False)
     assert abs(res.lambda1 - pinned.lambda1) <= 10 * spectrum.TOL_EIG
     assert abs(res.lambda2 - pinned.lambda2) <= 10 * spectrum.TOL_EIG
+
+
+# The two switches of the strongly bound closure on the fixture at t = 0, on a
+# 2049-point grid: below M_WEAK the Robin lambda1 binds kappa * Y < 3 and brentq
+# closes it; above M_NARROW (kappa * Y about 10.8) the narrow window certifies it.
+M_WEAK = 0.0927000278774
+M_NARROW = 0.358627913568
+
+
+@settings(max_examples=10, deadline=None)
+@given(edge=st.sampled_from(["weak", "narrow"]), below=st.floats(1e-4, 3e-2),
+       above=st.floats(1e-4, 3e-2))
+def test_lambda1_is_monotone_across_the_closure_switches(edge, below, above):
+    """lambda1 of the base rung decreases in M across each switch.  The
+    narrow window's edge is blurred by bisection rounding to about 1e-6
+    relative in M, so each side keeps 1e-4 relative away from it."""
+    grid = Grid(20.0, 2049)
+    m = {"weak": M_WEAK, "narrow": M_NARROW}[edge]
+    lams, paths = [], []
+    real_windowed, real_brentq = spectrum._windowed, spectrum.brentq
+    for M in (m * (1.0 - below), m * (1.0 + above)):
+        path = {"weak": False, "narrow": False}
+
+        def spy_windowed(d, e, window):
+            out = real_windowed(d, e, window)
+            path["narrow"] = out is not None
+            return out
+
+        def spy_brentq(*args, **kwargs):
+            path["weak"] = True
+            return real_brentq(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum, "_windowed", spy_windowed)
+            mp.setattr(spectrum, "brentq", spy_brentq)
+            lams.append(spectrum._base_lambda1(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0),
+                                               grid))
+        paths.append(path[edge])
+    assert paths == ([True, False] if edge == "weak" else [False, True])
+    assert lams[1] < lams[0]

@@ -19,14 +19,19 @@ gamma2 = 0.8, nu = 1e-3):
 The tuned states are strongly bound (the ``kstar-sweep`` and ``eigencurve``
 states, fixed-point Robin closure), the threshold weakly bound (brentq
 closure).  Calls are counted by rebinding ``spectrum.eigh_tridiagonal``
-(and ``spectrum.dpttrf``, the LDL^T routing test, where the revision has
-it), as perfbench traces a request, so nothing under ``src/`` changes:
+(and ``spectrum.dpttrf``, the LDL^T factorization, where the revision has
+it), as perfbench traces a request, so nothing under ``src/`` changes.
+LDL^T calls are "routing" (the Neumann-block test that sends a closure
+to the strongly bound path) or "certify" (made inside ``_windowed``, the
+test that nothing lies below a window).  ``eigh_tridiagonal`` calls are
 index calls (bisection over the whole spectrum) apart from value-range
-calls, which are split into window solves and pure counts (a tolerance
-wider than the interval, so nothing is bisected).  Eigenvector calls, the
-mode solve after the ladder, are a kind of their own, "vector", with their
-own seconds.  Each kind also records its rows, the sum of len(d) over its
-calls, so a solve on a half-size parity block weighs half a full-matrix one.
+calls, which are split into rung windows (made by a block solve), narrow
+windows (made by the closure itself, the window that confirms the
+self-consistent kappa) and pure counts (a tolerance wider than the
+interval, so nothing is bisected).  Eigenvector calls, the mode solve after
+the ladder, are a kind of their own, "vector", with their own seconds.
+Each kind also records its rows, the sum of len(d) over its calls, so a
+solve on a half-size parity block weighs half a full-matrix one.
 Potential evaluations are counted per case by rebinding
 ``spectrum.eval_potential``: "potential" records its calls and points (the
 sum of the node counts it was asked for).  Each rung is timed through
@@ -49,7 +54,13 @@ FIXTURE = dict(gamma0=0.15, gamma1=0.03, gamma2=0.8, nu=1e-3)
 DELTA = 0.01
 REPEAT = 5
 OUT = "BENCH_spectrum.json"
-KINDS = ("routing", "index", "window", "count", "vector")  # LDL^T tests, then eigh_tridiagonal calls
+# LDL^T factorizations, then eigh_tridiagonal calls
+KINDS = ("routing", "certify", "index", "window", "narrow", "count", "vector")
+
+
+def _caller(depth):
+    """The name of the function ``depth`` frames above the counting wrapper's caller."""
+    return sys._getframe(depth + 2).f_code.co_name
 
 
 class Counter:
@@ -86,13 +97,16 @@ class Counter:
             if kwargs.get("select") == "v":
                 lo, hi = kwargs["select_range"]
                 # a tolerance wider than the interval only counts, it bisects nothing
-                self.count("count" if kwargs.get("tol", 0.0) > hi - lo else "window", d)
+                if kwargs.get("tol", 0.0) > hi - lo:
+                    self.count("count", d)
+                else:  # _windowed, called by a block solve or by the closure itself
+                    self.count("narrow" if _caller(1) == "_selfconsistent_box" else "window", d)
             else:
                 self.count("index", d)
             return eigh(d, e, **kwargs)
 
         def counted_dpttrf(d, e, **kwargs):
-            self.count("routing", d)
+            self.count("certify" if _caller(0) == "_windowed" else "routing", d)
             return dpttrf(d, e, **kwargs)
 
         def timed_level(vfunc, grid, lev, *rest):
