@@ -10,7 +10,7 @@ shared with the Rayleigh root polish; Chandrupatla, Adv. Eng. Softw. 28,
 
 The amplitude tune runs that iteration twice: it locates M over the whole
 bracket on the base grid alone (rung 0 of the eigensolver's Richardson
-ladder, within about 1e-5 relative of the converged k* at a small fraction
+ladder, within about 4e-5 relative of the converged k* at a small fraction
 of the cost), then finishes on converged eigenvalues in a tight log-M
 window at that root, so the tolerance and the bracket it reports are those
 of converged solves.  The threshold amplitude where binding first resolves
@@ -217,10 +217,10 @@ def find_critical_M0(params: FlowParams, grid: Grid = Grid()) -> CalibrationResu
 
     This stays a bisection: near M0, lambda1 (about -5e-9) is within ten
     times LAPACK's bisection tolerance ULP * ||T||_1, about 6e-10 at the
-    32 769 points where its weakly bound eigensolves stop (only the strongly
-    bound M = 10 bracket end reaches 131 073), so it is noise rather than a
-    smooth function of M that interpolation could exploit, and M0 moves
-    like dM/M ~ dlambda / 1e-8.
+    32 769 points where its weakly bound eigensolves stop on the uniform
+    ladder (the strongly bound M = 10 bracket end climbs the mapped one), so
+    it is noise rather than a smooth function of M that interpolation could
+    exploit, and M0 moves like dM/M ~ dlambda / 1e-8.
     """
     level = -TOL_EIG / 2.0
     lo, hi = M0_BRACKET

@@ -4,8 +4,9 @@
 
 Run it from the root of a checkout: it imports ``viscoshear`` from ``src``
 and writes ``BENCH_spectrum.json`` in the working directory.  A parent
-revision is measured by running this script, by its path here, from the
-root of the parent's checkout.  Four cases, each one ``lowest_eigenpair``
+revision with the mapped ladder is measured by running this script, by
+its path here, from the root of the parent's checkout; older revisions by
+the version of this script they carry.  Four cases, each one ``lowest_eigenpair``
 on the default grid, for the README fixture (gamma0 = 0.15, gamma1 = 0.03,
 gamma2 = 0.8, nu = 1e-3):
 
@@ -17,27 +18,23 @@ gamma2 = 0.8, nu = 1e-3):
   eigensolve of a ``torus`` request at t = T.
 
 The tuned states are strongly bound (the ``kstar-sweep`` and ``eigencurve``
-states, fixed-point Robin closure), the threshold weakly bound (brentq
-closure).  Calls are counted by rebinding ``spectrum.eigh_tridiagonal``
-(and ``spectrum.dpttrf``, the LDL^T factorization, where the revision has
-it), as perfbench traces a request, so nothing under ``src/`` changes.
-LDL^T calls are "routing" (the Neumann-block test that sends a closure
-to the strongly bound path) or "certify" (made inside ``_windowed``, the
-test that nothing lies below a window).  ``eigh_tridiagonal`` calls are
-index calls (bisection over the whole spectrum) apart from value-range
-calls, which are split into rung windows (made by a block solve), narrow
-windows (made by the closure itself, the window that confirms the
-self-consistent kappa) and pure counts (a tolerance wider than the
-interval, so nothing is bisected).  Eigenvector calls, the mode solve after
-the ladder, are a kind of their own, "vector", with their own seconds.
-Each kind also records its rows, the sum of len(d) over its calls, so a
-solve on a half-size parity block weighs half a full-matrix one.
-Potential evaluations are counted per case by rebinding
-``spectrum.eval_potential``: "potential" records its calls and points (the
-sum of the node counts it was asked for).  Each rung is timed through
-``spectrum._level``; a case runs REPEAT times, and a rung and the case's
-vector calls report their fastest repeat.  The counts are the same in every
-repeat.
+states), so they climb the mapped ladder (``spectrum._mapped_level``); the
+threshold is weakly bound, so mapped rung 0 routes it to the uniform ladder
+(``spectrum._level``, brentq closure).  Calls are counted by rebinding
+``spectrum.eigh_tridiagonal`` and ``spectrum.dpttrf``, as perfbench traces
+a request, so nothing under ``src/`` changes.  LDL^T calls are "routing"
+(the test on mapped rung 0 that picks the ladder); ``eigh_tridiagonal``
+calls are "index" (eigenvalues by index) or "vector" (the mode's
+eigenvector call after the ladder, with its own seconds).  Each kind also
+records its rows, the sum of len(d) over its calls, so a solve on a
+half-size block weighs half a full-matrix one.  Potential evaluations are
+counted per case by rebinding ``spectrum.eval_potential``: "potential"
+records its calls and points (the sum of the node counts it was asked
+for).  Each rung is timed through ``spectrum._mapped_level`` or
+``spectrum._level`` and names its ladder; a mapped rung 0 that routes the
+state away has ``n`` None.  A case runs REPEAT times, and a rung and the
+case's vector calls report their fastest repeat.  The counts are the same
+in every repeat.
 """
 
 from __future__ import annotations
@@ -54,17 +51,11 @@ FIXTURE = dict(gamma0=0.15, gamma1=0.03, gamma2=0.8, nu=1e-3)
 DELTA = 0.01
 REPEAT = 5
 OUT = "BENCH_spectrum.json"
-# LDL^T factorizations, then eigh_tridiagonal calls
-KINDS = ("routing", "certify", "index", "window", "narrow", "count", "vector")
-
-
-def _caller(depth):
-    """The name of the function ``depth`` frames above the counting wrapper's caller."""
-    return sys._getframe(depth + 2).f_code.co_name
+KINDS = ("routing", "index", "vector")  # LDL^T factorizations, then eigh_tridiagonal calls
 
 
 class Counter:
-    """Rebinds ``spectrum.eigh_tridiagonal`` and ``spectrum._level`` to count and time rungs."""
+    """Rebinds ``spectrum``'s LAPACK calls, potential and rungs to count and time them."""
 
     def __init__(self, spectrum):
         self.spectrum = spectrum
@@ -79,8 +70,7 @@ class Counter:
 
     def install(self):
         sp = self.spectrum
-        eigh, level, dpttrf = sp.eigh_tridiagonal, sp._level, getattr(sp, "dpttrf", None)
-        potential = sp.eval_potential
+        eigh, dpttrf, potential = sp.eigh_tridiagonal, sp.dpttrf, sp.eval_potential
 
         def counted_potential(state, ys):
             self.potential["calls"] += 1
@@ -88,41 +78,36 @@ class Counter:
             return potential(state, ys)
 
         def counted_eigh(d, e, **kwargs):
-            if not kwargs.get("eigvals_only"):
-                self.count("vector", d)
-                t0 = time.perf_counter()
-                out = eigh(d, e, **kwargs)
-                self.vector_s += time.perf_counter() - t0
-                return out
-            if kwargs.get("select") == "v":
-                lo, hi = kwargs["select_range"]
-                # a tolerance wider than the interval only counts, it bisects nothing
-                if kwargs.get("tol", 0.0) > hi - lo:
-                    self.count("count", d)
-                else:  # _windowed, called by a block solve or by the closure itself
-                    self.count("narrow" if _caller(1) == "_selfconsistent_box" else "window", d)
-            else:
+            if kwargs.get("eigvals_only"):
                 self.count("index", d)
-            return eigh(d, e, **kwargs)
-
-        def counted_dpttrf(d, e, **kwargs):
-            self.count("certify" if _caller(0) == "_windowed" else "routing", d)
-            return dpttrf(d, e, **kwargs)
-
-        def timed_level(vfunc, grid, lev, *rest):
-            before = dict(self.calls)
+                return eigh(d, e, **kwargs)
+            self.count("vector", d)
             t0 = time.perf_counter()
-            out = level(vfunc, grid, lev, *rest)
-            rung = {"n": out[0], "kappa_Y": out[3] * grid.half_width,
-                    "s": time.perf_counter() - t0}
-            rung.update({k: self.calls[k] - before[k] for k in self.calls})
-            self.rungs.append(rung)
+            out = eigh(d, e, **kwargs)
+            self.vector_s += time.perf_counter() - t0
             return out
 
-        sp.eigh_tridiagonal, sp._level = counted_eigh, timed_level
+        def counted_dpttrf(d, e, **kwargs):
+            self.count("routing", d)
+            return dpttrf(d, e, **kwargs)
+
+        def timed(ladder, rung, half_width):
+            def timed_rung(vfunc, where, lev):
+                before = dict(self.calls)
+                t0 = time.perf_counter()
+                out = rung(vfunc, where, lev)
+                record = {"ladder": ladder, "n": out and out[0],
+                          "kappa_Y": out and out[3] * half_width(where),
+                          "s": time.perf_counter() - t0}
+                record.update({k: self.calls[k] - before[k] for k in self.calls})
+                self.rungs.append(record)
+                return out
+            return timed_rung
+
+        sp.eigh_tridiagonal, sp.dpttrf = counted_eigh, counted_dpttrf
         sp.eval_potential = counted_potential
-        if dpttrf is not None:
-            sp.dpttrf = counted_dpttrf
+        sp._level = timed("uniform", sp._level, lambda grid: grid.half_width)
+        sp._mapped_level = timed("mapped", sp._mapped_level, lambda half_width: half_width)
 
 
 def measure(counter, lowest_eigenpair, state, grid, want_mode):
@@ -146,7 +131,7 @@ def measure(counter, lowest_eigenpair, state, grid, want_mode):
         "t": state.t,
         "lambda1": res.lambda1,
         "lambda2": res.lambda2,
-        "levels": len(best),
+        "levels": sum(r["n"] is not None for r in best),
         "total_s": sum(r["s"] for r in best),
         "rungs": best,
         "vector": vector,
@@ -197,7 +182,7 @@ def main() -> int:
         fh.write("\n")
     for name, case in cases.items():
         rungs = ", ".join(
-            f"{r['n']}: {r['s'] * 1e3:.1f} ms ("
+            f"{r['ladder']} {r['n']}: {r['s'] * 1e3:.1f} ms ("
             + ", ".join(f"{r[k + '_calls']} {k}/{r[k + '_rows']} rows" for k in KINDS) + ")"
             for r in case["rungs"])
         vec, pot = case["vector"], case["potential"]
