@@ -40,6 +40,27 @@ def sturm_count_below(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
     return count
 
 
+def certified_window(d: np.ndarray, e: np.ndarray, window: tuple):
+    """The one eigenvalue of a symmetric tridiagonal block inside the
+    (estimate, half-width) ``window``, or None unless the window is certified:
+    an LDL^T factorization (dpttrf) of the block less the window's lower end
+    succeeds, so no eigenvalue lies at or below it (Sylvester inertia), and a
+    value-range bisection finds exactly one eigenvalue in it.
+
+    An oracle for the mapped closure's index calls: a certified window
+    around a value proves it is the block's lowest eigenvalue.
+    """
+    x, w = window
+    try:
+        if not x - w < x + w or scipy.linalg.lapack.dpttrf(d - (x - w), e)[2] > 0:
+            return None
+        vals = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                             select_range=(x - w, x + w))
+    except scipy.linalg.LinAlgError:
+        return None
+    return float(vals[0]) if len(vals) == 1 else None
+
+
 def _lowest(d, e):
     """The lowest eigenvalue of a block by one index call at LAPACK's default tolerance."""
     return float(spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
@@ -447,6 +468,78 @@ def test_mapped_blocks_match_the_dense_generalized_problem(monkeypatch, well, ro
         assert abs(lam_n - _dense_mapped(WELLS[well], rows, 0.0, False)) <= 1e-9 * abs(lam_n)
 
 
+def _certified_tol(d, e):
+    """How far a certified window's value may lie from a mapped index call:
+    dstebz's default tolerance plus MAP_TOL."""
+    return _ulp_norm(d, e) + spectrum.MAP_TOL
+
+
+@pytest.mark.parametrize("well", list(WELLS))
+@pytest.mark.parametrize("robin", [False, True])
+def test_certified_window_matches_index_call(monkeypatch, well, robin):
+    # the even and odd blocks of mapped rung 0, at kappa = 0 (robin False) or
+    # at the closure's kappa (robin True, the blocks of lambda1 and lambda2):
+    # a window 1e-5 wide on each side of each block's index call, off centre,
+    # is certified and holds that value
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, WELLS[well], 0)
+    d, e, _, lam = calls[-2] if robin else calls[0]
+    lam_odd = calls[-1][3] if robin else spectrum._mapped_lowest(d[1:], e[1:])
+    if robin:
+        assert (lam, lam_odd) == (lam1, lam2)
+    for (db, eb, lam_b), shift in zip(((d, e, lam), (d[1:], e[1:], lam_odd)), (3e-6, -3e-6)):
+        got = certified_window(db, eb, (lam_b + shift, 1e-5))
+        assert got is not None
+        assert abs(got - lam_b) <= _certified_tol(db, eb)
+
+
+UNCERTIFIED = ["estimate_above_lambda1", "window_holds_two", "eigenvalue_in_gap"]
+
+
+def _assert_uncertified(d, e, case):
+    """Build the ``case`` window from the block's two lowest eigenvalues and
+    check that ``certified_window`` rejects it."""
+    first, second = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                                  select_range=(0, 1))
+    window = {
+        # the estimate sits one eigenvalue too high: the window holds
+        # exactly one eigenvalue, and only the certificate below rejects it
+        "estimate_above_lambda1": (second, 1e-3),
+        # the window holds the block's two lowest eigenvalues
+        "window_holds_two": (0.5 * (first + second), 0.75 * (second - first)),
+        # the window lies in the gap below the lowest eigenvalue: nothing
+        # below it and nothing in it
+        "eigenvalue_in_gap": (first - 0.5, 0.1),
+    }[case]
+    assert certified_window(d, e, window) is None
+
+
+@pytest.mark.parametrize("case", UNCERTIFIED)
+def test_uncertified_window_falls_back_to_index_call(monkeypatch, case):
+    # V = -6 sech^2 on mapped rung 0: the even block holds lambda1 = -4, the
+    # odd block lambda2 = -1, each followed by box states above 0.  The
+    # oracle rejects each bad window on both blocks, so the values stand on
+    # the closure's index calls alone: at kappa * Y = 40 the Neumann seed,
+    # one Robin sweep and the odd block
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(6.0), 0)
+    (dr, er, _, lam_r), (do, eo, _, lam_o) = calls[-2:]
+    _assert_uncertified(dr, er, case)
+    _assert_uncertified(do, eo, case)
+    assert len(calls) == 3 and (lam1, lam2) == (lam_r, lam_o) and kappa == math.sqrt(-lam1)
+    assert abs(lam1 + 4.0) <= 1e-3 and abs(lam2 + 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("case", UNCERTIFIED)
+def test_uncertified_windows_in_a_shallow_well_run_the_index_sweeps(monkeypatch, case):
+    # V = -0.39 sech^2 binds kappa = 0.3 (kappa * Y = 6): the bad windows are
+    # rejected on the closure's blocks, and the closure needs more than one
+    # Robin sweep, each an index call, before the odd block
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(0.39), 0)
+    (dr, er, _, lam_r), (do, eo, _, lam_o) = calls[-2:]
+    _assert_uncertified(dr, er, case)
+    _assert_uncertified(do, eo, case)
+    assert len(calls) > 3 and (lam1, lam2) == (lam_r, lam_o) and 3.0 <= kappa * 20.0 <= 9.0
+
+
 def test_order_guard_raises_outside_the_band(monkeypatch):
     # the fixture's raw lambda1 differences fall 4-fold; a band that excludes
     # 4 makes the mapped ladder refuse to extrapolate and name its trail
@@ -501,6 +594,27 @@ def test_mapped_ladder_matches_the_uniform_ladder(kind, value):
     assert info.n_points[0] == 2 * spectrum.MAP_ROWS - 1 and info.kappa * 20.0 >= 3.0
     ref1, ref2 = _uniform_reference(vfunc)
     assert abs(lam1 - ref1) <= spectrum.TOL_EIG and abs(lam2 - ref2) <= spectrum.TOL_EIG
+
+
+@pytest.mark.parametrize("kind, value", STRONG_WELLS)
+def test_narrow_window_certifies_exactly_the_one_sweep_closures(monkeypatch, kind, value):
+    # the sweeps stop once |sqrt(-lambda1) - kappa| <= 1e-9 kappa, that is once
+    # the Robin lambda1 lies within 2e-9 |lambda_N| of the Neumann lambda_N.
+    # On each of the fixture's three mapped rungs that narrow window around
+    # lambda_N, on the Robin block at the Neumann kappa, is certified exactly
+    # when the closure stops at its first sweep, and then holds its lambda1.
+    # (The nearest wells to the stop edge, nu = 0.5 and 0.6, miss it 5-fold
+    # and 9-fold.)
+    vfunc = _fixture_potential(value) if kind == "fixture" else _pt_potential(value * (value + 1.0))
+    for level in range(3):
+        (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, vfunc, level)
+        lam_n = calls[0][3]
+        dr, er, _, lam_r = calls[1]
+        one_sweep = len(calls) == 3  # the Neumann seed, one Robin sweep, the odd block
+        got = certified_window(dr, er, (lam_n, -2e-9 * lam_n))
+        assert kappa * 20.0 >= 3.0 and (got is not None) == one_sweep
+        if one_sweep:
+            assert lam1 == lam_r and abs(got - lam1) <= _certified_tol(dr, er)
 
 
 @settings(max_examples=8, deadline=None)
