@@ -1,21 +1,20 @@
 """Amplitude calibration and time sweeps of the critical wave number.
 
-The lowest eigenvalue of the bound-state operator is strictly decreasing in
-the amplitude M, and k*(t) rises monotonically under diffusion, so hitting a
-target critical wave number and locating the crossing time of k* = 1 are
-bracketed roots of smooth monotone functions.  Both are found by
-Chandrupatla's bracketed inverse-quadratic iteration (``_roots.chandrupatla``,
-shared with the Rayleigh root polish; Chandrupatla, Adv. Eng. Softw. 28,
-1997), which converges superlinearly and stops once |k* - target| <= TOL_CAL.
+The lowest eigenvalue is strictly decreasing in the amplitude M, so a target
+k* is a bracketed root of a smooth monotone function.  k*(t) is monotone
+only while the narrow bump sits well inside the wide one: in random strongly
+bound states it turned back down before T in none of 142 with gamma1/gamma2
+<= 0.045 and in 196 of 241, each above 0.051, while the config accepts up to
+0.2.  So the crossing time of k* = 1 is sought in the first pair of time
+samples that straddles 1.  Both roots come from Chandrupatla's bracketed
+inverse-quadratic iteration (``_roots.chandrupatla``, shared with the
+Rayleigh root polish; Adv. Eng. Softw. 28, 1997), stopped once
+|k* - target| <= TOL_CAL.
 
-The amplitude tune runs that iteration twice: it locates M over the whole
-bracket on the base grid alone (rung 0 of the eigensolver's Richardson
-ladder, within about 4e-5 relative of the converged k* at a small fraction
-of the cost), then finishes on converged eigenvalues in a tight log-M
-window at that root, so the tolerance and the bracket it reports are those
-of converged solves.  The threshold amplitude where binding first resolves
-stays a bisection (see ``find_critical_M0``).  The time sweep samples k*(t)
-on [0, T] with T the diffusion horizon of the narrow bump.
+The amplitude tune locates M on the base grid (``spectrum._base_lambda1``:
+mapped rung 0's even Neumann block, one index call), then finishes on
+converged eigenvalues in a tight log-M window at that root.  The threshold
+amplitude stays a bisection (see ``find_critical_M0``).
 """
 
 from __future__ import annotations
@@ -249,10 +248,10 @@ def kstar_time_sweep(M: float, params: FlowParams, n_times: int,
     """Sample k*(t) on a uniform grid over [0, T] and localize k* = 1.
 
     T is the exact diffusion horizon of the narrow bump.  The crossing time
-    is attached by Chandrupatla's iteration between the straddling samples,
-    whose k* the sweep already holds (the sweep is monotone in the
-    calibrated regime); ``Ttilde`` is None when k* never crosses 1.  The
-    t = 0 sample of a just-tuned M is taken from the tune's solve.
+    is attached by Chandrupatla's iteration in the first pair of samples
+    that straddles k* = 1 (see the module docstring), whose k* the sweep
+    already holds; ``Ttilde`` is None when no pair straddles.  The t = 0
+    sample of a just-tuned M is taken from the tune's solve.
     """
     if n_times < 8:
         raise ValueError("n_times must be at least 8")

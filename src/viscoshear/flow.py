@@ -59,8 +59,11 @@ class FlowParams:
     nu: float
 
     def __post_init__(self):
-        if not self.M >= 0.0:
-            raise ValueError("M must be nonnegative")
+        # Float-range bounds: M scales b, and b''/b's series at y = 0 divides by
+        # (gamma0 gamma1)^9, which underflows to 0 below about 1e-36.  Within both, every
+        # term stays finite, and k* moves by only 1e-9 from M = 1e10 to 1e50.
+        if not 0.0 <= self.M <= 1e50:
+            raise ValueError("M must be nonnegative and at most 1e50")
         if not 0.0 < self.gamma0 <= 0.5:
             raise ValueError("gamma0 must lie in (0, 0.5]")
         if not 0.0 < self.gamma1 <= 0.5:
@@ -71,6 +74,8 @@ class FlowParams:
             raise ValueError("gamma1 must be smaller than gamma2")
         if not self.nu > 0.0:
             raise ValueError("nu must be positive")
+        if not self.gamma0 * self.gamma1 >= 1e-10:
+            raise ValueError("gamma0 * gamma1 must be at least 1e-10")
 
     @property
     def horizon(self) -> float:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from viscoshear import calibrate
+from viscoshear import calibrate, spectrum
 from viscoshear.calibrate import find_critical_M0, kstar_time_sweep, tune_M_for_kstar
 from viscoshear.errors import BracketFailure, NonConvergence
 from viscoshear.flow import FlowParams, FlowState
@@ -52,8 +52,8 @@ def test_amplitude_ordering_with_target(ctx, grid):
     assert m_high > m_low
 
 
-def test_small_target_approaches_threshold(grid):
-    m0 = find_critical_M0(P, grid).M
+def test_small_target_approaches_threshold(ctx, grid):
+    m0 = ctx.line.M  # find_critical_M0(P, grid): the session's line scenario holds it
     m_small = tune_M_for_kstar(P, 0.0, 0.05, grid).M
     assert m0 < m_small < 0.70
 
@@ -291,6 +291,22 @@ def test_fixture_eigensolve_budget(grid, monkeypatch):
     curve = kstar_time_sweep(cal.M, P, 9, grid)
     assert curve.Ttilde is not None
     assert len(solves) <= 9 + 4
+
+
+def test_fixture_tune_stays_off_the_uniform_ladder(grid, monkeypatch):
+    # the base grid is mapped rung 0 for every state, so the fixture's M = 0.01
+    # bracket end is one Neumann index call: no uniform rung, no brentq closure
+    uniform = []
+
+    def spy(name):
+        real = getattr(spectrum, name)
+        return lambda *args: uniform.append(name) or real(*args)
+
+    for name in ("_level", "_selfconsistent_box"):
+        monkeypatch.setattr(spectrum, name, spy(name))
+    cal = tune_M_for_kstar(P, 0.0, 0.99, grid)
+    assert abs(cal.achieved - 0.99) <= calibrate.TOL_CAL
+    assert uniform == []
 
 
 def test_sweep_reuses_tuned_state(grid, monkeypatch):

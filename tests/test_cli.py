@@ -162,6 +162,9 @@ def test_cli_config_errors(tmp_path):
         ("gamma2 = 1.5", "gamma2 must lie in (0,1)"),
         ("nu = 0", "nu must be positive"),
         ("M = -1", "M must be nonnegative"),
+        ("gamma0 = 1e-300", "gamma0 * gamma1 must be at least 1e-10"),
+        ("gamma1 = 1e-300", "gamma0 * gamma1 must be at least 1e-10"),
+        ("M = 1e300", "M must be nonnegative and at most 1e50"),
     ],
 )
 def test_cli_flow_parameter_errors(tmp_path, capsys, line, message):

@@ -25,7 +25,7 @@ def sturm_count_below(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
     """Number of eigenvalues of the symmetric tridiagonal matrix below sigma.
 
     Plain Sturm-sequence count, independent of LAPACK: the oracle for
-    eigenvalue counts and for the LDL^T routing test.
+    eigenvalue counts and for LDL^T certificates.
     """
     count = 0
     q = diag[0] - sigma
@@ -371,19 +371,15 @@ def test_closure_fixed_point_matches_direct_solve(monkeypatch):
 
 
 def test_mapped_rungs_route_once_then_make_three_index_calls(monkeypatch, grid):
-    # a strongly bound ladder: rung 0 routes it (one dpttrf on its even
-    # Neumann block); every rung then makes three index calls at MAP_TOL (the
-    # Neumann seed, one Robin sweep, the odd block) and nothing else
+    # a strongly bound ladder: rung 0's Neumann seed routes it, and every
+    # rung, rung 0 included, makes three index calls at MAP_TOL (the Neumann
+    # seed, one Robin sweep, the odd block) and nothing else
     calls, rungs = [], []
-    eigh, dpttrf, level = spectrum.eigh_tridiagonal, spectrum.dpttrf, spectrum._mapped_level
+    eigh, level = spectrum.eigh_tridiagonal, spectrum._mapped_level
 
     def counted_eigh(d, e, **kwargs):
-        calls.append((kwargs["select"], kwargs.get("tol")))
+        calls.append((kwargs["select"], kwargs.get("tol"), len(d)))
         return eigh(d, e, **kwargs)
-
-    def counted_dpttrf(d, e, **kwargs):
-        calls.append(("dpttrf", len(d)))
-        return dpttrf(d, e, **kwargs)
 
     def split_level(*args):
         out = level(*args)
@@ -392,20 +388,20 @@ def test_mapped_rungs_route_once_then_make_three_index_calls(monkeypatch, grid):
         return out
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
-    monkeypatch.setattr(spectrum, "dpttrf", counted_dpttrf)
     monkeypatch.setattr(spectrum, "_mapped_level", split_level)
     res = lowest_eigenpair(FlowState(FlowParams(0.7, 0.15, 0.03, 0.8, 1e-3), 0.0), grid,
                            want_mode=False)
-    index = [("i", spectrum.MAP_TOL)] * 3
+    assert not hasattr(spectrum, "dpttrf")
     assert len(rungs) == len(res.convergence.n_points) >= 3
-    assert rungs[0] == [("dpttrf", spectrum.MAP_ROWS)] + index
-    assert all(r == index for r in rungs[1:])
+    for i, rung in enumerate(rungs):
+        rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
+        assert rung == [("i", spectrum.MAP_TOL, rows)] * 2 + [("i", spectrum.MAP_TOL, rows - 1)]
 
 
 def test_sweeps_below_the_edge_fall_back_to_the_uniform_ladder(monkeypatch):
     # V = -nu (nu + 1) sech^2 binds kappa = nu, here nu Y = 2.99.  Mapped rung
-    # 0's Neumann block overbinds it to kappa Y = 3.005, so the LDL^T test
-    # routes it to the mapped ladder, but the Robin sweep drops below kappa Y
+    # 0's Neumann block overbinds it to kappa Y = 3.005, so the Neumann seed
+    # keeps it on the mapped ladder, but the Robin sweep drops below kappa Y
     # = 3: the solve climbs the uniform ladder and brentq closes kappa
     nu = 0.1495
     mapped, index = [], []
@@ -639,8 +635,8 @@ def test_mapped_ladder_property(gamma0, gamma1, gamma2, M, step):
 
 
 # Sylvester inertia: an LDL^T factorization (dpttrf) of T - sigma exists exactly
-# when no eigenvalue of T lies at or below sigma.  One such test on mapped rung
-# 0's even Neumann block routes every eigensolve.
+# when no eigenvalue of T lies at or below sigma, which makes it the certificate
+# of ``certified_window``.
 
 M0_LINE = 4.127983142029252e-05  # the fixture's whole-line threshold amplitude (line report.json)
 
@@ -683,7 +679,8 @@ def test_ldlt_certificate_agrees_with_sturm_counts(well, odd, robin, j, offset):
     sigma = lams[j] + offset * (lams[1] - lams[0])
     # a shift within rounding of an eigenvalue may count either way
     assume(min(abs(sigma - lam) for lam in lams) > 1e-9 * (lams[1] - lams[0]))
-    assert (spectrum.dpttrf(d - sigma, e)[2] == 0) == (sturm_count_below(d, e, sigma) == 0)
+    factored = scipy.linalg.lapack.dpttrf(d - sigma, e)[2] == 0
+    assert factored == (sturm_count_below(d, e, sigma) == 0)
 
 
 @pytest.mark.parametrize("well", ["poschl_teller_2", "fixture_t0", "fixture_T"])
@@ -740,29 +737,27 @@ def _full_matrix_weak_closure(v, h, tol):
 
 
 def test_weak_closure_makes_the_full_matrix_calls_plus_one_routing_test(monkeypatch):
-    # rung 0 of a weakly bound eigensolve: one LDL^T routing test on mapped
-    # rung 0's even block, then exactly the calls and the bits of the
-    # full-matrix weak closure on the uniform base grid
+    # a weakly bound eigensolve: one index call on mapped rung 0's even
+    # Neumann block routes it, then the uniform base rung makes exactly the
+    # calls and the bits of the full-matrix weak closure
     v, h = _fixture_well(M0_LINE)
     calls = []
-    eigh, dpttrf = spectrum.eigh_tridiagonal, spectrum.dpttrf
+    eigh = spectrum.eigh_tridiagonal
 
     def counted_eigh(d, e, **kwargs):
-        calls.append((kwargs["select"], kwargs["select_range"], d[0], d[-1], len(d)))
+        calls.append((kwargs["select"], kwargs["select_range"], kwargs.get("tol"), len(d),
+                      d[0], d[-1]))
         return eigh(d, e, **kwargs)
-
-    def counted_dpttrf(d, e, **kwargs):
-        calls.append(("dpttrf", len(d)))
-        return dpttrf(d, e, **kwargs)
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
     expected = _full_matrix_weak_closure(v, h, spectrum.TOL_EIG)
     expected_calls, calls[:] = list(calls), []
-    monkeypatch.setattr(spectrum, "dpttrf", counted_dpttrf)
-    got = spectrum._base_lambda1(FlowState(FlowParams(M0_LINE, 0.15, 0.03, 0.8, 1e-3), 0.0),
-                                 Grid(20.0, 8193))
-    assert got == expected[0] and expected[2] * 20.0 < 3.0
-    assert calls == [("dpttrf", spectrum.MAP_ROWS)] + expected_calls
+    res = lowest_eigenpair(FlowState(FlowParams(M0_LINE, 0.15, 0.03, 0.8, 1e-3), 0.0),
+                           Grid(20.0, 8193), want_mode=False)
+    assert expected[2] * 20.0 < 3.0
+    assert (res.convergence.n_points[0], res.convergence.raw[0]) == (8193, expected[0])
+    assert calls[0][:4] == ("i", (0, 0), spectrum.MAP_TOL, spectrum.MAP_ROWS)
+    assert calls[1:1 + len(expected_calls)] == expected_calls
 
 
 @pytest.mark.parametrize("M", [0.7016899313361670, M0_LINE, 10.0])
@@ -808,7 +803,7 @@ def test_weak_ladders_stay_pinned(monkeypatch, grid, M, at_T):
         assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
 
 
-# The switch of the closure on the fixture at t = 0: below M_EDGE the LDL^T test
+# The switch of the closure on the fixture at t = 0: below M_EDGE the Neumann seed
 # on mapped rung 0 routes the state to the uniform ladder and brentq closes it;
 # above it the state climbs the mapped ladder.  Mapped rung 0 does not depend on
 # the grid, so neither does the edge.
@@ -818,24 +813,10 @@ M_EDGE = 0.08933200392490606
 @settings(max_examples=10, deadline=None)
 @given(below=st.floats(1e-4, 3e-2), above=st.floats(1e-4, 3e-2))
 def test_lambda1_is_monotone_across_the_closure_switches(below, above):
-    """lambda1 of the base rung decreases in M across the switch from the
-    uniform 2049-point base rung to mapped rung 0."""
+    """lambda1 of the base rung decreases in M across the closure switch."""
     grid = Grid(20.0, 2049)
-    lams, paths = [], []
-    real_brentq = spectrum.brentq
-    for M in (M_EDGE * (1.0 - below), M_EDGE * (1.0 + above)):
-        weak = []
-
-        def spy_brentq(*args, **kwargs):
-            weak.append(True)
-            return real_brentq(*args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectrum, "brentq", spy_brentq)
-            lams.append(spectrum._base_lambda1(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0),
-                                               grid))
-        paths.append(bool(weak))
-    assert paths == [True, False]
+    lams = [spectrum._base_lambda1(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0), grid)
+            for M in (M_EDGE * (1.0 - below), M_EDGE * (1.0 + above))]
     assert lams[1] < lams[0]
 
 

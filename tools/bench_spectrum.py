@@ -4,9 +4,10 @@
 
 Run it from the root of a checkout: it imports ``viscoshear`` from ``src``
 and writes ``BENCH_spectrum.json`` in the working directory.  A parent
-revision with the mapped ladder is measured by running this script, by
-its path here, from the root of the parent's checkout; older revisions by
-the version of this script they carry.  Four cases, each one ``lowest_eigenpair``
+revision whose rung 0 makes index calls only is measured by running this
+script, by its path here, from the root of the parent's checkout; older
+revisions (the LDL^T routing test, the uniform-only ladder) by the version
+of this script they carry.  Four cases, each one ``lowest_eigenpair``
 on the default grid, for the README fixture (gamma0 = 0.15, gamma1 = 0.03,
 gamma2 = 0.8, nu = 1e-3):
 
@@ -19,15 +20,14 @@ gamma2 = 0.8, nu = 1e-3):
 
 The tuned states are strongly bound (the ``kstar-sweep`` and ``eigencurve``
 states), so they climb the mapped ladder (``spectrum._mapped_level``); the
-threshold is weakly bound, so mapped rung 0 routes it to the uniform ladder
-(``spectrum._level``, brentq closure).  Calls are counted by rebinding
-``spectrum.eigh_tridiagonal`` and ``spectrum.dpttrf``, as perfbench traces
-a request, so nothing under ``src/`` changes.  LDL^T calls are "routing"
-(the test on mapped rung 0 that picks the ladder); ``eigh_tridiagonal``
-calls are "index" (eigenvalues by index) or "vector" (the mode's
-eigenvector call after the ladder, with its own seconds).  Each kind also
-records its rows, the sum of len(d) over its calls, so a solve on a
-half-size block weighs half a full-matrix one.  Potential evaluations are
+threshold is weakly bound, so mapped rung 0's Neumann seed (one index call)
+routes it to the uniform ladder (``spectrum._level``, brentq closure).
+Calls are counted by rebinding ``spectrum.eigh_tridiagonal``, as perfbench
+traces a request, so nothing under ``src/`` changes.  They are "index"
+(eigenvalues by index) or "vector" (the mode's eigenvector call after the
+ladder, with its own seconds).  Each kind also records its rows, the sum of
+len(d) over its calls, so a solve on a half-size block weighs half a
+full-matrix one.  Potential evaluations are
 counted per case by rebinding ``spectrum.eval_potential``: "potential"
 records its calls and points (the sum of the node counts it was asked
 for).  Each rung is timed through ``spectrum._mapped_level`` or
@@ -51,7 +51,7 @@ FIXTURE = dict(gamma0=0.15, gamma1=0.03, gamma2=0.8, nu=1e-3)
 DELTA = 0.01
 REPEAT = 5
 OUT = "BENCH_spectrum.json"
-KINDS = ("routing", "index", "vector")  # LDL^T factorizations, then eigh_tridiagonal calls
+KINDS = ("index", "vector")  # eigh_tridiagonal calls
 
 
 class Counter:
@@ -70,7 +70,7 @@ class Counter:
 
     def install(self):
         sp = self.spectrum
-        eigh, dpttrf, potential = sp.eigh_tridiagonal, sp.dpttrf, sp.eval_potential
+        eigh, potential = sp.eigh_tridiagonal, sp.eval_potential
 
         def counted_potential(state, ys):
             self.potential["calls"] += 1
@@ -87,10 +87,6 @@ class Counter:
             self.vector_s += time.perf_counter() - t0
             return out
 
-        def counted_dpttrf(d, e, **kwargs):
-            self.count("routing", d)
-            return dpttrf(d, e, **kwargs)
-
         def timed(ladder, rung, half_width):
             def timed_rung(vfunc, where, lev):
                 before = dict(self.calls)
@@ -104,7 +100,7 @@ class Counter:
                 return out
             return timed_rung
 
-        sp.eigh_tridiagonal, sp.dpttrf = counted_eigh, counted_dpttrf
+        sp.eigh_tridiagonal = counted_eigh
         sp.eval_potential = counted_potential
         sp._level = timed("uniform", sp._level, lambda grid: grid.half_width)
         sp._mapped_level = timed("mapped", sp._mapped_level, lambda half_width: half_width)
