@@ -61,7 +61,9 @@ class FlowParams:
     def __post_init__(self):
         # Float-range bounds: M scales b, and b''/b's series at y = 0 divides by
         # (gamma0 gamma1)^9, which underflows to 0 below about 1e-36.  Within both, every
-        # term stays finite, and k* moves by only 1e-9 from M = 1e10 to 1e50.
+        # term stays finite, and k* moves by only 1e-9 from M = 1e10 to 1e50.  The
+        # horizon T = gamma0^2 gamma1^2 / nu overflows to inf for a subnormal nu, and
+        # the times sampled on [0, T] would then be NaN.
         if not 0.0 <= self.M <= 1e50:
             raise ValueError("M must be nonnegative and at most 1e50")
         if not 0.0 < self.gamma0 <= 0.5:
@@ -76,6 +78,8 @@ class FlowParams:
             raise ValueError("nu must be positive")
         if not self.gamma0 * self.gamma1 >= 1e-10:
             raise ValueError("gamma0 * gamma1 must be at least 1e-10")
+        if not math.isfinite(self.horizon):
+            raise ValueError("nu must keep the horizon gamma0**2 * gamma1**2 / nu finite")
 
     @property
     def horizon(self) -> float:

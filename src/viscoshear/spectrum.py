@@ -27,8 +27,9 @@ has kappa * Y < 3, the state goes to the uniform ladder.
   ratio inside ``ORDER_BAND``.
 - Weakly bound states climb the uniform ladder (``_level``): symmetric
   3-point differences on the full grid, the lowest two eigenvalues by index
-  (``_lowest_two``), and kappa as a bracketed root in lambda (brentq),
-  with each distinct Robin matrix solved once.
+  (``_lowest_two``), and kappa as a bracketed root in lambda by the
+  package's transcription of scipy's Brent (``_roots.brentq``), with each
+  distinct Robin matrix solved once.
 
 The mode, the ground state, is even: it is the even block's lowest
 eigenvector on the uniform rung ``MODE_LEVEL`` at kappa = sqrt(-lambda1),
@@ -43,8 +44,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import NonConvergence, ZeroNorm
 from .flow import FlowState, eval_potential
 
@@ -149,7 +150,11 @@ def _selfconsistent_box(v: np.ndarray, h: float):
     lambda = lambda_box(sqrt(-lambda)) is solved as a bracketed root:
     lambda_box is increasing in kappa, hence F(lambda) =
     lambda_box(kappa(lambda)) - lambda is strictly decreasing and changes
-    sign between the (overbinding) Neumann value and 0-.
+    sign between the (overbinding) Neumann value and 0-.  The root is found
+    by ``_roots.brentq``, scipy's Brent iterate for iterate.  A strongly
+    bound state (kappa * Y of about 9 or more) has a Robin shift that rounds
+    away, so F(Neumann value) is not positive and brentq raises
+    ``BracketFailure``: such states belong on the mapped ladder.
 
     Each distinct Robin matrix is solved once, by index: a kappa sets the end
     entries of the kappa = 0 matrix (bit-identical to

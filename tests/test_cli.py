@@ -165,6 +165,7 @@ def test_cli_config_errors(tmp_path):
         ("gamma0 = 1e-300", "gamma0 * gamma1 must be at least 1e-10"),
         ("gamma1 = 1e-300", "gamma0 * gamma1 must be at least 1e-10"),
         ("M = 1e300", "M must be nonnegative and at most 1e50"),
+        ("nu = 5e-324", "config error: nu must keep the horizon"),
     ],
 )
 def test_cli_flow_parameter_errors(tmp_path, capsys, line, message):
@@ -268,7 +269,8 @@ def test_cli_calibrate_prints_M(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "error, rc", [("ZeroNorm", 3), ("ConsistencyFailure", 3), ("ValidationError", 2)]
+    "error, rc",
+    [("ZeroNorm", 3), ("ConsistencyFailure", 3), ("BracketFailure", 3), ("ValidationError", 2)],
 )
 def test_package_errors_reach_their_exit_code(tmp_path, monkeypatch, error, rc):
     from viscoshear import cli, errors
@@ -284,13 +286,22 @@ def test_package_errors_reach_their_exit_code(tmp_path, monkeypatch, error, rc):
 
 def test_cli_import_leaves_verify_and_quadrature_unloaded():
     # only `verify` needs the acceptance suite and its scipy.integrate
-    # quadrature; the package's own Chandrupatla replaces scipy's elementwise one
+    # quadrature; the package's own Chandrupatla and Brent replace scipy's
+    # root finders, so no scipy.optimize module loads, not even once a weak
+    # (Brent-closed) uniform rung has run
     code = (
-        "import sys, viscoshear.cli; "
-        "print([m for m in ('viscoshear.acceptance', 'scipy.integrate', "
-        "'scipy.optimize.elementwise') if m in sys.modules])"
+        "import sys, viscoshear.cli\n"
+        "unwanted = ('viscoshear.acceptance', 'scipy.integrate', 'scipy.optimize')\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m.startswith(unwanted)]\n"
+        "print(loaded())\n"
+        "from viscoshear import spectrum\n"
+        "from viscoshear.flow import FlowParams, FlowState\n"
+        "state = FlowState(FlowParams(4.127983142029252e-05, 0.15, 0.03, 0.8, 1e-3), 0.0)\n"
+        "print(spectrum._level(spectrum._potential(state), spectrum.Grid(), 0)[3] > 0.0)\n"
+        "print(loaded())\n"
     )
     src = str(Path(viscoshear.__file__).resolve().parent.parent)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.split("\n") == ["[]", "True", "[]", ""]

@@ -1,10 +1,17 @@
-"""The shared Chandrupatla iteration: many brackets, complex f, ends, limits."""
+"""The shared root iterations: Chandrupatla over many brackets (complex f,
+ends, limits) and Brent over one, checked iterate for iterate against scipy's
+``brentq``."""
+
+import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from viscoshear._roots import chandrupatla
-from viscoshear.errors import NonConvergence
+from viscoshear import spectrum
+from viscoshear._roots import brentq, chandrupatla
+from viscoshear.errors import BracketFailure, NonConvergence
+from viscoshear.flow import FlowParams, FlowState, eval_potential
 
 
 def _cubic(roots):
@@ -69,3 +76,102 @@ def test_gives_up_after_max_iter_with_the_callers_label():
         chandrupatla(f, lo, hi, f(lo, np.arange(1)), f(hi, np.arange(1)), 1e-12, 2,
                      "my search")
     assert len(calls) == 2 + 2  # the two ends, then max_iter iterations
+
+
+def _recorded(solver, f, a, b, **tols):
+    """``solver(f, a, b, **tols)`` and every abscissa it evaluated f at; a
+    failure is returned as its exception type."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        root = solver(g, a, b, **tols)
+    except Exception as exc:  # compared, not hidden: each failure is matched below
+        root = type(exc)
+    return root, xs
+
+
+def _family(rng):
+    """One seeded test function, bracket and tolerances: smooth, noisy or step-like."""
+    r0, s = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 5.0)
+    p, noise = int(rng.integers(1, 6)), 10.0 ** rng.uniform(-16.0, -6.0)
+    f = rng.choice([
+        lambda x: s * (x - r0) ** p + (x - r0),
+        lambda x: math.tanh(s * (x - r0)) + noise * math.sin(1e7 * x),
+        lambda x: -1.0 if x < r0 else (0.5 if x > r0 else 0.0),
+        lambda x: math.exp(s * (x - r0)) - 1.0,
+        lambda x: s * math.atan(x - r0) - 1e-3 * (x - r0) ** 3,
+    ])
+    a, b = r0 - rng.uniform(0.01, 3.0), r0 + rng.uniform(0.01, 3.0)
+    if rng.random() < 0.5:
+        a, b = b, a
+    tols = dict(xtol=10.0 ** rng.uniform(-14.0, -2.0),
+                rtol=8.9e-16 * 10.0 ** rng.uniform(0.0, 6.0), maxiter=int(rng.integers(1, 100)))
+    return f, a, b, tols
+
+
+def test_brentq_matches_scipy_iterate_for_iterate_on_a_seeded_family():
+    rng = np.random.default_rng(18)
+    as_ours = {RuntimeError: NonConvergence, ValueError: BracketFailure}  # scipy's failures
+    outcomes = set()
+    for _ in range(600):
+        f, a, b, tols = _family(rng)
+        theirs, their_xs = _recorded(scipy.optimize.brentq, f, a, b, **tols)
+        ours, our_xs = _recorded(brentq, f, a, b, **tols)
+        assert our_xs == their_xs
+        assert ours == as_ours.get(theirs, theirs)
+        outcomes.add(ours if ours in as_ours.values() else float)
+    assert outcomes == {float, NonConvergence, BracketFailure}  # every path is compared
+
+
+def test_brentq_matches_scipy_on_the_weak_closure_at_the_line_threshold(monkeypatch):
+    # the whole-line threshold state (line report.json's M0) on the default
+    # 8193-point grid: the uniform ladder's closure, run once with each solver
+    ys = spectrum.Grid().ys()
+    state = FlowState(FlowParams(4.127983142029252e-05, 0.15, 0.03, 0.8, 1e-3), 0.0)
+    v = np.asarray(eval_potential(state, ys), dtype=float)
+    runs = []
+    for solver in (scipy.optimize.brentq, brentq):
+        xs = []
+
+        def recording(f, a, b, solver=solver, xs=xs, **tols):
+            return solver(lambda x: xs.append(x) or f(x), a, b, **tols)
+
+        monkeypatch.setattr(spectrum, "brentq", recording)
+        runs.append((spectrum._selfconsistent_box(v, ys[1] - ys[0]), xs))
+    (theirs, their_xs), (ours, our_xs) = runs
+    assert len(our_xs) > 5 and our_xs == their_xs
+    assert ours == theirs
+
+
+def test_brentq_returns_a_zero_end_without_iterating():
+    calls = []
+    for a, b in ((1.0, 3.0), (3.0, 1.0)):
+        assert brentq(lambda x: calls.append(x) or x - 1.0, a, b, 1e-12, 8.9e-16, 0) == 1.0
+    assert calls == [1.0, 3.0, 3.0, 1.0]  # both ends, then the zero is returned
+
+
+def test_brentq_rejects_ends_of_the_same_sign():
+    with pytest.raises(BracketFailure, match="same sign"):
+        brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 8.9e-16, 100)
+    with pytest.raises(BracketFailure):  # by sign bit: the product 1e-400 would underflow
+        brentq(lambda x: 1e-200, 0.0, 1.0, 1e-12, 8.9e-16, 100)
+
+
+def test_brentq_stops_after_maxiter_evaluations():
+    calls = []
+    with pytest.raises(NonConvergence, match="within 3 iterations"):
+        brentq(lambda x: calls.append(x) or math.exp(x) - 2.0, 0.0, 5.0, 1e-14, 8.9e-16, 3)
+    assert len(calls) == 2 + 3  # the two ends, then one point per iteration
+    assert brentq(lambda x: math.exp(x) - 2.0, 0.0, 5.0, 1e-14, 8.9e-16, 100) == pytest.approx(
+        math.log(2.0), abs=1e-14)
+
+
+def test_brentq_rejects_nan():
+    with pytest.raises(NonConvergence, match="NaN"):
+        brentq(lambda x: math.nan, 0.0, 1.0, 1e-12, 8.9e-16, 100)
+    with pytest.raises(NonConvergence, match="NaN"):  # a NaN met inside the bracket
+        brentq(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0, 1e-12, 8.9e-16, 100)

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from viscoshear import spectrum
-from viscoshear.errors import NonConvergence, ZeroNorm
+from viscoshear.errors import BracketFailure, NonConvergence, ZeroNorm
 from viscoshear.flow import FlowParams, FlowState, eval_potential
 from viscoshear.spectrum import (
     Grid,
@@ -331,6 +331,15 @@ def test_closure_solves_each_robin_matrix_once(monkeypatch, grid):
 
 def _fixture_potential(M, t=0.0):
     return spectrum._potential(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), t))
+
+
+@pytest.mark.parametrize("M, level", [(1.5, 0), (0.7, 1)])
+def test_uniform_closure_of_a_strongly_bound_state_is_a_bracket_failure(M, level):
+    # kappa * Y of about 9 to 20: the Robin shift of the Neumann value rounds
+    # away, so F(Neumann value) is not positive and the closure's bracket does
+    # not straddle: a package error, which the CLI maps to exit 3
+    with pytest.raises(BracketFailure, match="same sign"):
+        spectrum._level(_fixture_potential(M), Grid(), level)
 
 
 def _pt_potential(depth):
