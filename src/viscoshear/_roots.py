@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BracketFailure, NonConvergence
 
 
-def chandrupatla(f: Callable, x1, x2, f1, f2, tol, max_iter: int, label: str):
+def chandrupatla(f: Callable, x1, x2, f1, f2, tol, max_iter: int, label: str, first=0.5):
     """Roots of f between straddling ends ``x1``, ``x2`` with known values ``f1``, ``f2``.
 
     ``f(x, idx)`` returns f at the abscissae ``x`` of the brackets ``idx``,
@@ -36,15 +36,20 @@ def chandrupatla(f: Callable, x1, x2, f1, f2, tol, max_iter: int, label: str):
     is taken as it is, without an evaluation.  Returns (x, f(x), lo, hi),
     one entry per bracket: the last point, f there as evaluated, and the
     final bracket.  A rounding-level stop keeps whatever residual it has,
-    for the caller to judge.  Raises ``NonConvergence``, prefixed with
-    ``label``, when brackets are unfinished after ``max_iter`` iterations.
+    for the caller to judge.  ``first`` is the first point's fraction of
+    the way from ``x1`` to ``x2``, per bracket or for all; it is clipped into
+    the bracket by the iteration's own rule, and the default 0.5 is the
+    midpoint.  Raises ``NonConvergence``, prefixed with ``label``, when
+    brackets are unfinished after ``max_iter`` iterations.
     """
     x1, x2 = np.array(x1, dtype=float), np.array(x2, dtype=float)
     near = np.abs(f1) < np.abs(f2)
     x, fx = np.where(near, x1, x2), np.where(near, f1, f2)
     f1, f2 = np.array(np.real(f1), dtype=float), np.array(np.real(f2), dtype=float)
     x3, f3 = np.empty_like(x2), np.empty_like(f2)  # set by the first iteration
-    t = np.full(x1.shape, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tl = np.fmin(4.0 * np.finfo(float).eps * np.abs(x1) / np.abs(x2 - x1), 0.5)
+    t = np.clip(first, tl, 1.0 - tl)
     tol = np.broadcast_to(tol, x1.shape)
     todo = np.flatnonzero(~(np.abs(fx) <= tol))
     for _ in range(max_iter):

@@ -48,7 +48,10 @@ Roots in c_i are found for many wave numbers at once: one batched scan of
 Re W on a log-spaced c grid brackets each sign change, and Chandrupatla's
 bracketed inverse-quadratic iteration in log c (``_roots.chandrupatla``,
 shared with the calibration; Adv. Eng. Softw. 28, 1997) polishes every
-bracket together, one ``wronskian_many`` pass per iteration.
+bracket together, one ``wronskian_many`` pass per iteration.  Its first
+point is the scan's inverse interpolant, log c as a polynomial in Re W
+through the scan points around the sign change, which usually meets the
+tolerance: one polish pass per root.
 
 The functions take only the physics (state, k, c_i, sample points); the
 numerical settings are module constants, read when a function runs.
@@ -98,6 +101,7 @@ ATOL_ODE = 1e-13
 EPS_MAX = 1e-6
 C_SCAN_LO = 1e-8
 C_SCAN_POINTS = 200
+C_SEED_WINDOW = 6  # scan points on each side of a sign change that seed its root polish
 C_MAX = 0.5
 HALF_WIDTH = 20.0
 YK_FACTOR = 12.0
@@ -614,12 +618,38 @@ def scan_wronskian(state: FlowState, k):
     return cs, w.reshape(shape), qe.reshape(shape)
 
 
+def _polish_start(cs: np.ndarray, wr: np.ndarray, j: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """First polish fraction in each bracket [cs[j], cs[j + 1]]: the scan's
+    inverse interpolant, x = log c as the polynomial in Re W / ``scale``
+    through the C_SEED_WINDOW scan points on each side of the sign change,
+    evaluated at 0 by Neville's scheme.  A row of ``wr`` whose window runs
+    past the scan's ends, holds an exact zero or is not strictly monotone
+    starts from the midpoint, 0.5.
+    """
+    n, x = C_SEED_WINDOW, np.log(cs)
+    t = np.full(len(j), 0.5)
+    for r, (row, jr, s) in enumerate(zip(wr, j, scale)):
+        lo, hi = jr + 1 - n, jr + 1 + n
+        if lo < 0 or hi > len(cs):
+            continue
+        u, p = row[lo:hi] / s, x[lo:hi].copy()
+        du = np.diff(u)
+        if np.any(u == 0.0) or not (np.all(du > 0.0) or np.all(du < 0.0)):
+            continue
+        for m in range(1, 2 * n):
+            p[:-m] = (u[:-m] * p[1:2 * n - m + 1] - u[m:] * p[:-m]) / (u[:-m] - u[m:])
+        t[r] = (p[0] - x[jr]) / (x[jr + 1] - x[jr])
+    return t
+
+
 def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
     """Purely imaginary unstable eigenvalues at several wave numbers at once.
 
     One batched scan of Re W(ic, k) on the log-spaced c grid brackets each
-    wave number's sign change, then every bracket is polished together
-    until |W| <= tol_root = ROOT_RTOL * |W(i C_MAX, k)|, per bracket.  Returns
+    wave number's sign change.  Every bracket is then polished together
+    until |W| <= tol_root = ROOT_RTOL * |W(i C_MAX, k)|, per bracket, from a
+    first point the scan's inverse interpolant puts at the root
+    (``_polish_start``), so one polish pass usually finishes.  Returns
     ``(roots, cs, W)``: ``roots[j]`` is (c_i, residual) for ks[j], or None
     when its scan has no sign change (no purely imaginary eigenvalue at
     scan resolution); W is the scan, one row per wave number.  Raises
@@ -629,7 +659,9 @@ def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
     ks = np.asarray(ks, dtype=float)
     cs, w, _ = scan_wronskian(state, ks)
     wr = w.real
-    flips = (wr[:, :-1] == 0.0) | ((wr[:, :-1] > 0) != (wr[:, 1:] > 0))
+    # 0 reads as not positive, as in chandrupatla: an exact zero at a node is
+    # one sign change whichever way Re W runs, bracketed with a positive node
+    flips = (wr[:, :-1] > 0) != (wr[:, 1:] > 0)
     for k, n in zip(ks, np.count_nonzero(flips, axis=1)):
         if n > 1:
             raise MultipleRoots(f"{n} sign changes of Re W at k={k:g}; expected at most one")
@@ -637,13 +669,14 @@ def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
     roots = [None] * len(ks)
     if rows.size:
         j = flips[rows].argmax(axis=1)
+        scale = np.abs(w[rows, -1])
 
         def w_at(x, i):
             return wronskian_many(state, ks[rows[i]], np.exp(x))[0]
 
         x, w_root, _, _ = chandrupatla(w_at, np.log(cs[j]), np.log(cs[j + 1]), w[rows, j],
-                                       w[rows, j + 1], ROOT_RTOL * np.abs(w[rows, -1]),
-                                       MAX_POLISH, "root polish")
+                                       w[rows, j + 1], ROOT_RTOL * scale, MAX_POLISH,
+                                       "root polish", _polish_start(cs, wr[rows], j, scale))
         for r, c, resid in zip(rows, np.exp(x).tolist(), np.abs(w_root).tolist()):
             roots[r] = (c, resid)
     return roots, cs, w

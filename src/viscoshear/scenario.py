@@ -115,7 +115,9 @@ def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0
     # nondecreasing within the eigenvalue slack 10*TOL_EIG
     lam_slack = 10.0 * TOL_EIG
     mono = bool(np.all(np.diff(-(ks ** 2)) <= lam_slack))
-    rep.add("kstar_nondecreasing", mono, float(np.min(np.diff(ks))), (0.0, None))
+    rep.add("kstar_nondecreasing", mono, float(np.min(np.diff(ks))), (0.0, None),
+            "" if mono else f"gamma1/gamma2 = {params.gamma1 / params.gamma2:.3g}; k*(t) was "
+            "measured monotone only for gamma1/gamma2 <= 0.045 (README, calibrate)")
     rep.add("transition_budget_sufficient", ks[-1] > 1.0, float(ks[-1]), (1.0, None),
             "" if ks[-1] > 1.0 else "transition budget insufficient")
     excess = (ks[-1] - ks[0]) / (params.gamma1 * params.gamma2)

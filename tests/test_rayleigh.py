@@ -277,14 +277,66 @@ def test_eigencurve_shares_scan_and_polish(ctx, monkeypatch):
         passes.append(w)
         return w, qe
 
+    state = ctx.state_T  # built first: it runs the torus scenario
     monkeypatch.setattr(ray, "wronskian_many", counted)
-    curve = ray.eigencurve(ctx.state_T, [0.95, 1.0])
+    curve = ray.eigencurve(state, [0.95, 1.0])
     scan, polish = passes[0], passes[1:]
     assert len(scan) == 2 * ray.C_SCAN_POINTS
-    assert 1 <= len(polish) <= 6 and all(len(p) <= 2 for p in polish)
+    assert len(polish) == 1 and len(polish[0]) <= 2  # the scan's interpolant lands the roots
     scales = np.abs(scan.reshape(2, -1)[:, -1])
     for (_, _, resid), scale in zip(curve.points, scales):
         assert resid <= 1e-10 * scale
+
+
+def test_polish_from_the_interpolant_matches_the_midpoint_start(ctx, monkeypatch):
+    # roots from c = 0.2 down to 5e-4; k = 0.2 is the one whose first
+    # interpolated point misses the tolerance
+    ks, state, passes = (0.2, 0.6, 0.9, 0.99, 1.0), ctx.state_T, []
+    real_many = ray.wronskian_many
+    monkeypatch.setattr(ray, "wronskian_many", lambda *a: passes.append(a) or real_many(*a))
+    roots, _, w = ray.eigenvalues_for_ks(state, ks)
+    assert 2 <= len(passes) <= 1 + 2  # the scan, then at most two polish passes
+    for root, row in zip(roots, w):
+        assert root[1] <= ray.ROOT_RTOL * abs(row[-1])
+    monkeypatch.setattr(ray, "_polish_start", lambda cs, wr, j, scale: np.full(len(j), 0.5))
+    midpoint, _, _ = ray.eigenvalues_for_ks(state, ks)
+    for root, mid in zip(roots, midpoint):
+        assert abs(root[0] - mid[0]) <= 1e-9 * mid[0]
+
+
+def _scan_row(cs, root):
+    """A strictly decreasing smooth Re W in log c with its zero at ``root``, as one row."""
+    x = np.log(cs) - math.log(root)
+    return -(x + 0.1 * x ** 3)[None, :]
+
+
+def test_polish_start_is_the_inverse_interpolant_of_the_scan():
+    cs = np.logspace(-8.0, math.log10(0.5), ray.C_SCAN_POINTS)
+    j = np.array([40, 120])
+    roots = [cs[40] * 1.05, cs[120] * 1.02]  # scan nodes are 9.3 % apart
+    wr = np.vstack([_scan_row(cs, roots[0]), -_scan_row(cs, roots[1])])  # falls, then rises
+    t = ray._polish_start(cs, wr, j, np.array([2.0, 0.5]))
+    x = np.log(cs[j]) + t * (np.log(cs[j + 1]) - np.log(cs[j]))
+    assert np.all((0.0 < t) & (t < 1.0))
+    assert np.allclose(x, np.log(roots), rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("why", ["wiggle", "first", "last", "zero"])
+def test_polish_start_falls_back_to_the_midpoint(why):
+    cs = np.logspace(-8.0, math.log10(0.5), ray.C_SCAN_POINTS)
+    n = ray.C_SEED_WINDOW
+    jr = {"wiggle": 100, "first": n - 2, "last": len(cs) - n, "zero": 100}[why]
+    row = _scan_row(cs, cs[jr] * 1.01)
+    if why == "wiggle":  # Re W turns back inside the window, far from the bracket
+        row[0, jr - n + 2] = row[0, jr - n + 3] - 1e-6
+    if why == "zero":  # still strictly decreasing
+        row[0, jr + 1] = 0.0
+    t = ray._polish_start(cs, row, np.array([jr]), np.array([1.0]))
+    assert t.tolist() == [0.5]
+    if why in ("first", "last"):  # one node further in, the window fits
+        j_in = jr + (1 if why == "first" else -1)
+        row = _scan_row(cs, cs[j_in] * 1.01)
+        assert ray._polish_start(cs, row, np.array([j_in]), np.array([1.0]))[0] != 0.5
 
 
 def test_batched_roots_match_single_wave_number(ctx):
@@ -438,6 +490,25 @@ def test_multiple_roots_detected(monkeypatch, couette_state):
     monkeypatch.setattr(ray, "wronskian_many", fake_many)
     with pytest.raises(ray.MultipleRoots):
         ray.eigenvalue_for_k(couette_state, 1.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_exact_zero_at_a_scan_node_is_one_sign_change(monkeypatch, couette_state, sign):
+    # Re W = sign * (log c - log c_m), exactly 0 at scan node m: the rows
+    # [.., 1, 0, -1, ..] and [.., -1, 0, 1, ..].  Im W keeps |W| above the
+    # tolerance at the node, so the bracket must straddle for the polish to
+    # close on c_m
+    cs = np.logspace(math.log10(ray.C_SCAN_LO), math.log10(ray.C_MAX), ray.C_SCAN_POINTS)
+    m = 90
+
+    def fake_many(state, ks, cs_in):
+        cs_in = np.asarray(cs_in, float)
+        return sign * (np.log(cs_in) - math.log(cs[m])) + 1e-3j, np.zeros_like(cs_in)
+
+    monkeypatch.setattr(ray, "wronskian_many", fake_many)
+    roots, _, w = ray.eigenvalues_for_ks(couette_state, [1.0])
+    assert w[0, m].real == 0.0
+    assert abs(roots[0][0] / cs[m] - 1.0) <= 1e-12
 
 
 def test_phiB_requires_wide_enough_domain(ctx):

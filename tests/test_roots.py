@@ -78,6 +78,60 @@ def test_gives_up_after_max_iter_with_the_callers_label():
     assert len(calls) == 2 + 2  # the two ends, then max_iter iterations
 
 
+# every abscissa of the three-bracket cubic above, one list per iteration, as
+# the midpoint-first iteration evaluated them before ``first`` existed
+MIDPOINT_TRACE = [
+    [0.5, 3.0, -2.0],
+    [0.42806826132802944, 2.0, -2.04555226362697],
+    [-0.28596586933598533, 1.7924503034625454, -3.022776131813485],
+    [0.07105119599602205, 1.7139026221113105, -2.5341641977202274],
+    [0.2923018739023344, 1.7004943315550478, -2.2081724980495374],
+    [0.29978536174543485, 1.7000022354200537, -2.200377110430287],
+    [0.29999979456751497, 1.7000000003488027, -2.20000045581233],
+    [0.2999999999945333, -2.20000000002533],
+    [0.3],
+]
+
+
+def test_default_first_point_keeps_the_midpoint_iterates_bit_for_bit():
+    roots, idx = np.array([0.3, 1.7, -2.2]), np.arange(3)
+    lo, hi = np.array([-1.0, 1.0, -4.0]), np.array([2.0, 5.0, 0.0])
+    tol = np.array([1e-12, 1e-6, 1e-9])
+    for first in ({}, {"first": 0.5}, {"first": np.full(3, 0.5)}):
+        f, _ = _cubic(roots)
+        f_lo, f_hi = f(lo, idx), f(hi, idx)
+        xs = []
+        x, _, _, _ = chandrupatla(lambda x, i: xs.append(x.tolist()) or f(x, i), lo, hi, f_lo,
+                                  f_hi, tol, 80, "test", **first)
+        assert xs == MIDPOINT_TRACE
+        assert x.tolist() == [0.3, 1.7000000003488027, -2.20000000002533]
+
+
+def test_a_first_point_at_the_root_finishes_after_one_evaluation():
+    roots = np.array([0.375, -1.25])
+    f, calls = _cubic(roots)
+    lo, hi = np.array([0.0, -2.0]), np.array([1.0, 2.0])
+    f_lo, f_hi = f(lo, np.arange(2)), f(hi, np.arange(2))
+    calls.clear()
+    x, fx, _, _ = chandrupatla(f, lo, hi, f_lo, f_hi, 1e-12, 80, "test",
+                               np.array([0.375, 0.1875]))
+    assert calls == [[0, 1]]
+    assert x.tolist() == [0.375, -1.25] and fx.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("first", [0.0, 1.0, -3.0, 7.0, -np.inf])
+def test_a_first_fraction_at_or_beyond_an_end_is_clipped_into_the_bracket(first):
+    roots = np.array([0.3, 1.7])
+    xs = []
+    f, _ = _cubic(roots)
+    lo, hi = np.array([-1.0, 5.0]), np.array([2.0, 1.0])  # the second runs downward
+    f_lo, f_hi = f(lo, np.arange(2)), f(hi, np.arange(2))
+    _, fx, _, _ = chandrupatla(lambda x, i: xs.append(x.copy()) or f(x, i), lo, hi, f_lo, f_hi,
+                               1e-12, 80, "test", first)
+    assert np.all((np.minimum(lo, hi) < xs[0]) & (xs[0] < np.maximum(lo, hi)))
+    assert np.all(np.abs(fx) <= 1e-12)
+
+
 def _recorded(solver, f, a, b, **tols):
     """``solver(f, a, b, **tols)`` and every abscissa it evaluated f at; a
     failure is returned as its exception type."""

@@ -48,6 +48,17 @@ def test_mismatched_delta_flags_budget(cfg):
     assert not ttilde.passed
 
 
+def test_falling_kstar_names_the_monotone_regime(ctx):
+    # gamma1/gamma2 = 0.075: k*(t) peaks before T; delta = 0.1 keeps k* below
+    # 1, so the run ends at the crossing search
+    rep = run_torus_scenario(FlowParams(1.0, 0.15, 0.06, 0.8, 1e-3), delta=0.1, n_times=8)
+    mono = next(c for c in rep.checks if c.name == "kstar_nondecreasing")
+    assert not mono.passed and mono.measured < 0.0
+    assert mono.note == ("gamma1/gamma2 = 0.075; k*(t) was measured monotone only for "
+                         "gamma1/gamma2 <= 0.045 (README, calibrate)")
+    assert next(c for c in ctx.torus.checks if c.name == "kstar_nondecreasing").note == ""
+
+
 def test_line_report_structure(ctx):
     rep = ctx.line
     names = [c.name for c in rep.checks]
