@@ -56,7 +56,6 @@ from .rayleigh import (
     neutral_mode_phiB,
     solve_phi,
     wronskian,
-    wronskian_boundary,
     wronskian_det_check,
     wronskian_partials,
 )

@@ -71,6 +71,7 @@ class KstarCurve:
     lambda2s: np.ndarray
     T: float
     Ttilde: Optional[float]
+    kstar_at_Ttilde: Optional[float]  # k* as the crossing search evaluated it at Ttilde
 
 
 @functools.lru_cache(maxsize=128)
@@ -250,8 +251,8 @@ def kstar_time_sweep(M: float, params: FlowParams, n_times: int,
     T is the exact diffusion horizon of the narrow bump.  The crossing time
     is attached by Chandrupatla's iteration in the first pair of samples
     that straddles k* = 1 (see the module docstring), whose k* the sweep
-    already holds; ``Ttilde`` is None when no pair straddles.  The t = 0
-    sample of a just-tuned M is taken from the tune's solve.
+    already holds; ``Ttilde`` and its k* are None when no pair straddles.
+    The t = 0 sample of a just-tuned M is taken from the tune's solve.
     """
     if n_times < 8:
         raise ValueError("n_times must be at least 8")
@@ -264,16 +265,17 @@ def kstar_time_sweep(M: float, params: FlowParams, n_times: int,
     lam2 = np.array([b for _, b in pairs])
     kstars = tuple(math.sqrt(-l) if l < -TOL_EIG else None for l in lam1)
 
-    ttilde = None
+    ttilde = k_tt = None
     ks = [k if k is not None else 0.0 for k in kstars]
     for j in range(n_times - 1):
         if ks[j] < 1.0 <= ks[j + 1]:
             # the two straddling samples are already solved: start from them
-            ttilde, _, _ = _crossing(
+            ttilde, k_tt, _ = _crossing(
                 lambda t: _kstar(_lambda1(params, M, t, grid)),
                 (float(times[j]), float(times[j + 1])),
                 (_kstar(lam1[j]), _kstar(lam1[j + 1])),
                 1.0, "Ttilde search",
             )
             break
-    return KstarCurve(times=times, kstars=kstars, lambda1s=lam1, lambda2s=lam2, T=T, Ttilde=ttilde)
+    return KstarCurve(times=times, kstars=kstars, lambda1s=lam1, lambda2s=lam2, T=T, Ttilde=ttilde,
+                      kstar_at_Ttilde=k_tt)

@@ -88,7 +88,6 @@ __all__ = [
     "wronskian_many",
     "scan_wronskian",
     "wronskian_det_check",
-    "wronskian_boundary",
     "eigenvalues_for_ks",
     "eigenvalue_for_k",
     "eigencurve",
@@ -397,31 +396,21 @@ def wronskian_many(state: FlowState, ks, cs):
 
 
 def wronskian(state: FlowState, k: float, c_i: float) -> WronskianValue:
-    """W(ic_i, k) with an honest quadrature-error estimate.
+    """W(ic_i, k) for k > 0 and c_i >= 0, with an honest quadrature-error estimate.
 
-    Requires c_i > 0 (the integrand is nonsingular since |b - ic| >= c_i);
-    the boundary value at c_i = 0 is ``wronskian_boundary``.  Like every W
-    pass it raises ``TailDominance`` when the modeled tail is not negligible.
-    """
-    if not c_i > 0.0:
-        raise ValueError("wronskian requires c_i > 0; use wronskian_boundary for c_i = 0")
-    w, qe = wronskian_many(state, [k], [c_i])
-    return WronskianValue(k=k, c=1j * c_i, W=complex(w[0]), quad_error=float(qe[0]))
-
-
-def wronskian_boundary(state: FlowState, k: float) -> WronskianValue:
-    """W(0, k): the c = 0 channel of the Wronskian assembly.
-
-    There I is the Hilbert-transform term p.v. integral of (b^{-1})''(v) / v
-    dv, the c = 0 value of the log-kernel quadrature used for I(c), whose
-    sign convention thereby agrees with the c_i -> 0+ limit of
-    ``wronskian``; II is the phi1 correction integral.  The imaginary part
-    i*pi*(b^{-1})''(0) vanishes identically because the profile is odd.
+    For c_i > 0 the integrand is nonsingular since |b - ic| >= c_i.  c_i = 0
+    gives the boundary value W(0, k), whose I is the Hilbert-transform term
+    p.v. integral of (b^{-1})''(v) / v dv, the c_i -> 0+ limit of the
+    log-kernel quadrature, and whose imaginary part i*pi*(b^{-1})''(0)
+    vanishes because the profile is odd.  Like every W pass it raises
+    ``TailDominance`` when the modeled tail is not negligible.
     """
     if not k > 0.0:
-        raise ValueError("k must be positive")
-    w, qe = wronskian_many(state, [k], [0.0])
-    return WronskianValue(k=k, c=0j, W=complex(w[0]), quad_error=float(qe[0]))
+        raise ValueError("wave numbers must be positive")
+    if not c_i >= 0.0:
+        raise ValueError("wronskian requires c_i >= 0")
+    w, qe = wronskian_many(state, [k], [c_i])
+    return WronskianValue(k=k, c=1j * c_i, W=complex(w[0]), quad_error=float(qe[0]))
 
 
 # ---------------------------------------------------------------------------

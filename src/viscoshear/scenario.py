@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import calibrate
 from . import rayleigh as ray
 from .calibrate import TOL_CAL, find_critical_M0, kstar_time_sweep, tune_M_for_kstar
 from .errors import ViscoshearError
@@ -125,9 +124,7 @@ def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0
 
     if curve.Ttilde is not None:
         inside = 0.0 < curve.Ttilde < T
-        # the crossing search has solved this state; take its cached pair
-        lam_tt = calibrate._lambda_pair(FlowState(p, curve.Ttilde), grid)[0]
-        k_tt = math.sqrt(-lam_tt) if lam_tt < -TOL_EIG else 0.0
+        k_tt = curve.kstar_at_Ttilde
         rep.add("Ttilde_inside", inside, curve.Ttilde, (0.0, T))
         rep.add("kstar_at_Ttilde", abs(k_tt - 1.0) <= TOL_CAL, k_tt, (1.0 - TOL_CAL, 1.0 + TOL_CAL))
     else:
@@ -185,7 +182,7 @@ def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0
     # cross-solver consistency at the final time
     eig_T = lowest_eigenpair(st_T, grid, want_mode=True)
     if eig_T.kstar is not None:
-        wb = ray.wronskian_boundary(st_T, eig_T.kstar)
+        wb = ray.wronskian(st_T, eig_T.kstar, 0.0)
         bres = abs(wb.W) / rep.w_scale
         rep.boundary_residual = bres
         rep.add("boundary_wronskian_at_kstar", bres <= 1e-4, bres, (0.0, 1e-4))

@@ -374,21 +374,14 @@ class ProfileReport:
     even_ok: bool
     positive_ok: bool
     monotone_ok: bool
-    plateau_ok: bool
-    envelope_ok: bool
+    fit_ok: bool  # one finite fitted_C meets both the plateau and the envelope
     fitted_C: float
     even_defect: float
     min_value: float
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.even_ok
-            and self.positive_ok
-            and self.monotone_ok
-            and self.plateau_ok
-            and self.envelope_ok
-        )
+        return self.even_ok and self.positive_ok and self.monotone_ok and self.fit_ok
 
 
 def _fit_min_C(pred, hi: float = 1e6) -> float:
@@ -441,13 +434,11 @@ def profile_check(result: SpectralResult) -> ProfileReport:
     monotone_ok = bool(np.all(np.diff(right) <= 1e-10 * u[mid]))
 
     fitted = _fit_min_C(lambda C: _fits_with_C(ys, u, result.kstar, C), hi=PROFILE_C_MAX)
-    plateau_ok = envelope_ok = math.isfinite(fitted)  # a finite C meets both
     return ProfileReport(
         even_ok=even_ok,
         positive_ok=positive_ok,
         monotone_ok=monotone_ok,
-        plateau_ok=plateau_ok,
-        envelope_ok=envelope_ok,
+        fit_ok=math.isfinite(fitted),
         fitted_C=fitted,
         even_defect=even_defect,
         min_value=min_value,

@@ -1,0 +1,102 @@
+"""The harness of ``tools/bench.py``, driven by fake runs: no process is spawned."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+@pytest.fixture
+def no_spawn(monkeypatch):
+    def spawn(*args):
+        raise AssertionError("spawned a process")
+
+    monkeypatch.setattr(bench, "spawn", spawn)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nope"],
+    ["polish", "no-equals-sign"],
+    ["polish", "=."],
+    ["startup", f"a={ROOT / 'tests'}"],
+    ["spectrum", f"a={ROOT}", f"a={ROOT}"],
+])
+def test_bad_case_or_root_exits_2_before_spawning(argv, no_spawn, capsys):
+    assert bench.main(argv) == 2
+    assert capsys.readouterr().err
+
+
+def test_roots_alternate_after_one_warm_up_each():
+    calls = []
+
+    def run(src):
+        calls.append(src)
+        return {"call": len(calls)}
+
+    samples = bench.rounds({"parent": "P", "change": "C"}, run, runs=4)
+    assert calls == ["P", "C"] + ["P", "C", "C", "P"] * 2
+    # the warm-up calls 1 and 2 are not kept
+    assert samples == {"parent": [{"call": n} for n in (3, 6, 7, 10)],
+                       "change": [{"call": n} for n in (4, 5, 8, 9)]}
+
+
+def test_summary_keeps_every_sample():
+    values = [0.5, 0.1, 0.3, 0.9, 0.2]
+    assert bench.summary(values) == {"median": 0.3, "q1": 0.2, "q3": 0.5, "min": 0.1,
+                                     "max": 0.9, "samples": values}
+
+
+def test_merge_summarizes_measures_and_keeps_equal_counts():
+    runs = [{"seconds": s, "root_stage_s": s / 2, "w_passes": 2, "c_i": [1e-3],
+             "rungs": [{"n": 129, "s": s, "index_calls": 3}]} for s in (1.0, 3.0, 2.0)]
+    merged = bench.merge(runs, "this:")
+    assert merged["seconds"]["samples"] == [1.0, 3.0, 2.0]
+    assert merged["seconds"]["median"] == 2.0
+    assert merged["root_stage_s"]["median"] == 1.0
+    assert merged["w_passes"] == 2 and merged["c_i"] == [1e-3]
+    assert merged["rungs"][0]["n"] == 129 and merged["rungs"][0]["s"]["max"] == 3.0
+
+
+@pytest.mark.parametrize("second", [
+    {"seconds": 1.0, "w_passes": 3},
+    {"seconds": 1.0, "w_passes": 2, "roots": 1},
+])
+def test_merge_refuses_counts_that_differ(second):
+    with pytest.raises(bench.Refused, match="differs between runs"):
+        bench.merge([{"seconds": 1.0, "w_passes": 2}, second], "this:")
+
+
+def test_main_writes_one_summary_per_root(monkeypatch, tmp_path, capsys):
+    times = iter(range(1, 100))
+
+    def spawn(child, src, config):
+        assert child is bench.STARTUP and config.read_text() == bench.FIXTURE
+        return {"scipy_subpackages": ["linalg", "special"], "setup_s": float(next(times)),
+                "import_s": 0.5, "peak_rss_mb": 60.0}
+
+    monkeypatch.setattr(bench, "spawn", spawn)
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["startup", f"parent={ROOT}", f"change={ROOT}"]) == 0
+    out = json.loads((tmp_path / "BENCH_startup.json").read_text())
+    assert out["runs"] == bench.RUNS and out["config"] == bench.FIXTURE
+    for entry in out["roots"].values():
+        assert entry["scipy_subpackages"] == ["linalg", "special"]
+        assert len(entry["setup_s"]["samples"]) == bench.RUNS
+    assert "scipy: linalg, special" in capsys.readouterr().out
+
+
+def test_main_refuses_runs_whose_counts_differ(monkeypatch, tmp_path, capsys):
+    passes = iter(range(100))
+    monkeypatch.setattr(bench, "spawn", lambda child, src, config: {
+        "eigencurve": {"seconds": 1.0, "w_passes": next(passes)}})
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["polish", f"this={ROOT}"]) == 1
+    assert "differs between runs" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_polish.json").exists()

@@ -56,7 +56,7 @@ def test_couette_wronskian_exact(couette_state):
 
 def test_couette_boundary_value(couette_state):
     for k in (0.5, 1.0, 2.0):
-        wb = ray.wronskian_boundary(couette_state, k)
+        wb = ray.wronskian(couette_state, k, 0.0)
         assert abs(wb.W.real + 2.0 * k) <= 1e-9 * 2.0 * k
         assert wb.W.imag == 0.0
 
@@ -374,11 +374,16 @@ def test_root_searches_reject_nonpositive_k(couette_state, ks):
         ray.eigenvalue_for_k(couette_state, min(ks))
     with pytest.raises(ValueError, match="wave numbers must be positive"):
         ray.eigencurve(couette_state, ks)
+    # the one-point W used to end in a ZeroDivisionError at k = 0 and to
+    # return a value at a negative k
+    with pytest.raises(ValueError, match="wave numbers must be positive"):
+        ray.wronskian(couette_state, min(ks), 0.1)
 
 
-def test_wronskian_rejects_nonpositive_ci(ctx):
-    with pytest.raises(ValueError):
-        ray.wronskian(ctx.state_T, 1.0, 0.0)
+def test_wronskian_rejects_negative_ci(ctx):
+    for c_i in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="c_i >= 0"):
+            ray.wronskian(ctx.state_T, 1.0, c_i)
 
 
 def test_wronskian_evaluates_at_its_root(ctx):
@@ -416,7 +421,7 @@ def test_root_at_reference(ctx):
 
 def test_boundary_consistency_with_limit(ctx):
     st = ctx.state_T
-    wb = ray.wronskian_boundary(st, 1.0)
+    wb = ray.wronskian(st, 1.0, 0.0)
     w6 = ray.wronskian(st, 1.0, 1e-6)
     w3 = ray.wronskian(st, 1.0, 5e-7)
     richardson = 2.0 * w3.W.real - w6.W.real

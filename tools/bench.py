@@ -1,0 +1,383 @@
+"""Cost of viscoshear's layers, measured in fresh processes: one harness, three cases.
+
+    python3 tools/bench.py CASE [NAME=ROOT ...]
+
+CASE is ``spectrum``, ``startup`` or ``polish``; the tool writes
+``BENCH_<CASE>.json`` in the working directory.  Each NAME=ROOT names a
+checkout whose ``src/`` holds the ``viscoshear`` package; with none, the
+working directory is measured as ``this``.  Two roots, say
+``parent=../parent change=.``, are compared.
+
+One unmeasured process per root first compiles the ``.pyc`` files and warms
+the page cache, which a user pays once.  Then each of RUNS rounds runs every
+root once, in a fresh ``python3`` with one BLAS thread and no inherited
+``PYTHONPATH``, each root going first in every other round, so a drift of
+the machine falls on both.  Every child reads the README fixture's config
+(FIXTURE) and prints one JSON record.  A measured value (a key in MEASURED
+or ending in ``_s``) becomes its median, quartiles, min and max with every
+sample kept; any other value is a count or a result, and a root whose runs
+disagree on one is refused (exit 1, nothing written).  Counting rebinds
+module attributes in the child, as perfbench traces a request.
+
+- ``spectrum``: ``lowest_eigenpair`` per rung of its ladder, on four states:
+  ``tuned_t0`` (the amplitude tuned for k*(0) = 1 - delta, at t = 0),
+  ``tuned_T`` (the same at the horizon T), ``threshold`` (the whole-line
+  threshold amplitude M0 at t = 0, as in ``line``) and ``tuned_T_mode``
+  (``tuned_T`` with the mode, as in ``torus``).  Tuned states climb the
+  mapped ladder (``spectrum._mapped_level``); mapped rung 0's Neumann seed
+  routes the weakly bound threshold to the uniform one (``spectrum._level``)
+  and that rung has ``n`` None.  ``eigh_tridiagonal`` calls are "index" or
+  "vector" (the mode, with its own seconds), each with its rows, the sum of
+  len(d); ``eval_potential`` calls are counted with their points.  Each
+  state runs REPEAT times and a rung and the vector calls keep their
+  fastest repeat.
+- ``startup``: what every command pays before it computes, and perfbench's
+  ``setup_s``: import ``viscoshear.cli`` and ``load_config``, from just
+  before the spawn (``setup_s``) and from the first statement
+  (``import_s``); the peak RSS and the scipy subpackages then loaded.
+- ``polish``: the Rayleigh root polish at the tuned amplitude, in
+  ``eigencurve`` (``rayleigh.eigencurve`` at t = T on k = 0.95, 1, the
+  perfbench workload's grid), ``wide`` (``eigenvalues_for_ks`` at t = T on
+  k = 0.2, 0.6, 0.9, 0.99, 1, roots from c = 0.2 down to c = 5e-4) and
+  ``torus`` (``run_torus_scenario``, with its root stage, every
+  ``eigenvalues_for_ks`` call, timed on its own).  Each records the
+  ``wronskian_many`` passes inside root searches (``w_passes``: one scan per
+  search plus its polish passes), the polish passes, the roots, the polish
+  passes that evaluated each root's bracket (mean and max) and every c_i;
+  the torus also all W passes of the run and its failed checks.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+RUNS = 11
+FIXTURE = "gamma0 = 0.15\ngamma1 = 0.03\ngamma2 = 0.8\nnu = 1e-3\ndelta = 0.01\n"
+MEASURED = ("s", "seconds", "peak_rss_mb")
+
+# Every child runs as ``python3 -c CHILD SRC CONFIG SPAWNED``: the src
+# directory, the fixture's config path and the harness's time.monotonic()
+# just before the spawn; it prints one JSON line.
+
+SPECTRUM = r"""
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from viscoshear import spectrum as sp
+from viscoshear.calibrate import find_critical_M0, tune_M_for_kstar
+from viscoshear.config import load_config
+from viscoshear.flow import FlowState
+
+REPEAT = 5
+KINDS = ("index", "vector")
+cfg = load_config(sys.argv[2])
+grid, params = cfg.grid(), cfg.params(M=1.0)
+tuned = params.with_M(tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta, grid).M)
+threshold = params.with_M(find_critical_M0(params, grid).M)
+
+calls = {f"{kind}_{what}": 0 for kind in KINDS for what in ("calls", "rows")}
+log = {}
+eigh, potential = sp.eigh_tridiagonal, sp.eval_potential
+
+def counted_potential(state, ys):
+    log["potential"]["calls"] += 1
+    log["potential"]["points"] += len(ys)
+    return potential(state, ys)
+
+def counted_eigh(d, e, **kwargs):
+    kind = "index" if kwargs.get("eigvals_only") else "vector"
+    calls[kind + "_calls"] += 1
+    calls[kind + "_rows"] += len(d)
+    if kind == "index":
+        return eigh(d, e, **kwargs)
+    start = time.perf_counter()
+    out = eigh(d, e, **kwargs)
+    log["vector_s"] += time.perf_counter() - start
+    return out
+
+def timed(ladder, rung, half_width):
+    def timed_rung(vfunc, where, lev):
+        before = dict(calls)
+        start = time.perf_counter()
+        out = rung(vfunc, where, lev)
+        record = {"ladder": ladder, "n": out and out[0],
+                  "kappa_Y": out and out[3] * half_width(where),
+                  "s": time.perf_counter() - start}
+        record.update({k: calls[k] - before[k] for k in calls})
+        log["rungs"].append(record)
+        return out
+    return timed_rung
+
+sp.eigh_tridiagonal, sp.eval_potential = counted_eigh, counted_potential
+sp._level = timed("uniform", sp._level, lambda grid: grid.half_width)
+sp._mapped_level = timed("mapped", sp._mapped_level, lambda half_width: half_width)
+
+def measure(state, want_mode):
+    best = vector = None
+    for _ in range(REPEAT):
+        log.update(rungs=[], vector_s=0.0, potential={"calls": 0, "points": 0})
+        n, rows = calls["vector_calls"], calls["vector_rows"]
+        res = sp.lowest_eigenpair(state, grid, want_mode=want_mode)
+        this = {"calls": calls["vector_calls"] - n, "rows": calls["vector_rows"] - rows,
+                "s": log["vector_s"]}
+        vector = this if vector is None else dict(this, s=min(vector["s"], this["s"]))
+        if best is None:
+            best = log["rungs"]
+        else:
+            for kept, new in zip(best, log["rungs"]):
+                kept["s"] = min(kept["s"], new["s"])
+    return {"M": state.params.M, "t": state.t, "lambda1": res.lambda1, "lambda2": res.lambda2,
+            "levels": sum(r["n"] is not None for r in best),
+            "total_s": sum(r["s"] for r in best), "rungs": best, "vector": vector,
+            "potential": log["potential"]}
+
+cases = {
+    "tuned_t0": measure(FlowState(tuned, 0.0), False),
+    "tuned_T": measure(FlowState(tuned, params.horizon), False),
+    "threshold": measure(FlowState(threshold, 0.0), False),
+    "tuned_T_mode": measure(FlowState(tuned, params.horizon), True),
+}
+print(json.dumps({"grid": {"half_width": grid.half_width, "n_points": grid.n_points},
+                  "repeat": REPEAT, "cases": cases}))
+"""
+
+STARTUP = r"""
+import sys, time
+start = time.monotonic()
+sys.path.insert(0, sys.argv[1])
+import viscoshear.cli
+from viscoshear.config import load_config
+load_config(sys.argv[2])
+ready = time.monotonic()
+import resource
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+scipy = sorted(m[6:] for m, mod in list(sys.modules.items())
+               if m.startswith("scipy.") and m.count(".") == 1 and not m[6:].startswith("_")
+               and hasattr(mod, "__path__"))
+import json
+print(json.dumps({"scipy_subpackages": scipy, "setup_s": ready - float(sys.argv[3]),
+                  "import_s": ready - start, "peak_rss_mb": rss}))
+"""
+
+POLISH = r"""
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from viscoshear import rayleigh as ray, scenario
+from viscoshear.calibrate import tune_M_for_kstar
+from viscoshear.config import load_config
+from viscoshear.flow import FlowState
+
+cfg = load_config(sys.argv[2])
+params = cfg.params(M=1.0)
+grid = cfg.grid()
+cal = tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta, grid)
+state_T = FlowState(params.with_M(cal.M), params.horizon)
+
+many, search = ray.wronskian_many, ray.eigenvalues_for_ks
+log = {}
+
+def counted_many(state, ks, cs):
+    log["passes"] += 1
+    if log["search"] is not None:
+        log["search"].append(set(map(float, ks)))
+    return many(state, ks, cs)
+
+def counted_search(state, ks):
+    log["search"] = passes = []
+    start = time.perf_counter()
+    try:
+        roots, cs, w = search(state, ks)
+    finally:
+        log["search_s"] += time.perf_counter() - start
+        log["search"] = None
+    log["scans"] += 1
+    log["polish"] += len(passes) - 1
+    log["per_root"] += [sum(float(k) in p for p in passes[1:])
+                        for k, r in zip(ks, roots) if r is not None]
+    return roots, cs, w
+
+ray.wronskian_many, ray.eigenvalues_for_ks = counted_many, counted_search
+
+def case(run):
+    log.update(passes=0, search=None, search_s=0.0, scans=0, polish=0, per_root=[])
+    start = time.perf_counter()
+    cis, extra = run()
+    seconds = time.perf_counter() - start
+    per_root = log["per_root"]
+    out = {"seconds": seconds, "w_passes": log["scans"] + log["polish"],
+           "polish_passes": log["polish"], "roots": len(per_root),
+           "polish_passes_per_root": {"mean": sum(per_root) / max(len(per_root), 1),
+                                      "max": max(per_root, default=0)},
+           "c_i": cis}
+    out.update(extra)
+    return out
+
+def eigencurve():
+    curve = ray.eigencurve(state_T, [0.95, 1.0])
+    return [c for _, c, _ in curve.points], {"k_zero": curve.k_zero}
+
+def wide():
+    roots, _, _ = ray.eigenvalues_for_ks(state_T, [0.2, 0.6, 0.9, 0.99, 1.0])
+    return [r[0] for r in roots if r is not None], {}
+
+def torus():
+    rep = scenario.run_torus_scenario(params, grid, cfg.delta, cfg.n_times)
+    failed = [c.name for c in rep.checks if not c.passed]
+    return [rep.ci_at_k1] + [c for _, _, c in rep.dichotomy if c is not None], {
+        "root_stage_s": log["search_s"], "all_w_passes": log["passes"],
+        "checks": len(rep.checks), "checks_failed": failed}
+
+print(json.dumps({"eigencurve": case(eigencurve), "wide": case(wide), "torus": case(torus)}))
+"""
+
+
+def show_spectrum(name: str, entry: dict) -> None:
+    for c, r in entry["cases"].items():
+        rungs = ", ".join(
+            f"{g['ladder']} {g['n']}: {g['s']['median'] * 1e3:.1f} ms ("
+            + ", ".join(f"{g[k + '_calls']} {k}/{g[k + '_rows']} rows" for k in ("index", "vector"))
+            + ")" for g in r["rungs"])
+        t, vec, pot = r["total_s"], r["vector"], r["potential"]
+        print(f"{name} {c}: {t['median'] * 1e3:.1f} ms ({t['q1'] * 1e3:.1f}-{t['q3'] * 1e3:.1f});"
+              f" {rungs}; vector: {vec['calls']} calls/{vec['rows']} rows, "
+              f"{vec['s']['median'] * 1e3:.1f} ms; potential: {pot['calls']} calls/"
+              f"{pot['points']} points")
+
+
+def show_startup(name: str, r: dict) -> None:
+    s, i, m = r["setup_s"], r["import_s"], r["peak_rss_mb"]
+    print(f"{name}: setup {s['median']:.3f} s ({s['q1']:.3f}-{s['q3']:.3f}), import "
+          f"{i['median']:.3f} s ({i['q1']:.3f}-{i['q3']:.3f}), peak RSS "
+          f"{m['median']:.1f} MB ({m['min']:.1f}-{m['max']:.1f}); scipy: "
+          + ", ".join(r["scipy_subpackages"]))
+
+
+def show_polish(name: str, entry: dict) -> None:
+    for c, r in entry.items():
+        s, pr = r["seconds"], r["polish_passes_per_root"]
+        line = (f"{name} {c}: {s['median']:.3f} s ({s['q1']:.3f}-{s['q3']:.3f}), "
+                f"{r['w_passes']} W passes, {pr['mean']:.2f} polish passes per root "
+                f"(max {pr['max']})")
+        if c == "torus":
+            line += (f", root stage {r['root_stage_s']['median']:.3f} s, {r['all_w_passes']} "
+                     f"W passes in all, {len(r['checks_failed'])} of {r['checks']} checks failed")
+        print(line)
+
+
+class Case(NamedTuple):
+    child: str
+    show: Callable[[str, dict], None]
+
+
+CASES = {
+    "spectrum": Case(SPECTRUM, show_spectrum),
+    "startup": Case(STARTUP, show_startup),
+    "polish": Case(POLISH, show_polish),
+}
+
+
+class Refused(Exception):
+    """A root's runs disagree on a value that is not measured."""
+
+
+def spawn(child: str, src: Path, config: Path) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)  # the package comes from ``src`` alone
+    spawned = time.monotonic()
+    res = subprocess.run([sys.executable, "-c", child, str(src), str(config), repr(spawned)],
+                         capture_output=True, text=True, env=env, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def rounds(roots: dict, run: Callable[[Path], dict], runs: int = RUNS) -> dict:
+    """Every root's ``runs`` records of ``run(src)``, after one unmeasured warm-up
+    each; the roots take turns, each going first in every other round."""
+    for src in roots.values():
+        run(src)
+    samples = {name: [] for name in roots}
+    for i in range(runs):
+        for name, src in list(roots.items())[:: 1 if i % 2 == 0 else -1]:
+            samples[name].append(run(src))
+    return samples
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values),
+            "samples": values}
+
+
+def merge(records: list, where: str):
+    """One record from every run's: measured values summarized, the rest equal."""
+    first = records[0]
+    if isinstance(first, dict) and all(r.keys() == first.keys() for r in records):
+        return {k: summary([r[k] for r in records]) if k in MEASURED or k.endswith("_s")
+                else merge([r[k] for r in records], f"{where} {k}") for k in first}
+    if (isinstance(first, list) and first and isinstance(first[0], dict)
+            and all(len(r) == len(first) for r in records)):
+        return [merge(list(col), f"{where} [{i}]") for i, col in enumerate(zip(*records))]
+    if any(r != first for r in records):
+        raise Refused(f"{where} differs between runs")
+    return first
+
+
+def main(argv: list) -> int:
+    if not argv or argv[0] not in CASES:
+        print(f"usage: tools/bench.py {{{','.join(CASES)}}} [NAME=ROOT ...]", file=sys.stderr)
+        return 2
+    name, case = argv[0], CASES[argv[0]]
+    roots = {}
+    for arg in argv[1:] or ["this=."]:
+        root_name, sep, root = arg.partition("=")
+        src = Path(root).resolve() / "src"
+        if (not sep or not root_name or root_name in roots
+                or not (src / "viscoshear" / "cli.py").is_file()):
+            print(f"expected NAME=ROOT with a new NAME and ROOT/src/viscoshear, got {arg!r}",
+                  file=sys.stderr)
+            return 2
+        roots[root_name] = src
+
+    import numpy
+    import scipy
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fixture.cfg"
+        config.write_text(FIXTURE, encoding="utf-8")
+        samples = rounds(roots, lambda src: spawn(case.child, src, config))
+    try:
+        results = {root: merge(runs, f"{root}:") for root, runs in samples.items()}
+    except Refused as exc:
+        print(f"{name}: {exc}; nothing written", file=sys.stderr)
+        return 1
+    out = f"BENCH_{name}.json"
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump({
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": numpy.__version__,
+                "scipy": scipy.__version__,
+                "machine": platform.machine(),
+                "cpus": os.cpu_count(),
+                "openblas_threads": "1",
+            },
+            "config": FIXTURE,
+            "runs": RUNS,
+            "roots": results,
+        }, fh, indent=1)
+        fh.write("\n")
+    for root, entry in results.items():
+        case.show(root, entry)
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
