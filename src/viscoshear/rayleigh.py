@@ -75,7 +75,7 @@ from .errors import (
     TailDominance,
 )
 from .flow import FlowState, eval_b, eval_b_derivs, eval_b_slope
-from .spectrum import Grid, _fit_min_C
+from .spectrum import _fit_min_C
 
 __all__ = [
     "PhiSolution",
@@ -433,32 +433,23 @@ class PhiSolution:
     dphi2: np.ndarray
 
 
-def _sample_ys(grid_or_ys) -> np.ndarray:
-    if isinstance(grid_or_ys, Grid):
-        base = grid_or_ys.ys()
-    else:
-        base = np.asarray(grid_or_ys, dtype=float)
-    extra = np.array([s for e in _NEAR_SAMPLES for s in (-e, e)])
-    ys = np.unique(np.concatenate([base, extra]))
-    return ys
-
-
-def solve_phi(state: FlowState, k: float, c_i: float, grid) -> PhiSolution:
+def solve_phi(state: FlowState, k: float, c_i: float, ys) -> PhiSolution:
     """phi1 and phi2 of the regular solution at wave speed ic_i, one pass.
 
     phi1 solves (b^2 phi1')' = k^2 b^2 phi1 and is normalized at y = 0;
-    phi2 is the O(c) correction, identically 1 at c_i = 0.  ``grid`` may be
-    a Grid or an explicit sample array; near-origin sample points are
-    always added so downstream normalization checks have data close to the
-    critical point.  Points within the seed offset of the origin take the
-    seed values; the others are recorded by one right half-line pass to
-    their sorted unique |y|, and the negative ones take the mirrored state.
+    phi2 is the O(c) correction, identically 1 at c_i = 0.  ``ys`` are the
+    sample points; near-origin ones are always added so downstream
+    normalization checks have data close to the critical point.  Points
+    within the seed offset of the origin take the seed values; the others
+    are recorded by one right half-line pass to their sorted unique |y|, and
+    the negative ones take the mirrored state.
     """
     if not k > 0.0:
         raise ValueError("k must be positive")
     if c_i < 0.0:
         raise ValueError("c_i must be nonnegative")
-    ys = _sample_ys(grid)
+    ys = np.unique(np.concatenate([np.asarray(ys, dtype=float),
+                                   [s for e in _NEAR_SAMPLES for s in (-e, e)]]))
     system = _WSystem(state, np.array([k]), np.array([c_i]))
     eps = _eps_start(np.array([c_i]))
     # pure sampling pass: no quadrature tails, so the farthest sample bounds it
@@ -768,13 +759,17 @@ class _Phi1QuadSystem:
         return st
 
 
-def neutral_mode_phiB(state: FlowState, kstar: float, grid: Grid) -> np.ndarray:
-    """Neutral mode via the second-solution quadrature formula, on grid nodes.
+def neutral_mode_phiB(state: FlowState, kstar: float, ys: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """Neutral mode via the second-solution quadrature formula, on the nodes
+    ``ys`` of the mode it is checked against.
 
-    Built on the left half line, where every factor is numerically benign
-    (the growing solution b*phi1 multiplies integrals accumulated from
-    -infinity that vanish at matching rate), then mirrored by evenness and
-    normalized to a positive unit-discrete-L2 mode.  On the right half line
+    ``ys`` is symmetric about its centre node y = 0 and ends at the half
+    width, as ``SpectralResult.ys`` is; ``weights`` are its cells.  Built on
+    the left half line, where every factor is numerically benign (the growing
+    solution b*phi1 multiplies integrals accumulated from -infinity that
+    vanish at matching rate), then mirrored by evenness and normalized to a
+    positive mode of unit L2 norm in ``weights``.  On the right half line
     the same formula requires cancellation of totals against the Wronskian
     zero and amplifies quadrature noise by e^{2 k |y|}, so it is not used.
     Raises ``TailDominance`` when k* * half_width is too small for the
@@ -782,12 +777,11 @@ def neutral_mode_phiB(state: FlowState, kstar: float, grid: Grid) -> np.ndarray:
     """
     if not kstar > 0.0:
         raise ValueError("kstar must be positive")
-    if kstar * grid.half_width < 8.0:
+    ymax = float(ys[-1])
+    if kstar * ymax < 8.0:
         raise TailDominance("kstar * half_width < 8: mode tails exceed the domain")
-    ys = grid.ys()
     mid = len(ys) // 2
     neg = ys[:mid]  # ascending, all negative
-    ymax = grid.half_width
 
     system = _Phi1QuadSystem(state, kstar)
     fin, rec, _ = _run_side(system, -1, EPS_MAX, ymax, samples=list(neg)[::-1])
@@ -810,7 +804,7 @@ def neutral_mode_phiB(state: FlowState, kstar: float, grid: Grid) -> np.ndarray:
     phi_b[:mid] = (phi_a / beta) * f_a - phi1 / beta + phi_a * f_b
     phi_b[mid] = -1.0 / beta
     phi_b[mid + 1 :] = phi_b[:mid][::-1]
-    norm = math.sqrt(np.sum(phi_b ** 2) * grid.spacing)
+    norm = math.sqrt(np.sum(phi_b ** 2 * weights))
     return -phi_b / norm
 
 

@@ -186,8 +186,8 @@ def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0
         bres = abs(wb.W) / rep.w_scale
         rep.boundary_residual = bres
         rep.add("boundary_wronskian_at_kstar", bres <= 1e-4, bres, (0.0, 1e-4))
-        mode_b = ray.neutral_mode_phiB(st_T, eig_T.kstar, grid)
-        l2 = float(math.sqrt(np.sum((mode_b - eig_T.mode) ** 2) * grid.spacing))
+        mode_b = ray.neutral_mode_phiB(st_T, eig_T.kstar, eig_T.ys, eig_T.weights)
+        l2 = float(math.sqrt(np.sum((mode_b - eig_T.mode) ** 2 * eig_T.weights)))
         rep.add("phiB_matches_eigenmode", l2 <= 1e-3, l2, (0.0, 1e-3))
         prof = profile_check(eig_T)
         rep.add("profile_checks", prof.all_ok and prof.fitted_C <= 20.0, prof.fitted_C, (1.0, 20.0))

@@ -31,9 +31,11 @@ has kappa * Y < 3, the state goes to the uniform ladder.
   package's transcription of scipy's Brent (``_roots.brentq``), with each
   distinct Robin matrix solved once.
 
-The mode, the ground state, is even: it is the even block's lowest
-eigenvector on the uniform rung ``MODE_LEVEL`` at kappa = sqrt(-lambda1),
-mirrored, so it is even bit for bit.
+The mode, the ground state, is even: it is the lowest eigenvector of the
+even block of the finest mapped rung the eigensolve reached (whichever ladder
+it climbed), Robin-closed at kappa = sqrt(-lambda1), unscaled by W^(-1/2) and
+mirrored, so it is even bit for bit.  It lives on that rung's nodes and is
+normalized in its cells, both of which ``SpectralResult`` carries.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ MAP_ROWS = 129  # half-line nodes of mapped rung 0; 129 to 257 take three rungs 
 # the fixture; its default ULP * ||T||_1 moves lambda1 there by up to 7e-10.
 MAP_TOL = 1e-13
 ORDER_BAND = (3.5, 4.5)  # the ratio of successive raw lambda1 differences the mapped ladder accepts
-MODE_LEVEL = 3  # the mode's uniform rung: 2**3 refinements of the grid, 65 537 points by default
 PROFILE_C_MAX = 1e3  # largest plateau/envelope constant profile_check fits
 
 
@@ -115,7 +116,8 @@ class SpectralResult:
     lambda2: float
     kstar: Optional[float]
     mode: Optional[np.ndarray]
-    ys: Optional[np.ndarray]
+    ys: Optional[np.ndarray]  # the mode's nodes on [-Y, Y]
+    weights: Optional[np.ndarray]  # their cells: sum(mode**2 * weights) = 1
     convergence: ConvergenceInfo
 
 
@@ -206,15 +208,17 @@ def _mapped_lowest(d: np.ndarray, e: np.ndarray) -> float:
 
 
 def _mapped_block(vfunc: Callable[[np.ndarray], np.ndarray], half_width: float, level: int):
-    """Even Neumann block (d, e) and cells w of mapped rung ``level`` (see ``_mapped_level``)."""
+    """Even Neumann block (d, e), cells w and nodes y of mapped rung ``level``
+    (see ``_mapped_level``)."""
     rows = (MAP_ROWS - 1) * 2 ** level + 1
     h = math.asinh(half_width / MAP_A) / (rows - 1)
     x = h * np.arange(rows)
     flux = 1.0 / (MAP_A * np.cosh(x[:-1] + 0.5 * h) * h)
     w = MAP_A * np.cosh(x) * h
     w[[0, -1]] *= 0.5
-    d = vfunc(MAP_A * np.sinh(x)) + (np.r_[0.0, flux] + np.r_[flux, 0.0]) / w
-    return d, -flux / np.sqrt(w[:-1] * w[1:]), w
+    y = MAP_A * np.sinh(x)
+    d = vfunc(y) + (np.r_[0.0, flux] + np.r_[flux, 0.0]) / w
+    return d, -flux / np.sqrt(w[:-1] * w[1:]), w, y
 
 
 def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], half_width: float, level: int):
@@ -230,7 +234,7 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], half_width: float, 
     from fixed-point sweeps kappa <- sqrt(-lambda1) from the Neumann seed,
     which contract at rate exp(-2 kappa Y).
     """
-    d, e, w = _mapped_block(vfunc, half_width, level)
+    d, e, w, _ = _mapped_block(vfunc, half_width, level)
     d_far, kappa = d[-1], 0.0
     for i in range(5):  # the Neumann seed, then at most four sweeps
         d[-1] = d_far + kappa / w[-1]
@@ -276,7 +280,8 @@ def _climb(rung: Callable[[int], Optional[tuple]], guarded: bool):
     )
 
 
-def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, want_mode: bool):
+def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid,
+                     want_mode: bool) -> SpectralResult:
     """Refinement-and-Richardson driver used by ``lowest_eigenpair``.
 
     ``vfunc`` maps a node array to potential values, which keeps the solver
@@ -286,19 +291,18 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, want
     """
     lam1, lam2, info = (_climb(lambda level: _mapped_level(vfunc, grid.half_width, level), True)
                         or _climb(lambda level: _level(vfunc, grid, level), False))
-    mode = None
-    if want_mode:  # the ground state is even: the even block's lowest eigenvector
-        n = (grid.n_points - 1) * 2 ** MODE_LEVEL + 1
-        ys = np.linspace(-grid.half_width, grid.half_width, n)
-        h = ys[1] - ys[0]
-        d, e = _robin_tridiagonal(vfunc(ys[n // 2:]), h, 0.0)
-        d[-1] += 2.0 * math.sqrt(max(-lam1, 0.0)) / h  # row 0 is the centre: only the far end
-        u = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
-        u[[0, -1]] *= math.sqrt(2.0)  # undo the similarity at the centre and the far end
-        u = u[:: 2 ** MODE_LEVEL]
-        u = np.concatenate((u[:0:-1], u)) * math.copysign(1.0, u[0])
-        mode = u / math.sqrt(np.sum(u ** 2) * grid.spacing)
-    return lam1, lam2, mode, info
+    kstar = math.sqrt(-lam1) if lam1 < -TOL_EIG else None
+    if kstar is None or not want_mode:
+        return SpectralResult(lam1, lam2, kstar, None, None, None, info)
+    # the ground state is even: the even block's lowest eigenvector, Robin-closed
+    d, e, w, y = _mapped_block(vfunc, grid.half_width, len(info.n_points) - 1)
+    d[-1] += kstar / w[-1]
+    u = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=MAP_TOL)[1][:, 0] / np.sqrt(w)
+    u = np.concatenate((u[:0:-1], u)) * math.copysign(1.0, u[0])
+    w = np.concatenate((w[:0:-1], [2.0 * w[0]], w[1:]))  # the full line's cells
+    y[-1] = grid.half_width  # MAP_A * sinh(asinh(Y / MAP_A)) may round past Y
+    return SpectralResult(lam1, lam2, kstar, u / math.sqrt(np.sum(u ** 2 * w)),
+                          np.concatenate((-y[:0:-1], y)), w, info)
 
 
 def _potential(state: FlowState) -> Callable[[np.ndarray], np.ndarray]:
@@ -308,20 +312,12 @@ def _potential(state: FlowState) -> Callable[[np.ndarray], np.ndarray]:
 def lowest_eigenpair(state: FlowState, grid: Grid, want_mode: bool = True) -> SpectralResult:
     """Lowest two eigenvalues of -d^2/dy^2 + b''/b, plus the neutral mode.
 
-    The mode (when requested and bound) is returned on the nodes of ``grid``
-    with unit discrete L2 norm and positive sign.  Raises ``NonConvergence``
-    if grid refinements fail to agree within ``TOL_EIG``.
+    The mode (when requested and bound) is positive and even; it comes on the
+    nodes ``ys`` of the finest mapped rung the eigensolve reached, whatever
+    ``grid.n_points``, with unit L2 norm in the cells ``weights``.  Raises
+    ``NonConvergence`` if grid refinements fail to agree within ``TOL_EIG``.
     """
-    lam1, lam2, mode, info = _solve_potential(_potential(state), grid, want_mode)
-    bound = lam1 < -TOL_EIG
-    return SpectralResult(
-        lambda1=lam1,
-        lambda2=lam2,
-        kstar=math.sqrt(-lam1) if bound else None,
-        mode=mode if bound else None,
-        ys=grid.ys() if (bound and want_mode) else None,
-        convergence=info,
-    )
+    return _solve_potential(_potential(state), grid, want_mode)
 
 
 def _base_lambda1(state: FlowState, grid: Grid) -> float:

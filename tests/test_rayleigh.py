@@ -454,21 +454,38 @@ def test_partials_and_slope_composition(ctx):
 def test_phiB_construction(ctx, grid):
     state = ctx.state_T
     res = lowest_eigenpair(state, grid, want_mode=True)
-    mode = ray.neutral_mode_phiB(state, res.kstar, grid)
-    l2 = math.sqrt(np.sum((mode - res.mode) ** 2) * grid.spacing)
+    mode = ray.neutral_mode_phiB(state, res.kstar, res.ys, res.weights)
+    l2 = math.sqrt(np.sum((mode - res.mode) ** 2 * res.weights))
     assert l2 <= 1e-3
     # continuous through the origin: the raw mode is -1/b'(0) there and
-    # moves by at most 10 h to its neighbour; normalizing divides both
+    # moves by at most 10 h to its neighbour, h the first mapped cell;
+    # normalizing divides both
     _, b1, _, _ = eval_b_derivs(state, 0.0)
     mid = len(mode) // 2
     assert mode[mid] > 0.0
-    h = grid.spacing
+    h = res.ys[mid + 1] - res.ys[mid]
     assert abs(mode[mid - 1] - mode[mid]) <= 10.0 * h * b1 * mode[mid]
     # exponential decay beyond the plateau
-    ys = grid.ys()
+    ys = res.ys
     tail = np.abs(ys) >= 1.0 / res.kstar
     envelope = 20.0 * math.sqrt(res.kstar) * np.exp(-res.kstar * np.abs(ys[tail]) / 20.0)
     assert np.all(np.abs(mode[tail]) <= envelope)
+
+
+def test_phiB_pass_steps(ctx, grid, monkeypatch):
+    # the one sampled pass of phiB at T takes at most 1 500 steps: the mapped
+    # nodes are dense only near the origin, where its steps are short anyway
+    res = lowest_eigenpair(ctx.state_T, grid, want_mode=True)
+    steps, integrate = [], ray.integrate
+
+    def counted(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(ray, "integrate", counted)
+    ray.neutral_mode_phiB(ctx.state_T, res.kstar, res.ys, res.weights)
+    assert len(steps) == 1 and steps[0] <= 1500
 
 
 def test_bound_suites(ctx):
@@ -519,5 +536,6 @@ def test_exact_zero_at_a_scan_node_is_one_sign_change(monkeypatch, couette_state
 def test_phiB_requires_wide_enough_domain(ctx):
     from viscoshear.errors import TailDominance
 
+    grid = Grid(20.0, 513)
     with pytest.raises(TailDominance):
-        ray.neutral_mode_phiB(ctx.state_T, 0.1, Grid(20.0, 513))
+        ray.neutral_mode_phiB(ctx.state_T, 0.1, grid.ys(), np.full(grid.n_points, grid.spacing))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.interpolate import CubicSpline
 from hypothesis import assume, given, settings, strategies as st
 
 from viscoshear import spectrum
@@ -76,26 +77,38 @@ def _raw_ratio(info):
 def test_poschl_teller_single_well():
     # V = -2 sech^2: exactly one bound state at -1, on the mapped ladder
     # within TOL_EIG, its raw lambda1 differences falling 4-fold from rung 0
-    lam1, lam2, mode, info = _solve_potential(
-        lambda ys: -2.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), True
-    )
-    assert abs(lam1 + 1.0) <= spectrum.TOL_EIG
-    assert lam2 >= -1e-7
+    res = _solve_potential(lambda ys: -2.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), True)
+    info = res.convergence
+    assert abs(res.lambda1 + 1.0) <= spectrum.TOL_EIG
+    assert res.lambda2 >= -1e-7
     assert info.converged and info.n_points[0] == 2 * spectrum.MAP_ROWS - 1
     assert abs(_raw_ratio(info) - 4.0) <= 0.01
-    # mode shape: proportional to sech(y)
-    ys = Grid(20.0, 8193).ys()
-    exact = 1.0 / np.cosh(ys)
-    exact /= math.sqrt(np.sum(exact**2) * Grid(20.0, 8193).spacing)
-    assert np.max(np.abs(mode - exact)) <= 1e-4
+    # mode shape: proportional to sech(y), on the returned nodes
+    exact = 1.0 / np.cosh(res.ys)
+    exact /= math.sqrt(np.sum(exact**2 * res.weights))
+    assert np.max(np.abs(res.mode - exact)) <= 1e-4
+
+
+def test_mode_of_a_uniform_ladder_state():
+    # V = -s (s + 1) sech^2 with s = 0.05 binds kappa = s, kappa Y = 1: the
+    # eigenvalue climbs the uniform ladder, and the mode, sech^s(y), comes
+    # from the mapped rung of the same index as the ladder's last rung
+    s = 0.05
+    res = _solve_potential(_pt_potential(s * (s + 1.0)), Grid(), True)
+    info = res.convergence
+    assert info.n_points[0] == Grid().n_points and abs(res.lambda1 + s * s) <= spectrum.TOL_EIG
+    rows = (spectrum.MAP_ROWS - 1) * 2 ** (len(info.n_points) - 1) + 1
+    assert len(res.ys) == len(res.weights) == 2 * rows - 1 and res.ys[-1] == 20.0
+    exact = np.cosh(res.ys) ** -s
+    exact /= math.sqrt(np.sum(exact**2 * res.weights))
+    assert np.max(np.abs(res.mode - exact)) <= 1e-5
 
 
 def test_poschl_teller_double_well():
     # V = -6 sech^2: bound states at -4 (the even block) and -1 (the odd
     # block), on the mapped ladder within TOL_EIG
-    lam1, lam2, _, info = _solve_potential(
-        lambda ys: -6.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), False
-    )
+    res = _solve_potential(lambda ys: -6.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), False)
+    lam1, lam2, info = res.lambda1, res.lambda2, res.convergence
     assert abs(lam1 + 4.0) <= spectrum.TOL_EIG
     assert abs(lam2 + 1.0) <= spectrum.TOL_EIG
     assert info.n_points[0] == 2 * spectrum.MAP_ROWS - 1
@@ -162,22 +175,28 @@ def test_monotone_in_M(grid):
     assert all(b < a for a, b in zip(lams, lams[1:]))
 
 
+def _mode_on(grid, res):
+    """The mode resampled from its mapped nodes to the nodes of ``grid``."""
+    return CubicSpline(res.ys, res.mode)(grid.ys())
+
+
 def test_rayleigh_quotient_of_mode_matches_lambda1(ctx, grid):
     state = ctx.state_T
     res = lowest_eigenpair(state, grid, want_mode=True)
-    q = rayleigh_quotient(state, grid, res.mode)
+    q = rayleigh_quotient(state, grid, _mode_on(grid, res))
     assert abs(q - res.lambda1) <= 1e-7
 
 
 def test_rayleigh_quotient_min_principle(ctx, grid):
     state = ctx.state_T
     res = lowest_eigenpair(state, grid, want_mode=True)
+    mode = _mode_on(grid, res)
     rng = np.random.default_rng(7)
     ys = grid.ys()
     for _ in range(4):
         noise = rng.normal(size=len(ys)) * np.exp(-(ys**2) / 9.0)
         noise = 0.5 * (noise + noise[::-1])  # keep it even
-        trial = res.mode + 1e-3 * noise
+        trial = mode + 1e-3 * noise
         q = rayleigh_quotient(state, grid, trial)
         assert q >= res.lambda1 - 1e-7
 
@@ -219,14 +238,15 @@ def test_profile_checks_at_t0(ctx):
 
 def test_mode_is_normalized_and_positive(ctx, grid):
     res = lowest_eigenpair(ctx.state_T, grid, want_mode=True)
-    assert abs(np.sum(res.mode**2) * grid.spacing - 1.0) <= 1e-12
+    assert abs(np.sum(res.mode**2 * res.weights) - 1.0) <= 1e-12
     assert np.min(res.mode) > 0.0
 
 
 def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch, grid):
-    # one eigenvector call, on the even parity block of the mode rung, and an
-    # exactly even mode within 1e-10 of the full Robin matrix's lowest
-    # eigenvector there at kappa = sqrt(-lambda1)
+    # one eigenvector call, on the even block of the finest mapped rung the
+    # eigensolve reached, and an exactly even mode within 1e-10 of the lowest
+    # eigenvector of that rung's full-line problem, Robin-closed at both ends
+    # at kappa = sqrt(-lambda1)
     state, vectors = ctx.state_T, []
     eigh = spectrum.eigh_tridiagonal
 
@@ -238,31 +258,38 @@ def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch, grid):
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
     res = lowest_eigenpair(state, grid, want_mode=True)
     monkeypatch.undo()
-    n = (grid.n_points - 1) * 2 ** spectrum.MODE_LEVEL + 1
-    assert vectors == [(n + 1) // 2]
+    rows = (spectrum.MAP_ROWS - 1) * 2 ** (len(res.convergence.n_points) - 1) + 1
+    assert vectors == [rows]
     assert spectrum.profile_check(res).even_defect == 0.0
-    ys = np.linspace(-grid.half_width, grid.half_width, n)
-    d, e = _robin_tridiagonal(eval_potential(state, ys), ys[1] - ys[0], math.sqrt(-res.lambda1))
-    u = eigh(d, e, select="i", select_range=(0, 0))[1][:, 0]
-    u[[0, -1]] *= math.sqrt(2.0)
-    u = u[:: (n - 1) // (grid.n_points - 1)]
-    u *= math.copysign(1.0, u[len(u) // 2]) / math.sqrt(np.sum(u ** 2) * grid.spacing)
+    # finite volumes on y = MAP_A sinh(x) over the full line: fluxes 1 / (g' h)
+    # between the nodes, cells g' h (halved at -Y and Y), the Robin flux at both ends
+    a, kappa = spectrum.MAP_A, math.sqrt(-res.lambda1)
+    x = np.linspace(-1.0, 1.0, 2 * rows - 1) * math.asinh(grid.half_width / a)
+    h = x[1] - x[0]
+    flux = 1.0 / (a * np.cosh(0.5 * (x[:-1] + x[1:])) * h)
+    w = a * np.cosh(x) * h
+    w[[0, -1]] *= 0.5
+    d = eval_potential(state, a * np.sinh(x)) + (np.r_[kappa, flux] + np.r_[flux, kappa]) / w
+    u = eigh(d, -flux / np.sqrt(w[:-1] * w[1:]), select="i", select_range=(0, 0))[1][:, 0]
+    u /= np.sqrt(w)
+    u *= math.copysign(1.0, u[rows - 1]) / math.sqrt(np.sum(u ** 2 * w))
+    assert np.max(np.abs(res.weights / w - 1.0)) <= 1e-12
+    assert np.max(np.abs(res.ys - a * np.sinh(x))) <= 1e-12
     assert np.max(np.abs(res.mode - u)) <= 1e-10
 
 
 def test_mode_evaluates_the_potential_once_on_its_rung():
     # V is evaluated once per rung, on the half line of each mapped rung, and
-    # once more on the right half of the uniform mode rung
+    # once more on the half line of the finest, the mode's rung
     points = []
 
     def counted(ys):
         points.append(len(ys))
         return -2.0 / np.cosh(ys) ** 2
 
-    grid = Grid(20.0, 4097)
-    *_, info = _solve_potential(counted, grid, True)
-    n_mode = (grid.n_points - 1) * 2 ** spectrum.MODE_LEVEL + 1
-    assert points == [(n + 1) // 2 for n in info.n_points] + [(n_mode + 1) // 2]
+    res = _solve_potential(counted, Grid(20.0, 4097), True)
+    rows = [(n + 1) // 2 for n in res.convergence.n_points]
+    assert points == rows + [rows[-1]] and len(res.ys) == 2 * rows[-1] - 1
 
 
 def test_grid_validation():
@@ -426,7 +453,8 @@ def test_sweeps_below_the_edge_fall_back_to_the_uniform_ladder(monkeypatch):
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
     monkeypatch.setattr(spectrum, "_mapped_level", spy_level)
-    lam1, lam2, _, info = _solve_potential(_pt_potential(nu * (nu + 1.0)), Grid(), False)
+    res = _solve_potential(_pt_potential(nu * (nu + 1.0)), Grid(), False)
+    lam1, lam2, info = res.lambda1, res.lambda2, res.convergence
     assert mapped == [None] and index[:2] == [spectrum.MAP_TOL] * 2
     assert info.n_points[0] == Grid().n_points and info.kappa * 20.0 < 3.0
     assert abs(lam1 + nu ** 2) <= spectrum.TOL_EIG
@@ -595,7 +623,8 @@ def _uniform_reference(vfunc, grid=Grid()):
 @pytest.mark.parametrize("kind, value", STRONG_WELLS)
 def test_mapped_ladder_matches_the_uniform_ladder(kind, value):
     vfunc = _fixture_potential(value) if kind == "fixture" else _pt_potential(value * (value + 1.0))
-    lam1, lam2, _, info = _solve_potential(vfunc, Grid(), False)
+    res = _solve_potential(vfunc, Grid(), False)
+    lam1, lam2, info = res.lambda1, res.lambda2, res.convergence
     assert info.n_points[0] == 2 * spectrum.MAP_ROWS - 1 and info.kappa * 20.0 >= 3.0
     ref1, ref2 = _uniform_reference(vfunc)
     assert abs(lam1 - ref1) <= spectrum.TOL_EIG and abs(lam2 - ref2) <= spectrum.TOL_EIG

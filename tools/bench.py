@@ -22,7 +22,8 @@ module attributes in the child, as perfbench traces a request.
 - ``spectrum``: ``lowest_eigenpair`` per rung of its ladder, on four states:
   ``tuned_t0`` (the amplitude tuned for k*(0) = 1 - delta, at t = 0),
   ``tuned_T`` (the same at the horizon T), ``threshold`` (the whole-line
-  threshold amplitude M0 at t = 0, as in ``line``) and ``tuned_T_mode``
+  threshold amplitude M0 at t = 0, as in ``line``; found once per root, by its
+  warm-up child, which leaves it beside the config) and ``tuned_T_mode``
   (``tuned_T`` with the mode, as in ``torus``).  Tuned states climb the
   mapped ladder (``spectrum._mapped_level``); mapped rung 0's Neumann seed
   routes the weakly bound threshold to the uniform one (``spectrum._level``)
@@ -69,7 +70,8 @@ MEASURED = ("s", "seconds", "peak_rss_mb")
 # just before the spawn; it prints one JSON line.
 
 SPECTRUM = r"""
-import json, sys, time
+import hashlib, json, sys, time
+from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from viscoshear import spectrum as sp
 from viscoshear.calibrate import find_critical_M0, tune_M_for_kstar
@@ -81,7 +83,11 @@ KINDS = ("index", "vector")
 cfg = load_config(sys.argv[2])
 grid, params = cfg.grid(), cfg.params(M=1.0)
 tuned = params.with_M(tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta, grid).M)
-threshold = params.with_M(find_critical_M0(params, grid).M)
+# M0 takes seconds to find: a root's first child writes it beside the config
+saved = Path(sys.argv[2]).with_name(hashlib.sha256(sys.argv[1].encode()).hexdigest() + ".M0")
+if not saved.exists():
+    saved.write_text(repr(find_critical_M0(params, grid).M))
+threshold = params.with_M(float(saved.read_text()))
 
 calls = {f"{kind}_{what}": 0 for kind in KINDS for what in ("calls", "rows")}
 log = {}
