@@ -16,7 +16,6 @@ import numpy as np
 from viscoshear import FlowParams, FlowState, eigencurve, eigenvalue_for_k, lowest_eigenpair
 from viscoshear.rayleigh import scan_wronskian, wronskian_partials
 from viscoshear.report import csv_text, svg_line_plot
-from viscoshear.spectrum import Grid
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
@@ -38,7 +37,7 @@ dk, dci = wronskian_partials(state, 1.0, root[0] / 2)
 print(f"Wronskian partials near the root: dWr/dk = {dk:+.3f}, dWr/dc_i = {dci:+.3f}")
 print(f"implicit-function slope -dWr/dk / dWr/dc_i = {-dk / dci:+.5f}")
 
-kT = lowest_eigenpair(state, Grid(), want_mode=False).kstar
+kT = lowest_eigenpair(state, want_mode=False).kstar
 ks = np.linspace(0.9, kT - 0.004, 5)
 curve = eigencurve(state, ks)
 print(f"\n{'k':>10} {'c_i(k)':>14}")

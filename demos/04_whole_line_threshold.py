@@ -15,21 +15,19 @@ import math
 
 from viscoshear import FlowParams, FlowState, find_critical_M0, lowest_eigenpair
 from viscoshear.rayleigh import eigenvalue_for_k
-from viscoshear.spectrum import Grid
 
 params = FlowParams(M=1.0, gamma0=0.15, gamma1=0.03, gamma2=0.8, nu=1e-3)
-grid = Grid()
 T = params.horizon
 
 print("quadratic weak-binding law (lambda ~ -(c*M)^2):")
 for M in (5e-5, 1e-4, 2e-4, 4e-4):
-    lam = lowest_eigenpair(FlowState(params.with_M(M), 0.0), grid, want_mode=False).lambda1
+    lam = lowest_eigenpair(FlowState(params.with_M(M), 0.0), want_mode=False).lambda1
     print(f"  M = {M:7.1e}:  lambda(0) = {lam:+.3e}   lambda/M^2 = {lam / M**2:+.2f}")
 
-cal = find_critical_M0(params, grid)
+cal = find_critical_M0(params)
 print(f"\nthreshold amplitude (lambda crosses -1e-8): M0 = {cal.M:.6e}")
 print(f"lambda(M0, 0) = {cal.achieved:+.3e}")
-lamT = lowest_eigenpair(FlowState(params.with_M(cal.M), T), grid, want_mode=False).lambda1
+lamT = lowest_eigenpair(FlowState(params.with_M(cal.M), T), want_mode=False).lambda1
 print(f"lambda(M0, T) = {lamT:+.3e}")
 print("The ~3% diffusion shift is below the eigensolver's resolution at this")
 print("magnitude, so presence/absence at T cannot be decided from lambda alone.")

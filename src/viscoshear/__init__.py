@@ -32,7 +32,6 @@ from .flow import (
     heat_residual,
 )
 from .spectrum import (
-    Grid,
     SpectralResult,
     lowest_eigenpair,
     profile_check,

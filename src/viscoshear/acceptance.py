@@ -39,16 +39,15 @@ class AcceptanceContext:
 
     def __init__(self, cfg: Config):
         self.cfg = cfg
-        self.grid = cfg.grid()
         self.params = cfg.params(M=1.0)
 
     @cached_property
     def torus(self) -> ScenarioReport:
-        return run_torus_scenario(self.params, self.grid, self.cfg.delta, self.cfg.n_times)
+        return run_torus_scenario(self.params, self.cfg.delta, self.cfg.n_times)
 
     @cached_property
     def line(self) -> ScenarioReport:
-        return run_line_scenario(self.params, self.grid)
+        return run_line_scenario(self.params)
 
     @cached_property
     def state_T(self) -> FlowState:
@@ -64,7 +63,7 @@ class AcceptanceContext:
 
     @cached_property
     def profile_0(self):
-        return profile_check(lowest_eigenpair(self.state_0, self.grid, want_mode=True))
+        return profile_check(lowest_eigenpair(self.state_0, want_mode=True))
 
     @cached_property
     def curve(self):

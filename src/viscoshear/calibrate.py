@@ -29,7 +29,7 @@ import numpy as np
 from ._roots import chandrupatla
 from .errors import BracketFailure, NonConvergence
 from .flow import FlowParams, FlowState
-from .spectrum import TOL_EIG, Grid, _base_lambda1, lowest_eigenpair
+from .spectrum import TOL_EIG, _base_lambda1, lowest_eigenpair
 
 __all__ = [
     "CalibrationResult",
@@ -75,22 +75,22 @@ class KstarCurve:
 
 
 @functools.lru_cache(maxsize=128)
-def _lambda_pair(state: FlowState, grid: Grid) -> tuple:
+def _lambda_pair(state: FlowState) -> tuple:
     """(lambda1, lambda2) of ``state``, memoized across calls.
 
     The tune and the sweep both solve through here, so the sweep's t = 0
     sample at the tuned M (``math.exp`` of the same x) is the tune's solve.
     """
-    r = lowest_eigenpair(state, grid, want_mode=False)
+    r = lowest_eigenpair(state, want_mode=False)
     return r.lambda1, r.lambda2
 
 
-def _lambda1(params: FlowParams, M: float, t: float, grid: Grid, base: bool = False) -> float:
+def _lambda1(params: FlowParams, M: float, t: float, base: bool = False) -> float:
     """lambda1 at (M, t): converged and cached, or with ``base`` the raw base-grid value."""
     state = FlowState(params.with_M(M), t)
     if base:
-        return _base_lambda1(state, grid)
-    return _lambda_pair(state, grid)[0]
+        return _base_lambda1(state)
+    return _lambda_pair(state)[0]
 
 
 def _kstar(lam: float) -> float:
@@ -158,8 +158,7 @@ def _window(precise: Callable[[float], float], base: Callable[[float], float],
     raise NonConvergence(f"tune_M_for_kstar: no straddling window after {MAX_ITER} widenings")
 
 
-def tune_M_for_kstar(params: FlowParams, t: float, target_kstar: float,
-                     grid: Grid = Grid()) -> CalibrationResult:
+def tune_M_for_kstar(params: FlowParams, t: float, target_kstar: float) -> CalibrationResult:
     """Find M with |k*(M, t) - target| <= TOL_CAL by Chandrupatla in log M.
 
     Relies on the strict monotonicity of the lowest eigenvalue in M.  The M
@@ -180,13 +179,13 @@ def tune_M_for_kstar(params: FlowParams, t: float, target_kstar: float,
         raise ValueError("target_kstar must be positive with target^2 <= 2")
 
     def base(x):
-        return _kstar(_lambda1(params, math.exp(x), t, grid, base=True))
+        return _kstar(_lambda1(params, math.exp(x), t, base=True))
 
     solved = {}
 
     def precise(x):
         if x not in solved:
-            solved[x] = _kstar(_lambda1(params, math.exp(x), t, grid))
+            solved[x] = _kstar(_lambda1(params, math.exp(x), t))
         return solved[x]
 
     ends = (math.log(M_BRACKET[0]), math.log(M_BRACKET[1]))
@@ -207,7 +206,7 @@ def tune_M_for_kstar(params: FlowParams, t: float, target_kstar: float,
                              bracket=(math.exp(x_lo), math.exp(x_hi)))
 
 
-def find_critical_M0(params: FlowParams, grid: Grid = Grid()) -> CalibrationResult:
+def find_critical_M0(params: FlowParams) -> CalibrationResult:
     """Smallest amplitude at which binding resolves at t = 0.
 
     Returns M0 with lambda1(M0, 0) inside [-TOL_EIG, 0], certified by a
@@ -224,8 +223,8 @@ def find_critical_M0(params: FlowParams, grid: Grid = Grid()) -> CalibrationResu
     """
     level = -TOL_EIG / 2.0
     lo, hi = M0_BRACKET
-    lam_lo = _lambda1(params, lo, 0.0, grid)
-    lam_hi = _lambda1(params, hi, 0.0, grid)
+    lam_lo = _lambda1(params, lo, 0.0)
+    lam_hi = _lambda1(params, hi, 0.0)
     if not (lam_lo > level >= lam_hi):
         raise BracketFailure(f"lambda1 does not straddle {level:g} on M in {M0_BRACKET}")
     lam_at_hi = lam_hi
@@ -234,7 +233,7 @@ def find_critical_M0(params: FlowParams, grid: Grid = Grid()) -> CalibrationResu
         if width_ok and lam_at_hi > -0.95 * TOL_EIG:
             break
         mid = math.sqrt(lo * hi)
-        lam = _lambda1(params, mid, 0.0, grid)
+        lam = _lambda1(params, mid, 0.0)
         if lam > level:
             lo = mid
         else:
@@ -244,8 +243,7 @@ def find_critical_M0(params: FlowParams, grid: Grid = Grid()) -> CalibrationResu
     return CalibrationResult(M=hi, achieved=lam_at_hi, iterations=i + 1, bracket=(lo, hi))
 
 
-def kstar_time_sweep(M: float, params: FlowParams, n_times: int,
-                     grid: Grid = Grid()) -> KstarCurve:
+def kstar_time_sweep(M: float, params: FlowParams, n_times: int) -> KstarCurve:
     """Sample k*(t) on a uniform grid over [0, T] and localize k* = 1.
 
     T is the exact diffusion horizon of the narrow bump.  The crossing time
@@ -260,7 +258,7 @@ def kstar_time_sweep(M: float, params: FlowParams, n_times: int,
     times = np.linspace(0.0, T, n_times)
     p = params.with_M(M)
 
-    pairs = [_lambda_pair(FlowState(p, t), grid) for t in times]
+    pairs = [_lambda_pair(FlowState(p, t)) for t in times]
     lam1 = np.array([a for a, _ in pairs])
     lam2 = np.array([b for _, b in pairs])
     kstars = tuple(math.sqrt(-l) if l < -TOL_EIG else None for l in lam1)
@@ -271,7 +269,7 @@ def kstar_time_sweep(M: float, params: FlowParams, n_times: int,
         if ks[j] < 1.0 <= ks[j + 1]:
             # the two straddling samples are already solved: start from them
             ttilde, k_tt, _ = _crossing(
-                lambda t: _kstar(_lambda1(params, M, t, grid)),
+                lambda t: _kstar(_lambda1(params, M, t)),
                 (float(times[j]), float(times[j + 1])),
                 (_kstar(lam1[j]), _kstar(lam1[j + 1])),
                 1.0, "Ttilde search",

@@ -33,13 +33,13 @@ def _write(path: Path, text: str) -> None:
 def _resolve_M(cfg: Config) -> float:
     if cfg.M is not None:
         return cfg.M
-    cal = tune_M_for_kstar(cfg.params(), 0.0, 1.0 - cfg.delta, cfg.grid())
+    cal = tune_M_for_kstar(cfg.params(), 0.0, 1.0 - cfg.delta)
     print(f"tuned M = {cal.M:.17g} (k* = {cal.achieved:.17g})")
     return cal.M
 
 
 def _cmd_calibrate(cfg: Config, out_dir: Path, formats) -> int:
-    cal = tune_M_for_kstar(cfg.params(), 0.0, 1.0 - cfg.delta, cfg.grid())
+    cal = tune_M_for_kstar(cfg.params(), 0.0, 1.0 - cfg.delta)
     print(f"M = {cal.M:.17g}")
     print(f"achieved k* = {cal.achieved:.17g} in {cal.iterations} finishing iterations "
           "(located on the base grid, finished on converged eigensolves)")
@@ -48,7 +48,7 @@ def _cmd_calibrate(cfg: Config, out_dir: Path, formats) -> int:
 
 def _cmd_kstar_sweep(cfg: Config, out_dir: Path, formats) -> int:
     M = _resolve_M(cfg)
-    curve = kstar_time_sweep(M, cfg.params(), cfg.n_times, cfg.grid())
+    curve = kstar_time_sweep(M, cfg.params(), cfg.n_times)
     rows = [
         (t, k, l1, l2)
         for t, k, l1, l2 in zip(curve.times, curve.kstars, curve.lambda1s, curve.lambda2s)
@@ -81,7 +81,7 @@ def _cmd_eigencurve(cfg: Config, out_dir: Path, formats) -> int:
     if cfg.k_grid == "auto":
         from .spectrum import lowest_eigenpair
 
-        res = lowest_eigenpair(state, cfg.grid(), want_mode=False)
+        res = lowest_eigenpair(state, want_mode=False)
         if res.kstar is None:
             print("no bound state at t = T; nothing to trace", file=sys.stderr)
             return 1
@@ -161,9 +161,8 @@ _COMMANDS = {
     "kstar-sweep": _cmd_kstar_sweep,
     "eigencurve": _cmd_eigencurve,
     "verify": _cmd_verify,
-    "torus": _cmd_scenario(lambda cfg: run_torus_scenario(
-        cfg.params(), cfg.grid(), cfg.delta, cfg.n_times)),
-    "line": _cmd_scenario(lambda cfg: run_line_scenario(cfg.params(), cfg.grid())),
+    "torus": _cmd_scenario(lambda cfg: run_torus_scenario(cfg.params(), cfg.delta, cfg.n_times)),
+    "line": _cmd_scenario(lambda cfg: run_line_scenario(cfg.params())),
 }
 
 

@@ -8,7 +8,6 @@ from typing import Optional
 
 from .errors import ParseError, ValidationError
 from .flow import FlowParams
-from .spectrum import Grid
 
 __all__ = ["Config", "parse_config", "parse_formats", "load_config"]
 
@@ -23,8 +22,6 @@ class Config:
     gamma2: float = 0.8
     nu: float = 1e-3
     M: Optional[float] = None
-    half_width: float = 20.0
-    n_points: int = 8193
     delta: float = 0.01
     n_times: int = 9
     k_grid: str = "auto"
@@ -34,9 +31,6 @@ class Config:
     def params(self, M: Optional[float] = None) -> FlowParams:
         m = M if M is not None else (self.M if self.M is not None else 1.0)
         return FlowParams(m, self.gamma0, self.gamma1, self.gamma2, self.nu)
-
-    def grid(self) -> Grid:
-        return Grid(self.half_width, self.n_points)
 
     def k_grid_values(self, k_upper: float):
         """Wave-number grid for the eigenvalue curve.
@@ -51,8 +45,8 @@ class Config:
         return np.linspace(*_k_grid_spec(self.k_grid))
 
 
-_FLOAT_KEYS = {"gamma0", "gamma1", "gamma2", "nu", "M", "half_width", "delta"}
-_INT_KEYS = {"n_points", "n_times"}
+_FLOAT_KEYS = {"gamma0", "gamma1", "gamma2", "nu", "M", "delta"}
+_INT_KEYS = {"n_times"}
 _STR_KEYS = {"k_grid", "out_dir", "formats"}
 
 
@@ -127,7 +121,6 @@ def parse_config(text: str) -> Config:
 def _validate(cfg: Config) -> None:
     try:
         cfg.params()  # FlowParams checks gamma0, gamma1, gamma2, nu and M
-        cfg.grid()  # Grid checks n_points and half_width
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     if cfg.gamma1 / cfg.gamma2 > GAMMA_RATIO_MAX:

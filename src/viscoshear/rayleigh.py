@@ -75,7 +75,7 @@ from .errors import (
     TailDominance,
 )
 from .flow import FlowState, eval_b, eval_b_derivs, eval_b_slope
-from .spectrum import _fit_min_C
+from .spectrum import HALF_WIDTH, _fit_min_C
 
 __all__ = [
     "PhiSolution",
@@ -102,7 +102,6 @@ C_SCAN_LO = 1e-8
 C_SCAN_POINTS = 200
 C_SEED_WINDOW = 6  # scan points on each side of a sign change that seed its root polish
 C_MAX = 0.5
-HALF_WIDTH = 20.0
 YK_FACTOR = 12.0
 MAX_POLISH = 80
 ROOT_RTOL = 1e-10
@@ -684,12 +683,12 @@ class EigenCurve:
 def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
     """Map k -> c_i(k) over a wave-number grid inside (0, k*).
 
-    All wave numbers share one batched scan and one batched root polish.
-    Slopes by central differences on the computed points; ``k_zero`` is the
-    linear extrapolation of the last two points to c_i = 0, the curve's own
-    estimate of the critical wave number.
+    Each distinct k is solved once, in increasing order; all share one batched
+    scan and one batched root polish.  Slopes by central differences on the
+    computed points; ``k_zero`` is the linear extrapolation of the last two
+    points to c_i = 0, the curve's own estimate of the critical wave number.
     """
-    ks = np.asarray(sorted(k_grid), dtype=float)
+    ks = np.unique(np.asarray(k_grid, dtype=float))
     roots = eigenvalues_for_ks(state, ks)[0] if len(ks) else []
     pts = []
     for k, root in zip(ks, roots):

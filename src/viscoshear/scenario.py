@@ -23,7 +23,7 @@ from . import rayleigh as ray
 from .calibrate import TOL_CAL, find_critical_M0, kstar_time_sweep, tune_M_for_kstar
 from .errors import ViscoshearError
 from .flow import FlowParams, FlowState
-from .spectrum import TOL_EIG, Grid, lowest_eigenpair, profile_check
+from .spectrum import TOL_EIG, lowest_eigenpair, profile_check
 
 __all__ = ["Check", "ScenarioReport", "run_torus_scenario", "run_line_scenario"]
 
@@ -78,8 +78,7 @@ def _dichotomy_grid(T: float, ttilde: float) -> np.ndarray:
     return np.array(sorted(base))
 
 
-def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0.01,
-                       n_times: int = 9) -> ScenarioReport:
+def run_torus_scenario(params: FlowParams, delta: float = 0.01, n_times: int = 9) -> ScenarioReport:
     """Reproduce the integer-wave-number stability transition at desk scale.
 
     Stages: tune M for k*(0) = 1 - delta; sweep k*(t) on [0, T]; locate the
@@ -93,7 +92,7 @@ def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0
     target = 1.0 - delta
 
     try:
-        cal = tune_M_for_kstar(params, 0.0, target, grid)
+        cal = tune_M_for_kstar(params, 0.0, target)
     except ViscoshearError as exc:
         rep.add("calibration", False, note=f"{type(exc).__name__}: {exc}")
         return rep
@@ -103,7 +102,7 @@ def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0
             (target - TOL_CAL, target + TOL_CAL))
     p = params.with_M(cal.M)
 
-    curve = kstar_time_sweep(cal.M, params, n_times, grid)
+    curve = kstar_time_sweep(cal.M, params, n_times)
     rep.curve_times = curve.times
     rep.curve_kstars = curve.kstars
     rep.curve_lambda1 = curve.lambda1s
@@ -180,7 +179,7 @@ def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0
                 "expect root" if want_root else "expect no root")
 
     # cross-solver consistency at the final time
-    eig_T = lowest_eigenpair(st_T, grid, want_mode=True)
+    eig_T = lowest_eigenpair(st_T, want_mode=True)
     if eig_T.kstar is not None:
         wb = ray.wronskian(st_T, eig_T.kstar, 0.0)
         bres = abs(wb.W) / rep.w_scale
@@ -196,7 +195,7 @@ def run_torus_scenario(params: FlowParams, grid: Grid = Grid(), delta: float = 0
     return rep
 
 
-def run_line_scenario(params: FlowParams, grid: Grid = Grid()) -> ScenarioReport:
+def run_line_scenario(params: FlowParams) -> ScenarioReport:
     """Whole-line scenario: threshold amplitude, then the post-diffusion probe.
 
     Finds the amplitude M0 where binding first resolves at t = 0, then asks
@@ -209,7 +208,7 @@ def run_line_scenario(params: FlowParams, grid: Grid = Grid()) -> ScenarioReport
     T = params.horizon
     rep = ScenarioReport(kind="line", params=params, T=T)
     try:
-        cal = find_critical_M0(params, grid)
+        cal = find_critical_M0(params)
     except ViscoshearError as exc:
         rep.add("critical_M0", False, note=f"{type(exc).__name__}: {exc}")
         return rep
@@ -221,7 +220,7 @@ def run_line_scenario(params: FlowParams, grid: Grid = Grid()) -> ScenarioReport
 
     p = params.with_M(cal.M)
     st_T = FlowState(p, T)
-    lamT = lowest_eigenpair(st_T, grid, want_mode=False).lambda1
+    lamT = lowest_eigenpair(st_T, want_mode=False).lambda1
     present = lamT < -TOL_EIG
     rep.add("kstar_present_T", present, lamT, (None, -TOL_EIG))
     g1g2 = params.gamma1 * params.gamma2

@@ -7,11 +7,13 @@ equation at c = 0.
 Eigenvalues come from LAPACK Sturm-sequence bisection
 (``scipy.linalg.eigh_tridiagonal``) on rungs of doubling resolution, and
 are reported only after Richardson extrapolants of two successive rungs
-agree within ``TOL_EIG``.  The domain is closed with the asymptotic Robin
-condition phi' = -/+ kappa phi at +/-Y.  Because the potential is
+agree within ``TOL_EIG``.  The box [-Y, Y] is closed with the asymptotic
+Robin condition phi' = -/+ kappa phi at +/-Y.  Because the potential is
 Gaussian-small there, the *self-consistent* kappa = sqrt(-lambda)
 reproduces the whole-line eigenvalue on a fixed box, even for weakly bound
-states.  The potential is even, so it is evaluated for y >= 0 only.
+states, so Y = ``HALF_WIDTH`` is a module constant like the base rungs and
+the tolerances, read when a function runs, and the functions take only the
+physics.  The potential is even, so it is evaluated for y >= 0 only.
 
 Each eigensolve is routed by the lowest eigenvalue of mapped rung 0's even
 Neumann block, the seed of its Robin closure: when the seed or a later sweep
@@ -52,7 +54,6 @@ from .errors import NonConvergence, ZeroNorm
 from .flow import FlowState, eval_potential
 
 __all__ = [
-    "Grid",
     "SpectralResult",
     "ConvergenceInfo",
     "ProfileReport",
@@ -62,6 +63,8 @@ __all__ = [
 ]
 
 TOL_EIG = 1e-8  # Richardson agreement of converged eigenvalues; bound means lambda1 < -TOL_EIG
+HALF_WIDTH = 20.0  # the box [-Y, Y]; the self-consistent Robin closure makes lambda1 blind to it
+UNIFORM_ROWS = 8193  # nodes on [-Y, Y] of uniform rung 0, which only weakly bound states climb
 MAX_LEVELS = 5  # Richardson rungs before an eigensolve gives up
 # y = MAP_A sinh(x).  With 129 base rows, 0.03 <= MAP_A <= 0.06 puts bumps
 # gamma0 * gamma1 >= 3e-3 in the h^2 regime from rung 0, and 1e-3 a rung or two later.
@@ -75,32 +78,11 @@ PROFILE_C_MAX = 1e3  # largest plateau/envelope constant profile_check fits
 
 
 @dataclass(frozen=True)
-class Grid:
-    """Uniform symmetric grid on [-half_width, half_width] with y = 0 a node."""
-
-    half_width: float = 20.0
-    n_points: int = 8193
-
-    def __post_init__(self):
-        if self.n_points < 9 or self.n_points % 2 == 0:
-            raise ValueError("n_points must be odd and >= 9")
-        if not self.half_width >= 10.0:
-            raise ValueError("half_width must be >= 10")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.n_points - 1)
-
-    def ys(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.n_points)
-
-
-@dataclass(frozen=True)
 class ConvergenceInfo:
-    """Grid-refinement trail: raw eigenvalues and Richardson extrapolants.
+    """Rung-refinement trail: raw eigenvalues and Richardson extrapolants.
 
-    ``n_points`` counts the nodes on [-Y, Y] of each rung: the uniform grid's,
-    or on a mapped rung twice its half-line rows less the shared centre.
+    ``n_points`` counts each rung's nodes on [-Y, Y]; a mapped rung has twice
+    its half-line rows less the shared centre.
     """
 
     n_points: tuple
@@ -192,11 +174,11 @@ def _selfconsistent_box(v: np.ndarray, h: float):
     return lam1, lam2, kappa
 
 
-def _level(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid, level: int):
+def _level(vfunc: Callable[[np.ndarray], np.ndarray], level: int):
     """One rung of the uniform ladder: (n, lambda1, lambda2, kappa) on
-    (n_points - 1) * 2**level + 1 nodes, raw, without extrapolation."""
-    n = (grid.n_points - 1) * 2 ** level + 1
-    ys = np.linspace(-grid.half_width, grid.half_width, n)
+    (UNIFORM_ROWS - 1) * 2**level + 1 nodes, raw, without extrapolation."""
+    n = (UNIFORM_ROWS - 1) * 2 ** level + 1
+    ys = np.linspace(-HALF_WIDTH, HALF_WIDTH, n)
     right = vfunc(ys[n // 2:])  # V is even: evaluated for y >= 0 only, then mirrored
     v = np.concatenate((right[:0:-1], right))
     return (n,) + _selfconsistent_box(v, ys[1] - ys[0])
@@ -207,11 +189,11 @@ def _mapped_lowest(d: np.ndarray, e: np.ndarray) -> float:
                                   tol=MAP_TOL)[0])
 
 
-def _mapped_block(vfunc: Callable[[np.ndarray], np.ndarray], half_width: float, level: int):
+def _mapped_block(vfunc: Callable[[np.ndarray], np.ndarray], level: int):
     """Even Neumann block (d, e), cells w and nodes y of mapped rung ``level``
     (see ``_mapped_level``)."""
     rows = (MAP_ROWS - 1) * 2 ** level + 1
-    h = math.asinh(half_width / MAP_A) / (rows - 1)
+    h = math.asinh(HALF_WIDTH / MAP_A) / (rows - 1)
     x = h * np.arange(rows)
     flux = 1.0 / (MAP_A * np.cosh(x[:-1] + 0.5 * h) * h)
     w = MAP_A * np.cosh(x) * h
@@ -221,7 +203,7 @@ def _mapped_block(vfunc: Callable[[np.ndarray], np.ndarray], half_width: float, 
     return d, -flux / np.sqrt(w[:-1] * w[1:]), w, y
 
 
-def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], half_width: float, level: int):
+def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int):
     """One rung of the mapped ladder: (n, lambda1, lambda2, kappa), raw, on
     (MAP_ROWS - 1) * 2**level + 1 half-line nodes y = MAP_A sinh(x), x
     uniform with spacing h; n = 2 * rows - 1 counts the nodes of the full
@@ -234,12 +216,12 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], half_width: float, 
     from fixed-point sweeps kappa <- sqrt(-lambda1) from the Neumann seed,
     which contract at rate exp(-2 kappa Y).
     """
-    d, e, w, _ = _mapped_block(vfunc, half_width, level)
+    d, e, w, _ = _mapped_block(vfunc, level)
     d_far, kappa = d[-1], 0.0
     for i in range(5):  # the Neumann seed, then at most four sweeps
         d[-1] = d_far + kappa / w[-1]
         lam1 = _mapped_lowest(d, e)
-        if lam1 >= 0.0 or math.sqrt(-lam1) * half_width < 3.0:
+        if lam1 >= 0.0 or math.sqrt(-lam1) * HALF_WIDTH < 3.0:
             return None
         knew = math.sqrt(-lam1)
         if abs(knew - kappa) <= 1e-9 * kappa or i == 4:
@@ -280,8 +262,7 @@ def _climb(rung: Callable[[int], Optional[tuple]], guarded: bool):
     )
 
 
-def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid,
-                     want_mode: bool) -> SpectralResult:
+def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool) -> SpectralResult:
     """Refinement-and-Richardson driver used by ``lowest_eigenpair``.
 
     ``vfunc`` maps a node array to potential values, which keeps the solver
@@ -289,18 +270,18 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], grid: Grid,
     even: every rung evaluates it for y >= 0 only.  The mapped ladder runs
     first; rung 0 routes a weakly bound state to the uniform one.
     """
-    lam1, lam2, info = (_climb(lambda level: _mapped_level(vfunc, grid.half_width, level), True)
-                        or _climb(lambda level: _level(vfunc, grid, level), False))
+    lam1, lam2, info = (_climb(lambda level: _mapped_level(vfunc, level), True)
+                        or _climb(lambda level: _level(vfunc, level), False))
     kstar = math.sqrt(-lam1) if lam1 < -TOL_EIG else None
     if kstar is None or not want_mode:
         return SpectralResult(lam1, lam2, kstar, None, None, None, info)
     # the ground state is even: the even block's lowest eigenvector, Robin-closed
-    d, e, w, y = _mapped_block(vfunc, grid.half_width, len(info.n_points) - 1)
+    d, e, w, y = _mapped_block(vfunc, len(info.n_points) - 1)
     d[-1] += kstar / w[-1]
     u = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=MAP_TOL)[1][:, 0] / np.sqrt(w)
     u = np.concatenate((u[:0:-1], u)) * math.copysign(1.0, u[0])
     w = np.concatenate((w[:0:-1], [2.0 * w[0]], w[1:]))  # the full line's cells
-    y[-1] = grid.half_width  # MAP_A * sinh(asinh(Y / MAP_A)) may round past Y
+    y[-1] = HALF_WIDTH  # MAP_A * sinh(asinh(Y / MAP_A)) may round past Y
     return SpectralResult(lam1, lam2, kstar, u / math.sqrt(np.sum(u ** 2 * w)),
                           np.concatenate((-y[:0:-1], y)), w, info)
 
@@ -309,24 +290,23 @@ def _potential(state: FlowState) -> Callable[[np.ndarray], np.ndarray]:
     return lambda ys: np.asarray(eval_potential(state, ys), dtype=float)
 
 
-def lowest_eigenpair(state: FlowState, grid: Grid, want_mode: bool = True) -> SpectralResult:
+def lowest_eigenpair(state: FlowState, want_mode: bool = True) -> SpectralResult:
     """Lowest two eigenvalues of -d^2/dy^2 + b''/b, plus the neutral mode.
 
     The mode (when requested and bound) is positive and even; it comes on the
-    nodes ``ys`` of the finest mapped rung the eigensolve reached, whatever
-    ``grid.n_points``, with unit L2 norm in the cells ``weights``.  Raises
-    ``NonConvergence`` if grid refinements fail to agree within ``TOL_EIG``.
+    nodes ``ys`` of the finest mapped rung reached, with unit L2 norm in the
+    cells ``weights``.  Raises ``NonConvergence`` if the rungs fail to agree within ``TOL_EIG``.
     """
-    return _solve_potential(_potential(state), grid, want_mode)
+    return _solve_potential(_potential(state), want_mode)
 
 
-def _base_lambda1(state: FlowState, grid: Grid) -> float:
+def _base_lambda1(state: FlowState) -> float:
     """Raw lambda1 of mapped rung 0's even Neumann block, one index call for
     every state: enough to steer a search but not to report.  On the fixture
     (M from 0.2 to 100) its k* lies within 4e-5 relative of the converged
     one; the Neumann closure overbinds weakly bound states (k* 0.031 against
     0.017 at M = 0.01, 0.090 against 0.085 at M = 0.05)."""
-    return _mapped_lowest(*_mapped_block(_potential(state), grid.half_width, 0)[:2])
+    return _mapped_lowest(*_mapped_block(_potential(state), 0)[:2])
 
 
 def _deriv4(u: np.ndarray, h: float) -> np.ndarray:
@@ -340,18 +320,17 @@ def _deriv4(u: np.ndarray, h: float) -> np.ndarray:
     return du
 
 
-def rayleigh_quotient(state: FlowState, grid: Grid, candidate: np.ndarray) -> float:
-    """<L phi, phi> / <phi, phi> for a sampled trial function.
+def rayleigh_quotient(state: FlowState, ys: np.ndarray, candidate: np.ndarray) -> float:
+    """<L phi, phi> / <phi, phi> for a trial function sampled on the uniform nodes ``ys``.
 
     Gradient by a fourth-order stencil and trapezoid sums: for the converged
     mode the quotient error is quadratic in the mode error, so this matches
     the Richardson eigenvalue well below the h^2 level of the raw matrix.
     """
-    ys = grid.ys()
-    h = grid.spacing
+    h = float(ys[1] - ys[0])
     u = np.asarray(candidate, dtype=float)
     if u.shape != ys.shape:
-        raise ValueError("candidate must be sampled on the grid nodes")
+        raise ValueError("candidate must be sampled on the nodes ys")
     w = np.full_like(u, h)
     w[0] = w[-1] = h / 2.0
     norm2 = float(np.sum(u ** 2 * w))

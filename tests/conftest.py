@@ -11,7 +11,6 @@ from viscoshear import calibrate
 from viscoshear.acceptance import AcceptanceContext
 from viscoshear.config import Config
 from viscoshear.flow import FlowParams, FlowState
-from viscoshear.spectrum import Grid
 
 
 @pytest.fixture(autouse=True)
@@ -34,11 +33,6 @@ def cfg():
 @pytest.fixture(scope="session")
 def ctx(cfg):
     return AcceptanceContext(cfg)
-
-
-@pytest.fixture(scope="session")
-def grid():
-    return Grid()
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from viscoshear import calibrate, spectrum
 from viscoshear.calibrate import find_critical_M0, kstar_time_sweep, tune_M_for_kstar
 from viscoshear.errors import BracketFailure, NonConvergence
 from viscoshear.flow import FlowParams, FlowState
-from viscoshear.spectrum import Grid, lowest_eigenpair
+from viscoshear.spectrum import lowest_eigenpair
 
 P = FlowParams(1.0, 0.15, 0.03, 0.8, 1e-3)
 
@@ -21,67 +21,67 @@ def test_tune_hits_target(ctx):
     assert 0.700 <= cal_M <= 0.704
 
 
-def test_tune_is_deterministic(grid):
-    a = tune_M_for_kstar(P, 0.0, 0.99, grid)
+def test_tune_is_deterministic():
+    a = tune_M_for_kstar(P, 0.0, 0.99)
     calibrate._lambda_pair.cache_clear()  # re-solve rather than reuse
-    b = tune_M_for_kstar(P, 0.0, 0.99, grid)
+    b = tune_M_for_kstar(P, 0.0, 0.99)
     assert a == b
     assert abs(a.achieved - 0.99) <= 1e-6
 
 
 def test_target_outside_calibration_range_rejected(monkeypatch):
     # lambda1 = -M, so k* = sqrt(M) is reachable for any positive target
-    monkeypatch.setattr(calibrate, "_lambda1", lambda params, M, t, grid, base=False: -M)
+    monkeypatch.setattr(calibrate, "_lambda1", lambda params, M, t, base=False: -M)
     for target in (1.45, 0.0, -2.0):
         with pytest.raises(ValueError, match="target_kstar"):
             tune_M_for_kstar(P, 0.0, target)
     assert abs(tune_M_for_kstar(P, 0.0, 0.99).achieved - 0.99) <= 1e-6
 
 
-def test_bracket_certificate(grid):
-    cal = tune_M_for_kstar(P, 0.0, 0.99, grid)
+def test_bracket_certificate():
+    cal = tune_M_for_kstar(P, 0.0, 0.99)
     lo, hi = cal.bracket
-    k_lo = lowest_eigenpair(FlowState(P.with_M(lo), 0.0), grid, want_mode=False).kstar or 0.0
-    k_hi = lowest_eigenpair(FlowState(P.with_M(hi), 0.0), grid, want_mode=False).kstar or 0.0
+    k_lo = lowest_eigenpair(FlowState(P.with_M(lo), 0.0), want_mode=False).kstar or 0.0
+    k_hi = lowest_eigenpair(FlowState(P.with_M(hi), 0.0), want_mode=False).kstar or 0.0
     assert k_lo < 0.99 < k_hi
 
 
-def test_amplitude_ordering_with_target(ctx, grid):
+def test_amplitude_ordering_with_target(ctx):
     m_low = ctx.torus.M
-    m_high = tune_M_for_kstar(P, 0.0, 1.4, grid).M
+    m_high = tune_M_for_kstar(P, 0.0, 1.4).M
     assert m_high > m_low
 
 
-def test_small_target_approaches_threshold(ctx, grid):
-    m0 = ctx.line.M  # find_critical_M0(P, grid): the session's line scenario holds it
-    m_small = tune_M_for_kstar(P, 0.0, 0.05, grid).M
+def test_small_target_approaches_threshold(ctx):
+    m0 = ctx.line.M  # find_critical_M0(P): the session's line scenario holds it
+    m_small = tune_M_for_kstar(P, 0.0, 0.05).M
     assert m0 < m_small < 0.70
 
 
-def test_bracket_failure_signals_bad_range(grid, monkeypatch):
+def test_bracket_failure_signals_bad_range(monkeypatch):
     monkeypatch.setattr(calibrate, "M_BRACKET", (0.01, 0.02))
     with pytest.raises(BracketFailure):
-        tune_M_for_kstar(P, 0.0, 0.99, grid)
+        tune_M_for_kstar(P, 0.0, 0.99)
 
 
-def test_critical_M0_properties(ctx, grid):
+def test_critical_M0_properties(ctx):
     rep = ctx.line
     m0 = rep.M
     lam0 = next(c.measured for c in rep.checks if c.name == "critical_M0")
     assert -1e-8 <= lam0 <= 0.0
     assert 3.5e-5 <= m0 <= 4.6e-5  # frozen regression band
-    lam_half = lowest_eigenpair(FlowState(P.with_M(m0 / 2), 0.0), grid, want_mode=False)
+    lam_half = lowest_eigenpair(FlowState(P.with_M(m0 / 2), 0.0), want_mode=False)
     assert lam_half.kstar is None
-    lam_double = lowest_eigenpair(FlowState(P.with_M(2 * m0), 0.0), grid, want_mode=False)
+    lam_double = lowest_eigenpair(FlowState(P.with_M(2 * m0), 0.0), want_mode=False)
     assert lam_double.kstar is not None
 
 
-def test_critical_M0_bracket_straddles(grid):
-    cal = find_critical_M0(P, grid)
+def test_critical_M0_bracket_straddles():
+    cal = find_critical_M0(P)
     lo, hi = cal.bracket
     assert hi - lo <= 1e-4 * hi
-    lam_lo = lowest_eigenpair(FlowState(P.with_M(lo), 0.0), grid, want_mode=False).lambda1
-    lam_hi = lowest_eigenpair(FlowState(P.with_M(hi), 0.0), grid, want_mode=False).lambda1
+    lam_lo = lowest_eigenpair(FlowState(P.with_M(lo), 0.0), want_mode=False).lambda1
+    lam_hi = lowest_eigenpair(FlowState(P.with_M(hi), 0.0), want_mode=False).lambda1
     assert lam_lo > -1e-8
     assert lam_hi < -0.5e-8
 
@@ -105,30 +105,29 @@ def test_nu_enters_only_through_nu_t(ctx):
     # exactly, so every k*(t_j) and Ttilde/T keeps its bits
     rep, cfg, p = ctx.torus, ctx.cfg, ctx.params
     p2 = FlowParams(p.M, p.gamma0, p.gamma1, p.gamma2, 2.0 * p.nu)
-    curve = kstar_time_sweep(rep.M, p2, cfg.n_times, ctx.grid)
+    curve = kstar_time_sweep(rep.M, p2, cfg.n_times)
     assert curve.T == rep.T / 2.0
     assert curve.kstars == rep.curve_kstars
     assert curve.Ttilde / curve.T == rep.Ttilde / rep.T
 
 
-def test_sweep_couette_all_absent(couette_state, grid):
-    curve = kstar_time_sweep(0.0, couette_state.params, 8, grid)
+def test_sweep_couette_all_absent(couette_state):
+    curve = kstar_time_sweep(0.0, couette_state.params, 8)
     assert all(k is None for k in curve.kstars)
     assert curve.Ttilde is None
 
 
-def test_sweep_requires_enough_samples(grid):
+def test_sweep_requires_enough_samples():
     with pytest.raises(ValueError):
-        kstar_time_sweep(0.7, P, 5, grid)
+        kstar_time_sweep(0.7, P, 5)
 
 
-def test_truncation_independence(ctx):
-    # same k* on a wider box at comparable spacing
-    m = ctx.torus.M
-    k_wide = lowest_eigenpair(
-        FlowState(P.with_M(m), 0.0), Grid(24.0, 9831), want_mode=False
-    ).kstar
-    assert abs(k_wide - ctx.torus.kstar0) <= 1e-6
+def test_truncation_independence(ctx, monkeypatch):
+    # same k* on a wider box; the session's torus is solved on the default one
+    m, kstar0 = ctx.torus.M, ctx.torus.kstar0
+    monkeypatch.setattr(spectrum, "HALF_WIDTH", 24.0)
+    k_wide = lowest_eigenpair(FlowState(P.with_M(m), 0.0), want_mode=False).kstar
+    assert abs(k_wide - kstar0) <= 1e-6
 
 
 def _count_lambda1(monkeypatch, lambda1):
@@ -139,9 +138,9 @@ def _count_lambda1(monkeypatch, lambda1):
     """
     precise, base_calls = [], []
 
-    def counted(params, M, t, grid, base=False):
+    def counted(params, M, t, base=False):
         (base_calls if base else precise).append(M)
-        return lambda1(params, M, t, grid, base)
+        return lambda1(params, M, t, base)
 
     monkeypatch.setattr(calibrate, "_lambda1", counted)
     return precise, base_calls
@@ -149,7 +148,7 @@ def _count_lambda1(monkeypatch, lambda1):
 
 def _offset_lambda1(eps):
     """lambda1 = -M converged, so k* = sqrt(M); base-grid k* is (1 + eps) sqrt(M)."""
-    return lambda params, M, t, grid, base: -M * ((1.0 + eps) ** 2 if base else 1.0)
+    return lambda params, M, t, base: -M * ((1.0 + eps) ** 2 if base else 1.0)
 
 
 def test_tune_converges_superlinearly(monkeypatch):
@@ -259,7 +258,7 @@ def test_crossing_search_reuses_sweep_samples(monkeypatch):
     T = P.horizon
     solved = []
 
-    def fake_eigenpair(state, grid, want_mode=True):
+    def fake_eigenpair(state, want_mode=True):
         solved.append(state.t)
         k = 0.99 + 0.03 * (1.0 - math.exp(-3.0 * state.t / T))
         return SimpleNamespace(lambda1=-k * k, lambda2=0.5)
@@ -275,7 +274,7 @@ def test_crossing_search_reuses_sweep_samples(monkeypatch):
     assert abs(curve.Ttilde - t_cross) <= 1e-6 * T
 
 
-def test_fixture_eigensolve_budget(grid, monkeypatch):
+def test_fixture_eigensolve_budget(monkeypatch):
     solves = []
     eigenpair = calibrate.lowest_eigenpair
 
@@ -284,16 +283,16 @@ def test_fixture_eigensolve_budget(grid, monkeypatch):
         return eigenpair(*args, **kwargs)
 
     monkeypatch.setattr(calibrate, "lowest_eigenpair", counted)
-    cal = tune_M_for_kstar(P, 0.0, 0.99, grid)
+    cal = tune_M_for_kstar(P, 0.0, 0.99)
     assert abs(cal.achieved - 0.99) <= calibrate.TOL_CAL
     assert len(solves) <= 3
     solves.clear()
-    curve = kstar_time_sweep(cal.M, P, 9, grid)
+    curve = kstar_time_sweep(cal.M, P, 9)
     assert curve.Ttilde is not None
     assert len(solves) <= 9 + 4
 
 
-def test_fixture_tune_stays_off_the_uniform_ladder(grid, monkeypatch):
+def test_fixture_tune_stays_off_the_uniform_ladder(monkeypatch):
     # the base grid is mapped rung 0 for every state, so the fixture's M = 0.01
     # bracket end is one Neumann index call: no uniform rung, no brentq closure
     uniform = []
@@ -304,12 +303,12 @@ def test_fixture_tune_stays_off_the_uniform_ladder(grid, monkeypatch):
 
     for name in ("_level", "_selfconsistent_box"):
         monkeypatch.setattr(spectrum, name, spy(name))
-    cal = tune_M_for_kstar(P, 0.0, 0.99, grid)
+    cal = tune_M_for_kstar(P, 0.0, 0.99)
     assert abs(cal.achieved - 0.99) <= calibrate.TOL_CAL
     assert uniform == []
 
 
-def test_sweep_reuses_tuned_state(grid, monkeypatch):
+def test_sweep_reuses_tuned_state(monkeypatch):
     solved = []
     eigenpair = calibrate.lowest_eigenpair
 
@@ -319,8 +318,8 @@ def test_sweep_reuses_tuned_state(grid, monkeypatch):
         return res
 
     monkeypatch.setattr(calibrate, "lowest_eigenpair", counted)
-    cal = tune_M_for_kstar(P, 0.0, 0.99, grid)
-    curve = kstar_time_sweep(cal.M, P, 9, grid)
+    cal = tune_M_for_kstar(P, 0.0, 0.99)
+    curve = kstar_time_sweep(cal.M, P, 9)
     tuned = FlowState(P.with_M(cal.M), 0.0)
     lam_tuned = [lam for state, lam in solved if state == tuned]
     assert len(lam_tuned) == 1  # solved by the tune, reused by the sweep

@@ -21,7 +21,7 @@ from viscoshear.report import csv_text, fmt_float, json_text, svg_line_plot
 def test_parse_smoke_defaults():
     cfg = parse_config("gamma0 = 0.15\ngamma1 = 0.06\ngamma2 = 0.45\nnu = 1e-3")
     assert cfg.gamma0 == 0.15
-    assert cfg.n_points == 8193
+    assert cfg.n_times == 9
     assert cfg.formats == ("csv", "json")
 
 
@@ -36,11 +36,6 @@ def test_parse_rejects_gamma2_out_of_range():
         parse_config("gamma2 = 1.5")
 
 
-def test_parse_rejects_even_n_points():
-    with pytest.raises(ValidationError, match="n_points must be odd"):
-        parse_config("n_points = 4096")
-
-
 def test_parse_rejects_unknown_and_duplicate_keys():
     with pytest.raises(ParseError, match="line 2.*unknown key"):
         parse_config("gamma0 = 0.1\nbogus = 3\n")
@@ -48,9 +43,10 @@ def test_parse_rejects_unknown_and_duplicate_keys():
         parse_config("gamma0 = 0.1\ngamma0 = 0.2\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_config("gamma0 0.1")
-    # the tolerances and the gamma ratio limit are module constants, so no
-    # config can widen a check's band
-    for key in ("tol_eig", "tol_cal", "gamma_ratio_max"):
+    # the tolerances, the gamma ratio limit, the eigensolver's box and its
+    # base rung are module constants, so no config can widen a check's band
+    # or move the numbers
+    for key in ("tol_eig", "tol_cal", "gamma_ratio_max", "half_width", "n_points"):
         with pytest.raises(ParseError, match=f"line 1.*unknown key '{key}'"):
             parse_config(f"{key} = 0.5\n")
 
@@ -68,7 +64,7 @@ _VALUES = st.one_of(
 )
 _KEYS = st.one_of(
     st.sampled_from(sorted(Config.__dataclass_fields__)),
-    st.sampled_from(["tol_eig", "tol_cal", "gamma_ratio_max"]),
+    st.sampled_from(["tol_eig", "tol_cal", "gamma_ratio_max", "half_width", "n_points"]),
     st.text(max_size=8),
 )
 
@@ -176,21 +172,6 @@ def test_cli_flow_parameter_errors(tmp_path, capsys, line, message):
 
 
 @pytest.mark.parametrize(
-    "line, message",
-    [
-        ("n_points = 8", "n_points must be odd and >= 9"),
-        ("n_points = 7", "n_points must be odd and >= 9"),
-        ("half_width = 5", "half_width must be >= 10"),
-    ],
-)
-def test_cli_grid_errors(tmp_path, capsys, line, message):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(line + "\n")
-    assert main(["kstar-sweep", "--config", str(bad), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
     "spec, message",
     [
         ("0:0.5:2", "k_grid wave numbers must be positive"),
@@ -211,7 +192,7 @@ def test_cli_rejects_nonpositive_wave_numbers(tmp_path, capsys, spec, message):
 @pytest.mark.parametrize(
     "line, key",
     [
-        ("half_width = inf", "half_width"),
+        ("gamma1 = inf", "gamma1"),
         ("M = inf", "M"),
         ("delta = nan", "delta"),
         ("gamma0 = inf", "gamma0"),
@@ -222,11 +203,15 @@ def test_cli_rejects_nonpositive_wave_numbers(tmp_path, capsys, spec, message):
     ],
 )
 def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, line, key):
+    # the key's own line leaves the base config, so the error is the value's,
+    # not a duplicate key's
+    base = "".join(f"{kv}\n" for kv in COUETTE_CFG.splitlines() if kv.split(" =")[0] != key)
     bad = tmp_path / "bad.cfg"
-    bad.write_text(COUETTE_CFG.replace("M = 0\n", "") + line + "\n")
+    bad.write_text(base + line + "\n")
     assert main(["eigencurve", "--config", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err and len(err.splitlines()) == 1
+    assert "must be finite" in err
 
 
 def test_cli_os_errors_on_paths_exit_2(tmp_path, capsys):
@@ -256,6 +241,18 @@ def test_k_grid_of_positive_or_no_wave_numbers_parses():
     assert list(parse_config("k_grid = 2:0.5:4\n").k_grid_values(0.0)) == [2.0, 1.5, 1.0, 0.5]
     assert list(parse_config("k_grid = 0.5:-1:1\n").k_grid_values(0.0)) == [0.5]
     assert len(parse_config("k_grid = -1:0:0\n").k_grid_values(0.0)) == 0
+
+
+def test_cli_eigencurve_solves_a_repeated_wave_number_once(tmp_path):
+    # k_grid = 0.95:0.95:3 names k = 0.95 three times: one curve point, no
+    # slope, no zero estimate
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("gamma0 = 0.15\ngamma1 = 0.03\ngamma2 = 0.8\nnu = 1e-3\n"
+                   "M = 0.7016905534975553\nk_grid = 0.95:0.95:3\n")
+    assert main(["eigencurve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "eigencurve.json").read_text())
+    assert [p["k"] for p in payload["points"]] == [0.95] and payload["points"][0]["c_i"] > 0.0
+    assert payload["slopes"] == [] and payload["k_zero"] is None
 
 
 def test_cli_calibrate_prints_M(tmp_path, capsys):
@@ -298,7 +295,7 @@ def test_cli_import_leaves_verify_and_quadrature_unloaded():
         "from viscoshear import spectrum\n"
         "from viscoshear.flow import FlowParams, FlowState\n"
         "state = FlowState(FlowParams(4.127983142029252e-05, 0.15, 0.03, 0.8, 1e-3), 0.0)\n"
-        "print(spectrum._level(spectrum._potential(state), spectrum.Grid(), 0)[3] > 0.0)\n"
+        "print(spectrum._level(spectrum._potential(state), 0)[3] > 0.0)\n"
         "print(loaded())\n"
     )
     src = str(Path(viscoshear.__file__).resolve().parent.parent)

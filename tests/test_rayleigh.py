@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from viscoshear import rayleigh as ray
 from viscoshear.errors import TailDominance
 from viscoshear.flow import FlowParams, FlowState, eval_b, eval_b_derivs
-from viscoshear.spectrum import Grid, lowest_eigenpair
+from viscoshear.spectrum import lowest_eigenpair
 
 
 def w_couette_exact(k, c):
@@ -451,9 +451,9 @@ def test_partials_and_slope_composition(ctx):
     assert abs(slope_ift - slope_curve) <= 0.2 * abs(slope_curve)
 
 
-def test_phiB_construction(ctx, grid):
+def test_phiB_construction(ctx):
     state = ctx.state_T
-    res = lowest_eigenpair(state, grid, want_mode=True)
+    res = lowest_eigenpair(state, want_mode=True)
     mode = ray.neutral_mode_phiB(state, res.kstar, res.ys, res.weights)
     l2 = math.sqrt(np.sum((mode - res.mode) ** 2 * res.weights))
     assert l2 <= 1e-3
@@ -472,10 +472,10 @@ def test_phiB_construction(ctx, grid):
     assert np.all(np.abs(mode[tail]) <= envelope)
 
 
-def test_phiB_pass_steps(ctx, grid, monkeypatch):
+def test_phiB_pass_steps(ctx, monkeypatch):
     # the one sampled pass of phiB at T takes at most 1 500 steps: the mapped
     # nodes are dense only near the origin, where its steps are short anyway
-    res = lowest_eigenpair(ctx.state_T, grid, want_mode=True)
+    res = lowest_eigenpair(ctx.state_T, want_mode=True)
     steps, integrate = [], ray.integrate
 
     def counted(*args, **kwargs):
@@ -536,6 +536,6 @@ def test_exact_zero_at_a_scan_node_is_one_sign_change(monkeypatch, couette_state
 def test_phiB_requires_wide_enough_domain(ctx):
     from viscoshear.errors import TailDominance
 
-    grid = Grid(20.0, 513)
+    ys = np.linspace(-20.0, 20.0, 513)
     with pytest.raises(TailDominance):
-        ray.neutral_mode_phiB(ctx.state_T, 0.1, grid.ys(), np.full(grid.n_points, grid.spacing))
+        ray.neutral_mode_phiB(ctx.state_T, 0.1, ys, np.full(len(ys), ys[1] - ys[0]))

@@ -182,9 +182,9 @@ def test_brentq_matches_scipy_iterate_for_iterate_on_a_seeded_family():
 
 
 def test_brentq_matches_scipy_on_the_weak_closure_at_the_line_threshold(monkeypatch):
-    # the whole-line threshold state (line report.json's M0) on the default
-    # 8193-point grid: the uniform ladder's closure, run once with each solver
-    ys = spectrum.Grid().ys()
+    # the whole-line threshold state (line report.json's M0) on uniform rung 0
+    # (8193 points): the uniform ladder's closure, run once with each solver
+    ys = np.linspace(-spectrum.HALF_WIDTH, spectrum.HALF_WIDTH, spectrum.UNIFORM_ROWS)
     state = FlowState(FlowParams(4.127983142029252e-05, 0.15, 0.03, 0.8, 1e-3), 0.0)
     v = np.asarray(eval_potential(state, ys), dtype=float)
     runs = []

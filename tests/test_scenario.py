@@ -38,7 +38,7 @@ def test_dichotomy_ordering(ctx):
 
 
 def test_mismatched_delta_flags_budget(cfg):
-    rep = run_torus_scenario(cfg.params(), cfg.grid(), delta=0.2, n_times=8)
+    rep = run_torus_scenario(cfg.params(), delta=0.2, n_times=8)
     assert not rep.all_passed
     assert rep.kstarT < 1.0
     budget = next(c for c in rep.checks if c.name == "transition_budget_sufficient")
@@ -68,7 +68,7 @@ def test_line_report_structure(ctx):
 
 
 def test_line_scenario_deterministic(ctx, cfg):
-    rep2 = run_line_scenario(cfg.params(), cfg.grid())
+    rep2 = run_line_scenario(cfg.params())
     assert json_text(scenario_report_dict(rep2)) == json_text(scenario_report_dict(ctx.line))
 
 
@@ -92,13 +92,13 @@ def test_torus_solves_the_crossing_state_once(monkeypatch):
     def kstar(state):
         return math.sqrt(state.params.M) * (1.0 + 0.05 * state.t / T)
 
-    def fake_eigenpair(state, grid, want_mode=True):
+    def fake_eigenpair(state, want_mode=True):
         solved.append(state)
         return SimpleNamespace(lambda1=-kstar(state) ** 2, lambda2=0.5, kstar=kstar(state))
 
     monkeypatch.setattr(calibrate, "lowest_eigenpair", fake_eigenpair)
     monkeypatch.setattr(scenario, "lowest_eigenpair", fake_eigenpair)
-    monkeypatch.setattr(calibrate, "_base_lambda1", lambda state, grid: -kstar(state) ** 2)
+    monkeypatch.setattr(calibrate, "_base_lambda1", lambda state: -kstar(state) ** 2)
     # no root at t = T ends the scenario right after the crossing checks
     monkeypatch.setattr(ray, "eigenvalues_for_ks",
                         lambda state, ks: ([None] * len(ks), np.ones(2), np.ones((len(ks), 2))))

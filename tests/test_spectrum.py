@@ -12,7 +12,6 @@ from viscoshear import spectrum
 from viscoshear.errors import BracketFailure, NonConvergence, ZeroNorm
 from viscoshear.flow import FlowParams, FlowState, eval_potential
 from viscoshear.spectrum import (
-    Grid,
     _lowest_two,
     _robin_tridiagonal,
     _selfconsistent_box,
@@ -74,10 +73,15 @@ def _raw_ratio(info):
     return (raw[1] - raw[0]) / (raw[2] - raw[1])
 
 
+def _uniform_ys(n=spectrum.UNIFORM_ROWS):
+    """``n`` uniform nodes on the box [-HALF_WIDTH, HALF_WIDTH]; y = 0 is one for odd ``n``."""
+    return np.linspace(-spectrum.HALF_WIDTH, spectrum.HALF_WIDTH, n)
+
+
 def test_poschl_teller_single_well():
     # V = -2 sech^2: exactly one bound state at -1, on the mapped ladder
     # within TOL_EIG, its raw lambda1 differences falling 4-fold from rung 0
-    res = _solve_potential(lambda ys: -2.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), True)
+    res = _solve_potential(lambda ys: -2.0 / np.cosh(ys) ** 2, True)
     info = res.convergence
     assert abs(res.lambda1 + 1.0) <= spectrum.TOL_EIG
     assert res.lambda2 >= -1e-7
@@ -94,9 +98,10 @@ def test_mode_of_a_uniform_ladder_state():
     # eigenvalue climbs the uniform ladder, and the mode, sech^s(y), comes
     # from the mapped rung of the same index as the ladder's last rung
     s = 0.05
-    res = _solve_potential(_pt_potential(s * (s + 1.0)), Grid(), True)
+    res = _solve_potential(_pt_potential(s * (s + 1.0)), True)
     info = res.convergence
-    assert info.n_points[0] == Grid().n_points and abs(res.lambda1 + s * s) <= spectrum.TOL_EIG
+    assert info.n_points[0] == spectrum.UNIFORM_ROWS
+    assert abs(res.lambda1 + s * s) <= spectrum.TOL_EIG
     rows = (spectrum.MAP_ROWS - 1) * 2 ** (len(info.n_points) - 1) + 1
     assert len(res.ys) == len(res.weights) == 2 * rows - 1 and res.ys[-1] == 20.0
     exact = np.cosh(res.ys) ** -s
@@ -107,7 +112,7 @@ def test_mode_of_a_uniform_ladder_state():
 def test_poschl_teller_double_well():
     # V = -6 sech^2: bound states at -4 (the even block) and -1 (the odd
     # block), on the mapped ladder within TOL_EIG
-    res = _solve_potential(lambda ys: -6.0 / np.cosh(ys) ** 2, Grid(20.0, 8193), False)
+    res = _solve_potential(lambda ys: -6.0 / np.cosh(ys) ** 2, False)
     lam1, lam2, info = res.lambda1, res.lambda2, res.convergence
     assert abs(lam1 + 4.0) <= spectrum.TOL_EIG
     assert abs(lam2 + 1.0) <= spectrum.TOL_EIG
@@ -115,15 +120,15 @@ def test_poschl_teller_double_well():
     assert abs(_raw_ratio(info) - 4.0) <= 0.01
 
 
-def test_couette_has_no_bound_state(couette_state, grid):
-    res = lowest_eigenpair(couette_state, grid, want_mode=False)
+def test_couette_has_no_bound_state(couette_state):
+    res = lowest_eigenpair(couette_state, want_mode=False)
     assert res.kstar is None
     assert res.lambda1 >= -1e-8
 
 
-def test_reference_eigenvalue_regression(grid):
+def test_reference_eigenvalue_regression():
     p = FlowParams(2.0, 0.15, 0.03, 0.8, 1e-3)
-    res = lowest_eigenpair(FlowState(p, 0.0), grid, want_mode=False)
+    res = lowest_eigenpair(FlowState(p, 0.0), want_mode=False)
     assert abs(res.lambda1 - (-4.634869152705)) <= 1e-5
 
 
@@ -145,70 +150,76 @@ def test_calibrated_lambda_matches_target(ctx):
     assert abs(lam0 - (-0.9801)) <= 1e-5
 
 
-def test_uniqueness_certificate_via_sturm(ctx, grid):
+def test_uniqueness_certificate_via_sturm(ctx):
     # at most one eigenvalue below -10*tol on the discretized operator
     state = ctx.state_T
-    ys = grid.ys()
-    h = grid.spacing
+    ys = _uniform_ys()
+    h = ys[1] - ys[0]
     v = np.asarray(eval_potential(state, ys))
     kappa = math.sqrt(-ctx.torus.curve_lambda1[-1])
     d, e = _robin_tridiagonal(v, h, kappa)
     assert sturm_count_below(d, e, -1e-7) == 1
 
 
-def test_grid_convergence_stability(ctx, grid):
+def test_grid_convergence_stability(ctx, monkeypatch):
+    # a finer mapped ladder (its rung 0 twice as fine) and a wider box each
+    # move lambda1 at T by far less than TOL_EIG
     state = ctx.state_T
-    base = lowest_eigenpair(state, grid, want_mode=False).lambda1
-    finer = lowest_eigenpair(state, Grid(grid.half_width, 2 * grid.n_points - 1),
-                             want_mode=False).lambda1
-    wider = lowest_eigenpair(state, Grid(30.0, 12289), want_mode=False).lambda1
-    assert abs(finer - base) <= 1e-8
-    assert abs(wider - base) <= 1e-8
+    base = lowest_eigenpair(state, want_mode=False)
+    with monkeypatch.context() as mp:
+        mp.setattr(spectrum, "MAP_ROWS", 257)
+        finer = lowest_eigenpair(state, want_mode=False)
+    with monkeypatch.context() as mp:
+        mp.setattr(spectrum, "HALF_WIDTH", 30.0)
+        wider = lowest_eigenpair(state, want_mode=False)
+    assert finer.convergence.n_points[0] == 2 * 257 - 1
+    assert wider.convergence.raw != base.convergence.raw
+    assert abs(finer.lambda1 - base.lambda1) <= 1e-8
+    assert abs(wider.lambda1 - base.lambda1) <= 1e-8
 
 
-def test_monotone_in_M(grid):
+def test_monotone_in_M():
     p = FlowParams(1.0, 0.15, 0.03, 0.8, 1e-3)
     lams = [
-        lowest_eigenpair(FlowState(p.with_M(m), 0.0), grid, want_mode=False).lambda1
+        lowest_eigenpair(FlowState(p.with_M(m), 0.0), want_mode=False).lambda1
         for m in (0.3, 0.7, 1.5, 3.0)
     ]
     assert all(b < a for a, b in zip(lams, lams[1:]))
 
 
-def _mode_on(grid, res):
-    """The mode resampled from its mapped nodes to the nodes of ``grid``."""
-    return CubicSpline(res.ys, res.mode)(grid.ys())
+def _mode_on(ys, res):
+    """The mode resampled from its mapped nodes to the nodes ``ys``."""
+    return CubicSpline(res.ys, res.mode)(ys)
 
 
-def test_rayleigh_quotient_of_mode_matches_lambda1(ctx, grid):
-    state = ctx.state_T
-    res = lowest_eigenpair(state, grid, want_mode=True)
-    q = rayleigh_quotient(state, grid, _mode_on(grid, res))
+def test_rayleigh_quotient_of_mode_matches_lambda1(ctx):
+    state, ys = ctx.state_T, _uniform_ys()
+    res = lowest_eigenpair(state, want_mode=True)
+    q = rayleigh_quotient(state, ys, _mode_on(ys, res))
     assert abs(q - res.lambda1) <= 1e-7
 
 
-def test_rayleigh_quotient_min_principle(ctx, grid):
-    state = ctx.state_T
-    res = lowest_eigenpair(state, grid, want_mode=True)
-    mode = _mode_on(grid, res)
+def test_rayleigh_quotient_min_principle(ctx):
+    state, ys = ctx.state_T, _uniform_ys()
+    res = lowest_eigenpair(state, want_mode=True)
+    mode = _mode_on(ys, res)
     rng = np.random.default_rng(7)
-    ys = grid.ys()
     for _ in range(4):
         noise = rng.normal(size=len(ys)) * np.exp(-(ys**2) / 9.0)
         noise = 0.5 * (noise + noise[::-1])  # keep it even
         trial = mode + 1e-3 * noise
-        q = rayleigh_quotient(state, grid, trial)
+        q = rayleigh_quotient(state, ys, trial)
         assert q >= res.lambda1 - 1e-7
 
 
-def test_gaussian_trial_lemma_bound(grid):
+def test_gaussian_trial_lemma_bound():
     # quotient of the normalized Gaussian is <= 1 - M/C with a stable C
     p = FlowParams(1.0, 0.15, 0.03, 0.8, 1e-3)
-    ys = grid.ys()
+    ys = _uniform_ys()
     theta = (math.pi / 2.0) ** (-0.25) * np.exp(-(ys**2))
     cs, qs = [], []
     for m in (4.0, 8.0, 16.0):
-        q = rayleigh_quotient(FlowState(p.with_M(m), 0.0), grid, theta)
+        q = rayleigh_quotient(FlowState(p.with_M(m), 0.0), ys, theta)
         assert q < 1.0
         qs.append(q)
         cs.append(m / (1.0 - q))
@@ -217,15 +228,16 @@ def test_gaussian_trial_lemma_bound(grid):
     # the eigenvalue obeys the same envelope with its own stable constant
     cs_lam = []
     for m in (4.0, 8.0, 16.0):
-        lam = lowest_eigenpair(FlowState(p.with_M(m), 0.0), grid, want_mode=False).lambda1
+        lam = lowest_eigenpair(FlowState(p.with_M(m), 0.0), want_mode=False).lambda1
         assert lam < 1.0 - m / (2.0 * max(cs))
         cs_lam.append(m / (1.0 - lam))
     assert max(cs_lam) / min(cs_lam) <= 3.0
 
 
-def test_rayleigh_quotient_zero_norm_raises(ctx, grid):
+def test_rayleigh_quotient_zero_norm_raises(ctx):
+    ys = _uniform_ys()
     with pytest.raises(ZeroNorm):
-        rayleigh_quotient(ctx.state_T, grid, np.zeros(grid.n_points))
+        rayleigh_quotient(ctx.state_T, ys, np.zeros(len(ys)))
 
 
 def test_profile_checks_at_t0(ctx):
@@ -236,13 +248,13 @@ def test_profile_checks_at_t0(ctx):
     assert rep.min_value > 0.0
 
 
-def test_mode_is_normalized_and_positive(ctx, grid):
-    res = lowest_eigenpair(ctx.state_T, grid, want_mode=True)
+def test_mode_is_normalized_and_positive(ctx):
+    res = lowest_eigenpair(ctx.state_T, want_mode=True)
     assert abs(np.sum(res.mode**2 * res.weights) - 1.0) <= 1e-12
     assert np.min(res.mode) > 0.0
 
 
-def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch, grid):
+def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch):
     # one eigenvector call, on the even block of the finest mapped rung the
     # eigensolve reached, and an exactly even mode within 1e-10 of the lowest
     # eigenvector of that rung's full-line problem, Robin-closed at both ends
@@ -256,7 +268,7 @@ def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch, grid):
         return eigh(d, e, **kwargs)
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
-    res = lowest_eigenpair(state, grid, want_mode=True)
+    res = lowest_eigenpair(state, want_mode=True)
     monkeypatch.undo()
     rows = (spectrum.MAP_ROWS - 1) * 2 ** (len(res.convergence.n_points) - 1) + 1
     assert vectors == [rows]
@@ -264,7 +276,7 @@ def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch, grid):
     # finite volumes on y = MAP_A sinh(x) over the full line: fluxes 1 / (g' h)
     # between the nodes, cells g' h (halved at -Y and Y), the Robin flux at both ends
     a, kappa = spectrum.MAP_A, math.sqrt(-res.lambda1)
-    x = np.linspace(-1.0, 1.0, 2 * rows - 1) * math.asinh(grid.half_width / a)
+    x = np.linspace(-1.0, 1.0, 2 * rows - 1) * math.asinh(spectrum.HALF_WIDTH / a)
     h = x[1] - x[0]
     flux = 1.0 / (a * np.cosh(0.5 * (x[:-1] + x[1:])) * h)
     w = a * np.cosh(x) * h
@@ -287,26 +299,19 @@ def test_mode_evaluates_the_potential_once_on_its_rung():
         points.append(len(ys))
         return -2.0 / np.cosh(ys) ** 2
 
-    res = _solve_potential(counted, Grid(20.0, 4097), True)
+    res = _solve_potential(counted, True)
     rows = [(n + 1) // 2 for n in res.convergence.n_points]
     assert points == rows + [rows[-1]] and len(res.ys) == 2 * rows[-1] - 1
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid(20.0, 4096)  # even
-    with pytest.raises(ValueError):
-        Grid(5.0, 4097)  # too narrow
-
-
-def _counted_closure(monkeypatch, M, grid):
+def _counted_closure(monkeypatch, M):
     """Run one weak (brentq) closure on the fixture potential at t = 0.
 
     Returns the closure's (lambda1, lambda2, kappa), the end entries and
     size (d[0], d[-1], len(d)) of every tridiagonal it solved, the number of
     f evaluations brentq made, and the potential and spacing used.
     """
-    ys = grid.ys()
+    ys = _uniform_ys()
     h = ys[1] - ys[0]
     v = np.asarray(eval_potential(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0), ys))
     ends, brent_evals = [], []
@@ -344,10 +349,10 @@ def _ulp_norm(d, e):
     return np.finfo(float).eps * float(np.max(np.abs(d) + np.r_[0.0, off] + np.r_[off, 0.0]))
 
 
-def test_closure_solves_each_robin_matrix_once(monkeypatch, grid):
+def test_closure_solves_each_robin_matrix_once(monkeypatch):
     # near the whole-line threshold: kappa * Y << 3, so brentq closes it
-    (lam1, lam2, kappa), ends, n_brent, v, h = _counted_closure(monkeypatch, 4e-5, grid)
-    assert 0.0 < kappa * grid.half_width < 3.0 and n_brent > 0
+    (lam1, lam2, kappa), ends, n_brent, v, h = _counted_closure(monkeypatch, 4e-5)
+    assert 0.0 < kappa * spectrum.HALF_WIDTH < 3.0 and n_brent > 0
     assert len(set(ends)) == len(ends)
     # Neumann, f(0-), brentq's evaluations and the final solve, less the
     # three repeats: f(0-) is the Neumann matrix, brentq re-evaluates f(0-)
@@ -366,7 +371,7 @@ def test_uniform_closure_of_a_strongly_bound_state_is_a_bracket_failure(M, level
     # away, so F(Neumann value) is not positive and the closure's bracket does
     # not straddle: a package error, which the CLI maps to exit 3
     with pytest.raises(BracketFailure, match="same sign"):
-        spectrum._level(_fixture_potential(M), Grid(), level)
+        spectrum._level(_fixture_potential(M), level)
 
 
 def _pt_potential(depth):
@@ -374,7 +379,7 @@ def _pt_potential(depth):
 
 
 def _counted_mapped_level(monkeypatch, vfunc, level):
-    """``_mapped_level(vfunc, 20, level)`` and, per index call it made, the
+    """``_mapped_level(vfunc, level)`` and, per index call it made, the
     block's (d, e), its keyword arguments and the eigenvalue returned."""
     calls = []
     eigh = spectrum.eigh_tridiagonal
@@ -386,7 +391,7 @@ def _counted_mapped_level(monkeypatch, vfunc, level):
 
     with monkeypatch.context() as mp:
         mp.setattr(spectrum, "eigh_tridiagonal", counted)
-        return spectrum._mapped_level(vfunc, 20.0, level), calls
+        return spectrum._mapped_level(vfunc, level), calls
 
 
 def test_closure_fixed_point_matches_direct_solve(monkeypatch):
@@ -406,7 +411,7 @@ def test_closure_fixed_point_matches_direct_solve(monkeypatch):
     assert np.array_equal(do, dr[1:]) and np.array_equal(eo, er[1:])
 
 
-def test_mapped_rungs_route_once_then_make_three_index_calls(monkeypatch, grid):
+def test_mapped_rungs_route_once_then_make_three_index_calls(monkeypatch):
     # a strongly bound ladder: rung 0's Neumann seed routes it, and every
     # rung, rung 0 included, makes three index calls at MAP_TOL (the Neumann
     # seed, one Robin sweep, the odd block) and nothing else
@@ -425,8 +430,7 @@ def test_mapped_rungs_route_once_then_make_three_index_calls(monkeypatch, grid):
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
     monkeypatch.setattr(spectrum, "_mapped_level", split_level)
-    res = lowest_eigenpair(FlowState(FlowParams(0.7, 0.15, 0.03, 0.8, 1e-3), 0.0), grid,
-                           want_mode=False)
+    res = lowest_eigenpair(FlowState(FlowParams(0.7, 0.15, 0.03, 0.8, 1e-3), 0.0), want_mode=False)
     assert not hasattr(spectrum, "dpttrf")
     assert len(rungs) == len(res.convergence.n_points) >= 3
     for i, rung in enumerate(rungs):
@@ -453,10 +457,10 @@ def test_sweeps_below_the_edge_fall_back_to_the_uniform_ladder(monkeypatch):
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
     monkeypatch.setattr(spectrum, "_mapped_level", spy_level)
-    res = _solve_potential(_pt_potential(nu * (nu + 1.0)), Grid(), False)
+    res = _solve_potential(_pt_potential(nu * (nu + 1.0)), False)
     lam1, lam2, info = res.lambda1, res.lambda2, res.convergence
     assert mapped == [None] and index[:2] == [spectrum.MAP_TOL] * 2
-    assert info.n_points[0] == Grid().n_points and info.kappa * 20.0 < 3.0
+    assert info.n_points[0] == spectrum.UNIFORM_ROWS and info.kappa * 20.0 < 3.0
     assert abs(lam1 + nu ** 2) <= spectrum.TOL_EIG
 
 
@@ -577,10 +581,10 @@ def test_order_guard_raises_outside_the_band(monkeypatch):
     # the fixture's raw lambda1 differences fall 4-fold; a band that excludes
     # 4 makes the mapped ladder refuse to extrapolate and name its trail
     state = FlowState(FlowParams(0.7, 0.15, 0.03, 0.8, 1e-3), 0.0)
-    info = lowest_eigenpair(state, Grid(), want_mode=False).convergence
+    info = lowest_eigenpair(state, want_mode=False).convergence
     monkeypatch.setattr(spectrum, "ORDER_BAND", (4.5, 5.5))
     with pytest.raises(NonConvergence, match=r"fall by 4\.0.*ORDER_BAND.*raw trail") as err:
-        lowest_eigenpair(state, Grid(), want_mode=False)
+        lowest_eigenpair(state, want_mode=False)
     assert str(list(info.raw)) in str(err.value)
 
 
@@ -590,13 +594,12 @@ STRONG_WELLS = [("fixture", M) for M in (0.1, 0.15, 0.2, 0.3, 0.7, 2.0)] + [
     ("poschl_teller", nu) for nu in (0.16, 0.3, 0.5, 0.6, 1.0, 1.25)]
 
 
-def _uniform_sweeps_rung(vfunc, grid, level):
+def _uniform_sweeps_rung(vfunc, level):
     """One uniform rung with index fixed-point sweeps on the full grid's
     parity blocks, no mapping: (lambda1, lambda2).  (The brentq closure
     cannot close these states: at kappa * Y about 20 the Robin shift of the
     Neumann value rounds away, and F has no sign change.)"""
-    n = (grid.n_points - 1) * 2 ** level + 1
-    ys = np.linspace(-grid.half_width, grid.half_width, n)
+    ys = _uniform_ys((spectrum.UNIFORM_ROWS - 1) * 2 ** level + 1)
     v, kappa = vfunc(ys), 0.0
     for i in range(5):
         even, odd = _blocks(v, ys[1] - ys[0], kappa)
@@ -607,12 +610,12 @@ def _uniform_sweeps_rung(vfunc, grid, level):
         kappa = knew
 
 
-def _uniform_reference(vfunc, grid=Grid()):
+def _uniform_reference(vfunc):
     """(lambda1, lambda2) of the uniform ladder of ``_uniform_sweeps_rung``,
     Richardson until two extrapolants of lambda1 agree within TOL_EIG."""
     raw, rich = [], []
     for level in range(5):
-        raw.append(_uniform_sweeps_rung(vfunc, grid, level))
+        raw.append(_uniform_sweeps_rung(vfunc, level))
         if level:
             rich.append([b + (b - a) / 3.0 for a, b in zip(raw[-2], raw[-1])])
         if len(rich) >= 2 and abs(rich[-1][0] - rich[-2][0]) <= spectrum.TOL_EIG:
@@ -623,7 +626,7 @@ def _uniform_reference(vfunc, grid=Grid()):
 @pytest.mark.parametrize("kind, value", STRONG_WELLS)
 def test_mapped_ladder_matches_the_uniform_ladder(kind, value):
     vfunc = _fixture_potential(value) if kind == "fixture" else _pt_potential(value * (value + 1.0))
-    res = _solve_potential(vfunc, Grid(), False)
+    res = _solve_potential(vfunc, False)
     lam1, lam2, info = res.lambda1, res.lambda2, res.convergence
     assert info.n_points[0] == 2 * spectrum.MAP_ROWS - 1 and info.kappa * 20.0 >= 3.0
     ref1, ref2 = _uniform_reference(vfunc)
@@ -663,8 +666,8 @@ def test_mapped_ladder_property(gamma0, gamma1, gamma2, M, step):
     """Strongly bound states: lambda1 decreases in M, and the mapped ladder
     agrees with the uniform ladder within TOL_EIG in lambda1 and lambda2."""
     p = FlowParams(M, gamma0, gamma1, gamma2, 1e-3)
-    res = lowest_eigenpair(FlowState(p, 0.0), Grid(), want_mode=False)
-    deeper = lowest_eigenpair(FlowState(p.with_M(M * (1.0 + step)), 0.0), Grid(), want_mode=False)
+    res = lowest_eigenpair(FlowState(p, 0.0), want_mode=False)
+    deeper = lowest_eigenpair(FlowState(p.with_M(M * (1.0 + step)), 0.0), want_mode=False)
     assert res.convergence.n_points[0] == 2 * spectrum.MAP_ROWS - 1
     assert deeper.lambda1 < res.lambda1
     ref1, ref2 = _uniform_reference(spectrum._potential(FlowState(p, 0.0)))
@@ -679,13 +682,13 @@ def test_mapped_ladder_property(gamma0, gamma1, gamma2, M, step):
 M0_LINE = 4.127983142029252e-05  # the fixture's whole-line threshold amplitude (line report.json)
 
 
-def _pt_well(depth, grid=Grid(20.0, 8193)):
-    ys = grid.ys()
+def _pt_well(depth, n=spectrum.UNIFORM_ROWS):
+    ys = _uniform_ys(n)
     return -depth / np.cosh(ys) ** 2, ys[1] - ys[0]
 
 
-def _fixture_well(M, grid=Grid(20.0, 8193), t=0.0):
-    ys = grid.ys()
+def _fixture_well(M, t=0.0):
+    ys = _uniform_ys()
     v = eval_potential(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), t), ys)
     return np.asarray(v, dtype=float), ys[1] - ys[0]
 
@@ -743,7 +746,7 @@ def test_poschl_teller_blocks_split_the_bound_states():
     # (Richardson over two grids, at the closure's kappa = 2)
     lams = []
     for n in (8193, 16385):
-        v, h = _pt_well(6.0, Grid(20.0, n))
+        v, h = _pt_well(6.0, n)
         even, odd = _blocks(v, h, 2.0)
         assert sturm_count_below(*even, -0.5) == 1 and sturm_count_below(*odd, -0.5) == 1
         lams.append((_lowest(*even), _lowest(*odd)))
@@ -791,9 +794,10 @@ def test_weak_closure_makes_the_full_matrix_calls_plus_one_routing_test(monkeypa
     expected = _full_matrix_weak_closure(v, h, spectrum.TOL_EIG)
     expected_calls, calls[:] = list(calls), []
     res = lowest_eigenpair(FlowState(FlowParams(M0_LINE, 0.15, 0.03, 0.8, 1e-3), 0.0),
-                           Grid(20.0, 8193), want_mode=False)
+                           want_mode=False)
     assert expected[2] * 20.0 < 3.0
-    assert (res.convergence.n_points[0], res.convergence.raw[0]) == (8193, expected[0])
+    assert res.convergence.n_points[0] == spectrum.UNIFORM_ROWS
+    assert res.convergence.raw[0] == expected[0]
     assert calls[0][:4] == ("i", (0, 0), spectrum.MAP_TOL, spectrum.MAP_ROWS)
     assert calls[1:1 + len(expected_calls)] == expected_calls
 
@@ -807,12 +811,12 @@ def test_level_mirrors_the_full_grid_potential(monkeypatch, M, t):
     seen = []
     monkeypatch.setattr(spectrum, "_selfconsistent_box", lambda v, *rest: seen.append(v) or (0.0,) * 3)
     for level in range(5):
-        n = spectrum._level(spectrum._potential(state), Grid(), level)[0]
+        n = spectrum._level(spectrum._potential(state), level)[0]
         assert np.array_equal(seen[-1], eval_potential(state, np.linspace(-20.0, 20.0, n)))
 
 
 @pytest.mark.parametrize("M, at_T", [(4e-5, False), (M0_LINE, True)])
-def test_weak_ladders_stay_pinned(monkeypatch, grid, M, at_T):
+def test_weak_ladders_stay_pinned(monkeypatch, M, at_T):
     # a weakly bound state is routed once, on mapped rung 0, and every
     # uniform rung is the full-matrix index pair at its kappa, bit for bit
     p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
@@ -820,8 +824,8 @@ def test_weak_ladders_stay_pinned(monkeypatch, grid, M, at_T):
     mapped, rungs = [], []
     real_mapped, real_box = spectrum._mapped_level, spectrum._selfconsistent_box
 
-    def spy_mapped(vfunc, half_width, level):
-        out = real_mapped(vfunc, half_width, level)
+    def spy_mapped(vfunc, level):
+        out = real_mapped(vfunc, level)
         mapped.append((level, out))
         return out
 
@@ -832,19 +836,19 @@ def test_weak_ladders_stay_pinned(monkeypatch, grid, M, at_T):
 
     monkeypatch.setattr(spectrum, "_mapped_level", spy_mapped)
     monkeypatch.setattr(spectrum, "_selfconsistent_box", spy_box)
-    res = lowest_eigenpair(state, grid, want_mode=False)
+    res = lowest_eigenpair(state, want_mode=False)
     monkeypatch.undo()
     assert mapped == [(0, None)]
     assert len(rungs) == len(res.convergence.n_points) >= 3
     for v, h, (lam1, lam2, kappa) in rungs:
-        assert kappa * grid.half_width < 3.0
+        assert kappa * spectrum.HALF_WIDTH < 3.0
         assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
 
 
 # The switch of the closure on the fixture at t = 0: below M_EDGE the Neumann seed
 # on mapped rung 0 routes the state to the uniform ladder and brentq closes it;
-# above it the state climbs the mapped ladder.  Mapped rung 0 does not depend on
-# the grid, so neither does the edge.
+# above it the state climbs the mapped ladder.  The edge is a property of mapped
+# rung 0 alone.
 M_EDGE = 0.08933200392490606
 
 
@@ -852,8 +856,7 @@ M_EDGE = 0.08933200392490606
 @given(below=st.floats(1e-4, 3e-2), above=st.floats(1e-4, 3e-2))
 def test_lambda1_is_monotone_across_the_closure_switches(below, above):
     """lambda1 of the base rung decreases in M across the closure switch."""
-    grid = Grid(20.0, 2049)
-    lams = [spectrum._base_lambda1(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0), grid)
+    lams = [spectrum._base_lambda1(FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0))
             for M in (M_EDGE * (1.0 - below), M_EDGE * (1.0 + above))]
     assert lams[1] < lams[0]
 
@@ -876,6 +879,6 @@ def test_kstar_does_not_decrease_in_time(gamma0, gamma1, gamma2, nu, M, s1, s2):
     assume(gamma1 / gamma2 <= 0.045)
     p = FlowParams(M, gamma0, gamma1, gamma2, nu)
     early, late = sorted((s1, s2))
-    lams = [lowest_eigenpair(FlowState(p, s * p.horizon), Grid(), want_mode=False).lambda1
+    lams = [lowest_eigenpair(FlowState(p, s * p.horizon), want_mode=False).lambda1
             for s in (early, late)]
     assert lams[1] <= lams[0] + 2.0 * spectrum.TOL_EIG

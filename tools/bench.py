@@ -31,7 +31,8 @@ module attributes in the child, as perfbench traces a request.
   "vector" (the mode, with its own seconds), each with its rows, the sum of
   len(d); ``eval_potential`` calls are counted with their points.  Each
   state runs REPEAT times and a rung and the vector calls keep their
-  fastest repeat.
+  fastest repeat.  The record names the box and the base rungs
+  (``spectrum.HALF_WIDTH``, ``UNIFORM_ROWS``, ``MAP_ROWS``).
 - ``startup``: what every command pays before it computes, and perfbench's
   ``setup_s``: import ``viscoshear.cli`` and ``load_config``, from just
   before the spawn (``setup_s``) and from the first statement
@@ -81,12 +82,12 @@ from viscoshear.flow import FlowState
 REPEAT = 5
 KINDS = ("index", "vector")
 cfg = load_config(sys.argv[2])
-grid, params = cfg.grid(), cfg.params(M=1.0)
-tuned = params.with_M(tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta, grid).M)
+params = cfg.params(M=1.0)
+tuned = params.with_M(tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta).M)
 # M0 takes seconds to find: a root's first child writes it beside the config
 saved = Path(sys.argv[2]).with_name(hashlib.sha256(sys.argv[1].encode()).hexdigest() + ".M0")
 if not saved.exists():
-    saved.write_text(repr(find_critical_M0(params, grid).M))
+    saved.write_text(repr(find_critical_M0(params).M))
 threshold = params.with_M(float(saved.read_text()))
 
 calls = {f"{kind}_{what}": 0 for kind in KINDS for what in ("calls", "rows")}
@@ -109,13 +110,12 @@ def counted_eigh(d, e, **kwargs):
     log["vector_s"] += time.perf_counter() - start
     return out
 
-def timed(ladder, rung, half_width):
-    def timed_rung(vfunc, where, lev):
+def timed(ladder, rung):
+    def timed_rung(vfunc, lev):
         before = dict(calls)
         start = time.perf_counter()
-        out = rung(vfunc, where, lev)
-        record = {"ladder": ladder, "n": out and out[0],
-                  "kappa_Y": out and out[3] * half_width(where),
+        out = rung(vfunc, lev)
+        record = {"ladder": ladder, "n": out and out[0], "kappa_Y": out and out[3] * sp.HALF_WIDTH,
                   "s": time.perf_counter() - start}
         record.update({k: calls[k] - before[k] for k in calls})
         log["rungs"].append(record)
@@ -123,15 +123,15 @@ def timed(ladder, rung, half_width):
     return timed_rung
 
 sp.eigh_tridiagonal, sp.eval_potential = counted_eigh, counted_potential
-sp._level = timed("uniform", sp._level, lambda grid: grid.half_width)
-sp._mapped_level = timed("mapped", sp._mapped_level, lambda half_width: half_width)
+sp._level = timed("uniform", sp._level)
+sp._mapped_level = timed("mapped", sp._mapped_level)
 
 def measure(state, want_mode):
     best = vector = None
     for _ in range(REPEAT):
         log.update(rungs=[], vector_s=0.0, potential={"calls": 0, "points": 0})
         n, rows = calls["vector_calls"], calls["vector_rows"]
-        res = sp.lowest_eigenpair(state, grid, want_mode=want_mode)
+        res = sp.lowest_eigenpair(state, want_mode=want_mode)
         this = {"calls": calls["vector_calls"] - n, "rows": calls["vector_rows"] - rows,
                 "s": log["vector_s"]}
         vector = this if vector is None else dict(this, s=min(vector["s"], this["s"]))
@@ -151,8 +151,8 @@ cases = {
     "threshold": measure(FlowState(threshold, 0.0), False),
     "tuned_T_mode": measure(FlowState(tuned, params.horizon), True),
 }
-print(json.dumps({"grid": {"half_width": grid.half_width, "n_points": grid.n_points},
-                  "repeat": REPEAT, "cases": cases}))
+constants = {k: getattr(sp, k) for k in ("HALF_WIDTH", "UNIFORM_ROWS", "MAP_ROWS")}
+print(json.dumps({"constants": constants, "repeat": REPEAT, "cases": cases}))
 """
 
 STARTUP = r"""
@@ -183,8 +183,7 @@ from viscoshear.flow import FlowState
 
 cfg = load_config(sys.argv[2])
 params = cfg.params(M=1.0)
-grid = cfg.grid()
-cal = tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta, grid)
+cal = tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta)
 state_T = FlowState(params.with_M(cal.M), params.horizon)
 
 many, search = ray.wronskian_many, ray.eigenvalues_for_ks
@@ -235,7 +234,7 @@ def wide():
     return [r[0] for r in roots if r is not None], {}
 
 def torus():
-    rep = scenario.run_torus_scenario(params, grid, cfg.delta, cfg.n_times)
+    rep = scenario.run_torus_scenario(params, cfg.delta, cfg.n_times)
     failed = [c.name for c in rep.checks if not c.passed]
     return [rep.ci_at_k1] + [c for _, _, c in rep.dichotomy if c is not None], {
         "root_stage_s": log["search_s"], "all_w_passes": log["passes"],
