@@ -174,19 +174,18 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", default=None,
-                        help="comma-separated subset of csv,json,svg (default from config)")
+    parser.add_argument("--format", default="csv,json", help="comma-separated subset of csv,json,svg")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config)
-        formats = cfg.formats if args.format is None else parse_formats(args.format)
+        formats = parse_formats(args.format)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out if args.out != "." else cfg.out_dir)
+    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any work
         return _COMMANDS[args.subcommand](cfg, out_dir, formats)

@@ -25,8 +25,6 @@ class Config:
     delta: float = 0.01
     n_times: int = 9
     k_grid: str = "auto"
-    out_dir: str = "."
-    formats: tuple = ("csv", "json")
 
     def params(self, M: Optional[float] = None) -> FlowParams:
         m = M if M is not None else (self.M if self.M is not None else 1.0)
@@ -35,27 +33,28 @@ class Config:
     def k_grid_values(self, k_upper: float):
         """Wave-number grid for the eigenvalue curve.
 
-        'auto' spans [0.9, k_upper - 0.004] with 8 points; an explicit spec
-        is 'start:stop:count'.
+        'auto' spans [0.9 min(1, hi), hi], hi = max(k_upper - 0.004, 0.9 k_upper),
+        with 8 points strictly inside (0, k_upper); an explicit spec is 'start:stop:count'.
         """
         import numpy as np
 
         if self.k_grid == "auto":
-            return np.linspace(0.9, k_upper - 0.004, 8)
+            hi = max(k_upper - 0.004, 0.9 * k_upper)
+            return np.linspace(0.9 * min(1.0, hi), hi, 8)
         return np.linspace(*_k_grid_spec(self.k_grid))
 
 
 _FLOAT_KEYS = {"gamma0", "gamma1", "gamma2", "nu", "M", "delta"}
 _INT_KEYS = {"n_times"}
-_STR_KEYS = {"k_grid", "out_dir", "formats"}
+_STR_KEYS = {"k_grid"}
 
 
 def parse_formats(text: str) -> tuple:
-    """Output formats from a comma-separated subset of csv, json, svg."""
+    """Output formats from a comma-separated subset of csv, json, svg (``--format``)."""
     fmts = tuple(f.strip() for f in text.split(",") if f.strip())
     for f in fmts:
         if f not in _FORMATS:
-            raise ValidationError(f"formats must be a subset of {{csv, json, svg}}, got {f!r}")
+            raise ValidationError(f"--format must be a subset of {{csv, json, svg}}, got {f!r}")
     return fmts
 
 
@@ -111,8 +110,6 @@ def parse_config(text: str) -> Config:
                 raise ParseError(lineno, f"{key} must be an integer, got {val!r}")
         else:
             values[key] = val
-    if "formats" in values:
-        values["formats"] = parse_formats(values["formats"])
     cfg = Config(**values)
     _validate(cfg)
     return cfg

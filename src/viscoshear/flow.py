@@ -29,6 +29,7 @@ __all__ = [
     "eval_b",
     "eval_b_derivs",
     "eval_b_slope",
+    "eval_b_slope_excess",
     "eval_potential",
     "heat_residual",
     "h1_diagnostics",
@@ -132,20 +133,27 @@ def eval_b_slope(state: FlowState, y):
     return _b_slope(state, y, np.exp(-y2 / state.s1), np.exp(-y2 / state.s2))
 
 
-def _b_slope(state: FlowState, y, e1, e2):
+def eval_b_slope_excess(state: FlowState, y):
+    """(b, b' - b'(0)): the slope's closed form with expm1 in place of exp, so
+    the O(y^2) excess is no difference of O(1) slopes, and is 0 at y = 0."""
+    y2 = np.square(y)
+    return _b_slope(state, y, np.expm1(-y2 / state.s1), np.expm1(-y2 / state.s2), 0.0)
+
+
+def _b_slope(state: FlowState, y, e1, e2, couette=1.0):  # couette = 0, e - 1 for e: b' - b'(0)
     m, a1, a2, sq1, sq2 = state.params.M, state.amp1, state.amp2, math.sqrt(state.s1), math.sqrt(state.s2)
     b = y + m * (_SQRT_PI / 2.0) * (a1 * erf(y / sq1) - a2 * erf(y / sq2))
-    return b, 1.0 + m * (a1 / sq1 * e1 - a2 / sq2 * e2)
+    return b, couette + m * (a1 / sq1 * e1 - a2 / sq2 * e2)
 
 
 def eval_b_derivs(state: FlowState, y):
     """Profile and its first three y-derivatives, (b, b', b'', b''').
 
     The one closed form of the profile: the eigensolver's potential reads
-    it, and the Rayleigh right-hand sides, seeds and tails read its b and b'
-    through ``eval_b_slope``, which shares its code.  scipy's erf is odd bit
-    for bit, so b is exactly odd and b' exactly even, and a scalar ``y``
-    gives the bits it has as an element of an array.
+    it, the Rayleigh passes read its b and b' through ``eval_b_slope`` and
+    the phiB quadrature b' - b'(0) through ``eval_b_slope_excess``, which
+    share its code.  scipy's erf is odd bit for bit, so b is exactly odd and
+    b' exactly even, and a scalar ``y`` gives the bits it has in an array.
     """
     m = state.params.M
     s1, s2 = state.s1, state.s2

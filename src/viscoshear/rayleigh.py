@@ -74,7 +74,7 @@ from .errors import (
     NonConvergence,
     TailDominance,
 )
-from .flow import FlowState, eval_b, eval_b_derivs, eval_b_slope
+from .flow import FlowState, eval_b, eval_b_derivs, eval_b_slope, eval_b_slope_excess
 from .spectrum import HALF_WIDTH, _fit_min_C
 
 __all__ = [
@@ -136,7 +136,9 @@ class _WSystem:
         self.n_cols = 6 if with_qf else 5
 
     def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
-        b, b1 = eval_b_slope(self.state, y)
+        return self._columns(*eval_b_slope(self.state, y), st)
+
+    def _columns(self, b, b1, st: np.ndarray) -> np.ndarray:
         d1, p1, d2, p2 = st[:, 0], st[:, 1], st[:, 2], st[:, 3]
         phi1 = 1.0 + d1
         b2 = b * b
@@ -725,37 +727,19 @@ def wronskian_partials(state: FlowState, k: float, c_i: float):
 # ---------------------------------------------------------------------------
 
 
-class _Phi1QuadSystem:
-    """phi1 flux system plus the two cumulative integrals of the neutral mode.
-
-    state columns: [d1, p1, qA, qB] with
-      qA = integral of (b'(0) - b') / b^2
-      qB = integral of (phi1^(-2) - 1) / b^2
+class _PhiBSystem(_WSystem):
+    """``_WSystem``'s c = 0 channel, whose column 4 integrates the whole
+    quadrature of the neutral mode, q = integral of ((phi1^(-2) - 1) -
+    (b' - beta) / beta) / b^2 with beta = b'(0).  b' - beta has its own
+    closed form, so no term of q's integrand is a difference of O(1)
+    numbers.  Elsewhere b' enters only in a term times c, 0 here.
     """
 
-    def __init__(self, state: FlowState, k: float):
-        self.state = state
-        self.beta = _beta(state)
-        self.k2 = k * k
-
     def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
-        b, b1 = eval_b_slope(self.state, y)
-        b2 = b * b
-        d1, p1 = st[:, 0], st[:, 1]
-        phi1 = 1.0 + d1
-        out = np.empty_like(st)
-        out[:, 0] = p1 / b2
-        out[:, 1] = self.k2 * b2 * phi1
-        out[:, 2] = (self.beta - b1) / b2
-        out[:, 3] = -d1 * (2.0 + d1) / (phi1 * phi1 * b2)
+        b, excess = eval_b_slope_excess(self.state, y)
+        out = self._columns(b, self.beta + excess, st)
+        out[:, 4] -= excess / (self.beta * b * b)
         return out
-
-    def seed(self, y0: float) -> np.ndarray:
-        b = eval_b(self.state, y0)
-        st = np.zeros((1, 4), dtype=complex)
-        st[0, 0] = self.k2 * y0 * y0 / 6.0
-        st[0, 1] = b * b * self.k2 * y0 / 3.0
-        return st
 
 
 def neutral_mode_phiB(state: FlowState, kstar: float, ys: np.ndarray,
@@ -782,7 +766,7 @@ def neutral_mode_phiB(state: FlowState, kstar: float, ys: np.ndarray,
     mid = len(ys) // 2
     neg = ys[:mid]  # ascending, all negative
 
-    system = _Phi1QuadSystem(state, kstar)
+    system = _PhiBSystem(state, np.array([kstar]), np.array([0.0]))
     fin, rec, _ = _run_side(system, -1, EPS_MAX, ymax, samples=list(neg)[::-1])
     st = rec[::-1, 0].real  # ascending in y
 
@@ -790,19 +774,12 @@ def neutral_mode_phiB(state: FlowState, kstar: float, ys: np.ndarray,
     b_l = eval_b(state, -ymax)
     phi1_end = 1.0 + fin[0, 0].real
     mu_end = abs((fin[0, 1].real / (b_l * b_l)) / phi1_end)
-    tail_a = (beta - 1.0) / abs(b_l)
-    tail_b = -1.0 / abs(b_l) + phi1_end ** -2 / (2.0 * mu_end * b_l ** 2)
-    qa_tot = fin[0, 2].real
-    qb_tot = fin[0, 3].real
+    # the tails of both regularized integrals beyond -Y, in one
+    tail = phi1_end ** -2 / (2.0 * mu_end * b_l ** 2) - 1.0 / (beta * abs(b_l))
 
     phi1 = 1.0 + st[:, 0]
-    f_a = tail_a + (st[:, 2] - qa_tot)
-    f_b = tail_b + (st[:, 3] - qb_tot)
-    phi_a = eval_b(state, neg) * phi1
-    phi_b = np.empty_like(ys)
-    phi_b[:mid] = (phi_a / beta) * f_a - phi1 / beta + phi_a * f_b
-    phi_b[mid] = -1.0 / beta
-    phi_b[mid + 1 :] = phi_b[:mid][::-1]
+    left = eval_b(state, neg) * phi1 * (tail + (st[:, 4] - fin[0, 4].real)) - phi1 / beta
+    phi_b = np.concatenate((left, [-1.0 / beta], left[::-1]))
     norm = math.sqrt(np.sum(phi_b ** 2 * weights))
     return -phi_b / norm
 

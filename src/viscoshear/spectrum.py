@@ -270,13 +270,18 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
     even: every rung evaluates it for y >= 0 only.  The mapped ladder runs
     first; rung 0 routes a weakly bound state to the uniform one.
     """
-    lam1, lam2, info = (_climb(lambda level: _mapped_level(vfunc, level), True)
+    seen = {}  # V on each mapped rung by its row count: the mode's rung reads its climb's
+
+    def v_mapped(y):
+        return seen[len(y)] if len(y) in seen else seen.setdefault(len(y), vfunc(y))
+
+    lam1, lam2, info = (_climb(lambda level: _mapped_level(v_mapped, level), True)
                         or _climb(lambda level: _level(vfunc, level), False))
     kstar = math.sqrt(-lam1) if lam1 < -TOL_EIG else None
     if kstar is None or not want_mode:
         return SpectralResult(lam1, lam2, kstar, None, None, None, info)
     # the ground state is even: the even block's lowest eigenvector, Robin-closed
-    d, e, w, y = _mapped_block(vfunc, len(info.n_points) - 1)
+    d, e, w, y = _mapped_block(v_mapped, len(info.n_points) - 1)
     d[-1] += kstar / w[-1]
     u = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=MAP_TOL)[1][:, 0] / np.sqrt(w)
     u = np.concatenate((u[:0:-1], u)) * math.copysign(1.0, u[0])

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import viscoshear
 from viscoshear import calibrate
 from viscoshear.cli import main
-from viscoshear.config import Config, parse_config
+from viscoshear.config import Config, parse_config, parse_formats
 from viscoshear.errors import ConfigError, ParseError, ValidationError
 from viscoshear.report import csv_text, fmt_float, json_text, svg_line_plot
 
@@ -22,7 +23,8 @@ def test_parse_smoke_defaults():
     cfg = parse_config("gamma0 = 0.15\ngamma1 = 0.06\ngamma2 = 0.45\nnu = 1e-3")
     assert cfg.gamma0 == 0.15
     assert cfg.n_times == 9
-    assert cfg.formats == ("csv", "json")
+    # where and what to write are the CLI's --out and --format alone
+    assert len(Config.__dataclass_fields__) == 8
 
 
 def test_parse_comments_and_blank_lines():
@@ -45,8 +47,10 @@ def test_parse_rejects_unknown_and_duplicate_keys():
         parse_config("gamma0 0.1")
     # the tolerances, the gamma ratio limit, the eigensolver's box and its
     # base rung are module constants, so no config can widen a check's band
-    # or move the numbers
-    for key in ("tol_eig", "tol_cal", "gamma_ratio_max", "half_width", "n_points"):
+    # or move the numbers; the output directory and formats are --out and
+    # --format only
+    for key in ("tol_eig", "tol_cal", "gamma_ratio_max", "half_width", "n_points",
+                "out_dir", "formats"):
         with pytest.raises(ParseError, match=f"line 1.*unknown key '{key}'"):
             parse_config(f"{key} = 0.5\n")
 
@@ -64,7 +68,8 @@ _VALUES = st.one_of(
 )
 _KEYS = st.one_of(
     st.sampled_from(sorted(Config.__dataclass_fields__)),
-    st.sampled_from(["tol_eig", "tol_cal", "gamma_ratio_max", "half_width", "n_points"]),
+    st.sampled_from(["tol_eig", "tol_cal", "gamma_ratio_max", "half_width", "n_points",
+                     "out_dir", "formats"]),
     st.text(max_size=8),
 )
 
@@ -82,13 +87,36 @@ def test_config_text_parses_or_raises_config_error(pairs):
 
 
 def test_parse_formats_and_k_grid():
-    cfg = parse_config("formats = csv , svg\nk_grid = 0.9:1.0:5\n")
-    assert cfg.formats == ("csv", "svg")
+    # formats are parsed from --format only (test_cli_format_option)
+    assert parse_formats("csv , svg") == ("csv", "svg")
+    with pytest.raises(ValidationError, match="--format"):
+        parse_formats("yaml")
+    cfg = parse_config("k_grid = 0.9:1.0:5\n")
     assert list(cfg.k_grid_values(0.0)) == pytest.approx([0.9, 0.925, 0.95, 0.975, 1.0])
     with pytest.raises(ValidationError, match="k_grid"):
         parse_config("k_grid = 1:2\n")
-    with pytest.raises(ValidationError, match="formats"):
-        parse_config("formats = yaml\n")
+
+
+def test_auto_k_grid_stays_inside_zero_kstar():
+    # from k* = 1.004 up (the fixture's k*(T) is 1.0052) the grid is [0.9,
+    # k* - 0.004] bit for bit; below, it shrinks with k* and never reaches it
+    cfg = Config()
+    for k_upper in (1.004, 1.0052, 2.0):
+        assert np.array_equal(cfg.k_grid_values(k_upper), np.linspace(0.9, k_upper - 0.004, 8))
+    for k_upper in (1e-3, 0.01, 0.3, 0.71085, 0.9, 0.904, 0.95, 1.0, 1.004, 1.2, 3.0):
+        ks = cfg.k_grid_values(k_upper)
+        assert len(ks) == 8 and np.all(np.diff(ks) > 0.0) and ks[0] > 0.0 and ks[-1] < k_upper
+
+
+def test_cli_format_option(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(COUETTE_CFG)
+    out = tmp_path / "out"
+    assert main(["kstar-sweep", "--config", str(cfg), "--out", str(out), "--format", "csv , svg"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["kstar_curve.csv", "kstar_vs_t.svg"]
+    capsys.readouterr()
+    assert main(["kstar-sweep", "--config", str(cfg), "--out", str(out), "--format", "yaml"]) == 2
+    assert "--format must be a subset of {csv, json, svg}, got 'yaml'" in capsys.readouterr().err
 
 
 def test_fmt_float_roundtrip():
@@ -253,6 +281,19 @@ def test_cli_eigencurve_solves_a_repeated_wave_number_once(tmp_path):
     payload = json.loads((tmp_path / "eigencurve.json").read_text())
     assert [p["k"] for p in payload["points"]] == [0.95] and payload["points"][0]["c_i"] > 0.0
     assert payload["slopes"] == [] and payload["k_zero"] is None
+
+
+def test_cli_auto_k_grid_below_k_one(tmp_path):
+    # delta = 0.3 puts k*(T) at 0.711, below the 0.9 where a fixture-like
+    # grid starts: the auto grid still lies inside (0, k*), so every point
+    # has a root
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("delta = 0.3\n")
+    assert main(["eigencurve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "eigencurve.json").read_text())
+    ks = [p["k"] for p in payload["points"]]
+    assert len(ks) == 8 and ks == sorted(ks) and ks[-1] < payload["k_zero"] < 0.72
+    assert all(p["c_i"] > 0.0 for p in payload["points"])
 
 
 def test_cli_calibrate_prints_M(tmp_path, capsys):

@@ -17,6 +17,7 @@ from viscoshear.flow import (
     eval_b,
     eval_b_derivs,
     eval_b_slope,
+    eval_b_slope_excess,
     eval_potential,
     h1_diagnostics,
     h1_value,
@@ -215,6 +216,26 @@ def test_slope_entry_gives_the_derivs_bits(state, ys):
     assert np.array_equal(slope[0], b) and np.array_equal(slope[1], b1)
     for i, y in enumerate(ys.tolist()):
         assert eval_b_slope(state, y) == (b[i], b1[i]) and eval_b(state, y) == b[i]
+
+
+@pytest.mark.parametrize("at_T", [False, True])
+def test_slope_excess_vs_mpmath(at_T):
+    # b'(y) - b'(0) from the defining Gaussians at 40 digits, where exp - 1
+    # loses nothing: the excess is O(y^2) at small y, and the closed form
+    # keeps every digit of it
+    state = FlowState(_TUNED, _TUNED.horizon if at_T else 0.0)
+    ys = np.logspace(-8, math.log10(3.0), 60)
+    _, excess = eval_b_slope_excess(state, ys)
+    with mpmath.workdps(40):
+        m, a1, a2, s1, s2 = (mpmath.mpf(v) for v in (_TUNED.M, state.amp1, state.amp2,
+                                                      state.s1, state.s2))
+        for y, ours in zip(ys, excess):
+            y2 = mpmath.mpf(float(y)) ** 2
+            exact = m * (a1 / mpmath.sqrt(s1) * (mpmath.exp(-y2 / s1) - 1)
+                         - a2 / mpmath.sqrt(s2) * (mpmath.exp(-y2 / s2) - 1))
+            assert abs(ours - exact) <= 1e-12 * abs(exact)
+    assert eval_b_slope_excess(state, 0.0)[1] == 0.0
+    assert np.array_equal(eval_b_slope_excess(state, ys)[0], eval_b(state, ys))
 
 
 @settings(max_examples=60, deadline=None)

@@ -291,8 +291,8 @@ def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch):
 
 
 def test_mode_evaluates_the_potential_once_on_its_rung():
-    # V is evaluated once per rung, on the half line of each mapped rung, and
-    # once more on the half line of the finest, the mode's rung
+    # V is evaluated once per rung, on the half line of each mapped rung; the
+    # mode's rung, the finest, reads the V its climb evaluated
     points = []
 
     def counted(ys):
@@ -301,7 +301,7 @@ def test_mode_evaluates_the_potential_once_on_its_rung():
 
     res = _solve_potential(counted, True)
     rows = [(n + 1) // 2 for n in res.convergence.n_points]
-    assert points == rows + [rows[-1]] and len(res.ys) == 2 * rows[-1] - 1
+    assert points == rows and len(res.ys) == 2 * rows[-1] - 1
 
 
 def _counted_closure(monkeypatch, M):
