@@ -18,7 +18,9 @@ class StepFailure(ViscoshearError):
 
 
 class TailDominance(ViscoshearError):
-    """Domain truncation error exceeds the requested quadrature accuracy."""
+    """A closed-form tail beyond the integrated domain does not hold: a
+    Wronskian pass's cut lies where b' is not 1.0 or phi does not grow, or
+    the neutral mode's box is too short for its decay."""
 
 
 class ConsistencyFailure(ViscoshearError):

@@ -28,14 +28,15 @@ the mirrored state.  A sampled pass records the sorted unique |y| by the
 integrator's one rule (a sample within 1e-12 max(1, |y|) of a step's end
 takes its state), so the 1-ulp pairs of a rounded grid share a record.
 
-Every W pass goes through ``wronskian_many``, which checks each channel's
-modeled tail beyond the integration window against the terms summed into
-its W and raises ``TailDominance`` when the tail is not negligible; the
-one-point values, the boundary value, the scans and the root polish all
-inherit that guard.
+Every W pass goes through ``wronskian_many``, which stops at the cut Y_c
+where the profile becomes Couette to rounding, b' = 1.0, and adds the
+exact tail of phi'' = k^2 phi beyond it; it raises ``TailDominance`` when
+that closed form's premises fail.  The one-point values, the boundary
+value, the scans and the root polish all inherit the cut and the guard.
 
-The determinant cross-check still integrates both sides, which makes it an
-independent oracle for the mirror identity as well.  It alone also
+The determinant cross-check still integrates both sides out to the long
+window max(20, 12/k), an independent oracle for the mirror identity and
+the cut's exact tail.  It alone also
 integrates qF = integral of phi^(-2): the step control weighs every column
 of a channel, so a column that nothing reads would steer the steps of every
 other pass.
@@ -105,7 +106,6 @@ C_MAX = 0.5
 YK_FACTOR = 12.0
 MAX_POLISH = 80
 ROOT_RTOL = 1e-10
-TAIL_RTOL = 1e-8
 
 
 def _beta(state: FlowState) -> float:
@@ -192,8 +192,8 @@ def _eps_start(cs: np.ndarray) -> float:
     return min(EPS_MAX, 0.01 * float(pos.min()))
 
 
-def _ymax_for(ks: np.ndarray) -> float:
-    return max(HALF_WIDTH, YK_FACTOR / float(np.min(ks)))
+def _ymax_for(k: float) -> float:
+    return max(HALF_WIDTH, YK_FACTOR / k)
 
 
 def _run_side(system: _WSystem, side: int, eps: float, ymax: float, samples=None):
@@ -342,57 +342,51 @@ class WronskianValue:
         return abs(self.W.imag) <= max(1e-6 * abs(self.W), 10.0 * self.quad_error)
 
 
+def _y_cut(state: FlowState, eps: float) -> float:
+    """The cut Y_c, past which b = y + const to rounding: the wide Gaussian's
+    term M a1/sqrt(s1) e^{-y^2/s1} of b' - 1, which bounds the narrow one's,
+    is below 2^-60 (2^-7 under half an ulp of 1.0), and y >= 6 sqrt(s1) puts
+    both erfs at 1.0.  At least twice the Frobenius seed offset eps."""
+    lead = state.params.M * state.amp1 / math.sqrt(state.s1)
+    log_lead = math.log(lead) + 60.0 * math.log(2.0) if lead > 0.0 else 0.0
+    return max(math.sqrt(state.s1 * max(36.0, log_lead)), 2.0 * eps)
+
+
 def wronskian_many(state: FlowState, ks, cs):
     """W(ic, k) over paired (k, c_i) channels sharing one right half-line
     pass; returns (W, quad_error).
 
-    Raises ``TailDominance``, naming k and c_i, when a channel's modeled
-    tail beyond the integration window exceeds TAIL_RTOL of the terms summed
-    into its W, |I_r| + |quadrature| + |strip|; unlike |W| itself that scale
-    stays O(1) at a root, where the terms cancel.
+    The pass stops at the cut Y_c (``_y_cut``).  Past it Rayleigh's equation
+    is phi'' = k^2 phi, so phi = A e^{ks} + B e^{-ks} with s = y - Y_c, and
+    the integral of phi^(-2) beyond is exactly 1 / (phi^2 (k + mu)), mu =
+    phi'/phi at Y_c; that of (b - ic)^(-2) is 1 / (b - ic).  The left half
+    line adds the conjugates.  Raises ``TailDominance``, naming k and c_i,
+    when the closed form's premises fail at the cut: b' is not 1.0, or
+    Re(mu/k) <= 1/2, so the decaying part could put a zero of phi beyond it.
     """
     ks = np.asarray(ks, dtype=float)
     cs = np.asarray(cs, dtype=float)
     system = _WSystem(state, ks, cs)
     eps = _eps_start(cs)
-    ymax = _ymax_for(ks)
-
-    st_r, _, _ = _run_side(system, +1, eps, ymax)
-    st_l = _mirror(st_r)
-
-    phi_r, mu_r = _phi_and_slope(system, ymax, st_r)
-    phi_l, mu_l = _phi_and_slope(system, -ymax, st_l)
-    tail_f_r = 1.0 / (2.0 * mu_r * phi_r ** 2)
-    tail_f_l = -1.0 / (2.0 * mu_l * phi_l ** 2)
-    b_r, b_l = eval_b(state, np.array([ymax, -ymax]))
-    tail_i_r = 1.0 / (b_r - 1j * cs)
-    tail_i_l = -1.0 / (b_l - 1j * cs)
-
-    strip = np.where(
-        cs > 0.0,
-        -ks ** 2 * 2.0 * np.real(_strip_v3(system.beta, eps, cs)),
-        -2.0 * eps * ks ** 2 / (3.0 * system.beta ** 2),
-    )
-
-    ir = _panels(state).i_r(cs)
-    # left pass runs from -eps down to -Y, so its accumulator is minus the segment
-    qii = st_r[:, 4] - st_l[:, 4]
-    ii = qii + strip + (tail_f_r - tail_i_r) + (tail_f_l - tail_i_l)
-    w = ir + ii
-
-    tail_mag = np.abs(tail_f_r) + np.abs(tail_f_l)
-    scale = np.abs(ir) + np.abs(qii) + np.abs(strip)
-    bad = np.flatnonzero(tail_mag > np.maximum(TAIL_RTOL * scale, 1e-300))
+    y_cut = _y_cut(state, eps)
+    st, _, _ = _run_side(system, +1, eps, y_cut)
+    phi, mu = _phi_and_slope(system, y_cut, st)
+    b, b1 = eval_b_slope(state, y_cut)
+    growth = (mu / ks).real
+    bad = np.flatnonzero(~(growth > 0.5) | (b1 != 1.0))
     if bad.size:
         j = bad[0]
-        raise TailDominance(f"tail estimate {tail_mag[j]:g} exceeds {TAIL_RTOL:g} of the W terms "
-                            f"({scale[j]:g}) at k={ks[j]:g}, c_i={cs[j]:g}; domain too small")
-    quad_err = (
-        3.0 * RTOL_ODE * (np.abs(st_r[:, 4]) + np.abs(st_l[:, 4]))
-        + 0.05 * np.abs(strip)
-        + 0.1 * tail_mag
-        + 1e-13 * (np.abs(ir) + 1.0)
-    )
+        raise TailDominance(f"no exact tail past y={y_cut:g} (b' - 1 = {b1 - 1.0:g}, Re(mu/k) = "
+                            f"{growth[j]:g}) at k={ks[j]:g}, c_i={cs[j]:g}; it needs b' = 1 and "
+                            "Re(mu/k) > 1/2")
+    tail = 1.0 / (phi * phi * (ks + mu)) - 1.0 / (b - 1j * cs)
+    strip = -ks ** 2 * np.where(cs > 0.0, 2.0 * np.real(_strip_v3(system.beta, eps, cs)),
+                                2.0 * eps / (3.0 * system.beta ** 2))
+    ir = _panels(state).i_r(cs)
+    # phi(-y) = -conj phi(y): the left half line's II is the conjugate of the right's
+    w = ir + strip + 2.0 * np.real(st[:, 4] + tail) + 0j
+    quad_err = (6.0 * RTOL_ODE * np.abs(st[:, 4]) + 0.05 * np.abs(strip)
+                + 1e-13 * (np.abs(ir) + np.abs(tail) + 1.0))
     return w, quad_err
 
 
@@ -403,8 +397,9 @@ def wronskian(state: FlowState, k: float, c_i: float) -> WronskianValue:
     gives the boundary value W(0, k), whose I is the Hilbert-transform term
     p.v. integral of (b^{-1})''(v) / v dv, the c_i -> 0+ limit of the
     log-kernel quadrature, and whose imaginary part i*pi*(b^{-1})''(0)
-    vanishes because the profile is odd.  Like every W pass it raises
-    ``TailDominance`` when the modeled tail is not negligible.
+    vanishes because the profile is odd.  Like every W pass it closes at
+    the cut with the exact Couette tail and raises ``TailDominance`` when
+    that tail's premises fail.
     """
     if not k > 0.0:
         raise ValueError("wave numbers must be positive")
@@ -528,7 +523,7 @@ def wronskian_det_check(
     probes = np.asarray(sorted(probe_ys), dtype=float)
     system = _WSystem(state, np.array([k]), np.array([c_i]), with_qf=True)
     eps = _eps_start(np.array([c_i]))
-    ymax = _ymax_for(np.array([k]))
+    ymax = _ymax_for(k)
     if np.any(np.abs(probes) >= ymax) or np.any(np.abs(probes) <= eps):
         raise ValueError("probes must lie strictly between eps and ymax")
 
@@ -689,13 +684,18 @@ def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
     scan and one batched root polish.  Slopes by central differences on the
     computed points; ``k_zero`` is the linear extrapolation of the last two
     points to c_i = 0, the curve's own estimate of the critical wave number.
+    Raises ``NonConvergence`` at the first k without a root, naming the side
+    its scan's one sign of Re W points to: positive, any root lies above
+    C_MAX; otherwise the grid extends past k*.
     """
     ks = np.unique(np.asarray(k_grid, dtype=float))
-    roots = eigenvalues_for_ks(state, ks)[0] if len(ks) else []
+    roots, _, w = eigenvalues_for_ks(state, ks) if len(ks) else ([], None, [])
     pts = []
-    for k, root in zip(ks, roots):
+    for k, root, row in zip(ks, roots, w):
         if root is None:
-            raise NonConvergence(f"no root at k={k:g}; grid extends past k*")
+            why = (f"Re W > 0 up to c_i={C_MAX:g}, so any root lies above the scan"
+                   if row[-1].real > 0.0 else "grid extends past k*")
+            raise NonConvergence(f"no root at k={k:g}; {why}")
         pts.append((float(k), root[0], root[1]))
     slopes = []
     for j in range(1, len(pts) - 1):

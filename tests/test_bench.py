@@ -100,3 +100,11 @@ def test_main_refuses_runs_whose_counts_differ(monkeypatch, tmp_path, capsys):
     assert bench.main(["polish", f"this={ROOT}"]) == 1
     assert "differs between runs" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_polish.json").exists()
+
+
+def test_polish_shows_the_ode_cost_of_each_case(capsys):
+    stat = {"median": 0.2, "q1": 0.19, "q3": 0.21}
+    bench.show_polish("change", {"eigencurve": {
+        "seconds": stat, "w_passes": 2, "polish_passes_per_root": {"mean": 1.0, "max": 1},
+        "ode_passes": 2, "ode_steps": 147, "rhs_calls": 1766}})
+    assert "2 ODE passes, 147 steps, 1766 RHS calls" in capsys.readouterr().out

@@ -283,6 +283,21 @@ def test_cli_eigencurve_solves_a_repeated_wave_number_once(tmp_path):
     assert payload["slopes"] == [] and payload["k_zero"] is None
 
 
+@pytest.mark.parametrize("k_grid, why", [
+    ("1e-9:1e-8:2", "no root at k=1e-09; Re W > 0 up to c_i=0.5, so any root lies above the scan"),
+    ("0.95:1.2:2", "no root at k=1.2; grid extends past k*"),
+])
+def test_cli_eigencurve_names_the_side_a_missing_root_lies_on(tmp_path, capsys, k_grid, why):
+    # k* is about 1.005: at k = 1e-9 Re W > 0 over the whole scan, so its
+    # root lies above the scan's ceiling, not past k*; at k = 1.2 Re W < 0
+    # throughout.  Both exit 3
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("gamma0 = 0.15\ngamma1 = 0.03\ngamma2 = 0.8\nnu = 1e-3\n"
+                   f"M = 0.7016905534975553\nk_grid = {k_grid}\n")
+    assert main(["eigencurve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: NonConvergence: {why}\n"
+
+
 def test_cli_auto_k_grid_below_k_one(tmp_path):
     # delta = 0.3 puts k*(T) at 0.711, below the 0.9 where a fixture-like
     # grid starts: the auto grid still lies inside (0, k*), so every point

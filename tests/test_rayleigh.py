@@ -54,6 +54,16 @@ def test_couette_wronskian_exact(couette_state):
         assert wv.imag_ok()
 
 
+@pytest.mark.parametrize("k", [0.01, 0.05, 0.2])
+def test_couette_wronskian_exact_at_small_k(couette_state, k):
+    # the old window max(20, 12/k) reached y = 1200 at k = 0.01; the cut
+    # closes every pass at 6 gamma0 = 0.9 with the exact tail
+    for c in (0.0, 1e-6, 1e-3, 0.1, 0.5):
+        w = ray.wronskian(couette_state, k, c).W
+        exact = w_couette_exact(k, c)
+        assert abs(w - exact) <= 1e-8 * abs(exact)
+
+
 def test_couette_boundary_value(couette_state):
     for k in (0.5, 1.0, 2.0):
         wb = ray.wronskian(couette_state, k, 0.0)
@@ -393,23 +403,84 @@ def test_wronskian_evaluates_at_its_root(ctx):
 
 
 def test_wronskian_tail_guard_flags_truncated_domain(ctx, monkeypatch):
-    # lift the k-dependent floor on the window so HALF_WIDTH alone sets it
-    monkeypatch.setattr(ray, "YK_FACTOR", 1.0)
-    monkeypatch.setattr(ray, "HALF_WIDTH", 6.0)
-    with pytest.raises(TailDominance):
+    # a cut inside the bump, where b' is not 1.0, has no exact Couette tail
+    monkeypatch.setattr(ray, "_y_cut", lambda state, eps: 0.3)
+    with pytest.raises(TailDominance, match=r"b' - 1 = [0-9.e-]+.* at k=1, c_i=[0-9.e-]+;"):
         ray.wronskian(ctx.state_T, 1.0, ctx.torus.ci_at_k1)
 
 
 @pytest.mark.parametrize("search", ["scan", "roots"])
 def test_batched_passes_carry_the_tail_guard(ctx, monkeypatch, search):
     # the scans and root searches go through the same guarded assembly
-    monkeypatch.setattr(ray, "YK_FACTOR", 1.0)
-    monkeypatch.setattr(ray, "HALF_WIDTH", 6.0)
+    monkeypatch.setattr(ray, "_y_cut", lambda state, eps: 0.3)
     with pytest.raises(TailDominance, match=r"at k=1(\.05)?, c_i=[0-9.e-]+;"):
         if search == "scan":
             ray.scan_wronskian(ctx.state_T, [1.05, 1.0])
         else:
             ray.eigenvalues_for_ks(ctx.state_T, [1.0])
+
+
+def test_tail_guard_asks_phi_to_grow_past_the_cut(couette_state, monkeypatch):
+    # on Couette b' is 1.0 everywhere, but at y = 0.01 and c_i = 0.5 phi is
+    # still about -ic, so Re(mu/k) is 0.04 and a decaying part could vanish
+    # beyond the cut; the guard names the first such channel
+    monkeypatch.setattr(ray, "_y_cut", lambda state, eps: 0.01)
+    with pytest.raises(TailDominance, match=r"Re\(mu/k\) = 0\.0[0-9e-]*\) at k=1, c_i=0\.5;"):
+        ray.wronskian_many(couette_state, [1.0, 1.0], [0.01, 0.5])
+
+
+def test_w_passes_end_at_the_cut(ctx, monkeypatch):
+    # the profile is Couette to rounding from y = 0.94 on at T, so one W pass
+    # at k = 1, c_i = 1e-3 stops there (47 steps; 122 to the old window
+    # max(20, 12/k)), while the determinant check keeps its long window
+    state, ends, steps, real = ctx.state_T, [], [], ray.integrate
+
+    def counted(rhs, y0, y1, st0, **kwargs):
+        out = real(rhs, y0, y1, st0, **kwargs)
+        ends.append(y1)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(ray, "integrate", counted)
+    ray.wronskian(state, 1.0, 1e-3)
+    assert ends == [ray._y_cut(state, ray._eps_start(np.array([1e-3])))]
+    assert 0.9 < ends[0] < 1.0 and steps[0] <= 60
+    ray.wronskian_det_check(state, 1.0, 1e-3, [-1.0, 1.0])
+    ymax = ray._ymax_for(1.0)
+    assert ends[1:] == [ymax, -ymax, ends[0]]  # qF on both sides, then the reference W
+
+
+def test_cut_stays_inside_the_old_window_over_the_validator_ranges():
+    # the widest Gaussian and the largest amplitude the validator accepts,
+    # at the horizon: the cut is still below 10
+    p = FlowParams(1e50, 0.5, 0.5 - 1e-9, 0.5, 1e-3)
+    y_cut = ray._y_cut(FlowState(p, p.horizon), ray.EPS_MAX)
+    assert 8.0 < y_cut < 10.0
+    # Couette: erf(y/sqrt(s1)) = 1.0 alone sets it, at 6 sqrt(s1)
+    couette = FlowState(p.with_M(0.0), 0.0)
+    assert ray._y_cut(couette, ray.EPS_MAX) == 6.0 * math.sqrt(couette.s1)
+    # and never at or below the seed offset
+    tiny = FlowState(FlowParams(0.0, 1e-8, 0.02, 0.5, 1e-3), 0.0)
+    assert ray._y_cut(tiny, ray.EPS_MAX) == 2.0 * ray.EPS_MAX
+
+
+def test_one_pass_mixes_far_apart_wave_numbers(ctx):
+    # the old window max(20, 12/min k) took the k = 2 channel to y = 240,
+    # where phi^2 overflows; the cut is the same for every k
+    ks, cs = np.array([0.05, 2.0]), np.array([1e-3, 1e-3])
+    w, qe = ray.wronskian_many(ctx.state_T, ks, cs)
+    for k, c, wk, q in zip(ks, cs, w, qe):
+        alone = ray.wronskian(ctx.state_T, k, c)
+        assert np.isfinite(wk) and abs(wk - alone.W) <= q + alone.quad_error
+
+
+@pytest.mark.parametrize("k", [0.1, 1.0, 2.0])
+def test_cut_assembly_matches_the_long_window_determinant(ctx, k):
+    # wronskian_det_check integrates both half lines to max(20, 12/k) with
+    # the old asymptotic tail; its determinants are the oracle for the
+    # assembly closed at the cut
+    rep = ray.wronskian_det_check(ctx.state_T, k, 0.01, [-1.5, -0.5, 0.5, 1.5])
+    assert np.max(np.abs(rep.dets - rep.W)) <= 1e-7 * max(1.0, abs(rep.W))
 
 
 def test_root_at_reference(ctx):

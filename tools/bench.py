@@ -45,8 +45,10 @@ module attributes in the child, as perfbench traces a request.
   ``eigenvalues_for_ks`` call, timed on its own).  Each records the
   ``wronskian_many`` passes inside root searches (``w_passes``: one scan per
   search plus its polish passes), the polish passes, the roots, the polish
-  passes that evaluated each root's bracket (mean and max) and every c_i;
-  the torus also all W passes of the run and its failed checks.
+  passes that evaluated each root's bracket (mean and max), every c_i and
+  the cost of every Rayleigh ODE pass in the case (``rayleigh.integrate``
+  rebound: passes, accepted steps and RHS calls, as counts); the torus
+  also all W passes of the run and its failed checks.
 """
 
 from __future__ import annotations
@@ -186,8 +188,17 @@ params = cfg.params(M=1.0)
 cal = tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta)
 state_T = FlowState(params.with_M(cal.M), params.horizon)
 
-many, search = ray.wronskian_many, ray.eigenvalues_for_ks
+many, search, integrate = ray.wronskian_many, ray.eigenvalues_for_ks, ray.integrate
 log = {}
+
+def counted_integrate(rhs, *args, **kwargs):
+    def counted_rhs(y, st):
+        log["rhs_calls"] += 1
+        return rhs(y, st)
+    out = integrate(counted_rhs, *args, **kwargs)
+    log["ode_passes"] += 1
+    log["ode_steps"] += out[2]
+    return out
 
 def counted_many(state, ks, cs):
     log["passes"] += 1
@@ -210,9 +221,11 @@ def counted_search(state, ks):
     return roots, cs, w
 
 ray.wronskian_many, ray.eigenvalues_for_ks = counted_many, counted_search
+ray.integrate = counted_integrate
 
 def case(run):
-    log.update(passes=0, search=None, search_s=0.0, scans=0, polish=0, per_root=[])
+    log.update(passes=0, search=None, search_s=0.0, scans=0, polish=0, per_root=[],
+               ode_passes=0, ode_steps=0, rhs_calls=0)
     start = time.perf_counter()
     cis, extra = run()
     seconds = time.perf_counter() - start
@@ -221,7 +234,8 @@ def case(run):
            "polish_passes": log["polish"], "roots": len(per_root),
            "polish_passes_per_root": {"mean": sum(per_root) / max(len(per_root), 1),
                                       "max": max(per_root, default=0)},
-           "c_i": cis}
+           "ode_passes": log["ode_passes"], "ode_steps": log["ode_steps"],
+           "rhs_calls": log["rhs_calls"], "c_i": cis}
     out.update(extra)
     return out
 
@@ -270,7 +284,8 @@ def show_polish(name: str, entry: dict) -> None:
         s, pr = r["seconds"], r["polish_passes_per_root"]
         line = (f"{name} {c}: {s['median']:.3f} s ({s['q1']:.3f}-{s['q3']:.3f}), "
                 f"{r['w_passes']} W passes, {pr['mean']:.2f} polish passes per root "
-                f"(max {pr['max']})")
+                f"(max {pr['max']}), {r['ode_passes']} ODE passes, {r['ode_steps']} steps, "
+                f"{r['rhs_calls']} RHS calls")
         if c == "torus":
             line += (f", root stage {r['root_stage_s']['median']:.3f} s, {r['all_w_passes']} "
                      f"W passes in all, {len(r['checks_failed'])} of {r['checks']} checks failed")
