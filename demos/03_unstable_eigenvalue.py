@@ -25,7 +25,7 @@ state = FlowState(params, params.horizon)
 
 cs, w, _ = scan_wronskian(state, k=1.0)
 (OUT / "wronskian_scan.svg").write_text(
-    svg_line_plot([("Re W(ic, 1)", list(cs), list(w.real))],
+    svg_line_plot([("Re W(ic, 1)", list(cs), list(w))],
                   "c_i", "Re W", "Wronskian along the imaginary axis, k = 1")
 )
 root = eigenvalue_for_k(state, 1.0)

@@ -47,14 +47,12 @@ from .calibrate import (
 from .rayleigh import (
     EigenCurve,
     PhiSolution,
-    WronskianValue,
     assemble_phi,
     eigencurve,
     eigenvalue_for_k,
     eigenvalues_for_ks,
     neutral_mode_phiB,
     solve_phi,
-    wronskian,
     wronskian_det_check,
     wronskian_partials,
 )

@@ -5,7 +5,7 @@ x1 the newest, x2 the bracket end where f has the other sign and x3 the
 point dropped last.  Inverse quadratic interpolation through the three is
 taken where his test keeps it well inside the bracket, bisection
 elsewhere, so the iteration converges superlinearly on smooth f and never
-leaves the bracket.  Each iteration evaluates f at one point per
+leaves the bracket.  Each iteration evaluates the real f at one point per
 unfinished bracket in a single call.
 
 ``brentq`` is Brent's method (R. P. Brent, *Algorithms for Minimization
@@ -30,7 +30,7 @@ def chandrupatla(f: Callable, x1, x2, f1, f2, tol, max_iter: int, label: str, fi
     """Roots of f between straddling ends ``x1``, ``x2`` with known values ``f1``, ``f2``.
 
     ``f(x, idx)`` returns f at the abscissae ``x`` of the brackets ``idx``,
-    one point per bracket.  The iteration brackets on the sign of Re f.  A
+    one point per bracket, real.  The iteration brackets on the sign of f.  A
     bracket is done when |f| <= ``tol`` (per bracket) at its last point, or
     when it has shrunk to rounding level; an end that already meets ``tol``
     is taken as it is, without an evaluation.  Returns (x, f(x), lo, hi),
@@ -43,9 +43,9 @@ def chandrupatla(f: Callable, x1, x2, f1, f2, tol, max_iter: int, label: str, fi
     brackets are unfinished after ``max_iter`` iterations.
     """
     x1, x2 = np.array(x1, dtype=float), np.array(x2, dtype=float)
+    f1, f2 = np.array(f1, dtype=float), np.array(f2, dtype=float)
     near = np.abs(f1) < np.abs(f2)
     x, fx = np.where(near, x1, x2), np.where(near, f1, f2)
-    f1, f2 = np.array(np.real(f1), dtype=float), np.array(np.real(f2), dtype=float)
     x3, f3 = np.empty_like(x2), np.empty_like(f2)  # set by the first iteration
     with np.errstate(divide="ignore", invalid="ignore"):
         tl = np.fmin(4.0 * np.finfo(float).eps * np.abs(x1) / np.abs(x2 - x1), 0.5)
@@ -59,10 +59,10 @@ def chandrupatla(f: Callable, x1, x2, f1, f2, tol, max_iter: int, label: str, fi
         xt = x1[i] + t[i] * (x2[i] - x1[i])
         ft = f(xt, i)
         x[i], fx[i] = xt, ft
-        same = (ft.real > 0) == (f1[i] > 0)
+        same = (ft > 0) == (f1[i] > 0)
         x3[i], f3[i] = np.where(same, x1[i], x2[i]), np.where(same, f1[i], f2[i])
         x2[i], f2[i] = np.where(same, x2[i], x1[i]), np.where(same, f2[i], f1[i])
-        x1[i], f1[i] = xt, ft.real
+        x1[i], f1[i] = xt, ft
         dx = np.abs(x2[i] - x1[i])
         xtol = 4.0 * np.finfo(float).eps * np.abs(x1[i])
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -146,7 +146,7 @@ def _cmd_scenario(run):
                                  "t", "k*", "critical wave number vs time"))
         if "svg" in formats and rep.scan_cs is not None:
             _write(out_dir / "wronskian_scan.svg",
-                   svg_line_plot([("Re W(ic, 1)", list(rep.scan_cs), list(rep.scan_W.real))],
+                   svg_line_plot([("Re W(ic, 1)", list(rep.scan_cs), list(rep.scan_W))],
                                  "c_i", "Re W", "Wronskian scan at k = 1, t = T"))
         for c in rep.checks:
             status = "pass" if c.passed else "FAIL"

@@ -64,7 +64,8 @@ class FlowParams:
         # (gamma0 gamma1)^9, which underflows to 0 below about 1e-36.  Within both, every
         # term stays finite, and k* moves by only 1e-9 from M = 1e10 to 1e50.  The
         # horizon T = gamma0^2 gamma1^2 / nu overflows to inf for a subnormal nu, and
-        # the times sampled on [0, T] would then be NaN.
+        # the times sampled on [0, T] would then be NaN; an infinite nu makes T = 0
+        # and s1 = 4 nu t + gamma0^2 NaN at t = 0.
         if not 0.0 <= self.M <= 1e50:
             raise ValueError("M must be nonnegative and at most 1e50")
         if not 0.0 < self.gamma0 <= 0.5:
@@ -75,8 +76,8 @@ class FlowParams:
             raise ValueError("gamma2 must lie in (0,1)")
         if not self.gamma1 < self.gamma2:
             raise ValueError("gamma1 must be smaller than gamma2")
-        if not self.nu > 0.0:
-            raise ValueError("nu must be positive")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError("nu must be positive and finite")
         if not self.gamma0 * self.gamma1 >= 1e-10:
             raise ValueError("gamma0 * gamma1 must be at least 1e-10")
         if not math.isfinite(self.horizon):

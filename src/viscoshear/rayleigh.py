@@ -31,8 +31,11 @@ takes its state), so the 1-ulp pairs of a rounded grid share a record.
 Every W pass goes through ``wronskian_many``, which stops at the cut Y_c
 where the profile becomes Couette to rounding, b' = 1.0, and adds the
 exact tail of phi'' = k^2 phi beyond it; it raises ``TailDominance`` when
-that closed form's premises fail.  The one-point values, the boundary
-value, the scans and the root polish all inherit the cut and the guard.
+that closed form's premises fail.  The boundary value, the scans and the
+root polish all inherit the cut and the guard.  W is real: the left half
+line adds the conjugates of the right one's terms, so W travels as a float.
+Every pass, sampled or not, builds ``_WSystem``, which rejects a wave
+number outside (0, inf) and a wave speed outside [0, inf), NaN included.
 
 The determinant cross-check still integrates both sides out to the long
 window max(20, 12/k), an independent oracle for the mirror identity and
@@ -46,11 +49,11 @@ log-kernel quadrature of I at c = 0 is the Hilbert-transform term, and the
 strip and II terms take their c = 0 forms.
 
 Roots in c_i are found for many wave numbers at once: one batched scan of
-Re W on a log-spaced c grid brackets each sign change, and Chandrupatla's
+W on a log-spaced c grid brackets each sign change, and Chandrupatla's
 bracketed inverse-quadratic iteration in log c (``_roots.chandrupatla``,
 shared with the calibration; Adv. Eng. Softw. 28, 1997) polishes every
 bracket together, one ``wronskian_many`` pass per iteration.  Its first
-point is the scan's inverse interpolant, log c as a polynomial in Re W
+point is the scan's inverse interpolant, log c as a polynomial in W
 through the scan points around the sign change, which usually meets the
 tolerance: one polish pass per root.
 
@@ -80,12 +83,10 @@ from .spectrum import HALF_WIDTH, _fit_min_C
 
 __all__ = [
     "PhiSolution",
-    "WronskianValue",
     "EigenCurve",
     "DetCheckReport",
     "solve_phi",
     "assemble_phi",
-    "wronskian",
     "wronskian_many",
     "scan_wronskian",
     "wronskian_det_check",
@@ -129,10 +130,15 @@ def _beta(state: FlowState) -> float:
 class _WSystem:
     def __init__(self, state: FlowState, ks: np.ndarray, cs: np.ndarray,
                  with_qf: bool = False):
+        ks, cs = np.asarray(ks, dtype=float), np.asarray(cs, dtype=float)
+        if not np.all((0.0 < ks) & (ks < np.inf)):
+            raise ValueError("wave numbers must be positive")
+        if not np.all((0.0 <= cs) & (cs < np.inf)):
+            raise ValueError("wave speeds need c_i >= 0")
         self.state = state
         self.beta = _beta(state)
-        self.k2 = np.asarray(ks, dtype=float) ** 2
-        self.ic = 1j * np.asarray(cs, dtype=float)
+        self.k2 = ks ** 2
+        self.ic = 1j * cs
         self.n_cols = 6 if with_qf else 5
 
     def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
@@ -331,17 +337,6 @@ def _panels(state: FlowState) -> _IrPanels:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WronskianValue:
-    k: float
-    c: complex
-    W: complex
-    quad_error: float
-
-    def imag_ok(self) -> bool:
-        return abs(self.W.imag) <= max(1e-6 * abs(self.W), 10.0 * self.quad_error)
-
-
 def _y_cut(state: FlowState, eps: float) -> float:
     """The cut Y_c, past which b = y + const to rounding: the wide Gaussian's
     term M a1/sqrt(s1) e^{-y^2/s1} of b' - 1, which bounds the narrow one's,
@@ -353,8 +348,9 @@ def _y_cut(state: FlowState, eps: float) -> float:
 
 
 def wronskian_many(state: FlowState, ks, cs):
-    """W(ic, k) over paired (k, c_i) channels sharing one right half-line
-    pass; returns (W, quad_error).
+    """W(ic, k) over paired (k > 0, c_i >= 0) channels sharing one right
+    half-line pass; returns (W, quad_error), both real.  c_i = 0 gives the
+    boundary value W(0, k), whose I is the Hilbert-transform term.
 
     The pass stops at the cut Y_c (``_y_cut``).  Past it Rayleigh's equation
     is phi'' = k^2 phi, so phi = A e^{ks} + B e^{-ks} with s = y - Y_c, and
@@ -384,29 +380,10 @@ def wronskian_many(state: FlowState, ks, cs):
                                 2.0 * eps / (3.0 * system.beta ** 2))
     ir = _panels(state).i_r(cs)
     # phi(-y) = -conj phi(y): the left half line's II is the conjugate of the right's
-    w = ir + strip + 2.0 * np.real(st[:, 4] + tail) + 0j
+    w = ir + strip + 2.0 * np.real(st[:, 4] + tail)
     quad_err = (6.0 * RTOL_ODE * np.abs(st[:, 4]) + 0.05 * np.abs(strip)
                 + 1e-13 * (np.abs(ir) + np.abs(tail) + 1.0))
     return w, quad_err
-
-
-def wronskian(state: FlowState, k: float, c_i: float) -> WronskianValue:
-    """W(ic_i, k) for k > 0 and c_i >= 0, with an honest quadrature-error estimate.
-
-    For c_i > 0 the integrand is nonsingular since |b - ic| >= c_i.  c_i = 0
-    gives the boundary value W(0, k), whose I is the Hilbert-transform term
-    p.v. integral of (b^{-1})''(v) / v dv, the c_i -> 0+ limit of the
-    log-kernel quadrature, and whose imaginary part i*pi*(b^{-1})''(0)
-    vanishes because the profile is odd.  Like every W pass it closes at
-    the cut with the exact Couette tail and raises ``TailDominance`` when
-    that tail's premises fail.
-    """
-    if not k > 0.0:
-        raise ValueError("wave numbers must be positive")
-    if not c_i >= 0.0:
-        raise ValueError("wronskian requires c_i >= 0")
-    w, qe = wronskian_many(state, [k], [c_i])
-    return WronskianValue(k=k, c=1j * c_i, W=complex(w[0]), quad_error=float(qe[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +417,6 @@ def solve_phi(state: FlowState, k: float, c_i: float, ys) -> PhiSolution:
     are recorded by one right half-line pass to their sorted unique |y|, and
     the negative ones take the mirrored state.
     """
-    if not k > 0.0:
-        raise ValueError("k must be positive")
-    if c_i < 0.0:
-        raise ValueError("c_i must be nonnegative")
     ys = np.unique(np.concatenate([np.asarray(ys, dtype=float),
                                    [s for e in _NEAR_SAMPLES for s in (-e, e)]]))
     system = _WSystem(state, np.array([k]), np.array([c_i]))
@@ -501,7 +474,7 @@ def assemble_phi(state: FlowState, sol: PhiSolution):
 class DetCheckReport:
     probes: np.ndarray
     dets: np.ndarray
-    W: complex
+    W: float
     max_rel_dev: float
 
 
@@ -545,8 +518,7 @@ def wronskian_det_check(
     qf_r_tot = complex(st_r[0, 5])
     qf_l_tot = complex(st_l[0, 5])
 
-    w_ref, _ = wronskian_many(state, [k], cs)
-    w_ref = complex(w_ref[0])
+    w_ref = float(wronskian_many(state, [k], cs)[0][0])
 
     dets = []
     for y in probes:
@@ -583,28 +555,25 @@ def scan_wronskian(state: FlowState, k):
 
     ``k`` is a wave number or a sequence of them; for a sequence, W and its
     error estimate have one row per wave number, all from the same pass.
-    Raises ``ValueError`` unless every wave number is positive.
     """
     cs = np.logspace(math.log10(C_SCAN_LO), math.log10(C_MAX), C_SCAN_POINTS)
     ks = np.atleast_1d(np.asarray(k, dtype=float))
-    if not np.all(ks > 0.0):
-        raise ValueError("wave numbers must be positive")
     w, qe = wronskian_many(state, np.repeat(ks, len(cs)), np.tile(cs, len(ks)))
     shape = (len(ks), len(cs)) if np.ndim(k) else (len(cs),)
     return cs, w.reshape(shape), qe.reshape(shape)
 
 
-def _polish_start(cs: np.ndarray, wr: np.ndarray, j: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _polish_start(cs: np.ndarray, w: np.ndarray, j: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """First polish fraction in each bracket [cs[j], cs[j + 1]]: the scan's
-    inverse interpolant, x = log c as the polynomial in Re W / ``scale``
+    inverse interpolant, x = log c as the polynomial in W / ``scale``
     through the C_SEED_WINDOW scan points on each side of the sign change,
-    evaluated at 0 by Neville's scheme.  A row of ``wr`` whose window runs
+    evaluated at 0 by Neville's scheme.  A row of ``w`` whose window runs
     past the scan's ends, holds an exact zero or is not strictly monotone
     starts from the midpoint, 0.5.
     """
     n, x = C_SEED_WINDOW, np.log(cs)
     t = np.full(len(j), 0.5)
-    for r, (row, jr, s) in enumerate(zip(wr, j, scale)):
+    for r, (row, jr, s) in enumerate(zip(w, j, scale)):
         lo, hi = jr + 1 - n, jr + 1 + n
         if lo < 0 or hi > len(cs):
             continue
@@ -621,7 +590,7 @@ def _polish_start(cs: np.ndarray, wr: np.ndarray, j: np.ndarray, scale: np.ndarr
 def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
     """Purely imaginary unstable eigenvalues at several wave numbers at once.
 
-    One batched scan of Re W(ic, k) on the log-spaced c grid brackets each
+    One batched scan of W(ic, k) on the log-spaced c grid brackets each
     wave number's sign change.  Every bracket is then polished together
     until |W| <= tol_root = ROOT_RTOL * |W(i C_MAX, k)|, per bracket, from a
     first point the scan's inverse interpolant puts at the root
@@ -634,10 +603,9 @@ def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
     """
     ks = np.asarray(ks, dtype=float)
     cs, w, _ = scan_wronskian(state, ks)
-    wr = w.real
     # 0 reads as not positive, as in chandrupatla: an exact zero at a node is
-    # one sign change whichever way Re W runs, bracketed with a positive node
-    flips = (wr[:, :-1] > 0) != (wr[:, 1:] > 0)
+    # one sign change whichever way W runs, bracketed with a positive node
+    flips = (w[:, :-1] > 0) != (w[:, 1:] > 0)
     for k, n in zip(ks, np.count_nonzero(flips, axis=1)):
         if n > 1:
             raise MultipleRoots(f"{n} sign changes of Re W at k={k:g}; expected at most one")
@@ -652,7 +620,7 @@ def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
 
         x, w_root, _, _ = chandrupatla(w_at, np.log(cs[j]), np.log(cs[j + 1]), w[rows, j],
                                        w[rows, j + 1], ROOT_RTOL * scale, MAX_POLISH,
-                                       "root polish", _polish_start(cs, wr[rows], j, scale))
+                                       "root polish", _polish_start(cs, w[rows], j, scale))
         for r, c, resid in zip(rows, np.exp(x).tolist(), np.abs(w_root).tolist()):
             roots[r] = (c, resid)
     return roots, cs, w
@@ -663,7 +631,7 @@ def eigenvalue_for_k(state: FlowState, k: float):
 
     The one-wave-number case of ``eigenvalues_for_ks``: returns (c_i,
     residual) with residual = |W(ic_i, k)| <= ROOT_RTOL * |W(i C_MAX, k)|, or
-    None when Re W(ic, k) has no sign change on the scan grid.  Raises
+    None when W(ic, k) has no sign change on the scan grid.  Raises
     ``MultipleRoots`` if more than one sign change is found.
     """
     roots, _, _ = eigenvalues_for_ks(state, [k])
@@ -685,7 +653,7 @@ def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
     computed points; ``k_zero`` is the linear extrapolation of the last two
     points to c_i = 0, the curve's own estimate of the critical wave number.
     Raises ``NonConvergence`` at the first k without a root, naming the side
-    its scan's one sign of Re W points to: positive, any root lies above
+    its scan's one sign of W points to: positive, any root lies above
     C_MAX; otherwise the grid extends past k*.
     """
     ks = np.unique(np.asarray(k_grid, dtype=float))
@@ -694,7 +662,7 @@ def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
     for k, root, row in zip(ks, roots, w):
         if root is None:
             why = (f"Re W > 0 up to c_i={C_MAX:g}, so any root lies above the scan"
-                   if row[-1].real > 0.0 else "grid extends past k*")
+                   if row[-1] > 0.0 else "grid extends past k*")
             raise NonConvergence(f"no root at k={k:g}; {why}")
         pts.append((float(k), root[0], root[1]))
     slopes = []
@@ -711,15 +679,13 @@ def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
 
 
 def wronskian_partials(state: FlowState, k: float, c_i: float):
-    """Central-difference partials (d Re W / dk, d Re W / dc_i), with steps
-    1e-4 in k and 1e-4 gamma0 in c_i."""
+    """Central-difference partials (dW/dk, dW/dc_i), with steps 1e-4 in k and
+    1e-4 gamma0 in c_i, so c_i must be at least its step."""
     dk, dci = 1e-4, 1e-4 * state.params.gamma0
     ks = np.array([k + dk, k - dk, k, k])
     cs = np.array([c_i, c_i, c_i + dci, c_i - dci])
     w, _ = wronskian_many(state, ks, cs)
-    dw_dk = (w[0].real - w[1].real) / (2.0 * dk)
-    dw_dci = (w[2].real - w[3].real) / (2.0 * dci)
-    return dw_dk, dw_dci
+    return (w[0] - w[1]) / (2.0 * dk), (w[2] - w[3]) / (2.0 * dci)
 
 
 # ---------------------------------------------------------------------------
@@ -758,15 +724,13 @@ def neutral_mode_phiB(state: FlowState, kstar: float, ys: np.ndarray,
     Raises ``TailDominance`` when k* * half_width is too small for the
     quadrature tails.
     """
-    if not kstar > 0.0:
-        raise ValueError("kstar must be positive")
+    system = _PhiBSystem(state, np.array([kstar]), np.array([0.0]))
     ymax = float(ys[-1])
     if kstar * ymax < 8.0:
         raise TailDominance("kstar * half_width < 8: mode tails exceed the domain")
     mid = len(ys) // 2
     neg = ys[:mid]  # ascending, all negative
 
-    system = _PhiBSystem(state, np.array([kstar]), np.array([0.0]))
     fin, rec, _ = _run_side(system, -1, EPS_MAX, ymax, samples=list(neg)[::-1])
     st = rec[::-1, 0].real  # ascending in y
 

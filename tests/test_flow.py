@@ -160,6 +160,8 @@ def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         FlowParams(-1.0, 0.1, 0.05, 0.4, 1e-3)
     with pytest.raises(ValueError):
+        FlowParams(1.0, 0.1, 0.05, 0.4, math.inf)  # horizon 0, s1 NaN at t = 0
+    with pytest.raises(ValueError):
         FlowState(FlowParams(1.0, 0.1, 0.05, 0.4, 1e-3), -0.1)
 
 

@@ -22,6 +22,12 @@ def w_couette_exact(k, c):
     return -2.0 * k / (1.0 + k * k * c * c)
 
 
+def w_one(state, k, c):
+    """W(ic, k) and its quad_error from a one-channel pass."""
+    w, qe = ray.wronskian_many(state, [k], [c])
+    return w[0], qe[0]
+
+
 # ---------------------------------------------------------------------------
 # Couette oracles
 # ---------------------------------------------------------------------------
@@ -48,10 +54,9 @@ def test_phi1_invariants(ctx):
 
 def test_couette_wronskian_exact(couette_state):
     for (k, c) in [(1.0, 0.1), (1.0, 0.01), (0.7, 0.3), (1.3, 1e-4), (1.0, 1e-6), (2.0, 0.45)]:
-        wv = ray.wronskian(couette_state, k, c)
+        w, _ = w_one(couette_state, k, c)
         exact = w_couette_exact(k, c)
-        assert abs(wv.W - exact) <= 1e-8 * abs(exact)
-        assert wv.imag_ok()
+        assert abs(w - exact) <= 1e-8 * abs(exact)
 
 
 @pytest.mark.parametrize("k", [0.01, 0.05, 0.2])
@@ -59,16 +64,16 @@ def test_couette_wronskian_exact_at_small_k(couette_state, k):
     # the old window max(20, 12/k) reached y = 1200 at k = 0.01; the cut
     # closes every pass at 6 gamma0 = 0.9 with the exact tail
     for c in (0.0, 1e-6, 1e-3, 0.1, 0.5):
-        w = ray.wronskian(couette_state, k, c).W
+        w, _ = w_one(couette_state, k, c)
         exact = w_couette_exact(k, c)
         assert abs(w - exact) <= 1e-8 * abs(exact)
 
 
 def test_couette_boundary_value(couette_state):
     for k in (0.5, 1.0, 2.0):
-        wb = ray.wronskian(couette_state, k, 0.0)
-        assert abs(wb.W.real + 2.0 * k) <= 1e-9 * 2.0 * k
-        assert wb.W.imag == 0.0
+        wb, _ = ray.wronskian_many(couette_state, [k], [0.0])
+        assert abs(wb[0] + 2.0 * k) <= 1e-9 * 2.0 * k
+        assert wb.dtype == np.float64
 
 
 def test_couette_has_no_roots(couette_state):
@@ -151,12 +156,12 @@ def test_only_the_det_check_integrates_qf(couette_state, monkeypatch):
 def test_quadrature_honesty(ctx, couette_state, monkeypatch):
     # tightening the integrator tolerance moves W by less than quad_error
     for state, k, c in [(couette_state, 1.0, 0.02), (ctx.state_T, 1.0, 3e-4)]:
-        base = ray.wronskian(state, k, c)
+        base, quad_error = w_one(state, k, c)
         with monkeypatch.context() as m:
             m.setattr(ray, "RTOL_ODE", 1e-11)
             m.setattr(ray, "ATOL_ODE", 1e-14)
-            tight = ray.wronskian(state, k, c)
-        assert abs(base.W - tight.W) <= base.quad_error
+            tight, _ = w_one(state, k, c)
+        assert abs(base - tight) <= quad_error
 
 
 def test_det_check_reference_and_couette(ctx, couette_state):
@@ -169,6 +174,10 @@ def test_det_check_reference_and_couette(ctx, couette_state):
     rep3 = ray.wronskian_det_check(ctx.state_T, 1.0, ctx.torus.ci_at_k1 / 2, [-1.5, 0.5])
     assert np.max(np.abs(rep3.dets - rep3.dets[0])) <= 1e-9
     assert np.max(np.abs(rep3.dets - rep3.W)) <= 1e-6 * max(1.0, abs(rep3.W))
+    # the mirror phi(-y) = -conj phi(y) that makes the one-sided W real: the
+    # two-sided determinants are real too
+    for r in (rep, rep2, rep3):
+        assert np.max(np.abs(r.dets.imag)) <= 1e-12 * abs(r.W)
 
 
 def test_left_pass_is_exact_mirror(ctx, couette_state):
@@ -228,13 +237,12 @@ def test_w_is_couette_at_zero_amplitude_and_real_at_random_states(gamma0, gamma1
     p = FlowParams(M, gamma0, gamma1, gamma2, nu)
     state = FlowState(p, t_over_T * p.horizon)
     cs = np.array([0.0, 1e-3, 0.2])
-    w, qe = ray.wronskian_many(state, np.full(3, k), cs)
-    for c, wc, q in zip(cs, w, qe):
-        if M == 0.0:  # b = y: the Couette closed form, W(0, k) = -2k included
+    w, _ = ray.wronskian_many(state, np.full(3, k), cs)
+    assert w.dtype == np.float64 and np.all(np.isfinite(w))
+    if M == 0.0:  # b = y: the Couette closed form, W(0, k) = -2k included
+        for c, wc in zip(cs, w):
             exact = w_couette_exact(k, c)
             assert abs(wc - exact) <= 1e-8 * abs(exact)
-        else:
-            assert ray.WronskianValue(k, 1j * c, complex(wc), float(q)).imag_ok()
 
 
 def _two_sided_samples(state, k, c_i, ys):
@@ -372,7 +380,7 @@ def test_eigencurve_of_empty_grid_is_empty(couette_state):
     assert curve.points == () and curve.k_zero is None
 
 
-@pytest.mark.parametrize("ks", [[0.0, 0.5], [-1.0, 0.5], [0.5, -0.25]])
+@pytest.mark.parametrize("ks", [[0.0, 0.5], [-1.0, 0.5], [0.5, -0.25], [math.nan, 0.5]])
 def test_root_searches_reject_nonpositive_k(couette_state, ks):
     # k = 0 used to end in a ZeroDivisionError of the window size, and a
     # negative k returned roots as if it were a wave number
@@ -384,29 +392,38 @@ def test_root_searches_reject_nonpositive_k(couette_state, ks):
         ray.eigenvalue_for_k(couette_state, min(ks))
     with pytest.raises(ValueError, match="wave numbers must be positive"):
         ray.eigencurve(couette_state, ks)
-    # the one-point W used to end in a ZeroDivisionError at k = 0 and to
-    # return a value at a negative k
+    # every W pass checks k itself: a value at k = 0, or TailDominance (the
+    # exit-3 class) at k < 0 or NaN, would hide the bad input
     with pytest.raises(ValueError, match="wave numbers must be positive"):
-        ray.wronskian(couette_state, min(ks), 0.1)
+        ray.wronskian_many(couette_state, ks, np.full(len(ks), 0.1))
+    # the neutral mode builds the same system before its domain test
+    ys = np.linspace(-20.0, 20.0, 9)
+    with pytest.raises(ValueError, match="wave numbers must be positive"):
+        ray.neutral_mode_phiB(couette_state, min(ks), ys, np.full(len(ys), 5.0))
 
 
 def test_wronskian_rejects_negative_ci(ctx):
-    for c_i in (-1e-3, math.nan):
+    for c_i in (-1e-3, -1e-4, math.nan):
         with pytest.raises(ValueError, match="c_i >= 0"):
-            ray.wronskian(ctx.state_T, 1.0, c_i)
+            ray.wronskian_many(ctx.state_T, [1.0], [c_i])
+    # the lower channel of the c_i partial sits at c_i - 1.5e-5 < 0
+    with pytest.raises(ValueError, match="c_i >= 0"):
+        ray.wronskian_partials(ctx.state_T, 1.0, 1e-7)
+    with pytest.raises(ValueError, match="c_i >= 0"):
+        ray.solve_phi(ctx.state_T, 1.0, math.nan, np.linspace(-2.0, 2.0, 9))
 
 
 def test_wronskian_evaluates_at_its_root(ctx):
     # |W| -> 0 at a root; the tail guard must not scale with it
-    w = ray.wronskian(ctx.state_T, 1.0, ctx.torus.ci_at_k1)
-    assert abs(w.W) <= 1e-10 * ctx.torus.w_scale
+    w, _ = w_one(ctx.state_T, 1.0, ctx.torus.ci_at_k1)
+    assert abs(w) <= 1e-10 * ctx.torus.w_scale
 
 
 def test_wronskian_tail_guard_flags_truncated_domain(ctx, monkeypatch):
     # a cut inside the bump, where b' is not 1.0, has no exact Couette tail
     monkeypatch.setattr(ray, "_y_cut", lambda state, eps: 0.3)
     with pytest.raises(TailDominance, match=r"b' - 1 = [0-9.e-]+.* at k=1, c_i=[0-9.e-]+;"):
-        ray.wronskian(ctx.state_T, 1.0, ctx.torus.ci_at_k1)
+        w_one(ctx.state_T, 1.0, ctx.torus.ci_at_k1)
 
 
 @pytest.mark.parametrize("search", ["scan", "roots"])
@@ -442,7 +459,7 @@ def test_w_passes_end_at_the_cut(ctx, monkeypatch):
         return out
 
     monkeypatch.setattr(ray, "integrate", counted)
-    ray.wronskian(state, 1.0, 1e-3)
+    w_one(state, 1.0, 1e-3)
     assert ends == [ray._y_cut(state, ray._eps_start(np.array([1e-3])))]
     assert 0.9 < ends[0] < 1.0 and steps[0] <= 60
     ray.wronskian_det_check(state, 1.0, 1e-3, [-1.0, 1.0])
@@ -470,8 +487,8 @@ def test_one_pass_mixes_far_apart_wave_numbers(ctx):
     ks, cs = np.array([0.05, 2.0]), np.array([1e-3, 1e-3])
     w, qe = ray.wronskian_many(ctx.state_T, ks, cs)
     for k, c, wk, q in zip(ks, cs, w, qe):
-        alone = ray.wronskian(ctx.state_T, k, c)
-        assert np.isfinite(wk) and abs(wk - alone.W) <= q + alone.quad_error
+        alone, q_alone = w_one(ctx.state_T, k, c)
+        assert np.isfinite(wk) and abs(wk - alone) <= q + q_alone
 
 
 @pytest.mark.parametrize("k", [0.1, 1.0, 2.0])
@@ -483,24 +500,28 @@ def test_cut_assembly_matches_the_long_window_determinant(ctx, k):
     assert np.max(np.abs(rep.dets - rep.W)) <= 1e-7 * max(1.0, abs(rep.W))
 
 
+def _measured(rep, name):
+    return next(c.measured for c in rep.checks if c.name == name)
+
+
 def test_root_at_reference(ctx):
     rep = ctx.torus
     assert rep.ci_at_k1 is not None
     assert 5.0e-4 <= rep.ci_at_k1 <= 6.0e-4  # frozen regression band
-    assert rep.root_residual <= 1e-10 * rep.w_scale
+    assert _measured(rep, "root_residual") <= 1e-10 * rep.w_scale
 
 
 def test_boundary_consistency_with_limit(ctx):
     st = ctx.state_T
-    wb = ray.wronskian(st, 1.0, 0.0)
-    w6 = ray.wronskian(st, 1.0, 1e-6)
-    w3 = ray.wronskian(st, 1.0, 5e-7)
-    richardson = 2.0 * w3.W.real - w6.W.real
-    assert abs(richardson - wb.W.real) <= 1e-4 * abs(wb.W.real)
+    wb, _ = w_one(st, 1.0, 0.0)
+    w6, _ = w_one(st, 1.0, 1e-6)
+    w3, _ = w_one(st, 1.0, 5e-7)
+    richardson = 2.0 * w3 - w6
+    assert abs(richardson - wb) <= 1e-4 * abs(wb)
 
 
 def test_boundary_vanishes_at_kstar(ctx):
-    assert ctx.torus.boundary_residual <= 1e-4
+    assert _measured(ctx.torus, "boundary_wronskian_at_kstar") <= 1e-4
 
 
 def test_eigencurve_structure(ctx):
@@ -579,7 +600,7 @@ def test_bound_suites(ctx):
 def test_multiple_roots_detected(monkeypatch, couette_state):
     def fake_many(state, ks, cs):
         cs = np.asarray(cs, float)
-        w = np.cos(3.0 * np.log(cs / 1e-8)) + 0j  # several sign flips
+        w = np.cos(3.0 * np.log(cs / 1e-8))  # several sign flips
         return w, np.zeros_like(cs)
 
     monkeypatch.setattr(ray, "wronskian_many", fake_many)
@@ -589,20 +610,19 @@ def test_multiple_roots_detected(monkeypatch, couette_state):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_exact_zero_at_a_scan_node_is_one_sign_change(monkeypatch, couette_state, sign):
-    # Re W = sign * (log c - log c_m), exactly 0 at scan node m: the rows
-    # [.., 1, 0, -1, ..] and [.., -1, 0, 1, ..].  Im W keeps |W| above the
-    # tolerance at the node, so the bracket must straddle for the polish to
-    # close on c_m
+    # W = sign * (log c - log c_m), exactly 0 at scan node m: the rows
+    # [.., 1, 0, -1, ..] and [.., -1, 0, 1, ..].  The one bracket must have
+    # the node as an end, which meets the tolerance as it is
     cs = np.logspace(math.log10(ray.C_SCAN_LO), math.log10(ray.C_MAX), ray.C_SCAN_POINTS)
     m = 90
 
     def fake_many(state, ks, cs_in):
         cs_in = np.asarray(cs_in, float)
-        return sign * (np.log(cs_in) - math.log(cs[m])) + 1e-3j, np.zeros_like(cs_in)
+        return sign * (np.log(cs_in) - math.log(cs[m])), np.zeros_like(cs_in)
 
     monkeypatch.setattr(ray, "wronskian_many", fake_many)
     roots, _, w = ray.eigenvalues_for_ks(couette_state, [1.0])
-    assert w[0, m].real == 0.0
+    assert w[0, m] == 0.0
     assert abs(roots[0][0] / cs[m] - 1.0) <= 1e-12
 
 

@@ -1,5 +1,5 @@
-"""The shared root iterations: Chandrupatla over many brackets (complex f,
-ends, limits) and Brent over one, checked iterate for iterate against scipy's
+"""The shared root iterations: Chandrupatla over many brackets (ends,
+limits) and Brent over one, checked iterate for iterate against scipy's
 ``brentq``."""
 
 import math
@@ -40,19 +40,6 @@ def test_brackets_converge_together_to_their_own_tolerances():
     assert np.array_equal(fx, f(x, np.arange(3)))  # f as evaluated at the returned x
     assert np.all((b_lo <= x) & (x <= b_hi))
     assert np.all(f(b_lo, np.arange(3)) * f(b_hi, np.arange(3)) <= 0.0)  # still straddles
-
-
-def test_complex_f_brackets_on_real_part_and_stops_on_modulus():
-    root, tol = 0.4, 1e-10
-
-    def f(x, idx):
-        return (x - root) * (1.0 + 1.0j)  # |f| = sqrt(2) |Re f|
-
-    ends = np.array([0.0]), np.array([1.0])
-    x, fx, lo, hi = chandrupatla(f, *ends, f(ends[0], None), f(ends[1], None), tol, 80, "test")
-    assert np.iscomplexobj(fx)
-    assert abs(fx[0]) <= tol
-    assert lo[0] <= x[0] <= hi[0]
 
 
 def test_end_within_tolerance_is_taken_without_an_evaluation():
