@@ -11,7 +11,6 @@ small CLI.
 from .errors import (
     BracketFailure,
     ConfigError,
-    ConsistencyFailure,
     MultipleRoots,
     NonConvergence,
     ParseError,
@@ -19,7 +18,6 @@ from .errors import (
     TailDominance,
     ValidationError,
     ViscoshearError,
-    ZeroNorm,
 )
 from .flow import (
     FlowParams,
@@ -35,7 +33,6 @@ from .spectrum import (
     SpectralResult,
     lowest_eigenpair,
     profile_check,
-    rayleigh_quotient,
 )
 from .calibrate import (
     CalibrationResult,
@@ -47,13 +44,11 @@ from .calibrate import (
 from .rayleigh import (
     EigenCurve,
     PhiSolution,
-    assemble_phi,
     eigencurve,
     eigenvalue_for_k,
     eigenvalues_for_ks,
     neutral_mode_phiB,
     solve_phi,
-    wronskian_det_check,
     wronskian_partials,
 )
 from .scenario import ScenarioReport, run_line_scenario, run_torus_scenario

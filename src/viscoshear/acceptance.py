@@ -309,13 +309,10 @@ def criterion_10(ctx: AcceptanceContext):
     for state, k, ci in ctx.suite_states:
         tag = "T" if state is ctx.state_T else "Ttilde"
         sol = ray.solve_phi(state, k, ci, ys)
-        r1 = ray.phi1_bound_report(state, sol)
-        r2 = ray.phi2_bound_report(state, sol)
-        rphi = ray.phi_bound_report(state, sol)
-        worst = max(list(r1.constants.values()) + list(r2.constants.values())
-                    + list(rphi.constants.values()))
-        ok = r1.signs_ok and worst <= cap
-        note = "" if ok else f"phi1 signs {r1.signs_ok}"
+        rep = ray.bound_report(state, sol)
+        worst = max(rep.constants.values())
+        ok = rep.signs_ok and worst <= cap
+        note = "" if ok else f"phi1 signs {rep.signs_ok}"
         out.append(Check(f"bound_suites_{tag}", ok, worst, (0, cap), note))
     return out
 

@@ -13,7 +13,8 @@ Rayleigh root polish; Adv. Eng. Softw. 28, 1997), stopped once
 
 The amplitude tune locates M on the base grid (``spectrum._base_lambda1``:
 mapped rung 0's even Neumann block, one index call), then finishes on
-converged eigenvalues in a tight log-M window at that root.  The threshold
+converged eigenvalues in a tight log-M window at that root, or over the
+whole bracket when that window misses.  The threshold
 amplitude stays a bisection (see ``find_critical_M0``).
 """
 
@@ -41,7 +42,7 @@ __all__ = [
 
 TOL_CAL = 1e-6  # |k* - target| of the tune and of the crossing time
 M_BRACKET = (0.01, 100.0)  # the tune's amplitude bracket
-MAX_ITER = 80  # iterations of one Chandrupatla search, or widenings of the tune's window
+MAX_ITER = 80  # iterations of one Chandrupatla search
 M0_BRACKET = (1e-6, 10.0)  # find_critical_M0's amplitude bracket
 M0_MAX_ITER = 100  # find_critical_M0's bisection steps
 WINDOW = 1e-3  # half-width in log M of the tune's first window when the estimate is unusable
@@ -54,7 +55,8 @@ class CalibrationResult:
 
     ``iterations`` counts bisection steps for ``find_critical_M0``; for
     ``tune_M_for_kstar`` it counts converged eigensolves past the first two
-    (finishing iterations plus window widenings), not base-grid solves.
+    (finishing iterations, plus the window's ends when it missed), not
+    base-grid solves.
     """
 
     M: float
@@ -122,40 +124,25 @@ def _crossing(kstar_at: Callable[[float], float], ends: tuple, kstar_ends: tuple
 
 def _window(precise: Callable[[float], float], base: Callable[[float], float],
             x1: float, k1: float, ends: tuple, target: float) -> tuple:
-    """A bracket on which converged k* straddles ``target``, from the base-grid root.
+    """A window at the base-grid root on which converged k* straddles ``target``.
 
     ``x1`` is the base-grid root, with base-grid k* ``k1``.  Converged k*
     misses the target there by r, which is the base grid's offset; over the
     base-grid slope s it puts the converged root near x1 - r/s.  The first
     window runs from x1 to x1 - 2r/s, so its midpoint, Chandrupatla's first
     point, is that estimate.  When that window has no interior (r/s is 0 or
-    below the resolution of x1) it is x1 +/- WINDOW instead.  On a miss the
-    missed side moves out to 8 times its distance from the window's centre,
-    clipped to ``ends``, and the old end becomes the near end, so no
-    abscissa is solved twice.  Returns ``ends`` once the root lies beyond
-    one of them, for the caller to judge on both, and raises
-    ``NonConvergence`` after ``MAX_ITER`` widenings.
+    below the resolution of x1) it is x1 +/- WINDOW instead, clipped to
+    ``ends``.  When converged k* at its ends misses the target, returns
+    ``ends``, for the caller to judge and finish on, as when locating is
+    skipped.
     """
-    a, b = ends
     slope = (base(x1 + SLOPE_STEP) - k1) / SLOPE_STEP
     step = (precise(x1) - target) / slope if slope > 0.0 else 0.0
-    center = x1 - step
     lo, hi = sorted((x1, x1 - 2.0 * step))
-    if not lo < center < hi:
-        center, lo, hi = x1, x1 - WINDOW, x1 + WINDOW
-    lo, hi = max(lo, a), min(hi, b)
-    for _ in range(MAX_ITER):
-        if precise(lo) >= target:
-            if lo == a:
-                return ends
-            lo, hi = max(center - 8.0 * (center - lo), a), lo
-        elif precise(hi) <= target:
-            if hi == b:
-                return ends
-            lo, hi = hi, min(center + 8.0 * (hi - center), b)
-        else:
-            return lo, hi
-    raise NonConvergence(f"tune_M_for_kstar: no straddling window after {MAX_ITER} widenings")
+    if not lo < x1 - step < hi:
+        lo, hi = x1 - WINDOW, x1 + WINDOW
+    lo, hi = max(lo, ends[0]), min(hi, ends[1])
+    return (lo, hi) if precise(lo) < target < precise(hi) else ends
 
 
 def tune_M_for_kstar(params: FlowParams, t: float, target_kstar: float) -> CalibrationResult:
@@ -168,12 +155,11 @@ def tune_M_for_kstar(params: FlowParams, t: float, target_kstar: float) -> Calib
     Locate: Chandrupatla over ``M_BRACKET`` on base-grid k*, skipped when
     the base grid does not straddle there.  Finish: Chandrupatla on
     converged k* over a window at the located root (see ``_window``), or
-    over ``M_BRACKET`` when locating was skipped.  Only converged solves
-    decide the result: the achieved k* and the returned straddling bracket,
-    and ``BracketFailure``, raised only when converged k* at both ends of
-    ``M_BRACKET`` fails to straddle.  Raises ``NonConvergence`` after
-    ``MAX_ITER`` iterations of either stage or ``MAX_ITER`` widenings of
-    the window.
+    over ``M_BRACKET`` when locating was skipped or the window missed.
+    Only converged solves decide the result: the achieved k* and the
+    returned straddling bracket, and ``BracketFailure``, raised only when
+    converged k* at both ends of ``M_BRACKET`` fails to straddle.  Raises
+    ``NonConvergence`` after ``MAX_ITER`` iterations of either stage.
     """
     if not (0.0 < target_kstar and target_kstar ** 2 <= 2.0 + 1e-12):
         raise ValueError("target_kstar must be positive with target^2 <= 2")

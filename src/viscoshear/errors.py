@@ -23,16 +23,8 @@ class TailDominance(ViscoshearError):
     the neutral mode's box is too short for its decay."""
 
 
-class ConsistencyFailure(ViscoshearError):
-    """A solution failed its analytic normalization check."""
-
-
 class MultipleRoots(ViscoshearError):
     """More than one sign change found where a unique root is expected."""
-
-
-class ZeroNorm(ViscoshearError):
-    """A candidate vector has numerically zero norm."""
 
 
 class ConfigError(ViscoshearError):

@@ -36,13 +36,9 @@ root polish all inherit the cut and the guard.  W is real: the left half
 line adds the conjugates of the right one's terms, so W travels as a float.
 Every pass, sampled or not, builds ``_WSystem``, which rejects a wave
 number outside (0, inf) and a wave speed outside [0, inf), NaN included.
-
-The determinant cross-check still integrates both sides out to the long
-window max(20, 12/k), an independent oracle for the mirror identity and
-the cut's exact tail.  It alone also
-integrates qF = integral of phi^(-2): the step control weighs every column
-of a channel, so a column that nothing reads would steer the steps of every
-other pass.
+The mirror identity and the cut's exact tail are checked against a
+two-sided determinant over the long window max(20, 12/k), a test oracle
+(``tests/oracles.py``).
 
 The boundary value W(0, k) is the c = 0 channel of the same assembly: the
 log-kernel quadrature of I at c = 0 is the Hilbert-transform term, and the
@@ -72,24 +68,16 @@ import numpy as np
 
 from ._ode import integrate
 from ._roots import chandrupatla
-from .errors import (
-    ConsistencyFailure,
-    MultipleRoots,
-    NonConvergence,
-    TailDominance,
-)
+from .errors import MultipleRoots, NonConvergence, TailDominance
 from .flow import FlowState, eval_b, eval_b_derivs, eval_b_slope, eval_b_slope_excess
-from .spectrum import HALF_WIDTH, _fit_min_C
+from .spectrum import _fit_min_C
 
 __all__ = [
     "PhiSolution",
     "EigenCurve",
-    "DetCheckReport",
     "solve_phi",
-    "assemble_phi",
     "wronskian_many",
     "scan_wronskian",
-    "wronskian_det_check",
     "eigenvalues_for_ks",
     "eigenvalue_for_k",
     "eigencurve",
@@ -104,7 +92,6 @@ C_SCAN_LO = 1e-8
 C_SCAN_POINTS = 200
 C_SEED_WINDOW = 6  # scan points on each side of a sign change that seed its root polish
 C_MAX = 0.5
-YK_FACTOR = 12.0
 MAX_POLISH = 80
 ROOT_RTOL = 1e-10
 
@@ -117,19 +104,16 @@ def _beta(state: FlowState) -> float:
 # ---------------------------------------------------------------------------
 # the batched phi1/phi2 system
 # ---------------------------------------------------------------------------
-# state columns: [d1, p1, d2, p2, qII] and, for the determinant check only,
-# a sixth column qF, with
+# state columns: [d1, p1, d2, p2, qII] with
 #   d1 = phi1 - 1,  p1 = b^2 phi1'
 #   d2 = phi2 - 1,  p2 = (b - ic)^2 phi1^2 phi2'
 #   qII = integral of (b-ic)^(-2) ((phi1 phi2)^(-2) - 1)
-#   qF  = integral of phi^(-2)
-# The step size follows every column's error, so qF is integrated only
-# where it is read.
+# The step size follows every column's error, so a column nothing reads
+# would steer the steps of every pass.
 
 
 class _WSystem:
-    def __init__(self, state: FlowState, ks: np.ndarray, cs: np.ndarray,
-                 with_qf: bool = False):
+    def __init__(self, state: FlowState, ks: np.ndarray, cs: np.ndarray):
         ks, cs = np.asarray(ks, dtype=float), np.asarray(cs, dtype=float)
         if not np.all((0.0 < ks) & (ks < np.inf)):
             raise ValueError("wave numbers must be positive")
@@ -139,7 +123,6 @@ class _WSystem:
         self.beta = _beta(state)
         self.k2 = ks ** 2
         self.ic = 1j * cs
-        self.n_cols = 6 if with_qf else 5
 
     def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
         return self._columns(*eval_b_slope(self.state, y), st)
@@ -157,15 +140,12 @@ class _WSystem:
         dp2 = -(2.0 * self.ic * b1 / b) * u * phi1 * dd1 * phi2
         wm1 = d1 + d2 + d1 * d2
         w = 1.0 + wm1
-        w2 = w * w
         out = np.empty_like(st)
         out[:, 0] = dd1
         out[:, 1] = dp1
         out[:, 2] = dd2
         out[:, 3] = dp2
-        out[:, 4] = -wm1 * (2.0 + wm1) / (w2 * u2)
-        if self.n_cols == 6:
-            out[:, 5] = 1.0 / (u2 * w2)
+        out[:, 4] = -wm1 * (2.0 + wm1) / (w * w * u2)
         return out
 
     def seed(self, y0: float) -> np.ndarray:
@@ -177,7 +157,7 @@ class _WSystem:
         """
         b = eval_b(self.state, y0)
         beta = self.beta
-        st = np.zeros((len(self.k2), self.n_cols), dtype=complex)
+        st = np.zeros((len(self.k2), 5), dtype=complex)
         st[:, 0] = self.k2 * y0 * y0 / 6.0
         st[:, 1] = b * b * self.k2 * y0 / 3.0
         pos = self.ic.imag > 0.0
@@ -196,10 +176,6 @@ def _eps_start(cs: np.ndarray) -> float:
     if len(pos) == 0:
         return EPS_MAX
     return min(EPS_MAX, 0.01 * float(pos.min()))
-
-
-def _ymax_for(k: float) -> float:
-    return max(HALF_WIDTH, YK_FACTOR / k)
 
 
 def _run_side(system: _WSystem, side: int, eps: float, ymax: float, samples=None):
@@ -250,12 +226,6 @@ def _strip_v3(beta: float, eps: float, cs: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         val = (u1 - u0) + 2.0 * ic * (np.log(u1) - np.log(u0)) + cs ** 2 * (1.0 / u1 - 1.0 / u0)
     return val / beta ** 3
-
-
-def _strip_base(beta: float, eps: float, cs: np.ndarray) -> np.ndarray:
-    """Closed form of int_0^eps (beta*y - ic)^(-2) dy per channel."""
-    ic = 1j * cs
-    return -(1.0 / beta) * (1.0 / (beta * eps - ic) - 1.0 / (-ic))
 
 
 # ---------------------------------------------------------------------------
@@ -439,110 +409,6 @@ def solve_phi(state: FlowState, k: float, c_i: float, ys) -> PhiSolution:
     phi2[far] = 1.0 + st[:, 2]
     dphi2[far] = st[:, 3] / (u * u * phi1[far] ** 2)
     return PhiSolution(k=k, c_i=c_i, ys=ys, phi1=phi1, dphi1=dphi1, phi2=phi2, dphi2=dphi2)
-
-
-def assemble_phi(state: FlowState, sol: PhiSolution):
-    """phi = (b - ic) phi1 phi2 on the solution's sample points.
-
-    Checks the normalization pair phi(y_c) = -i c_i, phi'(y_c) = b'(y_c) by
-    Richardson-free even/odd averaging over the built-in near-origin
-    samples.  (The factorized solution takes the value -i c_i at the
-    critical point; a scalar multiple cannot flip that sign without also
-    flipping phi'.)
-    """
-    ys, c_i = sol.ys, sol.c_i
-    phi = (eval_b(state, ys) - 1j * c_i) * sol.phi1 * sol.phi2
-    delta = _NEAR_SAMPLES[0]
-    i_p = int(np.argmin(np.abs(ys - delta)))
-    i_m = int(np.argmin(np.abs(ys + delta)))
-    val0 = 0.5 * (phi[i_p] + phi[i_m])
-    slope0 = (phi[i_p] - phi[i_m]) / (ys[i_p] - ys[i_m])
-    beta = _beta(state)
-    if abs(val0 - (-1j * c_i)) > 1e-8 * max(1.0, c_i):
-        raise ConsistencyFailure(f"phi(y_c) = {val0} but expected {-1j * c_i}")
-    if abs(slope0 - beta) > 1e-8 * max(1.0, beta):
-        raise ConsistencyFailure(f"phi'(y_c) = {slope0} but expected {beta}")
-    return ys, phi
-
-
-# ---------------------------------------------------------------------------
-# determinant cross-check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DetCheckReport:
-    probes: np.ndarray
-    dets: np.ndarray
-    W: float
-    max_rel_dev: float
-
-
-def wronskian_det_check(
-    state: FlowState, k: float, c_i: float, probe_ys: Sequence[float]
-) -> DetCheckReport:
-    """Evaluate W as the 2x2 determinant of the decaying pair at probe points.
-
-    phi-(y) and phi+(y) are built from cumulative integrals of phi^(-2)
-    accumulated from each side separately (plus modeled tails and the
-    origin-strip closed form), so the determinant exercises an arithmetic
-    path independent of the I + II assembly returned as ``W``.  qF is
-    integrated for this check only, as a sixth column of the W system.  Both
-    half lines are integrated here, so the check also guards the mirror
-    identity the one-sided assembly relies on.
-    """
-    if not c_i > 0.0:
-        raise ValueError("det check requires c_i > 0")
-    probes = np.asarray(sorted(probe_ys), dtype=float)
-    system = _WSystem(state, np.array([k]), np.array([c_i]), with_qf=True)
-    eps = _eps_start(np.array([c_i]))
-    ymax = _ymax_for(k)
-    if np.any(np.abs(probes) >= ymax) or np.any(np.abs(probes) <= eps):
-        raise ValueError("probes must lie strictly between eps and ymax")
-
-    pos = list(probes[probes > 0])
-    neg = list(probes[probes < 0])[::-1]
-    st_r, rec_r, _ = _run_side(system, +1, eps, ymax, samples=pos)
-    st_l, rec_l, _ = _run_side(system, -1, eps, ymax, samples=neg)
-
-    phi_r, mu_r = _phi_and_slope(system, ymax, st_r)
-    phi_l, mu_l = _phi_and_slope(system, -ymax, st_l)
-    tail_f_r = complex((1.0 / (2.0 * mu_r * phi_r ** 2))[0])
-    tail_f_l = complex((-1.0 / (2.0 * mu_l * phi_l ** 2))[0])
-
-    cs = np.array([c_i])
-    strip_f = complex(
-        2.0 * np.real(_strip_base(system.beta, eps, cs)
-                      - k * k * _strip_v3(system.beta, eps, cs))[0]
-    )
-    qf_r_tot = complex(st_r[0, 5])
-    qf_l_tot = complex(st_l[0, 5])
-
-    w_ref = float(wronskian_many(state, [k], cs)[0][0])
-
-    dets = []
-    for y in probes:
-        if y > 0:
-            st = rec_r[pos.index(y)]
-            qf_here = complex(st[0, 5])
-            f_minus = tail_f_l + (-qf_l_tot) + strip_f + qf_here
-            f_plus = -((qf_r_tot - qf_here) + tail_f_r)
-        else:
-            st = rec_l[neg.index(y)]
-            qf_here = complex(st[0, 5])
-            f_minus = tail_f_l + (qf_here - qf_l_tot)
-            f_plus = -((-qf_here) + strip_f + qf_r_tot + tail_f_r)
-        phi, mu = _phi_and_slope(system, y, st)
-        phi = complex(phi[0])
-        dphi = complex(mu[0]) * phi
-        vm = phi * f_minus
-        vp = phi * f_plus
-        dm = dphi * f_minus + 1.0 / phi
-        dp = dphi * f_plus + 1.0 / phi
-        dets.append(vm * dp - vp * dm)
-    dets = np.array(dets)
-    max_rel = float(np.max(np.abs(dets - w_ref)) / max(abs(w_ref), 1e-300))
-    return DetCheckReport(probes=probes, dets=dets, W=w_ref, max_rel_dev=max_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -755,16 +621,19 @@ def neutral_mode_phiB(state: FlowState, kstar: float, ys: np.ndarray,
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Fitted constants for a family of pointwise envelope checks."""
+    """Fitted constants of the pointwise envelope checks, and phi1's signs."""
 
     constants: dict
     signs_ok: bool
 
 
-def phi1_bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
-    """Envelope, derivative and directional-decay constants for phi1."""
-    k = sol.k
-    ys, f, df = sol.ys, sol.phi1, sol.dphi1
+def bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
+    """Envelope, derivative and decay constants for phi1 (A4 to A9), the
+    smallness of the phi2 correction at wave speed ic_i (A10 to A12) and the
+    two-sided modulus envelope of the assembled phi (A13).  ``signs_ok``
+    says phi1 >= 1 and y phi1' >= 0."""
+    k, c_i, ys = sol.k, sol.c_i, sol.ys
+    f, df = sol.phi1, sol.dphi1
     signs_ok = bool(np.all(f >= 1.0 - 1e-9) and np.all(ys * df >= -1e-10 * (1.0 + np.abs(ys))))
 
     def env(C):
@@ -789,22 +658,7 @@ def phi1_bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
         return bool(np.all(ratio[upper] <= C * np.exp(-k * dmat[upper] / C)))
 
     c_decay = _fit_min_C(decay)
-    return BoundReport(
-        constants={
-            "A4_envelope": c_env,
-            "A5_dphi1": c_dphi,
-            "A6_ddphi1": c_ddphi,
-            "A7_excess": c_excess,
-            "A8_A9_decay": c_decay,
-        },
-        signs_ok=signs_ok,
-    )
 
-
-def phi2_bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
-    """Smallness constants of the phi2 correction at wave speed ic_i."""
-    k, c_i, ys = sol.k, sol.c_i, sol.ys
-    mask = np.abs(ys) >= 1e-4
     y = ys[mask]
     f2 = sol.phi2[mask]
     df2 = sol.dphi2[mask]
@@ -812,33 +666,37 @@ def phi2_bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
     c10 = float(np.max(np.abs(f2 - 1.0) / bound10))
     c11 = float(np.max(np.abs(df2) / (k * k * np.minimum(c_i, np.abs(y)))))
     wide = np.abs(ys) >= 1e-3
-    yw = ys[wide]
-    b, b1 = eval_b_slope(state, yw)
+    b, b1 = eval_b_slope(state, ys[wide])
     u = b - 1j * c_i
-    f1w = sol.phi1[wide]
-    df1w = sol.dphi1[wide]
+    f1w = f[wide]
+    df1w = df[wide]
     f2w = sol.phi2[wide]
     df2w = sol.dphi2[wide]
     flux_deriv = 2.0 * u * b1 * f1w ** 2 + u * u * 2.0 * f1w * df1w
     ddf2 = (-(2j * c_i * b1 * u / b) * f1w * df1w * f2w - flux_deriv * df2w) / (u * u * f1w ** 2)
     c12 = float(np.max(np.abs(ddf2)) / (k * k))
-    return BoundReport(
-        constants={"A10_phi2m1": c10, "A11_dphi2": c11, "A12_ddphi2": c12},
-        signs_ok=True,
-    )
 
-
-def phi_bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
-    """Two-sided modulus envelope of the assembled solution phi."""
-    k, c_i, ys = sol.k, sol.c_i, sol.ys
-    phi = np.abs((eval_b(state, ys) - 1j * c_i) * sol.phi1 * sol.phi2)
+    phi = np.abs((eval_b(state, ys) - 1j * c_i) * f * sol.phi2)
     dist = np.sqrt(ys ** 2 + c_i ** 2)
 
-    def env(C):
+    def phi_env(C):
         grow = np.exp(np.minimum(C * k * np.abs(ys), 690.0))
         return bool(
             np.all(phi <= dist * grow + 1e-300)
             and np.all(phi >= dist * np.exp(k * np.abs(ys) / C) / C)
         )
 
-    return BoundReport(constants={"A13_phi_envelope": _fit_min_C(env)}, signs_ok=True)
+    return BoundReport(
+        constants={
+            "A4_envelope": c_env,
+            "A5_dphi1": c_dphi,
+            "A6_ddphi1": c_ddphi,
+            "A7_excess": c_excess,
+            "A8_A9_decay": c_decay,
+            "A10_phi2m1": c10,
+            "A11_dphi2": c11,
+            "A12_ddphi2": c12,
+            "A13_phi_envelope": _fit_min_C(phi_env),
+        },
+        signs_ok=signs_ok,
+    )

@@ -50,7 +50,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from ._roots import brentq
-from .errors import NonConvergence, ZeroNorm
+from .errors import NonConvergence
 from .flow import FlowState, eval_potential
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "ConvergenceInfo",
     "ProfileReport",
     "lowest_eigenpair",
-    "rayleigh_quotient",
     "profile_check",
 ]
 
@@ -312,39 +311,6 @@ def _base_lambda1(state: FlowState) -> float:
     one; the Neumann closure overbinds weakly bound states (k* 0.031 against
     0.017 at M = 0.01, 0.090 against 0.085 at M = 0.05)."""
     return _mapped_lowest(*_mapped_block(_potential(state), 0)[:2])
-
-
-def _deriv4(u: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative; second-order one-sided at the edges."""
-    du = np.empty_like(u)
-    du[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
-    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    du[1] = (u[2] - u[0]) / (2.0 * h)
-    du[-2] = (u[-1] - u[-3]) / (2.0 * h)
-    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    return du
-
-
-def rayleigh_quotient(state: FlowState, ys: np.ndarray, candidate: np.ndarray) -> float:
-    """<L phi, phi> / <phi, phi> for a trial function sampled on the uniform nodes ``ys``.
-
-    Gradient by a fourth-order stencil and trapezoid sums: for the converged
-    mode the quotient error is quadratic in the mode error, so this matches
-    the Richardson eigenvalue well below the h^2 level of the raw matrix.
-    """
-    h = float(ys[1] - ys[0])
-    u = np.asarray(candidate, dtype=float)
-    if u.shape != ys.shape:
-        raise ValueError("candidate must be sampled on the nodes ys")
-    w = np.full_like(u, h)
-    w[0] = w[-1] = h / 2.0
-    norm2 = float(np.sum(u ** 2 * w))
-    if norm2 < 1e-12 ** 2:
-        raise ZeroNorm("candidate norm below 1e-12")
-    du = _deriv4(u, h)
-    v = np.asarray(eval_potential(state, ys), dtype=float)
-    quad = float(np.sum((du ** 2 + v * u ** 2) * w))
-    return quad / norm2
 
 
 @dataclass(frozen=True)

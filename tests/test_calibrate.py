@@ -239,19 +239,21 @@ def test_window_without_interior_falls_back_to_symmetric(miss):
     assert precise(lo) < 0.0 < precise(hi)
 
 
-def test_window_widens_until_it_straddles_within_max_iter(monkeypatch):
-    # the base grid is 1000 times steeper than the converged k*, so the
-    # corrected first window (0, 1e-3) falls far short of the root at 0.5
+def test_window_miss_finishes_over_the_whole_bracket(monkeypatch):
+    # base-grid k* = M^1.5 is three times steeper in log M than converged
+    # k* = sqrt(M), so the corrected first window stops short of the root
+    # at log M = 2 log 0.99; the finish runs over M_BRACKET instead
     def precise(x):
-        return x - 0.5
+        return math.exp(x / 2.0) - 0.99
 
-    args = (precise, lambda x: 1000.0 * x, 0.0, 0.0, (-100.0, 100.0), 0.0)
-    monkeypatch.setattr(calibrate, "MAX_ITER", 1)
-    with pytest.raises(NonConvergence, match="widenings"):
-        calibrate._window(*args)
-    monkeypatch.setattr(calibrate, "MAX_ITER", 10)
-    lo, hi = calibrate._window(*args)
-    assert precise(lo) < 0.0 < precise(hi)
+    ends = tuple(map(math.log, calibrate.M_BRACKET))
+    x1 = 2.0 / 3.0 * math.log(0.99)
+    assert calibrate._window(precise, lambda x: math.exp(1.5 * x), x1, 0.99, ends, 0.0) == ends
+    precise_Ms, _ = _count_lambda1(monkeypatch, lambda params, M, t, base: -M ** (3 if base else 1))
+    cal = tune_M_for_kstar(P, 0.0, 0.99)
+    assert abs(cal.achieved - 0.99) <= calibrate.TOL_CAL
+    # x1 and the window's missed low end, then both ends of M_BRACKET
+    assert precise_Ms[2:4] == pytest.approx(calibrate.M_BRACKET, rel=1e-12)
 
 
 def test_crossing_search_reuses_sweep_samples(monkeypatch):

@@ -323,7 +323,7 @@ def test_cli_calibrate_prints_M(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "error, rc",
-    [("ZeroNorm", 3), ("ConsistencyFailure", 3), ("BracketFailure", 3), ("ValidationError", 2)],
+    [("MultipleRoots", 3), ("TailDominance", 3), ("BracketFailure", 3), ("ValidationError", 2)],
 )
 def test_package_errors_reach_their_exit_code(tmp_path, monkeypatch, error, rc):
     from viscoshear import cli, errors

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from viscoshear import rayleigh as ray
 from viscoshear.errors import TailDominance
 from viscoshear.flow import FlowParams, FlowState, eval_b, eval_b_derivs
@@ -107,18 +108,18 @@ def test_phi2_symmetry_and_trivial_case(ctx):
 def test_assemble_phi_checks_and_reflection(ctx):
     k, c = 1.0, 1e-3
     samples = np.linspace(-12, 12, 97)
-    ys, phi = ray.assemble_phi(ctx.state_T, ray.solve_phi(ctx.state_T, k, c, samples))
+    ys, phi = oracles.assemble_phi(ctx.state_T, ray.solve_phi(ctx.state_T, k, c, samples))
     refl = np.abs(phi + np.conj(phi[::-1])) / (1.0 + np.abs(phi))
     assert np.max(refl) <= 1e-8
     # c_i = 0 vanishes at the critical point
-    ys0, phi0 = ray.assemble_phi(ctx.state_T, ray.solve_phi(ctx.state_T, k, 0.0, samples))
+    ys0, phi0 = oracles.assemble_phi(ctx.state_T, ray.solve_phi(ctx.state_T, k, 0.0, samples))
     assert abs(phi0[int(np.argmin(np.abs(ys0)))]) == 0.0
 
 
 def test_assemble_phi_couette_closed_form(couette_state):
     k, c = 1.0, 0.05
     sol = ray.solve_phi(couette_state, k, c, np.linspace(-6, 6, 49))
-    ys, phi = ray.assemble_phi(couette_state, sol)
+    ys, phi = oracles.assemble_phi(couette_state, sol)
     exact = -1j * c * np.cosh(k * ys) + np.sinh(k * ys) / k
     assert np.max(np.abs(phi - exact) / (1.0 + np.abs(exact))) <= 1e-8
 
@@ -130,13 +131,13 @@ def test_assemble_phi_reads_the_flow_profile():
     state = FlowState(p, p.horizon)
     k, c, y = 1.0, 1e-3, 0.036389535176237775
     sol = ray.solve_phi(state, k, c, np.concatenate([np.linspace(-12.0, 12.0, 97), [-y, y]]))
-    ys, phi = ray.assemble_phi(state, sol)
+    ys, phi = oracles.assemble_phi(state, sol)
     assert np.array_equal(phi, (eval_b(state, ys) - 1j * c) * sol.phi1 * sol.phi2)
 
 
 def test_only_the_det_check_integrates_qf(couette_state, monkeypatch):
-    # the step control weighs every column, so W passes carry only the five
-    # that the assembly reads
+    # the step control weighs every column, so the package's passes (W,
+    # solve_phi, phiB) carry only the five it reads; the oracle adds qF
     widths = []
     real = ray.integrate
 
@@ -147,9 +148,10 @@ def test_only_the_det_check_integrates_qf(couette_state, monkeypatch):
     monkeypatch.setattr(ray, "integrate", spy)
     ray.wronskian_many(couette_state, [1.0, 1.0], [0.1, 0.0])
     ray.solve_phi(couette_state, 1.0, 0.1, np.linspace(-2.0, 2.0, 9))
-    assert set(widths) == {5}
+    ray.neutral_mode_phiB(couette_state, 1.0, np.linspace(-20.0, 20.0, 9), np.full(9, 5.0))
+    assert widths == [5, 5, 5]
     widths.clear()
-    ray.wronskian_det_check(couette_state, 1.0, 0.1, [-1.0, 1.0])
+    oracles.wronskian_det_check(couette_state, 1.0, 0.1, [-1.0, 1.0])
     assert sorted(widths) == [5, 6, 6]  # the reference W, then qF on both sides
 
 
@@ -165,13 +167,13 @@ def test_quadrature_honesty(ctx, couette_state, monkeypatch):
 
 
 def test_det_check_reference_and_couette(ctx, couette_state):
-    rep = ray.wronskian_det_check(couette_state, 1.0, 0.1, [-1.0, 1.0])
+    rep = oracles.wronskian_det_check(couette_state, 1.0, 0.1, [-1.0, 1.0])
     assert rep.max_rel_dev <= 1e-6
     assert abs(rep.dets[0] - rep.dets[1]) <= 1e-6 * abs(rep.W)
-    rep2 = ray.wronskian_det_check(ctx.state_T, 1.2, 0.01, [-1.0, 1.0])
+    rep2 = oracles.wronskian_det_check(ctx.state_T, 1.2, 0.01, [-1.0, 1.0])
     assert rep2.max_rel_dev <= 1e-6
     # near the root |W| -> 0, so agreement there is absolute-scale:
-    rep3 = ray.wronskian_det_check(ctx.state_T, 1.0, ctx.torus.ci_at_k1 / 2, [-1.5, 0.5])
+    rep3 = oracles.wronskian_det_check(ctx.state_T, 1.0, ctx.torus.ci_at_k1 / 2, [-1.5, 0.5])
     assert np.max(np.abs(rep3.dets - rep3.dets[0])) <= 1e-9
     assert np.max(np.abs(rep3.dets - rep3.W)) <= 1e-6 * max(1.0, abs(rep3.W))
     # the mirror phi(-y) = -conj phi(y) that makes the one-sided W real: the
@@ -449,7 +451,7 @@ def test_tail_guard_asks_phi_to_grow_past_the_cut(couette_state, monkeypatch):
 def test_w_passes_end_at_the_cut(ctx, monkeypatch):
     # the profile is Couette to rounding from y = 0.94 on at T, so one W pass
     # at k = 1, c_i = 1e-3 stops there (47 steps; 122 to the old window
-    # max(20, 12/k)), while the determinant check keeps its long window
+    # max(20, 12/k)), while the determinant oracle keeps that long window
     state, ends, steps, real = ctx.state_T, [], [], ray.integrate
 
     def counted(rhs, y0, y1, st0, **kwargs):
@@ -462,8 +464,8 @@ def test_w_passes_end_at_the_cut(ctx, monkeypatch):
     w_one(state, 1.0, 1e-3)
     assert ends == [ray._y_cut(state, ray._eps_start(np.array([1e-3])))]
     assert 0.9 < ends[0] < 1.0 and steps[0] <= 60
-    ray.wronskian_det_check(state, 1.0, 1e-3, [-1.0, 1.0])
-    ymax = ray._ymax_for(1.0)
+    oracles.wronskian_det_check(state, 1.0, 1e-3, [-1.0, 1.0])
+    ymax = oracles._ymax_for(1.0)
     assert ends[1:] == [ymax, -ymax, ends[0]]  # qF on both sides, then the reference W
 
 
@@ -496,7 +498,7 @@ def test_cut_assembly_matches_the_long_window_determinant(ctx, k):
     # wronskian_det_check integrates both half lines to max(20, 12/k) with
     # the old asymptotic tail; its determinants are the oracle for the
     # assembly closed at the cut
-    rep = ray.wronskian_det_check(ctx.state_T, k, 0.01, [-1.5, -0.5, 0.5, 1.5])
+    rep = oracles.wronskian_det_check(ctx.state_T, k, 0.01, [-1.5, -0.5, 0.5, 1.5])
     assert np.max(np.abs(rep.dets - rep.W)) <= 1e-7 * max(1.0, abs(rep.W))
 
 
@@ -587,14 +589,11 @@ def test_bound_suites(ctx):
     state = ctx.state_T
     ci = ctx.torus.ci_at_k1
     sol = ray.solve_phi(state, 1.0, ci, ys)
-    r1 = ray.phi1_bound_report(state, sol)
-    assert r1.signs_ok
-    assert all(c <= 50.0 for c in r1.constants.values())
-    assert r1.constants["A4_envelope"] <= 10.0
-    r2 = ray.phi2_bound_report(state, sol)
-    assert all(c <= 50.0 for c in r2.constants.values())
-    rphi = ray.phi_bound_report(state, sol)
-    assert all(c <= 50.0 for c in rphi.constants.values())
+    rep = ray.bound_report(state, sol)
+    assert rep.signs_ok
+    assert len(rep.constants) == 9  # A4 to A13, A8 and A9 fitted as one
+    assert all(c <= 50.0 for c in rep.constants.values())
+    assert rep.constants["A4_envelope"] <= 10.0
 
 
 def test_multiple_roots_detected(monkeypatch, couette_state):
