@@ -41,14 +41,16 @@ _STAGES = 12
 
 
 def _dense(*rows: dict) -> np.ndarray:
-    out = np.zeros((len(rows), _STAGES))
+    # complex, the state's dtype, so no stage casts a row: a + 0j times the
+    # state gives the bits a real a gives
+    out = np.zeros((len(rows), _STAGES), dtype=complex)
     for i, row in enumerate(rows):
         for j, value in row.items():
             out[i, j] = value
     return out
 
 
-_C = np.array([
+_C = (
     0.0,
     0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01,
@@ -61,7 +63,7 @@ _C = np.array([
     0.6,
     0.857142857142857142857142857142,
     1.0,
-])
+)
 # stage couplings a[i][j] (j < i), nonzero entries only
 _A = _dense(
     {},
@@ -162,6 +164,7 @@ _E = _dense(
     },
 )
 _E[1] = _B - _E[1]
+_A_ROWS = tuple(_A[i, :i] for i in range(_STAGES))  # stage i's couplings to the earlier ones
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
@@ -218,8 +221,10 @@ def integrate(
         # no-progress threshold: a step this small cannot move t_now
         return 1e-15 * max(abs(t_now), 1e-30)
 
+    # stage derivatives, flat for the weighted sums, written in the state's shape
     K = np.empty((_STAGES, y.size), dtype=complex)
-    K[0] = rhs(t, y).ravel()
+    K_shaped = K.reshape((_STAGES,) + shape)
+    K_shaped[0] = rhs(t, y)
     steps = 0
     record()
     while (t1 - t) * direction > 1e-15 * max(abs(t), abs(t1), 1.0):
@@ -233,8 +238,12 @@ def integrate(
             raise StepFailure(f"step size underflow at t={t:g}")
         dt = direction * h_try
 
+        y_flat = y.reshape(-1)
         for i in range(1, _STAGES):
-            K[i] = rhs(t + _C[i] * dt, y + dt * (_A[i, :i] @ K[:i]).reshape(shape)).ravel()
+            stage = _A_ROWS[i] @ K[:i]
+            stage *= dt
+            stage += y_flat
+            K_shaped[i] = rhs(t + _C[i] * dt, stage.reshape(shape))
         y_new = y + dt * (_B @ K).reshape(shape)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = _error_norm(h_try, _E @ K, scale.reshape(channels))
@@ -242,7 +251,7 @@ def integrate(
         if err_norm <= 1.0:
             t = t + dt
             y = y_new
-            K[0] = rhs(t, y).ravel()  # FSAL: the next step's first stage
+            K_shaped[0] = rhs(t, y)  # FSAL: the next step's first stage
             steps += 1
             record()
             grow = _SAFETY * err_norm ** -0.125 if err_norm > 0.0 else _MAX_FACTOR

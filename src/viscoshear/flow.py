@@ -11,7 +11,10 @@ functions, so every operation here is closed form: no PDE time stepping is
 performed, and the heat equation is satisfied identically (checked by
 ``heat_residual``).
 
-All functions are pure and accept scalar or ndarray ``y``.
+All functions are pure and accept scalar or ndarray ``y``.  The error
+function is ``math.erf`` (``erf`` below), so no command loads
+``scipy.special``: a scalar calls it directly, as every Rayleigh RHS step
+does, and an array calls it per element where it is not yet 1.0.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "FlowParams",
@@ -38,6 +40,10 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# |x| from which erf(x) is +-1.0 in double precision: 1 - erf(6) = 2e-17 is
+# under half an ulp of 1.0.
+_ERF_ONE = 6.0
 
 # H_{2m}(0) for the physicists' Hermite polynomials, m = 0..4.  Used for the
 # odd-order derivatives of b at the origin.
@@ -94,12 +100,16 @@ class FlowParams:
 
 @dataclass(frozen=True)
 class FlowState:
-    """A profile frozen at time ``t``; carries the two Gaussian variances."""
+    """A profile frozen at time ``t``; carries the two Gaussian variances and
+    the bumps' amplitudes, which every RHS call of a Rayleigh pass reads."""
 
     params: FlowParams
     t: float
     s1: float = field(init=False)
     s2: float = field(init=False)
+    # set from params, so they take no part in equality, hashing or repr
+    amp1: float = field(init=False, repr=False, compare=False)
+    amp2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.t >= 0.0:
@@ -107,15 +117,8 @@ class FlowState:
         p = self.params
         object.__setattr__(self, "s1", 4.0 * p.nu * self.t + p.gamma0 ** 2)
         object.__setattr__(self, "s2", 4.0 * p.nu * self.t + (p.gamma0 * p.gamma1) ** 2)
-
-    @property
-    def amp1(self) -> float:
-        return self.params.gamma0 ** 2
-
-    @property
-    def amp2(self) -> float:
-        p = self.params
-        return p.gamma2 * p.gamma0 ** 2 * p.gamma1 ** 3
+        object.__setattr__(self, "amp1", p.gamma0 ** 2)
+        object.__setattr__(self, "amp2", p.gamma2 * p.gamma0 ** 2 * p.gamma1 ** 3)
 
     @property
     def eps_sing(self) -> float:
@@ -123,9 +126,28 @@ class FlowState:
         return 1e-4 * self.params.gamma0 * self.params.gamma1
 
 
+def erf(x):
+    """The error function: ``math.erf`` of a scalar, or of every element.
+
+    An array's elements with |x| >= 6, and +-inf, take +-1.0 without a call,
+    the value ``math.erf`` rounds to there; NaN stays NaN.  So an element
+    has the bits the scalar has.  ``math.erf`` is odd bit for bit, so this
+    erf is too.
+    """
+    if isinstance(x, float) or np.ndim(x) == 0:  # float first: the RHS calls' case
+        return math.erf(x)
+    x = np.asarray(x, dtype=float)
+    out = np.sign(x)
+    inner = np.abs(x) < _ERF_ONE
+    out[inner] = np.fromiter(map(math.erf, x[inner].tolist()), float)
+    return out
+
+
 def eval_b(state: FlowState, y):
     """Shear profile b(t, y).  Odd in y; b(t, 0) = 0 exactly."""
-    return eval_b_slope(state, y)[0]
+    m, a1, a2 = state.params.M, state.amp1, state.amp2
+    return y + m * (_SQRT_PI / 2.0) * (a1 * erf(y / math.sqrt(state.s1))
+                                       - a2 * erf(y / math.sqrt(state.s2)))
 
 
 def eval_b_slope(state: FlowState, y):
@@ -142,9 +164,22 @@ def eval_b_slope_excess(state: FlowState, y):
 
 
 def _b_slope(state: FlowState, y, e1, e2, couette=1.0):  # couette = 0, e - 1 for e: b' - b'(0)
-    m, a1, a2, sq1, sq2 = state.params.M, state.amp1, state.amp2, math.sqrt(state.s1), math.sqrt(state.s2)
-    b = y + m * (_SQRT_PI / 2.0) * (a1 * erf(y / sq1) - a2 * erf(y / sq2))
-    return b, couette + m * (a1 / sq1 * e1 - a2 / sq2 * e2)
+    m, a1, a2 = state.params.M, state.amp1, state.amp2
+    slope = couette + m * (a1 / math.sqrt(state.s1) * e1 - a2 / math.sqrt(state.s2) * e2)
+    return eval_b(state, y), slope
+
+
+def _weights(state: FlowState, y2):
+    """(g1, g2, e1, e2): each bump's Gaussian e = exp(-y^2 / s), which b' reads,
+    and g = amplitude / s^(3/2) times it, which b'' and b''' read."""
+    e1 = np.exp(-y2 / state.s1)
+    e2 = np.exp(-y2 / state.s2)
+    return state.amp1 / state.s1 ** 1.5 * e1, state.amp2 / state.s2 ** 1.5 * e2, e1, e2
+
+
+def _b2(state: FlowState, y, g1, g2):
+    """b'' from the weights g1, g2 of ``_weights``."""
+    return -2.0 * y * state.params.M * (g1 - g2)
 
 
 def eval_b_derivs(state: FlowState, y):
@@ -152,22 +187,18 @@ def eval_b_derivs(state: FlowState, y):
 
     The one closed form of the profile: the eigensolver's potential reads
     it, the Rayleigh passes read its b and b' through ``eval_b_slope`` and
-    the phiB quadrature b' - b'(0) through ``eval_b_slope_excess``, which
-    share its code.  scipy's erf is odd bit for bit, so b is exactly odd and
+    the phiB quadrature b' - b'(0) through ``eval_b_slope_excess`` and the
+    potential b and b'' alone, all through the helpers that build it.  erf
+    is ``math.erf`` (``erf`` above), odd bit for bit, so b is exactly odd and
     b' exactly even, and a scalar ``y`` gives the bits it has in an array.
     """
-    m = state.params.M
     s1, s2 = state.s1, state.s2
     y2 = np.square(y)
-    e1 = np.exp(-y2 / s1)
-    e2 = np.exp(-y2 / s2)
-    g1 = state.amp1 / s1 ** 1.5 * e1
-    g2 = state.amp2 / s2 ** 1.5 * e2
-    b3 = -2.0 * m * (g1 * (1.0 - 2.0 * y2 / s1) - g2 * (1.0 - 2.0 * y2 / s2))
+    g1, g2, e1, e2 = _weights(state, y2)
+    b3 = -2.0 * state.params.M * (g1 * (1.0 - 2.0 * y2 / s1) - g2 * (1.0 - 2.0 * y2 / s2))
     del y2  # last use: on a fine grid one array more at the peak costs 1 MB
     b, b1 = _b_slope(state, y, e1, e2)
-    b2 = -2.0 * y * m * (g1 - g2)
-    return b, b1, b2, b3
+    return b, b1, _b2(state, y, g1, g2), b3
 
 
 def _odd_derivs_at_zero(state: FlowState):
@@ -208,14 +239,18 @@ def eval_potential(state: FlowState, y):
 
     Even, strictly negative for M > 0, identically zero for Couette.  Inside
     ``state.eps_sing`` of the origin the four-term even Taylor series is used
-    (direct division loses digits where both factors vanish linearly).
+    (direct division loses digits where both factors vanish linearly).  Only
+    the b and b'' it reads are evaluated, with ``eval_b_derivs``'s bits.
     """
     if state.params.M == 0.0:
         return np.zeros_like(np.asarray(y, dtype=float)) if isinstance(y, np.ndarray) else 0.0
     yarr = np.asarray(y, dtype=float)
     scalar = yarr.ndim == 0
     yarr = np.atleast_1d(yarr)
-    b, _, b2, _ = eval_b_derivs(state, yarr)
+    g1, g2, _, _ = _weights(state, np.square(yarr))
+    b2 = _b2(state, yarr, g1, g2)
+    del g1, g2  # on a fine grid every array held at the peak costs 1 MB
+    b = eval_b(state, yarr)
     eps = state.eps_sing
     near = np.abs(yarr) < eps
     b_safe = np.where(near, 1.0, b)

@@ -123,29 +123,32 @@ class _WSystem:
         self.beta = _beta(state)
         self.k2 = ks ** 2
         self.ic = 1j * cs
+        # per-channel constants of the RHS, complex like the state: numpy takes
+        # about twice as long for a Python scalar operand as for such an array
+        self.one = np.ones(len(cs), dtype=complex)
+        self.neg_ic = -self.ic
+        self.neg_2ic = 2.0 * self.neg_ic
+        self.neg_two = -2.0 * self.one
 
     def rhs(self, y: float, st: np.ndarray) -> np.ndarray:
         return self._columns(*eval_b_slope(self.state, y), st)
 
     def _columns(self, b, b1, st: np.ndarray) -> np.ndarray:
+        # one numpy call per product, the last of each derivative's writing
+        # into its column of ``out``; w = phi1 phi2 = 1 + wm1
         d1, p1, d2, p2 = st[:, 0], st[:, 1], st[:, 2], st[:, 3]
-        phi1 = 1.0 + d1
         b2 = b * b
-        dd1 = p1 / b2
-        dp1 = self.k2 * b2 * phi1
-        u = b - self.ic
-        u2 = u * u
-        phi2 = 1.0 + d2
-        dd2 = p2 / (u2 * phi1 * phi1)
-        dp2 = -(2.0 * self.ic * b1 / b) * u * phi1 * dd1 * phi2
-        wm1 = d1 + d2 + d1 * d2
-        w = 1.0 + wm1
         out = np.empty_like(st)
-        out[:, 0] = dd1
-        out[:, 1] = dp1
-        out[:, 2] = dd2
-        out[:, 3] = dp2
-        out[:, 4] = -wm1 * (2.0 + wm1) / (w * w * u2)
+        phi1 = d1 + self.one
+        dd1 = np.divide(p1, b2, out[:, 0])
+        np.multiply(self.k2 * b2, phi1, out[:, 1])
+        u = self.neg_ic + b
+        u_phi1 = u * phi1
+        np.divide(p2, u_phi1 * u_phi1, out[:, 2])
+        wm1 = d1 + d2 + d1 * d2
+        u_w = (wm1 + self.one) * u
+        np.multiply(self.neg_2ic * (b1 / b) * u_w, dd1, out[:, 3])
+        np.divide((self.neg_two - wm1) * wm1, u_w * u_w, out[:, 4])
         return out
 
     def seed(self, y0: float) -> np.ndarray:
@@ -246,6 +249,8 @@ class _IrPanels:
     V_LO = 1e-9
     RATIO = 1.8
     NGL = 12
+    NEWTON_STEPS = 60
+    BLOCK = 32  # channels per block of the log kernel
 
     def __init__(self, state: FlowState):
         v_max = eval_b(state, 20.0)
@@ -258,22 +263,25 @@ class _IrPanels:
             mid, half = 0.5 * (a + bb), 0.5 * (bb - a)
             nodes.append(mid + half * x)
             weights.append(half * w)
-        self.v = np.concatenate(nodes)
-        self.w = np.concatenate(weights)
-        ys = self._invert(state, self.v)
-        self.gp = self._gprime(state, ys)
+        v = np.concatenate(nodes)
+        self.v2 = v ** 2
+        self.wgp = np.concatenate(weights) * self._gprime(state, self._invert(state, v))
         self.gp0 = float(self._gprime(state, np.array([0.0]))[0])
 
-    @staticmethod
-    def _invert(state: FlowState, vs: np.ndarray) -> np.ndarray:
+    @classmethod
+    def _invert(cls, state: FlowState, vs: np.ndarray) -> np.ndarray:
+        """y with b(y) = v at every node, by Newton; raises ``NonConvergence``
+        naming the largest last step if NEWTON_STEPS do not settle it."""
         ys = vs.copy()
-        for _ in range(60):
+        for _ in range(cls.NEWTON_STEPS):
             b, b1 = eval_b_slope(state, ys)
             step = (b - vs) / b1
             ys -= step
-            if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(ys))):
-                break
-        return ys
+            largest = np.max(np.abs(step))
+            if largest < 1e-15 * (1.0 + np.max(np.abs(ys))):
+                return ys
+        raise NonConvergence(f"Newton inversion of b at the I(c) nodes did not settle in "
+                             f"{cls.NEWTON_STEPS} steps; largest last step {largest:g}")
 
     @staticmethod
     def _gprime(state: FlowState, ys: np.ndarray) -> np.ndarray:
@@ -290,9 +298,13 @@ class _IrPanels:
         return self.gp0 * inner
 
     def i_r(self, cs: np.ndarray) -> np.ndarray:
+        """I(c) per channel.  The log kernel is built BLOCK channels at a time,
+        so a batch of any size holds at most BLOCK x len(v) of it."""
         cs = np.atleast_1d(np.asarray(cs, dtype=float))
-        logs = np.log(self.v[None, :] ** 2 + cs[:, None] ** 2)
-        body = logs @ (self.w * self.gp)
+        body = np.empty(len(cs))
+        for lo in range(0, len(cs), self.BLOCK):
+            block = cs[lo:lo + self.BLOCK, None]
+            body[lo:lo + self.BLOCK] = np.log(self.v2 + block ** 2) @ self.wgp
         head = np.array([self._head(c) for c in cs])
         return -(body + head)
 

@@ -323,7 +323,8 @@ def test_cli_calibrate_prints_M(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "error, rc",
-    [("MultipleRoots", 3), ("TailDominance", 3), ("BracketFailure", 3), ("ValidationError", 2)],
+    [("MultipleRoots", 3), ("TailDominance", 3), ("BracketFailure", 3), ("NonConvergence", 3),
+     ("ValidationError", 2)],
 )
 def test_package_errors_reach_their_exit_code(tmp_path, monkeypatch, error, rc):
     from viscoshear import cli, errors
@@ -341,20 +342,23 @@ def test_cli_import_leaves_verify_and_quadrature_unloaded():
     # only `verify` needs the acceptance suite and its scipy.integrate
     # quadrature; the package's own Chandrupatla and Brent replace scipy's
     # root finders, so no scipy.optimize module loads, not even once a weak
-    # (Brent-closed) uniform rung has run
+    # (Brent-closed) uniform rung has run; erf is math.erf, so no
+    # scipy.special module loads, not even once a W pass has run
     code = (
         "import sys, viscoshear.cli\n"
-        "unwanted = ('viscoshear.acceptance', 'scipy.integrate', 'scipy.optimize')\n"
+        "unwanted = ('viscoshear.acceptance', 'scipy.integrate', 'scipy.optimize',\n"
+        "            'scipy.special')\n"
         "def loaded():\n"
         "    return [m for m in sys.modules if m.startswith(unwanted)]\n"
         "print(loaded())\n"
-        "from viscoshear import spectrum\n"
+        "from viscoshear import rayleigh, spectrum\n"
         "from viscoshear.flow import FlowParams, FlowState\n"
         "state = FlowState(FlowParams(4.127983142029252e-05, 0.15, 0.03, 0.8, 1e-3), 0.0)\n"
         "print(spectrum._level(spectrum._potential(state), 0)[3] > 0.0)\n"
+        "print(rayleigh.wronskian_many(state, [1.0], [1e-3])[0].size)\n"
         "print(loaded())\n"
     )
     src = str(Path(viscoshear.__file__).resolve().parent.parent)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert res.stdout.split("\n") == ["[]", "True", "[]", ""]
+    assert res.stdout.split("\n") == ["[]", "True", "1", "[]", ""]
