@@ -13,20 +13,21 @@ The Wronskian W(ic, k) = integral of phi^(-2) decides the spectrum: its
 zeros on the imaginary axis are the unstable eigenvalues.  W is assembled
 as I + II following the singular/regular split:
 
-  I  = integral of (b - ic)^(-2)          (computed exactly in velocity
-       space with a log kernel, real by oddness of the profile)
+  I  = integral of (b - ic)^(-2)          (a log kernel in velocity space
+       on Gauss-Legendre panels laid in y, real by oddness of the profile)
   II = integral of (b - ic)^(-2) * ((phi1 phi2)^(-2) - 1)
        (regular at the origin; accumulated as extra ODE state)
 
 which avoids the 1/c cancellation a naive two-sided quadrature suffers.
 
 The profile is odd, so the regular solution satisfies phi(-y) = -conj phi(y)
-and the integrator reproduces that mirror bit for bit: every Wronskian
-evaluation and every sampled pass (``solve_phi``, one pass for phi1 and phi2
-together) integrates the right half line only and takes the left side from
-the mirrored state.  A sampled pass records the sorted unique |y| by the
-integrator's one rule (a sample within 1e-12 max(1, |y|) of a step's end
-takes its state), so the 1-ulp pairs of a rounded grid share a record.
+and the integrator reproduces that mirror bit for bit: every pass runs
+forward from the seed at y = eps > 0 (``_run``) and the left side takes the
+mirrored state.  A sampled pass (``_sampled``: ``solve_phi``, one pass for
+phi1 and phi2 together, and the neutral mode) records the sorted unique |y|
+by the integrator's one rule (a sample within 1e-12 max(1, |y|) of a step's
+end takes its state), so the 1-ulp pairs of a rounded grid share a record;
+``_decode`` reads phi1, phi2 and their slopes from the flux state.
 
 Every W pass goes through ``wronskian_many``, which stops at the cut Y_c
 where the profile becomes Couette to rounding, b' = 1.0, and adds the
@@ -181,20 +182,10 @@ def _eps_start(cs: np.ndarray) -> float:
     return min(EPS_MAX, 0.01 * float(pos.min()))
 
 
-def _run_side(system: _WSystem, side: int, eps: float, ymax: float, samples=None):
-    y0 = side * eps
-    y1 = side * ymax
-    st0 = system.seed(y0)
-    return integrate(
-        system.rhs,
-        y0,
-        y1,
-        st0,
-        rtol=RTOL_ODE,
-        atol=ATOL_ODE,
-        samples=samples,
-        initial_step=eps * 0.5,
-    )
+def _run(system: _WSystem, eps: float, y_end: float, samples=None):
+    """One right half-line pass, seeded at y = eps and integrated to y_end."""
+    return integrate(system.rhs, eps, y_end, system.seed(eps), rtol=RTOL_ODE, atol=ATOL_ODE,
+                     samples=samples, initial_step=eps * 0.5)
 
 
 # y -> -y conjugates every state column and flips the sign of the fluxes and
@@ -207,16 +198,30 @@ def _mirror(st: np.ndarray) -> np.ndarray:
     return np.conj(st) * _W_PARITY
 
 
+def _sampled(system: _WSystem, eps: float, ys: np.ndarray) -> np.ndarray:
+    """A one-channel state at each y of ``ys`` (every |y| > eps), one row per y.
+
+    One right half-line pass to max |y| records the sorted unique |y|; a
+    y < 0 takes the mirrored state.
+    """
+    mags, where = np.unique(np.abs(ys), return_inverse=True)
+    _, rec, _ = _run(system, eps, float(mags[-1]), samples=list(mags))
+    st = rec[where, 0]
+    return np.where((ys < 0.0)[:, None], _mirror(st), st)
+
+
+def _decode(system: _WSystem, y, st: np.ndarray):
+    """(b', b - ic, phi1, phi1', phi2, phi2') at y from the flux state."""
+    b, b1 = eval_b_slope(system.state, y)
+    u = b - system.ic
+    phi1 = 1.0 + st[:, 0]
+    return b1, u, phi1, st[:, 1] / (b * b), 1.0 + st[:, 2], st[:, 3] / (u * u * phi1 * phi1)
+
+
 def _phi_and_slope(system: _WSystem, y: float, st: np.ndarray):
     """phi and phi'/phi at a sample point from the flux state."""
-    b, b1 = eval_b_slope(system.state, y)
-    d1, p1, d2, p2 = st[:, 0], st[:, 1], st[:, 2], st[:, 3]
-    phi1 = 1.0 + d1
-    u = b - system.ic
-    phi2 = 1.0 + d2
+    b1, u, phi1, dphi1, phi2, dphi2 = _decode(system, y, st)
     phi = u * phi1 * phi2
-    dphi1 = p1 / (b * b)
-    dphi2 = p2 / (u * u * phi1 * phi1)
     dphi = b1 * phi1 * phi2 + u * (dphi1 * phi2 + phi1 * dphi2)
     return phi, dphi / phi
 
@@ -242,55 +247,38 @@ class _IrPanels:
     Integration by parts in velocity space turns the c-peaked kernel
     v/(v^2+c^2) into the gentle log kernel, so one fixed geometric panel set
     serves every c >= 0 (including c = 0, the Hilbert-transform boundary
-    value).  g = (b^{-1})'' is odd with g' even, both in closed form after a
-    Newton inversion of b at the nodes.
+    value).  g = (b^{-1})'' is odd with g' even, in closed form at y.  The
+    panels are laid in y, each node weighted by dv/dy = b'(y): b increases,
+    as b' - 1 = M (a1 e1 / sqrt(s1) - a2 e2 / sqrt(s2)) > 0 with e2 <= e1 and
+    a2 / sqrt(s2) <= gamma2 gamma1^2 a1 / sqrt(s1), so no node inverts b.
     """
 
-    V_LO = 1e-9
+    Y_LO = 1e-9
     RATIO = 1.8
     NGL = 12
-    NEWTON_STEPS = 60
     BLOCK = 32  # channels per block of the log kernel
 
     def __init__(self, state: FlowState):
-        v_max = eval_b(state, 20.0)
-        edges = [self.V_LO]
-        while edges[-1] < v_max:
-            edges.append(min(edges[-1] * self.RATIO, v_max))
+        edges = [self.Y_LO]
+        while edges[-1] < 20.0:
+            edges.append(min(edges[-1] * self.RATIO, 20.0))
+        edges = np.array(edges)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
         x, w = np.polynomial.legendre.leggauss(self.NGL)
-        nodes, weights = [], []
-        for a, bb in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + bb), 0.5 * (bb - a)
-            nodes.append(mid + half * x)
-            weights.append(half * w)
-        v = np.concatenate(nodes)
-        self.v2 = v ** 2
-        self.wgp = np.concatenate(weights) * self._gprime(state, self._invert(state, v))
-        self.gp0 = float(self._gprime(state, np.array([0.0]))[0])
-
-    @classmethod
-    def _invert(cls, state: FlowState, vs: np.ndarray) -> np.ndarray:
-        """y with b(y) = v at every node, by Newton; raises ``NonConvergence``
-        naming the largest last step if NEWTON_STEPS do not settle it."""
-        ys = vs.copy()
-        for _ in range(cls.NEWTON_STEPS):
-            b, b1 = eval_b_slope(state, ys)
-            step = (b - vs) / b1
-            ys -= step
-            largest = np.max(np.abs(step))
-            if largest < 1e-15 * (1.0 + np.max(np.abs(ys))):
-                return ys
-        raise NonConvergence(f"Newton inversion of b at the I(c) nodes did not settle in "
-                             f"{cls.NEWTON_STEPS} steps; largest last step {largest:g}")
+        b, b1, b2, b3 = eval_b_derivs(state, (mid[:, None] + half[:, None] * x).ravel())
+        self.v2 = b ** 2
+        self.wgp = (half[:, None] * w).ravel() * b1 * self._gprime(b1, b2, b3)
+        self.v_lo = float(eval_b(state, self.Y_LO))
+        self.gp0 = float(self._gprime(*eval_b_derivs(state, 0.0)[1:]))
 
     @staticmethod
-    def _gprime(state: FlowState, ys: np.ndarray) -> np.ndarray:
-        _, b1, b2, b3 = eval_b_derivs(state, ys)
+    def _gprime(b1, b2, b3):
+        """g' from the derivatives of b at the same y."""
         return (3.0 * b2 ** 2 - b3 * b1) / b1 ** 5
 
     def _head(self, c: float) -> float:
-        """g'(0) * int_0^V_LO ln(v^2+c^2) dv in closed form."""
-        v = self.V_LO
+        """g'(0) * int_0^b(Y_LO) ln(v^2+c^2) dv in closed form."""
+        v = self.v_lo
         if c == 0.0:
             inner = 2.0 * (v * math.log(v) - v)
         else:
@@ -347,7 +335,7 @@ def wronskian_many(state: FlowState, ks, cs):
     system = _WSystem(state, ks, cs)
     eps = _eps_start(cs)
     y_cut = _y_cut(state, eps)
-    st, _, _ = _run_side(system, +1, eps, y_cut)
+    st, _, _ = _run(system, eps, y_cut)
     phi, mu = _phi_and_slope(system, y_cut, st)
     b, b1 = eval_b_slope(state, y_cut)
     growth = (mu / ks).real
@@ -396,30 +384,18 @@ def solve_phi(state: FlowState, k: float, c_i: float, ys) -> PhiSolution:
     sample points; near-origin ones are always added so downstream
     normalization checks have data close to the critical point.  Points
     within the seed offset of the origin take the seed values; the others
-    are recorded by one right half-line pass to their sorted unique |y|, and
-    the negative ones take the mirrored state.
+    take the states of one right half-line pass to the farthest of them
+    (``_sampled``).
     """
     ys = np.unique(np.concatenate([np.asarray(ys, dtype=float),
                                    [s for e in _NEAR_SAMPLES for s in (-e, e)]]))
     system = _WSystem(state, np.array([k]), np.array([c_i]))
     eps = _eps_start(np.array([c_i]))
-    # pure sampling pass: no quadrature tails, so the farthest sample bounds it
-    ymax = max(float(np.max(np.abs(ys))), 2.0)
     far = np.abs(ys) > eps
-    mags, where = np.unique(np.abs(ys[far]), return_inverse=True)
-    _, rec, _ = _run_side(system, +1, eps, ymax, samples=list(mags))
-    st = rec[where, 0]
-    st = np.where((ys[far] < 0.0)[:, None], _mirror(st), st)
-    b = eval_b(state, ys[far])
-    u = b - 1j * c_i
-    phi1 = np.ones(len(ys))
-    dphi1 = k * k * ys / 3.0
-    phi2 = np.ones(len(ys), dtype=complex)
-    dphi2 = np.zeros(len(ys), dtype=complex)
-    phi1[far] = 1.0 + st[:, 0].real
-    dphi1[far] = (st[:, 1] / (b * b)).real
-    phi2[far] = 1.0 + st[:, 2]
-    dphi2[far] = st[:, 3] / (u * u * phi1[far] ** 2)
+    _, _, f1, df1, f2, df2 = _decode(system, ys[far], _sampled(system, eps, ys[far]))
+    phi1, dphi1 = np.ones(len(ys)), k * k * ys / 3.0
+    phi2, dphi2 = np.ones(len(ys), dtype=complex), np.zeros(len(ys), dtype=complex)
+    phi1[far], dphi1[far], phi2[far], dphi2[far] = f1.real, df1.real, f2, df2
     return PhiSolution(k=k, c_i=c_i, ys=ys, phi1=phi1, dphi1=dphi1, phi2=phi2, dphi2=dphi2)
 
 
@@ -558,8 +534,11 @@ def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
 
 def wronskian_partials(state: FlowState, k: float, c_i: float):
     """Central-difference partials (dW/dk, dW/dc_i), with steps 1e-4 in k and
-    1e-4 gamma0 in c_i, so c_i must be at least its step."""
-    dk, dci = 1e-4, 1e-4 * state.params.gamma0
+    min(1e-4 gamma0, c_i / 2) in c_i, so every channel keeps c_i > 0.  Raises
+    ``ValueError`` for c_i <= 0."""
+    if not c_i > 0.0:
+        raise ValueError("wronskian partials need c_i > 0")
+    dk, dci = 1e-4, min(1e-4 * state.params.gamma0, c_i / 2.0)
     ks = np.array([k + dk, k - dk, k, k])
     cs = np.array([c_i, c_i, c_i + dci, c_i - dci])
     w, _ = wronskian_many(state, ks, cs)
@@ -592,35 +571,32 @@ def neutral_mode_phiB(state: FlowState, kstar: float, ys: np.ndarray,
     ``ys`` of the mode it is checked against.
 
     ``ys`` is symmetric about its centre node y = 0 and ends at the half
-    width, as ``SpectralResult.ys`` is; ``weights`` are its cells.  Built on
-    the left half line, where every factor is numerically benign (the growing
-    solution b*phi1 multiplies integrals accumulated from -infinity that
-    vanish at matching rate), then mirrored by evenness and normalized to a
-    positive mode of unit L2 norm in ``weights``.  On the right half line
-    the same formula requires cancellation of totals against the Wronskian
-    zero and amplifies quadrature noise by e^{2 k |y|}, so it is not used.
-    Raises ``TailDominance`` when k* * half_width is too small for the
-    quadrature tails.
+    width Y, as ``SpectralResult.ys`` is; ``weights`` are its cells.  The
+    formula is applied on the left half line, where every factor is
+    numerically benign (the growing solution b*phi1 multiplies integrals
+    accumulated from -infinity that vanish at matching rate), to the
+    mirrored states of one right half-line pass (``_sampled``) at the nodes
+    y < 0, -Y included; the mode is then mirrored by evenness and normalized
+    to a positive mode of unit L2 norm in ``weights``.  On the right half
+    line the same formula requires cancellation of totals against the
+    Wronskian zero and amplifies quadrature noise by e^{2 k |y|}, so it is
+    not used.  Raises ``TailDominance`` when k* * half_width is too small
+    for the quadrature tails.
     """
     system = _PhiBSystem(state, np.array([kstar]), np.array([0.0]))
     ymax = float(ys[-1])
     if kstar * ymax < 8.0:
         raise TailDominance("kstar * half_width < 8: mode tails exceed the domain")
-    mid = len(ys) // 2
-    neg = ys[:mid]  # ascending, all negative
-
-    fin, rec, _ = _run_side(system, -1, EPS_MAX, ymax, samples=list(neg)[::-1])
-    st = rec[::-1, 0].real  # ascending in y
+    neg = ys[:len(ys) // 2]  # ascending from -Y, all negative
+    st = _sampled(system, EPS_MAX, neg).real
 
     beta = system.beta
     b_l = eval_b(state, -ymax)
-    phi1_end = 1.0 + fin[0, 0].real
-    mu_end = abs((fin[0, 1].real / (b_l * b_l)) / phi1_end)
-    # the tails of both regularized integrals beyond -Y, in one
-    tail = phi1_end ** -2 / (2.0 * mu_end * b_l ** 2) - 1.0 / (beta * abs(b_l))
-
     phi1 = 1.0 + st[:, 0]
-    left = eval_b(state, neg) * phi1 * (tail + (st[:, 4] - fin[0, 4].real)) - phi1 / beta
+    mu_end = abs((st[0, 1] / (b_l * b_l)) / phi1[0])
+    # the tails of both regularized integrals beyond -Y, in one
+    tail = phi1[0] ** -2 / (2.0 * mu_end * b_l ** 2) - 1.0 / (beta * abs(b_l))
+    left = eval_b(state, neg) * phi1 * (tail + (st[:, 4] - st[0, 4])) - phi1 / beta
     phi_b = np.concatenate((left, [-1.0 / beta], left[::-1]))
     norm = math.sqrt(np.sum(phi_b ** 2 * weights))
     return -phi_b / norm

@@ -27,6 +27,14 @@ class _QFSystem(ray._WSystem):
         return np.pad(super().seed(y0), ((0, 0), (0, 1)))
 
 
+def left_pass(system: ray._WSystem, eps: float, ymax: float, samples=None):
+    """The left half-line pass the package takes from the mirror: seeded at
+    y = -eps and integrated to -ymax through ``ray.integrate``, recording
+    ``samples`` (descending)."""
+    return ray.integrate(system.rhs, -eps, -ymax, system.seed(-eps), rtol=ray.RTOL_ODE,
+                         atol=ray.ATOL_ODE, samples=samples, initial_step=eps * 0.5)
+
+
 def _ymax_for(k: float) -> float:
     return max(HALF_WIDTH, YK_FACTOR / k)
 
@@ -67,8 +75,8 @@ def wronskian_det_check(state: FlowState, k: float, c_i: float,
 
     pos = list(probes[probes > 0])
     neg = list(probes[probes < 0])[::-1]
-    st_r, rec_r, _ = ray._run_side(system, +1, eps, ymax, samples=pos)
-    st_l, rec_l, _ = ray._run_side(system, -1, eps, ymax, samples=neg)
+    st_r, rec_r, _ = ray._run(system, eps, ymax, samples=pos)
+    st_l, rec_l, _ = left_pass(system, eps, ymax, samples=neg)
 
     phi_r, mu_r = ray._phi_and_slope(system, ymax, st_r)
     phi_l, mu_l = ray._phi_and_slope(system, -ymax, st_l)

@@ -108,3 +108,12 @@ def test_polish_shows_the_ode_cost_of_each_case(capsys):
         "seconds": stat, "w_passes": 2, "polish_passes_per_root": {"mean": 1.0, "max": 1},
         "ode_passes": 2, "ode_steps": 147, "rhs_calls": 1766}})
     assert "2 ODE passes, 147 steps, 1766 RHS calls" in capsys.readouterr().out
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # a traced perfbench run rebinds each (module, attribute) of
+    # perfbench/spans.py's BINDINGS; a renamed attribute would break it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    for module, attr, _ in spans.BINDINGS:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"

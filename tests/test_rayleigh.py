@@ -4,15 +4,16 @@ symmetry, quadrature honesty, root structure, and the bound suites."""
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from viscoshear import rayleigh as ray
-from viscoshear.errors import NonConvergence, TailDominance
+from viscoshear.errors import TailDominance
 from viscoshear.flow import FlowParams, FlowState, eval_b, eval_b_derivs
-from viscoshear.spectrum import lowest_eigenpair
+from viscoshear.spectrum import HALF_WIDTH, lowest_eigenpair
 
 
 def w_couette_exact(k, c):
@@ -185,9 +186,35 @@ def test_left_pass_is_exact_mirror(ctx, couette_state):
     for state in (ctx.state_T, couette_state):
         system = ray._WSystem(state, ks, cs)
         eps = ray._eps_start(cs)
-        st_r, _, _ = ray._run_side(system, +1, eps, 20.0)
-        st_l, _, _ = ray._run_side(system, -1, eps, 20.0)
+        st_r, _, _ = ray._run(system, eps, 20.0)
+        st_l, _, _ = oracles.left_pass(system, eps, 20.0)
         assert np.array_equal(st_l, ray._mirror(st_r))
+    # and the neutral mode's quadrature system, at c = 0 and k*, sampled on
+    # the mode's nodes out to the half width as phiB samples them
+    res = lowest_eigenpair(ctx.state_T, want_mode=True)
+    assert res.ys[-1] == HALF_WIDTH
+    system = ray._PhiBSystem(ctx.state_T, np.array([res.kstar]), np.array([0.0]))
+    pos = res.ys[len(res.ys) // 2 + 1:]
+    _, rec_r, _ = ray._run(system, ray.EPS_MAX, HALF_WIDTH, samples=list(pos))
+    _, rec_l, _ = oracles.left_pass(system, ray.EPS_MAX, HALF_WIDTH, samples=list(-pos))
+    assert np.array_equal(rec_l, ray._mirror(rec_r))
+
+
+def test_passes_run_forward_on_the_right_half_line(ctx, couette_state, monkeypatch):
+    # the package integrates toward y < 0 nowhere: every pass starts at the
+    # seed offset eps > 0 and runs to a larger y
+    state, spans, real = ctx.state_T, [], ray.integrate  # built first: it runs the torus scenario
+
+    def spy(rhs, t0, t1, y0, **kwargs):
+        spans.append((t0, t1))
+        return real(rhs, t0, t1, y0, **kwargs)
+
+    monkeypatch.setattr(ray, "integrate", spy)
+    ray.wronskian_many(state, [1.0, 1.0], [1e-3, 0.0])
+    ray.solve_phi(state, 1.0, 1e-3, np.linspace(-12.0, 12.0, 49))
+    ray.neutral_mode_phiB(couette_state, 1.0, np.linspace(-20.0, 20.0, 9), np.full(9, 5.0))
+    assert len(spans) == 3
+    assert all(0.0 < t0 < t1 for t0, t1 in spans)
 
 
 @settings(max_examples=8, deadline=None)
@@ -206,15 +233,15 @@ def test_left_pass_mirrors_the_right_at_random_states(gamma0, gamma1, gamma2, nu
     ks, cs = np.array([1.0, 0.7]), np.array([0.0, 2e-3])
     system = ray._WSystem(state, ks, cs)
     eps = ray._eps_start(cs)
-    st_r, _, _ = ray._run_side(system, +1, eps, 4.0)
-    st_l, _, _ = ray._run_side(system, -1, eps, 4.0)
+    st_r, _, _ = ray._run(system, eps, 4.0)
+    st_l, _, _ = oracles.left_pass(system, eps, 4.0)
     assert np.array_equal(st_l, ray._mirror(st_r))
     # a sampled pass on a bit-symmetric sample set
     samples = np.array([1e-3, 0.05, 0.3, 1.7, 4.0])
     system = ray._WSystem(state, np.array([1.0]), np.array([1e-3]))
     eps = ray._eps_start(np.array([1e-3]))
-    _, rec_r, _ = ray._run_side(system, +1, eps, 4.0, samples=list(samples))
-    _, rec_l, _ = ray._run_side(system, -1, eps, 4.0, samples=list(-samples))
+    _, rec_r, _ = ray._run(system, eps, 4.0, samples=list(samples))
+    _, rec_l, _ = oracles.left_pass(system, eps, 4.0, samples=list(-samples))
     assert np.array_equal(rec_l, ray._mirror(rec_r))
 
 
@@ -247,10 +274,10 @@ def _two_sided_samples(state, k, c_i, ys):
     half line: the reference the one-sided sampled pass must reproduce."""
     system = ray._WSystem(state, np.array([k]), np.array([c_i]))
     eps = ray._eps_start(np.array([c_i]))
-    ymax = max(float(np.max(np.abs(ys))), 2.0)
+    ymax = float(np.max(np.abs(ys)))
     neg, pos = ys[ys < -eps], ys[ys > eps]
-    _, rec_l, _ = ray._run_side(system, -1, eps, ymax, samples=list(neg[::-1]))
-    _, rec_r, _ = ray._run_side(system, +1, eps, ymax, samples=list(pos))
+    _, rec_l, _ = oracles.left_pass(system, eps, ymax, samples=list(neg[::-1]))
+    _, rec_r, _ = ray._run(system, eps, ymax, samples=list(pos))
     st = np.concatenate([rec_l[::-1], rec_r])[:, 0]
     b = eval_b(state, np.concatenate([neg, pos]))
     u = b - 1j * c_i
@@ -403,11 +430,20 @@ def test_wronskian_rejects_negative_ci(ctx):
     for c_i in (-1e-3, -1e-4, math.nan):
         with pytest.raises(ValueError, match="c_i >= 0"):
             ray.wronskian_many(ctx.state_T, [1.0], [c_i])
-    # the lower channel of the c_i partial sits at c_i - 1.5e-5 < 0
-    with pytest.raises(ValueError, match="c_i >= 0"):
-        ray.wronskian_partials(ctx.state_T, 1.0, 1e-7)
+    # the partials step c_i by at most c_i / 2, so they need c_i > 0
+    for c_i in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="c_i > 0"):
+            ray.wronskian_partials(ctx.state_T, 1.0, c_i)
     with pytest.raises(ValueError, match="c_i >= 0"):
         ray.solve_phi(ctx.state_T, 1.0, math.nan, np.linspace(-2.0, 2.0, 9))
+
+
+def test_partials_below_the_c_step_stay_on_the_imaginary_axis(ctx):
+    # c_i = 3e-6 is below the 1e-4 gamma0 = 1.5e-5 step, which used to put the
+    # lower channel at c_i < 0; the step shrinks to c_i / 2 instead
+    dk, dci = ray.wronskian_partials(ctx.state_T, 1.0, 3e-6)
+    assert np.isfinite(dk) and np.isfinite(dci)
+    assert dk < 0.0 and dci < 0.0
 
 
 def test_wronskian_evaluates_at_its_root(ctx):
@@ -483,16 +519,38 @@ def test_ir_blocks_bound_the_log_kernel_and_keep_its_values(ctx):
     assert np.array_equal(got, -(one + np.array([panels._head(c) for c in cs])))
 
 
-def test_ir_node_inversion_raises_when_newton_does_not_settle(ctx, monkeypatch):
-    # a slope 10x too steep makes every Newton step a tenth of the way: linear
-    # convergence by 0.9 a step, far from settled after NEWTON_STEPS
-    slope = ray.eval_b_slope
-    monkeypatch.setattr(ray, "eval_b_slope", lambda state, y: (slope(state, y)[0],
-                                                               10.0 * slope(state, y)[1]))
-    with pytest.raises(NonConvergence, match=r"60 steps; largest last step \d"):
-        ray._IrPanels(ctx.state_T)
-    monkeypatch.undo()
-    assert np.isfinite(ray._IrPanels(ctx.state_T).wgp).all()
+def _ir_reference(state, c):
+    """I(c) = Re of the whole-line integral of (b - ic)^(-2) in 30 digits:
+    twice the half line, by quadrature on [0, 10] and the exact Couette tail
+    Re 1 / (b(10) - ic) beyond."""
+    p = state.params
+    with mpmath.workdps(30):
+        c = mpmath.mpf(c)
+        half = mpmath.mpf(p.M) * mpmath.sqrt(mpmath.pi) / 2
+        r1, r2 = mpmath.sqrt(mpmath.mpf(state.s1)), mpmath.sqrt(mpmath.mpf(state.s2))
+
+        def b(y):
+            return y + half * (state.amp1 * mpmath.erf(y / r1) - state.amp2 * mpmath.erf(y / r2))
+
+        def re_kernel(y):
+            b2 = b(y) ** 2
+            return (b2 - c * c) / (b2 + c * c) ** 2
+
+        breaks = sorted({mpmath.mpf(x) for x in (0, "0.01", "0.05", "0.2", 1, 3, 10)}
+                        | {c / 10, c, 10 * c})
+        b10 = b(mpmath.mpf(10))
+        return float(2 * (mpmath.quad(re_kernel, breaks) + b10 / (b10 ** 2 + c * c)))
+
+
+def test_ir_matches_a_30_digit_quadrature(ctx):
+    # the log-kernel panels against a direct quadrature of the c-peaked
+    # integrand, on the bumped fixture profile at t = 0 and at T
+    for state in (ctx.state_0, ctx.state_T):
+        cs = np.array([1e-3, 0.05, 0.5])
+        got = ray._panels(state).i_r(cs)
+        for c, value in zip(cs, got):
+            ref = _ir_reference(state, c)
+            assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
 def test_cut_stays_inside_the_old_window_over_the_validator_ranges():
