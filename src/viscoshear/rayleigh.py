@@ -66,6 +66,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from ._ode import integrate
 from ._roots import chandrupatla
@@ -198,6 +199,16 @@ def _mirror(st: np.ndarray) -> np.ndarray:
     return np.conj(st) * _W_PARITY
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as ``np.unique`` gives them, by sort and
+    mask: ``np.unique`` without an index output first imports ``numpy.ma``,
+    inside the request."""
+    srt = np.sort(values)
+    keep = np.ones(len(srt), dtype=bool)
+    keep[1:] = srt[1:] != srt[:-1]
+    return srt[keep]
+
+
 def _sampled(system: _WSystem, eps: float, ys: np.ndarray) -> np.ndarray:
     """A one-channel state at each y of ``ys`` (every |y| > eps), one row per y.
 
@@ -264,7 +275,7 @@ class _IrPanels:
             edges.append(min(edges[-1] * self.RATIO, 20.0))
         edges = np.array(edges)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        x, w = np.polynomial.legendre.leggauss(self.NGL)
+        x, w = leggauss(self.NGL)
         b, b1, b2, b3 = eval_b_derivs(state, (mid[:, None] + half[:, None] * x).ravel())
         self.v2 = b ** 2
         self.wgp = (half[:, None] * w).ravel() * b1 * self._gprime(b1, b2, b3)
@@ -387,8 +398,8 @@ def solve_phi(state: FlowState, k: float, c_i: float, ys) -> PhiSolution:
     take the states of one right half-line pass to the farthest of them
     (``_sampled``).
     """
-    ys = np.unique(np.concatenate([np.asarray(ys, dtype=float),
-                                   [s for e in _NEAR_SAMPLES for s in (-e, e)]]))
+    ys = _unique(np.concatenate([np.asarray(ys, dtype=float),
+                                 [s for e in _NEAR_SAMPLES for s in (-e, e)]]))
     system = _WSystem(state, np.array([k]), np.array([c_i]))
     eps = _eps_start(np.array([c_i]))
     far = np.abs(ys) > eps
@@ -510,7 +521,7 @@ def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
     its scan's one sign of W points to: positive, any root lies above
     C_MAX; otherwise the grid extends past k*.
     """
-    ks = np.unique(np.asarray(k_grid, dtype=float))
+    ks = _unique(np.asarray(k_grid, dtype=float))
     roots, _, w = eigenvalues_for_ks(state, ks) if len(ks) else ([], None, [])
     pts = []
     for k, root, row in zip(ks, roots, w):

@@ -4,8 +4,8 @@ The lowest eigenvalue lambda1 determines the critical wave number
 k* = sqrt(-lambda1); the eigenfunction is the neutral mode of the Rayleigh
 equation at c = 0.
 
-Eigenvalues come from LAPACK Sturm-sequence bisection
-(``scipy.linalg.eigh_tridiagonal``) on rungs of doubling resolution, and
+Eigenvalues come from LAPACK Sturm-sequence bisection (``dstebz``, and
+``dstein`` for the mode) on rungs of doubling resolution, and
 are reported only after Richardson extrapolants of two successive rungs
 agree within ``TOL_EIG``.  The box [-Y, Y] is closed with the asymptotic
 Robin condition phi' = -/+ kappa phi at +/-Y.  Because the potential is
@@ -33,6 +33,14 @@ has kappa * Y < 3, the state goes to the uniform ladder.
   package's transcription of scipy's Brent (``_roots.brentq``), with each
   distinct Robin matrix solved once.
 
+The two LAPACK routines are scipy's own compiled wrappers, loaded by path
+from ``scipy/linalg/_flapack`` so that no command pays for importing
+``scipy.linalg`` and what it imports.  ``eigh_tridiagonal`` makes
+exactly the calls of ``scipy.linalg.eigh_tridiagonal``'s ``stebz`` branch,
+and must keep making them: ``line``'s threshold amplitude M0 is set by the
+bisection noise of ``_lowest_two``, so another driver, selection or
+tolerance moves it.
+
 The mode, the ground state, is even: it is the lowest eigenvector of the
 even block of the finest mapped rung the eigensolve reached (whichever ladder
 it climbed), Robin-closed at kappa = sqrt(-lambda1), unscaled by W^(-1/2) and
@@ -42,12 +50,14 @@ normalized in its cells, both of which ``SpectralResult`` carries.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ._roots import brentq
 from .errors import NonConvergence
@@ -74,6 +84,56 @@ MAP_ROWS = 129  # half-line nodes of mapped rung 0; 129 to 257 take three rungs 
 MAP_TOL = 1e-13
 ORDER_BAND = (3.5, 4.5)  # the ratio of successive raw lambda1 differences the mapped ladder accepts
 PROFILE_C_MAX = 1e3  # largest plateau/envelope constant profile_check fits
+
+
+def _flapack():
+    """``dstebz`` and ``dstein`` from scipy's compiled LAPACK wrappers,
+    ``scipy/linalg/_flapack``, loaded as a module of their own: found by
+    path, so no ``scipy`` package is imported."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(p, "linalg") for p in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError("viscoshear.spectrum needs scipy's LAPACK extension "
+                          "scipy/linalg/_flapack, and no installed scipy has it")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dstebz, module.dstein
+
+
+_dstebz, _dstein = _flapack()
+
+
+def _checked(routine: str, info: int) -> None:
+    if info:
+        raise NonConvergence(f"LAPACK {routine} failed (info={info})")
+
+
+def eigh_tridiagonal(d, e, eigvals_only=False, select="i", select_range=(0, 0), tol=0.0):
+    """Eigenvalues il..iu = ``select_range`` of the symmetric tridiagonal
+    (d, e), and with ``eigvals_only`` False their eigenvectors as columns.
+
+    ``scipy.linalg.eigh_tridiagonal``'s ``stebz`` branch, call for call: the
+    same finite-input check, ``dstebz`` with the same arguments (matrix order
+    for values, block order for vectors), ``dstein`` on the block-ordered
+    values, then an ``argsort``, so its results are scipy's bit for bit.
+    Only selection by index (``select="i"``) is supported.  A nonzero LAPACK
+    ``info`` raises ``NonConvergence``.
+    """
+    if select != "i":
+        raise ValueError(f"only select='i' is supported, got {select!r}")
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    il, iu = select_range
+    m, w, iblock, isplit, info = _dstebz(d, e, 2, 0.0, 1.0, il + 1, iu + 1, float(tol),
+                                         "E" if eigvals_only else "B")
+    _checked("dstebz", info)
+    w = w[:m]
+    if eigvals_only:
+        return w
+    v, info = _dstein(d, e, w, iblock, isplit)
+    _checked("dstein", info)
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 @dataclass(frozen=True)

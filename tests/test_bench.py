@@ -78,8 +78,8 @@ def test_main_writes_one_summary_per_root(monkeypatch, tmp_path, capsys):
 
     def spawn(child, src, config):
         assert child is bench.STARTUP and config.read_text() == bench.FIXTURE
-        return {"scipy_subpackages": ["linalg", "special"], "setup_s": float(next(times)),
-                "import_s": 0.5, "peak_rss_mb": 60.0}
+        return {"modules": 232, "scipy_subpackages": [], "scipy_modules": ["_flapack"],
+                "setup_s": float(next(times)), "import_s": 0.2, "peak_rss_mb": 34.0}
 
     monkeypatch.setattr(bench, "spawn", spawn)
     monkeypatch.chdir(tmp_path)
@@ -87,9 +87,9 @@ def test_main_writes_one_summary_per_root(monkeypatch, tmp_path, capsys):
     out = json.loads((tmp_path / "BENCH_startup.json").read_text())
     assert out["runs"] == bench.RUNS and out["config"] == bench.FIXTURE
     for entry in out["roots"].values():
-        assert entry["scipy_subpackages"] == ["linalg", "special"]
+        assert entry["scipy_subpackages"] == [] and entry["scipy_modules"] == ["_flapack"]
         assert len(entry["setup_s"]["samples"]) == bench.RUNS
-    assert "scipy: linalg, special" in capsys.readouterr().out
+    assert "232 modules, 1 of scipy's; scipy subpackages: none" in capsys.readouterr().out
 
 
 def test_main_refuses_runs_whose_counts_differ(monkeypatch, tmp_path, capsys):

@@ -341,13 +341,13 @@ def test_package_errors_reach_their_exit_code(tmp_path, monkeypatch, error, rc):
 def test_cli_import_leaves_verify_and_quadrature_unloaded():
     # only `verify` needs the acceptance suite and its scipy.integrate
     # quadrature; the package's own Chandrupatla and Brent replace scipy's
-    # root finders, so no scipy.optimize module loads, not even once a weak
-    # (Brent-closed) uniform rung has run; erf is math.erf, so no
-    # scipy.special module loads, not even once a W pass has run
+    # root finders and erf is math.erf, and spectrum loads scipy's LAPACK
+    # extension by path, so no scipy module loads at all (not scipy,
+    # scipy.linalg, scipy.optimize or scipy.special), not even once a weak
+    # (Brent-closed) uniform rung and a W pass have run
     code = (
         "import sys, viscoshear.cli\n"
-        "unwanted = ('viscoshear.acceptance', 'scipy.integrate', 'scipy.optimize',\n"
-        "            'scipy.special')\n"
+        "unwanted = ('viscoshear.acceptance', 'scipy')\n"
         "def loaded():\n"
         "    return [m for m in sys.modules if m.startswith(unwanted)]\n"
         "print(loaded())\n"
@@ -362,3 +362,39 @@ def test_cli_import_leaves_verify_and_quadrature_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert res.stdout.split("\n") == ["[]", "True", "1", "[]", ""]
+
+
+FIXTURE_CFG = "gamma0 = 0.15\ngamma1 = 0.03\ngamma2 = 0.8\nnu = 1e-3\n"
+
+
+def test_cli_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):
+    from viscoshear import spectrum
+
+    dstebz = spectrum._dstebz
+    monkeypatch.setattr(spectrum, "_dstebz", lambda *args: dstebz(*args)[:-1] + (1,))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FIXTURE_CFG)
+    assert main(["kstar-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: NonConvergence: LAPACK dstebz failed (info=1)\n")
+
+
+@pytest.mark.parametrize("command, extra", [("eigencurve", "k_grid = 0.95:1:2\n"),
+                                            ("kstar-sweep", "")])
+def test_cli_request_imports_no_numpy_or_scipy_module(tmp_path, command, extra):
+    # everything of numpy's and scipy's that a request uses loads with
+    # viscoshear.cli, so none of it is paid inside a request
+    code = (
+        "import sys, viscoshear.cli\n"
+        "before = set(sys.modules)\n"
+        "rc = viscoshear.cli.main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in set(sys.modules) - before\n"
+        "                 if m.startswith(('numpy', 'scipy'))))\n"
+    )
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FIXTURE_CFG + extra)
+    src = str(Path(viscoshear.__file__).resolve().parent.parent)
+    res = subprocess.run([sys.executable, "-c", code, command, "--config", str(cfg),
+                          "--out", str(tmp_path)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert res.stdout.splitlines()[-1] == "0 []"

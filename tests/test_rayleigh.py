@@ -404,6 +404,15 @@ def test_eigencurve_of_empty_grid_is_empty(couette_state):
     assert curve.points == () and curve.k_zero is None
 
 
+@given(st.lists(st.sampled_from([0.95, 1.0, 0.5, -0.0, 0.0, 1e-3, -20.0, 2.0]), max_size=12))
+def test_unique_is_np_unique_without_numpy_ma(values):
+    # eigencurve's and phi_solution's de-duplication: np.unique's values,
+    # bit for bit, by a sort and a mask that need no numpy.ma
+    values = np.array(values, dtype=float)
+    got, want = ray._unique(values), np.unique(values)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("ks", [[0.0, 0.5], [-1.0, 0.5], [0.5, -0.25], [math.nan, 0.5]])
 def test_root_searches_reject_nonpositive_k(couette_state, ks):
     # k = 0 used to end in a ZeroDivisionError of the window size, and a

@@ -882,3 +882,72 @@ def test_kstar_does_not_decrease_in_time(gamma0, gamma1, gamma2, nu, M, s1, s2):
     lams = [lowest_eigenpair(FlowState(p, s * p.horizon), want_mode=False).lambda1
             for s in (early, late)]
     assert lams[1] <= lams[0] + 2.0 * spectrum.TOL_EIG
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK binding: scipy's stebz branch, bit for bit
+# ---------------------------------------------------------------------------
+
+M_TUNED = 0.7016905534975553  # the fixture's amplitude for k*(0) = 1 - delta
+
+
+def _assert_as_scipy(d, e, **kwargs):
+    ours = spectrum.eigh_tridiagonal(d, e, select="i", **kwargs)
+    theirs = scipy.linalg.eigh_tridiagonal(d, e, select="i", **kwargs)
+    if kwargs.get("eigvals_only"):
+        ours, theirs = (ours,), (theirs,)
+    assert len(ours) == len(theirs)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+def test_binding_matches_scipy_on_the_threshold_uniform_rung():
+    # line's M0 is set by bisection noise in these calls: the uniform rung-0
+    # Robin matrix at the self-consistent kappa, both lowest eigenvalues at
+    # LAPACK's default tolerance, as _lowest_two asks
+    n, _, _, kappa = spectrum._level(_fixture_potential(M0_LINE), 0)
+    ys = _uniform_ys(n)
+    d, e = _robin_tridiagonal(np.asarray(_fixture_potential(M0_LINE)(ys)), ys[1] - ys[0], kappa)
+    _assert_as_scipy(d, e, eigvals_only=True, select_range=(0, 1))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_binding_matches_scipy_on_mapped_rungs_at_T(level):
+    # the index calls of the mapped ladder on its even and odd blocks, and
+    # the mode's vector call on the Robin-closed even block
+    d, e, w, _ = spectrum._mapped_block(_fixture_potential(M_TUNED, t=0.02025), level)
+    for db, eb in ((d, e), (d[1:], e[1:])):
+        _assert_as_scipy(db, eb, eigvals_only=True, select_range=(0, 0), tol=spectrum.MAP_TOL)
+    d[-1] += math.sqrt(-spectrum._mapped_lowest(d, e)) / w[-1]
+    _assert_as_scipy(d, e, select_range=(0, 0), tol=spectrum.MAP_TOL)
+
+
+def test_binding_rejects_nonfinite_input():
+    d, e = np.full(8, 2.0), np.full(7, -1.0)
+    d[3] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 0))
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lapack_failure_is_nonconvergence(monkeypatch, routine):
+    real = getattr(spectrum, "_" + routine)
+    monkeypatch.setattr(spectrum, "_" + routine, lambda *args: real(*args)[:-1] + (1,))
+    state = FlowState(FlowParams(M_TUNED, 0.15, 0.03, 0.8, 1e-3), 0.0)
+    with pytest.raises(NonConvergence, match=rf"^LAPACK {routine} failed \(info=1\)$"):
+        lowest_eigenpair(state)
+
+
+@pytest.mark.parametrize("missing", ["scipy", "_flapack"])
+def test_binding_without_lapack_extension_is_an_import_error(monkeypatch, missing):
+    # no fallback: without scipy, or without its compiled LAPACK wrappers,
+    # the package cannot load
+    import importlib.machinery
+    import importlib.util
+
+    if missing == "scipy":
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    else:
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            lambda name, path: None)
+    with pytest.raises(ImportError, match="scipy/linalg/_flapack"):
+        spectrum._flapack()

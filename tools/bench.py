@@ -36,7 +36,9 @@ module attributes in the child, as perfbench traces a request.
 - ``startup``: what every command pays before it computes, and perfbench's
   ``setup_s``: import ``viscoshear.cli`` and ``load_config``, from just
   before the spawn (``setup_s``) and from the first statement
-  (``import_s``); the peak RSS and the scipy subpackages then loaded.
+  (``import_s``); the peak RSS and what is then loaded: the number of
+  modules, the scipy subpackages, and every module named ``scipy*`` or
+  ``_flapack`` (scipy's LAPACK extension, which ``spectrum`` loads by path).
 - ``polish``: the Rayleigh root polish at the tuned amplitude, in
   ``eigencurve`` (``rayleigh.eigencurve`` at t = T on k = 0.95, 1, the
   perfbench workload's grid), ``wide`` (``eigenvalues_for_ks`` at t = T on
@@ -167,12 +169,16 @@ load_config(sys.argv[2])
 ready = time.monotonic()
 import resource
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-scipy = sorted(m[6:] for m, mod in list(sys.modules.items())
-               if m.startswith("scipy.") and m.count(".") == 1 and not m[6:].startswith("_")
-               and hasattr(mod, "__path__"))
+modules = dict(sys.modules)
+subpackages = sorted(m[6:] for m, mod in modules.items()
+                     if m.startswith("scipy.") and m.count(".") == 1 and not m[6:].startswith("_")
+                     and hasattr(mod, "__path__"))
 import json
-print(json.dumps({"scipy_subpackages": scipy, "setup_s": ready - float(sys.argv[3]),
-                  "import_s": ready - start, "peak_rss_mb": rss}))
+print(json.dumps({"modules": len(modules), "scipy_subpackages": subpackages,
+                  "scipy_modules": sorted(m for m in modules
+                                          if m.startswith("scipy") or m == "_flapack"),
+                  "setup_s": ready - float(sys.argv[3]), "import_s": ready - start,
+                  "peak_rss_mb": rss}))
 """
 
 POLISH = r"""
@@ -275,8 +281,9 @@ def show_startup(name: str, r: dict) -> None:
     s, i, m = r["setup_s"], r["import_s"], r["peak_rss_mb"]
     print(f"{name}: setup {s['median']:.3f} s ({s['q1']:.3f}-{s['q3']:.3f}), import "
           f"{i['median']:.3f} s ({i['q1']:.3f}-{i['q3']:.3f}), peak RSS "
-          f"{m['median']:.1f} MB ({m['min']:.1f}-{m['max']:.1f}); scipy: "
-          + ", ".join(r["scipy_subpackages"]))
+          f"{m['median']:.1f} MB ({m['min']:.1f}-{m['max']:.1f}); {r['modules']} modules, "
+          f"{len(r['scipy_modules'])} of scipy's; scipy subpackages: "
+          + (", ".join(r["scipy_subpackages"]) or "none"))
 
 
 def show_polish(name: str, entry: dict) -> None:
