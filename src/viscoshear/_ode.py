@@ -11,13 +11,15 @@ estimate
 
 with the step factor 0.9 err^(-1/8) clipped to [0.2, 10].
 
-The state is a complex ndarray of any shape whose axis 0 indexes
-independent channels (e.g. Wronskian integrations at many spectral
-parameters).  A batch integrates in one pass with a shared step size, which
-amortizes the per-step Python overhead, but the error estimate is taken per
-channel and the step is controlled by the largest: every channel meets the
-tolerance on its own, so its result does not depend on what it is batched
-with beyond rounding.
+``integrate`` runs forward only, t0 <= t1 (a left half line is the
+reflected system in s = -t), with the error scale ATOL + RTOL |y| per
+component and at most MAX_STEPS accepted steps.  The state is a complex
+ndarray whose axis 0 indexes independent channels (e.g. Wronskian
+integrations at many spectral parameters).  A batch integrates in one pass
+with a shared step size, which amortizes the per-step Python overhead, but
+the error estimate is taken per channel and the step is controlled by the
+largest: every channel meets the tolerance on its own, so its result does
+not depend on what it is batched with beyond rounding.
 
 Sample points are hit by capping the step, so recorded values carry no
 interpolation error.  One rule records them: at the start and after every
@@ -29,7 +31,7 @@ span therefore need no special case.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -167,6 +169,9 @@ _E[1] = _B - _E[1]
 _A_ROWS = tuple(_A[i, :i] for i in range(_STAGES))  # stage i's couplings to the earlier ones
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+RTOL = 1e-10
+ATOL = 1e-13
+MAX_STEPS = 2_000_000
 
 
 def _error_norm(h: float, err: np.ndarray, scale: np.ndarray) -> float:
@@ -178,35 +183,23 @@ def _error_norm(h: float, err: np.ndarray, scale: np.ndarray) -> float:
     return h * float(per_channel.max(initial=0.0))
 
 
-def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t0: float,
-    t1: float,
-    y0: np.ndarray,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
-    samples: Optional[Sequence[float]] = None,
-    initial_step: Optional[float] = None,
-    max_steps: int = 2_000_000,
-):
-    """Integrate y' = rhs(t, y) from t0 to t1 (either direction).
+def integrate(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float, t1: float,
+              y0: np.ndarray, h: float, samples: Sequence[float] = ()):
+    """Integrate y' = rhs(t, y) forward from t0 to t1 >= t0, h the first trial step.
 
-    Returns ``(y_final, sampled, n_steps)`` where ``sampled`` is the state
-    recorded at each requested sample point (in the given order, which must
-    run from t0 towards t1), or None.  Raises ``StepFailure`` when the
-    controller underflows the step size or a sample is not reached.
+    Returns ``(y_final, sampled, n_steps)``, ``sampled`` the states at the
+    ascending ``samples``.  Raises ``ValueError`` for t1 < t0 or a sample
+    outside [t0, t1], ``StepFailure`` when the step underflows, MAX_STEPS
+    runs out or a sample is not reached.
     """
-    direction = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
+    if not t1 >= t0:
+        raise ValueError(f"integrate runs forward only, got t0={t0:g} > t1={t1:g}")
+    sample_list = list(samples)
+    if not all(s - t0 >= -1e-15 and t1 - s >= -1e-15 for s in sample_list):
+        raise ValueError("sample point outside integration span")
     y = np.array(y0, dtype=complex)
-    shape = y.shape
-    channels = (shape[0], math.prod(shape[1:])) if y.ndim else (1, 1)
-    t = t0
-    sample_list = list(samples) if samples is not None else []
-    for s in sample_list:
-        if (s - t0) * direction < -1e-15 or (t1 - s) * direction < -1e-15:
-            raise ValueError("sample point outside integration span")
-    recorded = []
+    shape, channels = y.shape, (len(y), math.prod(y.shape[1:]))
+    t, recorded = t0, []
 
     def record():
         # every pending sample within 1e-12 max(1, |t|) of t takes the state at t
@@ -214,42 +207,36 @@ def integrate(
                 t - sample_list[len(recorded)]) <= 1e-12 * max(1.0, abs(t)):
             recorded.append(y.copy())
 
-    h = initial_step if initial_step is not None else span * 1e-6
-    h = min(h, span)
-
-    def h_floor(t_now: float) -> float:
-        # no-progress threshold: a step this small cannot move t_now
-        return 1e-15 * max(abs(t_now), 1e-30)
-
+    h = min(h, t1 - t0)
     # stage derivatives, flat for the weighted sums, written in the state's shape
     K = np.empty((_STAGES, y.size), dtype=complex)
     K_shaped = K.reshape((_STAGES,) + shape)
     K_shaped[0] = rhs(t, y)
     steps = 0
     record()
-    while (t1 - t) * direction > 1e-15 * max(abs(t), abs(t1), 1.0):
-        if steps >= max_steps:
+    while t1 - t > 1e-15 * max(abs(t), abs(t1), 1.0):
+        if steps >= MAX_STEPS:
             raise StepFailure(f"step budget exhausted at t={t:g}")
+        h_floor = 1e-15 * max(abs(t), 1e-30)  # a step this small cannot move t
         # cap the step at the next pending sample point and the endpoint
-        h_try = min(h, abs(t1 - t))
+        h_try = min(h, t1 - t)
         if len(recorded) < len(sample_list):
             h_try = min(h_try, abs(sample_list[len(recorded)] - t))
-        if h_try < h_floor(t):
+        if h_try < h_floor:
             raise StepFailure(f"step size underflow at t={t:g}")
-        dt = direction * h_try
 
         y_flat = y.reshape(-1)
         for i in range(1, _STAGES):
             stage = _A_ROWS[i] @ K[:i]
-            stage *= dt
+            stage *= h_try
             stage += y_flat
-            K_shaped[i] = rhs(t + _C[i] * dt, stage.reshape(shape))
-        y_new = y + dt * (_B @ K).reshape(shape)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            K_shaped[i] = rhs(t + _C[i] * h_try, stage.reshape(shape))
+        y_new = y + h_try * (_B @ K).reshape(shape)
+        scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = _error_norm(h_try, _E @ K, scale.reshape(channels))
 
         if err_norm <= 1.0:
-            t = t + dt
+            t = t + h_try
             y = y_new
             K_shaped[0] = rhs(t, y)  # FSAL: the next step's first stage
             steps += 1
@@ -258,9 +245,8 @@ def integrate(
             h = h_try * min(_MAX_FACTOR, grow)
         else:
             h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.125)
-            if h < h_floor(t):
+            if h < h_floor:
                 raise StepFailure(f"step size underflow at t={t:g} (err {err_norm:g})")
     if len(recorded) < len(sample_list):
         raise StepFailure("sample points were not reached")
-    sampled = np.array(recorded) if samples is not None else None
-    return y, sampled, steps
+    return y, np.array(recorded), steps

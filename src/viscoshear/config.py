@@ -13,6 +13,7 @@ __all__ = ["Config", "parse_config", "parse_formats", "load_config"]
 
 _FORMATS = ("csv", "json", "svg")
 GAMMA_RATIO_MAX = 0.2  # largest gamma1/gamma2
+COUNT_MAX = 1000  # most n_times samples and k_grid wave numbers
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ def _k_grid_spec(spec: str):
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise ValidationError("k_grid must be 'auto' or 'start:stop:count'") from None
-    if count < 0:
-        raise ValidationError("k_grid count must be nonnegative")
+    if not 0 <= count <= COUNT_MAX:
+        raise ValidationError(f"k_grid count must be nonnegative and at most {COUNT_MAX}")
     # the grid runs from start to stop, so its ends bound every wave number
     if count and not (start > 0.0 and (count == 1 or stop > 0.0)):
         raise ValidationError("k_grid wave numbers must be positive")
@@ -126,8 +127,8 @@ def _validate(cfg: Config) -> None:
         )
     if not 0.0 < cfg.delta < 1.0:
         raise ValidationError("delta must lie in (0,1)")
-    if cfg.n_times < 8:
-        raise ValidationError("n_times must be at least 8")
+    if not 8 <= cfg.n_times <= COUNT_MAX:
+        raise ValidationError(f"n_times must be at least 8 and at most {COUNT_MAX}")
     if cfg.k_grid != "auto":
         _k_grid_spec(cfg.k_grid)
 

@@ -23,11 +23,13 @@ which avoids the 1/c cancellation a naive two-sided quadrature suffers.
 The profile is odd, so the regular solution satisfies phi(-y) = -conj phi(y)
 and the integrator reproduces that mirror bit for bit: every pass runs
 forward from the seed at y = eps > 0 (``_run``) and the left side takes the
-mirrored state.  A sampled pass (``_sampled``: ``solve_phi``, one pass for
-phi1 and phi2 together, and the neutral mode) records the sorted unique |y|
-by the integrator's one rule (a sample within 1e-12 max(1, |y|) of a step's
-end takes its state), so the 1-ulp pairs of a rounded grid share a record;
-``_decode`` reads phi1, phi2 and their slopes from the flux state.
+mirrored state.  Only a test oracle integrates the left half line, as the
+reflected system in s = -y.  A sampled pass (``_sampled``: ``solve_phi``,
+one pass for phi1 and phi2 together, and the neutral mode) records the
+sorted unique |y| by the integrator's one rule (a sample within
+1e-12 max(1, |y|) of a step's end takes its state), so the 1-ulp pairs of
+a rounded grid share a record; ``_decode`` reads phi1, phi2 and their
+slopes from the flux state.
 
 Every W pass goes through ``wronskian_many``, which stops at the cut Y_c
 where the profile becomes Couette to rounding, b' = 1.0, and adds the
@@ -66,8 +68,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
+from . import _ode
 from ._ode import integrate
 from ._roots import chandrupatla
 from .errors import MultipleRoots, NonConvergence, TailDominance
@@ -87,8 +89,6 @@ __all__ = [
     "neutral_mode_phiB",
 ]
 
-RTOL_ODE = 1e-10
-ATOL_ODE = 1e-13
 EPS_MAX = 1e-6
 C_SCAN_LO = 1e-8
 C_SCAN_POINTS = 200
@@ -183,10 +183,9 @@ def _eps_start(cs: np.ndarray) -> float:
     return min(EPS_MAX, 0.01 * float(pos.min()))
 
 
-def _run(system: _WSystem, eps: float, y_end: float, samples=None):
+def _run(system: _WSystem, eps: float, y_end: float, samples=()):
     """One right half-line pass, seeded at y = eps and integrated to y_end."""
-    return integrate(system.rhs, eps, y_end, system.seed(eps), rtol=RTOL_ODE, atol=ATOL_ODE,
-                     samples=samples, initial_step=eps * 0.5)
+    return integrate(system.rhs, eps, y_end, system.seed(eps), h=eps * 0.5, samples=samples)
 
 
 # y -> -y conjugates every state column and flips the sign of the fluxes and
@@ -266,7 +265,13 @@ class _IrPanels:
 
     Y_LO = 1e-9
     RATIO = 1.8
-    NGL = 12
+    # leggauss(12) to the bit, without importing numpy.polynomial: its nodes
+    # are exactly odd and its weights exactly even, so six of each suffice
+    _X6 = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                    0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+    _W6 = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                    0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+    GL_X, GL_W = np.concatenate((-_X6[::-1], _X6)), np.concatenate((_W6[::-1], _W6))
     BLOCK = 32  # channels per block of the log kernel
 
     def __init__(self, state: FlowState):
@@ -275,10 +280,9 @@ class _IrPanels:
             edges.append(min(edges[-1] * self.RATIO, 20.0))
         edges = np.array(edges)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        x, w = leggauss(self.NGL)
-        b, b1, b2, b3 = eval_b_derivs(state, (mid[:, None] + half[:, None] * x).ravel())
+        b, b1, b2, b3 = eval_b_derivs(state, (mid[:, None] + half[:, None] * self.GL_X).ravel())
         self.v2 = b ** 2
-        self.wgp = (half[:, None] * w).ravel() * b1 * self._gprime(b1, b2, b3)
+        self.wgp = (half[:, None] * self.GL_W).ravel() * b1 * self._gprime(b1, b2, b3)
         self.v_lo = float(eval_b(state, self.Y_LO))
         self.gp0 = float(self._gprime(*eval_b_derivs(state, 0.0)[1:]))
 
@@ -362,7 +366,7 @@ def wronskian_many(state: FlowState, ks, cs):
     ir = _panels(state).i_r(cs)
     # phi(-y) = -conj phi(y): the left half line's II is the conjugate of the right's
     w = ir + strip + 2.0 * np.real(st[:, 4] + tail)
-    quad_err = (6.0 * RTOL_ODE * np.abs(st[:, 4]) + 0.05 * np.abs(strip)
+    quad_err = (6.0 * _ode.RTOL * np.abs(st[:, 4]) + 0.05 * np.abs(strip)
                 + 1e-13 * (np.abs(ir) + np.abs(tail) + 1.0))
     return w, quad_err
 

@@ -27,12 +27,14 @@ class _QFSystem(ray._WSystem):
         return np.pad(super().seed(y0), ((0, 0), (0, 1)))
 
 
-def left_pass(system: ray._WSystem, eps: float, ymax: float, samples=None):
+def left_pass(system: ray._WSystem, eps: float, ymax: float, samples=()):
     """The left half-line pass the package takes from the mirror: seeded at
     y = -eps and integrated to -ymax through ``ray.integrate``, recording
-    ``samples`` (descending)."""
-    return ray.integrate(system.rhs, -eps, -ymax, system.seed(-eps), rtol=ray.RTOL_ODE,
-                         atol=ray.ATOL_ODE, samples=samples, initial_step=eps * 0.5)
+    ``samples`` (descending).  It runs the reflected system forward in
+    s = -y, from eps to ymax: IEEE negation is exact and rounding is
+    symmetric in sign, so every step is the backward pass's to the bit."""
+    return ray.integrate(lambda s, st: -system.rhs(-s, st), eps, ymax, system.seed(-eps),
+                         h=eps * 0.5, samples=[-y for y in samples])
 
 
 def _ymax_for(k: float) -> float:

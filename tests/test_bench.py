@@ -117,3 +117,25 @@ def test_every_traced_name_resolves(monkeypatch):
     spans = importlib.import_module("spans")
     for module, attr, _ in spans.BINDINGS:
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+def test_traced_ode_pass_counts_steps_and_rhs_calls(monkeypatch, couette_state):
+    # perfbench's tracer wraps rayleigh.integrate as (rhs, t0, t1, y0, ...)
+    # and reads the step count from the result; DOP853 makes 11 RHS calls per
+    # attempted step, one FSAL call per accepted step and one seed call
+    from viscoshear import rayleigh as ray
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    for module, attr, _ in spans.BINDINGS:  # restored when the test ends
+        module = importlib.import_module(module)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = spans.Tracer()
+    tracer.install()
+    ray.wronskian_many(couette_state, [1.0, 1.0], [0.1, 1e-3])
+    (ode,) = [s for s in tracer.spans if s[0] == "ode.pass"]
+    assert tracer.spans[ode[1]][0] == "rayleigh.wpass"
+    steps, calls = ode[4]["steps"], ode[4]["rhs_calls"]
+    attempts, rest = divmod(calls - 1 - steps, 11)
+    assert steps > 0 and rest == 0 and attempts >= steps
+    assert ode[4]["channels"] == 2

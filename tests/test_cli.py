@@ -190,6 +190,8 @@ def test_cli_config_errors(tmp_path):
         ("gamma1 = 1e-300", "gamma0 * gamma1 must be at least 1e-10"),
         ("M = 1e300", "M must be nonnegative and at most 1e50"),
         ("nu = 5e-324", "config error: nu must keep the horizon"),
+        # a count numpy cannot allocate is rejected before any work
+        ("n_times = 100000000000000000000", "n_times must be at least 8 and at most 1000"),
     ],
 )
 def test_cli_flow_parameter_errors(tmp_path, capsys, line, message):
@@ -208,6 +210,7 @@ def test_cli_flow_parameter_errors(tmp_path, capsys, line, message):
         ("-1:2:1", "k_grid wave numbers must be positive"),
         ("nan:1:3", "k_grid wave numbers must be positive"),
         ("0.5:1:-2", "k_grid count must be nonnegative"),
+        ("0.5:0.9:100000000000000000000", "k_grid count must be nonnegative and at most 1000"),
     ],
 )
 def test_cli_rejects_nonpositive_wave_numbers(tmp_path, capsys, spec, message):
@@ -344,10 +347,11 @@ def test_cli_import_leaves_verify_and_quadrature_unloaded():
     # root finders and erf is math.erf, and spectrum loads scipy's LAPACK
     # extension by path, so no scipy module loads at all (not scipy,
     # scipy.linalg, scipy.optimize or scipy.special), not even once a weak
-    # (Brent-closed) uniform rung and a W pass have run
+    # (Brent-closed) uniform rung and a W pass have run; I(c)'s panels carry
+    # their Gauss-Legendre rule as literals, so numpy.polynomial stays out too
     code = (
         "import sys, viscoshear.cli\n"
-        "unwanted = ('viscoshear.acceptance', 'scipy')\n"
+        "unwanted = ('viscoshear.acceptance', 'scipy', 'numpy.polynomial')\n"
         "def loaded():\n"
         "    return [m for m in sys.modules if m.startswith(unwanted)]\n"
         "print(loaded())\n"

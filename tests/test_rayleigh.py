@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from viscoshear import rayleigh as ray
+from viscoshear import _ode, rayleigh as ray
 from viscoshear.errors import TailDominance
 from viscoshear.flow import FlowParams, FlowState, eval_b, eval_b_derivs
 from viscoshear.spectrum import HALF_WIDTH, lowest_eigenpair
@@ -151,8 +151,8 @@ def test_quadrature_honesty(ctx, couette_state, monkeypatch):
     for state, k, c in [(couette_state, 1.0, 0.02), (ctx.state_T, 1.0, 3e-4)]:
         base, quad_error = w_one(state, k, c)
         with monkeypatch.context() as m:
-            m.setattr(ray, "RTOL_ODE", 1e-11)
-            m.setattr(ray, "ATOL_ODE", 1e-14)
+            m.setattr(_ode, "RTOL", 1e-11)
+            m.setattr(_ode, "ATOL", 1e-14)
             tight, _ = w_one(state, k, c)
         assert abs(base - tight) <= quad_error
 
@@ -506,7 +506,18 @@ def test_w_passes_end_at_the_cut(ctx, monkeypatch):
     assert 0.9 < ends[0] < 1.0 and steps[0] <= 60
     oracles.wronskian_det_check(state, 1.0, 1e-3, [-1.0, 1.0])
     ymax = oracles._ymax_for(1.0)
-    assert ends[1:] == [ymax, -ymax, ends[0]]  # qF on both sides, then the reference W
+    # qF on both sides (the left as the reflected system, forward to +ymax),
+    # then the reference W
+    assert ends[1:] == [ymax, ymax, ends[0]]
+
+
+def test_ir_panels_carry_numpys_12_point_gauss_legendre_rule():
+    # the rule is written out so that no command imports numpy.polynomial;
+    # it must stay leggauss(12) to the bit, or every I(c) moves
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(12)
+    assert np.array_equal(ray._IrPanels.GL_X, x) and np.array_equal(ray._IrPanels.GL_W, w)
 
 
 def test_ir_blocks_bound_the_log_kernel_and_keep_its_values(ctx):
