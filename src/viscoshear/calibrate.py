@@ -78,13 +78,13 @@ class KstarCurve:
 
 @functools.lru_cache(maxsize=128)
 def _lambda_pair(state: FlowState) -> tuple:
-    """(lambda1, lambda2) of ``state``, memoized across calls.
+    """(lambda1, lambda2, k*) of ``state``, memoized across calls.
 
     The tune and the sweep both solve through here, so the sweep's t = 0
     sample at the tuned M (``math.exp`` of the same x) is the tune's solve.
     """
     r = lowest_eigenpair(state, want_mode=False)
-    return r.lambda1, r.lambda2
+    return r.lambda1, r.lambda2, r.kstar
 
 
 def _lambda1(params: FlowParams, M: float, t: float, base: bool = False) -> float:
@@ -244,10 +244,8 @@ def kstar_time_sweep(M: float, params: FlowParams, n_times: int) -> KstarCurve:
     times = np.linspace(0.0, T, n_times)
     p = params.with_M(M)
 
-    pairs = [_lambda_pair(FlowState(p, t)) for t in times]
-    lam1 = np.array([a for a, _ in pairs])
-    lam2 = np.array([b for _, b in pairs])
-    kstars = tuple(math.sqrt(-l) if l < -TOL_EIG else None for l in lam1)
+    lam1, lam2, kstars = zip(*(_lambda_pair(FlowState(p, t)) for t in times))
+    lam1, lam2 = np.array(lam1), np.array(lam2)
 
     ttilde = k_tt = None
     ks = [k if k is not None else 0.0 for k in kstars]

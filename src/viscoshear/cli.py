@@ -21,8 +21,9 @@ from .calibrate import kstar_time_sweep, tune_M_for_kstar
 from .config import Config, load_config, parse_formats
 from .errors import ConfigError, ViscoshearError
 from .flow import FlowState
-from .report import csv_text, json_text, scenario_report_dict, svg_line_plot
+from .report import csv_text, curve_dict, json_text, kstar_svg, scenario_report_dict, svg_line_plot
 from .scenario import run_line_scenario, run_torus_scenario
+from .spectrum import lowest_eigenpair
 
 
 def _write(path: Path, text: str) -> None:
@@ -56,21 +57,10 @@ def _cmd_kstar_sweep(cfg: Config, out_dir: Path, formats) -> int:
     if "csv" in formats:
         _write(out_dir / "kstar_curve.csv", csv_text(("t", "kstar", "lambda1", "lambda2"), rows))
     if "json" in formats:
-        payload = {
-            "M": M,
-            "T": curve.T,
-            "Ttilde": curve.Ttilde,
-            "t": list(curve.times),
-            "kstar": list(curve.kstars),
-            "lambda1": list(curve.lambda1s),
-            "lambda2": list(curve.lambda2s),
-        }
+        payload = {"M": M, "T": curve.T, "Ttilde": curve.Ttilde, **curve_dict(curve)}
         _write(out_dir / "kstar_curve.json", json_text(payload))
     if "svg" in formats:
-        pts = [(t, k) for t, k in zip(curve.times, curve.kstars) if k is not None]
-        series = [("k*(t)", [t for t, _ in pts], [k for _, k in pts])]
-        _write(out_dir / "kstar_vs_t.svg",
-               svg_line_plot(series, "t", "k*", "critical wave number vs time"))
+        _write(out_dir / "kstar_vs_t.svg", kstar_svg(curve))
     return 0
 
 
@@ -79,8 +69,6 @@ def _cmd_eigencurve(cfg: Config, out_dir: Path, formats) -> int:
     params = cfg.params(M)
     state = FlowState(params, params.horizon)
     if cfg.k_grid == "auto":
-        from .spectrum import lowest_eigenpair
-
         res = lowest_eigenpair(state, want_mode=False)
         if res.kstar is None:
             print("no bound state at t = T; nothing to trace", file=sys.stderr)
@@ -139,11 +127,8 @@ def _cmd_scenario(run):
         rep = run(cfg)
         if "json" in formats:
             _write(out_dir / "report.json", json_text(scenario_report_dict(rep)))
-        if "svg" in formats and rep.curve_times is not None:
-            pts = [(t, k) for t, k in zip(rep.curve_times, rep.curve_kstars) if k is not None]
-            _write(out_dir / "kstar_vs_t.svg",
-                   svg_line_plot([("k*(t)", [t for t, _ in pts], [k for _, k in pts])],
-                                 "t", "k*", "critical wave number vs time"))
+        if "svg" in formats and rep.curve is not None:
+            _write(out_dir / "kstar_vs_t.svg", kstar_svg(rep.curve))
         if "svg" in formats and rep.scan_cs is not None:
             _write(out_dir / "wronskian_scan.svg",
                    svg_line_plot([("Re W(ic, 1)", list(rep.scan_cs), list(rep.scan_W))],

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["fmt_float", "csv_text", "json_text", "svg_line_plot", "check_dict",
-           "scenario_report_dict"]
+__all__ = ["fmt_float", "csv_text", "json_text", "svg_line_plot", "check_dict", "curve_dict",
+           "kstar_svg", "scenario_report_dict"]
 
 SVG_WIDTH, SVG_HEIGHT = 800, 500
 N_TICKS = 5  # per axis
@@ -94,6 +94,19 @@ def check_dict(c) -> dict:
             "note": c.note}
 
 
+def curve_dict(curve) -> dict:
+    """The JSON form of a k*(t) sweep (a ``KstarCurve``): its samples."""
+    return {"t": list(curve.times), "kstar": list(curve.kstars), "lambda1": list(curve.lambda1s),
+            "lambda2": list(curve.lambda2s)}
+
+
+def kstar_svg(curve) -> str:
+    """The k*(t) plot of a sweep, over the samples where k* is resolved."""
+    pts = [(t, k) for t, k in zip(curve.times, curve.kstars) if k is not None]
+    return svg_line_plot([("k*(t)", [t for t, _ in pts], [k for _, k in pts])], "t", "k*",
+                         "critical wave number vs time")
+
+
 def scenario_report_dict(rep) -> dict:
     """Flatten a ScenarioReport into the JSON report schema."""
     d = {
@@ -114,13 +127,8 @@ def scenario_report_dict(rep) -> dict:
         "all_passed": rep.all_passed,
         "checks": [check_dict(c) for c in rep.checks],
     }
-    if rep.curve_times is not None:
-        d["kstar_curve"] = {
-            "t": list(rep.curve_times),
-            "kstar": [k for k in rep.curve_kstars],
-            "lambda1": list(rep.curve_lambda1),
-            "lambda2": list(rep.curve_lambda2),
-        }
+    if rep.curve is not None:
+        d["kstar_curve"] = curve_dict(rep.curve)
     return d
 
 

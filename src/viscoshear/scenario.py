@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import rayleigh as ray
-from .calibrate import TOL_CAL, find_critical_M0, kstar_time_sweep, tune_M_for_kstar
+from .calibrate import (TOL_CAL, CalibrationResult, KstarCurve, find_critical_M0,
+                        kstar_time_sweep, tune_M_for_kstar)
 from .errors import ViscoshearError
 from .flow import FlowParams, FlowState
 from .spectrum import TOL_EIG, lowest_eigenpair, profile_check
@@ -42,24 +43,33 @@ class Check:
 
 @dataclass
 class ScenarioReport:
+    """A scenario's checks and the stage results they measured: the
+    calibration, the k*(t) sweep and the k = 1 Wronskian scan at t = T."""
+
     kind: str
     params: FlowParams
     T: float
-    M: Optional[float] = None
-    Ttilde: Optional[float] = None
+    calibration: Optional[CalibrationResult] = None
+    curve: Optional[KstarCurve] = None
     kstar0: Optional[float] = None
     kstarT: Optional[float] = None
     ci_at_k1: Optional[float] = None
     slope_at_k1: Optional[float] = None
     checks: list = field(default_factory=list)
-    curve_times: Optional[np.ndarray] = None
-    curve_kstars: Optional[tuple] = None
-    curve_lambda1: Optional[np.ndarray] = None
-    curve_lambda2: Optional[np.ndarray] = None
     scan_cs: Optional[np.ndarray] = None
     scan_W: Optional[np.ndarray] = None
-    w_scale: Optional[float] = None
-    dichotomy: list = field(default_factory=list)
+
+    @property
+    def M(self) -> Optional[float]:
+        return None if self.calibration is None else self.calibration.M
+
+    @property
+    def Ttilde(self) -> Optional[float]:
+        return None if self.curve is None else self.curve.Ttilde
+
+    @property
+    def w_scale(self) -> Optional[float]:
+        return None if self.scan_W is None else float(abs(self.scan_W[-1]))
 
     @property
     def all_passed(self) -> bool:
@@ -94,18 +104,12 @@ def run_torus_scenario(params: FlowParams, delta: float = 0.01, n_times: int = 9
     except ViscoshearError as exc:
         rep.add("calibration", False, note=f"{type(exc).__name__}: {exc}")
         return rep
-    rep.M = cal.M
-    rep.kstar0 = cal.achieved
+    rep.calibration, rep.kstar0 = cal, cal.achieved
     rep.add("kstar0_calibrated", abs(cal.achieved - target) <= TOL_CAL, cal.achieved,
             (target - TOL_CAL, target + TOL_CAL))
     p = params.with_M(cal.M)
 
-    curve = kstar_time_sweep(cal.M, params, n_times)
-    rep.curve_times = curve.times
-    rep.curve_kstars = curve.kstars
-    rep.curve_lambda1 = curve.lambda1s
-    rep.curve_lambda2 = curve.lambda2s
-    rep.Ttilde = curve.Ttilde
+    rep.curve = curve = kstar_time_sweep(cal.M, params, n_times)
     ks = np.array([k if k is not None else 0.0 for k in curve.kstars])
     rep.kstarT = curve.kstars[-1]
     # nondecreasing within the eigenvalue slack 10*TOL_EIG
@@ -114,30 +118,32 @@ def run_torus_scenario(params: FlowParams, delta: float = 0.01, n_times: int = 9
     rep.add("kstar_nondecreasing", mono, float(np.min(np.diff(ks))), (0.0, None),
             "" if mono else f"gamma1/gamma2 = {params.gamma1 / params.gamma2:.3g}; k*(t) was "
             "measured monotone only for gamma1/gamma2 <= 0.045 (README, calibrate)")
+    rise = ks[-1] - ks[0]
+    rise_note = (f"k*(T) - k*(0) = {rise:.4g}: k* reaches 1 by T only for delta below about "
+                 f"{rise:.4g}")
     rep.add("transition_budget_sufficient", ks[-1] > 1.0, float(ks[-1]), (1.0, None),
-            "" if ks[-1] > 1.0 else "transition budget insufficient")
-    excess = (ks[-1] - ks[0]) / (params.gamma1 * params.gamma2)
+            "" if ks[-1] > 1.0 else f"transition budget insufficient; {rise_note}")
+    excess = rise / (params.gamma1 * params.gamma2)
     rep.add("excess_over_gamma1gamma2", 1.0 / 50.0 <= excess <= 50.0, excess, (1.0 / 50.0, 50.0))
 
     if curve.Ttilde is not None:
         inside = 0.0 < curve.Ttilde < T
         k_tt = curve.kstar_at_Ttilde
-        rep.add("Ttilde_inside", inside, curve.Ttilde, (0.0, T))
+        rep.add("Ttilde_inside", inside, curve.Ttilde, (0.0, T), "" if inside else rise_note)
         rep.add("kstar_at_Ttilde", abs(k_tt - 1.0) <= TOL_CAL, k_tt, (1.0 - TOL_CAL, 1.0 + TOL_CAL))
     else:
-        rep.add("Ttilde_inside", False, None, (0.0, T), "no crossing of k* = 1")
+        rep.add("Ttilde_inside", False, None, (0.0, T), f"no crossing of k* = 1; {rise_note}")
         return rep
 
     # unstable eigenvalue of the k = 1 mode at t = T, together with the
     # slope probes k = 1 +/- dk and the stable integer modes k = 1.5, 2:
-    # one batched scan and one batched root polish
+    # one batched scan and one batched root polish.  k = 1 has a root only
+    # when k*(T) > 1, and then 1 + dk stays at most half-way to k*(T)
     st_T = FlowState(p, T)
-    dk = 2e-3
+    dk = min(2e-3, (rep.kstarT - 1.0) / 2.0) if (rep.kstarT or 0.0) > 1.0 else 2e-3
     roots, cs, w_scans = ray.eigenvalues_for_ks(st_T, (1.0, 1.0 - dk, 1.0 + dk, 1.5, 2.0))
     root, r_lo, r_hi, *stable = roots
-    w = w_scans[0]
-    rep.scan_cs, rep.scan_W = cs, w
-    rep.w_scale = float(abs(w[-1]))
+    rep.scan_cs, rep.scan_W = cs, w_scans[0]
     if root is None:
         rep.add("ci_root_at_k1", False, None, None, "no sign change of Re W")
         return rep
@@ -169,7 +175,6 @@ def run_torus_scenario(params: FlowParams, delta: float = 0.01, n_times: int = 9
         r = root if t == T else ray.eigenvalue_for_k(FlowState(p, t), 1.0)
         want_root = t > curve.Ttilde
         ok = (r is not None) if want_root else (r is None)
-        rep.dichotomy.append((float(t), want_root, None if r is None else r[0]))
         rep.add(f"dichotomy_t{t / T:.4f}T", ok, None if r is None else r[0], None,
                 "expect root" if want_root else "expect no root")
 
@@ -206,21 +211,17 @@ def run_line_scenario(params: FlowParams) -> ScenarioReport:
     except ViscoshearError as exc:
         rep.add("critical_M0", False, note=f"{type(exc).__name__}: {exc}")
         return rep
-    rep.M = cal.M
-    lam0 = cal.achieved
+    rep.calibration, lam0 = cal, cal.achieved
     rep.add("critical_M0", -TOL_EIG <= lam0 <= 0.0, lam0, (-TOL_EIG, 0.0))
-    rep.kstar0 = None
     rep.add("kstar_absent_t0", lam0 >= -TOL_EIG, lam0, (-TOL_EIG, None))
 
     p = params.with_M(cal.M)
     st_T = FlowState(p, T)
-    lamT = lowest_eigenpair(st_T, want_mode=False).lambda1
-    present = lamT < -TOL_EIG
-    rep.add("kstar_present_T", present, lamT, (None, -TOL_EIG))
+    eig_T = lowest_eigenpair(st_T, want_mode=False)
+    k_T = rep.kstarT = eig_T.kstar
+    rep.add("kstar_present_T", k_T is not None, eig_T.lambda1, (None, -TOL_EIG))
     g1g2 = params.gamma1 * params.gamma2
-    if present:
-        k_T = math.sqrt(-lamT)
-        rep.kstarT = k_T
+    if k_T is not None:
         ratio = k_T / g1g2
         rep.add("kstarT_over_g1g2", 1.0 / 50.0 <= ratio <= 50.0, ratio, (1.0 / 50.0, 50.0))
         root = ray.eigenvalue_for_k(st_T, k_T / 2.0)

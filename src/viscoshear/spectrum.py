@@ -148,7 +148,6 @@ class ConvergenceInfo:
     raw: tuple
     richardson: tuple
     kappa: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -313,7 +312,7 @@ def _climb(rung: Callable[[int], Optional[tuple]], guarded: bool):
                     f"raw lambda1 differences fall by {ratio:.4g}, outside ORDER_BAND "
                     f"{ORDER_BAND}: not in the h^2 regime (raw trail {raw1})")
             return (rich1[-1], raw2[-1] + (raw2[-1] - raw2[-2]) / 3.0,
-                    ConvergenceInfo(tuple(ns), tuple(raw1), tuple(rich1), kappa, True))
+                    ConvergenceInfo(tuple(ns), tuple(raw1), tuple(rich1), kappa))
     raise NonConvergence(
         "eigenvalue refinements did not stabilize within TOL_EIG="
         f"{TOL_EIG:g}; grid too coarse or domain too small "

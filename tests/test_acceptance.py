@@ -14,6 +14,7 @@ import pytest
 from viscoshear import acceptance as acc
 from viscoshear import rayleigh as ray
 from viscoshear import scenario
+from viscoshear.calibrate import CalibrationResult
 from viscoshear.errors import BracketFailure, NonConvergence
 from viscoshear.rayleigh import EigenCurve
 
@@ -117,7 +118,8 @@ def _reached_torus(ctx):
     """A torus report that reached t = T, with the two checks criterion 8 reads."""
     reached = [scenario.Check(name, True, None, None)
                for name in ("boundary_wronskian_at_kstar", "phiB_matches_eigenmode")]
-    return scenario.ScenarioReport("torus", ctx.params, 0.02, M=0.7, kstarT=1.05,
+    cal = CalibrationResult(M=0.7, achieved=0.99, iterations=0, bracket=(0.7, 0.7))
+    return scenario.ScenarioReport("torus", ctx.params, 0.02, calibration=cal, kstarT=1.05,
                                    ci_at_k1=1e-3, checks=reached)
 
 

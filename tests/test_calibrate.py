@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from viscoshear import calibrate, spectrum
-from viscoshear.calibrate import find_critical_M0, kstar_time_sweep, tune_M_for_kstar
+from viscoshear.calibrate import kstar_time_sweep, tune_M_for_kstar
 from viscoshear.errors import BracketFailure, NonConvergence
 from viscoshear.flow import FlowParams, FlowState
 from viscoshear.spectrum import lowest_eigenpair
@@ -38,9 +38,8 @@ def test_target_outside_calibration_range_rejected(monkeypatch):
     assert abs(tune_M_for_kstar(P, 0.0, 0.99).achieved - 0.99) <= 1e-6
 
 
-def test_bracket_certificate():
-    cal = tune_M_for_kstar(P, 0.0, 0.99)
-    lo, hi = cal.bracket
+def test_bracket_certificate(ctx):
+    lo, hi = ctx.torus.calibration.bracket  # tune_M_for_kstar(P, 0.0, 0.99)
     k_lo = lowest_eigenpair(FlowState(P.with_M(lo), 0.0), want_mode=False).kstar or 0.0
     k_hi = lowest_eigenpair(FlowState(P.with_M(hi), 0.0), want_mode=False).kstar or 0.0
     assert k_lo < 0.99 < k_hi
@@ -76,9 +75,8 @@ def test_critical_M0_properties(ctx):
     assert lam_double.kstar is not None
 
 
-def test_critical_M0_bracket_straddles():
-    cal = find_critical_M0(P)
-    lo, hi = cal.bracket
+def test_critical_M0_bracket_straddles(ctx):
+    lo, hi = ctx.line.calibration.bracket  # find_critical_M0(P)
     assert hi - lo <= 1e-4 * hi
     lam_lo = lowest_eigenpair(FlowState(P.with_M(lo), 0.0), want_mode=False).lambda1
     lam_hi = lowest_eigenpair(FlowState(P.with_M(hi), 0.0), want_mode=False).lambda1
@@ -88,7 +86,7 @@ def test_critical_M0_bracket_straddles():
 
 def test_sweep_monotone_and_crossing(ctx):
     rep = ctx.torus
-    ks = [k for k in rep.curve_kstars]
+    ks = rep.curve.kstars
     assert all(k is not None for k in ks)
     assert all(b >= a for a, b in zip(ks, ks[1:]))
     assert rep.Ttilde is not None
@@ -107,7 +105,7 @@ def test_nu_enters_only_through_nu_t(ctx):
     p2 = FlowParams(p.M, p.gamma0, p.gamma1, p.gamma2, 2.0 * p.nu)
     curve = kstar_time_sweep(rep.M, p2, cfg.n_times)
     assert curve.T == rep.T / 2.0
-    assert curve.kstars == rep.curve_kstars
+    assert curve.kstars == rep.curve.kstars
     assert curve.Ttilde / curve.T == rep.Ttilde / rep.T
 
 
@@ -263,7 +261,7 @@ def test_crossing_search_reuses_sweep_samples(monkeypatch):
     def fake_eigenpair(state, want_mode=True):
         solved.append(state.t)
         k = 0.99 + 0.03 * (1.0 - math.exp(-3.0 * state.t / T))
-        return SimpleNamespace(lambda1=-k * k, lambda2=0.5)
+        return SimpleNamespace(lambda1=-k * k, lambda2=0.5, kstar=k)
 
     monkeypatch.setattr(calibrate, "lowest_eigenpair", fake_eigenpair)
     n_times = 9

@@ -16,7 +16,8 @@ from viscoshear import calibrate
 from viscoshear.cli import main
 from viscoshear.config import Config, parse_config, parse_formats
 from viscoshear.errors import ConfigError, ParseError, ValidationError
-from viscoshear.report import csv_text, fmt_float, json_text, svg_line_plot
+from viscoshear.report import (csv_text, fmt_float, json_text, kstar_svg, scenario_report_dict,
+                               svg_line_plot)
 
 
 def test_parse_smoke_defaults():
@@ -369,6 +370,20 @@ def test_cli_import_leaves_verify_and_quadrature_unloaded():
 
 
 FIXTURE_CFG = "gamma0 = 0.15\ngamma1 = 0.03\ngamma2 = 0.8\nnu = 1e-3\n"
+
+
+def test_kstar_sweep_writes_the_torus_report_curve(tmp_path, ctx):
+    # kstar-sweep and torus write k*(t) through the same two functions: on
+    # the fixture the sweep's curve is the torus report's, bit for bit
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FIXTURE_CFG)
+    assert main(["kstar-sweep", "--config", str(cfg), "--out", str(tmp_path),
+                 "--format", "json,svg"]) == 0
+    sweep = json.loads((tmp_path / "kstar_curve.json").read_text())
+    report = json.loads(json_text(scenario_report_dict(ctx.torus)))
+    assert list(sweep) == ["M", "T", "Ttilde", "t", "kstar", "lambda1", "lambda2"]
+    assert {key: sweep[key] for key in list(sweep)[3:]} == report["kstar_curve"]
+    assert (tmp_path / "kstar_vs_t.svg").read_text() == kstar_svg(ctx.torus.curve)
 
 
 def test_cli_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):

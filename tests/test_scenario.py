@@ -29,12 +29,13 @@ def test_every_check_carries_value_and_band(ctx):
 
 
 def test_dichotomy_ordering(ctx):
-    rep = ctx.torus
-    for t, want_root, ci in rep.dichotomy:
-        if t <= rep.Ttilde:
-            assert not want_root and ci is None
-        else:
-            assert want_root and ci > 0.0
+    # the checks run in time order: no root up to Ttilde, a root after it
+    dichotomy = [c for c in ctx.torus.checks if c.name.startswith("dichotomy_t")]
+    want_root = [c.note == "expect root" for c in dichotomy]
+    assert want_root == sorted(want_root) and 0 < sum(want_root) < len(want_root)
+    for c, root in zip(dichotomy, want_root):
+        assert c.passed and c.note == ("expect root" if root else "expect no root")
+        assert c.measured > 0.0 if root else c.measured is None
 
 
 def test_mismatched_delta_flags_budget(cfg):
@@ -43,9 +44,20 @@ def test_mismatched_delta_flags_budget(cfg):
     assert rep.kstarT < 1.0
     budget = next(c for c in rep.checks if c.name == "transition_budget_sufficient")
     assert not budget.passed
-    assert budget.note == "transition budget insufficient"
+    why = "k*(T) - k*(0) = 0.01236: k* reaches 1 by T only for delta below about 0.01236"
+    assert budget.note == f"transition budget insufficient; {why}"
     ttilde = next(c for c in rep.checks if c.name == "Ttilde_inside")
     assert not ttilde.passed
+    assert ttilde.note == f"no crossing of k* = 1; {why}"
+
+
+def test_slope_stencil_fits_below_kstarT(cfg):
+    # delta = 0.0137 leaves k*(T) - 1 = 1.44e-3, under the fixed dk = 2e-3 of
+    # the fixture: the stencil k = 1 +/- dk shrinks to half of k*(T) - 1
+    rep = run_torus_scenario(cfg.params(), delta=0.0137)
+    assert 0.0 < rep.kstarT - 1.0 < 2e-3
+    assert rep.all_passed and len(rep.checks) == 25
+    assert rep.slope_at_k1 < 0.0
 
 
 def test_falling_kstar_names_the_monotone_regime(ctx):

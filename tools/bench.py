@@ -256,7 +256,8 @@ def wide():
 def torus():
     rep = scenario.run_torus_scenario(params, cfg.delta, cfg.n_times)
     failed = [c.name for c in rep.checks if not c.passed]
-    return [rep.ci_at_k1] + [c for _, _, c in rep.dichotomy if c is not None], {
+    dichotomy = [c.measured for c in rep.checks if c.name.startswith("dichotomy_t")]
+    return [rep.ci_at_k1] + [c for c in dichotomy if c is not None], {
         "root_stage_s": log["search_s"], "all_w_passes": log["passes"],
         "checks": len(rep.checks), "checks_failed": failed}
 
