@@ -237,8 +237,7 @@ def criterion_6(ctx: AcceptanceContext):
     by the mirror identity, which the two-sided determinant check tests."""
     rep = ctx.torus
     names = ["ci_root_at_k1", "root_residual", "ci_over_g0g1g2", "no_root_k1.5", "no_root_k2"]
-    names += [c.name for c in rep.checks if c.name.startswith("dichotomy_")]
-    return _from_report(rep, names)
+    return _from_report(rep, names) + [c for c in rep.checks if c.name.startswith("dichotomy_")]
 
 
 def criterion_7(ctx: AcceptanceContext):

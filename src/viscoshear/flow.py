@@ -36,7 +36,6 @@ __all__ = [
     "heat_residual",
     "h1_diagnostics",
     "h1_value",
-    "potential_series_coeffs",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -44,11 +43,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # |x| from which erf(x) is +-1.0 in double precision: 1 - erf(6) = 2e-17 is
 # under half an ulp of 1.0.
 _ERF_ONE = 6.0
-
-# H_{2m}(0) for the physicists' Hermite polynomials, m = 0..4.  Used for the
-# odd-order derivatives of b at the origin.
-_HERMITE0 = (1.0, -2.0, 12.0, -120.0, 1680.0)
-
 
 @dataclass(frozen=True)
 class FlowParams:
@@ -66,8 +60,9 @@ class FlowParams:
     nu: float
 
     def __post_init__(self):
-        # Float-range bounds: M scales b, and b''/b's series at y = 0 divides by
-        # (gamma0 gamma1)^9, which underflows to 0 below about 1e-36.  Within both, every
+        # Float-range bounds: M scales b, and b'' and b''' divide by s2^(3/2), which is
+        # (gamma0 gamma1)^3 at t = 0 and turns subnormal below gamma0 gamma1 = 3e-103;
+        # the bound 1e-10 is kept as the input range, far above that.  Within both, every
         # term stays finite, and k* moves by only 1e-9 from M = 1e10 to 1e50.  The
         # horizon T = gamma0^2 gamma1^2 / nu overflows to inf for a subnormal nu, and
         # the times sampled on [0, T] would then be NaN; an infinite nu makes T = 0
@@ -119,11 +114,6 @@ class FlowState:
         object.__setattr__(self, "s2", 4.0 * p.nu * self.t + (p.gamma0 * p.gamma1) ** 2)
         object.__setattr__(self, "amp1", p.gamma0 ** 2)
         object.__setattr__(self, "amp2", p.gamma2 * p.gamma0 ** 2 * p.gamma1 ** 3)
-
-    @property
-    def eps_sing(self) -> float:
-        """Half-width of the series window around the removable singularity of b''/b."""
-        return 1e-4 * self.params.gamma0 * self.params.gamma1
 
 
 def erf(x):
@@ -201,49 +191,16 @@ def eval_b_derivs(state: FlowState, y):
     return b, b1, _b2(state, y, g1, g2), b3
 
 
-def _odd_derivs_at_zero(state: FlowState):
-    """b'(0), b'''(0), b^(5)(0), b^(7)(0), b^(9)(0) in closed form."""
-    m = state.params.M
-    s1, s2 = state.s1, state.s2
-    a1, a2 = state.amp1, state.amp2
-    out = []
-    for order, h0 in enumerate(_HERMITE0):
-        val = m * h0 * (a1 / s1 ** (order + 0.5) - a2 / s2 ** (order + 0.5))
-        out.append(val)
-    out[0] += 1.0  # the Couette background contributes to b' only
-    return out
-
-
-def potential_series_coeffs(state: FlowState):
-    """Even Taylor coefficients (v0, v2, v4, v6) of b''/b about y = 0.
-
-    Both b and b'' are odd with simple zeros at the origin, so the ratio has
-    a removable singularity; the series is exact division of the two odd
-    Taylor expansions.
-    """
-    d1, d3, d5, d7, d9 = _odd_derivs_at_zero(state)
-    c1 = d1
-    c3 = d3 / 6.0
-    c5 = d5 / 120.0
-    c7 = d7 / 5040.0
-    c9 = d9 / 362880.0
-    v0 = 6.0 * c3 / c1
-    v2 = (20.0 * c5 - v0 * c3) / c1
-    v4 = (42.0 * c7 - v0 * c5 - v2 * c3) / c1
-    v6 = (72.0 * c9 - v0 * c7 - v2 * c5 - v4 * c3) / c1
-    return v0, v2, v4, v6
-
-
 def eval_potential(state: FlowState, y):
     """Schrodinger potential V(y) = b''(y) / b(y).
 
-    Even, strictly negative for M > 0, identically zero for Couette.  Inside
-    ``state.eps_sing`` of the origin the four-term even Taylor series is used
-    (direct division loses digits where both factors vanish linearly).  Only
-    the b and b'' it reads are evaluated, with ``eval_b_derivs``'s bits.
+    Even, strictly negative for M > 0, zero for Couette.  b and b'' both
+    vanish linearly at the origin, yet their direct ratio keeps full
+    precision down to the smallest normal |y|.  Below it, where a subnormal
+    y costs b its digits, V takes its limit b'''(0) / b'(0) from
+    ``eval_b_derivs``.  Elsewhere only the b and b'' it reads are evaluated,
+    with ``eval_b_derivs``'s bits.
     """
-    if state.params.M == 0.0:
-        return np.zeros_like(np.asarray(y, dtype=float)) if isinstance(y, np.ndarray) else 0.0
     yarr = np.asarray(y, dtype=float)
     scalar = yarr.ndim == 0
     yarr = np.atleast_1d(yarr)
@@ -251,14 +208,11 @@ def eval_potential(state: FlowState, y):
     b2 = _b2(state, yarr, g1, g2)
     del g1, g2  # on a fine grid every array held at the peak costs 1 MB
     b = eval_b(state, yarr)
-    eps = state.eps_sing
-    near = np.abs(yarr) < eps
-    b_safe = np.where(near, 1.0, b)
-    v = b2 / b_safe
+    near = np.abs(yarr) < np.finfo(float).tiny
+    v = b2 / np.where(near, 1.0, b)
     if np.any(near):
-        v0, v2c, v4c, v6c = potential_series_coeffs(state)
-        u = np.square(yarr[near])
-        v[near] = v0 + u * (v2c + u * (v4c + u * v6c))
+        _, b1, _, b3 = eval_b_derivs(state, 0.0)
+        v[near] = b3 / b1
     return float(v[0]) if scalar else v
 
 

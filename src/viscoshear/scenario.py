@@ -79,14 +79,16 @@ class ScenarioReport:
         self.checks.append(Check(name, bool(passed), measured, band, note))
 
 
-def _dichotomy_grid(T: float, ttilde: float) -> np.ndarray:
-    base = set(np.linspace(0.0, T, 7))
-    base.add(max(0.0, ttilde - 0.02 * T))
-    base.add(min(T, ttilde + 0.02 * T))
-    return np.array(sorted(base))
+def _dichotomy_grid(T: float, ttilde: float) -> dict:
+    """Check name -> time: seven even times on [0, T], then the probes
+    ttilde -/+ 0.02 T; a probe that prints as a time already held adds none."""
+    grid = {}
+    for t in (*np.linspace(0.0, T, 7), max(0.0, ttilde - 0.02 * T), min(T, ttilde + 0.02 * T)):
+        grid.setdefault(f"dichotomy_t{t / T:.4f}T", t)
+    return dict(sorted(grid.items(), key=lambda item: item[1]))
 
 
-def run_torus_scenario(params: FlowParams, delta: float = 0.01, n_times: int = 9) -> ScenarioReport:
+def run_torus_scenario(params: FlowParams, delta: float, n_times: int) -> ScenarioReport:
     """Reproduce the integer-wave-number stability transition at desk scale.
 
     Stages: tune M for k*(0) = 1 - delta; sweep k*(t) on [0, T]; locate the
@@ -171,11 +173,11 @@ def run_torus_scenario(params: FlowParams, delta: float = 0.01, n_times: int = 9
 
     # root/no-root dichotomy around the crossing time; the grid ends at T,
     # whose k = 1 root the batch above holds
-    for t in _dichotomy_grid(T, curve.Ttilde):
+    for name, t in _dichotomy_grid(T, curve.Ttilde).items():
         r = root if t == T else ray.eigenvalue_for_k(FlowState(p, t), 1.0)
         want_root = t > curve.Ttilde
         ok = (r is not None) if want_root else (r is None)
-        rep.add(f"dichotomy_t{t / T:.4f}T", ok, None if r is None else r[0], None,
+        rep.add(name, ok, None if r is None else r[0], None,
                 "expect root" if want_root else "expect no root")
 
     # cross-solver consistency at the final time

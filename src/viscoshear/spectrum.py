@@ -350,7 +350,7 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
 
 
 def _potential(state: FlowState) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda ys: np.asarray(eval_potential(state, ys), dtype=float)
+    return lambda ys: eval_potential(state, ys)
 
 
 def lowest_eigenpair(state: FlowState, want_mode: bool = True) -> SpectralResult:

@@ -123,6 +123,17 @@ def _reached_torus(ctx):
                                    ci_at_k1=1e-3, checks=reached)
 
 
+def test_criterion_6_returns_each_dichotomy_check_once(cfg):
+    # two checks of one name, the second failed: criterion 6 returns both,
+    # each once, and does not report the failed one as the passed one
+    ctx = acc.AcceptanceContext(cfg)
+    ctx.torus = _reached_torus(ctx)
+    dichotomy = [scenario.Check("dichotomy_t0.1667T", True, None, None, "expect no root"),
+                 scenario.Check("dichotomy_t0.1667T", False, 1e-4, None, "expect no root")]
+    ctx.torus.checks += dichotomy
+    assert [c for c in acc.criterion_6(ctx) if c.name.startswith("dichotomy_")] == dichotomy
+
+
 def test_criteria_7_and_8_name_where_the_curve_stopped(cfg, monkeypatch):
     # a k-grid past k*(T) stops the eigenvalue curve: criteria 7 and 8 fail
     # the curve's checks with the exception in the note, and keep the rest

@@ -23,7 +23,6 @@ from viscoshear.flow import (
     h1_diagnostics,
     h1_value,
     heat_residual,
-    potential_series_coeffs,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -83,9 +82,6 @@ def test_potential_origin_value_and_cross_check(spec_point_params):
     assert abs(v0 - (-12.0 / 1.0999)) <= 1e-10
     b, _, b2, _ = eval_b_derivs(state, 1e-6)
     assert abs(b2 / b - v0) <= 1e-5 * abs(v0)
-    # series branch joins the direct ratio continuously at the window edge
-    eps = state.eps_sing
-    assert abs(eval_potential(state, eps * 0.99) - eval_potential(state, eps * 1.01)) <= 1e-8 * abs(v0)
 
 
 def test_potential_depth_scales_like_M_over_gamma0():
@@ -303,12 +299,41 @@ def test_sign_structure(state, y_frac):
     assert eval_potential(state, 30.0) <= 0.0
 
 
-def test_potential_series_consistency():
-    # the series coefficients agree with small-y direct ratios
-    p = FlowParams(0.7, 0.15, 0.03, 0.8, 1e-3)
-    state = FlowState(p, p.horizon)
-    v0, v2, v4, v6 = potential_series_coeffs(state)
-    for y in (3e-4, 1e-3):
-        b, _, b2, _ = eval_b_derivs(state, y)
-        series = v0 + y ** 2 * (v2 + y ** 2 * (v4 + y ** 2 * v6))
-        assert abs(series - b2 / b) <= 1e-8 * abs(b2 / b)
+def _potential_oracle(state, y, dps=40):
+    """b''/b of the state's doubles at ``dps`` digits, and at y = 0 its limit b'''(0)/b'(0)."""
+    with mpmath.workdps(dps):
+        m, y = mpmath.mpf(state.params.M), mpmath.mpf(y)
+        bumps = [(mpmath.mpf(a), mpmath.mpf(s)) for a, s in ((state.amp1, state.s1),
+                                                             (-state.amp2, state.s2))]
+        if y == 0:
+            return float(-2 * m * sum(a / s ** 1.5 for a, s in bumps)
+                         / (1 + m * sum(a / mpmath.sqrt(s) for a, s in bumps)))
+        b = y + m * mpmath.sqrt(mpmath.pi) / 2 * sum(a * mpmath.erf(y / mpmath.sqrt(s))
+                                                     for a, s in bumps)
+        b2 = -2 * y * m * sum(a / s ** 1.5 * mpmath.exp(-y ** 2 / s) for a, s in bumps)
+        return float(b2 / b)
+
+
+_NEAR_ORIGIN = {"t0": FlowState(_TUNED, 0.0),
+                "tT": FlowState(_TUNED, _TUNED.horizon),
+                "M1e50": FlowState(_TUNED.with_M(1e50), 0.0),
+                "g0g1_1e-10": FlowState(FlowParams(0.7, 0.01, 1e-8, 0.4, 1e-3), 0.0)}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_ORIGIN))
+def test_potential_matches_mpmath_near_origin(name):
+    # the direct ratio down to the smallest normal |y|, its limit below it
+    state = _NEAR_ORIGIN[name]
+    ys = np.r_[np.geomspace(2.3e-308, 1e-3, 40), -1e-200, -3e-4]
+    vs = eval_potential(state, ys)
+    for y, v in zip(ys, vs):
+        oracle = _potential_oracle(state, y)
+        assert abs(v - oracle) <= 1e-13 * abs(oracle), y
+        assert eval_potential(state, float(y)) == v
+    _, b1, _, b3 = eval_b_derivs(state, 0.0)
+    limit = _potential_oracle(state, 0.0)
+    assert abs(b3 / b1 - limit) <= 1e-13 * abs(limit)
+    for y in (0.0, -0.0, 1e-310, -1e-310, 5e-324):
+        assert eval_potential(state, y) == b3 / b1
+    assert np.array_equal(eval_potential(state, np.array([1e-310, 0.0, 1e-3])),
+                          [b3 / b1, b3 / b1, eval_potential(state, 1e-3)])

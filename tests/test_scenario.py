@@ -38,6 +38,18 @@ def test_dichotomy_ordering(ctx):
         assert c.measured > 0.0 if root else c.measured is None
 
 
+def test_dichotomy_grid_names_each_time_once():
+    # the probe Ttilde - 0.02 T lands 3e-5 T past the grid time T/6 and prints
+    # as it, so it adds no second check of that name
+    T, ttilde = 1.0, 1.0 / 6.0 + 0.02 + 3e-5
+    grid = scenario._dichotomy_grid(T, ttilde)
+    times = list(grid.values())
+    assert list(grid) == [f"dichotomy_t{t / T:.4f}T" for t in times]
+    assert times == sorted(set(times)) and len(times) == 8
+    assert grid["dichotomy_t0.1667T"] == np.linspace(0.0, T, 7)[1]
+    assert grid["dichotomy_t0.2067T"] == ttilde + 0.02 * T
+
+
 def test_mismatched_delta_flags_budget(cfg):
     rep = run_torus_scenario(cfg.params(), delta=0.2, n_times=8)
     assert not rep.all_passed
@@ -54,7 +66,7 @@ def test_mismatched_delta_flags_budget(cfg):
 def test_slope_stencil_fits_below_kstarT(cfg):
     # delta = 0.0137 leaves k*(T) - 1 = 1.44e-3, under the fixed dk = 2e-3 of
     # the fixture: the stencil k = 1 +/- dk shrinks to half of k*(T) - 1
-    rep = run_torus_scenario(cfg.params(), delta=0.0137)
+    rep = run_torus_scenario(cfg.params(), delta=0.0137, n_times=cfg.n_times)
     assert 0.0 < rep.kstarT - 1.0 < 2e-3
     assert rep.all_passed and len(rep.checks) == 25
     assert rep.slope_at_k1 < 0.0
@@ -95,7 +107,7 @@ def test_report_serialization_roundtrip(ctx):
     assert parsed["ci_at_k1"] == ctx.torus.ci_at_k1
 
 
-def test_torus_solves_the_crossing_state_once(monkeypatch):
+def test_torus_solves_the_crossing_state_once(monkeypatch, cfg):
     # k* = sqrt(M) (1 + 0.05 t / T): tuned to 0.99 at t = 0, crosses 1 inside (0, T)
     params = FlowParams(1.0, 0.15, 0.03, 0.8, 1e-3)
     T = params.horizon
@@ -114,7 +126,7 @@ def test_torus_solves_the_crossing_state_once(monkeypatch):
     # no root at t = T ends the scenario right after the crossing checks
     monkeypatch.setattr(ray, "eigenvalues_for_ks",
                         lambda state, ks: ([None] * len(ks), np.ones(2), np.ones((len(ks), 2))))
-    rep = run_torus_scenario(params)
+    rep = run_torus_scenario(params, cfg.delta, cfg.n_times)
     assert 0.0 < rep.Ttilde < T
     assert next(c for c in rep.checks if c.name == "kstar_at_Ttilde").passed
     assert solved.count(FlowState(params.with_M(rep.M), rep.Ttilde)) == 1
