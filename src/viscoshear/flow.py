@@ -66,7 +66,7 @@ class FlowParams:
         # term stays finite, and k* moves by only 1e-9 from M = 1e10 to 1e50.  The
         # horizon T = gamma0^2 gamma1^2 / nu overflows to inf for a subnormal nu, and
         # the times sampled on [0, T] would then be NaN; an infinite nu makes T = 0
-        # and s1 = 4 nu t + gamma0^2 NaN at t = 0.
+        # and s1 = 4 nu t + gamma0^2 NaN at t = 0, and a huge one underflows T to 0.
         if not 0.0 <= self.M <= 1e50:
             raise ValueError("M must be nonnegative and at most 1e50")
         if not 0.0 < self.gamma0 <= 0.5:
@@ -81,8 +81,9 @@ class FlowParams:
             raise ValueError("nu must be positive and finite")
         if not self.gamma0 * self.gamma1 >= 1e-10:
             raise ValueError("gamma0 * gamma1 must be at least 1e-10")
-        if not math.isfinite(self.horizon):
-            raise ValueError("nu must keep the horizon gamma0**2 * gamma1**2 / nu finite")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(
+                "nu must keep the horizon gamma0**2 * gamma1**2 / nu positive and finite")
 
     @property
     def horizon(self) -> float:

@@ -31,7 +31,11 @@ has kappa * Y < 3, the state goes to the uniform ladder.
   3-point differences on the full grid, the lowest two eigenvalues by index
   (``_lowest_two``), and kappa as a bracketed root in lambda by the
   package's transcription of scipy's Brent (``_roots.brentq``), with each
-  distinct Robin matrix solved once.
+  distinct Robin matrix solved once.  Richardson needs rungs 0 to 2 before
+  it can stop, so with two CPUs rung 2, the costliest of them, runs in a
+  forked child (``_forked``) while the caller climbs rungs 0 and 1; rungs 3
+  and 4 run in the caller.  Threads would not help: scipy's ``dstebz``
+  wrapper holds the GIL.
 
 The two LAPACK routines are scipy's own compiled wrappers, loaded by path
 from ``scipy/linalg/_flapack`` so that no command pays for importing
@@ -39,7 +43,7 @@ from ``scipy/linalg/_flapack`` so that no command pays for importing
 exactly the calls of ``scipy.linalg.eigh_tridiagonal``'s ``stebz`` branch,
 and must keep making them: ``line``'s threshold amplitude M0 is set by the
 bisection noise of ``_lowest_two``, so another driver, selection or
-tolerance moves it.
+tolerance moves it.  The forked rung makes the same calls in the child.
 
 The mode, the ground state, is even: it is the lowest eigenvector of the
 even block of the finest mapped rung the eigensolve reached (whichever ladder
@@ -50,10 +54,12 @@ normalized in its cells, both of which ``SpectralResult`` carries.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -242,6 +248,63 @@ def _level(vfunc: Callable[[np.ndarray], np.ndarray], level: int):
     return (n,) + _selfconsistent_box(v, ys[1] - ys[0])
 
 
+@contextlib.contextmanager
+def _forked(fn: Callable[[], object]):
+    """Run ``fn()`` in a forked child while the caller works on; yields a
+    ``wait()`` that returns its value or re-raises its exception.
+
+    The child pickles ("ok", value) or ("err", exception) into a pipe and
+    leaves by ``os._exit``, flushing no stdio buffer and running no atexit
+    handler.  ``wait`` reaps it; leaving the block any other way (an
+    exception, an interrupted wait) kills and reaps it.  Without ``fork``,
+    a second CPU in the affinity mask or a process to spare, yields ``fn``
+    itself.
+    """
+    cpus, pid = getattr(os, "sched_getaffinity", None), None
+    if hasattr(os, "fork") and cpus is not None and len(cpus(0)) >= 2:
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+    if pid is None:
+        yield fn
+        return
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                out = ("ok", fn())
+            except BaseException as exc:
+                out = ("err", exc)
+            with open(write, "wb") as pipe:
+                pickle.dump(out, pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    reaped = False
+    with open(read, "rb") as pipe:
+
+        def wait():
+            nonlocal reaped
+            status, value = pickle.load(pipe)
+            os.waitpid(pid, 0)
+            reaped = True
+            if status == "err":
+                raise value
+            return value
+
+        try:
+            yield wait
+        finally:
+            if not reaped:
+                import signal  # this path alone needs it, so start-up does not import it
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _mapped_lowest(d: np.ndarray, e: np.ndarray) -> float:
     return float(eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0),
                                   tol=MAP_TOL)[0])
@@ -333,8 +396,11 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
     def v_mapped(y):
         return seen[len(y)] if len(y) in seen else seen.setdefault(len(y), vfunc(y))
 
-    lam1, lam2, info = (_climb(lambda level: _mapped_level(v_mapped, level), True)
-                        or _climb(lambda level: _level(vfunc, level), False))
+    climbed = _climb(lambda level: _mapped_level(v_mapped, level), True)
+    if climbed is None:  # rung 2 in a child while this process climbs rungs 0 and 1
+        with _forked(lambda: _level(vfunc, 2)) as rung_2:
+            climbed = _climb(lambda level: rung_2() if level == 2 else _level(vfunc, level), False)
+    lam1, lam2, info = climbed
     kstar = math.sqrt(-lam1) if lam1 < -TOL_EIG else None
     if kstar is None or not want_mode:
         return SpectralResult(lam1, lam2, kstar, None, None, None, info)

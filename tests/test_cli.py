@@ -191,6 +191,9 @@ def test_cli_config_errors(tmp_path):
         ("gamma1 = 1e-300", "gamma0 * gamma1 must be at least 1e-10"),
         ("M = 1e300", "M must be nonnegative and at most 1e50"),
         ("nu = 5e-324", "config error: nu must keep the horizon"),
+        # T = gamma0^2 gamma1^2 / nu underflows to 0
+        ("gamma0 = 1e-5\ngamma1 = 1e-5\ngamma2 = 0.4\nnu = 1e308",
+         "config error: nu must keep the horizon gamma0**2 * gamma1**2 / nu positive"),
         # a count numpy cannot allocate is rejected before any work
         ("n_times = 100000000000000000000", "n_times must be at least 8 and at most 1000"),
     ],

@@ -1,6 +1,8 @@
 """Eigensolver: exactly solvable wells, Sturm counts, variational checks."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -818,7 +820,9 @@ def test_level_mirrors_the_full_grid_potential(monkeypatch, M, t):
 @pytest.mark.parametrize("M, at_T", [(4e-5, False), (M0_LINE, True)])
 def test_weak_ladders_stay_pinned(monkeypatch, M, at_T):
     # a weakly bound state is routed once, on mapped rung 0, and every
-    # uniform rung is the full-matrix index pair at its kappa, bit for bit
+    # uniform rung is the full-matrix index pair at its kappa, bit for bit.
+    # Rung 2 runs in a forked child, out of a spy's sight, so each rung of
+    # the trail is checked against the serial rung on the same state.
     p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
     state = FlowState(p, p.horizon if at_T else 0.0)
     mapped, rungs = [], []
@@ -835,14 +839,123 @@ def test_weak_ladders_stay_pinned(monkeypatch, M, at_T):
         return out
 
     monkeypatch.setattr(spectrum, "_mapped_level", spy_mapped)
-    monkeypatch.setattr(spectrum, "_selfconsistent_box", spy_box)
     res = lowest_eigenpair(state, want_mode=False)
-    monkeypatch.undo()
     assert mapped == [(0, None)]
-    assert len(rungs) == len(res.convergence.n_points) >= 3
-    for v, h, (lam1, lam2, kappa) in rungs:
+    info = res.convergence
+    assert len(info.n_points) >= 3
+    monkeypatch.setattr(spectrum, "_selfconsistent_box", spy_box)
+    lam2s = []
+    for level, (n, raw) in enumerate(zip(info.n_points, info.raw)):
+        assert spectrum._level(spectrum._potential(state), level)[:2] == (n, raw)
+        v, h, (lam1, lam2, kappa) = rungs[-1]
         assert kappa * spectrum.HALF_WIDTH < 3.0
         assert (lam1, lam2) == _lowest_two(*_robin_tridiagonal(v, h, kappa))
+        lam2s.append(lam2)
+    assert kappa == info.kappa
+    assert res.lambda2 == lam2s[-1] + (lam2s[-1] - lam2s[-2]) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# the uniform ladder's rung 2 in a forked child
+# ---------------------------------------------------------------------------
+
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+
+
+def _counted_forks(monkeypatch):
+    """Every ``os.fork`` of this process from now on, as the list of its pids."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _trail(res):
+    info = res.convergence
+    return (res.lambda1, res.lambda2, info.n_points, info.raw, info.richardson, info.kappa)
+
+
+@pytest.mark.parametrize("M, at_T", [(M0_LINE, False), (M0_LINE, True), (4e-5, False)])
+def test_forked_ladder_matches_a_serial_climb(monkeypatch, M, at_T):
+    # with two CPUs one child climbs rung 2; the trail is a serial climb's bit for bit
+    p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
+    state = FlowState(p, p.horizon if at_T else 0.0)
+    vfunc = spectrum._potential(state)
+    lam1, lam2, info = spectrum._climb(lambda level: spectrum._level(vfunc, level), False)
+    forks = _counted_forks(monkeypatch)
+    res = lowest_eigenpair(state, want_mode=False)
+    assert len(forks) == (1 if TWO_CPUS else 0)
+    assert _trail(res) == (lam1, lam2, info.n_points, info.raw, info.richardson, info.kappa)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="rung 2 forks only with two CPUs")
+def test_nonconvergence_in_the_child_reaches_the_caller(monkeypatch):
+    # fork inherits the patch; the error names the process that raised it
+    real, caller = spectrum._level, os.getpid()
+
+    def failing(vfunc, level):
+        if level == 2:
+            raise NonConvergence(f"rung 2 failed in process {os.getpid()}")
+        return real(vfunc, level)
+
+    monkeypatch.setattr(spectrum, "_level", failing)
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(NonConvergence) as err:
+        lowest_eigenpair(FlowState(FlowParams(M0_LINE, 0.15, 0.03, 0.8, 1e-3), 0.0),
+                         want_mode=False)
+    assert str(err.value) == f"rung 2 failed in process {forks[0]}" and forks[0] != caller
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="rung 2 forks only with two CPUs")
+@pytest.mark.parametrize("failing_level, error", [(0, NonConvergence), (1, KeyboardInterrupt)])
+def test_an_error_in_the_callers_rung_leaves_no_child(monkeypatch, failing_level, error):
+    # the child would sleep for a minute: the caller kills and reaps it at once
+    real = spectrum._level
+
+    def level(vfunc, lev):
+        if lev == 2:
+            time.sleep(60.0)
+        if lev == failing_level:
+            raise error("the caller's rung failed")
+        return real(vfunc, lev)
+
+    monkeypatch.setattr(spectrum, "_level", level)
+    forks = _counted_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(error, match="the caller's rung failed"):
+        lowest_eigenpair(FlowState(FlowParams(M0_LINE, 0.15, 0.03, 0.8, 1e-3), 0.0),
+                         want_mode=False)
+    assert len(forks) == 1 and time.monotonic() - start < 30.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, error", [({0}, AssertionError("forked on one CPU")),
+                                         ({0, 1}, BlockingIOError(11, "no process to spare"))])
+def test_without_a_child_every_rung_runs_in_the_caller(monkeypatch, cpus, error):
+    # with one CPU in the affinity mask the ladder never forks, and a fork
+    # that fails leaves no pipe open; either way the bits are the same
+    state = FlowState(FlowParams(M0_LINE, 0.15, 0.03, 0.8, 1e-3), 0.0)
+    forked = _trail(lowest_eigenpair(state, want_mode=False))
+
+    def failing_fork():
+        raise error
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    assert _trail(lowest_eigenpair(state, want_mode=False)) == forked
+    assert fds is None or sorted(os.listdir("/proc/self/fd")) == fds
 
 
 # The switch of the closure on the fixture at t = 0: below M_EDGE the Neumann seed
