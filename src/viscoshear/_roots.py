@@ -1,4 +1,4 @@
-"""Bracketed root iterations: Chandrupatla over many brackets, Brent over one.
+"""Chandrupatla's bracketed root iteration, over many brackets at once.
 
 Chandrupatla (Adv. Eng. Softw. 28, 1997) keeps three points per bracket:
 x1 the newest, x2 the bracket end where f has the other sign and x3 the
@@ -7,23 +7,15 @@ taken where his test keeps it well inside the bracket, bisection
 elsewhere, so the iteration converges superlinearly on smooth f and never
 leaves the bracket.  Each iteration evaluates the real f at one point per
 unfinished bracket in a single call.
-
-``brentq`` is Brent's method (R. P. Brent, *Algorithms for Minimization
-Without Derivatives*, Prentice-Hall 1973, ch. 4) for one scalar bracket,
-transcribed from scipy's ``optimize/Zeros/brentq.c``: the same branches and
-the same floating-point operations in the same order, so it evaluates f at
-the same abscissae and returns the same root bit for bit, without importing
-``scipy.optimize``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import BracketFailure, NonConvergence
+from .errors import NonConvergence
 
 
 def chandrupatla(f: Callable, x1, x2, f1, f2, tol, max_iter: int, label: str, first=0.5):
@@ -79,64 +71,3 @@ def chandrupatla(f: Callable, x1, x2, f1, f2, tol, max_iter: int, label: str, fi
         raise NonConvergence(f"{label}: {todo.size} of {x.size} brackets unfinished "
                              f"after {max_iter} iterations")
     return x, fx, np.minimum(x1, x2), np.maximum(x1, x2)
-
-
-def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float,
-           maxiter: int) -> float:
-    """Root of a scalar f between ``a`` and ``b``, scipy's ``brentq`` iterate for iterate.
-
-    An end where f is zero is returned as it is.  The iteration stops when
-    the half bracket falls below delta = (xtol + rtol |x|) / 2 or f is zero
-    at the best point x, and returns x.  Raises ``BracketFailure`` when f has
-    the same sign at both ends, ``NonConvergence`` when f is NaN or after
-    ``maxiter`` iterations.
-    """
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = _finite_f(f, xpre), _finite_f(f, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise BracketFailure(f"brentq: f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} "
-                             "have the same sign")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the better end in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry  # a short interpolation step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _finite_f(f, xcur)
-    raise NonConvergence(f"brentq: no root within {maxiter} iterations (last x = {xcur!r})")
-
-
-def _finite_f(f: Callable[[float], float], x: float) -> float:
-    fx = float(f(x))
-    if math.isnan(fx):
-        raise NonConvergence(f"brentq: f({x!r}) is NaN")
-    return fx

@@ -29,21 +29,22 @@ has kappa * Y < 3, the state goes to the uniform ladder.
   ratio inside ``ORDER_BAND``.
 - Weakly bound states climb the uniform ladder (``_level``): symmetric
   3-point differences on the full grid, the lowest two eigenvalues by index
-  (``_lowest_two``), and kappa as a bracketed root in lambda by the
-  package's transcription of scipy's Brent (``_roots.brentq``), with each
-  distinct Robin matrix solved once.  Richardson needs rungs 0 to 2 before
-  it can stop, so with two CPUs rung 2, the costliest of them, runs in a
-  forked child (``_forked``) while the caller climbs rungs 0 and 1; rungs 3
-  and 4 run in the caller.  Threads would not help: scipy's ``dstebz``
-  wrapper holds the GIL.
+  (``_lowest_two``), and kappa as a bracketed root in lambda by scipy's
+  compiled Brent (``brentq``), with each distinct Robin matrix solved once.
+  Richardson needs rungs 0 to 2 before it can stop, so with two CPUs rung 2,
+  the costliest of them, runs in a forked child (``_forked``) while the
+  caller climbs rungs 0 and 1; rungs 3 and 4 run in the caller.  Threads
+  would not help: scipy's ``dstebz`` wrapper holds the GIL.
 
-The two LAPACK routines are scipy's own compiled wrappers, loaded by path
-from ``scipy/linalg/_flapack`` so that no command pays for importing
-``scipy.linalg`` and what it imports.  ``eigh_tridiagonal`` makes
-exactly the calls of ``scipy.linalg.eigh_tridiagonal``'s ``stebz`` branch,
-and must keep making them: ``line``'s threshold amplitude M0 is set by the
-bisection noise of ``_lowest_two``, so another driver, selection or
-tolerance moves it.  The forked rung makes the same calls in the child.
+The LAPACK routines and Brent's iteration are scipy's own compiled
+extensions (``scipy/linalg/_flapack``, ``scipy/optimize/_zeros``), loaded by
+path (``_extension``) so that no command imports ``scipy.linalg`` or
+``scipy.optimize``.  ``eigh_tridiagonal`` and ``brentq`` make exactly the
+calls of scipy's ``eigh_tridiagonal`` (``stebz`` branch) and ``brentq``, and
+must keep making them: ``line``'s threshold amplitude M0 is set by the
+bisection noise of ``_lowest_two`` at Brent's abscissae, so another driver,
+selection, tolerance or root finder moves it.  The forked rung makes the
+same calls in the child.
 
 The mode, the ground state, is even: it is the lowest eigenvector of the
 even block of the finest mapped rung the eigensolve reached (whichever ladder
@@ -65,8 +66,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._roots import brentq
-from .errors import NonConvergence
+from .errors import BracketFailure, NonConvergence
 from .flow import FlowState, eval_potential
 
 __all__ = [
@@ -92,22 +92,23 @@ ORDER_BAND = (3.5, 4.5)  # the ratio of successive raw lambda1 differences the m
 PROFILE_C_MAX = 1e3  # largest plateau/envelope constant profile_check fits
 
 
-def _flapack():
-    """``dstebz`` and ``dstein`` from scipy's compiled LAPACK wrappers,
-    ``scipy/linalg/_flapack``, loaded as a module of their own: found by
-    path, so no ``scipy`` package is imported."""
+def _extension(package: str, name: str):
+    """scipy's compiled extension ``scipy/<package>/<name>``, loaded as a
+    module of its own: found by path, so no ``scipy`` package is imported."""
     scipy = importlib.util.find_spec("scipy")
     spec = scipy and importlib.machinery.PathFinder.find_spec(
-        "_flapack", [os.path.join(p, "linalg") for p in scipy.submodule_search_locations])
+        name, [os.path.join(p, package) for p in scipy.submodule_search_locations])
     if spec is None:
-        raise ImportError("viscoshear.spectrum needs scipy's LAPACK extension "
-                          "scipy/linalg/_flapack, and no installed scipy has it")
+        raise ImportError(f"viscoshear.spectrum needs scipy's compiled extension "
+                          f"scipy/{package}/{name}, and no installed scipy has it")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dstebz, module.dstein
+    return module
 
 
-_dstebz, _dstein = _flapack()
+_flapack = _extension("linalg", "_flapack")
+_dstebz, _dstein = _flapack.dstebz, _flapack.dstein
+_zeros = _extension("optimize", "_zeros")
 
 
 def _checked(routine: str, info: int) -> None:
@@ -115,7 +116,7 @@ def _checked(routine: str, info: int) -> None:
         raise NonConvergence(f"LAPACK {routine} failed (info={info})")
 
 
-def eigh_tridiagonal(d, e, eigvals_only=False, select="i", select_range=(0, 0), tol=0.0):
+def eigh_tridiagonal(d, e, eigvals_only=False, select_range=(0, 0), tol=0.0):
     """Eigenvalues il..iu = ``select_range`` of the symmetric tridiagonal
     (d, e), and with ``eigvals_only`` False their eigenvectors as columns.
 
@@ -123,11 +124,9 @@ def eigh_tridiagonal(d, e, eigvals_only=False, select="i", select_range=(0, 0), 
     same finite-input check, ``dstebz`` with the same arguments (matrix order
     for values, block order for vectors), ``dstein`` on the block-ordered
     values, then an ``argsort``, so its results are scipy's bit for bit.
-    Only selection by index (``select="i"``) is supported.  A nonzero LAPACK
-    ``info`` raises ``NonConvergence``.
+    Selection is by index only.  A nonzero LAPACK ``info`` raises
+    ``NonConvergence``.
     """
-    if select != "i":
-        raise ValueError(f"only select='i' is supported, got {select!r}")
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     il, iu = select_range
     m, w, iblock, isplit, info = _dstebz(d, e, 2, 0.0, 1.0, il + 1, iu + 1, float(tol),
@@ -186,8 +185,30 @@ def _robin_tridiagonal(v: np.ndarray, h: float, kappa: float):
 
 
 def _lowest_two(d: np.ndarray, e: np.ndarray):
-    vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 1))
+    vals = eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 1))
     return float(vals[0]), float(vals[1])
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float,
+           maxiter: int) -> float:
+    """Root of a scalar f between ``a`` and ``b``: scipy's compiled Brent,
+    called as ``scipy.optimize.brentq`` calls it.  Raises ``BracketFailure``
+    when f has the same sign at both ends, ``NonConvergence`` when f is NaN
+    or after ``maxiter`` iterations; what f raises reaches the caller as is.
+    """
+    def finite(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise NonConvergence(f"brentq: f({x!r}) is NaN")
+        return fx
+
+    try:
+        return _zeros._brentq(finite, a, b, xtol, rtol, maxiter, (), False, True)
+    except (ValueError, RuntimeError) as exc:
+        if exc.__traceback__.tb_next is not None:  # raised in f, below this frame
+            raise
+        error = BracketFailure if isinstance(exc, ValueError) else NonConvergence
+        raise error(f"brentq on [{a!r}, {b!r}]: {exc}") from None
 
 
 def _selfconsistent_box(v: np.ndarray, h: float):
@@ -199,10 +220,10 @@ def _selfconsistent_box(v: np.ndarray, h: float):
     lambda_box is increasing in kappa, hence F(lambda) =
     lambda_box(kappa(lambda)) - lambda is strictly decreasing and changes
     sign between the (overbinding) Neumann value and 0-.  The root is found
-    by ``_roots.brentq``, scipy's Brent iterate for iterate.  A strongly
-    bound state (kappa * Y of about 9 or more) has a Robin shift that rounds
-    away, so F(Neumann value) is not positive and brentq raises
-    ``BracketFailure``: such states belong on the mapped ladder.
+    by ``brentq``, scipy's compiled Brent.  A strongly bound state (kappa * Y
+    of about 9 or more) has a Robin shift that rounds away, so F(Neumann
+    value) is not positive and brentq raises ``BracketFailure``: such states
+    belong on the mapped ladder.
 
     Each distinct Robin matrix is solved once, by index: a kappa sets the end
     entries of the kappa = 0 matrix (bit-identical to
@@ -255,10 +276,11 @@ def _forked(fn: Callable[[], object]):
 
     The child pickles ("ok", value) or ("err", exception) into a pipe and
     leaves by ``os._exit``, flushing no stdio buffer and running no atexit
-    handler.  ``wait`` reaps it; leaving the block any other way (an
-    exception, an interrupted wait) kills and reaps it.  Without ``fork``,
-    a second CPU in the affinity mask or a process to spare, yields ``fn``
-    itself.
+    handler.  ``wait`` reaps it, and runs ``fn()`` itself when the child
+    left no record (killed by a signal, say); leaving the block any other
+    way (an exception, an interrupted wait) kills and reaps it.  Without
+    ``fork``, a second CPU in the affinity mask or a process to spare,
+    yields ``fn`` itself.
     """
     cpus, pid = getattr(os, "sched_getaffinity", None), None
     if hasattr(os, "fork") and cpus is not None and len(cpus(0)) >= 2:
@@ -288,9 +310,15 @@ def _forked(fn: Callable[[], object]):
 
         def wait():
             nonlocal reaped
-            status, value = pickle.load(pipe)
+            try:
+                record = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child died without one
+                record = None
             os.waitpid(pid, 0)
             reaped = True
+            if record is None:
+                return fn()
+            status, value = record
             if status == "err":
                 raise value
             return value
@@ -306,8 +334,7 @@ def _forked(fn: Callable[[], object]):
 
 
 def _mapped_lowest(d: np.ndarray, e: np.ndarray) -> float:
-    return float(eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0),
-                                  tol=MAP_TOL)[0])
+    return float(eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 0), tol=MAP_TOL)[0])
 
 
 def _mapped_block(vfunc: Callable[[np.ndarray], np.ndarray], level: int):
@@ -407,7 +434,7 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
     # the ground state is even: the even block's lowest eigenvector, Robin-closed
     d, e, w, y = _mapped_block(v_mapped, len(info.n_points) - 1)
     d[-1] += kstar / w[-1]
-    u = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=MAP_TOL)[1][:, 0] / np.sqrt(w)
+    u = eigh_tridiagonal(d, e, select_range=(0, 0), tol=MAP_TOL)[1][:, 0] / np.sqrt(w)
     u = np.concatenate((u[:0:-1], u)) * math.copysign(1.0, u[0])
     w = np.concatenate((w[:0:-1], [2.0 * w[0]], w[1:]))  # the full line's cells
     y[-1] = HALF_WIDTH  # MAP_A * sinh(asinh(Y / MAP_A)) may round past Y

@@ -347,9 +347,9 @@ def test_package_errors_reach_their_exit_code(tmp_path, monkeypatch, error, rc):
 
 def test_cli_import_leaves_verify_and_quadrature_unloaded():
     # only `verify` needs the acceptance suite and its scipy.integrate
-    # quadrature; the package's own Chandrupatla and Brent replace scipy's
-    # root finders and erf is math.erf, and spectrum loads scipy's LAPACK
-    # extension by path, so no scipy module loads at all (not scipy,
+    # quadrature; the package's own Chandrupatla is its bracketed root finder
+    # and erf is math.erf, and spectrum loads scipy's compiled LAPACK and
+    # Brent extensions by path, so no scipy package loads at all (not scipy,
     # scipy.linalg, scipy.optimize or scipy.special), not even once a weak
     # (Brent-closed) uniform rung and a W pass have run; I(c)'s panels carry
     # their Gauss-Legendre rule as literals, so numpy.polynomial stays out too

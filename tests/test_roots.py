@@ -1,6 +1,6 @@
-"""The shared root iterations: Chandrupatla over many brackets (ends,
-limits) and Brent over one, checked iterate for iterate against scipy's
-``brentq``."""
+"""The root iterations: the package's Chandrupatla over many brackets
+(ends, limits), and ``spectrum.brentq``, scipy's compiled Brent over one,
+checked iterate for iterate against ``scipy.optimize.brentq``."""
 
 import math
 
@@ -9,9 +9,10 @@ import pytest
 import scipy.optimize
 
 from viscoshear import spectrum
-from viscoshear._roots import brentq, chandrupatla
+from viscoshear._roots import chandrupatla
 from viscoshear.errors import BracketFailure, NonConvergence
 from viscoshear.flow import FlowParams, FlowState, eval_potential
+from viscoshear.spectrum import brentq
 
 
 def _cubic(roots):
@@ -196,7 +197,7 @@ def test_brentq_returns_a_zero_end_without_iterating():
 
 
 def test_brentq_rejects_ends_of_the_same_sign():
-    with pytest.raises(BracketFailure, match="same sign"):
+    with pytest.raises(BracketFailure, match="different signs"):
         brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 8.9e-16, 100)
     with pytest.raises(BracketFailure):  # by sign bit: the product 1e-400 would underflow
         brentq(lambda x: 1e-200, 0.0, 1.0, 1e-12, 8.9e-16, 100)
@@ -204,7 +205,7 @@ def test_brentq_rejects_ends_of_the_same_sign():
 
 def test_brentq_stops_after_maxiter_evaluations():
     calls = []
-    with pytest.raises(NonConvergence, match="within 3 iterations"):
+    with pytest.raises(NonConvergence, match="after 3 iterations"):
         brentq(lambda x: calls.append(x) or math.exp(x) - 2.0, 0.0, 5.0, 1e-14, 8.9e-16, 3)
     assert len(calls) == 2 + 3  # the two ends, then one point per iteration
     assert brentq(lambda x: math.exp(x) - 2.0, 0.0, 5.0, 1e-14, 8.9e-16, 100) == pytest.approx(
@@ -212,7 +213,21 @@ def test_brentq_stops_after_maxiter_evaluations():
 
 
 def test_brentq_rejects_nan():
-    with pytest.raises(NonConvergence, match="NaN"):
+    with pytest.raises(NonConvergence, match=r"f\(0\.0\) is NaN"):
         brentq(lambda x: math.nan, 0.0, 1.0, 1e-12, 8.9e-16, 100)
-    with pytest.raises(NonConvergence, match="NaN"):  # a NaN met inside the bracket
+    with pytest.raises(NonConvergence, match=r"f\(0\.5\) is NaN"):  # met inside the bracket
         brentq(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0, 1e-12, 8.9e-16, 100)
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError, KeyError])
+def test_brentq_passes_on_what_f_raises(error):
+    # scipy's iteration reports its own failures as ValueError and
+    # RuntimeError; the same types raised by f are not mistaken for them
+    def f(x):
+        if 0.0 < x < 1.0:
+            raise error("raised by f")
+        return x - 0.5
+
+    with pytest.raises(error, match="raised by f") as err:
+        brentq(f, 0.0, 1.0, 1e-12, 8.9e-16, 100)
+    assert type(err.value) is error

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import time
 
 import numpy as np
@@ -65,8 +66,7 @@ def certified_window(d: np.ndarray, e: np.ndarray, window: tuple):
 
 def _lowest(d, e):
     """The lowest eigenvalue of a block by one index call at LAPACK's default tolerance."""
-    return float(spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                           select_range=(0, 0))[0])
+    return float(spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 0))[0])
 
 
 def _raw_ratio(info):
@@ -284,7 +284,7 @@ def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch):
     w = a * np.cosh(x) * h
     w[[0, -1]] *= 0.5
     d = eval_potential(state, a * np.sinh(x)) + (np.r_[kappa, flux] + np.r_[flux, kappa]) / w
-    u = eigh(d, -flux / np.sqrt(w[:-1] * w[1:]), select="i", select_range=(0, 0))[1][:, 0]
+    u = eigh(d, -flux / np.sqrt(w[:-1] * w[1:]), select_range=(0, 0))[1][:, 0]
     u /= np.sqrt(w)
     u *= math.copysign(1.0, u[rows - 1]) / math.sqrt(np.sum(u ** 2 * w))
     assert np.max(np.abs(res.weights / w - 1.0)) <= 1e-12
@@ -372,7 +372,7 @@ def test_uniform_closure_of_a_strongly_bound_state_is_a_bracket_failure(M, level
     # kappa * Y of about 9 to 20: the Robin shift of the Neumann value rounds
     # away, so F(Neumann value) is not positive and the closure's bracket does
     # not straddle: a package error, which the CLI maps to exit 3
-    with pytest.raises(BracketFailure, match="same sign"):
+    with pytest.raises(BracketFailure, match="different signs"):
         spectrum._level(_fixture_potential(M), level)
 
 
@@ -404,7 +404,7 @@ def test_closure_fixed_point_matches_direct_solve(monkeypatch):
     rows = 2 * (spectrum.MAP_ROWS - 1) + 1
     assert n == 2 * rows - 1 and kappa == math.sqrt(-lam1) and kappa * 20.0 >= 3.0
     assert [(len(d), kw) for d, _, kw, _ in calls] == [
-        (m, dict(eigvals_only=True, select="i", select_range=(0, 0), tol=spectrum.MAP_TOL))
+        (m, dict(eigvals_only=True, select_range=(0, 0), tol=spectrum.MAP_TOL))
         for m in (rows, rows, rows - 1)]
     (dn, en, _, lam_n), (dr, er, _, lam_r), (do, eo, _, lam_o) = calls
     kappa0 = math.sqrt(-lam_n)
@@ -421,7 +421,7 @@ def test_mapped_rungs_route_once_then_make_three_index_calls(monkeypatch):
     eigh, level = spectrum.eigh_tridiagonal, spectrum._mapped_level
 
     def counted_eigh(d, e, **kwargs):
-        calls.append((kwargs["select"], kwargs.get("tol"), len(d)))
+        calls.append((kwargs["eigvals_only"], kwargs.get("tol"), len(d)))
         return eigh(d, e, **kwargs)
 
     def split_level(*args):
@@ -437,7 +437,7 @@ def test_mapped_rungs_route_once_then_make_three_index_calls(monkeypatch):
     assert len(rungs) == len(res.convergence.n_points) >= 3
     for i, rung in enumerate(rungs):
         rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
-        assert rung == [("i", spectrum.MAP_TOL, rows)] * 2 + [("i", spectrum.MAP_TOL, rows - 1)]
+        assert rung == [(True, spectrum.MAP_TOL, rows)] * 2 + [(True, spectrum.MAP_TOL, rows - 1)]
 
 
 def test_sweeps_below_the_edge_fall_back_to_the_uniform_ladder(monkeypatch):
@@ -702,8 +702,7 @@ def _random_block(well, odd, robin):
             "fixture_T": lambda: _fixture_well(0.7, t=0.02025)}[well]()
     kappa = math.sqrt(-_lowest(*_blocks(v, h, 0.0)[0])) if robin else 0.0
     d, e = _blocks(v, h, kappa)[odd]
-    return d, e, spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                           select_range=(0, 2))
+    return d, e, spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -788,7 +787,7 @@ def test_weak_closure_makes_the_full_matrix_calls_plus_one_routing_test(monkeypa
     eigh = spectrum.eigh_tridiagonal
 
     def counted_eigh(d, e, **kwargs):
-        calls.append((kwargs["select"], kwargs["select_range"], kwargs.get("tol"), len(d),
+        calls.append((kwargs["eigvals_only"], kwargs["select_range"], kwargs.get("tol"), len(d),
                       d[0], d[-1]))
         return eigh(d, e, **kwargs)
 
@@ -800,7 +799,7 @@ def test_weak_closure_makes_the_full_matrix_calls_plus_one_routing_test(monkeypa
     assert expected[2] * 20.0 < 3.0
     assert res.convergence.n_points[0] == spectrum.UNIFORM_ROWS
     assert res.convergence.raw[0] == expected[0]
-    assert calls[0][:4] == ("i", (0, 0), spectrum.MAP_TOL, spectrum.MAP_ROWS)
+    assert calls[0][:4] == (True, (0, 0), spectrum.MAP_TOL, spectrum.MAP_ROWS)
     assert calls[1:1 + len(expected_calls)] == expected_calls
 
 
@@ -917,6 +916,29 @@ def test_nonconvergence_in_the_child_reaches_the_caller(monkeypatch):
 
 
 @pytest.mark.skipif(not TWO_CPUS, reason="rung 2 forks only with two CPUs")
+def test_a_child_that_dies_without_a_record_leaves_its_rung_to_the_caller(monkeypatch):
+    # a child killed by a signal (the OOM killer, say) writes nothing: the
+    # caller reaps it and climbs rung 2 itself, to a serial climb's bits
+    state = FlowState(FlowParams(M0_LINE, 0.15, 0.03, 0.8, 1e-3), 0.0)
+    vfunc = spectrum._potential(state)
+    lam1, lam2, info = spectrum._climb(lambda level: spectrum._level(vfunc, level), False)
+    real, caller = spectrum._level, os.getpid()
+
+    def killed(vfunc, level):
+        if level == 2 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(vfunc, level)
+
+    monkeypatch.setattr(spectrum, "_level", killed)
+    forks = _counted_forks(monkeypatch)
+    res = lowest_eigenpair(state, want_mode=False)
+    assert len(forks) == 1
+    assert _trail(res) == (lam1, lam2, info.n_points, info.raw, info.richardson, info.kappa)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="rung 2 forks only with two CPUs")
 @pytest.mark.parametrize("failing_level, error", [(0, NonConvergence), (1, KeyboardInterrupt)])
 def test_an_error_in_the_callers_rung_leaves_no_child(monkeypatch, failing_level, error):
     # the child would sleep for a minute: the caller kills and reaps it at once
@@ -1005,7 +1027,7 @@ M_TUNED = 0.7016905534975553  # the fixture's amplitude for k*(0) = 1 - delta
 
 
 def _assert_as_scipy(d, e, **kwargs):
-    ours = spectrum.eigh_tridiagonal(d, e, select="i", **kwargs)
+    ours = spectrum.eigh_tridiagonal(d, e, **kwargs)
     theirs = scipy.linalg.eigh_tridiagonal(d, e, select="i", **kwargs)
     if kwargs.get("eigvals_only"):
         ours, theirs = (ours,), (theirs,)
@@ -1050,10 +1072,10 @@ def test_lapack_failure_is_nonconvergence(monkeypatch, routine):
         lowest_eigenpair(state)
 
 
-@pytest.mark.parametrize("missing", ["scipy", "_flapack"])
+@pytest.mark.parametrize("missing", ["scipy", "_flapack", "_zeros"])
 def test_binding_without_lapack_extension_is_an_import_error(monkeypatch, missing):
-    # no fallback: without scipy, or without its compiled LAPACK wrappers,
-    # the package cannot load
+    # no fallback: without scipy, or without one of its compiled extensions
+    # (the LAPACK wrappers, Brent's iteration), the package cannot load
     import importlib.machinery
     import importlib.util
 
@@ -1062,5 +1084,7 @@ def test_binding_without_lapack_extension_is_an_import_error(monkeypatch, missin
     else:
         monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                             lambda name, path: None)
-    with pytest.raises(ImportError, match="scipy/linalg/_flapack"):
-        spectrum._flapack()
+    for package, name in (("linalg", "_flapack"), ("optimize", "_zeros")):
+        if missing in ("scipy", name):
+            with pytest.raises(ImportError, match=f"scipy/{package}/{name},"):
+                spectrum._extension(package, name)

@@ -43,8 +43,9 @@ module attributes in the child, as perfbench traces a request.
   ``setup_s``: import ``viscoshear.cli`` and ``load_config``, from just
   before the spawn (``setup_s``) and from the first statement
   (``import_s``); the peak RSS and what is then loaded: the number of
-  modules, the scipy subpackages, and every module named ``scipy*`` or
-  ``_flapack`` (scipy's LAPACK extension, which ``spectrum`` loads by path).
+  modules, the scipy subpackages, and every module whose file lies under
+  scipy's directory, whatever its name (``spectrum`` loads scipy's compiled
+  ``_flapack`` and ``_zeros`` by path, as modules of those names).
 - ``polish``: the Rayleigh root polish at the tuned amplitude, in
   ``eigencurve`` (``rayleigh.eigencurve`` at t = T on k = 0.95, 1, the
   perfbench workload's grid), ``wide`` (``eigenvalues_for_ks`` at t = T on
@@ -188,13 +189,17 @@ ready = time.monotonic()
 import resource
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 modules = dict(sys.modules)
+import importlib.util, os
+scipy_dirs = tuple(os.path.join(p, "")
+                   for p in importlib.util.find_spec("scipy").submodule_search_locations)
+of_scipy = sorted(m for m, mod in modules.items()
+                  if (getattr(mod, "__file__", None) or "").startswith(scipy_dirs))
 subpackages = sorted(m[6:] for m, mod in modules.items()
                      if m.startswith("scipy.") and m.count(".") == 1 and not m[6:].startswith("_")
                      and hasattr(mod, "__path__"))
 import json
 print(json.dumps({"modules": len(modules), "scipy_subpackages": subpackages,
-                  "scipy_modules": sorted(m for m in modules
-                                          if m.startswith("scipy") or m == "_flapack"),
+                  "scipy_modules": of_scipy,
                   "setup_s": ready - float(sys.argv[3]), "import_s": ready - start,
                   "peak_rss_mb": rss}))
 """
