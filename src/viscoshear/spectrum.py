@@ -37,14 +37,16 @@ has kappa * Y < 3, the state goes to the uniform ladder.
   would not help: scipy's ``dstebz`` wrapper holds the GIL.
 
 The LAPACK routines and Brent's iteration are scipy's own compiled
-extensions (``scipy/linalg/_flapack``, ``scipy/optimize/_zeros``), loaded by
-path (``_extension``) so that no command imports ``scipy.linalg`` or
-``scipy.optimize``.  ``eigh_tridiagonal`` and ``brentq`` make exactly the
-calls of scipy's ``eigh_tridiagonal`` (``stebz`` branch) and ``brentq``, and
-must keep making them: ``line``'s threshold amplitude M0 is set by the
-bisection noise of ``_lowest_two`` at Brent's abscissae, so another driver,
-selection, tolerance or root finder moves it.  The forked rung makes the
-same calls in the child.
+extensions (``scipy/linalg/_flapack``, ``scipy/optimize/_zeros``).
+``_extension`` loads any scipy file by path, a compiled extension or a plain
+module (``_ode`` reads its DOP853 tableau from
+``scipy/integrate/_ivp/dop853_coefficients`` through it), so that loading
+them imports no scipy package.  ``eigh_tridiagonal`` and ``brentq`` make
+exactly the calls of scipy's ``eigh_tridiagonal`` (``stebz`` branch) and
+``brentq``, and must keep making them: ``line``'s threshold amplitude M0 is
+set by the bisection noise of ``_lowest_two`` at Brent's abscissae, so
+another driver, selection, tolerance or root finder moves it.  The forked
+rung makes the same calls in the child.
 
 The mode, the ground state, is even: it is the lowest eigenvector of the
 even block of the finest mapped rung the eigensolve reached (whichever ladder
@@ -93,14 +95,15 @@ PROFILE_C_MAX = 1e3  # largest plateau/envelope constant profile_check fits
 
 
 def _extension(package: str, name: str):
-    """scipy's compiled extension ``scipy/<package>/<name>``, loaded as a
+    """scipy's file ``scipy/<package>/<name>``, a compiled extension or a plain
+    module (``package`` may be nested, as ``integrate/_ivp``), loaded as a
     module of its own: found by path, so no ``scipy`` package is imported."""
     scipy = importlib.util.find_spec("scipy")
     spec = scipy and importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(p, package) for p in scipy.submodule_search_locations])
+        name, [os.path.join(p, *package.split("/")) for p in scipy.submodule_search_locations])
     if spec is None:
-        raise ImportError(f"viscoshear.spectrum needs scipy's compiled extension "
-                          f"scipy/{package}/{name}, and no installed scipy has it")
+        raise ImportError(f"viscoshear needs scipy's file scipy/{package}/{name}, "
+                          f"and no installed scipy has it")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -349,8 +349,9 @@ def test_cli_import_leaves_verify_and_quadrature_unloaded():
     # only `verify` needs the acceptance suite and its scipy.integrate
     # quadrature; the package's own Chandrupatla is its bracketed root finder
     # and erf is math.erf, and spectrum loads scipy's compiled LAPACK and
-    # Brent extensions by path, so no scipy package loads at all (not scipy,
-    # scipy.linalg, scipy.optimize or scipy.special), not even once a weak
+    # Brent extensions, and _ode its DOP853 tableau, by path, so no scipy
+    # package loads at all (not scipy, scipy.linalg, scipy.optimize,
+    # scipy.integrate or scipy.special), not even once a weak
     # (Brent-closed) uniform rung and a W pass have run; I(c)'s panels carry
     # their Gauss-Legendre rule as literals, so numpy.polynomial stays out too
     code = (

@@ -1,6 +1,7 @@
-"""The DOP853 integrator: closed-form oracles, per-channel error control,
-exact sample capping, the one sample-recording rule, the step budget and the
-forward-only contract.  Each call passes h = span * 1e-6 as its first step."""
+"""The DOP853 integrator: the order conditions of its loaded tableau,
+closed-form oracles, per-channel error control, exact sample capping, the one
+sample-recording rule, the step budget and the forward-only contract.  Each
+call passes h = span * 1e-6 as its first step."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,26 @@ import pytest
 from viscoshear import _ode, rayleigh as ray
 from viscoshear._ode import integrate
 from viscoshear.errors import StepFailure
+
+
+def test_loaded_tableau_is_dop853():
+    # the tableau is scipy's file, read by path: whatever scipy is installed,
+    # it must be Dormand-Prince's 8(5,3) pair, and _C, _A_ROWS, _B and _E its
+    # casts, the arrays complex so that no stage casts a row
+    tab = _ode._TABLEAU
+    c, b = tab.C[:12], tab.B
+    e5, e3 = tab.E5[:12], tab.E3[:12]
+    assert np.abs(tab.A.sum(axis=1) - tab.C).max() <= 1e-14
+    for weights, order in ((b, 8), (b - e5, 5), (b - e3, 3)):
+        for q in range(order):
+            assert abs(weights @ c**q - 1.0 / (q + 1)) <= 1e-14, (order, q)
+    assert abs(e5.sum()) <= 1e-14 and abs(e3.sum()) <= 1e-14
+    assert c[11] == 1.0
+    assert _ode._C == tuple(c)
+    assert _ode._B.dtype == complex and np.array_equal(_ode._B, b)
+    assert _ode._E.dtype == complex and np.array_equal(_ode._E, [e5, e3])
+    for i, row in enumerate(_ode._A_ROWS):
+        assert row.dtype == complex and np.array_equal(row, tab.A[i, :i])
 
 
 def test_linear_oscillator(monkeypatch):

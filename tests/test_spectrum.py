@@ -1072,10 +1072,11 @@ def test_lapack_failure_is_nonconvergence(monkeypatch, routine):
         lowest_eigenpair(state)
 
 
-@pytest.mark.parametrize("missing", ["scipy", "_flapack", "_zeros"])
+@pytest.mark.parametrize("missing", ["scipy", "_flapack", "_zeros", "dop853_coefficients"])
 def test_binding_without_lapack_extension_is_an_import_error(monkeypatch, missing):
-    # no fallback: without scipy, or without one of its compiled extensions
-    # (the LAPACK wrappers, Brent's iteration), the package cannot load
+    # no fallback: without scipy, or without one of the files it loads by path
+    # (the LAPACK wrappers, Brent's iteration, the DOP853 tableau), the
+    # package cannot load
     import importlib.machinery
     import importlib.util
 
@@ -1084,7 +1085,8 @@ def test_binding_without_lapack_extension_is_an_import_error(monkeypatch, missin
     else:
         monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                             lambda name, path: None)
-    for package, name in (("linalg", "_flapack"), ("optimize", "_zeros")):
+    for package, name in (("linalg", "_flapack"), ("optimize", "_zeros"),
+                          ("integrate/_ivp", "dop853_coefficients")):
         if missing in ("scipy", name):
             with pytest.raises(ImportError, match=f"scipy/{package}/{name},"):
                 spectrum._extension(package, name)

@@ -45,7 +45,10 @@ module attributes in the child, as perfbench traces a request.
   (``import_s``); the peak RSS and what is then loaded: the number of
   modules, the scipy subpackages, and every module whose file lies under
   scipy's directory, whatever its name (``spectrum`` loads scipy's compiled
-  ``_flapack`` and ``_zeros`` by path, as modules of those names).
+  ``_flapack`` and ``_zeros`` by path, as modules of those names).  A plain
+  ``.py`` loaded by path never enters ``sys.modules``, so the list cannot
+  show ``_ode``'s DOP853 tableau (``dop853_coefficients``); its cost shows
+  only in ``setup_s`` and ``import_s``.
 - ``polish``: the Rayleigh root polish at the tuned amplitude, in
   ``eigencurve`` (``rayleigh.eigencurve`` at t = T on k = 0.95, 1, the
   perfbench workload's grid), ``wide`` (``eigenvalues_for_ks`` at t = T on
