@@ -15,7 +15,9 @@ The amplitude tune locates M on the base grid (``spectrum._base_lambda1``:
 mapped rung 0's even Neumann block, one index call), then finishes on
 converged eigenvalues in a tight log-M window at that root, or over the
 whole bracket when that window misses.  The threshold
-amplitude stays a bisection (see ``find_critical_M0``).
+amplitude stays a bisection, which takes a step's side unsolved where the
+first-order law lambda1 ~ -kappa1^2 (``flow.kappa1``) puts the midpoint more
+than a factor 2 from its level (see ``find_critical_M0``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from ._roots import chandrupatla
 from .errors import BracketFailure, NonConvergence
-from .flow import FlowParams, FlowState
+from .flow import FlowParams, FlowState, kappa1
 from .spectrum import TOL_EIG, _base_lambda1, lowest_eigenpair
 
 __all__ = [
@@ -53,7 +55,8 @@ SLOPE_STEP = 1e-3  # log-M step of the base-grid slope that sizes the tune's fir
 class CalibrationResult:
     """A calibrated amplitude and its straddling bracket.
 
-    ``iterations`` counts bisection steps for ``find_critical_M0``; for
+    ``iterations`` counts bisection steps for ``find_critical_M0``, ruled or
+    solved alike (19 on the fixture); for
     ``tune_M_for_kstar`` it counts converged eigensolves past the first two
     (finishing iterations, plus the window's ends when it missed), not
     base-grid solves.
@@ -206,27 +209,47 @@ def find_critical_M0(params: FlowParams) -> CalibrationResult:
     ladder (the strongly bound M = 10 bracket end climbs the mapped one), so
     it is noise rather than a smooth function of M that interpolation could
     exploit, and M0 moves like dM/M ~ dlambda / 1e-8.
+
+    A step whose midpoint the first-order law lambda1 ~ -kappa1^2
+    (``flow.kappa1``) puts more than a factor 2 from the level is decided
+    unsolved (``_ruled``): 3 of the fixture's 18.  Both ends of the
+    certificate are solved, a ruled one once the bracket is narrow; should
+    they then fail to straddle, the bisection reruns with every step solved.
     """
     level = -TOL_EIG / 2.0
+
+    def lam(M):  # memoized by _lambda_pair, so an end is solved once
+        return _lambda1(params, M, 0.0)
+
     lo, hi = M0_BRACKET
-    lam_lo = _lambda1(params, lo, 0.0)
-    lam_hi = _lambda1(params, hi, 0.0)
-    if not (lam_lo > level >= lam_hi):
+    if not (lam(lo) > level >= lam(hi)):
         raise BracketFailure(f"lambda1 does not straddle {level:g} on M in {M0_BRACKET}")
-    lam_at_hi = lam_hi
-    for i in range(M0_MAX_ITER):
-        width_ok = (hi - lo) <= 1e-4 * hi
-        if width_ok and lam_at_hi > -0.95 * TOL_EIG:
-            break
-        mid = math.sqrt(lo * hi)
-        lam = _lambda1(params, mid, 0.0)
-        if lam > level:
-            lo = mid
+    M_lin = math.sqrt(-level) / kappa1(FlowState(params.with_M(1.0), 0.0))
+    for rule in (True, False):
+        lo, hi = M0_BRACKET
+        for i in range(M0_MAX_ITER):
+            if (hi - lo) <= 1e-4 * hi:
+                if not lam(lo) > level >= lam(hi):
+                    break  # a ruled end is on the wrong side: rerun with every step solved
+                if lam(hi) > -0.95 * TOL_EIG:
+                    return CalibrationResult(M=hi, achieved=lam(hi), iterations=i + 1,
+                                             bracket=(lo, hi))
+            mid = math.sqrt(lo * hi)
+            bound = _ruled(mid, M_lin) if rule else None
+            if bound is None:
+                bound = not lam(mid) > level
+            lo, hi = (lo, mid) if bound else (mid, hi)
         else:
-            hi, lam_at_hi = mid, lam
-    else:
-        raise NonConvergence("find_critical_M0: bracket did not shrink")
-    return CalibrationResult(M=hi, achieved=lam_at_hi, iterations=i + 1, bracket=(lo, hi))
+            break
+    raise NonConvergence("find_critical_M0: bracket did not shrink")
+
+
+def _ruled(M: float, M_lin: float) -> Optional[bool]:
+    """Whether M binds past the level by lambda1 ~ -kappa1^2 = (M / M_lin)^2 level;
+    None where that factor lies between 1/2 and 2."""
+    if abs(math.log(M / M_lin)) <= 0.5 * math.log(2.0):
+        return None
+    return M > M_lin
 
 
 def kstar_time_sweep(M: float, params: FlowParams, n_times: int) -> KstarCurve:

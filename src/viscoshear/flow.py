@@ -36,6 +36,7 @@ __all__ = [
     "heat_residual",
     "h1_diagnostics",
     "h1_value",
+    "kappa1",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -215,6 +216,13 @@ def eval_potential(state: FlowState, y):
         _, b1, _, b3 = eval_b_derivs(state, 0.0)
         v[near] = b3 / b1
     return float(v[0]) if scalar else v
+
+
+def kappa1(state: FlowState) -> float:
+    """kappa1 = -int_0^inf b''/y dy = M sqrt(pi) (amp1/s1 - amp2/s2): to first order
+    in M the bound state's decay rate, so lambda1 ~ -kappa1^2 (B. Simon, Ann. Phys.
+    97 (1976) 279)."""
+    return state.params.M * _SQRT_PI * (state.amp1 / state.s1 - state.amp2 / state.s2)
 
 
 def heat_residual(state: FlowState, y, dt: float) -> float:

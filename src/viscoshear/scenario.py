@@ -23,7 +23,7 @@ from . import rayleigh as ray
 from .calibrate import (TOL_CAL, CalibrationResult, KstarCurve, find_critical_M0,
                         kstar_time_sweep, tune_M_for_kstar)
 from .errors import ViscoshearError
-from .flow import FlowParams, FlowState
+from .flow import FlowParams, FlowState, kappa1
 from .spectrum import TOL_EIG, lowest_eigenpair, profile_check
 
 __all__ = ["Check", "ScenarioReport", "run_torus_scenario", "run_line_scenario"]
@@ -221,7 +221,11 @@ def run_line_scenario(params: FlowParams) -> ScenarioReport:
     st_T = FlowState(p, T)
     eig_T = lowest_eigenpair(st_T, want_mode=False)
     k_T = rep.kstarT = eig_T.kstar
-    rep.add("kstar_present_T", k_T is not None, eig_T.lambda1, (None, -TOL_EIG))
+    # to first order lambda1 = -kappa1^2, and lambda1(M0, 0) sits at -TOL_EIG/2
+    kappa0, kappaT = kappa1(FlowState(p, 0.0)), kappa1(st_T)
+    rep.add("kstar_present_T", k_T is not None, eig_T.lambda1, (None, -TOL_EIG),
+            f"first order: kappa1(0) = {kappa0:.6e} and kappa1(T) = {kappaT:.6e} give "
+            f"R^2 = {(kappaT / kappa0) ** 2:.7f}; the check needs R^2 >= 2 at M0")
     g1g2 = params.gamma1 * params.gamma2
     if k_T is not None:
         ratio = k_T / g1g2

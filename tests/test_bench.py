@@ -110,6 +110,39 @@ def test_polish_shows_the_ode_cost_of_each_case(capsys):
     assert "2 ODE passes, 147 steps, 1766 RHS calls" in capsys.readouterr().out
 
 
+def _threshold_record(seconds, M0="4.127983142029252e-05"):
+    return {"eigensolves": 17, "ruled_steps": 3, "iterations": 19, "M0": M0,
+            "bracket": ["4.127729338082987e-05", M0], "achieved": "-5.475237175776104e-09",
+            "seconds": seconds}
+
+
+def test_threshold_writes_counts_and_the_repr_of_M0(monkeypatch, tmp_path, capsys):
+    times = iter(range(1, 100))
+
+    def spawn(child, src, config):
+        assert child is bench.THRESHOLD and config.read_text() == bench.FIXTURE
+        return _threshold_record(float(next(times)))
+
+    monkeypatch.setattr(bench, "spawn", spawn)
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["threshold", f"parent={ROOT}", f"change={ROOT}"]) == 0
+    out = json.loads((tmp_path / "BENCH_threshold.json").read_text())
+    for entry in out["roots"].values():
+        assert entry["M0"] == "4.127983142029252e-05" and entry["iterations"] == 19
+        assert len(entry["seconds"]["samples"]) == bench.RUNS
+    assert ("17 eigensolves, 3 ruled steps, 19 iterations; M0 = 4.127983142029252e-05 in "
+            "(4.127729338082987e-05, 4.127983142029252e-05)") in capsys.readouterr().out
+
+
+def test_threshold_refuses_a_root_whose_M0_moves(monkeypatch, tmp_path, capsys):
+    M0s = iter(["4.127983142029252e-05", "4.1279831420292526e-05"] * 50)
+    monkeypatch.setattr(bench, "spawn", lambda child, src, config: _threshold_record(1.0, next(M0s)))
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["threshold", f"this={ROOT}"]) == 1
+    assert "differs between runs" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_threshold.json").exists()
+
+
 def test_every_traced_name_resolves(monkeypatch):
     # a traced perfbench run rebinds each (module, attribute) of
     # perfbench/spans.py's BINDINGS; a renamed attribute would break it

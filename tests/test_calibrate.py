@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import pytest
 
 from viscoshear import calibrate, spectrum
-from viscoshear.calibrate import kstar_time_sweep, tune_M_for_kstar
+from viscoshear.calibrate import find_critical_M0, kstar_time_sweep, tune_M_for_kstar
 from viscoshear.errors import BracketFailure, NonConvergence
-from viscoshear.flow import FlowParams, FlowState
-from viscoshear.spectrum import lowest_eigenpair
+from viscoshear.flow import FlowParams, FlowState, kappa1
+from viscoshear.spectrum import TOL_EIG, lowest_eigenpair
 
 P = FlowParams(1.0, 0.15, 0.03, 0.8, 1e-3)
 
@@ -82,6 +82,69 @@ def test_critical_M0_bracket_straddles(ctx):
     lam_hi = lowest_eigenpair(FlowState(P.with_M(hi), 0.0), want_mode=False).lambda1
     assert lam_lo > -1e-8
     assert lam_hi < -0.5e-8
+
+
+def _spy_ruled(monkeypatch):
+    """Route calibrate._ruled through a spy; returns the (M, side) of each ruled step."""
+    ruled, rule = [], calibrate._ruled
+
+    def spy(M, M_lin):
+        side = rule(M, M_lin)
+        if side is not None:
+            ruled.append((M, side))
+        return side
+
+    monkeypatch.setattr(calibrate, "_ruled", spy)
+    return ruled
+
+
+def test_first_order_rule_takes_three_fixture_steps_on_their_solved_side(ctx, monkeypatch):
+    # replay the fixture's bisection on lambda1 = level (M / M0)^2, which puts
+    # every midpoint on the side of the level its solve puts it, so the
+    # replay retraces the fixture's steps; then solve the ruled midpoints
+    cal = ctx.line.calibration  # find_critical_M0(P)
+    level = -TOL_EIG / 2.0
+    ruled = _spy_ruled(monkeypatch)
+    monkeypatch.setattr(calibrate, "_lambda1",
+                        lambda params, M, t, base=False: level * (M / cal.M) ** 2)
+    replay = find_critical_M0(P)
+    assert (replay.M, replay.bracket, replay.iterations) == (cal.M, cal.bracket, 19)
+    assert [M for M, _ in ruled] == pytest.approx([3.1623e-3, 7.4989e-6, 2.0535e-5], rel=1e-4)
+    monkeypatch.undo()
+    for M, bound in ruled:
+        lam = lowest_eigenpair(FlowState(P.with_M(M), 0.0), want_mode=False).lambda1
+        assert (lam <= level) == bound
+
+
+@pytest.mark.parametrize("factor", [3.0, 1.0 / 3.0])
+def test_misruled_steps_rerun_as_the_plain_bisection(monkeypatch, factor):
+    # a decreasing lambda1 whose threshold sits a factor 3 above, then below,
+    # the first-order one: a misruled end breaks the straddle once solved, and
+    # the bisection reruns with every step solved
+    level = -TOL_EIG / 2.0
+    M_true = factor * math.sqrt(-level) / kappa1(FlowState(P, 0.0))
+    precise, _ = _count_lambda1(monkeypatch, lambda params, M, t, base: level * (M / M_true) ** 2)
+    ruled = _spy_ruled(monkeypatch)
+    cal = find_critical_M0(P)
+    assert any(bound != (M >= M_true) for M, bound in ruled)  # a step took the wrong side
+    assert cal.M in precise and cal.achieved == level * (cal.M / M_true) ** 2
+    monkeypatch.setattr(calibrate, "_ruled", lambda M, M_lin: None)
+    plain = find_critical_M0(P)
+    assert (cal.M, cal.bracket, cal.achieved, cal.iterations) == (
+        plain.M, plain.bracket, plain.achieved, plain.iterations)
+    lo, hi = cal.bracket
+    assert lo < M_true <= hi and hi - lo <= 1e-4 * hi
+
+
+def test_kappa1_closed_forms_on_the_fixture():
+    g1, g2 = P.gamma1, P.gamma2
+    p = P.with_M(4.1279831420292519e-05)
+    k0, kT = kappa1(FlowState(p, 0.0)), kappa1(FlowState(p, p.horizon))
+    root_pi_M = math.sqrt(math.pi) * p.M
+    assert k0 == pytest.approx(root_pi_M * (1.0 - g1 * g2), rel=1e-15)
+    assert kT == pytest.approx(root_pi_M * (1.0 / (1.0 + 4.0 * g1 ** 2) - g1 * g2 / 5.0),
+                               rel=1e-15)
+    assert kT / k0 == pytest.approx(1.0159968, abs=5e-8)  # R = kappa1(T) / kappa1(0)
 
 
 def test_sweep_monotone_and_crossing(ctx):

@@ -89,6 +89,9 @@ def test_line_report_structure(ctx):
     assert names == ["critical_M0", "kstar_absent_t0", "kstar_present_T",
                      "kstarT_over_g1g2", "root_at_half_kstarT"]
     assert next(c for c in rep.checks if c.name == "kstar_absent_t0").passed
+    assert next(c for c in rep.checks if c.name == "kstar_present_T").note == (
+        "first order: kappa1(0) = 7.141060e-05 and kappa1(T) = 7.255294e-05 give "
+        "R^2 = 1.0322496; the check needs R^2 >= 2 at M0")
 
 
 def test_line_scenario_deterministic(ctx, cfg):

@@ -1,8 +1,8 @@
-"""Cost of viscoshear's layers, measured in fresh processes: one harness, three cases.
+"""Cost of viscoshear's layers, measured in fresh processes: one harness, four cases.
 
     python3 tools/bench.py CASE [NAME=ROOT ...]
 
-CASE is ``spectrum``, ``startup`` or ``polish``; the tool writes
+CASE is ``spectrum``, ``startup``, ``polish`` or ``threshold``; the tool writes
 ``BENCH_<CASE>.json`` in the working directory.  Each NAME=ROOT names a
 checkout whose ``src/`` holds the ``viscoshear`` package; with none, the
 working directory is measured as ``this``.  Two roots, say
@@ -61,6 +61,12 @@ module attributes in the child, as perfbench traces a request.
   the cost of every Rayleigh ODE pass in the case (``rayleigh.integrate``
   rebound: passes, accepted steps and RHS calls, as counts); the torus
   also all W passes of the run and its failed checks.
+- ``threshold``: one calibration, ``find_critical_M0`` on the fixture, as in
+  ``line``: its converged eigensolves (``calibrate.lowest_eigenpair``
+  rebound, as perfbench's ``calibrate.threshold_eigensolves`` counts them),
+  the bisection steps decided by the first-order rule without one
+  (``calibrate._ruled``; 0 in checkouts without it), ``iterations``, the
+  repr of M0, of its bracket and of the achieved lambda1, and the seconds.
 """
 
 from __future__ import annotations
@@ -290,6 +296,36 @@ def torus():
 print(json.dumps({"eigencurve": case(eigencurve), "wide": case(wide), "torus": case(torus)}))
 """
 
+THRESHOLD = r"""
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from viscoshear import calibrate
+from viscoshear.config import load_config
+
+params = load_config(sys.argv[2]).params(M=1.0)
+log = {"eigensolves": 0, "ruled_steps": 0}
+eigenpair, rule = calibrate.lowest_eigenpair, getattr(calibrate, "_ruled", None)
+
+def counted_eigenpair(*args, **kwargs):
+    log["eigensolves"] += 1
+    return eigenpair(*args, **kwargs)
+
+def counted_rule(M, M_lin):
+    side = rule(M, M_lin)
+    log["ruled_steps"] += side is not None
+    return side
+
+calibrate.lowest_eigenpair = counted_eigenpair
+if rule:  # absent from checkouts that solve every step
+    calibrate._ruled = counted_rule
+start = time.perf_counter()
+cal = calibrate.find_critical_M0(params)
+seconds = time.perf_counter() - start
+print(json.dumps(dict(log, iterations=cal.iterations, M0=repr(cal.M),
+                      bracket=[repr(m) for m in cal.bracket], achieved=repr(cal.achieved),
+                      seconds=seconds)))
+"""
+
 
 def show_spectrum(name: str, entry: dict) -> None:
     for c, r in entry["cases"].items():
@@ -327,6 +363,13 @@ def show_polish(name: str, entry: dict) -> None:
         print(line)
 
 
+def show_threshold(name: str, r: dict) -> None:
+    s = r["seconds"]
+    print(f"{name}: {s['median']:.3f} s ({s['q1']:.3f}-{s['q3']:.3f}), {r['eigensolves']} "
+          f"eigensolves, {r['ruled_steps']} ruled steps, {r['iterations']} iterations; "
+          f"M0 = {r['M0']} in ({', '.join(r['bracket'])}), lambda1 = {r['achieved']}")
+
+
 class Case(NamedTuple):
     child: str
     show: Callable[[str, dict], None]
@@ -336,6 +379,7 @@ CASES = {
     "spectrum": Case(SPECTRUM, show_spectrum),
     "startup": Case(STARTUP, show_startup),
     "polish": Case(POLISH, show_polish),
+    "threshold": Case(THRESHOLD, show_threshold),
 }
 
 
