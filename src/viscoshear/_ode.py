@@ -59,11 +59,12 @@ MAX_STEPS = 2_000_000
 
 
 def _error_norm(h: float, err: np.ndarray, scale: np.ndarray) -> float:
-    """Largest per-channel error estimate; ``err`` stacks (e5, e3) on axis 0."""
+    """Largest per-channel error estimate; ``err`` stacks (e5, e3) on axis 0.
+    A zero estimate is exact; a NaN in ``err`` or ``scale`` gives NaN."""
     ratio = np.square(np.abs(err.reshape((2,) + scale.shape) / scale))
     e5, e3 = ratio.sum(axis=2)
     denom = (e5 + 0.01 * e3) * scale.shape[1]
-    per_channel = np.divide(e5, np.sqrt(denom), out=np.zeros_like(e5), where=denom > 0.0)
+    per_channel = np.divide(e5, np.sqrt(denom), out=np.zeros_like(e5), where=denom != 0.0)
     return h * float(per_channel.max(initial=0.0))
 
 
@@ -74,7 +75,8 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float, t1: flo
     Returns ``(y_final, sampled, n_steps)``, ``sampled`` the states at the
     ascending ``samples``.  Raises ``ValueError`` for t1 < t0 or a sample
     outside [t0, t1], ``StepFailure`` when the step underflows, MAX_STEPS
-    runs out or a sample is not reached.
+    runs out, a sample is not reached or the error estimate is not finite
+    (a NaN or an infinity in a stage).
     """
     if not t1 >= t0:
         raise ValueError(f"integrate runs forward only, got t0={t0:g} > t1={t1:g}")
@@ -118,6 +120,8 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float, t1: flo
         y_new = y + h_try * (_B @ K).reshape(shape)
         scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = _error_norm(h_try, _E @ K, scale.reshape(channels))
+        if math.isnan(err_norm):
+            raise StepFailure(f"non-finite error estimate at t={t:g} (step {h_try:g})")
 
         if err_norm <= 1.0:
             t = t + h_try

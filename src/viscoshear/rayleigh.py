@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,7 +73,6 @@ from ._ode import integrate
 from ._roots import chandrupatla
 from .errors import MultipleRoots, NonConvergence, TailDominance
 from .flow import FlowState, eval_b, eval_b_derivs, eval_b_slope, eval_b_slope_excess
-from .spectrum import _fit_min_C
 
 __all__ = [
     "PhiSolution",
@@ -312,11 +310,6 @@ class _IrPanels:
         return -(body + head)
 
 
-@lru_cache(maxsize=16)
-def _panels(state: FlowState) -> _IrPanels:
-    return _IrPanels(state)
-
-
 # ---------------------------------------------------------------------------
 # Wronskian assembly
 # ---------------------------------------------------------------------------
@@ -363,7 +356,7 @@ def wronskian_many(state: FlowState, ks, cs):
     tail = 1.0 / (phi * phi * (ks + mu)) - 1.0 / (b - 1j * cs)
     strip = -ks ** 2 * np.where(cs > 0.0, 2.0 * np.real(_strip_v3(system.beta, eps, cs)),
                                 2.0 * eps / (3.0 * system.beta ** 2))
-    ir = _panels(state).i_r(cs)
+    ir = _IrPanels(state).i_r(cs)
     # phi(-y) = -conj phi(y): the left half line's II is the conjugate of the right's
     w = ir + strip + 2.0 * np.real(st[:, 4] + tail)
     quad_err = (6.0 * _ode.RTOL * np.abs(st[:, 4]) + 0.05 * np.abs(strip)
@@ -615,91 +608,3 @@ def neutral_mode_phiB(state: FlowState, kstar: float, ys: np.ndarray,
     phi_b = np.concatenate((left, [-1.0 / beta], left[::-1]))
     norm = math.sqrt(np.sum(phi_b ** 2 * weights))
     return -phi_b / norm
-
-
-# ---------------------------------------------------------------------------
-# pointwise bound suites with fitted constants
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Fitted constants of the pointwise envelope checks, and phi1's signs."""
-
-    constants: dict
-    signs_ok: bool
-
-
-def bound_report(state: FlowState, sol: PhiSolution) -> BoundReport:
-    """Envelope, derivative and decay constants for phi1 (A4 to A9), the
-    smallness of the phi2 correction at wave speed ic_i (A10 to A12) and the
-    two-sided modulus envelope of the assembled phi (A13).  ``signs_ok``
-    says phi1 >= 1 and y phi1' >= 0."""
-    k, c_i, ys = sol.k, sol.c_i, sol.ys
-    f, df = sol.phi1, sol.dphi1
-    signs_ok = bool(np.all(f >= 1.0 - 1e-9) and np.all(ys * df >= -1e-10 * (1.0 + np.abs(ys))))
-
-    def env(C):
-        grow = np.exp(np.minimum(C * k * np.abs(ys), 690.0))
-        return bool(np.all(f <= C * grow) and np.all(f >= np.exp(k * np.abs(ys) / C) / C))
-
-    c_env = _fit_min_C(env)
-    mask = np.abs(ys) >= 1e-4
-    c_dphi = float(np.max(np.abs(df[mask]) / (k * np.minimum(k * np.abs(ys[mask]), 1.0) * f[mask])))
-    b, b1 = eval_b_slope(state, ys[mask])
-    ddf = k * k * f[mask] - 2.0 * (b1 / b) * df[mask]
-    c_ddphi = float(np.max(np.abs(ddf) / (k * k * f[mask])))
-    c_excess = float(np.max((f[mask] - 1.0) / (np.minimum(1.0, (k * ys[mask]) ** 2) * f[mask])))
-
-    left = ys <= 0.0
-    yl, fl = ys[left], f[left]
-    dmat = yl[None, :] - yl[:, None]
-    ratio = fl[None, :] / fl[:, None]
-    upper = np.triu(np.ones_like(dmat, dtype=bool), k=1)
-
-    def decay(C):
-        return bool(np.all(ratio[upper] <= C * np.exp(-k * dmat[upper] / C)))
-
-    c_decay = _fit_min_C(decay)
-
-    y = ys[mask]
-    f2 = sol.phi2[mask]
-    df2 = sol.dphi2[mask]
-    bound10 = np.minimum(k * c_i, np.minimum(k * k * c_i * np.abs(y), (k * np.abs(y)) ** 2))
-    c10 = float(np.max(np.abs(f2 - 1.0) / bound10))
-    c11 = float(np.max(np.abs(df2) / (k * k * np.minimum(c_i, np.abs(y)))))
-    wide = np.abs(ys) >= 1e-3
-    b, b1 = eval_b_slope(state, ys[wide])
-    u = b - 1j * c_i
-    f1w = f[wide]
-    df1w = df[wide]
-    f2w = sol.phi2[wide]
-    df2w = sol.dphi2[wide]
-    flux_deriv = 2.0 * u * b1 * f1w ** 2 + u * u * 2.0 * f1w * df1w
-    ddf2 = (-(2j * c_i * b1 * u / b) * f1w * df1w * f2w - flux_deriv * df2w) / (u * u * f1w ** 2)
-    c12 = float(np.max(np.abs(ddf2)) / (k * k))
-
-    phi = np.abs((eval_b(state, ys) - 1j * c_i) * f * sol.phi2)
-    dist = np.sqrt(ys ** 2 + c_i ** 2)
-
-    def phi_env(C):
-        grow = np.exp(np.minimum(C * k * np.abs(ys), 690.0))
-        return bool(
-            np.all(phi <= dist * grow + 1e-300)
-            and np.all(phi >= dist * np.exp(k * np.abs(ys) / C) / C)
-        )
-
-    return BoundReport(
-        constants={
-            "A4_envelope": c_env,
-            "A5_dphi1": c_dphi,
-            "A6_ddphi1": c_ddphi,
-            "A7_excess": c_excess,
-            "A8_A9_decay": c_decay,
-            "A10_phi2m1": c10,
-            "A11_dphi2": c11,
-            "A12_ddphi2": c12,
-            "A13_phi_envelope": _fit_min_C(phi_env),
-        },
-        signs_ok=signs_ok,
-    )

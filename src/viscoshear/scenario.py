@@ -24,7 +24,7 @@ from .calibrate import (TOL_CAL, CalibrationResult, KstarCurve, find_critical_M0
                         kstar_time_sweep, tune_M_for_kstar)
 from .errors import ViscoshearError
 from .flow import FlowParams, FlowState, kappa1
-from .spectrum import TOL_EIG, lowest_eigenpair, profile_check
+from .spectrum import TOL_EIG, ProfileReport, lowest_eigenpair, profile_check
 
 __all__ = ["Check", "ScenarioReport", "run_torus_scenario", "run_line_scenario"]
 
@@ -39,6 +39,12 @@ class Check:
     measured: Optional[float]
     band: Optional[tuple]
     note: str = ""
+
+
+def profile_checked(name: str, prof: ProfileReport) -> Check:
+    """The neutral mode's profile check ``name``: every pointwise check
+    holds and the fitted constant is at most 20."""
+    return Check(name, bool(prof.all_ok and prof.fitted_C <= 20.0), prof.fitted_C, (1.0, 20.0))
 
 
 @dataclass
@@ -189,8 +195,7 @@ def run_torus_scenario(params: FlowParams, delta: float, n_times: int) -> Scenar
         mode_b = ray.neutral_mode_phiB(st_T, eig_T.kstar, eig_T.ys, eig_T.weights)
         l2 = float(math.sqrt(np.sum((mode_b - eig_T.mode) ** 2 * eig_T.weights)))
         rep.add("phiB_matches_eigenmode", l2 <= 1e-3, l2, (0.0, 1e-3))
-        prof = profile_check(eig_T)
-        rep.add("profile_checks", prof.all_ok and prof.fitted_C <= 20.0, prof.fitted_C, (1.0, 20.0))
+        rep.checks.append(profile_checked("profile_checks", profile_check(eig_T)))
     lam2_min = float(np.min(curve.lambda2s))
     rep.add("lambda2_nonnegative_sweep", lam2_min >= -lam_slack, lam2_min, (-lam_slack, None))
     return rep

@@ -419,14 +419,10 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
     ``vfunc`` maps a node array to potential values, which keeps the solver
     testable against exactly solvable potentials.  The potential must be
     even: every rung evaluates it for y >= 0 only.  The mapped ladder runs
-    first; rung 0 routes a weakly bound state to the uniform one.
+    first; rung 0 routes a weakly bound state to the uniform one.  The mode's
+    rung evaluates V again on its nodes.
     """
-    seen = {}  # V on each mapped rung by its row count: the mode's rung reads its climb's
-
-    def v_mapped(y):
-        return seen[len(y)] if len(y) in seen else seen.setdefault(len(y), vfunc(y))
-
-    climbed = _climb(lambda level: _mapped_level(v_mapped, level), True)
+    climbed = _climb(lambda level: _mapped_level(vfunc, level), True)
     if climbed is None:  # rung 2 in a child while this process climbs rungs 0 and 1
         with _forked(lambda: _level(vfunc, 2)) as rung_2:
             climbed = _climb(lambda level: rung_2() if level == 2 else _level(vfunc, level), False)
@@ -435,7 +431,7 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
     if kstar is None or not want_mode:
         return SpectralResult(lam1, lam2, kstar, None, None, None, info)
     # the ground state is even: the even block's lowest eigenvector, Robin-closed
-    d, e, w, y = _mapped_block(v_mapped, len(info.n_points) - 1)
+    d, e, w, y = _mapped_block(vfunc, len(info.n_points) - 1)
     d[-1] += kstar / w[-1]
     u = eigh_tridiagonal(d, e, select_range=(0, 0), tol=MAP_TOL)[1][:, 0] / np.sqrt(w)
     u = np.concatenate((u[:0:-1], u)) * math.copysign(1.0, u[0])

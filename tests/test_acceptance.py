@@ -9,6 +9,7 @@ stated band is out of reach; the test states the criterion faithfully and
 reports the measured values.
 """
 
+import numpy as np
 import pytest
 
 from viscoshear import acceptance as acc
@@ -85,6 +86,18 @@ def test_criterion_10_makes_one_pass_per_state(ctx, monkeypatch):
     monkeypatch.setattr(ray, "integrate", spy)
     acc.criterion_10(ctx)
     assert len(calls) == len(ctx.suite_states) == 2 and all(s for s in calls)
+
+
+def test_bound_suites(ctx):
+    ys = np.linspace(-20.0, 20.0, 401)
+    state = ctx.state_T
+    ci = ctx.torus.ci_at_k1
+    sol = ray.solve_phi(state, 1.0, ci, ys)
+    constants, signs_ok = acc.bound_report(state, sol)
+    assert signs_ok
+    assert len(constants) == 9  # A4 to A13, A8 and A9 fitted as one
+    assert all(c <= 50.0 for c in constants.values())
+    assert constants["A4_envelope"] <= 10.0
 
 
 def test_criterion_11_determinism(ctx):

@@ -196,6 +196,9 @@ def test_cli_config_errors(tmp_path):
          "config error: nu must keep the horizon gamma0**2 * gamma1**2 / nu positive"),
         # a count numpy cannot allocate is rejected before any work
         ("n_times = 100000000000000000000", "n_times must be at least 8 and at most 1000"),
+        ("n_times = 8.5", "n_times must be an integer"),
+        ("delta = 1.5", "delta must lie in (0,1)"),
+        ("delta = 0", "delta must lie in (0,1)"),
     ],
 )
 def test_cli_flow_parameter_errors(tmp_path, capsys, line, message):

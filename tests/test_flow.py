@@ -98,8 +98,11 @@ def test_heat_residual_spec_points(spec_point_params):
     assert heat_residual(state, 5.0, 1e-3) < 1e-10
     couette = FlowState(FlowParams(0.0, 0.1, 0.05, 0.4, 1e-3), 1.0)
     assert heat_residual(couette, 0.3, 1e-3) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t >= 2"):
         heat_residual(FlowState(spec_point_params, 1e-5), 0.1, 1e-3)
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            heat_residual(state, 0.1, dt)
 
 
 def test_h1_total_closed_form_spec_value():

@@ -45,6 +45,31 @@ def test_step_budget_raises(monkeypatch):
         integrate(lambda t, y: -y, 0.0, 1.0, np.array([1.0 + 0j]), 1e-6)
 
 
+def test_rejected_steps_shrink_to_the_tolerance():
+    # a first trial step of the whole span is rejected again and again; each
+    # attempt costs 11 RHS calls, each accepted step 1 more (FSAL), the seed 1
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return 50j * y
+
+    y, _, steps = integrate(rhs, 0.0, 3.0, np.array([1.0 + 0j]), 3.0)
+    attempts = (len(calls) - 1 - steps) / 11
+    assert attempts == int(attempts) and attempts > steps
+    assert abs(y[0] - np.exp(150j)) <= 1e-8
+
+
+@pytest.mark.parametrize("t_nan", [0.5, -1.0], ids=["nan_past_half", "nan_everywhere"])
+def test_nan_error_estimate_is_a_step_failure(t_nan):
+    # a NaN estimate must not read as an exact step and grow the next tenfold
+    def rhs(t, y):
+        return np.full_like(y, np.nan) if t > t_nan else -y
+
+    with np.errstate(invalid="ignore"), pytest.raises(StepFailure, match="non-finite .* at t="):
+        integrate(rhs, 0.0, 1.0, np.array([1.0 + 0j]), 1e-3)
+
+
 @pytest.mark.parametrize(
     "t0, t1, samples",
     [(3.0, 0.0, []), (0.0, 3.0, [-0.5]), (0.0, 3.0, [1.0, 3.5]), (0.0, 3.0, [np.nan])],

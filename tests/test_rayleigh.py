@@ -524,7 +524,7 @@ def test_ir_blocks_bound_the_log_kernel_and_keep_its_values(ctx):
     # a 400-channel batch (the fixture's two-k scan) holds one block of the
     # log kernel at a time, not the 400 x 492 matrix (3.0 MB), and each row's
     # product is the one-matrix form's to the bit
-    panels = ray._panels(ctx.state_T)
+    panels = ray._IrPanels(ctx.state_T)
     cs = np.tile(np.logspace(math.log10(ray.C_SCAN_LO), math.log10(ray.C_MAX),
                              ray.C_SCAN_POINTS), 2)
     panels.i_r(cs)
@@ -567,7 +567,7 @@ def test_ir_matches_a_30_digit_quadrature(ctx):
     # integrand, on the bumped fixture profile at t = 0 and at T
     for state in (ctx.state_0, ctx.state_T):
         cs = np.array([1e-3, 0.05, 0.5])
-        got = ray._panels(state).i_r(cs)
+        got = ray._IrPanels(state).i_r(cs)
         for c, value in zip(cs, got):
             ref = _ir_reference(state, c)
             assert abs(value - ref) <= 1e-14 * abs(ref)
@@ -686,18 +686,6 @@ def test_phiB_pass_steps(ctx, monkeypatch):
     monkeypatch.setattr(ray, "integrate", counted)
     ray.neutral_mode_phiB(ctx.state_T, res.kstar, res.ys, res.weights)
     assert len(steps) == 1 and steps[0] <= 600
-
-
-def test_bound_suites(ctx):
-    ys = np.linspace(-20.0, 20.0, 401)
-    state = ctx.state_T
-    ci = ctx.torus.ci_at_k1
-    sol = ray.solve_phi(state, 1.0, ci, ys)
-    rep = ray.bound_report(state, sol)
-    assert rep.signs_ok
-    assert len(rep.constants) == 9  # A4 to A13, A8 and A9 fitted as one
-    assert all(c <= 50.0 for c in rep.constants.values())
-    assert rep.constants["A4_envelope"] <= 10.0
 
 
 def test_multiple_roots_detected(monkeypatch, couette_state):

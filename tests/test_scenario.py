@@ -4,9 +4,11 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from viscoshear import calibrate, scenario
 from viscoshear import rayleigh as ray
+from viscoshear.errors import BracketFailure
 from viscoshear.flow import FlowParams, FlowState
 from viscoshear.report import json_text, scenario_report_dict
 from viscoshear.scenario import run_line_scenario, run_torus_scenario
@@ -92,6 +94,17 @@ def test_line_report_structure(ctx):
     assert next(c for c in rep.checks if c.name == "kstar_present_T").note == (
         "first order: kappa1(0) = 7.141060e-05 and kappa1(T) = 7.255294e-05 give "
         "R^2 = 1.0322496; the check needs R^2 >= 2 at M0")
+
+
+def test_line_records_a_threshold_bracket_failure(monkeypatch, cfg):
+    # lambda1 below the level at both bracket ends: no threshold to bisect for
+    monkeypatch.setattr(calibrate, "_lambda1", lambda params, M, t, base=False: -1.0)
+    with pytest.raises(BracketFailure, match="does not straddle"):
+        calibrate.find_critical_M0(cfg.params(M=1.0))
+    rep = run_line_scenario(cfg.params(M=1.0))
+    assert [(c.name, c.passed) for c in rep.checks] == [("critical_M0", False)]
+    assert rep.checks[0].note.startswith("BracketFailure: lambda1 does not straddle")
+    assert rep.calibration is None
 
 
 def test_line_scenario_deterministic(ctx, cfg):

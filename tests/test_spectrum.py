@@ -292,9 +292,9 @@ def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch):
     assert np.max(np.abs(res.mode - u)) <= 1e-10
 
 
-def test_mode_evaluates_the_potential_once_on_its_rung():
-    # V is evaluated once per rung, on the half line of each mapped rung; the
-    # mode's rung, the finest, reads the V its climb evaluated
+def test_mode_lies_on_the_last_climbed_rungs_nodes():
+    # V is evaluated once per rung, on the half line of each mapped rung, and
+    # once more on the last one's nodes for the mode, which lives there
     points = []
 
     def counted(ys):
@@ -303,7 +303,11 @@ def test_mode_evaluates_the_potential_once_on_its_rung():
 
     res = _solve_potential(counted, True)
     rows = [(n + 1) // 2 for n in res.convergence.n_points]
-    assert points == rows and len(res.ys) == 2 * rows[-1] - 1
+    assert points == rows + rows[-1:]
+    y = spectrum.MAP_A * np.sinh(np.arange(rows[-1]) * math.asinh(
+        spectrum.HALF_WIDTH / spectrum.MAP_A) / (rows[-1] - 1))
+    y[-1] = spectrum.HALF_WIDTH
+    assert np.array_equal(res.ys, np.concatenate((-y[:0:-1], y)))
 
 
 def _counted_closure(monkeypatch, M):
@@ -588,6 +592,13 @@ def test_order_guard_raises_outside_the_band(monkeypatch):
     with pytest.raises(NonConvergence, match=r"fall by 4\.0.*ORDER_BAND.*raw trail") as err:
         lowest_eigenpair(state, want_mode=False)
     assert str(list(info.raw)) in str(err.value)
+
+
+def test_ladder_gives_up_after_max_levels(monkeypatch):
+    # two rungs give one extrapolant, never two that agree
+    monkeypatch.setattr(spectrum, "MAX_LEVELS", 2)
+    with pytest.raises(NonConvergence, match="did not stabilize within TOL_EIG"):
+        _solve_potential(lambda ys: -2.0 / np.cosh(ys) ** 2, False)
 
 
 # Strongly bound wells from kappa * Y about 3 to 43: fixture amplitudes at t = 0

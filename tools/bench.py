@@ -65,8 +65,8 @@ module attributes in the child, as perfbench traces a request.
   ``line``: its converged eigensolves (``calibrate.lowest_eigenpair``
   rebound, as perfbench's ``calibrate.threshold_eigensolves`` counts them),
   the bisection steps decided by the first-order rule without one
-  (``calibrate._ruled``; 0 in checkouts without it), ``iterations``, the
-  repr of M0, of its bracket and of the achieved lambda1, and the seconds.
+  (``calibrate._ruled``), ``iterations``, the repr of M0, of its bracket
+  and of the achieved lambda1, and the seconds.
 """
 
 from __future__ import annotations
@@ -145,15 +145,14 @@ def timed(ladder, rung):
 sp.eigh_tridiagonal, sp.eval_potential = counted_eigh, counted_potential
 sp._level = timed("uniform", sp._level)
 sp._mapped_level = timed("mapped", sp._mapped_level)
-forked = getattr(sp, "_forked", None)  # absent from checkouts that climb serially
+forked = sp._forked
 
 @contextlib.contextmanager
 def timed_forked(fn):
     with forked(fn) as wait:  # on one CPU, wait is fn: the timed rung in this process
         yield wait if wait is fn else timed("forked", wait)
 
-if forked:
-    sp._forked = timed_forked
+sp._forked = timed_forked
 
 def measure(state, want_mode):
     best = vector = eigensolve = None
@@ -304,7 +303,7 @@ from viscoshear.config import load_config
 
 params = load_config(sys.argv[2]).params(M=1.0)
 log = {"eigensolves": 0, "ruled_steps": 0}
-eigenpair, rule = calibrate.lowest_eigenpair, getattr(calibrate, "_ruled", None)
+eigenpair, rule = calibrate.lowest_eigenpair, calibrate._ruled
 
 def counted_eigenpair(*args, **kwargs):
     log["eigensolves"] += 1
@@ -315,9 +314,7 @@ def counted_rule(M, M_lin):
     log["ruled_steps"] += side is not None
     return side
 
-calibrate.lowest_eigenpair = counted_eigenpair
-if rule:  # absent from checkouts that solve every step
-    calibrate._ruled = counted_rule
+calibrate.lowest_eigenpair, calibrate._ruled = counted_eigenpair, counted_rule
 start = time.perf_counter()
 cal = calibrate.find_critical_M0(params)
 seconds = time.perf_counter() - start
