@@ -16,8 +16,8 @@ mapped rung 0's even Neumann block, one index call), then finishes on
 converged eigenvalues in a tight log-M window at that root, or over the
 whole bracket when that window misses.  The threshold
 amplitude stays a bisection, which takes a step's side unsolved where the
-first-order law lambda1 ~ -kappa1^2 (``flow.kappa1``) puts the midpoint more
-than a factor 2 from its level (see ``find_critical_M0``).
+first-order law lambda1 ~ -kappa1^2 (``flow.kappa1``) puts the midpoint
+more than 0.1 in ln M from its level (see ``find_critical_M0``).
 """
 
 from __future__ import annotations
@@ -206,31 +206,30 @@ def find_critical_M0(params: FlowParams) -> CalibrationResult:
     This stays a bisection: near M0, lambda1 (about -5e-9) is within ten
     times LAPACK's bisection tolerance ULP * ||T||_1, about 6e-10 at the
     32 769 points where its weakly bound eigensolves stop on the uniform
-    ladder (the strongly bound M = 10 bracket end climbs the mapped one), so
+    ladder (a rerun's strongly bound M = 10 end climbs the mapped one), so
     it is noise rather than a smooth function of M that interpolation could
     exploit, and M0 moves like dM/M ~ dlambda / 1e-8.
 
-    A step whose midpoint the first-order law lambda1 ~ -kappa1^2
-    (``flow.kappa1``) puts more than a factor 2 from the level is decided
-    unsolved (``_ruled``): 3 of the fixture's 18.  Both ends of the
-    certificate are solved, a ruled one once the bracket is narrow; should
-    they then fail to straddle, the bisection reruns with every step solved.
+    A step whose midpoint lies more than 0.1 in ln M from the first-order
+    threshold (lambda1 ~ -kappa1^2, ``flow.kappa1``) is decided unsolved
+    (``_ruled``): 5 of the fixture's 18.  The final bracket, its ends solved
+    once it is narrow, is the one certificate; should it fail to straddle,
+    the bisection reruns with every step solved, ``M0_BRACKET``'s ends first.
     """
     level = -TOL_EIG / 2.0
 
     def lam(M):  # memoized by _lambda_pair, so an end is solved once
         return _lambda1(params, M, 0.0)
 
-    lo, hi = M0_BRACKET
-    if not (lam(lo) > level >= lam(hi)):
-        raise BracketFailure(f"lambda1 does not straddle {level:g} on M in {M0_BRACKET}")
     M_lin = math.sqrt(-level) / kappa1(FlowState(params.with_M(1.0), 0.0))
     for rule in (True, False):
         lo, hi = M0_BRACKET
+        if not (rule or lam(lo) > level >= lam(hi)):
+            raise BracketFailure(f"lambda1 does not straddle {level:g} on M in {M0_BRACKET}")
         for i in range(M0_MAX_ITER):
             if (hi - lo) <= 1e-4 * hi:
                 if not lam(lo) > level >= lam(hi):
-                    break  # a ruled end is on the wrong side: rerun with every step solved
+                    break  # a ruled step misled, or no threshold: rerun with every step solved
                 if lam(hi) > -0.95 * TOL_EIG:
                     return CalibrationResult(M=hi, achieved=lam(hi), iterations=i + 1,
                                              bracket=(lo, hi))
@@ -246,8 +245,8 @@ def find_critical_M0(params: FlowParams) -> CalibrationResult:
 
 def _ruled(M: float, M_lin: float) -> Optional[bool]:
     """Whether M binds past the level by lambda1 ~ -kappa1^2 = (M / M_lin)^2 level;
-    None where that factor lies between 1/2 and 2."""
-    if abs(math.log(M / M_lin)) <= 0.5 * math.log(2.0):
+    None within 0.1 of M_lin in ln M (measured thresholds lay within 0.071)."""
+    if abs(math.log(M / M_lin)) <= 0.1:
         return None
     return M > M_lin
 

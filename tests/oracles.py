@@ -1,14 +1,19 @@
 """Test oracles, each reaching a number the package computes by its own
 path: the two-sided long-window determinant of W, the fourth-order Rayleigh
-quotient, and phi with its normalization at the critical point."""
+quotient, phi with its normalization at the critical point, and the decay
+rate of a weakly bound state by Jost shooting and by its weak-coupling
+series."""
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from viscoshear import rayleigh as ray
-from viscoshear.flow import FlowState, eval_b, eval_b_slope, eval_potential
+from viscoshear._ode import integrate
+from viscoshear._roots import chandrupatla
+from viscoshear.flow import FlowState, eval_b, eval_b_derivs, eval_b_slope, eval_potential
 from viscoshear.spectrum import HALF_WIDTH
 
 YK_FACTOR = 12.0  # the long window is max(HALF_WIDTH, YK_FACTOR / k)
@@ -169,3 +174,58 @@ def assemble_phi(state: FlowState, sol: ray.PhiSolution):
     assert abs(val0 - (-1j * c_i)) <= 1e-8 * max(1.0, c_i), f"phi(y_c) = {val0}, not {-1j * c_i}"
     assert abs(slope0 - beta) <= 1e-8 * max(1.0, beta), f"phi'(y_c) = {slope0}, not {beta}"
     return ys, phi
+
+
+def jost_kappa(states: Sequence[FlowState], first: Sequence[float]) -> np.ndarray:
+    """The decay rate kappa of each state's even bound state, by shooting.
+
+    The even solution of -u'' + V u = -kappa^2 u, u(0) = 1 and u'(0) = 0, is
+    integrated on the package's DOP853 (``_ode.integrate``) out to
+    Y = 8 sqrt(s1), past which V is below e^-64 of its size.  There a bound
+    state decays as e^(-kappa y), so kappa is the root of
+    G(kappa) = u'(Y) + kappa u(Y), found by Chandrupatla's iteration
+    (``_roots.chandrupatla``) in [first / 2, 2 first] per state, to
+    |G| <= 1e-7 first (G's slope is u(Y), about 1).  One pass serves every
+    state.  No eigensolver, grid or Robin closure is involved.
+    """
+    states = list(states)
+    first = np.asarray(first, dtype=float)
+    Y = 8.0 * max(math.sqrt(state.s1) for state in states)
+
+    def G(kappa, idx):
+        def rhs(y, st):
+            v = np.array([eval_potential(states[j], y) for j in idx])
+            return np.column_stack((st[:, 1], (v + kappa * kappa) * st[:, 0]))
+
+        seed = np.tile([1.0, 0.0], (len(idx), 1))
+        u = integrate(rhs, 0.0, Y, seed, h=1e-3)[0].real
+        return u[:, 1] + kappa * u[:, 0]
+
+    both = np.arange(len(states))
+    lo, hi = 0.5 * first, 2.0 * first
+    ends = G(np.concatenate((lo, hi)), np.concatenate((both, both)))
+    kappa, _, _, _ = chandrupatla(G, lo, hi, ends[both], ends[len(states):], 1e-7 * first,
+                                  60, "jost_kappa")
+    return kappa
+
+
+def kappa_second_order(state: FlowState, n: int = 20000) -> float:
+    """kappa2 in kappa = kappa1 + kappa2 M^2 + O(M^3), the weakly bound state's decay rate.
+
+    At M = 1 write V = b''/b = M v1 + M^2 v2 + O(M^3), with v1 = b''/y and
+    v2 = -b'' g / y^2, g = b - y.  Simon's series (Ann. Phys. 97 (1976) 279),
+    kappa = -1/2 int V - 1/4 int int V(x) |x - y| V(y) dx dy + O(V^3), then
+    gives kappa2 = -1/2 int v2 - 1/4 int int v1(x) |x - y| v1(y) dx dy.  Both
+    by the trapezoid rule on ``n`` nodes of [-8 sqrt(s1), 8 sqrt(s1)] (n even,
+    so no node at y = 0), the double integral as cumulative sums.
+    """
+    unit = FlowState(state.params.with_M(1.0), state.t)
+    Y = 8.0 * math.sqrt(unit.s1)
+    y = np.linspace(-Y, Y, n)
+    b, _, b2, _ = eval_b_derivs(unit, y)
+    w = np.full(n, y[1] - y[0])
+    w[0] = w[-1] = 0.5 * w[0]
+    a = b2 / y * w  # v1 times the weights
+    below, below_y = np.cumsum(a) - a, np.cumsum(a * y) - a * y  # sums over nodes left of each
+    half_v2 = 0.5 * float(np.sum(b2 * (b - y) / y ** 2 * w))  # -1/2 int v2
+    return half_v2 - 0.5 * float(np.sum(a * (y * below - below_y)))

@@ -111,7 +111,7 @@ def test_polish_shows_the_ode_cost_of_each_case(capsys):
 
 
 def _threshold_record(seconds, M0="4.127983142029252e-05"):
-    return {"eigensolves": 17, "ruled_steps": 3, "iterations": 19, "M0": M0,
+    return {"eigensolves": 13, "ruled_steps": 5, "iterations": 19, "M0": M0,
             "bracket": ["4.127729338082987e-05", M0], "achieved": "-5.475237175776104e-09",
             "seconds": seconds}
 
@@ -130,8 +130,27 @@ def test_threshold_writes_counts_and_the_repr_of_M0(monkeypatch, tmp_path, capsy
     for entry in out["roots"].values():
         assert entry["M0"] == "4.127983142029252e-05" and entry["iterations"] == 19
         assert len(entry["seconds"]["samples"]) == bench.RUNS
-    assert ("17 eigensolves, 3 ruled steps, 19 iterations; M0 = 4.127983142029252e-05 in "
-            "(4.127729338082987e-05, 4.127983142029252e-05)") in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert ("13 eigensolves, 5 ruled steps, 19 iterations; M0 = 4.127983142029252e-05 in "
+            "(4.127729338082987e-05, 4.127983142029252e-05)") in out
+    assert "M0, bracket and lambda1 reprs equal parent's on every root" in out
+
+
+def test_threshold_names_the_roots_whose_M0_differs(monkeypatch, tmp_path, capsys):
+    other = tmp_path / "other"
+    (other / "src" / "viscoshear").mkdir(parents=True)
+    (other / "src" / "viscoshear" / "cli.py").touch()
+
+    def spawn(child, src, config):
+        if src == other / "src":
+            return dict(_threshold_record(1.0, "4.08758e-05"), achieved="-5.1e-09")
+        return _threshold_record(1.0)
+
+    monkeypatch.setattr(bench, "spawn", spawn)
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["threshold", f"parent={ROOT}", f"change={ROOT}", f"other={other}"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == (
+        "M0, bracket and lambda1 reprs differ from parent's: other (M0, bracket, achieved)")
 
 
 def test_threshold_refuses_a_root_whose_M0_moves(monkeypatch, tmp_path, capsys):

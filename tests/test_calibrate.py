@@ -3,8 +3,10 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import oracles
 from viscoshear import calibrate, spectrum
 from viscoshear.calibrate import find_critical_M0, kstar_time_sweep, tune_M_for_kstar
 from viscoshear.errors import BracketFailure, NonConvergence
@@ -98,18 +100,19 @@ def _spy_ruled(monkeypatch):
     return ruled
 
 
-def test_first_order_rule_takes_three_fixture_steps_on_their_solved_side(ctx, monkeypatch):
+def test_first_order_rule_takes_five_fixture_steps_on_their_solved_side(ctx, monkeypatch):
     # replay the fixture's bisection on lambda1 = level (M / M0)^2, which puts
     # every midpoint on the side of the level its solve puts it, so the
     # replay retraces the fixture's steps; then solve the ruled midpoints
     cal = ctx.line.calibration  # find_critical_M0(P)
     level = -TOL_EIG / 2.0
     ruled = _spy_ruled(monkeypatch)
-    monkeypatch.setattr(calibrate, "_lambda1",
-                        lambda params, M, t, base=False: level * (M / cal.M) ** 2)
+    precise, _ = _count_lambda1(monkeypatch, lambda params, M, t, base: level * (M / cal.M) ** 2)
     replay = find_critical_M0(P)
     assert (replay.M, replay.bracket, replay.iterations) == (cal.M, cal.bracket, 19)
-    assert [M for M, _ in ruled] == pytest.approx([3.1623e-3, 7.4989e-6, 2.0535e-5], rel=1e-4)
+    assert [M for M, _ in ruled] == pytest.approx(
+        [3.1623e-3, 5.6234e-5, 7.4989e-6, 2.0535e-5, 3.3982e-5], rel=1e-4)
+    assert len(set(precise)) == 13 and not set(calibrate.M0_BRACKET) & set(precise)
     monkeypatch.undo()
     for M, bound in ruled:
         lam = lowest_eigenpair(FlowState(P.with_M(M), 0.0), want_mode=False).lambda1
@@ -136,6 +139,42 @@ def test_misruled_steps_rerun_as_the_plain_bisection(monkeypatch, factor):
     assert lo < M_true <= hi and hi - lo <= 1e-4 * hi
 
 
+@pytest.mark.parametrize("offset", [0.08, -0.08])
+def test_threshold_inside_the_margin_is_the_plain_bisections(monkeypatch, offset):
+    # a smooth lambda1 whose threshold sits e^(+-0.08) from the first-order
+    # one, inside the rule's margin of 0.1 in ln M: every ruled step takes
+    # its true side, so the ruled pass certifies the plain bisection's M0
+    level = -TOL_EIG / 2.0
+    M_true = math.exp(offset) * math.sqrt(-level) / kappa1(FlowState(P, 0.0))
+    precise, _ = _count_lambda1(monkeypatch, lambda params, M, t, base: level * (M / M_true) ** 2)
+    ruled = _spy_ruled(monkeypatch)
+    cal = find_critical_M0(P)
+    assert ruled and all(bound == (M >= M_true) for M, bound in ruled)
+    assert not set(calibrate.M0_BRACKET) & set(precise)  # a rerun would solve the ends
+    monkeypatch.setattr(calibrate, "_ruled", lambda M, M_lin: None)
+    plain = find_critical_M0(P)
+    assert (cal.M, cal.bracket, cal.achieved, cal.iterations) == (
+        plain.M, plain.bracket, plain.achieved, plain.iterations)
+
+
+def test_unsolvable_bracket_ends_leave_the_certified_threshold(monkeypatch):
+    # the ruled pass never solves an M0_BRACKET end, so ends whose eigensolve
+    # cannot converge do not stop a threshold that its final bracket certifies
+    level = -TOL_EIG / 2.0
+    M_true = math.sqrt(-level) / kappa1(FlowState(P, 0.0))
+
+    def lambda1(params, M, t, base):
+        if M in calibrate.M0_BRACKET:
+            raise NonConvergence(f"no eigenvalue at M = {M:g}")
+        return level * (M / M_true) ** 2
+
+    _count_lambda1(monkeypatch, lambda1)
+    cal = find_critical_M0(P)
+    lo, hi = cal.bracket
+    assert lo < M_true <= hi and hi - lo <= 1e-4 * hi
+    assert cal.M == hi and cal.achieved == level * (hi / M_true) ** 2
+
+
 def test_kappa1_closed_forms_on_the_fixture():
     g1, g2 = P.gamma1, P.gamma2
     p = P.with_M(4.1279831420292519e-05)
@@ -145,6 +184,19 @@ def test_kappa1_closed_forms_on_the_fixture():
     assert kT == pytest.approx(root_pi_M * (1.0 / (1.0 + 4.0 * g1 ** 2) - g1 * g2 / 5.0),
                                rel=1e-15)
     assert kT / k0 == pytest.approx(1.0159968, abs=5e-8)  # R = kappa1(T) / kappa1(0)
+
+
+def test_kappa1_is_the_shot_decay_rate_to_first_order():
+    # the law the threshold rule rests on: the Jost-shot kappa of the weakly
+    # bound state differs from kappa1 by O(M^2) from the fixture's M0 to 1e-3,
+    # and at M0 by Simon's second-order term
+    Ms = np.geomspace(4.1279831420292519e-05, 1e-3, 5)
+    for t in (0.0, P.horizon):
+        states = [FlowState(P.with_M(M), t) for M in Ms]
+        first = np.array([kappa1(state) for state in states])
+        gap = oracles.jost_kappa(states, first) - first
+        assert np.polyfit(np.log(Ms), np.log(np.abs(gap)), 1)[0] == pytest.approx(2.0, abs=0.2)
+        assert gap[0] / Ms[0] ** 2 == pytest.approx(oracles.kappa_second_order(states[0]), rel=1e-3)
 
 
 def test_sweep_monotone_and_crossing(ctx):

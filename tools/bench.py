@@ -66,7 +66,9 @@ module attributes in the child, as perfbench traces a request.
   rebound, as perfbench's ``calibrate.threshold_eigensolves`` counts them),
   the bisection steps decided by the first-order rule without one
   (``calibrate._ruled``), ``iterations``, the repr of M0, of its bracket
-  and of the achieved lambda1, and the seconds.
+  and of the achieved lambda1, and the seconds.  On two or more roots one
+  more line says whether each root's M0, bracket and lambda1 reprs equal
+  the first root's, or names the roots that differ and in which.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 RUNS = 11
 FIXTURE = "gamma0 = 0.15\ngamma1 = 0.03\ngamma2 = 0.8\nnu = 1e-3\ndelta = 0.01\n"
@@ -367,16 +369,28 @@ def show_threshold(name: str, r: dict) -> None:
           f"M0 = {r['M0']} in ({', '.join(r['bracket'])}), lambda1 = {r['achieved']}")
 
 
+def compare_threshold(results: dict) -> str:
+    """Whether every root's M0, bracket and lambda1 reprs equal the first root's."""
+    (first, ref), *rest = results.items()
+    keys = ("M0", "bracket", "achieved")
+    differ = {root: [k for k in keys if r[k] != ref[k]] for root, r in rest}
+    named = "; ".join(f"{root} ({', '.join(ks)})" for root, ks in differ.items() if ks)
+    if named:
+        return f"M0, bracket and lambda1 reprs differ from {first}'s: {named}"
+    return f"M0, bracket and lambda1 reprs equal {first}'s on every root"
+
+
 class Case(NamedTuple):
     child: str
     show: Callable[[str, dict], None]
+    compare: Optional[Callable[[dict], str]] = None  # a line on two or more roots
 
 
 CASES = {
     "spectrum": Case(SPECTRUM, show_spectrum),
     "startup": Case(STARTUP, show_startup),
     "polish": Case(POLISH, show_polish),
-    "threshold": Case(THRESHOLD, show_threshold),
+    "threshold": Case(THRESHOLD, show_threshold, compare_threshold),
 }
 
 
@@ -471,6 +485,8 @@ def main(argv: list) -> int:
         fh.write("\n")
     for root, entry in results.items():
         case.show(root, entry)
+    if case.compare and len(results) > 1:
+        print(case.compare(results))
     print(f"wrote {out}")
     return 0
 
