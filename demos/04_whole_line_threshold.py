@@ -1,4 +1,4 @@
-"""The whole-line problem: where binding first resolves, and its limits.
+"""The whole-line problem: a threshold where binding resolves, and its limits.
 
 On the whole line every positive amplitude binds (the potential well has
 strictly negative integral), with an eigenvalue quadratically small in M.

@@ -29,11 +29,7 @@ from .flow import (
     h1_diagnostics,
     heat_residual,
 )
-from .spectrum import (
-    SpectralResult,
-    lowest_eigenpair,
-    profile_check,
-)
+from .spectrum import SpectralResult, lowest_eigenpair
 from .calibrate import (
     CalibrationResult,
     KstarCurve,

@@ -34,9 +34,9 @@ from .flow import (
     heat_residual,
 )
 from .report import check_dict, json_text, scenario_report_dict
-from .scenario import (Check, ScenarioReport, profile_checked, run_line_scenario,
+from .scenario import (Check, ScenarioReport, _fit_min_C, profile_checked, run_line_scenario,
                        run_torus_scenario)
-from .spectrum import _fit_min_C, lowest_eigenpair, profile_check
+from .spectrum import lowest_eigenpair
 
 __all__ = ["AcceptanceContext", "run_verify", "CRITERIA"]
 
@@ -69,8 +69,9 @@ class AcceptanceContext:
         return FlowState(self.params.with_M(self.torus.M), 0.0)
 
     @cached_property
-    def profile_0(self):
-        return profile_check(lowest_eigenpair(self.state_0, want_mode=True))
+    def mode_0(self):
+        """The t = 0 eigensolve with its neutral mode, which criterion 4 checks."""
+        return lowest_eigenpair(self.state_0, want_mode=True)
 
     @cached_property
     def curve(self):
@@ -218,7 +219,7 @@ def criterion_4(ctx: AcceptanceContext):
     out = _from_report(ctx.torus, ["lambda2_nonnegative_sweep", "profile_checks"])
     if ctx.torus.M is None:
         return out + _unreached(ctx.torus, ["profile_checks_t0"])
-    return out + [profile_checked("profile_checks_t0", ctx.profile_0)]
+    return out + [profile_checked("profile_checks_t0", ctx.mode_0)]
 
 
 def criterion_5(ctx: AcceptanceContext):

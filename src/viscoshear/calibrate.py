@@ -196,12 +196,12 @@ def tune_M_for_kstar(params: FlowParams, t: float, target_kstar: float) -> Calib
 
 
 def find_critical_M0(params: FlowParams) -> CalibrationResult:
-    """Smallest amplitude at which binding resolves at t = 0.
+    """An amplitude at which binding resolves at t = 0.
 
     Returns M0 with lambda1(M0, 0) inside [-TOL_EIG, 0], certified by a
-    bracket whose endpoints straddle the -TOL_EIG/2 level; the bracket is
-    shrunk below 1e-4 * M0 so the threshold crossing is pinned to that
-    relative width.
+    bracket, narrower than 1e-4 * M0, whose ends straddle -TOL_EIG/2: a
+    crossing, not necessarily the first, as lambda1(M) is not monotone there
+    ((gamma0, gamma1, gamma2) = (0.246, 0.0821, 0.622) has one 2.7 % lower).
 
     This stays a bisection: near M0, lambda1 (about -5e-9) is within ten
     times LAPACK's bisection tolerance ULP * ||T||_1, about 6e-10 at the

@@ -4,8 +4,8 @@ The torus pipeline tunes the amplitude so the initial critical wave number
 sits just below 1, sweeps k*(t) across the diffusion horizon, localizes the
 crossing time of k* = 1, finds the unstable eigenvalue of the k = 1 mode at
 the final time, and certifies the root/no-root dichotomy on both sides of
-the crossing.  The whole-line pipeline starts from the threshold amplitude
-where binding first resolves and probes the post-diffusion spectrum.
+the crossing.  The whole-line pipeline starts from a threshold amplitude
+where binding resolves and probes the post-diffusion spectrum.
 
 Every check carries its measured value and acceptance band; stage failures
 are recorded and the pipeline continues where possible.
@@ -24,7 +24,7 @@ from .calibrate import (TOL_CAL, CalibrationResult, KstarCurve, find_critical_M0
                         kstar_time_sweep, tune_M_for_kstar)
 from .errors import ViscoshearError
 from .flow import FlowParams, FlowState, kappa1
-from .spectrum import TOL_EIG, ProfileReport, lowest_eigenpair, profile_check
+from .spectrum import TOL_EIG, SpectralResult, lowest_eigenpair
 
 __all__ = ["Check", "ScenarioReport", "run_torus_scenario", "run_line_scenario"]
 
@@ -41,10 +41,53 @@ class Check:
     note: str = ""
 
 
-def profile_checked(name: str, prof: ProfileReport) -> Check:
-    """The neutral mode's profile check ``name``: every pointwise check
-    holds and the fitted constant is at most 20."""
-    return Check(name, bool(prof.all_ok and prof.fitted_C <= 20.0), prof.fitted_C, (1.0, 20.0))
+def _fit_min_C(pred, hi: float = 1e6) -> float:
+    """Smallest C in [1, hi] satisfying a monotone pointwise predicate, by
+    geometric bisection; inf when ``pred(hi)`` fails."""
+    if not pred(hi):
+        return math.inf
+    lo = 1.0
+    if pred(lo):
+        return lo
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def profile_checked(name: str, result: SpectralResult) -> Check:
+    """The neutral mode's profile check ``name``: the mode u is even to 1e-8,
+    positive and non-increasing on y >= 0 within 1e-10 u(0), and the
+    smallest C in [1, 1e3] fitting both the plateau (sqrt(k*)/C <= u <=
+    C sqrt(k*) for |y| <= 1/k*) and the envelope beyond (u <= C sqrt(k*)
+    exp(-k*|y|/C)), which the check measures, is at most 20.  The note names
+    each failed test with its number; an unbound ``result`` or one without
+    its mode raises ``ValueError``."""
+    if result.kstar is None or result.mode is None:
+        raise ValueError("profile_checked needs a bound state with its mode")
+    u, ys, k = result.mode, result.ys, result.kstar
+    rk, core = math.sqrt(k), np.abs(ys) <= 1.0 / k
+    plateau, tail, decay = u[core], u[~core], -k * np.abs(ys[~core])
+
+    def fits(C):
+        return bool(np.all(plateau >= rk / C) and np.all(plateau <= rk * C)
+                    and np.all(tail <= C * rk * np.exp(decay / C)))
+
+    right = u[len(u) // 2:]
+    even = float(np.max(np.abs(u - u[::-1])))
+    low = float(np.min(u))
+    rise = float(np.max(np.diff(right)))
+    C = _fit_min_C(fits, hi=1e3)
+    failed = [f"{test} {value:.3g} {rule}" for test, value, ok, rule in (
+        ("even defect", even, even < 1e-8, ">= 1e-8"),
+        ("minimum", low, low > 0.0, "<= 0"),
+        ("largest rise on y >= 0", rise, rise <= 1e-10 * right[0], "> 1e-10 u(0)"),
+        ("fitted C", C, C <= 20.0, "> 20"),
+    ) if not ok]
+    return Check(name, not failed, C, (1.0, 20.0), "; ".join(failed))
 
 
 @dataclass
@@ -195,7 +238,7 @@ def run_torus_scenario(params: FlowParams, delta: float, n_times: int) -> Scenar
         mode_b = ray.neutral_mode_phiB(st_T, eig_T.kstar, eig_T.ys, eig_T.weights)
         l2 = float(math.sqrt(np.sum((mode_b - eig_T.mode) ** 2 * eig_T.weights)))
         rep.add("phiB_matches_eigenmode", l2 <= 1e-3, l2, (0.0, 1e-3))
-        rep.checks.append(profile_checked("profile_checks", profile_check(eig_T)))
+        rep.checks.append(profile_checked("profile_checks", eig_T))
     lam2_min = float(np.min(curve.lambda2s))
     rep.add("lambda2_nonnegative_sweep", lam2_min >= -lam_slack, lam2_min, (-lam_slack, None))
     return rep
@@ -204,7 +247,7 @@ def run_torus_scenario(params: FlowParams, delta: float, n_times: int) -> Scenar
 def run_line_scenario(params: FlowParams) -> ScenarioReport:
     """Whole-line scenario: threshold amplitude, then the post-diffusion probe.
 
-    Finds the amplitude M0 where binding first resolves at t = 0, then asks
+    Finds an amplitude M0 where binding resolves at t = 0, then asks
     whether diffusion to t = T produces a resolvable critical wave number of
     size comparable to gamma1*gamma2 and an unstable root below it.  At desk
     scale the eigenvalue at the threshold is quadratically small in M, so

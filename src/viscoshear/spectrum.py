@@ -52,7 +52,8 @@ The mode, the ground state, is even: it is the lowest eigenvector of the
 even block of the finest mapped rung the eigensolve reached (whichever ladder
 it climbed), Robin-closed at kappa = sqrt(-lambda1), unscaled by W^(-1/2) and
 mirrored, so it is even bit for bit.  It lives on that rung's nodes and is
-normalized in its cells, both of which ``SpectralResult`` carries.
+normalized in its cells, both of which ``SpectralResult`` carries.  This
+module only solves: ``scenario.profile_checked`` judges the mode's shape.
 """
 
 from __future__ import annotations
@@ -71,13 +72,7 @@ import numpy as np
 from .errors import BracketFailure, NonConvergence
 from .flow import FlowState, eval_potential
 
-__all__ = [
-    "SpectralResult",
-    "ConvergenceInfo",
-    "ProfileReport",
-    "lowest_eigenpair",
-    "profile_check",
-]
+__all__ = ["SpectralResult", "ConvergenceInfo", "lowest_eigenpair"]
 
 TOL_EIG = 1e-8  # Richardson agreement of converged eigenvalues; bound means lambda1 < -TOL_EIG
 HALF_WIDTH = 20.0  # the box [-Y, Y]; the self-consistent Robin closure makes lambda1 blind to it
@@ -91,7 +86,6 @@ MAP_ROWS = 129  # half-line nodes of mapped rung 0; 129 to 257 take three rungs 
 # the fixture; its default ULP * ||T||_1 moves lambda1 there by up to 7e-10.
 MAP_TOL = 1e-13
 ORDER_BAND = (3.5, 4.5)  # the ratio of successive raw lambda1 differences the mapped ladder accepts
-PROFILE_C_MAX = 1e3  # largest plateau/envelope constant profile_check fits
 
 
 def _extension(package: str, name: str):
@@ -462,81 +456,3 @@ def _base_lambda1(state: FlowState) -> float:
     one; the Neumann closure overbinds weakly bound states (k* 0.031 against
     0.017 at M = 0.01, 0.090 against 0.085 at M = 0.05)."""
     return _mapped_lowest(*_mapped_block(_potential(state), 0)[:2])
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    """Pointwise neutral-mode checks with one fitted constant per run."""
-
-    even_ok: bool
-    positive_ok: bool
-    monotone_ok: bool
-    fit_ok: bool  # one finite fitted_C meets both the plateau and the envelope
-    fitted_C: float
-    even_defect: float
-    min_value: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.even_ok and self.positive_ok and self.monotone_ok and self.fit_ok
-
-
-def _fit_min_C(pred, hi: float = 1e6) -> float:
-    """Smallest C >= 1 satisfying a monotone pointwise predicate, by geometric bisection."""
-    if not pred(hi):
-        return math.inf
-    lo = 1.0
-    if pred(lo):
-        return lo
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _fits_with_C(ys, u, kstar, C):
-    core = np.abs(ys) <= 1.0 / kstar
-    rk = math.sqrt(kstar)
-    if np.any(core):
-        lo = np.all(u[core] >= rk / C)
-        hi = np.all(u[core] <= rk * C)
-    else:
-        lo = hi = True
-    tail = ~core
-    env = np.all(u[tail] <= C * rk * np.exp(-kstar * np.abs(ys[tail]) / C)) if np.any(tail) else True
-    return lo and hi and env
-
-
-def profile_check(result: SpectralResult) -> ProfileReport:
-    """Evenness, positivity, monotone decay, plateau and envelope of the mode.
-
-    The plateau (|phi| comparable to sqrt(k*) for |y| <= 1/k*) and the
-    exponential envelope beyond share a single fitted constant, found by
-    bisection as the smallest C >= 1 satisfying both pointwise.
-    """
-    if result.kstar is None or result.mode is None:
-        raise ValueError("profile_check needs a bound state with its mode")
-    u = result.mode
-    ys = result.ys
-    n = len(u)
-    mid = n // 2
-    even_defect = float(np.max(np.abs(u - u[::-1])))
-    even_ok = even_defect < 1e-8
-    min_value = float(np.min(u))
-    positive_ok = min_value > 0.0
-    right = u[mid:]
-    monotone_ok = bool(np.all(np.diff(right) <= 1e-10 * u[mid]))
-
-    fitted = _fit_min_C(lambda C: _fits_with_C(ys, u, result.kstar, C), hi=PROFILE_C_MAX)
-    return ProfileReport(
-        even_ok=even_ok,
-        positive_ok=positive_ok,
-        monotone_ok=monotone_ok,
-        fit_ok=math.isfinite(fitted),
-        fitted_C=fitted,
-        even_defect=even_defect,
-        min_value=min_value,
-    )

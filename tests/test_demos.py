@@ -1,7 +1,7 @@
 """The demos run end to end and write the files their docstrings name.
 
 Demo 04 is left out: it repeats the whole-line threshold search that the
-acceptance context already runs, at about 11 s.
+acceptance context already runs, in 4.4 to 4.9 s on 2 vCPU.
 """
 
 import ast

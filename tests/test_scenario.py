@@ -1,4 +1,5 @@
-"""Scenario pipelines: reports, dichotomy, budget failures, determinism."""
+"""Scenario pipelines: reports, dichotomy, budget failures, determinism, and
+the neutral mode's profile check."""
 
 import math
 from types import SimpleNamespace
@@ -11,7 +12,8 @@ from viscoshear import rayleigh as ray
 from viscoshear.errors import BracketFailure
 from viscoshear.flow import FlowParams, FlowState
 from viscoshear.report import json_text, scenario_report_dict
-from viscoshear.scenario import run_line_scenario, run_torus_scenario
+from viscoshear.scenario import _fit_min_C, profile_checked, run_line_scenario, run_torus_scenario
+from viscoshear.spectrum import SpectralResult
 
 
 def test_torus_report_passes_on_reference(ctx):
@@ -146,3 +148,77 @@ def test_torus_solves_the_crossing_state_once(monkeypatch, cfg):
     assert 0.0 < rep.Ttilde < T
     assert next(c for c in rep.checks if c.name == "kstar_at_Ttilde").passed
     assert solved.count(FlowState(params.with_M(rep.M), rep.Ttilde)) == 1
+
+
+def test_profile_checks_at_t0(ctx):
+    # the fixture's t = 0 and T modes pass with the fitted C of the rule's
+    # earlier home in ``spectrum``, bit for bit
+    check = profile_checked("profile_checks_t0", ctx.mode_0)
+    assert (check.passed, check.measured, check.band, check.note) == (
+        True, 2.678268604128705, (1.0, 20.0), "")
+    check = next(c for c in ctx.torus.checks if c.name == "profile_checks")
+    assert (check.passed, check.measured, check.note) == (True, 2.683703865333252, "")
+
+
+def _mode(kstar, rate, reshape=lambda ys, u: u):
+    """sqrt(k*) exp(-rate |y|) on nodes mirrored about 0, as ``spectrum`` lays
+    them out on [-20, 20], after ``reshape(ys, u)``."""
+    y = np.linspace(0.0, 20.0, 2001)
+    ys = np.concatenate((-y[:0:-1], y))
+    u = math.sqrt(kstar) * np.exp(-rate * np.abs(ys))
+    return SpectralResult(-kstar ** 2, 0.0, kstar, reshape(ys, u), ys, None, None)
+
+
+def test_profile_check_fits_the_exact_decay():
+    # e^{-k|y|} meets the envelope with C = 1, and the plateau asks u(1/k) >= sqrt(k)/C
+    for kstar in (0.5, 1.0, 4.0):
+        check = profile_checked("p", _mode(kstar, kstar))
+        assert check.passed and check.note == ""
+        assert abs(check.measured - math.e) <= 1e-9
+
+
+def _odd_part(ys, u):
+    u = u.copy()
+    u[ys < 0.0] *= 1.0 + 1e-6  # y >= 0 untouched, so only evenness breaks
+    return u
+
+
+def _negative_ends(ys, u):
+    u = u.copy()
+    u[[0, -1]] *= -1.0  # the node pair at |y| = 20: the mode stays even
+    return u
+
+
+def _bump(ys, u):
+    return u + 1e-3 * np.exp(-((np.abs(ys) - 8.0) / 0.2) ** 2)
+
+
+@pytest.mark.parametrize("kstar, rate, reshape, reason", [
+    (1.0, 1.0, _odd_part, "even defect 9.9e-07 >= 1e-8"),
+    (1.0, 1.0, _negative_ends, "minimum -2.06e-09 <= 0"),
+    (1.0, 1.0, _bump, "largest rise on y >= 0 3.9e-05 > 1e-10 u(0)"),
+    # decay 1000 times too slow: on [-20, 20] it needs C of about 24
+    (4.0, 4e-3, lambda ys, u: u, "fitted C 24.4 > 20"),
+], ids=["mirror_odd", "negative_node", "bump", "slow_tail"])
+def test_profile_check_names_its_one_failed_test(kstar, rate, reshape, reason):
+    check = profile_checked("p", _mode(kstar, rate, reshape))
+    assert not check.passed
+    assert check.note == reason
+    assert check.band == (1.0, 20.0)
+
+
+def test_profile_check_needs_a_bound_mode():
+    unbound = SpectralResult(-1e-9, 0.0, None, None, None, None, None)
+    no_mode = SpectralResult(-1.0, 0.0, 1.0, None, None, None, None)
+    for result in (unbound, no_mode):
+        with pytest.raises(ValueError, match="bound state with its mode"):
+            profile_checked("p", result)
+
+
+def test_fit_min_C_bisects_to_the_threshold():
+    assert _fit_min_C(lambda C: True) == 1.0
+    assert _fit_min_C(lambda C: C >= 2e6) == math.inf
+    assert _fit_min_C(lambda C: C >= 24.0, hi=20.0) == math.inf
+    for c0 in (1.5, 7.3, 9e5):
+        fitted = _fit_min_C(lambda C: C >= c0)
+        assert c0 <= fitted <= c0 * (1.0 + 1e-12)

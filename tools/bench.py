@@ -8,11 +8,15 @@ checkout whose ``src/`` holds the ``viscoshear`` package; with none, the
 working directory is measured as ``this``.  Two roots, say
 ``parent=../parent change=.``, are compared.
 
-One unmeasured process per root first compiles the ``.pyc`` files and warms
-the page cache, which a user pays once.  Then each of RUNS rounds runs every
-root once, in a fresh ``python3`` with one BLAS thread and no inherited
-``PYTHONPATH``, each root going first in every other round, so a drift of
-the machine falls on both.  Every child reads the README fixture's config
+One unmeasured process per root first warms the page cache, and writes the
+``.pyc`` files a user compiles once, unless ``PYTHONDONTWRITEBYTECODE`` is
+set: the children inherit it, so then no ``.pyc`` is written and every
+measured child compiles ``viscoshear`` from source (about 22 ms of
+``startup``'s ``setup_s`` and ``import_s`` on 2 vCPU).  Each
+``BENCH_*.json`` records the variable in its environment block.  Then each
+of RUNS rounds runs every root once, in a fresh ``python3`` with one BLAS
+thread and no inherited ``PYTHONPATH``, each root going first in every other
+round, so a drift of the machine falls on both.  Every child reads the README fixture's config
 (FIXTURE) and prints one JSON record.  A measured value (a key in MEASURED
 or ending in ``_s``) becomes its median, quartiles, min and max with every
 sample kept; any other value is a count or a result, and a root whose runs
@@ -477,6 +481,7 @@ def main(argv: list) -> int:
                 "machine": platform.machine(),
                 "cpus": os.cpu_count(),
                 "openblas_threads": "1",
+                "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             },
             "config": FIXTURE,
             "runs": RUNS,
