@@ -219,7 +219,7 @@ def criterion_4(ctx: AcceptanceContext):
     out = _from_report(ctx.torus, ["lambda2_nonnegative_sweep", "profile_checks"])
     if ctx.torus.M is None:
         return out + _unreached(ctx.torus, ["profile_checks_t0"])
-    return out + [profile_checked("profile_checks_t0", ctx.mode_0)]
+    return out + [profile_checked("profile_checks_t0", ctx.mode_0, ctx.state_0)]
 
 
 def criterion_5(ctx: AcceptanceContext):

@@ -58,14 +58,17 @@ def _fit_min_C(pred, hi: float = 1e6) -> float:
     return hi
 
 
-def profile_checked(name: str, result: SpectralResult) -> Check:
-    """The neutral mode's profile check ``name``: the mode u is even to 1e-8,
-    positive and non-increasing on y >= 0 within 1e-10 u(0), and the
-    smallest C in [1, 1e3] fitting both the plateau (sqrt(k*)/C <= u <=
-    C sqrt(k*) for |y| <= 1/k*) and the envelope beyond (u <= C sqrt(k*)
-    exp(-k*|y|/C)), which the check measures, is at most 20.  The note names
-    each failed test with its number; an unbound ``result`` or one without
-    its mode raises ``ValueError``."""
+def profile_checked(name: str, result: SpectralResult, state: FlowState) -> Check:
+    """The neutral mode's profile check ``name`` on ``state``'s eigensolve
+    ``result``: the mode u is even to 1e-8, positive and non-increasing on
+    y >= 0 within 1e-10 u(0), the smallest C in [1, 1e3] fitting both the
+    plateau (sqrt(k*)/C <= u <= C sqrt(k*) for |y| <= 1/k*) and the envelope
+    beyond (u <= C sqrt(k*) exp(-k*|y|/C)), which the check measures, is at
+    most 20, and ln u decays at k* within 1e-2 relative, as a least-squares
+    line fitted on the nodes past the cut Y_c (``rayleigh._y_cut``), where
+    b'' = 0 to rounding, and below the box's edge Y.  The note names each
+    failed test with its number; an unbound ``result`` or one without its
+    mode raises ``ValueError``."""
     if result.kstar is None or result.mode is None:
         raise ValueError("profile_checked needs a bound state with its mode")
     u, ys, k = result.mode, result.ys, result.kstar
@@ -76,7 +79,11 @@ def profile_checked(name: str, result: SpectralResult) -> Check:
         return bool(np.all(plateau >= rk / C) and np.all(plateau <= rk * C)
                     and np.all(tail <= C * rk * np.exp(decay / C)))
 
-    right = u[len(u) // 2:]
+    right, y = u[len(u) // 2:], ys[len(ys) // 2:]
+    far = (y > ray._y_cut(state, 0.0)) & (y < y[-1])
+    with np.errstate(invalid="ignore", divide="ignore"):  # a node <= 0 or no node: rate nan
+        dy = y[far] - np.mean(y[far])
+        rate = float(np.sum(dy * -np.log(right[far])) / np.sum(dy * dy))
     even = float(np.max(np.abs(u - u[::-1])))
     low = float(np.min(u))
     rise = float(np.max(np.diff(right)))
@@ -86,6 +93,7 @@ def profile_checked(name: str, result: SpectralResult) -> Check:
         ("minimum", low, low > 0.0, "<= 0"),
         ("largest rise on y >= 0", rise, rise <= 1e-10 * right[0], "> 1e-10 u(0)"),
         ("fitted C", C, C <= 20.0, "> 20"),
+        ("decay rate past Y_c", rate, abs(rate - k) <= 1e-2 * k, f"off k* = {k:.3g} by > 1e-2"),
     ) if not ok]
     return Check(name, not failed, C, (1.0, 20.0), "; ".join(failed))
 
@@ -238,7 +246,7 @@ def run_torus_scenario(params: FlowParams, delta: float, n_times: int) -> Scenar
         mode_b = ray.neutral_mode_phiB(st_T, eig_T.kstar, eig_T.ys, eig_T.weights)
         l2 = float(math.sqrt(np.sum((mode_b - eig_T.mode) ** 2 * eig_T.weights)))
         rep.add("phiB_matches_eigenmode", l2 <= 1e-3, l2, (0.0, 1e-3))
-        rep.checks.append(profile_checked("profile_checks", eig_T))
+        rep.checks.append(profile_checked("profile_checks", eig_T, st_T))
     lam2_min = float(np.min(curve.lambda2s))
     rep.add("lambda2_nonnegative_sweep", lam2_min >= -lam_slack, lam2_min, (-lam_slack, None))
     return rep

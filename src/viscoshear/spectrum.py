@@ -24,9 +24,16 @@ has kappa * Y < 3, the state goes to the uniform ladder.
   fine in the narrow bump and coarse in the tails and rung 0 is already in
   the h^2 regime (see ``MAP_A``).  lambda1 is the lowest eigenvalue of the
   even half-line block, lambda2 that of the odd one, kappa comes from
-  fixed-point sweeps, and Richardson runs in the x spacing.  The ladder
-  extrapolates only when successive raw differences of lambda1 fall by a
-  ratio inside ``ORDER_BAND``.
+  fixed-point sweeps, and Richardson runs in the x spacing.  The sweeps
+  contract at rate exp(-2 kappa Y): when rung 0's first sweep returns its
+  Neumann seed bit for bit, the closure rounds away, and every finer rung
+  skips its sweeps and closes the odd block at its own seed's kappa.  A
+  skipped sweep could have moved lambda1 by dstebz's bisection noise (below
+  ``MAP_TOL``; 5.3e-14 in one state of the 15 the tests compare).  Each
+  rung's geometry (nodes, cells, the flux part of the block) is built once
+  per (level, MAP_A, MAP_ROWS, HALF_WIDTH) and kept read-only, so a rung
+  evaluates only V.  The ladder extrapolates only when successive raw
+  differences of lambda1 fall by a ratio inside ``ORDER_BAND``.
 - Weakly bound states climb the uniform ladder (``_level``): symmetric
   3-point differences on the full grid, the lowest two eigenvalues by index
   (``_lowest_two``), and kappa as a bracketed root in lambda by scipy's
@@ -59,6 +66,7 @@ module only solves: ``scenario.profile_checked`` judges the mode's shape.
 from __future__ import annotations
 
 import contextlib
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -334,21 +342,37 @@ def _mapped_lowest(d: np.ndarray, e: np.ndarray) -> float:
     return float(eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 0), tol=MAP_TOL)[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _mapped_geometry(level: int, a: float, rows: int, width: float):
+    """Nodes y, cells w, the off-diagonal and the flux part of the diagonal
+    of mapped rung ``level`` on MAP_A = ``a``, MAP_ROWS = ``rows`` and
+    HALF_WIDTH = ``width``, built on first use and read-only."""
+    rows = (rows - 1) * 2 ** level + 1
+    h = math.asinh(width / a) / (rows - 1)
+    x = h * np.arange(rows)
+    flux = 1.0 / (a * np.cosh(x[:-1] + 0.5 * h) * h)
+    w = a * np.cosh(x) * h
+    w[[0, -1]] *= 0.5
+    out = (a * np.sinh(x), w, -flux / np.sqrt(w[:-1] * w[1:]),
+           (np.r_[0.0, flux] + np.r_[flux, 0.0]) / w)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 def _mapped_block(vfunc: Callable[[np.ndarray], np.ndarray], level: int):
     """Even Neumann block (d, e), cells w and nodes y of mapped rung ``level``
-    (see ``_mapped_level``)."""
-    rows = (MAP_ROWS - 1) * 2 ** level + 1
-    h = math.asinh(HALF_WIDTH / MAP_A) / (rows - 1)
-    x = h * np.arange(rows)
-    flux = 1.0 / (MAP_A * np.cosh(x[:-1] + 0.5 * h) * h)
-    w = MAP_A * np.cosh(x) * h
-    w[[0, -1]] *= 0.5
-    y = MAP_A * np.sinh(x)
-    d = vfunc(y) + (np.r_[0.0, flux] + np.r_[flux, 0.0]) / w
-    return d, -flux / np.sqrt(w[:-1] * w[1:]), w, y
+    (see ``_mapped_level``): d is new, the rest is the rung's cached geometry."""
+    y, w, e, flux = _mapped_geometry(level, MAP_A, MAP_ROWS, HALF_WIDTH)
+    return vfunc(y) + flux, e, w, y
 
 
-def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int):
+class _Closed(tuple):
+    """A mapped rung's (n, lambda1, lambda2, kappa) whose first Robin sweep
+    returned the Neumann seed's lambda1 bit for bit: the closure rounds away."""
+
+
+def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int, closed: bool = False):
     """One rung of the mapped ladder: (n, lambda1, lambda2, kappa), raw, on
     (MAP_ROWS - 1) * 2**level + 1 half-line nodes y = MAP_A sinh(x), x
     uniform with spacing h; n = 2 * rows - 1 counts the nodes of the full
@@ -359,19 +383,26 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int):
     uniform even block; the Robin closure adds kappa / w_N to the far entry,
     and the odd block is the even block less its centre row.  kappa comes
     from fixed-point sweeps kappa <- sqrt(-lambda1) from the Neumann seed,
-    which contract at rate exp(-2 kappa Y).
+    which contract at rate exp(-2 kappa Y); a rung whose first sweep returns
+    the seed bit for bit comes back as ``_Closed``.  With ``closed`` the
+    rung skips the sweeps: kappa = sqrt(-lambda1) of the seed closes the odd
+    block, the state a first sweep that returns the seed ends on.
     """
     d, e, w, _ = _mapped_block(vfunc, level)
-    d_far, kappa = d[-1], 0.0
+    d_far, kappa, seed = d[-1], 0.0, None
     for i in range(5):  # the Neumann seed, then at most four sweeps
         d[-1] = d_far + kappa / w[-1]
         lam1 = _mapped_lowest(d, e)
         if lam1 >= 0.0 or math.sqrt(-lam1) * HALF_WIDTH < 3.0:
             return None
         knew = math.sqrt(-lam1)
+        if closed:
+            kappa = knew
+            d[-1] = d_far + kappa / w[-1]
         if abs(knew - kappa) <= 1e-9 * kappa or i == 4:
-            return 2 * len(d) - 1, lam1, _mapped_lowest(d[1:], e[1:]), knew
-        kappa = knew
+            rung = (2 * len(d) - 1, lam1, _mapped_lowest(d[1:], e[1:]), knew)
+            return _Closed(rung) if i == 1 and lam1 == seed else rung
+        kappa, seed = knew, lam1
 
 
 def _climb(rung: Callable[[int], Optional[tuple]], guarded: bool):
@@ -413,10 +444,20 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
     ``vfunc`` maps a node array to potential values, which keeps the solver
     testable against exactly solvable potentials.  The potential must be
     even: every rung evaluates it for y >= 0 only.  The mapped ladder runs
-    first; rung 0 routes a weakly bound state to the uniform one.  The mode's
+    first; rung 0 routes a weakly bound state to the uniform one, and when
+    it comes back ``_Closed`` the finer rungs skip their sweeps.  The mode's
     rung evaluates V again on its nodes.
     """
-    climbed = _climb(lambda level: _mapped_level(vfunc, level), True)
+    rung_0 = None
+
+    def mapped(level):  # finer rungs skip the sweeps when rung 0's rounds away
+        nonlocal rung_0
+        if level == 0:
+            rung_0 = _mapped_level(vfunc, 0)
+            return rung_0
+        return _mapped_level(vfunc, level, isinstance(rung_0, _Closed))
+
+    climbed = _climb(mapped, True)
     if climbed is None:  # rung 2 in a child while this process climbs rungs 0 and 1
         with _forked(lambda: _level(vfunc, 2)) as rung_2:
             climbed = _climb(lambda level: rung_2() if level == 2 else _level(vfunc, level), False)
@@ -430,7 +471,7 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
     u = eigh_tridiagonal(d, e, select_range=(0, 0), tol=MAP_TOL)[1][:, 0] / np.sqrt(w)
     u = np.concatenate((u[:0:-1], u)) * math.copysign(1.0, u[0])
     w = np.concatenate((w[:0:-1], [2.0 * w[0]], w[1:]))  # the full line's cells
-    y[-1] = HALF_WIDTH  # MAP_A * sinh(asinh(Y / MAP_A)) may round past Y
+    y = np.append(y[:-1], HALF_WIDTH)  # MAP_A * sinh(asinh(Y / MAP_A)) may round past Y
     return SpectralResult(lam1, lam2, kstar, u / math.sqrt(np.sum(u ** 2 * w)),
                           np.concatenate((-y[:0:-1], y)), w, info)
 

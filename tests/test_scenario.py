@@ -153,11 +153,16 @@ def test_torus_solves_the_crossing_state_once(monkeypatch, cfg):
 def test_profile_checks_at_t0(ctx):
     # the fixture's t = 0 and T modes pass with the fitted C of the rule's
     # earlier home in ``spectrum``, bit for bit
-    check = profile_checked("profile_checks_t0", ctx.mode_0)
+    check = profile_checked("profile_checks_t0", ctx.mode_0, ctx.state_0)
     assert (check.passed, check.measured, check.band, check.note) == (
         True, 2.678268604128705, (1.0, 20.0), "")
     check = next(c for c in ctx.torus.checks if c.name == "profile_checks")
     assert (check.passed, check.measured, check.note) == (True, 2.683703865333252, "")
+
+
+# a state to cut the synthetic modes at: Y_c = 0.94, so their decay rate
+# is fitted on 0.94 < y < 20
+CUT_STATE = FlowState(FlowParams(0.7, 0.15, 0.03, 0.8, 1e-3), 0.0)
 
 
 def _mode(kstar, rate, reshape=lambda ys, u: u):
@@ -172,7 +177,7 @@ def _mode(kstar, rate, reshape=lambda ys, u: u):
 def test_profile_check_fits_the_exact_decay():
     # e^{-k|y|} meets the envelope with C = 1, and the plateau asks u(1/k) >= sqrt(k)/C
     for kstar in (0.5, 1.0, 4.0):
-        check = profile_checked("p", _mode(kstar, kstar))
+        check = profile_checked("p", _mode(kstar, kstar), CUT_STATE)
         assert check.passed and check.note == ""
         assert abs(check.measured - math.e) <= 1e-9
 
@@ -197,14 +202,36 @@ def _bump(ys, u):
     (1.0, 1.0, _odd_part, "even defect 9.9e-07 >= 1e-8"),
     (1.0, 1.0, _negative_ends, "minimum -2.06e-09 <= 0"),
     (1.0, 1.0, _bump, "largest rise on y >= 0 3.9e-05 > 1e-10 u(0)"),
-    # decay 1000 times too slow: on [-20, 20] it needs C of about 24
-    (4.0, 4e-3, lambda ys, u: u, "fitted C 24.4 > 20"),
-], ids=["mirror_odd", "negative_node", "bump", "slow_tail"])
+    # decay 1000 times too slow: on [-20, 20] it needs C of about 24, and
+    # the fitted rate of ln u, k*/1000, fails too: this mode names two tests
+    (4.0, 4e-3, lambda ys, u: u,
+     "fitted C 24.4 > 20; decay rate past Y_c 0.004 off k* = 4 by > 1e-2"),
+    # no decay, or 1000 times too slow, at k* = 1: C = 9.07 and 9.01 fit the
+    # envelope on [-20, 20], so only the fitted rate of ln u sees the tail
+    (1.0, 0.0, lambda ys, u: u, "decay rate past Y_c 0 off k* = 1 by > 1e-2"),
+    (1.0, 1e-3, lambda ys, u: u, "decay rate past Y_c 0.001 off k* = 1 by > 1e-2"),
+], ids=["mirror_odd", "negative_node", "bump", "slow_tail", "flat", "slow_at_kstar_1"])
 def test_profile_check_names_its_one_failed_test(kstar, rate, reshape, reason):
-    check = profile_checked("p", _mode(kstar, rate, reshape))
+    check = profile_checked("p", _mode(kstar, rate, reshape), CUT_STATE)
     assert not check.passed
     assert check.note == reason
     assert check.band == (1.0, 20.0)
+
+
+def test_decay_rate_is_fitted_past_the_cut_and_below_the_edge():
+    # a rate 1.1 % off k* fails and 0.9 % off passes; what u does at or below
+    # Y_c, or at the box's edge Y, does not reach the fit
+    for rate, passed in ((0.989, False), (1.011, False), (0.991, True), (1.009, True)):
+        assert profile_checked("p", _mode(1.0, rate), CUT_STATE).passed == passed
+
+    def kinked(ys, u):  # decays at 2 k* inside the cut
+        inside = np.abs(ys) <= 0.9
+        return np.where(inside, np.exp(-2.0 * np.abs(ys) + 0.9), u)
+
+    check = profile_checked("p", _mode(1.0, 1.0, kinked), CUT_STATE)
+    assert "decay rate" not in check.note
+    check = profile_checked("p", _mode(1.0, 1.0, _negative_ends), CUT_STATE)
+    assert "decay rate" not in check.note
 
 
 def test_profile_check_needs_a_bound_mode():
@@ -212,7 +239,7 @@ def test_profile_check_needs_a_bound_mode():
     no_mode = SpectralResult(-1.0, 0.0, 1.0, None, None, None, None)
     for result in (unbound, no_mode):
         with pytest.raises(ValueError, match="bound state with its mode"):
-            profile_checked("p", result)
+            profile_checked("p", result, CUT_STATE)
 
 
 def test_fit_min_C_bisects_to_the_threshold():

@@ -409,31 +409,126 @@ def test_closure_fixed_point_matches_direct_solve(monkeypatch):
     assert np.array_equal(do, dr[1:]) and np.array_equal(eo, er[1:])
 
 
-def test_mapped_rungs_route_once_then_make_three_index_calls(monkeypatch):
-    # a strongly bound ladder: rung 0's Neumann seed routes it, and every
-    # rung, rung 0 included, makes three index calls at MAP_TOL (the Neumann
-    # seed, one Robin sweep, the odd block) and nothing else
+def _rung_calls(monkeypatch, state, full_loop=False):
+    """``lowest_eigenpair(state)`` and, per mapped rung it climbed, the
+    (eigvals_only, tol, rows) of each LAPACK call; ``full_loop`` makes every
+    rung run its sweeps, as a two-argument ``_mapped_level`` does."""
     calls, rungs = [], []
     eigh, level = spectrum.eigh_tridiagonal, spectrum._mapped_level
 
     def counted_eigh(d, e, **kwargs):
-        calls.append((kwargs["eigvals_only"], kwargs.get("tol"), len(d)))
+        calls.append((kwargs.get("eigvals_only", False), kwargs.get("tol"), len(d)))
         return eigh(d, e, **kwargs)
 
-    def split_level(*args):
-        out = level(*args)
+    def split_level(vfunc, lev, *closed):
+        out = level(vfunc, lev) if full_loop else level(vfunc, lev, *closed)
         rungs.append(list(calls))
         calls.clear()
         return out
 
-    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
-    monkeypatch.setattr(spectrum, "_mapped_level", split_level)
-    res = lowest_eigenpair(FlowState(FlowParams(0.7, 0.15, 0.03, 0.8, 1e-3), 0.0), want_mode=False)
+    with monkeypatch.context() as mp:
+        mp.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
+        mp.setattr(spectrum, "_mapped_level", split_level)
+        res = lowest_eigenpair(state)
+    return res, rungs + [calls]  # the last entry: the mode's vector call
+
+
+def _result_bits(res):
+    return _trail(res) + (res.mode.tobytes(), res.ys.tobytes(), res.weights.tobytes())
+
+
+def test_mapped_rungs_route_once_then_skip_the_sweeps_that_round_away(monkeypatch):
+    # a strongly bound ladder: rung 0 makes three index calls at MAP_TOL (the
+    # Neumann seed, one Robin sweep that returns it bit for bit, the odd
+    # block), so every finer rung makes two (its Neumann seed and the odd
+    # block, Robin-closed at kappa = sqrt(-lambda1)).  At M = 0.3 rung 0's
+    # sweep moves lambda1 by 5.9e-9, so every rung runs its sweeps.
+    index = lambda rows: (True, spectrum.MAP_TOL, rows)  # noqa: E731
+    for M, sweeps in ((0.7, 0), (0.3, 2)):
+        state = FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0)
+        res, rungs = _rung_calls(monkeypatch, state)
+        assert len(rungs) - 1 == len(res.convergence.n_points) == 3
+        for i, rung in enumerate(rungs[:-1]):
+            rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
+            n_sweeps = 1 if i == 0 and M == 0.7 else sweeps
+            assert rung == [index(rows)] * (1 + n_sweeps) + [index(rows - 1)]
+        assert rungs[-1] == [(False, spectrum.MAP_TOL, rows)]
     assert not hasattr(spectrum, "dpttrf")
-    assert len(rungs) == len(res.convergence.n_points) >= 3
-    for i, rung in enumerate(rungs):
-        rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
-        assert rung == [(True, spectrum.MAP_TOL, rows)] * 2 + [(True, spectrum.MAP_TOL, rows - 1)]
+
+
+M_TUNED_CLI = 0.7016899257095007  # ``viscoshear calibrate`` on the fixture
+
+
+@pytest.mark.parametrize("M", [M_TUNED_CLI, 0.7016905534975553, 1.0, 3.0, 10.0])
+def test_skipped_sweeps_match_the_full_loop(monkeypatch, M):
+    # a rung past 0 skips its Robin sweeps when rung 0's sweep returned its
+    # seed bit for bit; the forced full loop runs them.  They agree bit for
+    # bit (lambda1, lambda2, kappa, the raw trail and the mode), except where
+    # a finer rung's sweep moves lambda1 inside dstebz's bisection noise
+    # (MAP_TOL): of these 15 states only M = 0.7016905534975553 at t = 0,
+    # whose rung-1 sweep moves it by 5.3e-14
+    p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
+    for s in (0.0, 0.5, 1.0):
+        state = FlowState(p, s * p.horizon)
+        skipped, rungs = _rung_calls(monkeypatch, state)
+        full, full_rungs = _rung_calls(monkeypatch, state, full_loop=True)
+        assert [len(r) for r in rungs[1:-1]] == [2] * (len(rungs) - 2)
+        assert sum(map(len, full_rungs)) - sum(map(len, rungs)) == len(rungs) - 2
+        if (M, s) != (0.7016905534975553, 0.0):
+            assert _result_bits(skipped) == _result_bits(full)
+            continue
+        assert skipped.convergence.n_points == full.convergence.n_points
+        raw = np.subtract(skipped.convergence.raw, full.convergence.raw)
+        assert np.max(np.abs(raw)) <= spectrum.MAP_TOL
+        for a, b in ((skipped.lambda1, full.lambda1), (skipped.lambda2, full.lambda2),
+                     (skipped.convergence.kappa, full.convergence.kappa)):
+            assert abs(a - b) <= 2.0 * spectrum.MAP_TOL
+        assert np.max(np.abs(skipped.mode - full.mode)) <= 2.0 * spectrum.MAP_TOL
+
+
+@pytest.mark.parametrize("M", [0.1, 0.2, 0.3, 0.5])
+def test_sweeps_that_move_lambda1_run_on_every_rung(monkeypatch, M):
+    # rung 0's sweep moves lambda1 (by 1.4e-4, 9.9e-7, 5.9e-9 and 2.6e-13 at
+    # these M), so no rung skips it: the calls and the bits of the full loop
+    for s in (0.0, 1.0):
+        p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
+        state = FlowState(p, s * p.horizon)
+        res, rungs = _rung_calls(monkeypatch, state)
+        full, full_rungs = _rung_calls(monkeypatch, state, full_loop=True)
+        assert rungs == full_rungs and all(len(r) >= 3 for r in rungs[:-1])
+        assert _result_bits(res) == _result_bits(full)
+        assert not isinstance(spectrum._mapped_level(spectrum._potential(state), 0),
+                              spectrum._Closed)
+
+
+def test_mapped_geometry_is_built_once_per_rung_and_read_only(monkeypatch):
+    # each rung's nodes, cells, off-diagonal and flux diagonal are cached
+    # under (level, MAP_A, MAP_ROWS, HALF_WIDTH): the same arrays on every
+    # call, none writeable, and a patched MAP_A gets its own
+    vfunc = _fixture_potential(1.0)
+    for a in (spectrum.MAP_A, 0.04):
+        monkeypatch.setattr(spectrum, "MAP_A", a)
+        d, e, w, y = spectrum._mapped_block(vfunc, 1)
+        rows = 2 * (spectrum.MAP_ROWS - 1) + 1
+        x = np.arange(rows) * (math.asinh(spectrum.HALF_WIDTH / a) / (rows - 1))
+        assert np.array_equal(y, a * np.sinh(x))
+        assert all(not v.flags.writeable for v in (e, w, y)) and d.flags.writeable
+        again = spectrum._mapped_block(vfunc, 1)
+        assert all(u is v for u, v in zip((e, w, y), again[1:])) and again[0] is not d
+        assert np.array_equal(again[0], d)
+
+
+def test_a_mode_solve_leaves_the_cached_nodes_alone():
+    # the mode clamps its last node to Y on a copy: the next block's nodes
+    # are the rung's y = MAP_A sinh(x), which may round past Y
+    vfunc = _fixture_potential(M_TUNED_CLI, t=0.02025)
+    res = _solve_potential(vfunc, True)
+    level = len(res.convergence.n_points) - 1
+    y = spectrum._mapped_block(vfunc, level)[3]
+    rows = len(y)
+    x = np.arange(rows) * (math.asinh(spectrum.HALF_WIDTH / spectrum.MAP_A) / (rows - 1))
+    assert np.array_equal(y, spectrum.MAP_A * np.sinh(x))
+    assert res.ys[-1] == spectrum.HALF_WIDTH and np.array_equal(res.ys[rows - 1:-1], y[:-1])
 
 
 def test_sweeps_below_the_edge_fall_back_to_the_uniform_ladder(monkeypatch):
