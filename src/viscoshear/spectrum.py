@@ -15,25 +15,26 @@ states, so Y = ``HALF_WIDTH`` is a module constant like the base rungs and
 the tolerances, read when a function runs, and the functions take only the
 physics.  The potential is even, so it is evaluated for y >= 0 only.
 
-Each eigensolve is routed by the lowest eigenvalue of mapped rung 0's even
-Neumann block, the seed of its Robin closure: when the seed or a later sweep
-has kappa * Y < 3, the state goes to the uniform ladder.
+Each eigensolve is routed by mapped rung 0, solved once before the climb:
+when its Neumann seed (the lowest eigenvalue of its even block) or a later
+sweep has kappa * Y < 3, the state goes to the uniform ladder.
 
 - Strongly bound states climb the mapped ladder (``_mapped_level``):
   finite volumes on nodes y = MAP_A sinh(x), uniform in x, so the cells are
   fine in the narrow bump and coarse in the tails and rung 0 is already in
   the h^2 regime (see ``MAP_A``).  lambda1 is the lowest eigenvalue of the
-  even half-line block, lambda2 that of the odd one, kappa comes from
-  fixed-point sweeps, and Richardson runs in the x spacing.  The sweeps
-  contract at rate exp(-2 kappa Y): when rung 0's first sweep returns its
-  Neumann seed bit for bit, the closure rounds away, and every finer rung
-  skips its sweeps and closes the odd block at its own seed's kappa.  A
-  skipped sweep could have moved lambda1 by dstebz's bisection noise (below
-  ``MAP_TOL``; 5.3e-14 in one state of the 15 the tests compare).  Each
-  rung's geometry (nodes, cells, the flux part of the block) is built once
-  per (level, MAP_A, MAP_ROWS, HALF_WIDTH) and kept read-only, so a rung
-  evaluates only V.  The ladder extrapolates only when successive raw
-  differences of lambda1 fall by a ratio inside ``ORDER_BAND``.
+  even half-line block, lambda2 that of the odd one (past rung 0, whose
+  lambda2 nothing reads), kappa comes from fixed-point sweeps, and
+  Richardson runs in the x spacing.  The sweeps contract at rate
+  exp(-2 kappa Y): when rung 0's first sweep returns its Neumann seed bit
+  for bit, the closure rounds away, and every finer rung skips its sweeps
+  and closes the odd block at its own seed's kappa.  A skipped sweep could
+  have moved lambda1 by dstebz's bisection noise (below ``MAP_TOL``;
+  5.3e-14 in one state of the 15 the tests compare).  Each rung's geometry
+  (nodes, cells, the flux part of the block) is built once per (level,
+  MAP_A, MAP_ROWS, HALF_WIDTH) and kept read-only, so a rung evaluates
+  only V.  The ladder extrapolates only when successive raw differences of
+  lambda1 fall by a ratio inside ``ORDER_BAND``.
 - Weakly bound states climb the uniform ladder (``_level``): symmetric
   3-point differences on the full grid, the lowest two eigenvalues by index
   (``_lowest_two``), and kappa as a bracketed root in lambda by scipy's
@@ -386,7 +387,8 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int, closed:
     which contract at rate exp(-2 kappa Y); a rung whose first sweep returns
     the seed bit for bit comes back as ``_Closed``.  With ``closed`` the
     rung skips the sweeps: kappa = sqrt(-lambda1) of the seed closes the odd
-    block, the state a first sweep that returns the seed ends on.
+    block, the state a first sweep that returns the seed ends on.  Rung 0
+    solves no odd block: its lambda2 is None, which ``_climb`` never reads.
     """
     d, e, w, _ = _mapped_block(vfunc, level)
     d_far, kappa, seed = d[-1], 0.0, None
@@ -400,7 +402,7 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int, closed:
             kappa = knew
             d[-1] = d_far + kappa / w[-1]
         if abs(knew - kappa) <= 1e-9 * kappa or i == 4:
-            rung = (2 * len(d) - 1, lam1, _mapped_lowest(d[1:], e[1:]), knew)
+            rung = (2 * len(d) - 1, lam1, _mapped_lowest(d[1:], e[1:]) if level else None, knew)
             return _Closed(rung) if i == 1 and lam1 == seed else rung
         kappa, seed = knew, lam1
 
@@ -410,7 +412,9 @@ def _climb(rung: Callable[[int], Optional[tuple]], guarded: bool):
     once two successive extrapolants of lambda1 agree within ``TOL_EIG``, or
     None as soon as a rung is None.  ``guarded`` (the mapped ladder)
     extrapolates only when the raw lambda1 differences of the last three
-    rungs fall by a ratio inside ``ORDER_BAND``."""
+    rungs fall by a ratio inside ``ORDER_BAND``.  lambda2 is extrapolated
+    from the last two rungs, and the climb stops at rung 2 at the earliest,
+    so nothing reads rung 0's lambda2 (the mapped rung 0 leaves it None)."""
     ns, raw1, raw2, rich1 = [], [], [], []
     for level in range(MAX_LEVELS):
         out = rung(level)
@@ -443,21 +447,14 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
 
     ``vfunc`` maps a node array to potential values, which keeps the solver
     testable against exactly solvable potentials.  The potential must be
-    even: every rung evaluates it for y >= 0 only.  The mapped ladder runs
-    first; rung 0 routes a weakly bound state to the uniform one, and when
-    it comes back ``_Closed`` the finer rungs skip their sweeps.  The mode's
-    rung evaluates V again on its nodes.
+    even: every rung evaluates it for y >= 0 only.  Mapped rung 0 is solved
+    once and climbs as level 0 of the mapped ladder: None routes a weakly
+    bound state to the uniform one, and ``_Closed`` lets the finer rungs
+    skip their sweeps.  The mode's rung evaluates V again on its nodes.
     """
-    rung_0 = None
-
-    def mapped(level):  # finer rungs skip the sweeps when rung 0's rounds away
-        nonlocal rung_0
-        if level == 0:
-            rung_0 = _mapped_level(vfunc, 0)
-            return rung_0
-        return _mapped_level(vfunc, level, isinstance(rung_0, _Closed))
-
-    climbed = _climb(mapped, True)
+    rung_0 = _mapped_level(vfunc, 0)
+    closed = isinstance(rung_0, _Closed)
+    climbed = _climb(lambda level: _mapped_level(vfunc, level, closed) if level else rung_0, True)
     if climbed is None:  # rung 2 in a child while this process climbs rungs 0 and 1
         with _forked(lambda: _level(vfunc, 2)) as rung_2:
             climbed = _climb(lambda level: rung_2() if level == 2 else _level(vfunc, level), False)

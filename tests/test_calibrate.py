@@ -175,6 +175,24 @@ def test_unsolvable_bracket_ends_leave_the_certified_threshold(monkeypatch):
     assert cal.M == hi and cal.achieved == level * (hi / M_true) ** 2
 
 
+def test_threshold_bisection_that_does_not_shrink_raises(monkeypatch):
+    # three steps leave the bracket far wider than 1e-4 M0: no threshold
+    level = -TOL_EIG / 2.0
+    M_true = math.sqrt(-level) / kappa1(FlowState(P, 0.0))
+    _count_lambda1(monkeypatch, lambda params, M, t, base: level * (M / M_true) ** 2)
+    monkeypatch.setattr(calibrate, "M0_MAX_ITER", 3)
+    with pytest.raises(NonConvergence, match="^find_critical_M0: bracket did not shrink$"):
+        find_critical_M0(P)
+
+
+def test_crossing_on_a_step_raises_at_the_rounding_level_bracket():
+    # k* jumps across the target at x = 0.5: the bracket shrinks to rounding
+    # level around the jump with |k* - target| = 1 left at its last point
+    with pytest.raises(NonConvergence, match=r"^step: \|k\* - 1\| > 1e-06 on a rounding-level"):
+        calibrate._crossing(lambda x: 0.0 if x < 0.5 else 2.0, (0.0, 1.0), (0.0, 2.0), 1.0,
+                            "step")
+
+
 def test_kappa1_closed_forms_on_the_fixture():
     g1, g2 = P.gamma1, P.gamma2
     p = P.with_M(4.1279831420292519e-05)

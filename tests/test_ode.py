@@ -88,6 +88,23 @@ def test_backward_spans_and_stray_samples_are_rejected(t0, t1, samples):
     assert calls == []
 
 
+@pytest.mark.parametrize("rhs, why", [
+    (lambda t, y: np.full_like(y, 1.0 / (t - 0.5)), r"$"),
+    (lambda t, y: np.full_like(y, 1e8 if t >= 0.5 else 0.0), r" \(err [0-9.e+]+\)$"),
+], ids=["pole", "jump"])
+def test_step_size_underflow_is_a_step_failure(rhs, why):
+    # a pole stops the steps at t = 0.5 (accepted ones that shrink below the
+    # floor); a 1e8 jump in y' there is rejected until the retry is below it
+    with pytest.raises(StepFailure, match=r"^step size underflow at t=0\.5" + why):
+        integrate(rhs, 0.0, 1.0, np.array([0j]), 1e-6)
+
+
+def test_descending_samples_are_not_reached():
+    # samples are recorded in the order given: after 0.6, t never returns to 0.4
+    with pytest.raises(StepFailure, match="^sample points were not reached$"):
+        integrate(lambda t, y: -y, 0.0, 1.0, np.array([1.0 + 0j]), 1e-6, samples=(0.6, 0.4))
+
+
 def test_zero_derivative_mates_change_nothing():
     # a batch-wide RMS norm lets 99 idle channels dilute the fast one's error
     def fast_first(t, y):

@@ -125,29 +125,79 @@ def test_report_serialization_roundtrip(ctx):
     assert parsed["ci_at_k1"] == ctx.torus.ci_at_k1
 
 
-def test_torus_solves_the_crossing_state_once(monkeypatch, cfg):
-    # k* = sqrt(M) (1 + 0.05 t / T): tuned to 0.99 at t = 0, crosses 1 inside (0, T)
-    params = FlowParams(1.0, 0.15, 0.03, 0.8, 1e-3)
-    T = params.horizon
-    solved = []
+P = FlowParams(1.0, 0.15, 0.03, 0.8, 1e-3)
 
-    def kstar(state):
-        return math.sqrt(state.params.M) * (1.0 + 0.05 * state.t / T)
+
+def _fake_kstar(state):
+    """k* = sqrt(M) (1 + 0.05 t / T): tuned to 0.99 at t = 0, crosses 1 inside (0, T)."""
+    return math.sqrt(state.params.M) * (1.0 + 0.05 * state.t / P.horizon)
+
+
+def _fake_eigensolves(monkeypatch):
+    """Route calibrate's and scenario's eigensolves to ``_fake_kstar``; the
+    states solved, in call order."""
+    solved = []
 
     def fake_eigenpair(state, want_mode=True):
         solved.append(state)
-        return SimpleNamespace(lambda1=-kstar(state) ** 2, lambda2=0.5, kstar=kstar(state))
+        return SimpleNamespace(lambda1=-_fake_kstar(state) ** 2, lambda2=0.5,
+                               kstar=_fake_kstar(state))
 
     monkeypatch.setattr(calibrate, "lowest_eigenpair", fake_eigenpair)
     monkeypatch.setattr(scenario, "lowest_eigenpair", fake_eigenpair)
-    monkeypatch.setattr(calibrate, "_base_lambda1", lambda state: -kstar(state) ** 2)
+    monkeypatch.setattr(calibrate, "_base_lambda1", lambda state: -_fake_kstar(state) ** 2)
+    return solved
+
+
+def test_torus_solves_the_crossing_state_once(monkeypatch, cfg):
+    solved = _fake_eigensolves(monkeypatch)
     # no root at t = T ends the scenario right after the crossing checks
     monkeypatch.setattr(ray, "eigenvalues_for_ks",
                         lambda state, ks: ([None] * len(ks), np.ones(2), np.ones((len(ks), 2))))
-    rep = run_torus_scenario(params, cfg.delta, cfg.n_times)
-    assert 0.0 < rep.Ttilde < T
+    rep = run_torus_scenario(P, cfg.delta, cfg.n_times)
+    assert 0.0 < rep.Ttilde < P.horizon
     assert next(c for c in rep.checks if c.name == "kstar_at_Ttilde").passed
-    assert solved.count(FlowState(params.with_M(rep.M), rep.Ttilde)) == 1
+    assert solved.count(FlowState(P.with_M(rep.M), rep.Ttilde)) == 1
+
+
+def test_torus_names_the_missing_slope_roots(monkeypatch, cfg):
+    # a root at k = 1 and none at 1 -/+ dk: no slope, and the check says why;
+    # the scenario goes on to the stable probes and the dichotomy
+    _fake_eigensolves(monkeypatch)
+    monkeypatch.setattr(ray, "eigenvalues_for_ks", lambda state, ks: (
+        [(1e-3, 0.0)] + [None] * (len(ks) - 1), np.ones(2), np.ones((len(ks), 2))))
+    monkeypatch.setattr(ray, "eigenvalue_for_k",
+                        lambda state, k: (1e-3, 0.0) if k < _fake_kstar(state) else None)
+    monkeypatch.setattr(scenario, "lowest_eigenpair",
+                        lambda state, want_mode=True: SimpleNamespace(kstar=None))
+    rep = run_torus_scenario(P, cfg.delta, cfg.n_times)
+    assert rep.ci_at_k1 == 1e-3 and rep.slope_at_k1 is None
+    checks = {c.name: c for c in rep.checks}
+    assert checks["slope_band"] == scenario.Check("slope_band", False, None, None,
+                                                  "roots at k = 1 +/- dk not found")
+    assert checks["no_root_k1.5"].passed and checks["no_root_k2"].passed
+    assert all(c.passed for name, c in checks.items() if name.startswith("dichotomy_t"))
+
+
+@pytest.mark.parametrize("root", [(3e-4, 1e-12), None], ids=["root", "no_root"])
+def test_line_measures_a_resolved_kstarT(monkeypatch, root):
+    # at the threshold k*(T) stays unresolved on every config the validator
+    # accepts (R^2 <= 1.097, and the check needs 2); with fakes that resolve
+    # it, the last two checks measure k*(T) / (gamma1 gamma2) and search for
+    # a root at half of k*(T)
+    k_T, asked = 0.02, []
+    cal = calibrate.CalibrationResult(M=4e-5, achieved=-5e-9, iterations=0,
+                                      bracket=(3.9999e-5, 4e-5))
+    monkeypatch.setattr(scenario, "find_critical_M0", lambda p: cal)
+    monkeypatch.setattr(scenario, "lowest_eigenpair", lambda state, want_mode=True:
+                        SimpleNamespace(lambda1=-k_T ** 2, kstar=k_T))
+    monkeypatch.setattr(ray, "eigenvalue_for_k", lambda state, k: asked.append((state, k)) or root)
+    rep = run_line_scenario(P)
+    assert [(c.name, c.passed, c.measured) for c in rep.checks[2:]] == [
+        ("kstar_present_T", True, -k_T ** 2),
+        ("kstarT_over_g1g2", True, k_T / (P.gamma1 * P.gamma2)),
+        ("root_at_half_kstarT", root is not None, root and root[0])]
+    assert asked == [(FlowState(P.with_M(cal.M), P.horizon), k_T / 2.0)]
 
 
 def test_profile_checks_at_t0(ctx):

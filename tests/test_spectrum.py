@@ -409,6 +409,17 @@ def test_closure_fixed_point_matches_direct_solve(monkeypatch):
     assert np.array_equal(do, dr[1:]) and np.array_equal(eo, er[1:])
 
 
+@pytest.mark.parametrize("M, sweeps", [(0.7, 1), (0.3, 2)])
+def test_mapped_rung_0_solves_no_odd_block(monkeypatch, M, sweeps):
+    # rung 0 only routes and seeds the closure: Richardson never reads its
+    # lambda2, so it is None after exactly the even block's calls, the
+    # Neumann seed and the sweeps, the last of which gives lambda1
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _fixture_potential(M), 0)
+    assert lam2 is None and n == 2 * spectrum.MAP_ROWS - 1 and kappa == math.sqrt(-lam1)
+    assert [len(d) for d, *_ in calls] == [spectrum.MAP_ROWS] * (1 + sweeps)
+    assert calls[-1][3] == lam1
+
+
 def _rung_calls(monkeypatch, state, full_loop=False):
     """``lowest_eigenpair(state)`` and, per mapped rung it climbed, the
     (eigvals_only, tol, rows) of each LAPACK call; ``full_loop`` makes every
@@ -438,11 +449,12 @@ def _result_bits(res):
 
 
 def test_mapped_rungs_route_once_then_skip_the_sweeps_that_round_away(monkeypatch):
-    # a strongly bound ladder: rung 0 makes three index calls at MAP_TOL (the
-    # Neumann seed, one Robin sweep that returns it bit for bit, the odd
-    # block), so every finer rung makes two (its Neumann seed and the odd
+    # a strongly bound ladder: rung 0 makes two index calls at MAP_TOL (the
+    # Neumann seed and one Robin sweep that returns it bit for bit) and no
+    # odd block, so every finer rung makes two (its Neumann seed and the odd
     # block, Robin-closed at kappa = sqrt(-lambda1)).  At M = 0.3 rung 0's
-    # sweep moves lambda1 by 5.9e-9, so every rung runs its sweeps.
+    # sweep moves lambda1 by 5.9e-9, so every rung runs its sweeps, and each
+    # finer rung adds its odd block.
     index = lambda rows: (True, spectrum.MAP_TOL, rows)  # noqa: E731
     for M, sweeps in ((0.7, 0), (0.3, 2)):
         state = FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0)
@@ -451,7 +463,7 @@ def test_mapped_rungs_route_once_then_skip_the_sweeps_that_round_away(monkeypatc
         for i, rung in enumerate(rungs[:-1]):
             rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
             n_sweeps = 1 if i == 0 and M == 0.7 else sweeps
-            assert rung == [index(rows)] * (1 + n_sweeps) + [index(rows - 1)]
+            assert rung == [index(rows)] * (1 + n_sweeps) + [index(rows - 1)] * (i > 0)
         assert rungs[-1] == [(False, spectrum.MAP_TOL, rows)]
     assert not hasattr(spectrum, "dpttrf")
 
@@ -495,7 +507,7 @@ def test_sweeps_that_move_lambda1_run_on_every_rung(monkeypatch, M):
         state = FlowState(p, s * p.horizon)
         res, rungs = _rung_calls(monkeypatch, state)
         full, full_rungs = _rung_calls(monkeypatch, state, full_loop=True)
-        assert rungs == full_rungs and all(len(r) >= 3 for r in rungs[:-1])
+        assert rungs == full_rungs and all(len(r) >= 3 for r in rungs[1:-1])
         assert _result_bits(res) == _result_bits(full)
         assert not isinstance(spectrum._mapped_level(spectrum._potential(state), 0),
                               spectrum._Closed)
@@ -584,11 +596,13 @@ WELLS = {"poschl_teller_1": _pt_potential(2.0), "poschl_teller_2": _pt_potential
 @pytest.mark.parametrize("well", list(WELLS))
 @pytest.mark.parametrize("robin", [False, True])
 def test_mapped_blocks_match_the_dense_generalized_problem(monkeypatch, well, robin):
-    # mapped rung 0's Neumann seed (robin False), its Robin lambda1 and its
-    # odd block (robin True): the W^(1/2)-symmetrized tridiagonal solves give
-    # the eigenvalues of the unsymmetrized finite-volume problem
-    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, WELLS[well], 0)
-    rows, lam_n = spectrum.MAP_ROWS, calls[0][3]
+    # mapped rung 0's Neumann seed (robin False), and rung 1's Robin lambda1
+    # and odd block (robin True; rung 0 solves no odd block): the
+    # W^(1/2)-symmetrized tridiagonal solves give the eigenvalues of the
+    # unsymmetrized finite-volume problem
+    level = int(robin)
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, WELLS[well], level)
+    rows, lam_n = (spectrum.MAP_ROWS - 1) * 2 ** level + 1, calls[0][3]
     if robin:
         kappa0 = math.sqrt(-lam_n)
         assert abs(lam1 - _dense_mapped(WELLS[well], rows, kappa0, False)) <= 1e-9 * abs(lam1)
@@ -607,11 +621,11 @@ def _certified_tol(d, e):
 @pytest.mark.parametrize("well", list(WELLS))
 @pytest.mark.parametrize("robin", [False, True])
 def test_certified_window_matches_index_call(monkeypatch, well, robin):
-    # the even and odd blocks of mapped rung 0, at kappa = 0 (robin False) or
-    # at the closure's kappa (robin True, the blocks of lambda1 and lambda2):
-    # a window 1e-5 wide on each side of each block's index call, off centre,
-    # is certified and holds that value
-    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, WELLS[well], 0)
+    # the even and odd blocks of mapped rung 0 at kappa = 0 (robin False), or
+    # of rung 1 at the closure's kappa (robin True, the blocks of lambda1 and
+    # lambda2; rung 0 solves no odd block): a window 1e-5 wide on each side of
+    # each block's index call, off centre, is certified and holds that value
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, WELLS[well], int(robin))
     d, e, _, lam = calls[-2] if robin else calls[0]
     lam_odd = calls[-1][3] if robin else spectrum._mapped_lowest(d[1:], e[1:])
     if robin:
@@ -645,12 +659,12 @@ def _assert_uncertified(d, e, case):
 
 @pytest.mark.parametrize("case", UNCERTIFIED)
 def test_uncertified_window_falls_back_to_index_call(monkeypatch, case):
-    # V = -6 sech^2 on mapped rung 0: the even block holds lambda1 = -4, the
-    # odd block lambda2 = -1, each followed by box states above 0.  The
-    # oracle rejects each bad window on both blocks, so the values stand on
-    # the closure's index calls alone: at kappa * Y = 40 the Neumann seed,
-    # one Robin sweep and the odd block
-    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(6.0), 0)
+    # V = -6 sech^2 on mapped rung 1 (rung 0 solves no odd block): the even
+    # block holds lambda1 = -4, the odd block lambda2 = -1, each followed by
+    # box states above 0.  The oracle rejects each bad window on both
+    # blocks, so the values stand on the closure's index calls alone: at
+    # kappa * Y = 40 the Neumann seed, one Robin sweep and the odd block
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(6.0), 1)
     (dr, er, _, lam_r), (do, eo, _, lam_o) = calls[-2:]
     _assert_uncertified(dr, er, case)
     _assert_uncertified(do, eo, case)
@@ -660,10 +674,10 @@ def test_uncertified_window_falls_back_to_index_call(monkeypatch, case):
 
 @pytest.mark.parametrize("case", UNCERTIFIED)
 def test_uncertified_windows_in_a_shallow_well_run_the_index_sweeps(monkeypatch, case):
-    # V = -0.39 sech^2 binds kappa = 0.3 (kappa * Y = 6): the bad windows are
-    # rejected on the closure's blocks, and the closure needs more than one
-    # Robin sweep, each an index call, before the odd block
-    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(0.39), 0)
+    # V = -0.39 sech^2 binds kappa = 0.3 (kappa * Y = 6): on mapped rung 1 the
+    # bad windows are rejected on the closure's blocks, and the closure needs
+    # more than one Robin sweep, each an index call, before the odd block
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(0.39), 1)
     (dr, er, _, lam_r), (do, eo, _, lam_o) = calls[-2:]
     _assert_uncertified(dr, er, case)
     _assert_uncertified(do, eo, case)
@@ -747,7 +761,8 @@ def test_narrow_window_certifies_exactly_the_one_sweep_closures(monkeypatch, kin
         (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, vfunc, level)
         lam_n = calls[0][3]
         dr, er, _, lam_r = calls[1]
-        one_sweep = len(calls) == 3  # the Neumann seed, one Robin sweep, the odd block
+        # the Neumann seed, one Robin sweep, and past rung 0 the odd block
+        one_sweep = len(calls) == 2 + (level > 0)
         got = certified_window(dr, er, (lam_n, -2e-9 * lam_n))
         assert kappa * 20.0 >= 3.0 and (got is not None) == one_sweep
         if one_sweep:

@@ -29,9 +29,11 @@ module attributes in the child, as perfbench traces a request.
   threshold amplitude M0 at t = 0, as in ``line``; found once per root, by its
   warm-up child, which leaves it beside the config) and ``tuned_T_mode``
   (``tuned_T`` with the mode, as in ``torus``).  Tuned states climb the
-  mapped ladder (``spectrum._mapped_level``); mapped rung 0's Neumann seed
-  routes the weakly bound threshold to the uniform one (``spectrum._level``)
-  and that rung has ``n`` None.  ``eigh_tridiagonal`` calls are "index" or
+  mapped ladder (``spectrum._mapped_level``); mapped rung 0, solved once
+  before the climb and recorded as its first rung, makes only even-block
+  calls (it solves no odd block); its Neumann seed routes the weakly bound
+  threshold to the uniform ladder (``spectrum._level``), and then its
+  record has ``n`` None.  ``eigh_tridiagonal`` calls are "index" or
   "vector" (the mode, with its own seconds), each with its rows, the sum of
   len(d); ``eval_potential`` calls are counted with their points.  Each
   state runs REPEAT times; the whole eigensolve (``eigensolve_s``), a rung
