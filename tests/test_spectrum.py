@@ -422,23 +422,51 @@ def test_mapped_rung_0_solves_no_odd_block(monkeypatch, M, sweeps):
 
 def _rung_calls(monkeypatch, state, full_loop=False):
     """``lowest_eigenpair(state)`` and, per mapped rung it climbed, the
-    (eigvals_only, tol, rows) of each LAPACK call; ``full_loop`` makes every
-    rung run its sweeps, as a two-argument ``_mapped_level`` does."""
-    calls, rungs = [], []
-    eigh, level = spectrum.eigh_tridiagonal, spectrum._mapped_level
+    (kind, rows) of each eigenvalue call, all at MAP_TOL: "index", "window"
+    (a value-range call in a window that ``dpttrf`` certified), "fallback"
+    (the index call of a solve whose window was refused, by ``dpttrf`` or by
+    its count) or "vector" (the mode).  ``full_loop`` makes a ``closed``
+    rung run the sweeps it skips, each in the window of its Neumann seed (the
+    rung below's lambda1), so that a sweep that rounds away returns the
+    seed's bits."""
+    calls, rungs, refused, centre = [], [], [False], [None]
+    eigh, dpttrf, level = spectrum.eigh_tridiagonal, spectrum._dpttrf, spectrum._mapped_level
+    lowest = spectrum._mapped_lowest
+
+    def counted_dpttrf(d, e):
+        out = dpttrf(d, e)
+        refused[0] = out[2] != 0
+        return out
 
     def counted_eigh(d, e, **kwargs):
-        calls.append((kwargs.get("eigvals_only", False), kwargs.get("tol"), len(d)))
-        return eigh(d, e, **kwargs)
+        assert kwargs["tol"] == spectrum.MAP_TOL
+        out = eigh(d, e, **kwargs)
+        if kwargs.get("select") == "v":
+            kind, refused[0] = "window", len(out) != 1
+        else:
+            kind = "fallback" if refused[0] else "index" if kwargs.get("eigvals_only") else "vector"
+            refused[0] = False
+        calls.append((kind, len(d)))
+        return out
 
-    def split_level(vfunc, lev, *closed):
-        out = level(vfunc, lev) if full_loop else level(vfunc, lev, *closed)
+    def centred(d, e, estimate=None):
+        if centre[0] is not None and estimate is not None and len(d) % 2:  # the even block
+            estimate = centre[0]
+        return lowest(d, e, estimate)
+
+    def split_level(vfunc, lev, closed=False, below=None):
+        if full_loop and closed:
+            centre[0] = below[1]
+        out = level(vfunc, lev, closed and not full_loop, below)
+        centre[0] = None
         rungs.append(list(calls))
         calls.clear()
         return out
 
     with monkeypatch.context() as mp:
         mp.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
+        mp.setattr(spectrum, "_dpttrf", counted_dpttrf)
+        mp.setattr(spectrum, "_mapped_lowest", centred)
         mp.setattr(spectrum, "_mapped_level", split_level)
         res = lowest_eigenpair(state)
     return res, rungs + [calls]  # the last entry: the mode's vector call
@@ -449,23 +477,26 @@ def _result_bits(res):
 
 
 def test_mapped_rungs_route_once_then_skip_the_sweeps_that_round_away(monkeypatch):
-    # a strongly bound ladder: rung 0 makes two index calls at MAP_TOL (the
-    # Neumann seed and one Robin sweep that returns it bit for bit) and no
-    # odd block, so every finer rung makes two (its Neumann seed and the odd
-    # block, Robin-closed at kappa = sqrt(-lambda1)).  At M = 0.3 rung 0's
-    # sweep moves lambda1 by 5.9e-9, so every rung runs its sweeps, and each
-    # finer rung adds its odd block.
-    index = lambda rows: (True, spectrum.MAP_TOL, rows)  # noqa: E731
+    # a strongly bound ladder: rung 0 makes two index calls (the Neumann seed
+    # and one Robin sweep that returns it bit for bit) and no odd block, so
+    # every finer rung solves its Neumann seed and its odd block, Robin-closed
+    # at kappa = sqrt(-lambda1).  At M = 0.3 rung 0's sweep moves lambda1 by
+    # 5.9e-9, so every rung runs its sweeps, and each finer rung adds its odd
+    # block.  Past rung 0 every solve bisects a certified window about the
+    # rung below's (or the previous sweep's) value, and none falls back; rung
+    # 1's odd block has no estimate, as rung 0 solves none, so it is an index call
     for M, sweeps in ((0.7, 0), (0.3, 2)):
         state = FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0)
         res, rungs = _rung_calls(monkeypatch, state)
         assert len(rungs) - 1 == len(res.convergence.n_points) == 3
         for i, rung in enumerate(rungs[:-1]):
             rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
-            n_sweeps = 1 if i == 0 and M == 0.7 else sweeps
-            assert rung == [index(rows)] * (1 + n_sweeps) + [index(rows - 1)] * (i > 0)
-        assert rungs[-1] == [(False, spectrum.MAP_TOL, rows)]
-    assert not hasattr(spectrum, "dpttrf")
+            if i == 0:
+                assert rung == [("index", rows)] * (1 + (1 if M == 0.7 else sweeps))
+            else:
+                odd = ("index" if i == 1 else "window", rows - 1)
+                assert rung == [("window", rows)] * (1 + sweeps) + [odd]
+        assert rungs[-1] == [("vector", rows)]
 
 
 M_TUNED_CLI = 0.7016899257095007  # ``viscoshear calibrate`` on the fixture
@@ -474,28 +505,19 @@ M_TUNED_CLI = 0.7016899257095007  # ``viscoshear calibrate`` on the fixture
 @pytest.mark.parametrize("M", [M_TUNED_CLI, 0.7016905534975553, 1.0, 3.0, 10.0])
 def test_skipped_sweeps_match_the_full_loop(monkeypatch, M):
     # a rung past 0 skips its Robin sweeps when rung 0's sweep returned its
-    # seed bit for bit; the forced full loop runs them.  They agree bit for
-    # bit (lambda1, lambda2, kappa, the raw trail and the mode), except where
-    # a finer rung's sweep moves lambda1 inside dstebz's bisection noise
-    # (MAP_TOL): of these 15 states only M = 0.7016905534975553 at t = 0,
-    # whose rung-1 sweep moves it by 5.3e-14
+    # seed bit for bit; the forced full loop runs them, one more window per
+    # rung, each bisecting its seed's window.  They agree bit for bit (lambda1,
+    # lambda2, kappa, the raw trail and the mode) in all 15 states
     p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
     for s in (0.0, 0.5, 1.0):
         state = FlowState(p, s * p.horizon)
         skipped, rungs = _rung_calls(monkeypatch, state)
         full, full_rungs = _rung_calls(monkeypatch, state, full_loop=True)
-        assert [len(r) for r in rungs[1:-1]] == [2] * (len(rungs) - 2)
-        assert sum(map(len, full_rungs)) - sum(map(len, rungs)) == len(rungs) - 2
-        if (M, s) != (0.7016905534975553, 0.0):
-            assert _result_bits(skipped) == _result_bits(full)
-            continue
-        assert skipped.convergence.n_points == full.convergence.n_points
-        raw = np.subtract(skipped.convergence.raw, full.convergence.raw)
-        assert np.max(np.abs(raw)) <= spectrum.MAP_TOL
-        for a, b in ((skipped.lambda1, full.lambda1), (skipped.lambda2, full.lambda2),
-                     (skipped.convergence.kappa, full.convergence.kappa)):
-            assert abs(a - b) <= 2.0 * spectrum.MAP_TOL
-        assert np.max(np.abs(skipped.mode - full.mode)) <= 2.0 * spectrum.MAP_TOL
+        for i, (rung, full_rung) in enumerate(zip(rungs[1:-1], full_rungs[1:-1]), 1):
+            rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
+            odd = ("index" if i == 1 else "window", rows - 1)
+            assert rung == [("window", rows), odd] and full_rung == [("window", rows)] * 2 + [odd]
+        assert _result_bits(skipped) == _result_bits(full)
 
 
 @pytest.mark.parametrize("M", [0.1, 0.2, 0.3, 0.5])
@@ -639,12 +661,12 @@ def test_certified_window_matches_index_call(monkeypatch, well, robin):
 UNCERTIFIED = ["estimate_above_lambda1", "window_holds_two", "eigenvalue_in_gap"]
 
 
-def _assert_uncertified(d, e, case):
-    """Build the ``case`` window from the block's two lowest eigenvalues and
-    check that ``certified_window`` rejects it."""
+def _uncertified_window(d, e, case):
+    """The ``case`` window (estimate, half-width), built from the block's two
+    lowest eigenvalues."""
     first, second = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                                   select_range=(0, 1))
-    window = {
+    return {
         # the estimate sits one eigenvalue too high: the window holds
         # exactly one eigenvalue, and only the certificate below rejects it
         "estimate_above_lambda1": (second, 1e-3),
@@ -654,7 +676,11 @@ def _assert_uncertified(d, e, case):
         # below it and nothing in it
         "eigenvalue_in_gap": (first - 0.5, 0.1),
     }[case]
-    assert certified_window(d, e, window) is None
+
+
+def _assert_uncertified(d, e, case):
+    """Check that ``certified_window`` rejects the ``case`` window of the block."""
+    assert certified_window(d, e, _uncertified_window(d, e, case)) is None
 
 
 @pytest.mark.parametrize("case", UNCERTIFIED)
@@ -767,6 +793,81 @@ def test_narrow_window_certifies_exactly_the_one_sweep_closures(monkeypatch, kin
         assert kappa * 20.0 >= 3.0 and (got is not None) == one_sweep
         if one_sweep:
             assert lam1 == lam_r and abs(got - lam1) <= _certified_tol(dr, er)
+
+
+@pytest.mark.parametrize("case", UNCERTIFIED)
+def test_uncertified_estimates_fall_back_to_the_index_call(monkeypatch, case):
+    # the three refused windows, injected as estimates (WINDOW set to give
+    # each its half-width) on mapped rung 1's Robin even block and odd block
+    # (V = -6 sech^2): dpttrf refuses the estimate one eigenvalue too high,
+    # the count refuses the other two, and each solve returns its index
+    # call's bits
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(6.0), 1)
+    eigh, dpttrf = spectrum.eigh_tridiagonal, spectrum._dpttrf
+    for d, e, _, lam in calls[-2:]:
+        x, w = _uncertified_window(d, e, case)
+        made = []
+
+        def counted_eigh(d, e, **kwargs):
+            made.append(kwargs.get("select", "i"))
+            return eigh(d, e, **kwargs)
+
+        def counted_dpttrf(d, e):
+            made.append("dpttrf")
+            return dpttrf(d, e)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(spectrum, "WINDOW", w / abs(x))
+            mp.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
+            mp.setattr(spectrum, "_dpttrf", counted_dpttrf)
+            assert spectrum._mapped_lowest(d, e, x) == lam
+        refused_by_count = case != "estimate_above_lambda1"
+        assert made == ["dpttrf"] + ["v"] * refused_by_count + ["i"]
+
+
+KAPPA_Y_3 = [("fixture", 0.1), ("poschl_teller", 0.16)]  # kappa * Y = 3.35 and 3.2
+
+
+@pytest.mark.parametrize("kind, value", STRONG_WELLS)
+def test_windows_on_rungs_1_and_2_match_forced_index_calls(monkeypatch, kind, value):
+    # each value a solve on mapped rungs 1 and 2 takes from its window lies
+    # within _certified_tol of the index call on the same block, with no
+    # eigenvalue below it by a Sturm count independent of LAPACK.  lambda1
+    # comes from a window on both rungs, lambda2 on rung 2 (rung 1's odd
+    # block has no estimate, as rung 0 solves none).  Only the wells
+    # nearest kappa * Y = 3 fall back, twice on each rung: the Neumann seed
+    # lies more than WINDOW below the rung below's Robin lambda1, so dpttrf
+    # refuses it, and the first sweep leaves the seed's window
+    vfunc = _fixture_potential(value) if kind == "fixture" else _pt_potential(value * (value + 1.0))
+    solves, lowest, eigh = [], spectrum._mapped_lowest, spectrum.eigh_tridiagonal
+
+    def recorded(d, e, estimate=None):
+        made = []
+
+        def counted(d, e, **kwargs):
+            made.append(kwargs.get("select", "i"))
+            return eigh(d, e, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(spectrum, "eigh_tridiagonal", counted)
+            lam = lowest(d, e, estimate)
+        solves.append((d.copy(), e, estimate is not None, made, lam))
+        return lam
+
+    below = spectrum._mapped_level(vfunc, 0)
+    closed = isinstance(below, spectrum._Closed)
+    monkeypatch.setattr(spectrum, "_mapped_lowest", recorded)
+    for level in (1, 2):
+        del solves[:]
+        below = spectrum._mapped_level(vfunc, level, closed, below)
+        assert below is not None and solves[-1][4] == below[2]
+        for d, e, _, made, lam in solves:
+            if made == ["v"]:
+                tol = _certified_tol(d, e)
+                assert abs(lam - lowest(d, e)) <= tol and sturm_count_below(d, e, lam - tol) == 0
+        fallbacks = [made for _, _, windowed, made, _ in solves if windowed and made[-1] == "i"]
+        assert fallbacks == ([["i"], ["v", "i"]] if (kind, value) in KAPPA_Y_3 else [])
+        assert [made for *_, made, _ in solves[-2:]] == [["v"], ["v"] if level == 2 else ["i"]]
 
 
 @settings(max_examples=8, deadline=None)
@@ -951,6 +1052,7 @@ def test_weak_ladders_stay_pinned(monkeypatch, M, at_T):
         return out
 
     monkeypatch.setattr(spectrum, "_mapped_level", spy_mapped)
+    monkeypatch.setattr(spectrum, "_dpttrf", lambda *args: pytest.fail("a weak state's window"))
     res = lowest_eigenpair(state, want_mode=False)
     assert mapped == [(0, None)]
     info = res.convergence
@@ -999,7 +1101,7 @@ def test_forked_ladder_matches_a_serial_climb(monkeypatch, M, at_T):
     p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
     state = FlowState(p, p.horizon if at_T else 0.0)
     vfunc = spectrum._potential(state)
-    lam1, lam2, info = spectrum._climb(lambda level: spectrum._level(vfunc, level), False)
+    lam1, lam2, info = spectrum._climb(lambda level, _: spectrum._level(vfunc, level), False)
     forks = _counted_forks(monkeypatch)
     res = lowest_eigenpair(state, want_mode=False)
     assert len(forks) == (1 if TWO_CPUS else 0)
@@ -1034,7 +1136,7 @@ def test_a_child_that_dies_without_a_record_leaves_its_rung_to_the_caller(monkey
     # caller reaps it and climbs rung 2 itself, to a serial climb's bits
     state = FlowState(FlowParams(M0_LINE, 0.15, 0.03, 0.8, 1e-3), 0.0)
     vfunc = spectrum._potential(state)
-    lam1, lam2, info = spectrum._climb(lambda level: spectrum._level(vfunc, level), False)
+    lam1, lam2, info = spectrum._climb(lambda level, _: spectrum._level(vfunc, level), False)
     real, caller = spectrum._level, os.getpid()
 
     def killed(vfunc, level):
@@ -1141,7 +1243,7 @@ M_TUNED = 0.7016905534975553  # the fixture's amplitude for k*(0) = 1 - delta
 
 def _assert_as_scipy(d, e, **kwargs):
     ours = spectrum.eigh_tridiagonal(d, e, **kwargs)
-    theirs = scipy.linalg.eigh_tridiagonal(d, e, select="i", **kwargs)
+    theirs = scipy.linalg.eigh_tridiagonal(d, e, **{"select": "i", **kwargs})
     if kwargs.get("eigvals_only"):
         ours, theirs = (ours,), (theirs,)
     assert len(ours) == len(theirs)
@@ -1160,11 +1262,15 @@ def test_binding_matches_scipy_on_the_threshold_uniform_rung():
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_binding_matches_scipy_on_mapped_rungs_at_T(level):
-    # the index calls of the mapped ladder on its even and odd blocks, and
-    # the mode's vector call on the Robin-closed even block
+    # the index and window calls of the mapped ladder on its even and odd
+    # blocks, and the mode's vector call on the Robin-closed even block
     d, e, w, _ = spectrum._mapped_block(_fixture_potential(M_TUNED, t=0.02025), level)
     for db, eb in ((d, e), (d[1:], e[1:])):
         _assert_as_scipy(db, eb, eigvals_only=True, select_range=(0, 0), tol=spectrum.MAP_TOL)
+        x = spectrum._mapped_lowest(db, eb)
+        window = (x - spectrum.WINDOW * abs(x), x + spectrum.WINDOW * abs(x))
+        _assert_as_scipy(db, eb, eigvals_only=True, select="v", select_range=window,
+                         tol=spectrum.MAP_TOL)
     d[-1] += math.sqrt(-spectrum._mapped_lowest(d, e)) / w[-1]
     _assert_as_scipy(d, e, select_range=(0, 0), tol=spectrum.MAP_TOL)
 

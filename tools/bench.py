@@ -33,13 +33,16 @@ module attributes in the child, as perfbench traces a request.
   before the climb and recorded as its first rung, makes only even-block
   calls (it solves no odd block); its Neumann seed routes the weakly bound
   threshold to the uniform ladder (``spectrum._level``), and then its
-  record has ``n`` None.  ``eigh_tridiagonal`` calls are "index" or
-  "vector" (the mode, with its own seconds), each with its rows, the sum of
-  len(d); ``eval_potential`` calls are counted with their points.  Each
-  state runs REPEAT times; the whole eigensolve (``eigensolve_s``), a rung
-  and the vector calls keep their fastest repeat.  With two CPUs the
-  uniform ladder's rung 2 runs in a forked child (``spectrum._forked``),
-  whose counts and timings stay in the child.  So that rung is recorded as
+  record has ``n`` None.  ``eigh_tridiagonal`` calls are "index", "window"
+  (a value-range call in a certified window of a finer mapped rung) or
+  "vector" (the mode, with its own seconds), and ``dpttrf`` calls are
+  "dpttrf" (a window's certificate; none where ``spectrum`` has no
+  ``_dpttrf``), each with its rows, the sum of len(d); an index call after a
+  refused window counts as "index".  ``eval_potential`` calls are counted
+  with their points.  Each state runs REPEAT times; the whole eigensolve
+  (``eigensolve_s``), a rung and the vector calls keep their fastest
+  repeat.  With two CPUs the uniform ladder's rung 2 runs in a forked child
+  (``spectrum._forked``), whose counts and timings stay in the child.  So that rung is recorded as
   ladder "forked", timed as the caller's wait for it, with none of its
   calls or points counted: the rungs' seconds no longer add up to the
   eigensolve's, and the threshold's counts leave out rung 2's.  The record
@@ -108,7 +111,7 @@ from viscoshear.config import load_config
 from viscoshear.flow import FlowState
 
 REPEAT = 5
-KINDS = ("index", "vector")
+KINDS = ("index", "window", "dpttrf", "vector")
 cfg = load_config(sys.argv[2])
 params = cfg.params(M=1.0)
 tuned = params.with_M(tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta).M)
@@ -120,18 +123,26 @@ threshold = params.with_M(float(saved.read_text()))
 
 calls = {f"{kind}_{what}": 0 for kind in KINDS for what in ("calls", "rows")}
 log = {}
-eigh, potential = sp.eigh_tridiagonal, sp.eval_potential
+eigh, dpttrf, potential = sp.eigh_tridiagonal, getattr(sp, "_dpttrf", None), sp.eval_potential
 
 def counted_potential(state, ys):
     log["potential"]["calls"] += 1
     log["potential"]["points"] += len(ys)
     return potential(state, ys)
 
-def counted_eigh(d, e, **kwargs):
-    kind = "index" if kwargs.get("eigvals_only") else "vector"
+def count(kind, d):
     calls[kind + "_calls"] += 1
     calls[kind + "_rows"] += len(d)
-    if kind == "index":
+
+def counted_dpttrf(d, e):
+    count("dpttrf", d)
+    return dpttrf(d, e)
+
+def counted_eigh(d, e, **kwargs):
+    kind = ("window" if kwargs.get("select") == "v" else
+            "index" if kwargs.get("eigvals_only") else "vector")
+    count(kind, d)
+    if kind != "vector":
         return eigh(d, e, **kwargs)
     start = time.perf_counter()
     out = eigh(d, e, **kwargs)
@@ -151,6 +162,8 @@ def timed(ladder, rung):
     return timed_rung
 
 sp.eigh_tridiagonal, sp.eval_potential = counted_eigh, counted_potential
+if dpttrf is not None:
+    sp._dpttrf = counted_dpttrf
 sp._level = timed("uniform", sp._level)
 sp._mapped_level = timed("mapped", sp._mapped_level)
 forked = sp._forked
@@ -336,7 +349,8 @@ def show_spectrum(name: str, entry: dict) -> None:
     for c, r in entry["cases"].items():
         rungs = ", ".join(
             f"{g['ladder']} {g['n']}: {g['s']['median'] * 1e3:.1f} ms ("
-            + ", ".join(f"{g[k + '_calls']} {k}/{g[k + '_rows']} rows" for k in ("index", "vector"))
+            + ", ".join(f"{g[k + '_calls']} {k}/{g[k + '_rows']} rows"
+                        for k in ("index", "window", "dpttrf", "vector"))
             + ")" for g in r["rungs"])
         t, vec, pot = r["eigensolve_s"], r["vector"], r["potential"]
         print(f"{name} {c}: eigensolve {t['median'] * 1e3:.1f} ms ({t['q1'] * 1e3:.1f}-"
