@@ -15,29 +15,25 @@ states, so Y = ``HALF_WIDTH`` is a module constant like the base rungs and
 the tolerances, read when a function runs, and the functions take only the
 physics.  The potential is even, so it is evaluated for y >= 0 only.
 
-Each eigensolve is routed by mapped rung 0, solved once before the climb:
-when its Neumann seed (the lowest eigenvalue of its even block) or a later
-sweep has kappa * Y < 3, the state goes to the uniform ladder.
+Each eigensolve starts on mapped rung 0, the mapped ladder's level 0: when
+its Neumann seed (the lowest eigenvalue of its even block), a later sweep
+or a finer rung has kappa * Y < 3, the state goes to the uniform ladder.
 
 - Strongly bound states climb the mapped ladder (``_mapped_level``):
   finite volumes on nodes y = MAP_A sinh(x), uniform in x, so the cells are
   fine in the narrow bump and coarse in the tails and rung 0 is already in
   the h^2 regime (see ``MAP_A``).  lambda1 is the lowest eigenvalue of the
   even half-line block, lambda2 that of the odd one (past rung 0, whose
-  lambda2 nothing reads), kappa comes from fixed-point sweeps, and
-  Richardson runs in the x spacing.  The sweeps contract at rate
-  exp(-2 kappa Y): when rung 0's first sweep returns its Neumann seed bit
-  for bit, the closure rounds away, and every finer rung skips its sweeps
-  and closes the odd block at its own seed's kappa.  A skipped sweep could
-  have moved lambda1 by dstebz's bisection noise (below ``MAP_TOL``; in
-  its seed's window in none of the 15 states the tests compare).  Past rung
-  0 a solve bisects a narrow window about the rung below's raw eigenvalue,
-  or makes its index call if the window is not certified
-  (``_mapped_lowest``).  Each rung's geometry (nodes, cells, the flux part
-  of the block) is built once per (level, MAP_A, MAP_ROWS, HALF_WIDTH) and
-  kept read-only, so a rung evaluates only V.  The ladder extrapolates only
-  when successive raw differences of lambda1 fall by a ratio inside
-  ``ORDER_BAND``.
+  lambda2 nothing reads), and Richardson runs in the x spacing.  Rung 0
+  alone iterates the Robin kappa, by fixed-point sweeps from its Neumann
+  seed; each finer rung is closed at the rung below's kappa and closes its
+  odd block at its own.  Past rung 0 a solve bisects a narrow window about
+  the rung below's raw eigenvalue, or makes its index call if the window is
+  not certified (``_mapped_lowest``).  Each rung's geometry (nodes, cells,
+  the flux part of the block) is built once per (level, MAP_A, MAP_ROWS,
+  HALF_WIDTH) and kept read-only, so a rung evaluates only V.  The ladder
+  extrapolates only when successive raw differences of lambda1 fall by a
+  ratio inside ``ORDER_BAND``.
 - Weakly bound states climb the uniform ladder (``_level``): symmetric
   3-point differences on the full grid, the lowest two eigenvalues by index
   (``_lowest_two``), and kappa as a bracketed root in lambda by scipy's
@@ -97,8 +93,8 @@ MAP_ROWS = 129  # half-line nodes of mapped rung 0; 129 to 257 take three rungs 
 # dstebz's absolute tolerance on mapped blocks; 1e-15 to 1e-12 agree within 1e-13 on
 # the fixture; its default ULP * ||T||_1 moves lambda1 there by up to 7e-10.
 MAP_TOL = 1e-13
-# Half-width of a finer mapped rung's window relative to its estimate: 1e-4 to 3e-2 certify
-# every window of a fixture kstar-sweep; below 1e-2, kappa * Y ~ 3 wells fall back to index calls.
+# Half-width of a finer mapped rung's window relative to its estimate: 3e-5 to 1 certify every
+# window of a fixture kstar-sweep, 1.5e-4 to 1 every one of wells with kappa * Y from 3.2 to 43.
 WINDOW = 1e-3
 ORDER_BAND = (3.5, 4.5)  # the ratio of successive raw lambda1 differences the mapped ladder accepts
 
@@ -386,53 +382,47 @@ def _mapped_block(vfunc: Callable[[np.ndarray], np.ndarray], level: int):
     return vfunc(y) + flux, e, w, y
 
 
-class _Closed(tuple):
-    """A mapped rung's (n, lambda1, lambda2, kappa) whose first Robin sweep
-    returned the Neumann seed's lambda1 bit for bit: the closure rounds away."""
-
-
-def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int, closed: bool = False,
+def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int,
                   below: Optional[tuple] = None):
     """One rung of the mapped ladder: (n, lambda1, lambda2, kappa), raw, on
     (MAP_ROWS - 1) * 2**level + 1 half-line nodes y = MAP_A sinh(x), x
     uniform with spacing h; n = 2 * rows - 1 counts the nodes of the full
-    line.  None when the Neumann seed (rung 0's routing) or a sweep has kappa * Y < 3.
+    line.  None when a solve of the even block has kappa * Y < 3.
 
     Finite volumes: flux 1 / (g' h) at the midpoints, cells w = g' h (half
     cells at 0 and Y), symmetrized by W^(1/2), so with g' = 1 this is the
     uniform even block; the Robin closure adds kappa / w_N to the far entry,
-    and the odd block is the even block less its centre row.  kappa comes
-    from fixed-point sweeps kappa <- sqrt(-lambda1) from the Neumann seed,
-    which contract at rate exp(-2 kappa Y); a rung whose first sweep returns
-    the seed bit for bit comes back as ``_Closed``.  With ``closed`` the
-    rung skips the sweeps: kappa = sqrt(-lambda1) of the seed closes the odd
-    block, the state a first sweep that returns the seed ends on.  Rung 0
-    solves no odd block: its lambda2 is None, which ``_climb`` never reads.
-    The raw rung ``below`` centres the windows: its lambda1 the seed's, its
-    lambda2 the odd block's; a sweep's is centred on the lambda1 before it.
+    and the odd block is the even block less its centre row.  Rung 0
+    (``below`` None) alone iterates kappa: fixed-point sweeps kappa <-
+    sqrt(-lambda1) from the Neumann seed, by index calls, which contract at
+    rate exp(-2 kappa Y); it solves no odd block, so its lambda2 is None,
+    which ``_climb`` never reads.  A finer rung takes the raw rung ``below``:
+    one even-block solve closed at below's kappa in the window about below's
+    lambda1, then the odd block closed at its own kappa = sqrt(-lambda1) in
+    the window about below's lambda2 (an index call on rung 1).  Below's
+    kappa lags this rung's fixed point by O(h^2), damped by exp(-2 kappa Y),
+    and Richardson in x removes that lag with the grid error.
     """
     d, e, w, _ = _mapped_block(vfunc, level)
-    d_far, kappa, seed = d[-1], 0.0, None
-    lam1, lam2 = below[1:3] if below else (None, None)
-    for i in range(5):  # the Neumann seed, then at most four sweeps
+    d_far, kappa = d[-1], below[3] if below else 0.0
+    for _ in range(1 if below else 5):  # below's closure, or the Neumann seed and four sweeps
         d[-1] = d_far + kappa / w[-1]
-        lam1 = _mapped_lowest(d, e, lam1 if below else None)
+        lam1 = _mapped_lowest(d, e, below[1] if below else None)
         if lam1 >= 0.0 or math.sqrt(-lam1) * HALF_WIDTH < 3.0:
             return None
-        knew = math.sqrt(-lam1)
-        if closed:
-            kappa = knew
-            d[-1] = d_far + kappa / w[-1]
-        if abs(knew - kappa) <= 1e-9 * kappa or i == 4:
-            lam2 = _mapped_lowest(d[1:], e[1:], lam2) if level else None
-            rung = (2 * len(d) - 1, lam1, lam2, knew)
-            return _Closed(rung) if i == 1 and lam1 == seed else rung
-        kappa, seed = knew, lam1
+        closure, kappa = kappa, math.sqrt(-lam1)
+        if abs(kappa - closure) <= 1e-9 * closure:
+            break
+    if below is None:
+        return 2 * len(d) - 1, lam1, None, kappa
+    d[-1] = d_far + kappa / w[-1]
+    return 2 * len(d) - 1, lam1, _mapped_lowest(d[1:], e[1:], below[2]), kappa
 
 
 def _climb(rung: Callable[[int, Optional[tuple]], Optional[tuple]], guarded: bool):
     """Richardson over ``rung(level, below)``, ``below`` being the previous
-    rung's raw output (None at level 0): (lambda1, lambda2, ConvergenceInfo)
+    rung's raw output (None at level 0; a finer mapped rung takes its kappa
+    and centres its windows on its eigenvalues): (lambda1, lambda2, ConvergenceInfo)
     once two successive extrapolants of lambda1 agree within ``TOL_EIG``, or
     None as soon as a rung is None.  ``guarded`` (the mapped ladder)
     extrapolates only when the raw lambda1 differences of the last three
@@ -471,16 +461,13 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
 
     ``vfunc`` maps a node array to potential values, which keeps the solver
     testable against exactly solvable potentials.  The potential must be
-    even: every rung evaluates it for y >= 0 only.  Mapped rung 0 is solved
-    once and climbs as level 0 of the mapped ladder: None routes a weakly
-    bound state to the uniform one, and ``_Closed`` lets the finer rungs
-    skip their sweeps; ``_climb`` hands each finer rung the one below, whose
-    eigenvalues centre its windows.  The mode's rung evaluates V again on its nodes.
+    even: every rung evaluates it for y >= 0 only.  Mapped rung 0 is the
+    climb's level 0: None routes a weakly bound state to the uniform ladder,
+    and ``_climb`` hands each finer rung the one below, whose kappa closes
+    it and whose eigenvalues centre its windows.  The mode's rung evaluates
+    V again on its nodes.
     """
-    rung_0 = _mapped_level(vfunc, 0)
-    closed = isinstance(rung_0, _Closed)
-    climbed = _climb(lambda level, below: _mapped_level(vfunc, level, closed, below) if level
-                     else rung_0, True)
+    climbed = _climb(lambda level, below: _mapped_level(vfunc, level, below), True)
     if climbed is None:  # rung 2 in a child while this process climbs rungs 0 and 1
         with _forked(lambda: _level(vfunc, 2)) as rung_2:
             climbed = _climb(lambda level, _: rung_2() if level == 2 else _level(vfunc, level),

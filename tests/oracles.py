@@ -2,15 +2,18 @@
 path: the two-sided long-window determinant of W, the fourth-order Rayleigh
 quotient, phi with its normalization at the critical point, and the decay
 rate of a weakly bound state by Jost shooting and by its weak-coupling
-series."""
+series, and the mapped ladder with every rung closed by its own
+fixed-point sweeps."""
 
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from viscoshear import rayleigh as ray
+from viscoshear import spectrum
 from viscoshear._ode import integrate
 from viscoshear._roots import chandrupatla
 from viscoshear.flow import FlowState, eval_b, eval_b_derivs, eval_b_slope, eval_potential
@@ -229,3 +232,38 @@ def kappa_second_order(state: FlowState, n: int = 20000) -> float:
     below, below_y = np.cumsum(a) - a, np.cumsum(a * y) - a * y  # sums over nodes left of each
     half_v2 = 0.5 * float(np.sum(b2 * (b - y) / y ** 2 * w))  # -1/2 int v2
     return half_v2 - 0.5 * float(np.sum(a * (y * below - below_y)))
+
+
+def _mapped_lowest_by_index(d: np.ndarray, e: np.ndarray) -> float:
+    return float(scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                               select_range=(0, 0), tol=spectrum.MAP_TOL)[0])
+
+
+def fixed_point_rung(vfunc, level: int):
+    """Mapped rung ``level`` closed by its own Robin kappa: (n, lambda1,
+    lambda2, kappa), or None when a solve has kappa * Y < 3.
+
+    The Neumann seed and up to four sweeps kappa <- sqrt(-lambda1) on the
+    even block, stopping once kappa moves by at most 1e-9 of itself, then the
+    odd block at the last sweep's kappa; every solve an index call at
+    ``MAP_TOL``, on every rung.  The package iterates kappa on rung 0 alone
+    and closes each finer rung at the rung below's kappa.
+    """
+    d, e, w, _ = spectrum._mapped_block(vfunc, level)
+    d_far, kappa = d[-1], 0.0
+    for i in range(5):
+        d[-1] = d_far + kappa / w[-1]
+        lam1 = _mapped_lowest_by_index(d, e)
+        if lam1 >= 0.0 or math.sqrt(-lam1) * HALF_WIDTH < 3.0:
+            return None
+        knew = math.sqrt(-lam1)
+        if abs(knew - kappa) <= 1e-9 * kappa or i == 4:
+            return 2 * len(d) - 1, lam1, _mapped_lowest_by_index(d[1:], e[1:]), knew
+        kappa = knew
+
+
+def fixed_point_ladder(vfunc):
+    """The mapped ladder of ``fixed_point_rung`` under the package's own
+    Richardson climb: (lambda1, lambda2, ConvergenceInfo), or None where a
+    rung routes the state to the uniform ladder."""
+    return spectrum._climb(lambda level, _: fixed_point_rung(vfunc, level), True)

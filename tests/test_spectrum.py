@@ -11,7 +11,7 @@ import scipy.linalg
 from scipy.interpolate import CubicSpline
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import rayleigh_quotient
+from oracles import fixed_point_ladder, rayleigh_quotient
 from viscoshear import spectrum
 from viscoshear.errors import BracketFailure, NonConvergence
 from viscoshear.flow import FlowParams, FlowState, eval_potential
@@ -376,10 +376,19 @@ def _pt_potential(depth):
     return lambda ys: -depth / np.cosh(ys) ** 2
 
 
+def _below(vfunc, level):
+    """The raw mapped rung the climb hands rung ``level``: None at level 0."""
+    below = None
+    for lower in range(level):
+        below = spectrum._mapped_level(vfunc, lower, below)
+    return below
+
+
 def _counted_mapped_level(monkeypatch, vfunc, level):
-    """``_mapped_level(vfunc, level)`` and, per index call it made, the
-    block's (d, e), its keyword arguments and the eigenvalue returned."""
-    calls = []
+    """``_mapped_level(vfunc, level, below)``, handed the rung below as the
+    climb hands it, and, per eigenvalue call it made, the block's (d, e), its
+    keyword arguments and the eigenvalue returned."""
+    below, calls = _below(vfunc, level), []
     eigh = spectrum.eigh_tridiagonal
 
     def counted(d, e, **kwargs):
@@ -389,24 +398,40 @@ def _counted_mapped_level(monkeypatch, vfunc, level):
 
     with monkeypatch.context() as mp:
         mp.setattr(spectrum, "eigh_tridiagonal", counted)
-        return spectrum._mapped_level(vfunc, level), calls
+        return spectrum._mapped_level(vfunc, level, below), calls
+
+
+def _window(x):
+    """The value range ``_mapped_lowest`` bisects about an estimate x."""
+    return x - spectrum.WINDOW * abs(x), x + spectrum.WINDOW * abs(x)
 
 
 def test_closure_fixed_point_matches_direct_solve(monkeypatch):
-    # the mapped closure at M = 0.7 (kappa * Y about 20): the Neumann seed,
-    # one Robin sweep that meets the 1e-9 stop, and the odd block at the same
-    # kappa, each one index call at MAP_TOL; kappa shifts only the far entry
-    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _fixture_potential(0.7), 1)
-    rows = 2 * (spectrum.MAP_ROWS - 1) + 1
+    # mapped rung 1 at M = 0.7 (kappa * Y about 20), handed rung 0: one call
+    # on the even block, Robin-closed at rung 0's kappa (its far entry is
+    # d_far + kappa_0 / w_N bit for bit) in the window about rung 0's lambda1,
+    # and one index call on the odd block, closed at the rung's own kappa =
+    # sqrt(-lambda1); kappa shifts only the far entry.  Rung 0's kappa lags
+    # the fixed point by O(h^2), and here the closure rounds away: the even
+    # block closed at the rung's own kappa gives the same lambda1 in the same
+    # window, and its index call lies within _certified_tol of it
+    vfunc = _fixture_potential(0.7)
+    below = _below(vfunc, 1)
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, vfunc, 1)
+    d, e, w, _ = spectrum._mapped_block(vfunc, 1)
+    rows, tol = len(d), spectrum.MAP_TOL
     assert n == 2 * rows - 1 and kappa == math.sqrt(-lam1) and kappa * 20.0 >= 3.0
-    assert [(len(d), kw) for d, _, kw, _ in calls] == [
-        (m, dict(eigvals_only=True, select_range=(0, 0), tol=spectrum.MAP_TOL))
-        for m in (rows, rows, rows - 1)]
-    (dn, en, _, lam_n), (dr, er, _, lam_r), (do, eo, _, lam_o) = calls
-    kappa0 = math.sqrt(-lam_n)
-    assert (lam_r, lam_o) == (lam1, lam2) and abs(kappa - kappa0) <= 1e-9 * kappa0
-    assert np.array_equal(dr[:-1], dn[:-1]) and dr[-1] > dn[-1] and np.array_equal(er, en)
-    assert np.array_equal(do, dr[1:]) and np.array_equal(eo, er[1:])
+    assert [(len(db), kw) for db, _, kw, _ in calls] == [
+        (rows, dict(eigvals_only=True, select="v", select_range=_window(below[1]), tol=tol)),
+        (rows - 1, dict(eigvals_only=True, select_range=(0, 0), tol=tol))]
+    (dr, er, _, lam_r), (do, eo, _, lam_o) = calls
+    assert (lam_r, lam_o) == (lam1, lam2) and 0.0 < abs(kappa - below[3]) <= 1e-4 * kappa
+    assert np.array_equal(dr[:-1], d[:-1]) and dr[-1] == d[-1] + below[3] / w[-1]
+    assert np.array_equal(do[:-1], d[1:-1]) and do[-1] == d[-1] + kappa / w[-1]
+    assert np.array_equal(er, e) and np.array_equal(eo, e[1:])
+    d[-1] += kappa / w[-1]
+    assert spectrum._mapped_lowest(d, e, below[1]) == lam1
+    assert abs(spectrum._mapped_lowest(d, e) - lam1) <= _certified_tol(d, e)
 
 
 @pytest.mark.parametrize("M, sweeps", [(0.7, 1), (0.3, 2)])
@@ -420,18 +445,14 @@ def test_mapped_rung_0_solves_no_odd_block(monkeypatch, M, sweeps):
     assert calls[-1][3] == lam1
 
 
-def _rung_calls(monkeypatch, state, full_loop=False):
+def _rung_calls(monkeypatch, state):
     """``lowest_eigenpair(state)`` and, per mapped rung it climbed, the
     (kind, rows) of each eigenvalue call, all at MAP_TOL: "index", "window"
     (a value-range call in a window that ``dpttrf`` certified), "fallback"
     (the index call of a solve whose window was refused, by ``dpttrf`` or by
-    its count) or "vector" (the mode).  ``full_loop`` makes a ``closed``
-    rung run the sweeps it skips, each in the window of its Neumann seed (the
-    rung below's lambda1), so that a sweep that rounds away returns the
-    seed's bits."""
-    calls, rungs, refused, centre = [], [], [False], [None]
+    its count) or "vector" (the mode)."""
+    calls, rungs, refused = [], [], [False]
     eigh, dpttrf, level = spectrum.eigh_tridiagonal, spectrum._dpttrf, spectrum._mapped_level
-    lowest = spectrum._mapped_lowest
 
     def counted_dpttrf(d, e):
         out = dpttrf(d, e)
@@ -449,16 +470,8 @@ def _rung_calls(monkeypatch, state, full_loop=False):
         calls.append((kind, len(d)))
         return out
 
-    def centred(d, e, estimate=None):
-        if centre[0] is not None and estimate is not None and len(d) % 2:  # the even block
-            estimate = centre[0]
-        return lowest(d, e, estimate)
-
-    def split_level(vfunc, lev, closed=False, below=None):
-        if full_loop and closed:
-            centre[0] = below[1]
-        out = level(vfunc, lev, closed and not full_loop, below)
-        centre[0] = None
+    def split_level(vfunc, lev, below=None):
+        out = level(vfunc, lev, below)
         rungs.append(list(calls))
         calls.clear()
         return out
@@ -466,73 +479,57 @@ def _rung_calls(monkeypatch, state, full_loop=False):
     with monkeypatch.context() as mp:
         mp.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
         mp.setattr(spectrum, "_dpttrf", counted_dpttrf)
-        mp.setattr(spectrum, "_mapped_lowest", centred)
         mp.setattr(spectrum, "_mapped_level", split_level)
         res = lowest_eigenpair(state)
     return res, rungs + [calls]  # the last entry: the mode's vector call
 
 
-def _result_bits(res):
-    return _trail(res) + (res.mode.tobytes(), res.ys.tobytes(), res.weights.tobytes())
+def _finer_rung_calls(i):
+    """The calls of mapped rung ``i`` past 0: a window on the even block and
+    the odd block's, an index call on rung 1 (rung 0 has no lambda2)."""
+    rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
+    return [("window", rows), ("index" if i == 1 else "window", rows - 1)]
 
 
 def test_mapped_rungs_route_once_then_skip_the_sweeps_that_round_away(monkeypatch):
-    # a strongly bound ladder: rung 0 makes two index calls (the Neumann seed
-    # and one Robin sweep that returns it bit for bit) and no odd block, so
-    # every finer rung solves its Neumann seed and its odd block, Robin-closed
-    # at kappa = sqrt(-lambda1).  At M = 0.3 rung 0's sweep moves lambda1 by
-    # 5.9e-9, so every rung runs its sweeps, and each finer rung adds its odd
-    # block.  Past rung 0 every solve bisects a certified window about the
-    # rung below's (or the previous sweep's) value, and none falls back; rung
-    # 1's odd block has no estimate, as rung 0 solves none, so it is an index call
-    for M, sweeps in ((0.7, 0), (0.3, 2)):
+    # a strongly bound ladder: rung 0 routes and iterates the Robin kappa by
+    # index calls, the Neumann seed and its sweeps (one that returns the seed
+    # bit for bit at M = 0.7, two that move lambda1 at M = 0.3), and solves no
+    # odd block.  Every finer rung skips the sweeps: one even-block window
+    # closed at the rung below's kappa and one odd-block solve; rung 1's odd
+    # block has no estimate, as rung 0 solves none, so it is an index call
+    for M, sweeps in ((0.7, 1), (0.3, 2)):
         state = FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0)
         res, rungs = _rung_calls(monkeypatch, state)
         assert len(rungs) - 1 == len(res.convergence.n_points) == 3
-        for i, rung in enumerate(rungs[:-1]):
-            rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
-            if i == 0:
-                assert rung == [("index", rows)] * (1 + (1 if M == 0.7 else sweeps))
-            else:
-                odd = ("index" if i == 1 else "window", rows - 1)
-                assert rung == [("window", rows)] * (1 + sweeps) + [odd]
-        assert rungs[-1] == [("vector", rows)]
+        assert rungs[0] == [("index", spectrum.MAP_ROWS)] * (1 + sweeps)
+        for i, rung in enumerate(rungs[1:-1], 1):
+            assert rung == _finer_rung_calls(i)
+        assert rungs[-1] == [("vector", (spectrum.MAP_ROWS - 1) * 4 + 1)]
 
 
 M_TUNED_CLI = 0.7016899257095007  # ``viscoshear calibrate`` on the fixture
 
 
-@pytest.mark.parametrize("M", [M_TUNED_CLI, 0.7016905534975553, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("M", [0.1, 0.2, 0.3, 0.5, M_TUNED_CLI, 0.7016905534975553, 1.0, 3.0,
+                               10.0])
 def test_skipped_sweeps_match_the_full_loop(monkeypatch, M):
-    # a rung past 0 skips its Robin sweeps when rung 0's sweep returned its
-    # seed bit for bit; the forced full loop runs them, one more window per
-    # rung, each bisecting its seed's window.  They agree bit for bit (lambda1,
-    # lambda2, kappa, the raw trail and the mode) in all 15 states
+    # a rung past 0 skips the Robin sweeps and closes at the rung below's
+    # kappa; the full loop (oracles.fixed_point_ladder) sweeps every rung to
+    # its own fixed point.  They take the same rungs and agree within 1e-11 in
+    # lambda1 and lambda2, where rung 0's sweep moves lambda1 (by 1.4e-4,
+    # 9.9e-7, 5.9e-9 and 2.6e-13 at M = 0.1 to 0.5) and where it returns the
+    # seed bit for bit (M >= 0.7), at t = 0, T / 2 and T
     p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
     for s in (0.0, 0.5, 1.0):
         state = FlowState(p, s * p.horizon)
-        skipped, rungs = _rung_calls(monkeypatch, state)
-        full, full_rungs = _rung_calls(monkeypatch, state, full_loop=True)
-        for i, (rung, full_rung) in enumerate(zip(rungs[1:-1], full_rungs[1:-1]), 1):
-            rows = (spectrum.MAP_ROWS - 1) * 2 ** i + 1
-            odd = ("index" if i == 1 else "window", rows - 1)
-            assert rung == [("window", rows), odd] and full_rung == [("window", rows)] * 2 + [odd]
-        assert _result_bits(skipped) == _result_bits(full)
-
-
-@pytest.mark.parametrize("M", [0.1, 0.2, 0.3, 0.5])
-def test_sweeps_that_move_lambda1_run_on_every_rung(monkeypatch, M):
-    # rung 0's sweep moves lambda1 (by 1.4e-4, 9.9e-7, 5.9e-9 and 2.6e-13 at
-    # these M), so no rung skips it: the calls and the bits of the full loop
-    for s in (0.0, 1.0):
-        p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
-        state = FlowState(p, s * p.horizon)
         res, rungs = _rung_calls(monkeypatch, state)
-        full, full_rungs = _rung_calls(monkeypatch, state, full_loop=True)
-        assert rungs == full_rungs and all(len(r) >= 3 for r in rungs[1:-1])
-        assert _result_bits(res) == _result_bits(full)
-        assert not isinstance(spectrum._mapped_level(spectrum._potential(state), 0),
-                              spectrum._Closed)
+        lam1, lam2, info = fixed_point_ladder(spectrum._potential(state))
+        assert info.n_points == res.convergence.n_points
+        assert abs(res.lambda1 - lam1) <= 1e-11 and abs(res.lambda2 - lam2) <= 1e-11
+        assert all(kind == "index" for kind, _ in rungs[0]) and len(rungs[0]) >= 2
+        for i, rung in enumerate(rungs[1:-1], 1):
+            assert rung == _finer_rung_calls(i)
 
 
 def test_mapped_geometry_is_built_once_per_rung_and_read_only(monkeypatch):
@@ -618,17 +615,18 @@ WELLS = {"poschl_teller_1": _pt_potential(2.0), "poschl_teller_2": _pt_potential
 @pytest.mark.parametrize("well", list(WELLS))
 @pytest.mark.parametrize("robin", [False, True])
 def test_mapped_blocks_match_the_dense_generalized_problem(monkeypatch, well, robin):
-    # mapped rung 0's Neumann seed (robin False), and rung 1's Robin lambda1
-    # and odd block (robin True; rung 0 solves no odd block): the
+    # mapped rung 0's Neumann seed (robin False), and rung 1's lambda1,
+    # Robin-closed at rung 0's kappa, and its odd block, closed at its own
+    # kappa (robin True; rung 0 solves no odd block): the
     # W^(1/2)-symmetrized tridiagonal solves give the eigenvalues of the
     # unsymmetrized finite-volume problem
     level = int(robin)
     (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, WELLS[well], level)
     rows, lam_n = (spectrum.MAP_ROWS - 1) * 2 ** level + 1, calls[0][3]
     if robin:
-        kappa0 = math.sqrt(-lam_n)
+        kappa0 = _below(WELLS[well], 1)[3]
         assert abs(lam1 - _dense_mapped(WELLS[well], rows, kappa0, False)) <= 1e-9 * abs(lam1)
-        odd = _dense_mapped(WELLS[well], rows, kappa0, True)
+        odd = _dense_mapped(WELLS[well], rows, kappa, True)
         assert abs(lam2 - odd) <= 1e-9 * max(1.0, abs(lam2))
     else:
         assert abs(lam_n - _dense_mapped(WELLS[well], rows, 0.0, False)) <= 1e-9 * abs(lam_n)
@@ -644,15 +642,16 @@ def _certified_tol(d, e):
 @pytest.mark.parametrize("robin", [False, True])
 def test_certified_window_matches_index_call(monkeypatch, well, robin):
     # the even and odd blocks of mapped rung 0 at kappa = 0 (robin False), or
-    # of rung 1 at the closure's kappa (robin True, the blocks of lambda1 and
-    # lambda2; rung 0 solves no odd block): a window 1e-5 wide on each side of
-    # each block's index call, off centre, is certified and holds that value
+    # rung 1's Robin blocks of lambda1 and lambda2 (robin True; rung 0 solves
+    # no odd block): a window 1e-5 wide on each side of each block's
+    # value, off centre, is certified and holds that value
     (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, WELLS[well], int(robin))
-    d, e, _, lam = calls[-2] if robin else calls[0]
-    lam_odd = calls[-1][3] if robin else spectrum._mapped_lowest(d[1:], e[1:])
+    d, e, _, lam = calls[0]
+    do, eo = calls[-1][:2] if robin else (d[1:], e[1:])
+    lam_odd = calls[-1][3] if robin else spectrum._mapped_lowest(do, eo)
     if robin:
         assert (lam, lam_odd) == (lam1, lam2)
-    for (db, eb, lam_b), shift in zip(((d, e, lam), (d[1:], e[1:], lam_odd)), (3e-6, -3e-6)):
+    for (db, eb, lam_b), shift in zip(((d, e, lam), (do, eo, lam_odd)), (3e-6, -3e-6)):
         got = certified_window(db, eb, (lam_b + shift, 1e-5))
         assert got is not None
         assert abs(got - lam_b) <= _certified_tol(db, eb)
@@ -688,26 +687,28 @@ def test_uncertified_window_falls_back_to_index_call(monkeypatch, case):
     # V = -6 sech^2 on mapped rung 1 (rung 0 solves no odd block): the even
     # block holds lambda1 = -4, the odd block lambda2 = -1, each followed by
     # box states above 0.  The oracle rejects each bad window on both
-    # blocks, so the values stand on the closure's index calls alone: at
-    # kappa * Y = 40 the Neumann seed, one Robin sweep and the odd block
+    # blocks, so the values stand on the rung's two calls alone: at kappa * Y
+    # = 40 the even block's window at rung 0's kappa and the odd block's index call
     (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(6.0), 1)
-    (dr, er, _, lam_r), (do, eo, _, lam_o) = calls[-2:]
+    (dr, er, _, lam_r), (do, eo, _, lam_o) = calls
     _assert_uncertified(dr, er, case)
     _assert_uncertified(do, eo, case)
-    assert len(calls) == 3 and (lam1, lam2) == (lam_r, lam_o) and kappa == math.sqrt(-lam1)
+    assert (lam1, lam2) == (lam_r, lam_o) and kappa == math.sqrt(-lam1)
     assert abs(lam1 + 4.0) <= 1e-3 and abs(lam2 + 1.0) <= 1e-3
 
 
 @pytest.mark.parametrize("case", UNCERTIFIED)
 def test_uncertified_windows_in_a_shallow_well_run_the_index_sweeps(monkeypatch, case):
-    # V = -0.39 sech^2 binds kappa = 0.3 (kappa * Y = 6): on mapped rung 1 the
-    # bad windows are rejected on the closure's blocks, and the closure needs
-    # more than one Robin sweep, each an index call, before the odd block
-    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(0.39), 1)
-    (dr, er, _, lam_r), (do, eo, _, lam_o) = calls[-2:]
+    # V = -0.39 sech^2 binds kappa = 0.3 (kappa * Y = 6): on mapped rung 0,
+    # the one rung that sweeps, the closure needs more than one Robin sweep,
+    # each an index call, and the bad windows are rejected on its last Robin
+    # block and on that block's odd part
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(0.39), 0)
+    dr, er, kwargs, lam_r = calls[-1]
     _assert_uncertified(dr, er, case)
-    _assert_uncertified(do, eo, case)
-    assert len(calls) > 3 and (lam1, lam2) == (lam_r, lam_o) and 3.0 <= kappa * 20.0 <= 9.0
+    _assert_uncertified(dr[1:], er[1:], case)
+    assert len(calls) > 2 and all(kw["select_range"] == (0, 0) for _, _, kw, _ in calls)
+    assert lam1 == lam_r and 3.0 <= kappa * 20.0 <= 9.0
 
 
 def test_order_guard_raises_outside_the_band(monkeypatch):
@@ -765,34 +766,39 @@ def _uniform_reference(vfunc):
 
 @pytest.mark.parametrize("kind, value", STRONG_WELLS)
 def test_mapped_ladder_matches_the_uniform_ladder(kind, value):
+    # within TOL_EIG of the uniform sweeps ladder; and against every mapped
+    # rung swept to its own Robin fixed point (oracles.fixed_point_ladder),
+    # where the package hands rung 0's kappa up the ladder, the same rungs
+    # and lambda1 and lambda2 within 1e-11
     vfunc = _fixture_potential(value) if kind == "fixture" else _pt_potential(value * (value + 1.0))
     res = _solve_potential(vfunc, False)
     lam1, lam2, info = res.lambda1, res.lambda2, res.convergence
     assert info.n_points[0] == 2 * spectrum.MAP_ROWS - 1 and info.kappa * 20.0 >= 3.0
     ref1, ref2 = _uniform_reference(vfunc)
     assert abs(lam1 - ref1) <= spectrum.TOL_EIG and abs(lam2 - ref2) <= spectrum.TOL_EIG
+    fix1, fix2, fix_info = fixed_point_ladder(vfunc)
+    assert fix_info.n_points == info.n_points
+    assert abs(lam1 - fix1) <= 1e-11 and abs(lam2 - fix2) <= 1e-11
 
 
 @pytest.mark.parametrize("kind, value", STRONG_WELLS)
 def test_narrow_window_certifies_exactly_the_one_sweep_closures(monkeypatch, kind, value):
     # the sweeps stop once |sqrt(-lambda1) - kappa| <= 1e-9 kappa, that is once
     # the Robin lambda1 lies within 2e-9 |lambda_N| of the Neumann lambda_N.
-    # On each of the fixture's three mapped rungs that narrow window around
+    # On mapped rung 0, the one rung that sweeps, that narrow window around
     # lambda_N, on the Robin block at the Neumann kappa, is certified exactly
     # when the closure stops at its first sweep, and then holds its lambda1.
     # (The nearest wells to the stop edge, nu = 0.5 and 0.6, miss it 5-fold
     # and 9-fold.)
     vfunc = _fixture_potential(value) if kind == "fixture" else _pt_potential(value * (value + 1.0))
-    for level in range(3):
-        (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, vfunc, level)
-        lam_n = calls[0][3]
-        dr, er, _, lam_r = calls[1]
-        # the Neumann seed, one Robin sweep, and past rung 0 the odd block
-        one_sweep = len(calls) == 2 + (level > 0)
-        got = certified_window(dr, er, (lam_n, -2e-9 * lam_n))
-        assert kappa * 20.0 >= 3.0 and (got is not None) == one_sweep
-        if one_sweep:
-            assert lam1 == lam_r and abs(got - lam1) <= _certified_tol(dr, er)
+    (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, vfunc, 0)
+    lam_n = calls[0][3]
+    dr, er, _, lam_r = calls[1]
+    one_sweep = len(calls) == 2  # the Neumann seed and one Robin sweep
+    got = certified_window(dr, er, (lam_n, -2e-9 * lam_n))
+    assert kappa * 20.0 >= 3.0 and (got is not None) == one_sweep
+    if one_sweep:
+        assert lam1 == lam_r and abs(got - lam1) <= _certified_tol(dr, er)
 
 
 @pytest.mark.parametrize("case", UNCERTIFIED)
@@ -804,8 +810,8 @@ def test_uncertified_estimates_fall_back_to_the_index_call(monkeypatch, case):
     # call's bits
     (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(6.0), 1)
     eigh, dpttrf = spectrum.eigh_tridiagonal, spectrum._dpttrf
-    for d, e, _, lam in calls[-2:]:
-        x, w = _uncertified_window(d, e, case)
+    for d, e, _, _ in calls:
+        x, w, lam = *_uncertified_window(d, e, case), spectrum._mapped_lowest(d, e)
         made = []
 
         def counted_eigh(d, e, **kwargs):
@@ -825,19 +831,18 @@ def test_uncertified_estimates_fall_back_to_the_index_call(monkeypatch, case):
         assert made == ["dpttrf"] + ["v"] * refused_by_count + ["i"]
 
 
-KAPPA_Y_3 = [("fixture", 0.1), ("poschl_teller", 0.16)]  # kappa * Y = 3.35 and 3.2
-
-
 @pytest.mark.parametrize("kind, value", STRONG_WELLS)
 def test_windows_on_rungs_1_and_2_match_forced_index_calls(monkeypatch, kind, value):
     # each value a solve on mapped rungs 1 and 2 takes from its window lies
     # within _certified_tol of the index call on the same block, with no
     # eigenvalue below it by a Sturm count independent of LAPACK.  lambda1
     # comes from a window on both rungs, lambda2 on rung 2 (rung 1's odd
-    # block has no estimate, as rung 0 solves none).  Only the wells
-    # nearest kappa * Y = 3 fall back, twice on each rung: the Neumann seed
-    # lies more than WINDOW below the rung below's Robin lambda1, so dpttrf
-    # refuses it, and the first sweep leaves the seed's window
+    # block has no estimate, as rung 0 solves none).  No window falls back,
+    # not even in the wells nearest kappa * Y = 3 (fixture M = 0.1 and
+    # nu = 0.16): closed at the rung below's kappa, the even block's lambda1
+    # lies within WINDOW of the rung below's.  The even block's far entry is
+    # d_far + kappa / w_N at the rung below's kappa, the odd block's at the
+    # rung's own, bit for bit
     vfunc = _fixture_potential(value) if kind == "fixture" else _pt_potential(value * (value + 1.0))
     solves, lowest, eigh = [], spectrum._mapped_lowest, spectrum.eigh_tridiagonal
 
@@ -855,19 +860,43 @@ def test_windows_on_rungs_1_and_2_match_forced_index_calls(monkeypatch, kind, va
         return lam
 
     below = spectrum._mapped_level(vfunc, 0)
-    closed = isinstance(below, spectrum._Closed)
     monkeypatch.setattr(spectrum, "_mapped_lowest", recorded)
     for level in (1, 2):
         del solves[:]
-        below = spectrum._mapped_level(vfunc, level, closed, below)
+        kappa_below, below = below[3], spectrum._mapped_level(vfunc, level, below)
         assert below is not None and solves[-1][4] == below[2]
+        d_far, _, w, _ = spectrum._mapped_block(vfunc, level)
+        ends = [d_far[-1] + kappa / w[-1] for kappa in (kappa_below, below[3])]
+        assert [d[-1] for d, *_ in solves] == ends
         for d, e, _, made, lam in solves:
             if made == ["v"]:
                 tol = _certified_tol(d, e)
                 assert abs(lam - lowest(d, e)) <= tol and sturm_count_below(d, e, lam - tol) == 0
-        fallbacks = [made for _, _, windowed, made, _ in solves if windowed and made[-1] == "i"]
-        assert fallbacks == ([["i"], ["v", "i"]] if (kind, value) in KAPPA_Y_3 else [])
-        assert [made for *_, made, _ in solves[-2:]] == [["v"], ["v"] if level == 2 else ["i"]]
+        assert [windowed for _, _, windowed, _, _ in solves] == [True, level == 2]
+        assert [made for *_, made, _ in solves] == [["v"], ["v"] if level == 2 else ["i"]]
+
+
+@settings(max_examples=15, deadline=None)
+@given(kappa_y=st.floats(3.0, 15.0))
+def test_fixed_point_reference_property(kappa_y):
+    """V = -nu (nu + 1) sech^2 binds kappa = nu; for kappa * Y in [3, 15] the
+    mapped ladder takes the fixed-point reference's route and rungs and
+    agrees with it within 1e-11 in lambda1 and lambda2.  The routes part only
+    within 1e-4 above kappa * Y = 3: there the reference's first Robin sweep
+    on a finer rung overshoots the fixed point to below the edge and routes
+    the state to the uniform ladder, while the package, which makes no sweep
+    there, stays on the mapped one and finds lambda1 = -nu^2 within TOL_EIG."""
+    nu = kappa_y / spectrum.HALF_WIDTH
+    vfunc = _pt_potential(nu * (nu + 1.0))
+    ref = fixed_point_ladder(vfunc)
+    climbed = spectrum._climb(lambda level, below: spectrum._mapped_level(vfunc, level, below),
+                              True)
+    if ref is None:
+        assert climbed is None or (kappa_y < 3.0 + 1e-4
+                                   and abs(climbed[0] + nu ** 2) <= spectrum.TOL_EIG)
+        return
+    assert climbed is not None and climbed[2].n_points == ref[2].n_points
+    assert abs(climbed[0] - ref[0]) <= 1e-11 and abs(climbed[1] - ref[1]) <= 1e-11
 
 
 @settings(max_examples=8, deadline=None)
@@ -1041,8 +1070,8 @@ def test_weak_ladders_stay_pinned(monkeypatch, M, at_T):
     mapped, rungs = [], []
     real_mapped, real_box = spectrum._mapped_level, spectrum._selfconsistent_box
 
-    def spy_mapped(vfunc, level):
-        out = real_mapped(vfunc, level)
+    def spy_mapped(vfunc, level, below):
+        out = real_mapped(vfunc, level, below)
         mapped.append((level, out))
         return out
 
@@ -1268,8 +1297,7 @@ def test_binding_matches_scipy_on_mapped_rungs_at_T(level):
     for db, eb in ((d, e), (d[1:], e[1:])):
         _assert_as_scipy(db, eb, eigvals_only=True, select_range=(0, 0), tol=spectrum.MAP_TOL)
         x = spectrum._mapped_lowest(db, eb)
-        window = (x - spectrum.WINDOW * abs(x), x + spectrum.WINDOW * abs(x))
-        _assert_as_scipy(db, eb, eigvals_only=True, select="v", select_range=window,
+        _assert_as_scipy(db, eb, eigvals_only=True, select="v", select_range=_window(x),
                          tol=spectrum.MAP_TOL)
     d[-1] += math.sqrt(-spectrum._mapped_lowest(d, e)) / w[-1]
     _assert_as_scipy(d, e, select_range=(0, 0), tol=spectrum.MAP_TOL)

@@ -23,18 +23,20 @@ sample kept; any other value is a count or a result, and a root whose runs
 disagree on one is refused (exit 1, nothing written).  Counting rebinds
 module attributes in the child, as perfbench traces a request.
 
-- ``spectrum``: ``lowest_eigenpair`` per rung of its ladder, on four states:
+- ``spectrum``: ``lowest_eigenpair`` per rung of its ladder, on five states:
   ``tuned_t0`` (the amplitude tuned for k*(0) = 1 - delta, at t = 0),
   ``tuned_T`` (the same at the horizon T), ``threshold`` (the whole-line
   threshold amplitude M0 at t = 0, as in ``line``; found once per root, by its
-  warm-up child, which leaves it beside the config) and ``tuned_T_mode``
-  (``tuned_T`` with the mode, as in ``torus``).  Tuned states climb the
-  mapped ladder (``spectrum._mapped_level``); mapped rung 0, solved once
-  before the climb and recorded as its first rung, makes only even-block
-  calls (it solves no odd block); its Neumann seed routes the weakly bound
-  threshold to the uniform ladder (``spectrum._level``), and then its
-  record has ``n`` None.  ``eigh_tridiagonal`` calls are "index", "window"
-  (a value-range call in a certified window of a finer mapped rung) or
+  warm-up child, which leaves it beside the config), ``tuned_T_mode``
+  (``tuned_T`` with the mode, as in ``torus``) and ``shallow_t0`` (M = 0.1 at
+  t = 0, kappa * Y about 3.35, the shallowest fixture state the mapped ladder
+  takes).  Tuned and shallow states climb the mapped ladder
+  (``spectrum._mapped_level``); mapped rung 0, the climb's level 0 and its
+  first record, makes only even-block calls (it solves no odd block); its
+  Neumann seed routes the weakly bound threshold to the uniform ladder
+  (``spectrum._level``), and then its record has ``n`` None.
+  ``eigh_tridiagonal`` calls are "index", "window" (a value-range call in
+  a certified window of a finer mapped rung) or
   "vector" (the mode, with its own seconds), and ``dpttrf`` calls are
   "dpttrf" (a window's certificate; none where ``spectrum`` has no
   ``_dpttrf``), each with its rows, the sum of len(d); an index call after a
@@ -202,6 +204,7 @@ cases = {
     "tuned_T": measure(FlowState(tuned, params.horizon), False),
     "threshold": measure(FlowState(threshold, 0.0), False),
     "tuned_T_mode": measure(FlowState(tuned, params.horizon), True),
+    "shallow_t0": measure(FlowState(params.with_M(0.1), 0.0), False),
 }
 constants = {k: getattr(sp, k) for k in ("HALF_WIDTH", "UNIFORM_ROWS", "MAP_ROWS")}
 print(json.dumps({"constants": constants, "repeat": REPEAT, "cases": cases}))
