@@ -54,7 +54,13 @@ shared with the calibration; Adv. Eng. Softw. 28, 1997) polishes every
 bracket together, one ``wronskian_many`` pass per iteration.  Its first
 point is the scan's inverse interpolant, log c as a polynomial in W
 through the scan points around the sign change, which usually meets the
-tolerance: one polish pass per root.
+tolerance: one polish pass per root.  ``eigencurve`` evaluates only a
+window of that grid where it can: the neutral-limit law c_i = (k*^2 -
+k^2) A, read off the eigensolver's neutral mode, puts each root within a
+few percent, so a row with one eigenvalue below -k^2 evaluates the 13
+scan nodes about the law's node and C_MAX, and falls back to the full
+scan when that window shows no single sign change.  The scans that check
+for absence (``eigenvalues_for_ks``, ``eigenvalue_for_k``) stay full.
 
 The functions take only the physics (state, k, c_i, sample points); the
 numerical settings are module constants, read when a function runs.
@@ -68,7 +74,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _ode
+from . import _ode, spectrum
 from ._ode import integrate
 from ._roots import chandrupatla
 from .errors import MultipleRoots, NonConvergence, TailDominance
@@ -90,7 +96,7 @@ __all__ = [
 EPS_MAX = 1e-6
 C_SCAN_LO = 1e-8
 C_SCAN_POINTS = 200
-C_SEED_WINDOW = 6  # scan points on each side of a sign change that seed its root polish
+C_SEED_WINDOW = 6  # scan nodes on each side of a sign change, or of the law's node in eigencurve
 C_MAX = 0.5
 MAX_POLISH = 80
 ROOT_RTOL = 1e-10
@@ -412,13 +418,18 @@ def solve_phi(state: FlowState, k: float, c_i: float, ys) -> PhiSolution:
 # ---------------------------------------------------------------------------
 
 
+def _scan_grid() -> np.ndarray:
+    """The root scan's C_SCAN_POINTS log-spaced c from C_SCAN_LO to C_MAX."""
+    return np.logspace(math.log10(C_SCAN_LO), math.log10(C_MAX), C_SCAN_POINTS)
+
+
 def scan_wronskian(state: FlowState, k):
     """W(ic, k) on the log-spaced root-scan grid; one batched pass.
 
     ``k`` is a wave number or a sequence of them; for a sequence, W and its
     error estimate have one row per wave number, all from the same pass.
     """
-    cs = np.logspace(math.log10(C_SCAN_LO), math.log10(C_MAX), C_SCAN_POINTS)
+    cs = _scan_grid()
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     w, qe = wronskian_many(state, np.repeat(ks, len(cs)), np.tile(cs, len(ks)))
     shape = (len(ks), len(cs)) if np.ndim(k) else (len(cs),)
@@ -431,7 +442,7 @@ def _polish_start(cs: np.ndarray, w: np.ndarray, j: np.ndarray, scale: np.ndarra
     through the C_SEED_WINDOW scan points on each side of the sign change,
     evaluated at 0 by Neville's scheme.  A row of ``w`` whose window runs
     past the scan's ends, holds an exact zero or is not strictly monotone
-    starts from the midpoint, 0.5.
+    (an unevaluated node, NaN, included) starts from the midpoint, 0.5.
     """
     n, x = C_SEED_WINDOW, np.log(cs)
     t = np.full(len(j), 0.5)
@@ -449,25 +460,27 @@ def _polish_start(cs: np.ndarray, w: np.ndarray, j: np.ndarray, scale: np.ndarra
     return t
 
 
-def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
-    """Purely imaginary unstable eigenvalues at several wave numbers at once.
+def _sign_changes(w: np.ndarray) -> np.ndarray:
+    """Sign changes of W between adjacent evaluated nodes, per row; NaN marks
+    a node the row did not evaluate.  0 reads as not positive, as in
+    chandrupatla: an exact zero at a node is one sign change whichever way W
+    runs, bracketed with a positive node."""
+    known = ~np.isnan(w)
+    return ((w[:, :-1] > 0) != (w[:, 1:] > 0)) & known[:, :-1] & known[:, 1:]
 
-    One batched scan of W(ic, k) on the log-spaced c grid brackets each
-    wave number's sign change.  Every bracket is then polished together
-    until |W| <= tol_root = ROOT_RTOL * |W(i C_MAX, k)|, per bracket, from a
-    first point the scan's inverse interpolant puts at the root
-    (``_polish_start``), so one polish pass usually finishes.  Returns
-    ``(roots, cs, W)``: ``roots[j]`` is (c_i, residual) for ks[j], or None
-    when its scan has no sign change (no purely imaginary eigenvalue at
-    scan resolution); W is the scan, one row per wave number.  Raises
-    ``ValueError`` for a wave number k <= 0, ``MultipleRoots`` if a scan has
-    more than one sign change and ``NonConvergence`` if a polish stalls.
+
+def _polished_roots(state: FlowState, ks: np.ndarray, cs: np.ndarray, w: np.ndarray) -> list:
+    """(c_i, residual) for each row of ``w``, W(ic, ks[r]) on the scan grid
+    ``cs`` with NaN at the nodes the row did not evaluate and C_MAX always
+    evaluated, or None where the row has no sign change.
+
+    Every bracket is polished together until |W| <= tol_root = ROOT_RTOL *
+    |W(i C_MAX, k)|, per bracket, from a first point the scan's inverse
+    interpolant puts at the root (``_polish_start``), so one polish pass
+    usually finishes.  Raises ``MultipleRoots`` for a row with more than
+    one sign change and ``NonConvergence`` if a polish stalls.
     """
-    ks = np.asarray(ks, dtype=float)
-    cs, w, _ = scan_wronskian(state, ks)
-    # 0 reads as not positive, as in chandrupatla: an exact zero at a node is
-    # one sign change whichever way W runs, bracketed with a positive node
-    flips = (w[:, :-1] > 0) != (w[:, 1:] > 0)
+    flips = _sign_changes(w)
     for k, n in zip(ks, np.count_nonzero(flips, axis=1)):
         if n > 1:
             raise MultipleRoots(f"{n} sign changes of Re W at k={k:g}; expected at most one")
@@ -485,7 +498,24 @@ def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
                                        "root polish", _polish_start(cs, w[rows], j, scale))
         for r, c, resid in zip(rows, np.exp(x).tolist(), np.abs(w_root).tolist()):
             roots[r] = (c, resid)
-    return roots, cs, w
+    return roots
+
+
+def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
+    """Purely imaginary unstable eigenvalues at several wave numbers at once.
+
+    One batched scan of W(ic, k) on the log-spaced c grid brackets each
+    wave number's sign change, and ``_polished_roots`` polishes every
+    bracket together.  Returns ``(roots, cs, W)``: ``roots[j]`` is (c_i,
+    residual) for ks[j], or None when its scan has no sign change (no purely
+    imaginary eigenvalue at scan resolution); W is the scan, one row per
+    wave number.  Raises ``ValueError`` for a wave number k <= 0,
+    ``MultipleRoots`` if a scan has more than one sign change and
+    ``NonConvergence`` if a polish stalls.
+    """
+    ks = np.asarray(ks, dtype=float)
+    cs, w, _ = scan_wronskian(state, ks)
+    return _polished_roots(state, ks, cs, w), cs, w
 
 
 def eigenvalue_for_k(state: FlowState, k: float):
@@ -507,19 +537,67 @@ class EigenCurve:
     k_zero: Optional[float]
 
 
+def _law_nodes(state: FlowState, ks: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """The node of the scan grid ``cs`` nearest each k's neutral-limit c_i,
+    or -1 where the row is not seeded.
+
+    The law is c_i = (k*^2 - k^2) A + O(c_i^2) with A = ||phi0||^2 b'(0)^2 /
+    (pi |b'''(0)| phi0(0)^2), phi0 the neutral mode (Tollmien 1935; Drazin &
+    Reid, Hydrodynamic Stability, 2004).  A row is seeded when 0 < k < k*
+    and lambda2 >= -k^2, so that -k^2 lies above exactly one eigenvalue:
+    Z. Lin (SIAM J. Math. Anal. 35 (2003) 318) ties the unstable modes at k
+    to the bound states below -k^2.  With no bound state, or an eigensolve
+    that does not converge, no row is seeded.  A node is kept at least
+    C_SEED_WINDOW nodes from the grid's ends and from its C_MAX node.
+    """
+    nodes = np.full(len(ks), -1)
+    try:  # through the module, where perfbench's trace rebinds the eigensolve
+        res = spectrum.lowest_eigenpair(state, want_mode=True)
+    except NonConvergence:
+        return nodes
+    if res.kstar is None:
+        return nodes
+    _, b1, _, b3 = eval_b_derivs(state, 0.0)
+    phi0 = res.mode[len(res.mode) // 2]  # the centre node is y = 0
+    a = np.sum(res.mode ** 2 * res.weights) * b1 ** 2 / (math.pi * abs(b3) * phi0 ** 2)
+    seeded = (ks < res.kstar) & (res.lambda2 >= -ks ** 2)
+    law = (res.kstar ** 2 - ks[seeded] ** 2) * a
+    near = np.abs(np.log(cs) - np.log(law)[:, None]).argmin(axis=1)
+    nodes[seeded] = np.clip(near, C_SEED_WINDOW, len(cs) - 2 - C_SEED_WINDOW)
+    return nodes
+
+
 def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
     """Map k -> c_i(k) over a wave-number grid inside (0, k*).
 
-    Each distinct k is solved once, in increasing order; all share one batched
-    scan and one batched root polish.  Slopes by central differences on the
-    computed points; ``k_zero`` is the linear extrapolation of the last two
-    points to c_i = 0, the curve's own estimate of the critical wave number.
-    Raises ``NonConvergence`` at the first k without a root, naming the side
-    its scan's one sign of W points to: positive, any root lies above
+    Each distinct k is solved once, in increasing order.  A row seeded from
+    the neutral-limit law (``_law_nodes``) evaluates W only at the
+    C_SEED_WINDOW scan nodes on each side of the law's node and at C_MAX,
+    every seeded row in one pass.  A row that is not seeded, or whose
+    window shows no single sign change, gets the full scan, every such row
+    in one more pass.  Then all brackets are polished together
+    (``_polished_roots``), so ``MultipleRoots`` comes only from a full
+    scan.  Slopes by central differences on the computed points; ``k_zero``
+    is the linear extrapolation of the last two points to c_i = 0, the
+    curve's own estimate of the critical wave number.  Raises
+    ``NonConvergence`` at the first k without a root, naming the side its
+    full scan's one sign of W points to: positive, any root lies above
     C_MAX; otherwise the grid extends past k*.
     """
     ks = _unique(np.asarray(k_grid, dtype=float))
-    roots, _, w = eigenvalues_for_ks(state, ks) if len(ks) else ([], None, [])
+    cs = _scan_grid()
+    w = np.full((len(ks), len(cs)), np.nan)
+    seeded = _law_nodes(state, ks, cs) if len(ks) else np.array([], dtype=int)
+    rows = np.flatnonzero(seeded >= 0)
+    if rows.size:
+        window = np.arange(-C_SEED_WINDOW, C_SEED_WINDOW + 1)
+        nodes = np.column_stack((seeded[rows, None] + window, np.full(rows.size, len(cs) - 1)))
+        w_win, _ = wronskian_many(state, np.repeat(ks[rows], nodes.shape[1]), cs[nodes].ravel())
+        w[rows[:, None], nodes] = w_win.reshape(nodes.shape)
+    full = np.flatnonzero(np.count_nonzero(_sign_changes(w), axis=1) != 1)
+    if full.size:
+        _, w[full], _ = scan_wronskian(state, ks[full])
+    roots = _polished_roots(state, ks, cs, w)
     pts = []
     for k, root, row in zip(ks, roots, w):
         if root is None:

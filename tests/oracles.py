@@ -2,8 +2,9 @@
 path: the two-sided long-window determinant of W, the fourth-order Rayleigh
 quotient, phi with its normalization at the critical point, and the decay
 rate of a weakly bound state by Jost shooting and by its weak-coupling
-series, and the mapped ladder with every rung closed by its own
-fixed-point sweeps."""
+series, the mapped ladder with every rung closed by its own fixed-point
+sweeps, and the Rayleigh spectrum as the eigenvalues of the dense vorticity
+operator."""
 
 import math
 from dataclasses import dataclass
@@ -267,3 +268,29 @@ def fixed_point_ladder(vfunc):
     Richardson climb: (lambda1, lambda2, ConvergenceInfo), or None where a
     rung routes the state to the uniform ladder."""
     return spectrum._climb(lambda level, _: fixed_point_rung(vfunc, level), True)
+
+
+def vorticity_spectrum(state: FlowState, k: float, level: int = 1) -> np.ndarray:
+    """Every eigenvalue c of the dense vorticity operator b - b'' (D^2 - k^2)^(-1)
+    at wave number k (Drazin & Reid; S. A. Orszag, J. Fluid Mech. 50 (1971) 689).
+
+    Rayleigh's equation (b - c)(phi'' - k^2 phi) = b'' phi in the vorticity
+    omega = phi'' - k^2 phi reads c omega = b omega - b'' (D^2 - k^2)^(-1) omega.
+    D^2 is the eigensolver's finite-volume second difference on mapped rung
+    ``level``'s nodes, mirrored onto the full line [-Y, Y], Robin-closed at
+    phi' = -/+ k phi, exact where b'' = 0.  An unstable mode is a pair +/- i c_i;
+    the continuous spectrum lies on the real axis.
+    """
+    y, w, _, _ = spectrum._mapped_geometry(level, spectrum.MAP_A, spectrum.MAP_ROWS, HALF_WIDTH)
+    h = math.asinh(HALF_WIDTH / spectrum.MAP_A) / (len(y) - 1)
+    flux = 1.0 / (spectrum.MAP_A * np.cosh(h * np.arange(len(y) - 1) + 0.5 * h) * h)
+    ys = np.concatenate((-y[:0:-1], y))
+    cells = np.concatenate((w[:0:-1], [2.0 * w[0]], w[1:]))
+    flux = np.concatenate((flux[::-1], flux))
+    robin = np.zeros(len(ys))
+    robin[[0, -1]] = k
+    # k^2 - D^2 with its Robin rows: positive definite, so it inverts
+    op = np.diag((np.r_[0.0, flux] + np.r_[flux, 0.0] + robin) / cells + k * k)
+    op -= np.diag(flux / cells[:-1], 1) + np.diag(flux / cells[1:], -1)
+    b, _, b2, _ = eval_b_derivs(state, ys)
+    return np.linalg.eigvals(np.diag(b) + b2[:, None] * np.linalg.inv(op))

@@ -105,9 +105,12 @@ def test_main_refuses_runs_whose_counts_differ(monkeypatch, tmp_path, capsys):
 def test_polish_shows_the_ode_cost_of_each_case(capsys):
     stat = {"median": 0.2, "q1": 0.19, "q3": 0.21}
     bench.show_polish("change", {"eigencurve": {
-        "seconds": stat, "w_passes": 2, "polish_passes_per_root": {"mean": 1.0, "max": 1},
-        "ode_passes": 2, "ode_steps": 147, "rhs_calls": 1766}})
-    assert "2 ODE passes, 147 steps, 1766 RHS calls" in capsys.readouterr().out
+        "seconds": stat, "w_passes": 2, "seeded_rows": 2, "fallback_rows": 0,
+        "polish_passes_per_root": {"mean": 1.0, "max": 1},
+        "ode_passes": 2, "ode_steps": 113, "rhs_calls": 1358}})
+    out = capsys.readouterr().out
+    assert "2 W passes, 2 seeded and 0 full-scan rows" in out
+    assert "2 ODE passes, 113 steps, 1358 RHS calls" in out
 
 
 def _threshold_record(seconds, M0="4.127983142029252e-05"):

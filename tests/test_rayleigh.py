@@ -310,22 +310,24 @@ def test_sampled_passes_are_one_sided(ctx, monkeypatch, k, c_i):
         assert np.all(np.abs(got[far] - want) <= 1e-12 * np.abs(want))
 
 
-def test_eigencurve_shares_scan_and_polish(ctx, monkeypatch):
+def test_eigencurve_shares_window_and_polish(ctx, monkeypatch):
     passes = []
     real_many = ray.wronskian_many
 
     def counted(state, ks, cs, *args, **kwargs):
         w, qe = real_many(state, ks, cs, *args, **kwargs)
-        passes.append(w)
+        passes.append((np.asarray(cs), w))
         return w, qe
 
     state = ctx.state_T  # built first: it runs the torus scenario
     monkeypatch.setattr(ray, "wronskian_many", counted)
     curve = ray.eigencurve(state, [0.95, 1.0])
-    scan, polish = passes[0], passes[1:]
-    assert len(scan) == 2 * ray.C_SCAN_POINTS
-    assert len(polish) == 1 and len(polish[0]) <= 2  # the scan's interpolant lands the roots
-    scales = np.abs(scan.reshape(2, -1)[:, -1])
+    (window_cs, window), polish = passes[0], passes[1:]
+    # both rows are seeded: one window pass of the law's nodes and C_MAX, no full scan
+    assert len(window) <= 2 * (2 * ray.C_SEED_WINDOW + 1) + 2
+    assert len(polish) == 1 and len(polish[0][1]) <= 2  # the window's interpolant lands the roots
+    scales = np.abs(window[window_cs == ray._scan_grid()[-1]])
+    assert len(scales) == 2
     for (_, _, resid), scale in zip(curve.points, scales):
         assert resid <= 1e-10 * scale
 

@@ -722,6 +722,19 @@ def test_order_guard_raises_outside_the_band(monkeypatch):
     assert str(list(info.raw)) in str(err.value)
 
 
+@pytest.mark.parametrize("M, gamma0, gamma1, gamma2, t_over_T, ratio", [
+    (0.103922, 0.323621, 0.00121482, 0.606453, 1.5334, "3.357"),
+    (0.111741, 0.0735932, 0.00278027, 0.430751, 1.7474, "1.968"),
+])
+def test_order_guard_refuses_narrow_bumps_at_map_a(M, gamma0, gamma1, gamma2, t_over_T, ratio):
+    # two narrow bumps (gamma0 gamma1 = 3.9e-4 and 2.0e-4) from a random draw
+    # over the validator's ranges: at today's MAP_A their raw lambda1
+    # differences do not fall 4-fold, and the guard, with its own band, refuses them
+    params = FlowParams(M, gamma0, gamma1, gamma2, 1e-3)
+    with pytest.raises(NonConvergence, match=rf"fall by {ratio}, outside ORDER_BAND"):
+        lowest_eigenpair(FlowState(params, t_over_T * params.horizon), want_mode=False)
+
+
 def test_ladder_gives_up_after_max_levels(monkeypatch):
     # two rungs give one extrapolant, never two that agree
     monkeypatch.setattr(spectrum, "MAX_LEVELS", 2)

@@ -62,13 +62,19 @@ module attributes in the child, as perfbench traces a request.
   only in ``setup_s`` and ``import_s``.
 - ``polish``: the Rayleigh root polish at the tuned amplitude, in
   ``eigencurve`` (``rayleigh.eigencurve`` at t = T on k = 0.95, 1, the
-  perfbench workload's grid), ``wide`` (``eigenvalues_for_ks`` at t = T on
-  k = 0.2, 0.6, 0.9, 0.99, 1, roots from c = 0.2 down to c = 5e-4) and
-  ``torus`` (``run_torus_scenario``, with its root stage, every
-  ``eigenvalues_for_ks`` call, timed on its own).  Each records the
-  ``wronskian_many`` passes inside root searches (``w_passes``: one scan per
-  search plus its polish passes), the polish passes, the roots, the polish
-  passes that evaluated each root's bracket (mean and max), every c_i and
+  perfbench workload's grid), ``wide`` (``eigencurve`` at t = T on k = 0.2,
+  0.6, 0.9, 0.99, 1, roots from c = 0.2 down to c = 5e-4) and ``torus``
+  (``run_torus_scenario``, with its root stage, every ``eigenvalues_for_ks``
+  call, timed on its own).  A root search is the outermost ``eigencurve`` or
+  ``eigenvalues_for_ks`` call.  Each case records the ``wronskian_many``
+  passes inside root searches (``w_passes``: a search's law-seeded window
+  pass, its full scan and its polish passes, whichever it makes), the rows
+  seeded from the neutral-limit law (``seeded_rows``, the wave numbers of
+  the window passes), the rows given the full scan (``fallback_rows``, the
+  wave numbers of the ``scan_wronskian`` passes: every row of a checkout
+  that seeds none), the polish passes (those inside ``chandrupatla``), the
+  roots, the polish passes that evaluated each root's bracket (mean and
+  max), every c_i and
   the cost of every Rayleigh ODE pass in the case (``rayleigh.integrate``
   rebound: passes, accepted steps and RHS calls, as counts); the torus
   also all W passes of the run and its failed checks.
@@ -249,7 +255,7 @@ params = cfg.params(M=1.0)
 cal = tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta)
 state_T = FlowState(params.with_M(cal.M), params.horizon)
 
-many, search, integrate = ray.wronskian_many, ray.eigenvalues_for_ks, ray.integrate
+many, integrate = ray.wronskian_many, ray.integrate
 log = {}
 
 def counted_integrate(rhs, *args, **kwargs):
@@ -264,35 +270,58 @@ def counted_integrate(rhs, *args, **kwargs):
 def counted_many(state, ks, cs):
     log["passes"] += 1
     if log["search"] is not None:
-        log["search"].append(set(map(float, ks)))
+        log["search"].append((log["stage"], set(map(float, ks))))
     return many(state, ks, cs)
 
-def counted_search(state, ks):
-    log["search"] = passes = []
-    start = time.perf_counter()
-    try:
-        roots, cs, w = search(state, ks)
-    finally:
-        log["search_s"] += time.perf_counter() - start
-        log["search"] = None
-    log["scans"] += 1
-    log["polish"] += len(passes) - 1
-    log["per_root"] += [sum(float(k) in p for p in passes[1:])
-                        for k, r in zip(ks, roots) if r is not None]
-    return roots, cs, w
+def staged(stage, fn):
+    # a W pass inside a root search is a scan's, a polish's, or else a window's
+    def run(*args, **kwargs):
+        outer, log["stage"] = log["stage"], stage
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            log["stage"] = outer
+    return run
 
-ray.wronskian_many, ray.eigenvalues_for_ks = counted_many, counted_search
-ray.integrate = counted_integrate
+def counted_search(search):
+    def run(state, ks):
+        if log["search"] is not None:  # a search inside another: eigencurve's, where it has one
+            return search(state, ks)
+        log["search"] = passes = []
+        start = time.perf_counter()
+        try:
+            out = search(state, ks)
+        finally:
+            log["search_s"] += time.perf_counter() - start
+            log["search"] = None
+        found = ([k for k, _, _ in out.points] if isinstance(out, ray.EigenCurve)
+                 else [k for k, r in zip(ks, out[0]) if r is not None])
+        polish = [p for stage, p in passes if stage == "polish"]
+        log["w_passes"] += len(passes)
+        log["polish"] += len(polish)
+        log["per_root"] += [sum(float(k) in p for p in polish) for k in found]
+        for stage, key in (("window", "seeded_rows"), ("scan", "fallback_rows")):
+            log[key] += len(set().union(*(p for s, p in passes if s == stage)))
+        return out
+    return run
+
+ray.eigencurve = counted_search(ray.eigencurve)
+ray.eigenvalues_for_ks = counted_search(ray.eigenvalues_for_ks)
+ray.scan_wronskian = staged("scan", ray.scan_wronskian)
+ray.chandrupatla = staged("polish", ray.chandrupatla)
+ray.wronskian_many, ray.integrate = counted_many, counted_integrate
 
 def case(run):
-    log.update(passes=0, search=None, search_s=0.0, scans=0, polish=0, per_root=[],
-               ode_passes=0, ode_steps=0, rhs_calls=0)
+    log.update(passes=0, search=None, stage="window", search_s=0.0, w_passes=0, polish=0,
+               per_root=[], seeded_rows=0, fallback_rows=0, ode_passes=0, ode_steps=0,
+               rhs_calls=0)
     start = time.perf_counter()
     cis, extra = run()
     seconds = time.perf_counter() - start
     per_root = log["per_root"]
-    out = {"seconds": seconds, "w_passes": log["scans"] + log["polish"],
-           "polish_passes": log["polish"], "roots": len(per_root),
+    out = {"seconds": seconds, "w_passes": log["w_passes"], "polish_passes": log["polish"],
+           "roots": len(per_root), "seeded_rows": log["seeded_rows"],
+           "fallback_rows": log["fallback_rows"],
            "polish_passes_per_root": {"mean": sum(per_root) / max(len(per_root), 1),
                                       "max": max(per_root, default=0)},
            "ode_passes": log["ode_passes"], "ode_steps": log["ode_steps"],
@@ -305,8 +334,8 @@ def eigencurve():
     return [c for _, c, _ in curve.points], {"k_zero": curve.k_zero}
 
 def wide():
-    roots, _, _ = ray.eigenvalues_for_ks(state_T, [0.2, 0.6, 0.9, 0.99, 1.0])
-    return [r[0] for r in roots if r is not None], {}
+    curve = ray.eigencurve(state_T, [0.2, 0.6, 0.9, 0.99, 1.0])
+    return [c for _, c, _ in curve.points], {}
 
 def torus():
     rep = scenario.run_torus_scenario(params, cfg.delta, cfg.n_times)
@@ -376,7 +405,8 @@ def show_polish(name: str, entry: dict) -> None:
     for c, r in entry.items():
         s, pr = r["seconds"], r["polish_passes_per_root"]
         line = (f"{name} {c}: {s['median']:.3f} s ({s['q1']:.3f}-{s['q3']:.3f}), "
-                f"{r['w_passes']} W passes, {pr['mean']:.2f} polish passes per root "
+                f"{r['w_passes']} W passes, {r['seeded_rows']} seeded and {r['fallback_rows']} "
+                f"full-scan rows, {pr['mean']:.2f} polish passes per root "
                 f"(max {pr['max']}), {r['ode_passes']} ODE passes, {r['ode_steps']} steps, "
                 f"{r['rhs_calls']} RHS calls")
         if c == "torus":
