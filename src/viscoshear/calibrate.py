@@ -9,15 +9,10 @@ bound states it turned back down before T in none of 142 with gamma1/gamma2
 samples that straddles 1.  Both roots come from Chandrupatla's bracketed
 inverse-quadratic iteration (``_roots.chandrupatla``, shared with the
 Rayleigh root polish; Adv. Eng. Softw. 28, 1997), stopped once
-|k* - target| <= TOL_CAL.
-
-The amplitude tune locates M on the base grid (``spectrum._base_lambda1``:
-mapped rung 0's even Neumann block, one index call), then finishes on
-converged eigenvalues in a tight log-M window at that root, or over the
-whole bracket when that window misses.  The threshold
-amplitude stays a bisection, which takes a step's side unsolved where the
-first-order law lambda1 ~ -kappa1^2 (``flow.kappa1``) puts the midpoint
-more than 0.1 in ln M from its level (see ``find_critical_M0``).
+|k* - target| <= TOL_CAL.  The amplitude tune locates M on the base grid
+(``spectrum._base_lambda1``) and finishes on converged eigenvalues
+(``tune_M_for_kstar``); the threshold amplitude stays a bisection
+(``find_critical_M0``).
 """
 
 from __future__ import annotations
@@ -127,17 +122,14 @@ def _crossing(kstar_at: Callable[[float], float], ends: tuple, kstar_ends: tuple
 
 def _window(precise: Callable[[float], float], base: Callable[[float], float],
             x1: float, k1: float, ends: tuple, target: float) -> tuple:
-    """A window at the base-grid root on which converged k* straddles ``target``.
+    """A window at the base-grid root ``x1`` (base-grid k* ``k1``), within
+    ``ends``, on which converged k* straddles ``target``; else ``ends``.
 
-    ``x1`` is the base-grid root, with base-grid k* ``k1``.  Converged k*
-    misses the target there by r, which is the base grid's offset; over the
-    base-grid slope s it puts the converged root near x1 - r/s.  The first
-    window runs from x1 to x1 - 2r/s, so its midpoint, Chandrupatla's first
-    point, is that estimate.  When that window has no interior (r/s is 0 or
-    below the resolution of x1) it is x1 +/- WINDOW instead, clipped to
-    ``ends``.  When converged k* at its ends misses the target, returns
-    ``ends``, for the caller to judge and finish on, as when locating is
-    skipped.
+    Converged k* misses the target at x1 by r, the base grid's offset, which
+    over the base-grid slope s puts the converged root near x1 - r/s: the
+    midpoint, so Chandrupatla's first point, of the window from x1 to
+    x1 - 2r/s.  A window with no interior (r/s is 0 or below the resolution
+    of x1) is x1 +/- WINDOW instead.
     """
     slope = (base(x1 + SLOPE_STEP) - k1) / SLOPE_STEP
     step = (precise(x1) - target) / slope if slope > 0.0 else 0.0

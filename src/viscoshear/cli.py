@@ -3,9 +3,11 @@
     viscoshear <subcommand> --config <path> [--out <dir>] [--format csv,json,svg]
 
 Subcommands: calibrate, kstar-sweep, eigencurve, verify, torus, line.
-Exit codes: 0 success, 1 check failure, 2 usage/config error or an OS error
-on a path (an unreadable config, an output path that is a file), 3 any other
-numerical failure of the package (non-convergence, bad bracket, ...).
+Exit codes: 0 success, 1 a failed check, or ``eigencurve`` with
+``k_grid = auto`` finding no bound state at t = T (nothing to trace), 2
+usage/config error or an OS error on a path (an unreadable config, an
+output path that is a file), 3 any other numerical failure of the package
+(non-convergence, bad bracket, ...).
 Every subcommand creates the output directory before it computes anything,
 so an unusable --out exits 2 at once.
 """

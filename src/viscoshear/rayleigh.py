@@ -26,10 +26,9 @@ forward from the seed at y = eps > 0 (``_run``) and the left side takes the
 mirrored state.  Only a test oracle integrates the left half line, as the
 reflected system in s = -y.  A sampled pass (``_sampled``: ``solve_phi``,
 one pass for phi1 and phi2 together, and the neutral mode) records the
-sorted unique |y| by the integrator's one rule (a sample within
-1e-12 max(1, |y|) of a step's end takes its state), so the 1-ulp pairs of
-a rounded grid share a record; ``_decode`` reads phi1, phi2 and their
-slopes from the flux state.
+sorted unique |y| by ``_ode``'s one sample rule, so the 1-ulp pairs of a
+rounded grid share a record; ``_decode`` reads phi1, phi2 and their slopes
+from the flux state.
 
 Every W pass goes through ``wronskian_many``, which stops at the cut Y_c
 where the profile becomes Couette to rounding, b' = 1.0, and adds the
@@ -55,12 +54,16 @@ bracket together, one ``wronskian_many`` pass per iteration.  Its first
 point is the scan's inverse interpolant, log c as a polynomial in W
 through the scan points around the sign change, which usually meets the
 tolerance: one polish pass per root.  ``eigencurve`` evaluates only a
-window of that grid where it can: the neutral-limit law c_i = (k*^2 -
-k^2) A, read off the eigensolver's neutral mode, puts each root within a
-few percent, so a row with one eigenvalue below -k^2 evaluates the 13
-scan nodes about the law's node and C_MAX, and falls back to the full
-scan when that window shows no single sign change.  The scans that check
-for absence (``eigenvalues_for_ks``, ``eigenvalue_for_k``) stay full.
+window of that grid where it can, about the neutral-limit law
+
+    c_i = (k*^2 - k^2) A + O(c_i^2),  A = ||phi0||^2 b'(0)^2 / (pi |b'''(0)| phi0(0)^2),
+
+phi0 the eigensolver's neutral mode (Tollmien 1935; Drazin & Reid,
+Hydrodynamic Stability, 2004), which puts each root within a few
+percent.  It seeds a row only where -k^2 lies above exactly one
+eigenvalue: Z. Lin (SIAM J. Math. Anal. 35 (2003) 318) ties the unstable
+modes at k to the bound states below -k^2.  The scans that check for
+absence (``eigenvalues_for_ks``, ``eigenvalue_for_k``) stay full.
 
 The functions take only the physics (state, k, c_i, sample points); the
 numerical settings are module constants, read when a function runs.
@@ -213,11 +216,7 @@ def _unique(values: np.ndarray) -> np.ndarray:
 
 
 def _sampled(system: _WSystem, eps: float, ys: np.ndarray) -> np.ndarray:
-    """A one-channel state at each y of ``ys`` (every |y| > eps), one row per y.
-
-    One right half-line pass to max |y| records the sorted unique |y|; a
-    y < 0 takes the mirrored state.
-    """
+    """A one-channel state at each y of ``ys`` (every |y| > eps), one row per y."""
     mags, where = np.unique(np.abs(ys), return_inverse=True)
     _, rec, _ = _run(system, eps, float(mags[-1]), samples=list(mags))
     st = rec[where, 0]
@@ -472,13 +471,9 @@ def _sign_changes(w: np.ndarray) -> np.ndarray:
 def _polished_roots(state: FlowState, ks: np.ndarray, cs: np.ndarray, w: np.ndarray) -> list:
     """(c_i, residual) for each row of ``w``, W(ic, ks[r]) on the scan grid
     ``cs`` with NaN at the nodes the row did not evaluate and C_MAX always
-    evaluated, or None where the row has no sign change.
-
-    Every bracket is polished together until |W| <= tol_root = ROOT_RTOL *
-    |W(i C_MAX, k)|, per bracket, from a first point the scan's inverse
-    interpolant puts at the root (``_polish_start``), so one polish pass
-    usually finishes.  Raises ``MultipleRoots`` for a row with more than
-    one sign change and ``NonConvergence`` if a polish stalls.
+    evaluated, or None where the row has no sign change.  A root meets
+    |W| <= ROOT_RTOL * |W(i C_MAX, k)|.  Raises ``MultipleRoots`` for a row
+    with more than one sign change and ``NonConvergence`` if a polish stalls.
     """
     flips = _sign_changes(w)
     for k, n in zip(ks, np.count_nonzero(flips, axis=1)):
@@ -539,16 +534,10 @@ class EigenCurve:
 
 def _law_nodes(state: FlowState, ks: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """The node of the scan grid ``cs`` nearest each k's neutral-limit c_i,
-    or -1 where the row is not seeded.
-
-    The law is c_i = (k*^2 - k^2) A + O(c_i^2) with A = ||phi0||^2 b'(0)^2 /
-    (pi |b'''(0)| phi0(0)^2), phi0 the neutral mode (Tollmien 1935; Drazin &
-    Reid, Hydrodynamic Stability, 2004).  A row is seeded when 0 < k < k*
-    and lambda2 >= -k^2, so that -k^2 lies above exactly one eigenvalue:
-    Z. Lin (SIAM J. Math. Anal. 35 (2003) 318) ties the unstable modes at k
-    to the bound states below -k^2.  With no bound state, or an eigensolve
-    that does not converge, no row is seeded.  A node is kept at least
-    C_SEED_WINDOW nodes from the grid's ends and from its C_MAX node.
+    kept at least C_SEED_WINDOW nodes from the grid's ends and from its
+    C_MAX node, or -1 where the row is not seeded: unless 0 < k < k* and
+    lambda2 >= -k^2, and everywhere when there is no bound state or the
+    eigensolve does not converge.
     """
     nodes = np.full(len(ks), -1)
     try:  # through the module, where perfbench's trace rebinds the eigensolve

@@ -23,13 +23,18 @@ or a finer rung has kappa * Y < 3, the state goes to the uniform ladder.
   finite volumes on nodes y = MAP_A sinh(x), uniform in x, so the cells are
   fine in the narrow bump and coarse in the tails and rung 0 is already in
   the h^2 regime (see ``MAP_A``).  lambda1 is the lowest eigenvalue of the
-  even half-line block, lambda2 that of the odd one (past rung 0, whose
-  lambda2 nothing reads), and Richardson runs in the x spacing.  Rung 0
-  alone iterates the Robin kappa, by fixed-point sweeps from its Neumann
-  seed; each finer rung is closed at the rung below's kappa and closes its
-  odd block at its own.  Past rung 0 a solve bisects a narrow window about
-  the rung below's raw eigenvalue, or makes its index call if the window is
-  not certified (``_mapped_lowest``).  Each rung's geometry (nodes, cells,
+  even half-line block, lambda2 that of the odd one (past rung 0: the
+  climb extrapolates lambda2 from its last two rungs and stops at rung 2
+  at the earliest), and Richardson runs in the x spacing.  Rung 0 alone
+  iterates the Robin kappa, by fixed-point sweeps from its Neumann seed,
+  which contract at rate exp(-2 kappa Y).  Each finer rung is closed at the
+  rung below's kappa, which lags its own fixed point by O(h^2), damped by
+  exp(-2 kappa Y), so Richardson in x removes the lag with the grid error;
+  it then closes its odd block at its own kappa = sqrt(-lambda1).  Past
+  rung 0 a solve bisects a narrow window about the rung below's raw
+  eigenvalue, or makes its index call if the window is not certified
+  (``_mapped_lowest``) or has no estimate (rung 1's odd block, as rung 0
+  has no lambda2).  Each rung's geometry (nodes, cells,
   the flux part of the block) is built once per (level, MAP_A, MAP_ROWS,
   HALF_WIDTH) and kept read-only, so a rung evaluates only V.  The ladder
   extrapolates only when successive raw differences of lambda1 fall by a
@@ -387,21 +392,14 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int,
     """One rung of the mapped ladder: (n, lambda1, lambda2, kappa), raw, on
     (MAP_ROWS - 1) * 2**level + 1 half-line nodes y = MAP_A sinh(x), x
     uniform with spacing h; n = 2 * rows - 1 counts the nodes of the full
-    line.  None when a solve of the even block has kappa * Y < 3.
+    line.  None when a solve of the even block has kappa * Y < 3.  Rung 0
+    (``below`` None) has lambda2 None; a finer rung is closed at the raw
+    rung ``below``'s kappa and centres its windows on its eigenvalues.
 
     Finite volumes: flux 1 / (g' h) at the midpoints, cells w = g' h (half
     cells at 0 and Y), symmetrized by W^(1/2), so with g' = 1 this is the
     uniform even block; the Robin closure adds kappa / w_N to the far entry,
-    and the odd block is the even block less its centre row.  Rung 0
-    (``below`` None) alone iterates kappa: fixed-point sweeps kappa <-
-    sqrt(-lambda1) from the Neumann seed, by index calls, which contract at
-    rate exp(-2 kappa Y); it solves no odd block, so its lambda2 is None,
-    which ``_climb`` never reads.  A finer rung takes the raw rung ``below``:
-    one even-block solve closed at below's kappa in the window about below's
-    lambda1, then the odd block closed at its own kappa = sqrt(-lambda1) in
-    the window about below's lambda2 (an index call on rung 1).  Below's
-    kappa lags this rung's fixed point by O(h^2), damped by exp(-2 kappa Y),
-    and Richardson in x removes that lag with the grid error.
+    and the odd block is the even block less its centre row.
     """
     d, e, w, _ = _mapped_block(vfunc, level)
     d_far, kappa = d[-1], below[3] if below else 0.0
@@ -421,14 +419,10 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int,
 
 def _climb(rung: Callable[[int, Optional[tuple]], Optional[tuple]], guarded: bool):
     """Richardson over ``rung(level, below)``, ``below`` being the previous
-    rung's raw output (None at level 0; a finer mapped rung takes its kappa
-    and centres its windows on its eigenvalues): (lambda1, lambda2, ConvergenceInfo)
+    rung's raw output (None at level 0): (lambda1, lambda2, ConvergenceInfo)
     once two successive extrapolants of lambda1 agree within ``TOL_EIG``, or
-    None as soon as a rung is None.  ``guarded`` (the mapped ladder)
-    extrapolates only when the raw lambda1 differences of the last three
-    rungs fall by a ratio inside ``ORDER_BAND``.  lambda2 is extrapolated
-    from the last two rungs, and the climb stops at rung 2 at the earliest,
-    so nothing reads rung 0's lambda2 (the mapped rung 0 leaves it None)."""
+    None as soon as a rung is None.  ``guarded`` adds the ``ORDER_BAND``
+    test on the raw lambda1 differences of the last three rungs."""
     ns, raw1, raw2, rich1, out = [], [], [], [], None
     for level in range(MAX_LEVELS):
         out = rung(level, out)
@@ -461,11 +455,8 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
 
     ``vfunc`` maps a node array to potential values, which keeps the solver
     testable against exactly solvable potentials.  The potential must be
-    even: every rung evaluates it for y >= 0 only.  Mapped rung 0 is the
-    climb's level 0: None routes a weakly bound state to the uniform ladder,
-    and ``_climb`` hands each finer rung the one below, whose kappa closes
-    it and whose eigenvalues centre its windows.  The mode's rung evaluates
-    V again on its nodes.
+    even: every rung evaluates it for y >= 0 only, and the mode's rung
+    evaluates it again on its nodes.
     """
     climbed = _climb(lambda level, below: _mapped_level(vfunc, level, below), True)
     if climbed is None:  # rung 2 in a child while this process climbs rungs 0 and 1

@@ -36,11 +36,11 @@ module attributes in the child, as perfbench traces a request.
   Neumann seed routes the weakly bound threshold to the uniform ladder
   (``spectrum._level``), and then its record has ``n`` None.
   ``eigh_tridiagonal`` calls are "index", "window" (a value-range call in
-  a certified window of a finer mapped rung) or
-  "vector" (the mode, with its own seconds), and ``dpttrf`` calls are
-  "dpttrf" (a window's certificate; none where ``spectrum`` has no
-  ``_dpttrf``), each with its rows, the sum of len(d); an index call after a
-  refused window counts as "index".  ``eval_potential`` calls are counted
+  a certified window of a finer mapped rung) or "vector" (the mode, with
+  its own seconds), and ``dpttrf`` calls are "dpttrf" (a window's
+  certificate; none where ``spectrum`` has no ``_dpttrf``), each with its
+  rows, the sum of len(d), so a half-line block counts half the full line;
+  an index call after a refused window counts as "index".  ``eval_potential`` calls are counted
   with their points.  Each state runs REPEAT times; the whole eigensolve
   (``eigensolve_s``), a rung and the vector calls keep their fastest
   repeat.  With two CPUs the uniform ladder's rung 2 runs in a forked child
