@@ -23,7 +23,7 @@ OUT.mkdir(exist_ok=True)
 params = FlowParams(M=0.7016905534975553, gamma0=0.15, gamma1=0.03, gamma2=0.8, nu=1e-3)
 state = FlowState(params, params.horizon)
 
-cs, w, _ = scan_wronskian(state, k=1.0)
+cs, w = scan_wronskian(state, k=1.0)
 (OUT / "wronskian_scan.svg").write_text(
     svg_line_plot([("Re W(ic, 1)", list(cs), list(w))],
                   "c_i", "Re W", "Wronskian along the imaginary axis, k = 1")
@@ -37,9 +37,10 @@ dk, dci = wronskian_partials(state, 1.0, root[0] / 2)
 print(f"Wronskian partials near the root: dWr/dk = {dk:+.3f}, dWr/dc_i = {dci:+.3f}")
 print(f"implicit-function slope -dWr/dk / dWr/dc_i = {-dk / dci:+.5f}")
 
-kT = lowest_eigenpair(state, want_mode=False).kstar
+eig = lowest_eigenpair(state)  # k* for the grid, and the mode that seeds the curve
+kT = eig.kstar
 ks = np.linspace(0.9, kT - 0.004, 5)
-curve = eigencurve(state, ks)
+curve = eigencurve(state, ks, eig)
 print(f"\n{'k':>10} {'c_i(k)':>14}")
 for k, ci, _ in curve.points:
     print(f"{k:10.5f} {ci:14.6e}")

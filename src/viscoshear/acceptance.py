@@ -76,7 +76,7 @@ class AcceptanceContext:
     @cached_property
     def curve(self):
         ks = self.cfg.k_grid_values(self.torus.kstarT)
-        return ray.eigencurve(self.state_T, ks)
+        return ray.eigencurve(self.state_T, ks, self.torus.eig_T or lowest_eigenpair(self.state_T))
 
     @cached_property
     def curve_stopped(self) -> str:

@@ -18,14 +18,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import rayleigh as ray
+from . import rayleigh as ray, spectrum
 from .calibrate import kstar_time_sweep, tune_M_for_kstar
 from .config import Config, load_config, parse_formats
-from .errors import ConfigError, ViscoshearError
+from .errors import ConfigError, NonConvergence, ViscoshearError
 from .flow import FlowState
 from .report import csv_text, curve_dict, json_text, kstar_svg, scenario_report_dict, svg_line_plot
 from .scenario import run_line_scenario, run_torus_scenario
-from .spectrum import lowest_eigenpair
 
 
 def _write(path: Path, text: str) -> None:
@@ -70,15 +69,17 @@ def _cmd_eigencurve(cfg: Config, out_dir: Path, formats) -> int:
     M = _resolve_M(cfg)
     params = cfg.params(M)
     state = FlowState(params, params.horizon)
-    if cfg.k_grid == "auto":
-        res = lowest_eigenpair(state, want_mode=False)
-        if res.kstar is None:
-            print("no bound state at t = T; nothing to trace", file=sys.stderr)
-            return 1
-        ks = cfg.k_grid_values(res.kstar)
-    else:
-        ks = cfg.k_grid_values(0.0)
-    curve = ray.eigencurve(state, ks)
+    auto = cfg.k_grid == "auto"
+    try:  # one eigensolve gives the auto grid's k* and the law's seed
+        eig = spectrum.lowest_eigenpair(state)
+    except NonConvergence:
+        if auto:
+            raise
+        eig = None  # every row of an explicit grid gets the full scan
+    if auto and eig.kstar is None:
+        print("no bound state at t = T; nothing to trace", file=sys.stderr)
+        return 1
+    curve = ray.eigencurve(state, cfg.k_grid_values(eig.kstar if auto else 0.0), eig)
     slope_by_k = {k: s for k, s in curve.slope_samples}
     rows = [(k, c, r, slope_by_k.get(k)) for k, c, r in curve.points]
     if "csv" in formats:

@@ -58,12 +58,12 @@ window of that grid where it can, about the neutral-limit law
 
     c_i = (k*^2 - k^2) A + O(c_i^2),  A = ||phi0||^2 b'(0)^2 / (pi |b'''(0)| phi0(0)^2),
 
-phi0 the eigensolver's neutral mode (Tollmien 1935; Drazin & Reid,
-Hydrodynamic Stability, 2004), which puts each root within a few
-percent.  It seeds a row only where -k^2 lies above exactly one
-eigenvalue: Z. Lin (SIAM J. Math. Anal. 35 (2003) 318) ties the unstable
-modes at k to the bound states below -k^2.  The scans that check for
-absence (``eigenvalues_for_ks``, ``eigenvalue_for_k``) stay full.
+phi0 the neutral mode of the eigensolve the caller hands in (Tollmien
+1935; Drazin & Reid, Hydrodynamic Stability, 2004), which puts each root
+within a few percent.  It seeds a row only where -k^2 lies above exactly
+one eigenvalue: Z. Lin (SIAM J. Math. Anal. 35 (2003) 318) ties the
+unstable modes at k to the bound states below -k^2.  The scans that check
+for absence (``eigenvalues_for_ks``, ``eigenvalue_for_k``) stay full.
 
 The functions take only the physics (state, k, c_i, sample points); the
 numerical settings are module constants, read when a function runs.
@@ -77,7 +77,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _ode, spectrum
+from . import _ode
 from ._ode import integrate
 from ._roots import chandrupatla
 from .errors import MultipleRoots, NonConvergence, TailDominance
@@ -423,16 +423,15 @@ def _scan_grid() -> np.ndarray:
 
 
 def scan_wronskian(state: FlowState, k):
-    """W(ic, k) on the log-spaced root-scan grid; one batched pass.
+    """(cs, W): W(ic, k) on the log-spaced root-scan grid cs; one batched pass.
 
-    ``k`` is a wave number or a sequence of them; for a sequence, W and its
-    error estimate have one row per wave number, all from the same pass.
+    ``k`` is a wave number or a sequence of them; for a sequence, W has one
+    row per wave number, all from the same pass.
     """
     cs = _scan_grid()
     ks = np.atleast_1d(np.asarray(k, dtype=float))
-    w, qe = wronskian_many(state, np.repeat(ks, len(cs)), np.tile(cs, len(ks)))
-    shape = (len(ks), len(cs)) if np.ndim(k) else (len(cs),)
-    return cs, w.reshape(shape), qe.reshape(shape)
+    w, _ = wronskian_many(state, np.repeat(ks, len(cs)), np.tile(cs, len(ks)))
+    return cs, w.reshape((len(ks), len(cs)) if np.ndim(k) else (len(cs),))
 
 
 def _polish_start(cs: np.ndarray, w: np.ndarray, j: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -509,7 +508,7 @@ def eigenvalues_for_ks(state: FlowState, ks: Sequence[float]):
     ``NonConvergence`` if a polish stalls.
     """
     ks = np.asarray(ks, dtype=float)
-    cs, w, _ = scan_wronskian(state, ks)
+    cs, w = scan_wronskian(state, ks)
     return _polished_roots(state, ks, cs, w), cs, w
 
 
@@ -532,39 +531,36 @@ class EigenCurve:
     k_zero: Optional[float]
 
 
-def _law_nodes(state: FlowState, ks: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """The node of the scan grid ``cs`` nearest each k's neutral-limit c_i,
-    kept at least C_SEED_WINDOW nodes from the grid's ends and from its
-    C_MAX node, or -1 where the row is not seeded: unless 0 < k < k* and
-    lambda2 >= -k^2, and everywhere when there is no bound state or the
-    eigensolve does not converge.
+def _law_nodes(state: FlowState, eig, ks: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """The node of the scan grid ``cs`` nearest each k's neutral-limit c_i
+    read off ``eig``, kept at least C_SEED_WINDOW nodes from the grid's ends
+    and from its C_MAX node, or -1 where the row is not seeded: unless 0 < k
+    < k* and lambda2 >= -k^2, and everywhere when ``eig`` is None or has no
+    mode, as an unbound state's has none.
     """
     nodes = np.full(len(ks), -1)
-    try:  # through the module, where perfbench's trace rebinds the eigensolve
-        res = spectrum.lowest_eigenpair(state, want_mode=True)
-    except NonConvergence:
-        return nodes
-    if res.kstar is None:
+    if eig is None or eig.mode is None:
         return nodes
     _, b1, _, b3 = eval_b_derivs(state, 0.0)
-    phi0 = res.mode[len(res.mode) // 2]  # the centre node is y = 0
-    a = np.sum(res.mode ** 2 * res.weights) * b1 ** 2 / (math.pi * abs(b3) * phi0 ** 2)
-    seeded = (ks < res.kstar) & (res.lambda2 >= -ks ** 2)
-    law = (res.kstar ** 2 - ks[seeded] ** 2) * a
+    phi0 = eig.mode[len(eig.mode) // 2]  # the centre node is y = 0
+    a = np.sum(eig.mode ** 2 * eig.weights) * b1 ** 2 / (math.pi * abs(b3) * phi0 ** 2)
+    seeded = (ks < eig.kstar) & (eig.lambda2 >= -ks ** 2)
+    law = (eig.kstar ** 2 - ks[seeded] ** 2) * a
     near = np.abs(np.log(cs) - np.log(law)[:, None]).argmin(axis=1)
     nodes[seeded] = np.clip(near, C_SEED_WINDOW, len(cs) - 2 - C_SEED_WINDOW)
     return nodes
 
 
-def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
+def eigencurve(state: FlowState, k_grid: Sequence[float], eig) -> EigenCurve:
     """Map k -> c_i(k) over a wave-number grid inside (0, k*).
 
+    ``eig`` is the caller's eigensolve of ``state`` with its mode, or None.
     Each distinct k is solved once, in increasing order.  A row seeded from
-    the neutral-limit law (``_law_nodes``) evaluates W only at the
-    C_SEED_WINDOW scan nodes on each side of the law's node and at C_MAX,
-    every seeded row in one pass.  A row that is not seeded, or whose
-    window shows no single sign change, gets the full scan, every such row
-    in one more pass.  Then all brackets are polished together
+    the neutral-limit law read off ``eig`` (``_law_nodes``) evaluates W
+    only at the C_SEED_WINDOW scan nodes on each side of the law's node and
+    at C_MAX, every seeded row in one pass.  A row that is not seeded, or
+    whose window shows no single sign change, gets the full scan, every
+    such row in one more pass.  Then all brackets are polished together
     (``_polished_roots``), so ``MultipleRoots`` comes only from a full
     scan.  Slopes by central differences on the computed points; ``k_zero``
     is the linear extrapolation of the last two points to c_i = 0, the
@@ -576,7 +572,7 @@ def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
     ks = _unique(np.asarray(k_grid, dtype=float))
     cs = _scan_grid()
     w = np.full((len(ks), len(cs)), np.nan)
-    seeded = _law_nodes(state, ks, cs) if len(ks) else np.array([], dtype=int)
+    seeded = _law_nodes(state, eig, ks, cs)
     rows = np.flatnonzero(seeded >= 0)
     if rows.size:
         window = np.arange(-C_SEED_WINDOW, C_SEED_WINDOW + 1)
@@ -585,7 +581,7 @@ def eigencurve(state: FlowState, k_grid: Sequence[float]) -> EigenCurve:
         w[rows[:, None], nodes] = w_win.reshape(nodes.shape)
     full = np.flatnonzero(np.count_nonzero(_sign_changes(w), axis=1) != 1)
     if full.size:
-        _, w[full], _ = scan_wronskian(state, ks[full])
+        _, w[full] = scan_wronskian(state, ks[full])
     roots = _polished_roots(state, ks, cs, w)
     pts = []
     for k, root, row in zip(ks, roots, w):

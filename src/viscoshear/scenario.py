@@ -115,6 +115,7 @@ class ScenarioReport:
     checks: list = field(default_factory=list)
     scan_cs: Optional[np.ndarray] = None
     scan_W: Optional[np.ndarray] = None
+    eig_T: Optional[SpectralResult] = None  # the torus's, with its mode; not serialized
 
     @property
     def M(self) -> Optional[float]:
@@ -238,7 +239,7 @@ def run_torus_scenario(params: FlowParams, delta: float, n_times: int) -> Scenar
                 "expect root" if want_root else "expect no root")
 
     # cross-solver consistency at the final time
-    eig_T = lowest_eigenpair(st_T, want_mode=True)
+    rep.eig_T = eig_T = lowest_eigenpair(st_T, want_mode=True)
     if eig_T.kstar is not None:
         wb, _ = ray.wronskian_many(st_T, [eig_T.kstar], [0.0])
         bres = abs(wb[0]) / rep.w_scale

@@ -167,6 +167,20 @@ def test_criteria_7_and_8_name_where_the_curve_stopped(cfg, monkeypatch):
     assert all(c.passed for name, c in checks.items() if name not in stopped)
 
 
+def test_curve_reads_the_torus_eigensolve(cfg, ctx, monkeypatch):
+    # the torus holds its t = T eigensolve with the mode, so verify's curve
+    # solves no eigenproblem of its own and equals the shared context's
+    from viscoshear import spectrum
+
+    assert ctx.torus.eig_T is not None
+    want = ctx.curve
+    fresh = acc.AcceptanceContext(cfg)
+    fresh.torus = ctx.torus
+    climbs = []
+    monkeypatch.setattr(spectrum, "_solve_potential", lambda *args: climbs.append(args))
+    assert fresh.curve == want and climbs == []
+
+
 @pytest.mark.parametrize("n_points", [1, 2])
 def test_criteria_7_and_8_on_a_short_curve(cfg, n_points):
     # a k_grid of one or two wave numbers gives no slope samples, and one

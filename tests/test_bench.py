@@ -107,10 +107,10 @@ def test_polish_shows_the_ode_cost_of_each_case(capsys):
     bench.show_polish("change", {"eigencurve": {
         "seconds": stat, "w_passes": 2, "seeded_rows": 2, "fallback_rows": 0,
         "polish_passes_per_root": {"mean": 1.0, "max": 1},
-        "ode_passes": 2, "ode_steps": 113, "rhs_calls": 1358}})
+        "ode_passes": 2, "ode_steps": 113, "rhs_calls": 1358, "eigensolves": 1}})
     out = capsys.readouterr().out
     assert "2 W passes, 2 seeded and 0 full-scan rows" in out
-    assert "2 ODE passes, 113 steps, 1358 RHS calls" in out
+    assert "2 ODE passes, 113 steps, 1358 RHS calls, 1 eigensolves" in out
 
 
 def _threshold_record(seconds, M0="4.127983142029252e-05"):

@@ -308,6 +308,50 @@ def test_cli_eigencurve_names_the_side_a_missing_root_lies_on(tmp_path, capsys, 
     assert capsys.readouterr().err == f"numerical failure: NonConvergence: {why}\n"
 
 
+@pytest.mark.parametrize("k_grid", ["auto", "0.95:1:2"])
+def test_cli_eigencurve_solves_t_T_once(tmp_path, monkeypatch, k_grid):
+    # one eigensolve with its mode gives the auto grid's k* and the law's
+    # seed; with M given nothing is tuned, so every climb is at t = T
+    from viscoshear import spectrum
+
+    climbs, solve = [], spectrum._solve_potential
+
+    def counted(vfunc, want_mode):
+        climbs.append(want_mode)
+        return solve(vfunc, want_mode)
+
+    monkeypatch.setattr(spectrum, "_solve_potential", counted)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FIXTURE_CFG + f"M = 0.7016905534975553\nk_grid = {k_grid}\n")
+    assert main(["eigencurve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert climbs == [True]
+
+
+@pytest.mark.parametrize("k_grid, rc", [("0.95:1:2", 0), ("auto", 3)])
+def test_cli_eigencurve_without_its_eigensolve(tmp_path, monkeypatch, capsys, k_grid, rc):
+    # an explicit grid whose t = T eigensolve does not converge still gets
+    # every root, from the full scan; the auto grid needs that solve's k*
+    from viscoshear import rayleigh as ray, spectrum
+    from viscoshear.errors import NonConvergence
+    from viscoshear.flow import FlowParams, FlowState
+
+    def fails(vfunc, want_mode):
+        raise NonConvergence("eigenvalue refinements did not stabilize")
+
+    monkeypatch.setattr(spectrum, "_solve_potential", fails)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FIXTURE_CFG + f"M = 0.7016905534975553\nk_grid = {k_grid}\n")
+    assert main(["eigencurve", "--config", str(cfg), "--out", str(tmp_path)]) == rc
+    if rc:
+        assert capsys.readouterr().err == ("numerical failure: NonConvergence: eigenvalue "
+                                           "refinements did not stabilize\n")
+        return
+    params = FlowParams(0.7016905534975553, 0.15, 0.03, 0.8, 1e-3)
+    want, _, _ = ray.eigenvalues_for_ks(FlowState(params, params.horizon), [0.95, 1.0])
+    payload = json.loads((tmp_path / "eigencurve.json").read_text())
+    assert [p["c_i"] for p in payload["points"]] == [c for c, _ in want]
+
+
 def test_cli_auto_k_grid_below_k_one(tmp_path):
     # delta = 0.3 puts k*(T) at 0.711, below the 0.9 where a fixture-like
     # grid starts: the auto grid still lies inside (0, k*), so every point

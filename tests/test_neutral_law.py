@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from viscoshear import rayleigh as ray, spectrum
+from viscoshear import rayleigh as ray
 from viscoshear.calibrate import tune_M_for_kstar
 from viscoshear.config import Config
 from viscoshear.errors import NonConvergence
@@ -71,7 +71,7 @@ def test_dense_vorticity_operator_counts_one_unstable_mode_below_kstar(ctx):
     # -k^2 lies above exactly one eigenvalue for 0 < k < k*(T) = 1.0052 and
     # above none at k = 1.5 and 2 at T, or at k = 1 at t = 0 (k*(0) = 0.99);
     # the fixture's grids, 0.95:1:2 and auto, are inside (0, k*(T))
-    ci_095 = ray.eigencurve(ctx.state_T, [0.95]).points[0][1]
+    ci_095 = ray.eigencurve(ctx.state_T, [0.95], ctx.torus.eig_T).points[0][1]
     grid = [0.95, 1.0, *ctx.cfg.k_grid_values(ctx.torus.kstarT)]
     cases = [(ctx.state_T, k, 1) for k in grid]
     for state, k, pairs in cases + [(ctx.state_T, 1.5, 0), (ctx.state_T, 2.0, 0),
@@ -102,8 +102,8 @@ def _spied_scans(monkeypatch) -> list:
 def test_eigencurve_seeds_the_fixture_grids_without_a_full_scan(ctx, monkeypatch):
     state, auto = ctx.state_T, ctx.cfg.k_grid_values(ctx.torus.kstarT)  # the torus scans first
     scans = _spied_scans(monkeypatch)
-    ray.eigencurve(state, [0.95, 1.0])
-    ray.eigencurve(state, auto)
+    ray.eigencurve(state, [0.95, 1.0], ctx.torus.eig_T)
+    ray.eigencurve(state, auto, ctx.torus.eig_T)
     assert scans == []
 
 
@@ -111,7 +111,7 @@ def test_a_missed_window_falls_back_to_the_full_scan(ctx, monkeypatch):
     # at k = 0.5 the law is off by more than the window's six nodes
     state = ctx.state_T
     scans = _spied_scans(monkeypatch)
-    curve = ray.eigencurve(state, [0.5, 0.95, 1.0])
+    curve = ray.eigencurve(state, [0.5, 0.95, 1.0], ctx.torus.eig_T)
     assert scans == [[0.5]]
     monkeypatch.undo()
     alone = ray.eigenvalue_for_k(state, 0.5)
@@ -124,7 +124,7 @@ def test_a_wave_number_past_kstar_gets_the_full_scan_and_its_message(ctx, monkey
     monkeypatch.setattr(ray, "wronskian_many", lambda st, ks, cs: passes.append(set(ks))
                         or many(st, ks, cs))
     with pytest.raises(NonConvergence, match=r"no root at k=1\.1; grid extends past k\*"):
-        ray.eigencurve(state, [0.95, 1.1])
+        ray.eigencurve(state, [0.95, 1.1], ctx.torus.eig_T)
     assert scans == [[1.1]] and passes[0] == {0.95}  # k > k* gets no window
 
 
@@ -137,32 +137,22 @@ def test_a_wave_number_past_kstar_gets_the_full_scan_and_its_message(ctx, monkey
 def test_a_bad_seed_falls_back_to_the_scanned_value(ctx, monkeypatch, change):
     ks, state = [0.95, 1.0], ctx.state_T
     want, _, _ = ray.eigenvalues_for_ks(state, ks)
-    real = spectrum.lowest_eigenpair
-
-    def changed(state, want_mode=True):
-        return change(real(state, want_mode=want_mode))
-
-    monkeypatch.setattr(spectrum, "lowest_eigenpair", changed)
     scans = _spied_scans(monkeypatch)
-    curve = ray.eigencurve(state, ks)
+    curve = ray.eigencurve(state, ks, change(ctx.torus.eig_T))
     assert scans == [ks]
     assert [c for _, c, _ in curve.points] == [c for c, _ in want]
 
 
 def test_no_row_is_seeded_without_a_converged_bound_state(ctx, couette_state, monkeypatch):
-    # Couette has no bound state; a state whose eigensolve fails gets every
-    # row from the full scan, as eigenvalues_for_ks gives it
+    # Couette has no bound state, so its eigensolve holds no mode; a caller
+    # whose eigensolve failed passes None, and every row gets the full scan,
+    # as eigenvalues_for_ks gives it
     state, ks = ctx.state_T, [0.95, 1.0]
     scans = _spied_scans(monkeypatch)
     with pytest.raises(NonConvergence, match="grid extends past k"):
-        ray.eigencurve(couette_state, [1.0])
+        ray.eigencurve(couette_state, [1.0], lowest_eigenpair(couette_state))
     assert scans == [[1.0]]
-
-    def fails(state, want_mode=True):
-        raise NonConvergence("eigenvalue refinements did not stabilize")
-
-    monkeypatch.setattr(spectrum, "lowest_eigenpair", fails)
-    curve = ray.eigencurve(state, ks)
+    curve = ray.eigencurve(state, ks, None)
     assert scans[1:] == [ks]
     monkeypatch.undo()
     want, _, _ = ray.eigenvalues_for_ks(state, ks)

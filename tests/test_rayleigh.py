@@ -321,7 +321,7 @@ def test_eigencurve_shares_window_and_polish(ctx, monkeypatch):
 
     state = ctx.state_T  # built first: it runs the torus scenario
     monkeypatch.setattr(ray, "wronskian_many", counted)
-    curve = ray.eigencurve(state, [0.95, 1.0])
+    curve = ray.eigencurve(state, [0.95, 1.0], ctx.torus.eig_T)
     (window_cs, window), polish = passes[0], passes[1:]
     # both rows are seeded: one window pass of the law's nodes and C_MAX, no full scan
     assert len(window) <= 2 * (2 * ray.C_SEED_WINDOW + 1) + 2
@@ -401,9 +401,10 @@ def test_batched_roots_match_single_wave_number(ctx):
         assert abs(root[0] - single[0]) * abs(dw_dci) <= 2.0 * tol_root
 
 
-def test_eigencurve_of_empty_grid_is_empty(couette_state):
-    curve = ray.eigencurve(couette_state, [])
-    assert curve.points == () and curve.k_zero is None
+def test_eigencurve_of_empty_grid_is_empty(couette_state, ctx):
+    for state, eig in ((couette_state, None), (ctx.state_T, ctx.torus.eig_T)):
+        curve = ray.eigencurve(state, [], eig)
+        assert curve.points == () and curve.k_zero is None
 
 
 @given(st.lists(st.sampled_from([0.95, 1.0, 0.5, -0.0, 0.0, 1e-3, -20.0, 2.0]), max_size=12))
@@ -426,7 +427,7 @@ def test_root_searches_reject_nonpositive_k(couette_state, ks):
     with pytest.raises(ValueError, match="wave numbers must be positive"):
         ray.eigenvalue_for_k(couette_state, min(ks))
     with pytest.raises(ValueError, match="wave numbers must be positive"):
-        ray.eigencurve(couette_state, ks)
+        ray.eigencurve(couette_state, ks, None)
     # every W pass checks k itself: a value at k = 0, or TailDominance (the
     # exit-3 class) at k < 0 or NaN, would hide the bad input
     with pytest.raises(ValueError, match="wave numbers must be positive"):

@@ -74,10 +74,13 @@ module attributes in the child, as perfbench traces a request.
   wave numbers of the ``scan_wronskian`` passes: every row of a checkout
   that seeds none), the polish passes (those inside ``chandrupatla``), the
   roots, the polish passes that evaluated each root's bracket (mean and
-  max), every c_i and
-  the cost of every Rayleigh ODE pass in the case (``rayleigh.integrate``
-  rebound: passes, accepted steps and RHS calls, as counts); the torus
-  also all W passes of the run and its failed checks.
+  max), every c_i, the cost of every Rayleigh ODE pass in the case
+  (``rayleigh.integrate`` rebound: passes, accepted steps and RHS calls, as
+  counts) and its eigensolves (``spectrum._solve_potential`` rebound); the
+  torus also all W passes of the run and its failed checks.  Where
+  ``eigencurve`` takes the caller's eigensolve, the ``eigencurve`` and
+  ``wide`` cases make ``spectrum.lowest_eigenpair(state_T)`` inside the
+  timed case, as an ``eigencurve`` that made its own did inside its call.
 - ``threshold``: one calibration, ``find_critical_M0`` on the fixture, as in
   ``line``: its converged eigensolves (``calibrate.lowest_eigenpair``
   rebound, as perfbench's ``calibrate.threshold_eigensolves`` counts them),
@@ -243,9 +246,9 @@ print(json.dumps({"modules": len(modules), "scipy_subpackages": subpackages,
 """
 
 POLISH = r"""
-import json, sys, time
+import inspect, json, sys, time
 sys.path.insert(0, sys.argv[1])
-from viscoshear import rayleigh as ray, scenario
+from viscoshear import rayleigh as ray, scenario, spectrum as sp
 from viscoshear.calibrate import tune_M_for_kstar
 from viscoshear.config import load_config
 from viscoshear.flow import FlowState
@@ -255,8 +258,15 @@ params = cfg.params(M=1.0)
 cal = tune_M_for_kstar(params, 0.0, 1.0 - cfg.delta)
 state_T = FlowState(params.with_M(cal.M), params.horizon)
 
-many, integrate = ray.wronskian_many, ray.integrate
+many, integrate, solve = ray.wronskian_many, ray.integrate, sp._solve_potential
+# an eigencurve that reads the caller's eigensolve gets it inside the timed
+# case; an older one solved t = T with the mode inside its own call
+takes_eig = "eig" in inspect.signature(ray.eigencurve).parameters
 log = {}
+
+def counted_solve(vfunc, want_mode):
+    log["eigensolves"] += 1
+    return solve(vfunc, want_mode)
 
 def counted_integrate(rhs, *args, **kwargs):
     def counted_rhs(y, st):
@@ -284,13 +294,13 @@ def staged(stage, fn):
     return run
 
 def counted_search(search):
-    def run(state, ks):
+    def run(state, ks, *rest):
         if log["search"] is not None:  # a search inside another: eigencurve's, where it has one
-            return search(state, ks)
+            return search(state, ks, *rest)
         log["search"] = passes = []
         start = time.perf_counter()
         try:
-            out = search(state, ks)
+            out = search(state, ks, *rest)
         finally:
             log["search_s"] += time.perf_counter() - start
             log["search"] = None
@@ -310,11 +320,12 @@ ray.eigenvalues_for_ks = counted_search(ray.eigenvalues_for_ks)
 ray.scan_wronskian = staged("scan", ray.scan_wronskian)
 ray.chandrupatla = staged("polish", ray.chandrupatla)
 ray.wronskian_many, ray.integrate = counted_many, counted_integrate
+sp._solve_potential = counted_solve
 
 def case(run):
     log.update(passes=0, search=None, stage="window", search_s=0.0, w_passes=0, polish=0,
                per_root=[], seeded_rows=0, fallback_rows=0, ode_passes=0, ode_steps=0,
-               rhs_calls=0)
+               rhs_calls=0, eigensolves=0)
     start = time.perf_counter()
     cis, extra = run()
     seconds = time.perf_counter() - start
@@ -325,16 +336,21 @@ def case(run):
            "polish_passes_per_root": {"mean": sum(per_root) / max(len(per_root), 1),
                                       "max": max(per_root, default=0)},
            "ode_passes": log["ode_passes"], "ode_steps": log["ode_steps"],
-           "rhs_calls": log["rhs_calls"], "c_i": cis}
+           "rhs_calls": log["rhs_calls"], "eigensolves": log["eigensolves"], "c_i": cis}
     out.update(extra)
     return out
 
+def curve_T(ks):
+    if takes_eig:
+        return ray.eigencurve(state_T, ks, sp.lowest_eigenpair(state_T))
+    return ray.eigencurve(state_T, ks)
+
 def eigencurve():
-    curve = ray.eigencurve(state_T, [0.95, 1.0])
+    curve = curve_T([0.95, 1.0])
     return [c for _, c, _ in curve.points], {"k_zero": curve.k_zero}
 
 def wide():
-    curve = ray.eigencurve(state_T, [0.2, 0.6, 0.9, 0.99, 1.0])
+    curve = curve_T([0.2, 0.6, 0.9, 0.99, 1.0])
     return [c for _, c, _ in curve.points], {}
 
 def torus():
@@ -408,7 +424,7 @@ def show_polish(name: str, entry: dict) -> None:
                 f"{r['w_passes']} W passes, {r['seeded_rows']} seeded and {r['fallback_rows']} "
                 f"full-scan rows, {pr['mean']:.2f} polish passes per root "
                 f"(max {pr['max']}), {r['ode_passes']} ODE passes, {r['ode_steps']} steps, "
-                f"{r['rhs_calls']} RHS calls")
+                f"{r['rhs_calls']} RHS calls, {r['eigensolves']} eigensolves")
         if c == "torus":
             line += (f", root stage {r['root_stage_s']['median']:.3f} s, {r['all_w_passes']} "
                      f"W passes in all, {len(r['checks_failed'])} of {r['checks']} checks failed")
