@@ -30,15 +30,11 @@ or a finer rung has kappa * Y < 3, the state goes to the uniform ladder.
   which contract at rate exp(-2 kappa Y).  Each finer rung is closed at the
   rung below's kappa, which lags its own fixed point by O(h^2), damped by
   exp(-2 kappa Y), so Richardson in x removes the lag with the grid error;
-  it then closes its odd block at its own kappa = sqrt(-lambda1).  Past
-  rung 0 a solve bisects a narrow window about the rung below's raw
-  eigenvalue, or makes its index call if the window is not certified
-  (``_mapped_lowest``) or has no estimate (rung 1's odd block, as rung 0
-  has no lambda2).  Each rung's geometry (nodes, cells,
-  the flux part of the block) is built once per (level, MAP_A, MAP_ROWS,
-  HALF_WIDTH) and kept read-only, so a rung evaluates only V.  The ladder
-  extrapolates only when successive raw differences of lambda1 fall by a
-  ratio inside ``ORDER_BAND``.
+  it then closes its odd block at its own kappa = sqrt(-lambda1).  Each
+  rung's geometry (nodes, cells, the flux part of the block) is built once
+  per (level, MAP_A, MAP_ROWS, HALF_WIDTH) and kept read-only, so a rung
+  evaluates only V.  The ladder extrapolates only when successive raw
+  differences of lambda1 fall by a ratio inside ``ORDER_BAND``.
 - Weakly bound states climb the uniform ladder (``_level``): symmetric
   3-point differences on the full grid, the lowest two eigenvalues by index
   (``_lowest_two``), and kappa as a bracketed root in lambda by scipy's
@@ -60,12 +56,19 @@ set by the bisection noise of ``_lowest_two`` at Brent's abscissae, so
 another driver, selection, tolerance or root finder moves it.  The forked
 rung makes the same calls in the child.
 
-The mode, the ground state, is even: it is the lowest eigenvector of the
-even block of the finest mapped rung the eigensolve reached (whichever ladder
-it climbed), Robin-closed at kappa = sqrt(-lambda1), unscaled by W^(-1/2) and
-mirrored, so it is even bit for bit.  It lives on that rung's nodes and is
-normalized in its cells, both of which ``SpectralResult`` carries.  This
-module only solves: ``scenario.profile_checked`` judges the mode's shape.
+One rule bisects every mapped block (``_mapped_lowest``): a solve with an
+estimate bisects a ``dpttrf``-certified window about it, else it makes an
+index call.  The estimates: the last lambda1 for rung 0's sweeps, the rung
+below's raw eigenvalues for a finer rung (none for rung 1's odd block, as
+rung 0 solves none) and the last rung's raw lambda1 for the mode.
+
+The mode, the ground state, is even: one ``dstein`` call at its eigenvalue
+gives the lowest eigenvector of the even block of the finest mapped rung the
+eigensolve reached (whichever ladder it climbed), Robin-closed at kappa =
+sqrt(-lambda1), which is unscaled by W^(-1/2) and mirrored, so it is even bit
+for bit.  It lives on that rung's nodes and is normalized in its cells, both
+of which ``SpectralResult`` carries.  This module only solves:
+``scenario.profile_checked`` judges the mode's shape.
 """
 
 from __future__ import annotations
@@ -129,30 +132,22 @@ def _checked(routine: str, info: int) -> None:
         raise NonConvergence(f"LAPACK {routine} failed (info={info})")
 
 
-def eigh_tridiagonal(d, e, eigvals_only=False, select="i", select_range=(0, 0), tol=0.0):
-    """Eigenvalues of the symmetric tridiagonal (d, e), and with
-    ``eigvals_only`` False their eigenvectors as columns: those with indices
+def eigh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=0.0):
+    """Eigenvalues of the symmetric tridiagonal (d, e): those with indices
     il..iu = ``select_range`` (``select`` "i"), or those in the value range
     (vl, vu] = ``select_range`` (``select`` "v").
 
-    ``scipy.linalg.eigh_tridiagonal``'s ``stebz`` branch, call for call: the
-    same finite-input check, ``dstebz`` with the same arguments (matrix order
-    for values, block order for vectors), ``dstein`` on the block-ordered
-    values, then an ``argsort``, so its results are scipy's bit for bit.  A
-    nonzero LAPACK ``info`` raises ``NonConvergence``.
+    ``scipy.linalg.eigh_tridiagonal``'s ``stebz`` branch with ``eigvals_only``,
+    call for call: the same finite-input check and ``dstebz`` with the same
+    arguments, so its values are scipy's bit for bit.  A nonzero LAPACK
+    ``info`` raises ``NonConvergence``.
     """
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     lo, hi = select_range
     bounds = (1, float(lo), float(hi), 1, 1) if select == "v" else (2, 0.0, 1.0, lo + 1, hi + 1)
-    m, w, iblock, isplit, info = _dstebz(d, e, *bounds, float(tol), "E" if eigvals_only else "B")
+    m, w, _, _, info = _dstebz(d, e, *bounds, float(tol), "E")
     _checked("dstebz", info)
-    w = w[:m]
-    if eigvals_only:
-        return w
-    v, info = _dstein(d, e, w, iblock, isplit)
-    _checked("dstein", info)
-    order = np.argsort(w)
-    return w[order], v[:, order]
+    return w[:m]
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,7 @@ def _robin_tridiagonal(v: np.ndarray, h: float, kappa: float):
 
 
 def _lowest_two(d: np.ndarray, e: np.ndarray):
-    vals = eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 1))
+    vals = eigh_tridiagonal(d, e, select_range=(0, 1))
     return float(vals[0]), float(vals[1])
 
 
@@ -348,18 +343,18 @@ def _forked(fn: Callable[[], object]):
 
 
 def _mapped_lowest(d: np.ndarray, e: np.ndarray, estimate: Optional[float] = None) -> float:
-    """The lowest eigenvalue of a mapped block at ``MAP_TOL``: in the window
-    (x - w, x + w] about an ``estimate`` x, w = WINDOW |x|, when ``dpttrf``
-    factors the block less x - w (so, by Sylvester inertia, no eigenvalue lies
-    at or below x - w) and exactly one lies in the window; else by an index call."""
+    """The lowest eigenvalue of a mapped block at ``MAP_TOL``, by the module's
+    rule: in the window (x - w, x + w] about an ``estimate`` x, w = WINDOW |x|,
+    when ``dpttrf`` factors the block less x - w (so, by Sylvester inertia, no
+    eigenvalue lies at or below x - w) and exactly one lies in the window;
+    else by an index call."""
     if estimate is not None:
         lo, hi = estimate - WINDOW * abs(estimate), estimate + WINDOW * abs(estimate)
         if lo < hi and _dpttrf(d - lo, e)[2] == 0:
-            vals = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi),
-                                    tol=MAP_TOL)
+            vals = eigh_tridiagonal(d, e, select="v", select_range=(lo, hi), tol=MAP_TOL)
             if len(vals) == 1:
                 return float(vals[0])
-    return float(eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 0), tol=MAP_TOL)[0])
+    return float(eigh_tridiagonal(d, e, select_range=(0, 0), tol=MAP_TOL)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,7 +389,7 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int,
     uniform with spacing h; n = 2 * rows - 1 counts the nodes of the full
     line.  None when a solve of the even block has kappa * Y < 3.  Rung 0
     (``below`` None) has lambda2 None; a finer rung is closed at the raw
-    rung ``below``'s kappa and centres its windows on its eigenvalues.
+    rung ``below``'s kappa.
 
     Finite volumes: flux 1 / (g' h) at the midpoints, cells w = g' h (half
     cells at 0 and Y), symmetrized by W^(1/2), so with g' = 1 this is the
@@ -402,10 +397,10 @@ def _mapped_level(vfunc: Callable[[np.ndarray], np.ndarray], level: int,
     and the odd block is the even block less its centre row.
     """
     d, e, w, _ = _mapped_block(vfunc, level)
-    d_far, kappa = d[-1], below[3] if below else 0.0
+    d_far, (kappa, lam1) = d[-1], (below[3], below[1]) if below else (0.0, None)
     for _ in range(1 if below else 5):  # below's closure, or the Neumann seed and four sweeps
         d[-1] = d_far + kappa / w[-1]
-        lam1 = _mapped_lowest(d, e, below[1] if below else None)
+        lam1 = _mapped_lowest(d, e, lam1)
         if lam1 >= 0.0 or math.sqrt(-lam1) * HALF_WIDTH < 3.0:
             return None
         closure, kappa = kappa, math.sqrt(-lam1)
@@ -470,7 +465,10 @@ def _solve_potential(vfunc: Callable[[np.ndarray], np.ndarray], want_mode: bool)
     # the ground state is even: the even block's lowest eigenvector, Robin-closed
     d, e, w, y = _mapped_block(vfunc, len(info.n_points) - 1)
     d[-1] += kstar / w[-1]
-    u = eigh_tridiagonal(d, e, select_range=(0, 0), tol=MAP_TOL)[1][:, 0] / np.sqrt(w)
+    block = np.ones(len(d), np.int32)  # iblock 1 and isplit n: dstein takes (d, e) as one block
+    u, fail = _dstein(d, e, [_mapped_lowest(d, e, info.raw[-1])], block, block * len(d))
+    _checked("dstein", fail)
+    u = u[:, 0] / np.sqrt(w)
     u = np.concatenate((u[:0:-1], u)) * math.copysign(1.0, u[0])
     w = np.concatenate((w[:0:-1], [2.0 * w[0]], w[1:]))  # the full line's cells
     y = np.append(y[:-1], HALF_WIDTH)  # MAP_A * sinh(asinh(Y / MAP_A)) may round past Y

@@ -1,4 +1,5 @@
-"""The harness of ``tools/bench.py``, driven by fake runs: no process is spawned."""
+"""The harnesses of ``tools/bench.py`` and ``tools/mutate.py``, driven by fake runs:
+no process is spawned and no mutant runs."""
 
 import importlib.util
 import json
@@ -10,6 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
+_spec = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
+mutate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutate)
 
 
 @pytest.fixture
@@ -113,6 +117,22 @@ def test_polish_shows_the_ode_cost_of_each_case(capsys):
     assert "2 ODE passes, 113 steps, 1358 RHS calls, 1 eigensolves" in out
 
 
+def test_spectrum_shows_each_rungs_calls_and_the_mode(capsys):
+    stat = {"median": 1e-3, "q1": 9e-4, "q3": 1.1e-3}
+    kinds = ("index", "window", "dpttrf", "vector")
+    counts = dict({f"{k}_calls": 0 for k in kinds}, **{f"{k}_rows": 0 for k in kinds})
+    rung = dict(counts, ladder="mapped", n=257, s=stat, index_calls=1, index_rows=129)
+    mode = dict(counts, s=stat, window_calls=1, window_rows=513, dpttrf_calls=1,
+                dpttrf_rows=513, vector_calls=1, vector_rows=513)
+    bench.show_spectrum("change", {"cases": {"tuned_T_mode": {
+        "eigensolve_s": stat, "total_s": stat, "rungs": [rung], "mode": mode,
+        "potential": {"calls": 2, "points": 642}}}})
+    out = capsys.readouterr().out
+    assert "mapped 257: 1.0 ms (1 index/129 rows, 0 window/0 rows," in out
+    assert ("mode: 1.00 ms (0 index/0 rows, 1 window/513 rows, 1 dpttrf/513 rows, "
+            "1 vector/513 rows)") in out
+
+
 def _threshold_record(seconds, M0="4.127983142029252e-05"):
     return {"eigensolves": 13, "ruled_steps": 5, "iterations": 19, "M0": M0,
             "bracket": ["4.127729338082987e-05", M0], "achieved": "-5.475237175776104e-09",
@@ -194,3 +214,58 @@ def test_traced_ode_pass_counts_steps_and_rhs_calls(monkeypatch, couette_state):
     attempts, rest = divmod(calls - 1 - steps, 11)
     assert steps > 0 and rest == 0 and attempts >= steps
     assert ode[4]["channels"] == 2
+
+
+def test_every_mutant_applies_once_to_the_repo():
+    # the list follows src/: each mutant's old text occurs exactly once in
+    # its file and differs from its new text, and the names are unique
+    names = [m.name for m in mutate.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in mutate.MUTANTS:
+        assert (ROOT / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
+        assert m.old != m.new and m.guard
+
+
+def test_mutants_are_chosen_by_name(capsys):
+    assert mutate.selected([]) == list(mutate.MUTANTS)
+    assert [m.name for m in mutate.selected(["map_tol", "w_parity"])] == ["map_tol", "w_parity"]
+    for names in (["nope"], ["map_tol", "map_tol"]):
+        with pytest.raises(ValueError, match="unknown or repeated"):
+            mutate.selected(names)
+    assert mutate.main(["map_tol", "nope"]) == 2
+    assert "unknown or repeated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times", [0, 2])
+def test_a_mutant_not_found_exactly_once_is_refused(tmp_path, times):
+    (tmp_path / "f.py").write_text("x = 1\n" * times)
+    with pytest.raises(mutate.Refused, match=f"occurs {times} times in f.py"):
+        mutate.apply(mutate.Mutant("m", "f.py", "x = 1", "x = 2", "a guard"), tmp_path)
+    assert (tmp_path / "f.py").read_text() == "x = 1\n" * times
+
+
+def test_a_mutant_changes_only_its_copy(tmp_path):
+    (tmp_path / "f.py").write_text("x = 1\ny = 1\n")
+    mutate.apply(mutate.Mutant("m", "f.py", "x = 1", "x = 2", "a guard"), tmp_path)
+    assert (tmp_path / "f.py").read_text() == "x = 2\ny = 1\n"
+
+
+def test_mutation_run_prints_each_outcome(monkeypatch, capsys):
+    # a fake run per mutant: no copy is made and no suite runs
+    outcomes = {"map_tol": ("killed", "tests/test_spectrum.py::test_x", 2.0),
+                "order_band": ("survived", "", 30.0)}
+
+    refused = "w_parity: its old text occurs 0 times in src/viscoshear/rayleigh.py"
+
+    def run(mutant):
+        if mutant.name == "w_parity":
+            raise mutate.Refused(refused)
+        return outcomes[mutant.name]
+
+    monkeypatch.setattr(mutate, "run", run)
+    assert mutate.main(["map_tol"]) == 0
+    assert mutate.main(["map_tol", "order_band", "w_parity"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("map_tol: killed in 2.0 s, by tests/test_spectrum.py::test_x (")
+    assert lines[2].startswith("order_band: survived in 30.0 s (src/viscoshear/spectrum.py; ")
+    assert lines[3] == f"refused: {refused}"

@@ -204,9 +204,9 @@ def test_profile_checks_at_t0(ctx):
     # the fixture's t = 0 and T modes pass with the fitted C, bit for bit
     check = profile_checked("profile_checks_t0", ctx.mode_0, ctx.state_0)
     assert (check.passed, check.measured, check.band, check.note) == (
-        True, 2.6782686041286636, (1.0, 20.0), "")
+        True, 2.6782686041287787, (1.0, 20.0), "")
     check = next(c for c in ctx.torus.checks if c.name == "profile_checks")
-    assert (check.passed, check.measured, check.note) == (True, 2.683703865333077, "")
+    assert (check.passed, check.measured, check.note) == (True, 2.683703865333369, "")
 
 
 # a state to cut the synthetic modes at: Y_c = 0.94, so their decay rate

@@ -66,7 +66,7 @@ def certified_window(d: np.ndarray, e: np.ndarray, window: tuple):
 
 def _lowest(d, e):
     """The lowest eigenvalue of a block by one index call at LAPACK's default tolerance."""
-    return float(spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 0))[0])
+    return float(spectrum.eigh_tridiagonal(d, e, select_range=(0, 0))[0])
 
 
 def _raw_ratio(info):
@@ -249,19 +249,18 @@ def test_mode_is_normalized_and_positive(ctx):
 
 
 def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch):
-    # one eigenvector call, on the even block of the finest mapped rung the
-    # eigensolve reached, and an exactly even mode within 1e-10 of the lowest
-    # eigenvector of that rung's full-line problem, Robin-closed at both ends
-    # at kappa = sqrt(-lambda1)
+    # one eigenvector call (dstein), on the even block of the finest mapped
+    # rung the eigensolve reached, and an exactly even mode within 1e-10 of
+    # the lowest eigenvector of that rung's full-line problem, Robin-closed at
+    # both ends at kappa = sqrt(-lambda1)
     state, vectors = ctx.state_T, []
-    eigh = spectrum.eigh_tridiagonal
+    dstein = spectrum._dstein
 
-    def counted(d, e, **kwargs):
-        if not kwargs.get("eigvals_only"):
-            vectors.append(len(d))
-        return eigh(d, e, **kwargs)
+    def counted(d, *args):
+        vectors.append(len(d))
+        return dstein(d, *args)
 
-    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(spectrum, "_dstein", counted)
     res = lowest_eigenpair(state, want_mode=True)
     monkeypatch.undo()
     rows = (spectrum.MAP_ROWS - 1) * 2 ** (len(res.convergence.n_points) - 1) + 1
@@ -276,7 +275,8 @@ def test_mode_is_the_even_block_eigenvector(ctx, monkeypatch):
     w = a * np.cosh(x) * h
     w[[0, -1]] *= 0.5
     d = eval_potential(state, a * np.sinh(x)) + (np.r_[kappa, flux] + np.r_[flux, kappa]) / w
-    u = eigh(d, -flux / np.sqrt(w[:-1] * w[1:]), select_range=(0, 0))[1][:, 0]
+    u = scipy.linalg.eigh_tridiagonal(d, -flux / np.sqrt(w[:-1] * w[1:]), select="i",
+                                      select_range=(0, 0))[1][:, 0]
     u /= np.sqrt(w)
     u *= math.copysign(1.0, u[rows - 1]) / math.sqrt(np.sum(u ** 2 * w))
     assert np.max(np.abs(res.weights / w - 1.0)) <= 1e-12
@@ -387,13 +387,14 @@ def _below(vfunc, level):
 def _counted_mapped_level(monkeypatch, vfunc, level):
     """``_mapped_level(vfunc, level, below)``, handed the rung below as the
     climb hands it, and, per eigenvalue call it made, the block's (d, e), its
-    keyword arguments and the eigenvalue returned."""
+    keyword arguments and the eigenvalue returned (None from a window that
+    holds none or two, which the solve refuses)."""
     below, calls = _below(vfunc, level), []
     eigh = spectrum.eigh_tridiagonal
 
     def counted(d, e, **kwargs):
         out = eigh(d, e, **kwargs)
-        calls.append((d.copy(), e.copy(), kwargs, float(out[0])))
+        calls.append((d.copy(), e.copy(), kwargs, float(out[0]) if len(out) == 1 else None))
         return out
 
     with monkeypatch.context() as mp:
@@ -422,8 +423,8 @@ def test_closure_fixed_point_matches_direct_solve(monkeypatch):
     rows, tol = len(d), spectrum.MAP_TOL
     assert n == 2 * rows - 1 and kappa == math.sqrt(-lam1) and kappa * 20.0 >= 3.0
     assert [(len(db), kw) for db, _, kw, _ in calls] == [
-        (rows, dict(eigvals_only=True, select="v", select_range=_window(below[1]), tol=tol)),
-        (rows - 1, dict(eigvals_only=True, select_range=(0, 0), tol=tol))]
+        (rows, dict(select="v", select_range=_window(below[1]), tol=tol)),
+        (rows - 1, dict(select_range=(0, 0), tol=tol))]
     (dr, er, _, lam_r), (do, eo, _, lam_o) = calls
     assert (lam_r, lam_o) == (lam1, lam2) and 0.0 < abs(kappa - below[3]) <= 1e-4 * kappa
     assert np.array_equal(dr[:-1], d[:-1]) and dr[-1] == d[-1] + below[3] / w[-1]
@@ -450,9 +451,10 @@ def _rung_calls(monkeypatch, state):
     (kind, rows) of each eigenvalue call, all at MAP_TOL: "index", "window"
     (a value-range call in a window that ``dpttrf`` certified), "fallback"
     (the index call of a solve whose window was refused, by ``dpttrf`` or by
-    its count) or "vector" (the mode)."""
+    its count) or "vector" (the mode's ``dstein``)."""
     calls, rungs, refused = [], [], [False]
-    eigh, dpttrf, level = spectrum.eigh_tridiagonal, spectrum._dpttrf, spectrum._mapped_level
+    eigh, dpttrf, dstein = spectrum.eigh_tridiagonal, spectrum._dpttrf, spectrum._dstein
+    level = spectrum._mapped_level
 
     def counted_dpttrf(d, e):
         out = dpttrf(d, e)
@@ -465,10 +467,13 @@ def _rung_calls(monkeypatch, state):
         if kwargs.get("select") == "v":
             kind, refused[0] = "window", len(out) != 1
         else:
-            kind = "fallback" if refused[0] else "index" if kwargs.get("eigvals_only") else "vector"
-            refused[0] = False
+            kind, refused[0] = "fallback" if refused[0] else "index", False
         calls.append((kind, len(d)))
         return out
+
+    def counted_dstein(d, *args):
+        calls.append(("vector", len(d)))
+        return dstein(d, *args)
 
     def split_level(vfunc, lev, below=None):
         out = level(vfunc, lev, below)
@@ -479,9 +484,10 @@ def _rung_calls(monkeypatch, state):
     with monkeypatch.context() as mp:
         mp.setattr(spectrum, "eigh_tridiagonal", counted_eigh)
         mp.setattr(spectrum, "_dpttrf", counted_dpttrf)
+        mp.setattr(spectrum, "_dstein", counted_dstein)
         mp.setattr(spectrum, "_mapped_level", split_level)
         res = lowest_eigenpair(state)
-    return res, rungs + [calls]  # the last entry: the mode's vector call
+    return res, rungs + [calls]  # the last entry: the mode's window and vector calls
 
 
 def _finer_rung_calls(i):
@@ -492,20 +498,38 @@ def _finer_rung_calls(i):
 
 
 def test_mapped_rungs_route_once_then_skip_the_sweeps_that_round_away(monkeypatch):
-    # a strongly bound ladder: rung 0 routes and iterates the Robin kappa by
-    # index calls, the Neumann seed and its sweeps (one that returns the seed
-    # bit for bit at M = 0.7, two that move lambda1 at M = 0.3), and solves no
-    # odd block.  Every finer rung skips the sweeps: one even-block window
-    # closed at the rung below's kappa and one odd-block solve; rung 1's odd
-    # block has no estimate, as rung 0 solves none, so it is an index call
+    # a strongly bound ladder: rung 0 routes by an index call, the Neumann
+    # seed, then iterates the Robin kappa by sweeps that each bisect a window
+    # about the last lambda1 (one sweep that rounds away at M = 0.7, two that
+    # move lambda1 at M = 0.3), and solves no odd block.  Every finer rung
+    # skips the sweeps: one even-block window closed at the rung below's kappa
+    # and one odd-block solve; rung 1's odd block has no estimate, as rung 0
+    # solves none, so it is an index call.  The mode bisects a window about
+    # the last rung's raw lambda1 and makes one dstein call at it
     for M, sweeps in ((0.7, 1), (0.3, 2)):
         state = FlowState(FlowParams(M, 0.15, 0.03, 0.8, 1e-3), 0.0)
         res, rungs = _rung_calls(monkeypatch, state)
         assert len(rungs) - 1 == len(res.convergence.n_points) == 3
-        assert rungs[0] == [("index", spectrum.MAP_ROWS)] * (1 + sweeps)
+        assert rungs[0] == [("index", spectrum.MAP_ROWS)] + [("window", spectrum.MAP_ROWS)] * sweeps
         for i, rung in enumerate(rungs[1:-1], 1):
             assert rung == _finer_rung_calls(i)
-        assert rungs[-1] == [("vector", (spectrum.MAP_ROWS - 1) * 4 + 1)]
+        rows = (spectrum.MAP_ROWS - 1) * 4 + 1
+        assert rungs[-1] == [("window", rows), ("vector", rows)]
+
+
+def test_a_mode_eigensolve_at_T_bisects_by_index_only_without_an_estimate(monkeypatch):
+    # the tuned fixture at T with its mode, as the torus solves it: rung 0's
+    # Neumann seed and rung 1's odd block are the only solves without an
+    # estimate, so the only index calls; every other solve, the mode's
+    # included, bisects a certified window, and the mode's vector is one
+    # dstein call
+    p = FlowParams(M_TUNED, 0.15, 0.03, 0.8, 1e-3)
+    res, rungs = _rung_calls(monkeypatch, FlowState(p, p.horizon))
+    kinds = [kind for rung in rungs for kind, _ in rung]
+    assert res.mode is not None and len(res.convergence.n_points) == 3
+    assert kinds.count("index") == 2 and kinds.count("vector") == 1 and "fallback" not in kinds
+    assert rungs[0][0] == ("index", spectrum.MAP_ROWS)
+    assert rungs[1][-1] == ("index", 2 * (spectrum.MAP_ROWS - 1))
 
 
 M_TUNED_CLI = 0.7016899257095007  # ``viscoshear calibrate`` on the fixture
@@ -516,10 +540,13 @@ M_TUNED_CLI = 0.7016899257095007  # ``viscoshear calibrate`` on the fixture
 def test_skipped_sweeps_match_the_full_loop(monkeypatch, M):
     # a rung past 0 skips the Robin sweeps and closes at the rung below's
     # kappa; the full loop (oracles.fixed_point_ladder) sweeps every rung to
-    # its own fixed point.  They take the same rungs and agree within 1e-11 in
-    # lambda1 and lambda2, where rung 0's sweep moves lambda1 (by 1.4e-4,
-    # 9.9e-7, 5.9e-9 and 2.6e-13 at M = 0.1 to 0.5) and where it returns the
-    # seed bit for bit (M >= 0.7), at t = 0, T / 2 and T
+    # its own fixed point by index calls.  They take the same rungs and agree
+    # within 1e-11 in lambda1 and lambda2, where rung 0's sweep moves lambda1
+    # (by 1.4e-4, 9.9e-7, 5.9e-9 and 2.6e-13 at M = 0.1 to 0.5) and where it
+    # rounds away (M >= 0.7), at t = 0, T / 2 and T.  Rung 0's one index call
+    # is its Neumann seed: each sweep bisects a window about the last lambda1,
+    # and a refused one (the first sweep at M = 0.1, t = 0, where lambda1
+    # moves past the window) falls back to its index call
     p = FlowParams(M, 0.15, 0.03, 0.8, 1e-3)
     for s in (0.0, 0.5, 1.0):
         state = FlowState(p, s * p.horizon)
@@ -527,7 +554,8 @@ def test_skipped_sweeps_match_the_full_loop(monkeypatch, M):
         lam1, lam2, info = fixed_point_ladder(spectrum._potential(state))
         assert info.n_points == res.convergence.n_points
         assert abs(res.lambda1 - lam1) <= 1e-11 and abs(res.lambda2 - lam2) <= 1e-11
-        assert all(kind == "index" for kind, _ in rungs[0]) and len(rungs[0]) >= 2
+        kinds = [kind for kind, _ in rungs[0]]
+        assert kinds[0] == "index" and "index" not in kinds[1:] and "window" in kinds
         for i, rung in enumerate(rungs[1:-1], 1):
             assert rung == _finer_rung_calls(i)
 
@@ -698,16 +726,20 @@ def test_uncertified_window_falls_back_to_index_call(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", UNCERTIFIED)
-def test_uncertified_windows_in_a_shallow_well_run_the_index_sweeps(monkeypatch, case):
+def test_uncertified_windows_in_a_shallow_well_run_the_window_sweeps(monkeypatch, case):
     # V = -0.39 sech^2 binds kappa = 0.3 (kappa * Y = 6): on mapped rung 0,
     # the one rung that sweeps, the closure needs more than one Robin sweep,
-    # each an index call, and the bad windows are rejected on its last Robin
-    # block and on that block's odd part
+    # each a window about the last lambda1 after the Neumann seed's index
+    # call, and the bad windows are rejected on its last Robin block and on
+    # that block's odd part
     (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, _pt_potential(0.39), 0)
     dr, er, kwargs, lam_r = calls[-1]
     _assert_uncertified(dr, er, case)
     _assert_uncertified(dr[1:], er[1:], case)
-    assert len(calls) > 2 and all(kw["select_range"] == (0, 0) for _, _, kw, _ in calls)
+    selects = [kw.get("select", "i") for _, _, kw, _ in calls]
+    assert len(calls) > 2 and selects == ["i"] + ["v"] * (len(calls) - 1)
+    assert calls[0][2]["select_range"] == (0, 0)
+    assert calls[1][2]["select_range"] == _window(calls[0][3])
     assert lam1 == lam_r and 3.0 <= kappa * 20.0 <= 9.0
 
 
@@ -802,12 +834,14 @@ def test_narrow_window_certifies_exactly_the_one_sweep_closures(monkeypatch, kin
     # lambda_N, on the Robin block at the Neumann kappa, is certified exactly
     # when the closure stops at its first sweep, and then holds its lambda1.
     # (The nearest wells to the stop edge, nu = 0.5 and 0.6, miss it 5-fold
-    # and 9-fold.)
+    # and 9-fold.)  A solve is the call that returns its one value: a window
+    # the solve refused (holding none) is followed by its index call
     vfunc = _fixture_potential(value) if kind == "fixture" else _pt_potential(value * (value + 1.0))
     (n, lam1, lam2, kappa), calls = _counted_mapped_level(monkeypatch, vfunc, 0)
-    lam_n = calls[0][3]
-    dr, er, _, lam_r = calls[1]
-    one_sweep = len(calls) == 2  # the Neumann seed and one Robin sweep
+    solves = [call for call in calls if call[3] is not None]
+    lam_n = solves[0][3]
+    dr, er, _, lam_r = solves[1]
+    one_sweep = len(solves) == 2  # the Neumann seed and one Robin sweep
     got = certified_window(dr, er, (lam_n, -2e-9 * lam_n))
     assert kappa * 20.0 >= 3.0 and (got is not None) == one_sweep
     if one_sweep:
@@ -958,7 +992,7 @@ def _random_block(well, odd, robin):
             "fixture_T": lambda: _fixture_well(0.7, t=0.02025)}[well]()
     kappa = math.sqrt(-_lowest(*_blocks(v, h, 0.0)[0])) if robin else 0.0
     d, e = _blocks(v, h, kappa)[odd]
-    return d, e, spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 2))
+    return d, e, spectrum.eigh_tridiagonal(d, e, select_range=(0, 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1043,7 +1077,7 @@ def test_weak_closure_makes_the_full_matrix_calls_plus_one_routing_test(monkeypa
     eigh = spectrum.eigh_tridiagonal
 
     def counted_eigh(d, e, **kwargs):
-        calls.append((kwargs["eigvals_only"], kwargs["select_range"], kwargs.get("tol"), len(d),
+        calls.append((kwargs.get("select", "i"), kwargs["select_range"], kwargs.get("tol"), len(d),
                       d[0], d[-1]))
         return eigh(d, e, **kwargs)
 
@@ -1055,7 +1089,7 @@ def test_weak_closure_makes_the_full_matrix_calls_plus_one_routing_test(monkeypa
     assert expected[2] * 20.0 < 3.0
     assert res.convergence.n_points[0] == spectrum.UNIFORM_ROWS
     assert res.convergence.raw[0] == expected[0]
-    assert calls[0][:4] == (True, (0, 0), spectrum.MAP_TOL, spectrum.MAP_ROWS)
+    assert calls[0][:4] == ("i", (0, 0), spectrum.MAP_TOL, spectrum.MAP_ROWS)
     assert calls[1:1 + len(expected_calls)] == expected_calls
 
 
@@ -1285,11 +1319,8 @@ M_TUNED = 0.7016905534975553  # the fixture's amplitude for k*(0) = 1 - delta
 
 def _assert_as_scipy(d, e, **kwargs):
     ours = spectrum.eigh_tridiagonal(d, e, **kwargs)
-    theirs = scipy.linalg.eigh_tridiagonal(d, e, **{"select": "i", **kwargs})
-    if kwargs.get("eigvals_only"):
-        ours, theirs = (ours,), (theirs,)
-    assert len(ours) == len(theirs)
-    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+    theirs = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, **{"select": "i", **kwargs})
+    assert np.array_equal(ours, theirs)
 
 
 def test_binding_matches_scipy_on_the_threshold_uniform_rung():
@@ -1299,28 +1330,27 @@ def test_binding_matches_scipy_on_the_threshold_uniform_rung():
     n, _, _, kappa = spectrum._level(_fixture_potential(M0_LINE), 0)
     ys = _uniform_ys(n)
     d, e = _robin_tridiagonal(np.asarray(_fixture_potential(M0_LINE)(ys)), ys[1] - ys[0], kappa)
-    _assert_as_scipy(d, e, eigvals_only=True, select_range=(0, 1))
+    _assert_as_scipy(d, e, select_range=(0, 1))
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_binding_matches_scipy_on_mapped_rungs_at_T(level):
     # the index and window calls of the mapped ladder on its even and odd
-    # blocks, and the mode's vector call on the Robin-closed even block
+    # blocks, Neumann and Robin-closed as the mode's
     d, e, w, _ = spectrum._mapped_block(_fixture_potential(M_TUNED, t=0.02025), level)
-    for db, eb in ((d, e), (d[1:], e[1:])):
-        _assert_as_scipy(db, eb, eigvals_only=True, select_range=(0, 0), tol=spectrum.MAP_TOL)
+    robin = d.copy()
+    robin[-1] += math.sqrt(-spectrum._mapped_lowest(d, e)) / w[-1]
+    for db, eb in ((d, e), (d[1:], e[1:]), (robin, e)):
+        _assert_as_scipy(db, eb, select_range=(0, 0), tol=spectrum.MAP_TOL)
         x = spectrum._mapped_lowest(db, eb)
-        _assert_as_scipy(db, eb, eigvals_only=True, select="v", select_range=_window(x),
-                         tol=spectrum.MAP_TOL)
-    d[-1] += math.sqrt(-spectrum._mapped_lowest(d, e)) / w[-1]
-    _assert_as_scipy(d, e, select_range=(0, 0), tol=spectrum.MAP_TOL)
+        _assert_as_scipy(db, eb, select="v", select_range=_window(x), tol=spectrum.MAP_TOL)
 
 
 def test_binding_rejects_nonfinite_input():
     d, e = np.full(8, 2.0), np.full(7, -1.0)
     d[3] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        spectrum.eigh_tridiagonal(d, e, eigvals_only=True, select_range=(0, 0))
+        spectrum.eigh_tridiagonal(d, e, select_range=(0, 0))
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
